@@ -14,6 +14,7 @@ Failures emit a machine-parsable JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -23,7 +24,7 @@ import time
 from . import __version__
 from .costs import effective_model_costs, model_flop_count, model_param_count
 from .errors import GraphValidationError, InfeasibleBudgetError, PruneKitError
-from .graph import ModelGraph, infer_shapes, load_model, save_model, validate as validate_graph
+from .graph import ModelGraph, infer_shapes, load_model, save_model
 from .planner import PruningPlan, multi_pass, select_threshold
 from .scoring import Config, records_to_csv, records_to_json, score_all
 from .surgeon import apply_plan
@@ -106,9 +107,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() not in ("true", "false"):
+        raise ValueError(raw)
+    return raw.lower() == "true"
+
+
+# config-file value parsers by Config field type, matching the CLI flags
+_VALUE_PARSERS = {"float": float, "int": int, "bool": _parse_bool, "str": str}
+
+
 def _parse_config_file(path: str) -> dict:
     values: dict = {}
-    field_types = {f: t for f, t in Config.__annotations__.items()}
+    parsers = {f.name: _VALUE_PARSERS[f.type.split(" | ")[0]] for f in dataclasses.fields(Config)}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             line = line.split("#", 1)[0].strip()
@@ -117,19 +128,13 @@ def _parse_config_file(path: str) -> dict:
             if "=" not in line:
                 raise PruneKitError(f"{path}:{lineno}: expected key=value")
             key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in field_types:
+            if key not in parsers:
                 raise PruneKitError(f"{path}:{lineno}: unknown config key {key!r}")
             raw = raw.strip("\"'")
-            if raw.lower() in ("true", "false"):
-                values[key] = raw.lower() == "true"
-            else:
-                try:
-                    values[key] = int(raw)
-                except ValueError:
-                    try:
-                        values[key] = float(raw)
-                    except ValueError:
-                        values[key] = raw
+            try:
+                values[key] = parsers[key](raw)
+            except ValueError:
+                raise PruneKitError(f"{path}:{lineno}: bad value {raw!r} for config key {key!r}") from None
     return values
 
 
@@ -163,11 +168,7 @@ def _make_config(args: argparse.Namespace) -> Config:
 
 
 def _load(args: argparse.Namespace) -> ModelGraph:
-    graph = load_model(args.model, getattr(args, "weights", None))
-    violations = validate_graph(graph)
-    if violations:
-        raise GraphValidationError(violations)
-    return infer_shapes(graph)
+    return infer_shapes(load_model(args.model, getattr(args, "weights", None)))
 
 
 def _file_checksum(path: str) -> str:
@@ -253,17 +254,14 @@ def cmd_prune(args: argparse.Namespace) -> int:
     out_dir = args.out_dir
 
     if config.passes > 1 or (config.per_pass_ratio is not None and not args.plan):
-        if config.per_pass_ratio is None:
-            raise PruneKitError("multi-pass pruning needs --per-pass")
-        trajectory = multi_pass(graph, config, config.per_pass_ratio)
+        trajectory = multi_pass(graph, config)
         pruned = trajectory[-1][1]
         for i, (plan, _stage) in enumerate(trajectory, 1):
             run.add(_write(out_dir, f"plan_pass{i}.json", plan.to_json()))
         report_dict = {
             "passes": len(trajectory),
             "per_pass_ratio": config.per_pass_ratio,
-            "final_frr": 1.0 - model_flop_count(pruned, config.flops_convention)
-            / model_flop_count(graph, config.flops_convention),
+            "final_frr": 1.0 - trajectory[-1][0].predicted_flops / trajectory[0][0].baseline_flops,
         }
     else:
         if not args.plan:

@@ -35,16 +35,19 @@ def _factor(convention: str) -> int:
     return 2 if convention == "2macs" else 1
 
 
-def unit_param_cost(graph: ModelGraph, unit: PruneUnit) -> int:
-    """Weights owned by the unit: K*K*M per member filter, K*K*N per consumer slice."""
-    total = 0
+def _unit_blocks(graph: ModelGraph, unit: PruneUnit):
+    """(layer, width) of each kernel block the unit owns: M per filter, N per slice."""
     for m in unit.members:
         node = graph.nodes[m.layer]
-        total += node.kernel() ** 2 * node.declared_in_width()
+        yield node, node.declared_in_width()
     for s in unit.in_slices:
         node = graph.nodes[s.layer]
-        total += node.kernel() ** 2 * node.declared_out_width()
-    return total
+        yield node, node.declared_out_width()
+
+
+def unit_param_cost(graph: ModelGraph, unit: PruneUnit) -> int:
+    """Weights owned by the unit: K*K*M per member filter, K*K*N per consumer slice."""
+    return sum(node.kernel() ** 2 * width for node, width in _unit_blocks(graph, unit))
 
 
 def unit_flop_cost(graph: ModelGraph, unit: PruneUnit, convention: str = "macs") -> int:
@@ -52,14 +55,9 @@ def unit_flop_cost(graph: ModelGraph, unit: PruneUnit, convention: str = "macs")
     if not graph.inferred:
         raise ShapeError("run infer_shapes before unit_flop_cost")
     total = 0
-    for m in unit.members:
-        node = graph.nodes[m.layer]
+    for node, width in _unit_blocks(graph, unit):
         i = node.in_size if node.kind == "Conv2d" else 1
-        total += i * i * node.kernel() ** 2 * node.declared_in_width()
-    for s in unit.in_slices:
-        node = graph.nodes[s.layer]
-        i = node.in_size if node.kind == "Conv2d" else 1
-        total += i * i * node.kernel() ** 2 * node.declared_out_width()
+        total += i * i * node.kernel() ** 2 * width
     return total * _factor(convention)
 
 

@@ -46,7 +46,6 @@ class TensorBlob:
 
     shape: tuple[int, ...]
     data: np.ndarray
-    offset: int = -1  # byte offset; assigned on save, bound on load
 
     @property
     def nbytes(self) -> int:
@@ -127,9 +126,6 @@ class ModelGraph:
     input_size: int
     inferred: bool = False
 
-    def node(self, nid: str) -> LayerNode:
-        return self.nodes[nid]
-
     def input_node(self) -> LayerNode:
         return next(n for n in self.nodes.values() if n.kind == "Input")
 
@@ -149,9 +145,6 @@ class ModelGraph:
     def total_channels(self) -> int:
         """Total output channels across all weighted layers."""
         return sum(n.declared_out_width() for n in self.weighted_layers())
-
-    def topo_index(self, nid: str) -> int:
-        return self.order.index(nid)
 
 
 class GraphBuilder:
@@ -362,7 +355,8 @@ def validate(graph: ModelGraph) -> list[str]:
             if not all(isinstance(x, int) and x > 0 for x in (m, n, k)):
                 v.append(f"{nid}: Conv2d needs positive in_channels/out_channels/kernel")
                 continue
-            if node.attrs.get("stride", 1) < 1 or node.attrs.get("padding", 0) < 0:
+            stride, pad = node.attrs.get("stride", 1), node.attrs.get("padding", 0)
+            if not isinstance(stride, int) or not isinstance(pad, int) or stride < 1 or pad < 0:
                 v.append(f"{nid}: bad stride/padding")
             w = node.tensors.get("weight")
             if w is None:
@@ -406,7 +400,8 @@ def validate(graph: ModelGraph) -> list[str]:
             if mode not in POOL_MODES:
                 v.append(f"{nid}: unknown pool mode {mode!r}")
             elif mode != "global-avg":
-                if node.attrs.get("kernel", 0) < 1 or node.attrs.get("stride", 0) < 1:
+                k, stride = node.attrs.get("kernel", 0), node.attrs.get("stride", 0)
+                if not isinstance(k, int) or not isinstance(stride, int) or k < 1 or stride < 1:
                     v.append(f"{nid}: pool needs positive kernel and stride")
         elif node.kind == "Add":
             ws = [widths.get(i) for i in node.inputs]
@@ -539,56 +534,75 @@ def infer_shapes(graph: ModelGraph, input_size: int | None = None) -> ModelGraph
 # serialization
 
 
-def serialize_graph(graph: ModelGraph, weights_file: str = "") -> tuple[dict, bytes]:
-    """Assign offsets and produce (manifest dict, container bytes)."""
-    chunks: list[bytes] = []
+def _layout(graph: ModelGraph, weights_file: str = "") -> tuple[dict, list[np.ndarray]]:
+    """The manifest dict and the little-endian float32 tensors in container
+    order. Tensors already stored that way are returned without a copy."""
+    arrays: list[np.ndarray] = []
     offset = 0
     manifest_nodes = []
     for nid in graph.order:
         node = graph.nodes[nid]
-        entry: dict = {"id": nid, "kind": node.kind, "inputs": list(node.inputs), "attrs": dict(node.attrs)}
         tensors = {}
         for role in TENSOR_ROLES:
             blob = node.tensors.get(role)
             if blob is None:
                 continue
-            blob.offset = offset
-            raw = np.ascontiguousarray(blob.data, dtype="<f4").tobytes()
-            chunks.append(raw)
+            arr = np.ascontiguousarray(blob.data, dtype="<f4")
+            arrays.append(arr)
             tensors[role] = {"offset": offset, "shape": list(blob.shape)}
-            offset += len(raw)
-        entry["tensors"] = tensors
-        manifest_nodes.append(entry)
-    container = b"".join(chunks)
+            offset += arr.nbytes
+        manifest_nodes.append(
+            {"id": nid, "kind": node.kind, "inputs": list(node.inputs), "attrs": dict(node.attrs), "tensors": tensors}
+        )
     manifest = {
         "version": MANIFEST_VERSION,
         "input": {"channels": graph.input_channels, "size": graph.input_size},
         "nodes": manifest_nodes,
         "weights_file": weights_file,
-        "total_bytes": len(container),
+        "total_bytes": offset,
     }
-    return manifest, container
+    return manifest, arrays
+
+
+def serialize_graph(graph: ModelGraph, weights_file: str = "") -> tuple[dict, bytes]:
+    """(manifest dict, container bytes); the graph is not modified."""
+    manifest, arrays = _layout(graph, weights_file)
+    return manifest, b"".join(arrays)
 
 
 def save_model(graph: ModelGraph, manifest_path: str, weights_path: str) -> None:
-    """Write manifest JSON and raw weight container.
+    """Write manifest JSON and raw weight container, tensor by tensor.
 
     load_model(save_model(g)) is structurally identical to g and bit-identical
     in weights.
     """
-    manifest, container = serialize_graph(graph, weights_file=os.path.basename(weights_path))
+    manifest, arrays = _layout(graph, weights_file=os.path.basename(weights_path))
     with open(weights_path, "wb") as f:
-        f.write(container)
+        for arr in arrays:
+            f.write(arr)
     with open(manifest_path, "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2)
         f.write("\n")
 
 
 def graph_checksum(graph: ModelGraph) -> str:
-    """Stable digest over structure and weights (path-independent)."""
-    manifest, container = serialize_graph(graph, weights_file="")
-    blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode() + b"\0" + container
-    return hashlib.sha256(blob).hexdigest()
+    """Stable, path-independent digest: sha256 of the compact key-sorted
+    manifest JSON, a NUL byte and the container, hashed tensor by tensor."""
+    manifest, arrays = _layout(graph)
+    digest = hashlib.sha256(json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode() + b"\0")
+    for arr in arrays:
+        digest.update(arr)
+    return digest.hexdigest()
+
+
+_JSON_TYPE_NAMES = {dict: "an object", list: "an array", str: "a string"}
+
+
+def _expect(value, kind: type, what: str):
+    """``value`` if it has the JSON type ``kind``, else ManifestError."""
+    if not isinstance(value, kind):
+        raise ManifestError(f"{what} must be {_JSON_TYPE_NAMES[kind]}, got {type(value).__name__}")
+    return value
 
 
 def load_model(manifest_path: str, weights_path: str | None = None) -> ModelGraph:
@@ -599,21 +613,24 @@ def load_model(manifest_path: str, weights_path: str | None = None) -> ModelGrap
     except json.JSONDecodeError as e:
         raise ManifestError(f"malformed manifest: {e}") from e
 
+    _expect(manifest, dict, "manifest")
     for key in ("version", "input", "nodes", "weights_file", "total_bytes"):
         if key not in manifest:
             raise ManifestError(f"manifest missing key {key!r}")
     if manifest["version"] != MANIFEST_VERSION:
         raise ManifestError(f"unsupported manifest version {manifest['version']}")
+    inp = _expect(manifest["input"], dict, "manifest input")
+    entries = _expect(manifest["nodes"], list, "manifest nodes")
 
     if weights_path is None:
-        weights_path = os.path.join(os.path.dirname(os.path.abspath(manifest_path)), manifest["weights_file"])
+        weights_file = _expect(manifest["weights_file"], str, "manifest weights_file")
+        weights_path = os.path.join(os.path.dirname(os.path.abspath(manifest_path)), weights_file)
     with open(weights_path, "rb") as f:
         container = f.read()
     total = manifest["total_bytes"]
     if len(container) != total:
         raise ManifestError(f"weight container is {len(container)} bytes, manifest declares {total}")
 
-    inp = manifest["input"]
     if not isinstance(inp.get("channels"), int) or not isinstance(inp.get("size"), int):
         raise ManifestError("manifest input must declare integer channels and size")
     if inp["channels"] < 1 or inp["size"] < 1:
@@ -622,20 +639,25 @@ def load_model(manifest_path: str, weights_path: str | None = None) -> ModelGrap
     nodes: dict[str, LayerNode] = {}
     order: list[str] = []
     regions: list[tuple[int, int, str]] = []
-    for entry in manifest["nodes"]:
+    for i, entry in enumerate(entries):
+        _expect(entry, dict, f"manifest node {i}")
         nid = entry.get("id")
         if not isinstance(nid, str) or nid in nodes:
             raise ManifestError(f"bad or duplicate node id {nid!r}")
+        inputs = _expect(entry.get("inputs", []), list, f"{nid}: inputs")
+        if not all(isinstance(src, str) for src in inputs):
+            raise ManifestError(f"{nid}: inputs must be node ids (strings)")
         node = LayerNode(
             id=nid,
             kind=entry.get("kind", ""),
-            inputs=list(entry.get("inputs", [])),
-            attrs=dict(entry.get("attrs", {})),
+            inputs=list(inputs),
+            attrs=dict(_expect(entry.get("attrs", {}), dict, f"{nid}: attrs")),
         )
-        for role, meta in entry.get("tensors", {}).items():
+        for role, meta in _expect(entry.get("tensors", {}), dict, f"{nid}: tensors").items():
             if role not in TENSOR_ROLES:
                 raise ManifestError(f"{nid}: unknown tensor role {role!r}")
-            off, shape = meta.get("offset"), tuple(meta.get("shape", []))
+            _expect(meta, dict, f"{nid}.{role}")
+            off, shape = meta.get("offset"), tuple(_expect(meta.get("shape", []), list, f"{nid}.{role}: shape"))
             if not isinstance(off, int) or off < 0:
                 raise ManifestError(f"{nid}.{role}: bad offset {off!r}")
             if not shape or any((not isinstance(d, int)) or d < 1 for d in shape):
@@ -644,7 +666,7 @@ def load_model(manifest_path: str, weights_path: str | None = None) -> ModelGrap
             if off + nbytes > total:
                 raise ManifestError(f"{nid}.{role}: tensor out of bounds (offset {off} + {nbytes} > {total})")
             data = np.frombuffer(container, dtype="<f4", count=nbytes // 4, offset=off).reshape(shape).copy()
-            node.tensors[role] = TensorBlob(shape=shape, data=data, offset=off)
+            node.tensors[role] = TensorBlob(shape=shape, data=data)
             regions.append((off, off + nbytes, f"{nid}.{role}"))
         nodes[nid] = node
         order.append(nid)

@@ -18,12 +18,12 @@ from dataclasses import dataclass, field
 from .costs import effective_model_costs
 from .errors import InfeasibleBudgetError, PruneKitError
 from .graph import ModelGraph, graph_checksum
-from .scoring import Config, ImportanceRecord
+from .scoring import Config, ImportanceRecord, score_all
+from .units import build_prune_units
 
 
 @dataclass
 class PruningPlan:
-    removed_unit_ids: list[str]  # ascending importance
     threshold: float  # importance of the last removed unit
     baseline_params: int
     baseline_flops: int
@@ -35,7 +35,11 @@ class PruningPlan:
     layer_widths_after: dict[str, int]
     model_checksum: str
     config: dict
-    removed_entries: list[dict] = field(default_factory=list)
+    removed_entries: list[dict] = field(default_factory=list)  # ascending importance
+
+    @property
+    def removed_unit_ids(self) -> list[str]:
+        return [e["unit_id"] for e in self.removed_entries]
 
     def to_json(self) -> str:
         payload = {
@@ -59,7 +63,6 @@ class PruningPlan:
         try:
             payload = json.loads(text)
             return PruningPlan(
-                removed_unit_ids=[e["unit_id"] for e in payload["removed_units"]],
                 threshold=payload["threshold"],
                 baseline_params=payload["baseline"]["params"],
                 baseline_flops=payload["baseline"]["flops"],
@@ -151,7 +154,6 @@ def select_threshold(
 
     widths_after = {lid: out_width[lid] - removed_out[lid] for lid in out_width}
     return PruningPlan(
-        removed_unit_ids=[r.unit_id for r in taken],
         threshold=taken[-1].importance,
         baseline_params=baseline_params,
         baseline_flops=baseline_flops,
@@ -175,25 +177,23 @@ def select_threshold(
     )
 
 
-def multi_pass(
-    graph: ModelGraph, config: Config, per_pass_ratio: float
-) -> list[tuple[PruningPlan, ModelGraph]]:
-    """Iteratively score, plan and prune ``config.passes`` times, re-scoring
-    the pruned weights each pass. Returns the full (plan, graph) trajectory."""
-    from .surgeon import apply_plan  # local import: surgeon depends on this module
-    from .units import build_prune_units
-    from .scoring import score_all
+def multi_pass(graph: ModelGraph, config: Config) -> list[tuple[PruningPlan, ModelGraph]]:
+    """Iteratively score, plan and prune ``config.passes`` times, each pass
+    removing ``config.per_pass_ratio`` of the current FLOPs and re-scoring the
+    pruned weights. Returns the full (plan, graph) trajectory."""
+    from .surgeon import _checked_surgery  # local import: surgeon depends on this module
 
     config.validate()
-    if not 0.0 < per_pass_ratio < 1.0:
-        raise PruneKitError("per-pass ratio must be in (0, 1)")
+    if config.per_pass_ratio is None:
+        raise PruneKitError("multi-pass pruning needs per_pass_ratio (--per-pass)")
+    pass_config = Config(**{**config.to_dict(), "flop_target_ratio": config.per_pass_ratio})
     trajectory: list[tuple[PruningPlan, ModelGraph]] = []
     current = graph
     for _ in range(config.passes):
-        pass_config = Config(**{**config.to_dict(), "flop_target_ratio": per_pass_ratio})
         units = build_prune_units(current)
         records = score_all(current, units, pass_config)
         plan = select_threshold(records, current, pass_config)
-        current, _report = apply_plan(current, plan)
+        by_uid = {u.uid: u for u in units}
+        current = _checked_surgery(current, [by_uid[uid] for uid in plan.removed_unit_ids], plan)
         trajectory.append((plan, current))
     return trajectory

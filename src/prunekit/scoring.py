@@ -60,8 +60,8 @@ class Config:
             raise PruneKitError(f"flop_target_ratio must be in (0, 1), got {self.flop_target_ratio}")
         if self.param_target_ratio is not None and not 0.0 < self.param_target_ratio < 1.0:
             raise PruneKitError("param_target_ratio must be in (0, 1)")
-        if self.alpha < 0 or self.beta < 0:
-            raise PruneKitError("alpha and beta must be nonnegative")
+        if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
+            raise PruneKitError("alpha and beta must be finite and nonnegative")
         if self.weight_norm_mode not in WEIGHT_NORM_MODES:
             raise PruneKitError(f"unknown weight_norm_mode {self.weight_norm_mode!r}")
         if self.flops_convention not in ("macs", "2macs"):
@@ -186,9 +186,13 @@ def combined_importance(weight_score: float, param_score: float, flop_score: flo
 
 def score_all(graph: ModelGraph, units: list[PruneUnit], config: Config) -> list[ImportanceRecord]:
     """Score every unit. Deterministic given graph and config; the cost maxima
-    are taken over exactly this unit set."""
+    are taken over exactly this unit set. Raises DegenerateModelError when a
+    unit's raw score is NaN or infinite."""
     config.validate()
     raws = [dependency_l1(graph, u, config.use_in_channel) for u in units]
+    for u, raw in zip(units, raws):
+        if not math.isfinite(raw):
+            raise DegenerateModelError(f"{u.uid}: raw score L is {raw} (non-finite weights)")
 
     by_family: dict[str, list[int]] = {}
     for i, u in enumerate(units):

@@ -4,21 +4,22 @@ Filter rows are sliced on the output axis, consumer kernel slices on the input
 axis, and per-channel vectors (bias, batch-norm) shrink with their channels.
 Where a pruned read leaves the producing feature map alive (dense blocks), the
 consumer keeps an explicit ``in_select`` index list instead of a full-width
-kernel. Surgery always builds a fresh graph and container; surviving weights
-are bit-identical to their pre-surgery values.
+kernel. Surgery returns a new graph of freshly sliced tensors and leaves its
+input untouched; surviving weights are bit-identical to their pre-surgery
+values.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .costs import effective_model_costs
 from .errors import PlanMismatchError, PruneKitError
 from .eval import forward_eval
-from .graph import LayerNode, ModelGraph, TensorBlob, graph_checksum, infer_shapes, serialize_graph, validate
+from .graph import ModelGraph, TensorBlob, _layout, graph_checksum, infer_shapes, validate
 from .planner import PruningPlan
 from .units import PruneUnit, build_prune_units
 
@@ -44,26 +45,17 @@ class SurgeryReport:
 
 
 def clone_graph(graph: ModelGraph) -> ModelGraph:
-    nodes = {}
-    for nid in graph.order:
-        n = graph.nodes[nid]
-        nodes[nid] = LayerNode(
-            id=nid,
-            kind=n.kind,
+    """Copy of the graph that shares no mutable state with it."""
+    nodes = {
+        nid: replace(
+            n,
             inputs=list(n.inputs),
             attrs={k: (list(v) if isinstance(v, list) else v) for k, v in n.attrs.items()},
             tensors={role: TensorBlob(shape=b.shape, data=b.data.copy()) for role, b in n.tensors.items()},
-            in_size=n.in_size,
-            out_size=n.out_size,
-            out_channels=n.out_channels,
         )
-    return ModelGraph(
-        nodes=nodes,
-        order=list(graph.order),
-        input_channels=graph.input_channels,
-        input_size=graph.input_size,
-        inferred=graph.inferred,
-    )
+        for nid, n in graph.nodes.items()
+    }
+    return replace(graph, nodes=nodes, order=list(graph.order))
 
 
 def apply_plan(graph: ModelGraph, plan: PruningPlan) -> tuple[ModelGraph, SurgeryReport]:
@@ -84,19 +76,24 @@ def apply_plan(graph: ModelGraph, plan: PruningPlan) -> tuple[ModelGraph, Surger
             raise PlanMismatchError(f"corrupt plan: unit {uid!r} does not match the graph")
         selected.append(unit)
 
-    pruned = apply_units(graph, selected)
-    convention = plan.config.get("flops_convention", "macs")
-    count_aux = plan.config.get("count_aux_params", True)
+    pruned = _checked_surgery(graph, selected, plan)
+    return pruned, _make_report(graph, pruned, selected, plan)
+
+
+def _checked_surgery(graph: ModelGraph, units: list[PruneUnit], plan: PruningPlan) -> ModelGraph:
+    """apply_units, then check the recounted params/FLOPs against the plan."""
+    pruned = apply_units(graph, units)
     post_params, post_flops = effective_model_costs(
-        pruned, convention=convention, count_aux_params=count_aux
+        pruned,
+        convention=plan.config.get("flops_convention", "macs"),
+        count_aux_params=plan.config.get("count_aux_params", True),
     )
     if (post_params, post_flops) != (plan.predicted_params, plan.predicted_flops):
         raise PruneKitError(
             f"surgery does not match plan: params {post_params} vs {plan.predicted_params}, "
             f"flops {post_flops} vs {plan.predicted_flops}"
         )
-    report = _make_report(graph, pruned, selected, post_params, post_flops)
-    return pruned, report
+    return pruned
 
 
 def apply_units(graph: ModelGraph, units: list[PruneUnit]) -> ModelGraph:
@@ -115,7 +112,9 @@ def apply_units(graph: ModelGraph, units: list[PruneUnit]) -> ModelGraph:
             if graph.nodes[a.layer].kind == "BatchNorm2d":
                 removed_bn.setdefault(a.layer, set()).add(a.index)
 
-    new = clone_graph(graph)
+    # sliced tensors and changed attrs are replaced below; everything else is shared
+    nodes = {nid: replace(n, attrs=dict(n.attrs), tensors=dict(n.tensors)) for nid, n in graph.nodes.items()}
+    new = replace(graph, nodes=nodes, order=list(graph.order), inferred=False)
     survivors: dict[str, list[int]] = {}  # node -> surviving old output indices, in order
     for nid in graph.order:
         old = graph.nodes[nid]
@@ -190,18 +189,10 @@ def apply_units(graph: ModelGraph, units: list[PruneUnit]) -> ModelGraph:
     violations = validate(new)
     if violations:
         raise PruneKitError("surgery produced an invalid graph: " + "; ".join(violations))
-    new.inferred = False
-    infer_shapes(new)
-    return new
+    return infer_shapes(new)
 
 
-def _make_report(
-    before: ModelGraph,
-    after: ModelGraph,
-    units: list[PruneUnit],
-    post_params: int,
-    post_flops: int,
-) -> SurgeryReport:
+def _make_report(before: ModelGraph, after: ModelGraph, units: list[PruneUnit], plan: PruningPlan) -> SurgeryReport:
     removed_outputs: dict[str, list[int]] = {}
     removed_inputs: dict[str, list[int]] = {}
     for u in units:
@@ -212,15 +203,18 @@ def _make_report(
     for d in (removed_outputs, removed_inputs):
         for key in d:
             d[key] = sorted(d[key])
-    _, container_before = serialize_graph(before)
-    _, container_after = serialize_graph(after)
+    manifest_before, _ = _layout(before)
+    manifest_after, arrays_after = _layout(after)
+    container_digest = hashlib.sha256()
+    for arr in arrays_after:
+        container_digest.update(arr)
     return SurgeryReport(
         removed_outputs=removed_outputs,
         removed_inputs=removed_inputs,
-        bytes_removed=len(container_before) - len(container_after),
-        post_params=post_params,
-        post_flops=post_flops,
-        container_checksum=hashlib.sha256(container_after).hexdigest(),
+        bytes_removed=manifest_before["total_bytes"] - manifest_after["total_bytes"],
+        post_params=plan.predicted_params,
+        post_flops=plan.predicted_flops,
+        container_checksum=container_digest.hexdigest(),
     )
 
 

@@ -182,12 +182,31 @@ class TestConfigHandling:
         assert config["weight_norm_mode"] == "max"
         assert config["flop_target_ratio"] == 0.2
 
-    def test_bad_config_key(self, toy_model, tmp_path):
+    def test_bad_config_key(self, toy_model, tmp_path, capsys):
         manifest, weights = toy_model
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("gamma = 1\n")
         rc = main(["plan", "--model", manifest, "--weights", weights, "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
         assert rc == 2
+        capsys.readouterr()
+        for line in ("alpha = abc", "passes = 2.5", "use_in_channel = yes", "min_channels_per_layer = one"):
+            cfg.write_text(f"beta = 1\n{line}\n")
+            rc = main(["plan", "--model", manifest, "--weights", weights, "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+            assert rc == 2, line
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            message = json.loads(err)["error"]["message"]
+            assert f"{cfg}:2:" in message and repr(line.split(" = ")[0]) in message, message
+
+    def test_config_file_value_equals_flag(self, toy_model, tmp_path):
+        manifest, weights = toy_model
+        cfg = tmp_path / "alpha.cfg"
+        cfg.write_text("alpha = 3\n")
+        base = ["plan", "--model", manifest, "--weights", weights, "--flop-target", "0.3"]
+        assert main([*base, "--config", str(cfg), "--out-dir", str(tmp_path / "file")]) == 0
+        assert main([*base, "--alpha", "3", "--out-dir", str(tmp_path / "flag")]) == 0
+        assert read(tmp_path / "file" / "plan.json") == read(tmp_path / "flag" / "plan.json")
+        assert json.loads(read(tmp_path / "file" / "plan.json"))["config"]["alpha"] == 3.0
 
 
 class TestExitCodes:
@@ -202,6 +221,40 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["code"] == "validation"
         assert err["error"]["violations"]
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda doc: [doc],
+            lambda doc: doc.update(nodes=5),
+            lambda doc: doc.update(input=[1]),
+            lambda doc: doc.update(weights_file=3),
+            lambda doc: doc["nodes"].__setitem__(1, "conv1"),
+            lambda doc: doc["nodes"][1].update(inputs=5),
+            lambda doc: doc["nodes"][1].update(inputs=[["input"]]),
+            lambda doc: doc["nodes"][1].update(attrs=[1]),
+            lambda doc: doc["nodes"][1]["attrs"].update(stride="2"),
+            lambda doc: doc["nodes"][1].update(tensors=[]),
+            lambda doc: doc["nodes"][1]["tensors"].update(weight=7),
+            lambda doc: doc["nodes"][1]["tensors"]["weight"].update(shape=5),
+        ],
+        ids=[
+            "document-array", "nodes-number", "input-array", "weights_file-number", "node-string",
+            "inputs-number", "inputs-nested", "attrs-array", "stride-string", "tensors-array",
+            "tensor-number", "shape-number",
+        ],
+    )
+    def test_malformed_manifest_exits_2(self, toy_model, tmp_path, capsys, mutate):
+        manifest, _ = toy_model
+        doc = json.loads(read(manifest))
+        doc = mutate(doc) or doc
+        bad = tmp_path / "bad.json"  # next to model.bin, which weights_file names
+        bad.write_text(json.dumps(doc))
+        rc = main(["analyze", "--model", str(bad), "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        assert json.loads(err)["error"]["message"]
 
     def test_infeasible_budget_exits_3(self, toy_model, tmp_path, capsys):
         manifest, weights = toy_model

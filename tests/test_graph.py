@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -57,6 +58,24 @@ class TestLoadSave:
             loaded = load_model(manifest, weights)
             assert validate(loaded) == []
             assert graph_checksum(loaded) == graph_checksum(g)
+
+    def test_checksum_is_digest_of_serialized_graph(self, vgg_graph):
+        rng = np.random.default_rng(12)
+        for g in [random_tiny_net(rng) for _ in range(8)] + [vgg_graph]:
+            manifest, container = serialize_graph(g)
+            blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode() + b"\0" + container
+            assert graph_checksum(g) == hashlib.sha256(blob).hexdigest()
+
+    def test_saved_files_are_serialized_graph(self, tmp_path):
+        rng = np.random.default_rng(13)
+        for i in range(6):
+            g = random_tiny_net(rng)
+            manifest_path, weights_path = save_tmp(g, tmp_path, f"m{i}")
+            manifest, container = serialize_graph(g, weights_file=f"m{i}.bin")
+            with open(weights_path, "rb") as f:
+                assert f.read() == container
+            with open(manifest_path, encoding="utf-8") as f:
+                assert f.read() == json.dumps(manifest, indent=2) + "\n"
 
     def test_tensor_out_of_bounds(self, tmp_path):
         g = make_minimal()

@@ -8,8 +8,10 @@ import pytest
 from prunekit import (
     Config,
     InfeasibleBudgetError,
+    PruneKitError,
     apply_plan,
     build_prune_units,
+    graph_checksum,
     model_flop_count,
     model_param_count,
     multi_pass,
@@ -202,24 +204,30 @@ class TestMultiPass:
         records = score_all(g, units, config)
         direct_plan = select_threshold(records, g, config)
         direct, _ = apply_plan(g, direct_plan)
-        trajectory = multi_pass(g, Config(passes=1), per_pass_ratio=0.3)
+        trajectory = multi_pass(g, Config(passes=1, per_pass_ratio=0.3))
         assert len(trajectory) == 1
         assert model_flop_count(trajectory[0][1]) == model_flop_count(direct)
         assert model_param_count(trajectory[0][1]) == model_param_count(direct)
+        assert graph_checksum(trajectory[0][1]) == graph_checksum(direct)
 
     def test_two_passes_compound(self):
         rng = np.random.default_rng(11)
         g = make_chain(rng, (8, 10))
         baseline = model_flop_count(g)
-        trajectory = multi_pass(g, Config(passes=2), per_pass_ratio=0.2)
+        trajectory = multi_pass(g, Config(passes=2, per_pass_ratio=0.2))
         assert len(trajectory) == 2
         assert model_flop_count(trajectory[-1][1]) <= 0.64 * baseline
 
     def test_intermediate_graphs_stay_valid(self):
         rng = np.random.default_rng(12)
         g = make_chain(rng, (8, 10, 6), with_bn=True, conv_bias=True)
-        trajectory = multi_pass(g, Config(passes=3), per_pass_ratio=0.15)
+        trajectory = multi_pass(g, Config(passes=3, per_pass_ratio=0.15))
         for plan, stage in trajectory:
             assert validate(stage) == []
             assert stage.inferred
             assert model_flop_count(stage) == plan.predicted_flops
+
+    def test_needs_per_pass_ratio(self):
+        g = make_chain(np.random.default_rng(13), (4, 6))
+        with pytest.raises(PruneKitError, match="per_pass_ratio"):
+            multi_pass(g, Config(passes=2))

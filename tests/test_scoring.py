@@ -145,6 +145,12 @@ class TestCombined:
 
 
 class TestScoreAll:
+    def test_nan_weight_rejected(self):
+        g = make_chain(np.random.default_rng(3), (4, 6))
+        g.nodes["conv1"].weight()[2, 0, 1, 1] = np.nan
+        with pytest.raises(DegenerateModelError, match=r"conv1\.c2"):
+            score_all(g, build_prune_units(g), Config())
+
     def test_cost_free_ranking_follows_weight_score(self):
         rng = np.random.default_rng(4)
         g = make_chain(rng, (4, 6))
@@ -255,8 +261,9 @@ class TestConfig:
             Config(flop_target_ratio=0.0).validate()
         with pytest.raises(PruneKitError):
             Config(flop_target_ratio=1.0).validate()
-        with pytest.raises(PruneKitError):
-            Config(alpha=-1.0).validate()
+        for alpha, beta in [(-1.0, 1.0), (math.nan, 1.0), (1.0, math.inf)]:
+            with pytest.raises(PruneKitError):
+                Config(alpha=alpha, beta=beta).validate()
         with pytest.raises(PruneKitError):
             Config(weight_norm_mode="minmax").validate()
         with pytest.raises(PruneKitError):

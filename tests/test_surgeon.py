@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from prunekit import (
     validate,
     zero_equivalence_check,
 )
+from prunekit.graph import serialize_graph
 from prunekit.units import IN_CHANNEL_ONLY
 
 from conftest import (
@@ -81,8 +84,13 @@ class TestApplyPlan:
         rng = np.random.default_rng(4)
         g = make_chain(rng, (4, 6))
         plan = plan_for(g)
+        _, container_before = serialize_graph(g)
         pruned, report = apply_plan(g, plan)
+        assert serialize_graph(g)[1] == container_before  # the input graph is left as it was
         assert report.bytes_removed > 0
+        _, container_after = serialize_graph(pruned)
+        assert report.bytes_removed == len(container_before) - len(container_after)
+        assert report.container_checksum == hashlib.sha256(container_after).hexdigest()
         removed_total = sum(len(v) for v in report.removed_outputs.values())
         assert removed_total == sum(len(e["members"]) for e in plan.removed_entries)
         payload = report.to_dict()
