@@ -1,45 +1,56 @@
-"""Naive forward evaluator.
+"""Vectorised forward evaluator.
 
 Exists as a correctness oracle for surgery and serialization tests, not as an
-inference engine: direct convolution, inference-mode batch norm, plain pooling.
-Computation runs in float64 for stable comparisons.
+inference engine: inference-mode batch norm, plain pooling, and convolution as
+im2col plus one matrix product per layer. Every tensor carries a leading batch
+axis, and each activation is dropped once its last consumer has run.
+Computation runs in float64 for stable comparisons. The per-element loop
+evaluator in the tests stays the independent check on this one.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
 from .graph import ModelGraph
 
 
 def forward_eval(graph: ModelGraph, x: np.ndarray) -> np.ndarray:
-    """Evaluate the graph on a single input of shape (channels, size, size)."""
+    """Evaluate the graph on one input of shape (channels, size, size), or on a
+    batch of shape (N, channels, size, size). Returns one output for one input
+    and a batch of outputs for a batch."""
     if not graph.inferred:
         raise ShapeError("run infer_shapes before forward_eval")
     x = np.asarray(x, dtype=np.float64)
-    expect = (graph.input_channels, graph.input_size, graph.input_size)
-    if x.shape != expect:
-        raise ShapeError(f"input shape {x.shape} does not match declared {expect}")
+    sample = (graph.input_channels, graph.input_size, graph.input_size)
+    if x.shape == sample:
+        return _run(graph, x[None])[0]
+    if x.ndim == 4 and x.shape[1:] == sample:
+        return _run(graph, x)
+    raise ShapeError(f"input shape {x.shape} does not match declared {sample}, with or without a batch axis")
 
+
+def _run(graph: ModelGraph, x: np.ndarray) -> np.ndarray:
+    last_use = {src: i for i, nid in enumerate(graph.order) for src in graph.nodes[nid].inputs}
+    out_id = graph.output_node().id
     values: dict[str, np.ndarray] = {}
-    for nid in graph.order:
+    for i, nid in enumerate(graph.order):
         node = graph.nodes[nid]
         if node.kind == "Input":
             values[nid] = x
             continue
-        args = [values[i] for i in node.inputs]
+        args = [values[s] for s in node.inputs]
         a = args[0]
         if node.kind == "Conv2d":
-            values[nid] = _conv2d(node, a)
+            y = _conv2d(node, a)
         elif node.kind == "Linear":
-            w = node.weight().astype(np.float64)
             sel = node.in_select()
-            v = a if sel is None else a[sel]
-            y = w @ v
+            v = a if sel is None else a[:, sel]
+            y = v @ node.weight().astype(np.float64).T
             if "bias" in node.tensors:
                 y = y + node.tensors["bias"].data.astype(np.float64)
-            values[nid] = y
         elif node.kind == "BatchNorm2d":
             g = node.tensors["gamma"].data.astype(np.float64)
             b = node.tensors["beta"].data.astype(np.float64)
@@ -47,44 +58,49 @@ def forward_eval(graph: ModelGraph, x: np.ndarray) -> np.ndarray:
             var = node.tensors["running_var"].data.astype(np.float64)
             eps = float(node.attrs.get("epsilon", 1e-5))
             scale = g / np.sqrt(var + eps)
-            values[nid] = a * scale[:, None, None] + (b - mu * scale)[:, None, None]
+            y = a * scale[:, None, None] + (b - mu * scale)[:, None, None]
         elif node.kind == "ReLU":
-            values[nid] = np.maximum(a, 0.0)
+            y = np.maximum(a, 0.0)
         elif node.kind == "Pool":
-            values[nid] = _pool(node, a)
+            y = _pool(node, a)
         elif node.kind == "Flatten":
-            values[nid] = a.reshape(-1)  # channel-major
+            y = a.reshape(a.shape[0], node.out_channels)  # channel-major per sample
         elif node.kind == "Add":
-            acc = args[0]
+            y = args[0]
             for other in args[1:]:
-                acc = acc + other
-            values[nid] = acc
+                y = y + other
         elif node.kind == "Concat":
-            values[nid] = np.concatenate(args, axis=0)
+            y = np.concatenate(args, axis=1)
         elif node.kind == "Output":
-            values[nid] = a
+            y = a
         else:
             raise ShapeError(f"{nid}: cannot evaluate kind {node.kind!r}")
-    return values[graph.output_node().id]
+        values[nid] = y
+        for src in set(node.inputs):
+            if last_use[src] == i:
+                del values[src]
+    return values[out_id]
+
+
+def _windows(a: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """(N, C, O, O, k, k) view of the k x k windows of ``a`` at ``stride``."""
+    return sliding_window_view(a, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
 
 
 def _conv2d(node, a: np.ndarray) -> np.ndarray:
     w = node.weight().astype(np.float64)
     sel = node.in_select()
     if sel is not None:
-        a = a[sel]
-    n, m, k, _ = w.shape
+        a = a[:, sel]
+    f, m, k, _ = w.shape
     stride = int(node.attrs.get("stride", 1))
     pad = int(node.attrs.get("padding", 0))
     if pad:
-        a = np.pad(a, ((0, 0), (pad, pad), (pad, pad)))
-    size = a.shape[1]
-    o = (size - k) // stride + 1
-    out = np.empty((n, o, o), dtype=np.float64)
-    for oy in range(o):
-        for ox in range(o):
-            patch = a[:, oy * stride : oy * stride + k, ox * stride : ox * stride + k]
-            out[:, oy, ox] = np.tensordot(w, patch, axes=3)
+        a = np.pad(a, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = _windows(a, k, stride)
+    n, o = win.shape[0], win.shape[2]
+    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, m * k * k, o * o)
+    out = (w.reshape(f, -1) @ cols).reshape(n, f, o, o)
     if "bias" in node.tensors:
         out += node.tensors["bias"].data.astype(np.float64)[:, None, None]
     return out
@@ -93,14 +109,6 @@ def _conv2d(node, a: np.ndarray) -> np.ndarray:
 def _pool(node, a: np.ndarray) -> np.ndarray:
     mode = node.attrs["pool"]
     if mode == "global-avg":
-        return a.mean(axis=(1, 2), keepdims=True)
-    k = int(node.attrs["kernel"])
-    stride = int(node.attrs["stride"])
-    c, size, _ = a.shape
-    o = (size - k) // stride + 1
-    out = np.empty((c, o, o), dtype=np.float64)
-    for oy in range(o):
-        for ox in range(o):
-            window = a[:, oy * stride : oy * stride + k, ox * stride : ox * stride + k]
-            out[:, oy, ox] = window.max(axis=(1, 2)) if mode == "max" else window.mean(axis=(1, 2))
-    return out
+        return a.mean(axis=(2, 3), keepdims=True)
+    win = _windows(a, int(node.attrs["kernel"]), int(node.attrs["stride"]))
+    return win.max(axis=(4, 5)) if mode == "max" else win.mean(axis=(4, 5))

@@ -42,7 +42,9 @@ _BN_ROLES = ("gamma", "beta", "running_mean", "running_var")
 
 @dataclass
 class TensorBlob:
-    """A float32 tensor bound to a region of the weight container."""
+    """A float32 tensor bound to a region of the weight container.
+
+    Tensors of a loaded model are writable views of one container buffer."""
 
     shape: tuple[int, ...]
     data: np.ndarray
@@ -626,7 +628,11 @@ def load_model(manifest_path: str, weights_path: str | None = None) -> ModelGrap
         weights_file = _expect(manifest["weights_file"], str, "manifest weights_file")
         weights_path = os.path.join(os.path.dirname(os.path.abspath(manifest_path)), weights_file)
     with open(weights_path, "rb") as f:
-        container = f.read()
+        # one writable buffer; every tensor is a view of it
+        container = bytearray(os.fstat(f.fileno()).st_size)
+        got = f.readinto(container)
+    if got != len(container):
+        raise ManifestError(f"short read of weight container: {got} of {len(container)} bytes")
     total = manifest["total_bytes"]
     if len(container) != total:
         raise ManifestError(f"weight container is {len(container)} bytes, manifest declares {total}")
@@ -665,7 +671,7 @@ def load_model(manifest_path: str, weights_path: str | None = None) -> ModelGrap
             nbytes = int(np.prod(shape)) * 4
             if off + nbytes > total:
                 raise ManifestError(f"{nid}.{role}: tensor out of bounds (offset {off} + {nbytes} > {total})")
-            data = np.frombuffer(container, dtype="<f4", count=nbytes // 4, offset=off).reshape(shape).copy()
+            data = np.frombuffer(container, dtype="<f4", count=nbytes // 4, offset=off).reshape(shape)
             node.tensors[role] = TensorBlob(shape=shape, data=data)
             regions.append((off, off + nbytes, f"{nid}.{role}"))
         nodes[nid] = node

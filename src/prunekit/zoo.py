@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ShapeError
 from .graph import GraphBuilder, ModelGraph, infer_shapes
 
 VGG16_WIDTHS = (64, 64, "M", 128, 128, "M", 256, 256, 256, "M", 512, 512, 512, "M", 512, 512, 512, "M")
@@ -36,7 +37,11 @@ def _bn_params(rng: np.random.Generator, c: int) -> dict:
 
 def vgg16(seed: int = 0, num_classes: int = 10, input_size: int = 32) -> ModelGraph:
     """13 conv layers (each conv-BN-ReLU, biased convs), 5 max pools, one
-    classifier. Conv ids follow the usual block naming: conv1_1 .. conv5_3."""
+    classifier. Conv ids follow the usual block naming: conv1_1 .. conv5_3.
+    The five pools divide ``input_size`` by 32, so it must be a multiple of 32;
+    the classifier reads the flattened 512 x (input_size/32)^2 features."""
+    if input_size < 32 or input_size % 32:
+        raise ShapeError(f"vgg16 input_size must be a positive multiple of 32, got {input_size}")
     rng = np.random.default_rng(seed)
     b = GraphBuilder(3, input_size)
     prev = "input"
@@ -60,8 +65,9 @@ def vgg16(seed: int = 0, num_classes: int = 10, input_size: int = 32) -> ModelGr
         width = item
         pos += 1
     prev = b.flatten("flatten", prev)
+    features = width * (input_size // 32) ** 2
     prev = b.linear(
-        "classifier", prev, _linear_w(rng, num_classes, width), bias=np.zeros(num_classes, np.float32)
+        "classifier", prev, _linear_w(rng, num_classes, features), bias=np.zeros(num_classes, np.float32)
     )
     return infer_shapes(b.output(prev))
 

@@ -13,16 +13,38 @@ from prunekit import (
     GraphValidationError,
     ManifestError,
     ShapeError,
+    apply_units,
+    build_prune_units,
     forward_eval,
     graph_checksum,
     infer_shapes,
     load_model,
+    model_param_count,
     validate,
 )
 from prunekit.graph import serialize_graph
+from prunekit.units import IN_CHANNEL_ONLY
+from prunekit.zoo import vgg16
 
-from conftest import conv_w, make_chain, make_dense_toy, make_minimal, random_tiny_net, save_tmp
+from conftest import (
+    conv_w,
+    make_chain,
+    make_dense_toy,
+    make_flatten_toy,
+    make_minimal,
+    random_tiny_net,
+    save_tmp,
+)
 from oracles import loop_forward
+
+
+def assert_batch_matches_oracle(g, xs):
+    """forward_eval on the batch ``xs`` equals loop_forward row by row."""
+    got = forward_eval(g, xs)
+    assert len(got) == len(xs)
+    for row, x in zip(got, xs):
+        assert np.allclose(row, loop_forward(g, x), rtol=1e-5, atol=1e-9)
+    return got
 
 
 class TestLoadSave:
@@ -156,6 +178,39 @@ class TestLoadSave:
         infer_shapes(loaded)
         x = rng.standard_normal((3, 4, 4))
         assert np.allclose(forward_eval(loaded, x), forward_eval(g, x))
+
+    def test_loaded_tensors_are_writable_views(self, tmp_path):
+        rng = np.random.default_rng(21)
+        g = make_chain(rng, (4, 6), with_bn=True, conv_bias=True)
+        manifest, weights = save_tmp(g, tmp_path)
+        loaded = load_model(manifest, weights)
+        blobs = {(nid, role): b.data for nid, n in loaded.nodes.items() for role, b in n.tensors.items()}
+        before = {key: data.copy() for key, data in blobs.items()}
+        assert all(data.flags.writeable for data in blobs.values())
+        loaded.nodes["conv2"].weight()[...] = 7.0
+        for key, data in blobs.items():
+            if key != ("conv2", "weight"):
+                assert np.array_equal(data, before[key]), key
+        assert np.all(loaded.nodes["conv2"].weight() == 7.0)
+
+    def test_load_save_reproduces_container(self, tmp_path):
+        rng = np.random.default_rng(22)
+        manifest, weights = save_tmp(make_dense_toy(rng, with_bn=True), tmp_path)
+        again = tmp_path / "again"
+        again.mkdir()
+        manifest2, weights2 = save_tmp(load_model(manifest, weights), again)
+        assert open(weights2, "rb").read() == open(weights, "rb").read()
+        assert open(manifest2, "rb").read() == open(manifest, "rb").read()
+
+    def test_short_read_rejected(self, tmp_path, monkeypatch):
+        import os
+        from types import SimpleNamespace
+
+        manifest, weights = save_tmp(make_minimal(), tmp_path)
+        real_fstat = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=real_fstat(fd).st_size + 8))
+        with pytest.raises(ManifestError, match="short read"):
+            load_model(manifest, weights)
 
 
 class TestValidate:
@@ -292,3 +347,98 @@ class TestForwardEval:
             got = forward_eval(g, x)
             ref = loop_forward(g, x)
             assert np.allclose(got, ref, rtol=1e-5, atol=1e-9)
+
+    def test_single_input_keeps_its_shape(self):
+        rng = np.random.default_rng(23)
+        g = make_chain(rng, (4,))
+        x = rng.standard_normal((3, 8, 8))
+        assert forward_eval(g, x).shape == (5,)
+        b = GraphBuilder(3, 8)
+        g2 = infer_shapes(b.output(b.conv("c", "input", conv_w(rng, 4, 3, 3), padding=1)))
+        assert forward_eval(g2, x).shape == (4, 8, 8)
+
+    def test_batch_matches_single_calls_and_oracle(self):
+        rng = np.random.default_rng(24)
+        g = make_dense_toy(rng, with_bn=True)
+        xs = rng.standard_normal((3, 3, 8, 8))
+        got = assert_batch_matches_oracle(g, xs)
+        assert got.shape == (3, 5)
+        for row, x in zip(got, xs):
+            assert np.allclose(row, forward_eval(g, x), rtol=1e-12, atol=0)
+        assert forward_eval(g, xs[:0]).shape == (0, 5)
+
+    def test_batch_with_wrong_channels_rejected(self):
+        g = make_minimal()
+        with pytest.raises(ShapeError, match="input shape"):
+            forward_eval(g, np.zeros((2, 4, 8, 8)))
+        with pytest.raises(ShapeError, match="input shape"):
+            forward_eval(g, np.zeros((1, 2, 3, 8, 8)))
+
+    @pytest.mark.parametrize("kernel,stride,padding", [(3, 2, 1), (1, 2, 0), (3, 1, 0)])
+    def test_strided_conv_matches_loop_oracle(self, kernel, stride, padding):
+        rng = np.random.default_rng(25)
+        b = GraphBuilder(3, 9)
+        bias = rng.standard_normal(4).astype(np.float32)
+        c = b.conv("c", "input", conv_w(rng, 4, 3, kernel), bias=bias, stride=stride, padding=padding)
+        g = infer_shapes(b.output(c))
+        assert_batch_matches_oracle(g, rng.standard_normal((2, 3, 9, 9)))
+
+    @pytest.mark.parametrize("mode", ["max", "avg"])
+    @pytest.mark.parametrize("kernel,stride", [(2, 2), (3, 2)])
+    def test_pool_matches_loop_oracle(self, mode, kernel, stride):
+        rng = np.random.default_rng(26)
+        b = GraphBuilder(3, 9)
+        c = b.conv("c", "input", conv_w(rng, 4, 3, 3), padding=1)
+        p = b.pool("p", c, mode, kernel=kernel, stride=stride)
+        g = infer_shapes(b.output(p))
+        got = assert_batch_matches_oracle(g, rng.standard_normal((2, 3, 9, 9)))
+        assert got.shape == (2, 4, g.nodes["p"].out_size, g.nodes["p"].out_size)
+
+    def test_in_select_matches_loop_oracle(self):
+        rng = np.random.default_rng(27)
+        g = make_dense_toy(rng, with_bn=True)
+        unit = next(u for u in build_prune_units(g) if u.kind == IN_CHANNEL_ONLY)
+        pruned = apply_units(g, [unit])
+        assert any(n.in_select() is not None for n in pruned.nodes.values() if n.kind == "Conv2d")
+        assert_batch_matches_oracle(pruned, rng.standard_normal((2, 3, 8, 8)))
+
+    def test_spatial_flatten_matches_loop_oracle(self):
+        rng = np.random.default_rng(28)
+        g = make_flatten_toy(rng, channels=3, size=4)
+        assert g.nodes["flat"].in_size == 4
+        assert_batch_matches_oracle(g, rng.standard_normal((2, 2, 4, 4)))
+
+
+VGG16_CONV_WIDTHS = (64, 64, 128, 128, 256, 256, 256, 512, 512, 512, 512, 512, 512)
+
+
+def vgg16_param_count(input_size: int, num_classes: int = 10) -> int:
+    """Biased 3x3 convs, BN gamma/beta, and a biased classifier over the
+    512 x (input_size/32)^2 flattened features."""
+    total, m = 0, 3
+    for n in VGG16_CONV_WIDTHS:
+        total += 9 * m * n + n + 2 * n
+        m = n
+    return total + 512 * (input_size // 32) ** 2 * num_classes + num_classes
+
+
+class TestZooSizes:
+    def test_vgg16_at_64_evaluates_a_batch(self):
+        g = vgg16(seed=1, input_size=64)
+        assert g.nodes["classifier"].declared_in_width() == 512 * 4
+        y = forward_eval(g, np.random.default_rng(0).standard_normal((2, 3, 64, 64)))
+        assert y.shape == (2, 10)
+        assert np.all(np.isfinite(y))
+
+    @pytest.mark.parametrize("size", [32, 224])
+    def test_vgg16_param_count(self, size):
+        g = vgg16(seed=0, input_size=size)
+        assert validate(g) == []
+        infer_shapes(g)
+        assert g.nodes["flatten"].out_channels == 512 * (size // 32) ** 2
+        assert model_param_count(g) == vgg16_param_count(size)
+
+    @pytest.mark.parametrize("size", [0, 16, 48, 100])
+    def test_vgg16_rejects_size_not_multiple_of_32(self, size):
+        with pytest.raises(ShapeError, match="multiple of 32"):
+            vgg16(input_size=size)

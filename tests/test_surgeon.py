@@ -126,6 +126,19 @@ class TestSlicing:
         assert np.array_equal(pruned.nodes["conv2"].weight(), g.nodes["conv2"].weight()[:, survivors])
         assert np.array_equal(pruned.nodes["head"].weight(), g.nodes["head"].weight())
 
+    def test_untouched_layers_share_tensors(self, vgg_graph):
+        chain = make_chain(np.random.default_rng(29), (4, 6, 5), conv_bias=True)
+        for g, uid in ((chain, "conv1.c1"), (vgg_graph, "conv3_2.c7")):
+            before = graph_checksum(g)
+            unit = next(u for u in build_prune_units(g) if u.uid == uid)
+            pruned = apply_units(g, [unit])
+            touched = {m.layer for m in unit.members} | {s.layer for s in unit.in_slices}
+            for node in g.weighted_layers():
+                kept = pruned.nodes[node.id].tensors
+                shared = {role: kept[role].data is blob.data for role, blob in node.tensors.items()}
+                assert set(shared.values()) == {node.id not in touched}, (uid, node.id, shared)
+            assert graph_checksum(g) == before
+
     def test_bn_and_bias_shrink_with_channel(self):
         rng = np.random.default_rng(7)
         g = make_chain(rng, (5,), with_bn=True, conv_bias=True)
@@ -221,6 +234,53 @@ class TestZeroEquivalence:
             units = build_prune_units(g)
             pick = units[int(rng.integers(0, len(units)))]
             assert zero_equivalence_check(g, pick, trials=4), pick.uid
+
+
+    def test_batched_check_fails_closed(self, monkeypatch):
+        from prunekit import surgeon
+        from prunekit.graph import TensorBlob
+
+        rng = np.random.default_rng(30)
+        g = make_chain(rng, (4, 6), with_bn=True)
+        unit = build_prune_units(g)[0]
+        assert zero_equivalence_check(g, unit, trials=4)
+        real_apply_units = surgeon.apply_units
+
+        def perturbed(graph, units):
+            out = real_apply_units(graph, units)
+            node = out.nodes["head"]
+            w = node.weight().copy()
+            w.flat[0] += 0.5
+            node.tensors["weight"] = TensorBlob.from_array(w)
+            return out
+
+        monkeypatch.setattr(surgeon, "apply_units", perturbed)
+        assert zero_equivalence_check(g, unit, trials=4) is False
+
+    def test_one_batched_pass_per_graph(self, monkeypatch):
+        from prunekit import surgeon
+
+        rng = np.random.default_rng(31)
+        g = make_dense_toy(rng, with_bn=True)
+        unit = build_prune_units(g)[0]
+        seen = []
+
+        def spy(graph, x):
+            seen.append(x)
+            return forward_eval(graph, x)
+
+        monkeypatch.setattr(surgeon, "forward_eval", spy)
+        assert zero_equivalence_check(g, unit, trials=5, seed=3)
+        expected = np.random.default_rng(3).standard_normal((5, 3, 8, 8))
+        assert len(seen) == 2
+        assert all(np.array_equal(x, expected) for x in seen)
+
+    def test_batched_draw_equals_sequential_draws(self):
+        # the check draws all trials at once; these are the per-trial inputs
+        shape = (3, 8, 8)
+        batch = np.random.default_rng(7).standard_normal((5, *shape))
+        rng = np.random.default_rng(7)
+        assert np.array_equal(batch, np.stack([rng.standard_normal(shape) for _ in range(5)]))
 
 
 class TestForwardConsistency:
