@@ -21,7 +21,6 @@ from .graph import (
     GraphBuilder,
     LayerNode,
     ModelGraph,
-    TensorBlob,
     graph_checksum,
     infer_shapes,
     load_model,
@@ -70,7 +69,6 @@ __all__ = [
     "PruningPlan",
     "ShapeError",
     "SurgeryReport",
-    "TensorBlob",
     "apply_plan",
     "apply_units",
     "build_prune_units",

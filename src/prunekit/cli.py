@@ -22,7 +22,7 @@ import sys
 import time
 
 from . import __version__
-from .costs import effective_model_costs, model_flop_count, model_param_count
+from .costs import effective_model_costs
 from .errors import GraphValidationError, InfeasibleBudgetError, PruneKitError
 from .graph import ModelGraph, infer_shapes, load_model, save_model
 from .planner import PruningPlan, multi_pass, select_threshold
@@ -278,9 +278,12 @@ def cmd_prune(args: argparse.Namespace) -> int:
     run.add(manifest_path)
     run.add(weights_path)
     run.add(_write(out_dir, "surgery_report.json", json.dumps(report_dict, indent=2) + "\n"))
+    post_params, post_flops = effective_model_costs(
+        pruned, convention=config.flops_convention, count_aux_params=config.count_aux_params
+    )
     print(f"pruned model: {manifest_path}")
-    print(f"post params: {model_param_count(pruned, config.count_aux_params)}")
-    print(f"post flops ({config.flops_convention}): {model_flop_count(pruned, config.flops_convention)}")
+    print(f"post params: {post_params}")
+    print(f"post flops ({config.flops_convention}): {post_flops}")
     run.write(out_dir)
     return EXIT_OK
 
@@ -292,10 +295,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     infer_shapes(baseline)
     infer_shapes(pruned)
     convention = args.flops_convention
-    base_params = model_param_count(baseline)
-    base_flops = model_flop_count(baseline, convention)
-    post_params = model_param_count(pruned)
-    post_flops = model_flop_count(pruned, convention)
+    base_params, base_flops = effective_model_costs(baseline, convention=convention)
+    post_params, post_flops = effective_model_costs(pruned, convention=convention)
     prr = 1.0 - post_params / base_params
     frr = 1.0 - post_flops / base_flops
 

@@ -7,11 +7,11 @@ Two deliberately separate views:
   spatial factor taken from the *input* side of each layer, fully-connected
   layers treated as 1x1 kernels at spatial size 1.
 
-* ``model_param_count`` / ``model_flop_count`` account for the whole model
-  exactly, using output-side spatial sizes. These drive budgets and reduction
-  reports, and removing channels in adjacent layers interacts multiplicatively
-  there, so budgets are always settled by recounting rather than by summing
-  unit costs.
+* ``effective_model_costs`` and its two halves ``model_param_count`` /
+  ``model_flop_count`` account for the whole model exactly, using output-side
+  spatial sizes. These drive budgets and reduction reports, and removing
+  channels in adjacent layers interacts multiplicatively there, so budgets are
+  always settled by recounting rather than by summing unit costs.
 
 FLOP conventions: ``macs`` counts one fused multiply-add per kernel tap;
 ``2macs`` counts multiplies and adds separately (exactly double). Model totals
@@ -126,17 +126,9 @@ def effective_model_costs(
 
 def model_param_count(graph: ModelGraph, count_aux_params: bool = True) -> int:
     """Total parameters: all conv/linear weights, plus biases and batch-norm
-    scale/shift unless ``count_aux_params`` is off. Needs no shape inference."""
-    params = 0
-    for node in graph.nodes.values():
-        if node.kind in ("Conv2d", "Linear"):
-            k = node.kernel()
-            params += k * k * node.declared_in_width() * node.declared_out_width()
-            if count_aux_params and "bias" in node.tensors:
-                params += node.declared_out_width()
-        elif node.kind == "BatchNorm2d" and count_aux_params:
-            params += 2 * node.declared_out_width()
-    return params
+    scale/shift unless ``count_aux_params`` is off. Needs inferred shapes: it
+    is the params half of :func:`effective_model_costs`."""
+    return effective_model_costs(graph, count_aux_params=count_aux_params)[0]
 
 
 def model_flop_count(graph: ModelGraph, convention: str = "macs") -> int:

@@ -50,12 +50,12 @@ def _run(graph: ModelGraph, x: np.ndarray) -> np.ndarray:
             v = a if sel is None else a[:, sel]
             y = v @ node.weight().astype(np.float64).T
             if "bias" in node.tensors:
-                y = y + node.tensors["bias"].data.astype(np.float64)
+                y = y + node.tensors["bias"].astype(np.float64)
         elif node.kind == "BatchNorm2d":
-            g = node.tensors["gamma"].data.astype(np.float64)
-            b = node.tensors["beta"].data.astype(np.float64)
-            mu = node.tensors["running_mean"].data.astype(np.float64)
-            var = node.tensors["running_var"].data.astype(np.float64)
+            g = node.tensors["gamma"].astype(np.float64)
+            b = node.tensors["beta"].astype(np.float64)
+            mu = node.tensors["running_mean"].astype(np.float64)
+            var = node.tensors["running_var"].astype(np.float64)
             eps = float(node.attrs.get("epsilon", 1e-5))
             scale = g / np.sqrt(var + eps)
             y = a * scale[:, None, None] + (b - mu * scale)[:, None, None]
@@ -102,7 +102,7 @@ def _conv2d(node, a: np.ndarray) -> np.ndarray:
     cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, m * k * k, o * o)
     out = (w.reshape(f, -1) @ cols).reshape(n, f, o, o)
     if "bias" in node.tensors:
-        out += node.tensors["bias"].data.astype(np.float64)[:, None, None]
+        out += node.tensors["bias"].astype(np.float64)[:, None, None]
     return out
 
 

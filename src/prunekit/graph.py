@@ -41,32 +41,12 @@ _BN_ROLES = ("gamma", "beta", "running_mean", "running_var")
 
 
 @dataclass
-class TensorBlob:
-    """A float32 tensor bound to a region of the weight container.
-
-    Tensors of a loaded model are writable views of one container buffer."""
-
-    shape: tuple[int, ...]
-    data: np.ndarray
-
-    @property
-    def nbytes(self) -> int:
-        n = 1
-        for d in self.shape:
-            n *= d
-        return n * 4
-
-    @staticmethod
-    def from_array(arr: np.ndarray) -> "TensorBlob":
-        a = np.ascontiguousarray(arr, dtype=np.float32)
-        return TensorBlob(shape=tuple(a.shape), data=a)
-
-
-@dataclass
 class LayerNode:
     """One node of the model graph.
 
-    Kind-specific attributes live in ``attrs``; bound tensors in ``tensors``.
+    Kind-specific attributes live in ``attrs``; ``tensors`` maps each tensor
+    role to a float32 ``np.ndarray`` (on a loaded model, a writable view of the
+    one container buffer).
     ``in_size`` / ``out_size`` / ``out_channels`` are annotations filled in by
     :func:`infer_shapes` (-1 until then). For Flatten nodes ``in_size`` records
     the spatial side length being flattened, which downstream consumers need to
@@ -77,13 +57,13 @@ class LayerNode:
     kind: str
     inputs: list[str]
     attrs: dict = field(default_factory=dict)
-    tensors: dict[str, TensorBlob] = field(default_factory=dict)
+    tensors: dict[str, np.ndarray] = field(default_factory=dict)
     in_size: int = -1
     out_size: int = -1
     out_channels: int = -1
 
     def weight(self) -> np.ndarray:
-        return self.tensors["weight"].data
+        return self.tensors["weight"]
 
     def declared_in_width(self) -> int:
         """Input width of a weighted node (length of in_select when present)."""
@@ -175,7 +155,7 @@ class GraphBuilder:
         node = LayerNode(id=nid, kind=kind, inputs=list(inputs), attrs=dict(attrs or {}))
         for role, arr in tensors.items():
             if arr is not None:
-                node.tensors[role] = TensorBlob.from_array(arr)
+                node.tensors[role] = np.ascontiguousarray(arr, dtype=np.float32)
         self._nodes[nid] = node
         self._order.append(nid)
         return nid
@@ -546,12 +526,11 @@ def _layout(graph: ModelGraph, weights_file: str = "") -> tuple[dict, list[np.nd
         node = graph.nodes[nid]
         tensors = {}
         for role in TENSOR_ROLES:
-            blob = node.tensors.get(role)
-            if blob is None:
+            if role not in node.tensors:
                 continue
-            arr = np.ascontiguousarray(blob.data, dtype="<f4")
+            arr = np.ascontiguousarray(node.tensors[role], dtype="<f4")
             arrays.append(arr)
-            tensors[role] = {"offset": offset, "shape": list(blob.shape)}
+            tensors[role] = {"offset": offset, "shape": list(arr.shape)}
             offset += arr.nbytes
         manifest_nodes.append(
             {"id": nid, "kind": node.kind, "inputs": list(node.inputs), "attrs": dict(node.attrs), "tensors": tensors}
@@ -671,8 +650,7 @@ def load_model(manifest_path: str, weights_path: str | None = None) -> ModelGrap
             nbytes = int(np.prod(shape)) * 4
             if off + nbytes > total:
                 raise ManifestError(f"{nid}.{role}: tensor out of bounds (offset {off} + {nbytes} > {total})")
-            data = np.frombuffer(container, dtype="<f4", count=nbytes // 4, offset=off).reshape(shape)
-            node.tensors[role] = TensorBlob(shape=shape, data=data)
+            node.tensors[role] = np.frombuffer(container, dtype="<f4", count=nbytes // 4, offset=off).reshape(shape)
             regions.append((off, off + nbytes, f"{nid}.{role}"))
         nodes[nid] = node
         order.append(nid)

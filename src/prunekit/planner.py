@@ -60,9 +60,11 @@ class PruningPlan:
 
     @staticmethod
     def from_json(text: str) -> "PruningPlan":
+        """Parse a plan file; a document of the wrong shape, a removed unit that
+        is not well formed or an invalid config is a PruneKitError."""
         try:
             payload = json.loads(text)
-            return PruningPlan(
+            plan = PruningPlan(
                 threshold=payload["threshold"],
                 baseline_params=payload["baseline"]["params"],
                 baseline_flops=payload["baseline"]["flops"],
@@ -76,8 +78,19 @@ class PruningPlan:
                 config=payload["config"],
                 removed_entries=payload["removed_units"],
             )
-        except (KeyError, TypeError, json.JSONDecodeError) as e:
+            Config(**plan.config).validate()
+            if not isinstance(plan.removed_entries, list) or not all(map(_is_entry, plan.removed_entries)):
+                raise PruneKitError("removed units need a string unit_id, members and in_slices")
+        except (KeyError, TypeError, PruneKitError, json.JSONDecodeError) as e:
             raise PruneKitError(f"malformed plan file: {e}") from e
+        return plan
+
+
+def _is_entry(entry) -> bool:
+    """An object with a string unit_id and members/in_slices keys; apply_plan
+    compares their contents with the real unit."""
+    keys = {"unit_id", "members", "in_slices"}
+    return isinstance(entry, dict) and keys <= entry.keys() and isinstance(entry["unit_id"], str)
 
 
 def rank_global(records: list[ImportanceRecord]) -> list[ImportanceRecord]:

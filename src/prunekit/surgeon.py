@@ -19,7 +19,7 @@ import numpy as np
 from .costs import effective_model_costs
 from .errors import PlanMismatchError, PruneKitError
 from .eval import forward_eval
-from .graph import ModelGraph, TensorBlob, _layout, graph_checksum, infer_shapes, validate
+from .graph import ModelGraph, _layout, graph_checksum, infer_shapes, validate
 from .planner import PruningPlan
 from .units import PruneUnit, build_prune_units
 
@@ -45,13 +45,14 @@ class SurgeryReport:
 
 
 def clone_graph(graph: ModelGraph) -> ModelGraph:
-    """Copy of the graph that shares no mutable state with it."""
+    """Deep copy of the graph that shares no mutable state with it, for
+    callers that write into the copy's tensors or attrs."""
     nodes = {
         nid: replace(
             n,
             inputs=list(n.inputs),
             attrs={k: (list(v) if isinstance(v, list) else v) for k, v in n.attrs.items()},
-            tensors={role: TensorBlob(shape=b.shape, data=b.data.copy()) for role, b in n.tensors.items()},
+            tensors={role: t.copy() for role, t in n.tensors.items()},
         )
         for nid, n in graph.nodes.items()
     }
@@ -139,10 +140,9 @@ def apply_units(graph: ModelGraph, units: list[PruneUnit]) -> ModelGraph:
             except KeyError as e:
                 raise PruneKitError(f"{nid}: surviving slot reads removed channel {e}") from e
             if out_gone or slot_gone:
-                w = old.weight()
-                node.tensors["weight"] = TensorBlob.from_array(w[np.ix_(out_keep, slot_keep)])
+                node.tensors["weight"] = old.weight()[np.ix_(out_keep, slot_keep)]
                 if "bias" in old.tensors:
-                    node.tensors["bias"] = TensorBlob.from_array(old.tensors["bias"].data[out_keep])
+                    node.tensors["bias"] = old.tensors["bias"][out_keep]
             if old.kind == "Conv2d":
                 node.attrs["in_channels"] = len(slot_keep)
                 node.attrs["out_channels"] = len(out_keep)
@@ -164,7 +164,7 @@ def apply_units(graph: ModelGraph, units: list[PruneUnit]) -> ModelGraph:
                     f"upstream removals {sorted(expected)}"
                 )
             for role in ("gamma", "beta", "running_mean", "running_var"):
-                node.tensors[role] = TensorBlob.from_array(old.tensors[role].data[esl])
+                node.tensors[role] = old.tensors[role][esl]
             node.attrs["channels"] = len(esl)
             survivors[nid] = esl
         elif old.kind in ("ReLU", "Pool", "Output"):
@@ -234,18 +234,25 @@ def zero_equivalence_check(
     forward evaluation of the zeroed graph against the surgically pruned graph
     on ``trials`` random inputs, drawn as one batch and evaluated in one
     batched pass per graph. Returns True iff all trials agree within ``rtol``.
+
+    The zeroed graph shares every node with the input except the layers the
+    unit touches, which get their own copies of their tensors; the input
+    graph is left unchanged.
     """
-    zeroed = clone_graph(graph)
+    nodes = dict(graph.nodes)
+    for nid in {ref.layer for ref in (*unit.members, *unit.aux, *unit.in_slices)}:
+        nodes[nid] = replace(nodes[nid], tensors={role: t.copy() for role, t in nodes[nid].tensors.items()})
+    zeroed = replace(graph, nodes=nodes)
     for m in unit.members:
         node = zeroed.nodes[m.layer]
         node.weight()[m.channel] = 0.0
         if "bias" in node.tensors:
-            node.tensors["bias"].data[m.channel] = 0.0
+            node.tensors["bias"][m.channel] = 0.0
     for a in unit.aux:
         node = zeroed.nodes[a.layer]
         if node.kind == "BatchNorm2d":
-            node.tensors["gamma"].data[a.index] = 0.0
-            node.tensors["beta"].data[a.index] = 0.0
+            node.tensors["gamma"][a.index] = 0.0
+            node.tensors["beta"][a.index] = 0.0
     for s in unit.in_slices:
         zeroed.nodes[s.layer].weight()[:, s.in_channel] = 0.0
 

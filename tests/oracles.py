@@ -58,7 +58,7 @@ def loop_forward(graph, x, count_ops: bool = False):
                                     )
                                     ops += 1
                         if bias is not None:
-                            acc += float(bias.data[f])
+                            acc += float(bias[f])
                         out[f, oy, ox] = acc
             values[nid] = out
         elif node.kind == "Linear":
@@ -74,14 +74,14 @@ def loop_forward(graph, x, count_ops: bool = False):
                     acc += float(w[f, c]) * float(src[c])
                     ops += 1
                 if bias is not None:
-                    acc += float(bias.data[f])
+                    acc += float(bias[f])
                 out[f] = acc
             values[nid] = out
         elif node.kind == "BatchNorm2d":
-            g = node.tensors["gamma"].data
-            b = node.tensors["beta"].data
-            mu = node.tensors["running_mean"].data
-            var = node.tensors["running_var"].data
+            g = node.tensors["gamma"]
+            b = node.tensors["beta"]
+            mu = node.tensors["running_mean"]
+            var = node.tensors["running_var"]
             eps = float(node.attrs.get("epsilon", 1e-5))
             out = np.zeros_like(a)
             c, h, wd = a.shape

@@ -38,6 +38,7 @@ from oracles import (
     container_unit_l1,
     enumerate_all_subsets_check,
     exhaustive_prefix_plan,
+    manifest_param_count,
     manifest_unit_costs,
     naive_rank,
     oracle_cost_norm,
@@ -254,6 +255,7 @@ def test_ac6_exactness(vgg_graph):
         post_params = model_param_count(pruned, config.count_aux_params)
         post_flops = model_flop_count(pruned, config.flops_convention)
         assert post_params == plan.predicted_params
+        assert manifest_param_count(serialize_graph(pruned)[0], config.count_aux_params) == plan.predicted_params
         assert post_flops == plan.predicted_flops
         assert report.post_params == plan.predicted_params
         assert report.post_flops == plan.predicted_flops

@@ -256,6 +256,51 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda doc: doc["removed_units"].__setitem__(0, "conv1.c0"),
+            lambda doc: doc["removed_units"][0].pop("members"),
+            lambda doc: doc["removed_units"][0].pop("unit_id"),
+            lambda doc: doc.update(removed_units={"conv1.c0": {}}),
+            lambda doc: doc["removed_units"][0].update(unit_id=["conv1.c0"]),
+            lambda doc: doc.update(config=[1]),
+            lambda doc: doc["config"].update(flops_convention="flops"),
+        ],
+        ids=[
+            "entry-string", "entry-without-members", "entry-without-unit_id", "removed_units-object",
+            "unit_id-list", "config-list", "flops_convention-unknown",
+        ],
+    )
+    def test_malformed_plan_exits_2(self, toy_model, tmp_path, capsys, mutate):
+        manifest, weights = toy_model
+        out = tmp_path / "out"
+        assert main(["plan", "--model", manifest, "--weights", weights, "--out-dir", str(out), "--flop-target", "0.3"]) == 0
+        doc = json.loads(read(out / "plan.json"))
+        mutate(doc)
+        bad = tmp_path / "bad_plan.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["prune", "--model", manifest, "--weights", weights, "--plan", str(bad), "--out-dir", str(tmp_path / "p")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        assert json.loads(err)["error"]["message"].startswith("malformed plan file")
+
+    def test_config_line_without_equals_exits_2(self, toy_model, tmp_path, capsys):
+        manifest, weights = toy_model
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("alpha 3\n")
+        rc = main(["plan", "--model", manifest, "--weights", weights, "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"]["message"] == f"{cfg}:1: expected key=value"
+
+    def test_prune_without_plan_or_per_pass_exits_2(self, toy_model, tmp_path, capsys):
+        manifest, weights = toy_model
+        rc = main(["prune", "--model", manifest, "--weights", weights, "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert "needs --plan" in json.loads(capsys.readouterr().err)["error"]["message"]
+
     def test_infeasible_budget_exits_3(self, toy_model, tmp_path, capsys):
         manifest, weights = toy_model
         rc = main(["plan", "--model", manifest, "--weights", weights, "--flop-target", "0.999", "--out-dir", str(tmp_path / "o")])

@@ -162,7 +162,7 @@ class TestLoadSave:
         assert validate(loaded) == []
         for nid, node in loaded.nodes.items():
             for role, blob in node.tensors.items():
-                assert np.array_equal(blob.data, vgg_graph.nodes[nid].tensors[role].data), (nid, role)
+                assert np.array_equal(blob, vgg_graph.nodes[nid].tensors[role]), (nid, role)
 
     def test_in_select_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -184,7 +184,7 @@ class TestLoadSave:
         g = make_chain(rng, (4, 6), with_bn=True, conv_bias=True)
         manifest, weights = save_tmp(g, tmp_path)
         loaded = load_model(manifest, weights)
-        blobs = {(nid, role): b.data for nid, n in loaded.nodes.items() for role, b in n.tensors.items()}
+        blobs = {(nid, role): b for nid, n in loaded.nodes.items() for role, b in n.tensors.items()}
         before = {key: data.copy() for key, data in blobs.items()}
         assert all(data.flags.writeable for data in blobs.values())
         loaded.nodes["conv2"].weight()[...] = 7.0
@@ -192,6 +192,16 @@ class TestLoadSave:
             if key != ("conv2", "weight"):
                 assert np.array_equal(data, before[key]), key
         assert np.all(loaded.nodes["conv2"].weight() == 7.0)
+
+    def test_tensors_are_float32_arrays(self, tmp_path):
+        # built, loaded and pruned graphs hold plain C-contiguous float32 arrays
+        g = make_chain(np.random.default_rng(22), (4, 6), with_bn=True, conv_bias=True)
+        loaded = load_model(*save_tmp(g, tmp_path))
+        pruned = apply_units(g, [build_prune_units(g)[0]])
+        for graph in (g, loaded, pruned):
+            for node in graph.nodes.values():
+                for t in node.tensors.values():
+                    assert type(t) is np.ndarray and t.dtype == np.float32 and t.flags.c_contiguous
 
     def test_load_save_reproduces_container(self, tmp_path):
         rng = np.random.default_rng(22)

@@ -7,11 +7,13 @@ import pytest
 
 from prunekit import (
     Config,
+    GraphBuilder,
     InfeasibleBudgetError,
     PruneKitError,
     apply_plan,
     build_prune_units,
     graph_checksum,
+    infer_shapes,
     model_flop_count,
     model_param_count,
     multi_pass,
@@ -20,11 +22,13 @@ from prunekit import (
     select_threshold,
     validate,
 )
+from prunekit.graph import serialize_graph
 from prunekit.planner import PruningPlan
 from prunekit.scoring import ImportanceRecord
+from prunekit.units import IN_CHANNEL_ONLY
 
-from conftest import make_chain
-from oracles import enumerate_all_subsets_check, exhaustive_prefix_plan, naive_rank
+from conftest import conv_w, make_chain
+from oracles import enumerate_all_subsets_check, exhaustive_prefix_plan, manifest_param_count, naive_rank
 
 
 def fake_record(uid, imp, flops=1, params=1):
@@ -155,6 +159,27 @@ class TestSelectThreshold:
         for layer, width in plan.layer_widths_after.items():
             assert width >= 2
 
+    def test_slot_floor_keeps_one_input_slot(self):
+        # d1 and d2 reach t only through the Concat, so every input slot of t
+        # is an in-channel-only unit; the planner must leave t one of them
+        rng = np.random.default_rng(0)
+        b = GraphBuilder(3, 8)
+        e = b.conv("e", "input", conv_w(rng, 4, 3, 1))
+        cat = b.concat("cat", [b.conv("d1", e, conv_w(rng, 2, 4, 1)), b.conv("d2", e, conv_w(rng, 2, 4, 1))])
+        t = b.conv("t", cat, conv_w(rng, 16, 4, 3), padding=1)
+        flat = b.flatten("flat", b.pool("gap", t, "global-avg"))
+        g = infer_shapes(b.output(b.linear("head", flat, rng.standard_normal((5, 16)).astype(np.float32))))
+        config = Config(flop_target_ratio=0.95)
+        records = score_all(g, build_prune_units(g), config)
+        plan = select_threshold(records, g, config)
+        slots = [r for r in records if r.unit.kind == IN_CHANNEL_ONLY]
+        assert sorted(s.layer for r in slots for s in r.unit.in_slices) == ["t"] * 4
+        kept = [r for r in slots if r.unit_id not in plan.removed_unit_ids]
+        # the kept slot ranks below the threshold, so only the slot floor skipped it
+        assert len(kept) == 1 and kept[0].importance < plan.threshold
+        pruned, _ = apply_plan(g, plan)
+        assert pruned.nodes["t"].attrs["in_channels"] == 1
+
     def test_monotone_in_target(self):
         rng = np.random.default_rng(6)
         g, _, records = plan_toy(rng, (6, 8), target=0.2)
@@ -208,6 +233,7 @@ class TestMultiPass:
         assert len(trajectory) == 1
         assert model_flop_count(trajectory[0][1]) == model_flop_count(direct)
         assert model_param_count(trajectory[0][1]) == model_param_count(direct)
+        assert manifest_param_count(serialize_graph(direct)[0]) == direct_plan.predicted_params
         assert graph_checksum(trajectory[0][1]) == graph_checksum(direct)
 
     def test_two_passes_compound(self):

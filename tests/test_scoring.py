@@ -63,9 +63,9 @@ class TestDependencyL1:
         g = make_chain(rng, (4, 6), with_bn=True, conv_bias=True)
         u = build_prune_units(g)[0]
         before = dependency_l1(g, u, True)
-        g.nodes["conv1"].tensors["bias"].data[:] = 99.0
+        g.nodes["conv1"].tensors["bias"][:] = 99.0
         for role in ("gamma", "beta", "running_mean", "running_var"):
-            g.nodes["bn1"].tensors[role].data[:] = 99.0
+            g.nodes["bn1"].tensors[role][:] = 99.0
         assert dependency_l1(g, u, True) == before
 
     def test_container_walk_oracle(self):

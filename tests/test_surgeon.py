@@ -10,6 +10,7 @@ import pytest
 from prunekit import (
     Config,
     PlanMismatchError,
+    PruneKitError,
     apply_plan,
     apply_units,
     build_prune_units,
@@ -25,7 +26,7 @@ from prunekit import (
     zero_equivalence_check,
 )
 from prunekit.graph import serialize_graph
-from prunekit.units import IN_CHANNEL_ONLY
+from prunekit.units import FULL_CHANNEL, IN_CHANNEL_ONLY, AuxRef, ChannelRef, InSliceRef, PruneUnit
 
 from conftest import (
     make_chain,
@@ -35,6 +36,7 @@ from conftest import (
     random_tiny_net,
     save_tmp,
 )
+from oracles import manifest_param_count
 
 
 def plan_for(graph, target=0.3, **config_kwargs):
@@ -42,6 +44,18 @@ def plan_for(graph, target=0.3, **config_kwargs):
     units = build_prune_units(graph)
     records = score_all(graph, units, config)
     return select_threshold(records, graph, config)
+
+
+def hand_unit(members=(), in_slices=(), aux=()):
+    """A unit made by hand, not by build_prune_units."""
+    return PruneUnit(
+        uid="hand",
+        kind=FULL_CHANNEL,
+        members=tuple(ChannelRef(*m) for m in members),
+        in_slices=tuple(InSliceRef(*s) for s in in_slices),
+        aux=tuple(AuxRef(*a) for a in aux),
+        family="hand",
+    )
 
 
 class TestApplyPlan:
@@ -69,6 +83,13 @@ class TestApplyPlan:
         with pytest.raises(PlanMismatchError, match="does not match"):
             apply_plan(g, plan)
 
+    def test_tampered_prediction_fails_closed(self):
+        g = make_chain(np.random.default_rng(4), (4, 6))
+        plan = plan_for(g)
+        plan.predicted_params += 1
+        with pytest.raises(PruneKitError, match="surgery does not match plan: params"):
+            apply_plan(g, plan)
+
     def test_exactness(self):
         rng = np.random.default_rng(3)
         for widths in [(4, 6), (8, 10, 6)]:
@@ -76,6 +97,7 @@ class TestApplyPlan:
             plan = plan_for(g, target=0.35)
             pruned, report = apply_plan(g, plan)
             assert model_param_count(pruned) == plan.predicted_params
+            assert manifest_param_count(serialize_graph(pruned)[0]) == plan.predicted_params
             assert model_flop_count(pruned) == plan.predicted_flops
             assert report.post_params == plan.predicted_params
             assert report.post_flops == plan.predicted_flops
@@ -135,7 +157,7 @@ class TestSlicing:
             touched = {m.layer for m in unit.members} | {s.layer for s in unit.in_slices}
             for node in g.weighted_layers():
                 kept = pruned.nodes[node.id].tensors
-                shared = {role: kept[role].data is blob.data for role, blob in node.tensors.items()}
+                shared = {role: kept[role] is blob for role, blob in node.tensors.items()}
                 assert set(shared.values()) == {node.id not in touched}, (uid, node.id, shared)
             assert graph_checksum(g) == before
 
@@ -145,9 +167,9 @@ class TestSlicing:
         units = {u.uid: u for u in build_prune_units(g)}
         pruned = apply_units(g, [units["conv1.c2"]])
         keep = [0, 1, 3, 4]
-        assert np.array_equal(pruned.nodes["conv1"].tensors["bias"].data, g.nodes["conv1"].tensors["bias"].data[keep])
+        assert np.array_equal(pruned.nodes["conv1"].tensors["bias"], g.nodes["conv1"].tensors["bias"][keep])
         for role in ("gamma", "beta", "running_mean", "running_var"):
-            assert np.array_equal(pruned.nodes["bn1"].tensors[role].data, g.nodes["bn1"].tensors[role].data[keep])
+            assert np.array_equal(pruned.nodes["bn1"].tensors[role], g.nodes["bn1"].tensors[role][keep])
         assert pruned.nodes["bn1"].attrs["channels"] == 4
 
     def test_residual_group_keeps_alignment(self):
@@ -194,6 +216,38 @@ class TestSlicing:
         assert g.nodes["stem"].declared_out_width() == g.nodes["b2_conv3"].declared_out_width()
 
 
+class TestApplyUnitsFailsClosed:
+    @pytest.mark.parametrize(
+        "make, unit, message",
+        [
+            (
+                lambda: make_chain(np.random.default_rng(40), (4, 6)),
+                hand_unit(members=[("conv1", c) for c in range(4)], in_slices=[("conv2", c) for c in range(4)]),
+                "conv1: surgery would remove every channel",
+            ),
+            (
+                lambda: make_chain(np.random.default_rng(41), (4, 6)),
+                hand_unit(members=[("conv1", 0)]),
+                "conv2: surviving slot reads removed channel 0",
+            ),
+            (
+                lambda: make_chain(np.random.default_rng(42), (4, 6), with_bn=True),
+                hand_unit(members=[("conv1", 0)], in_slices=[("conv2", 0)]),
+                r"bn1: batch-norm slice set \[\] does not match upstream removals \[0\]",
+            ),
+            (
+                lambda: make_residual_toy(np.random.default_rng(43), with_bn=False),
+                hand_unit(members=[("b1_conv3", 0)]),
+                "b1_add: removal pattern breaks Add operand alignment",
+            ),
+        ],
+        ids=["every-channel", "slot-reads-removed-channel", "bn-slice-mismatch", "add-misaligned"],
+    )
+    def test_inconsistent_units_rejected(self, make, unit, message):
+        with pytest.raises(PruneKitError, match=message):
+            apply_units(make(), [unit])
+
+
 class TestZeroEquivalence:
     def test_plain_chain_units(self):
         rng = np.random.default_rng(11)
@@ -238,7 +292,6 @@ class TestZeroEquivalence:
 
     def test_batched_check_fails_closed(self, monkeypatch):
         from prunekit import surgeon
-        from prunekit.graph import TensorBlob
 
         rng = np.random.default_rng(30)
         g = make_chain(rng, (4, 6), with_bn=True)
@@ -251,11 +304,32 @@ class TestZeroEquivalence:
             node = out.nodes["head"]
             w = node.weight().copy()
             w.flat[0] += 0.5
-            node.tensors["weight"] = TensorBlob.from_array(w)
+            node.tensors["weight"] = w
             return out
 
         monkeypatch.setattr(surgeon, "apply_units", perturbed)
         assert zero_equivalence_check(g, unit, trials=4) is False
+
+    def test_copies_only_the_layers_it_zeroes(self, monkeypatch):
+        from prunekit import surgeon
+
+        g = make_chain(np.random.default_rng(32), (4, 6, 5), with_bn=True, conv_bias=True)
+        unit = next(u for u in build_prune_units(g) if u.uid == "conv2.c1")
+        before = graph_checksum(g)
+        evaluated = []
+
+        def spy(graph, x):
+            evaluated.append(graph)
+            return forward_eval(graph, x)
+
+        monkeypatch.setattr(surgeon, "forward_eval", spy)
+        assert zero_equivalence_check(g, unit, trials=3)
+        assert graph_checksum(g) == before
+        zeroed = evaluated[0]
+        for nid, node in g.nodes.items():
+            for role, t in node.tensors.items():
+                shared = zeroed.nodes[nid].tensors[role] is t
+                assert shared == (nid not in {"conv2", "bn2", "conv3"}), (nid, role)
 
     def test_one_batched_pass_per_graph(self, monkeypatch):
         from prunekit import surgeon
@@ -306,12 +380,12 @@ class TestForwardConsistency:
                     node = zeroed.nodes[m.layer]
                     node.weight()[m.channel] = 0.0
                     if "bias" in node.tensors:
-                        node.tensors["bias"].data[m.channel] = 0.0
+                        node.tensors["bias"][m.channel] = 0.0
                 for a in u.aux:
                     node = zeroed.nodes[a.layer]
                     if node.kind == "BatchNorm2d":
-                        node.tensors["gamma"].data[a.index] = 0.0
-                        node.tensors["beta"].data[a.index] = 0.0
+                        node.tensors["gamma"][a.index] = 0.0
+                        node.tensors["beta"][a.index] = 0.0
                 for s in u.in_slices:
                     zeroed.nodes[s.layer].weight()[:, s.in_channel] = 0.0
             x = rng.standard_normal((g.input_channels, g.input_size, g.input_size))
@@ -334,12 +408,12 @@ class TestForwardConsistency:
                 node = zeroed.nodes[m.layer]
                 node.weight()[m.channel] = 0.0
                 if "bias" in node.tensors:
-                    node.tensors["bias"].data[m.channel] = 0.0
+                    node.tensors["bias"][m.channel] = 0.0
             for a in u.aux:
                 node = zeroed.nodes[a.layer]
                 if node.kind == "BatchNorm2d":
-                    node.tensors["gamma"].data[a.index] = 0.0
-                    node.tensors["beta"].data[a.index] = 0.0
+                    node.tensors["gamma"][a.index] = 0.0
+                    node.tensors["beta"][a.index] = 0.0
             for s in u.in_slices:
                 zeroed.nodes[s.layer].weight()[:, s.in_channel] = 0.0
         for _ in range(4):

@@ -106,6 +106,18 @@ class TestResidualGroups:
             consumers = {s.layer for s in u.in_slices}
             assert consumers == {"b1_conv1", "b2_conv1", "head"}
 
+    def test_add_with_raw_input_yields_no_unit(self):
+        # conv's channels are tied to the model's input channels, which are not removable
+        rng = np.random.default_rng(8)
+        b = GraphBuilder(3, 8)
+        conv = b.conv("conv", "input", conv_w(rng, 3, 3, 3), padding=1)
+        d = b.conv("d", b.addnode("add", ["input", conv]), conv_w(rng, 4, 3, 1))
+        flat = b.flatten("flat", b.pool("gap", d, "global-avg"))
+        g = infer_shapes(b.output(b.linear("head", flat, rng.standard_normal((5, 4)).astype(np.float32))))
+        units = build_prune_units(g)
+        assert not any(m.layer == "conv" for u in units for m in u.members)
+        assert [u.uid for u in units] == [f"d.c{i}" for i in range(4)]
+
     def test_resnet56_group_shape(self, resnet_graph):
         units = build_prune_units(resnet_graph)
         groups = [u for u in units if len(u.members) > 1]
