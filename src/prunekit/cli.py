@@ -200,8 +200,12 @@ class _RunManifest:
             if path and os.path.exists(path):
                 self.data["inputs"][attr] = {"path": path, "sha256": _file_checksum(path)}
 
-    def add(self, path: str) -> None:
-        self.data["artifacts"].append({"path": path, "sha256": _file_checksum(path)})
+    def add(self, path: str, sha256: str) -> None:
+        self.data["artifacts"].append({"path": path, "sha256": sha256})
+
+    def write_artifact(self, out_dir: str, name: str, text: str) -> None:
+        """Write a text artifact and record it, hashing the text in memory."""
+        self.add(_write(out_dir, name, text), hashlib.sha256(text.encode("utf-8")).hexdigest())
 
     def write(self, out_dir: str) -> None:
         self.data["timings"]["total_s"] = round(time.monotonic() - self.started, 6)
@@ -214,11 +218,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     graph = _load(args)
     units = build_prune_units(graph)
     records = score_all(graph, units, config)
-    run.add(_write(args.out_dir, "records.csv", records_to_csv(records)))
-    run.add(_write(args.out_dir, "records.json", records_to_json(records)))
+    run.write_artifact(args.out_dir, "records.csv", records_to_csv(records))
+    run.write_artifact(args.out_dir, "records.json", records_to_json(records))
     if args.dump_units:
         inventory = json.dumps([u.to_json() for u in units], indent=2) + "\n"
-        run.add(_write(args.out_dir, "units.json", inventory))
+        run.write_artifact(args.out_dir, "units.json", inventory)
     params, flops = effective_model_costs(
         graph, convention=config.flops_convention, count_aux_params=config.count_aux_params
     )
@@ -238,7 +242,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     units = build_prune_units(graph)
     records = score_all(graph, units, config)
     plan = select_threshold(records, graph, config)
-    run.add(_write(args.out_dir, "plan.json", plan.to_json()))
+    run.write_artifact(args.out_dir, "plan.json", plan.to_json())
     print(f"threshold: {plan.threshold}")
     print(f"removed units: {len(plan.removed_unit_ids)}")
     print(f"predicted Prr: {plan.prr:.4f}")
@@ -257,7 +261,7 @@ def cmd_prune(args: argparse.Namespace) -> int:
         trajectory = multi_pass(graph, config)
         pruned = trajectory[-1][1]
         for i, (plan, _stage) in enumerate(trajectory, 1):
-            run.add(_write(out_dir, f"plan_pass{i}.json", plan.to_json()))
+            run.write_artifact(out_dir, f"plan_pass{i}.json", plan.to_json())
         report_dict = {
             "passes": len(trajectory),
             "per_pass_ratio": config.per_pass_ratio,
@@ -274,10 +278,10 @@ def cmd_prune(args: argparse.Namespace) -> int:
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "pruned_manifest.json")
     weights_path = os.path.join(out_dir, "pruned_weights.bin")
-    save_model(pruned, manifest_path, weights_path)
-    run.add(manifest_path)
-    run.add(weights_path)
-    run.add(_write(out_dir, "surgery_report.json", json.dumps(report_dict, indent=2) + "\n"))
+    manifest_digest, weights_digest = save_model(pruned, manifest_path, weights_path)
+    run.add(manifest_path, manifest_digest)
+    run.add(weights_path, weights_digest)
+    run.write_artifact(out_dir, "surgery_report.json", json.dumps(report_dict, indent=2) + "\n")
     post_params, post_flops = effective_model_costs(
         pruned, convention=config.flops_convention, count_aux_params=config.count_aux_params
     )
@@ -316,7 +320,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         "layers": [{"layer": r[0], "before": r[1], "after": r[2], "removed": r[3]} for r in rows],
         "note": "fine-tuning required to recover accuracy (out of scope)",
     }
-    run.add(_write(args.out_dir, "report.json", json.dumps(payload, indent=2) + "\n"))
+    run.write_artifact(args.out_dir, "report.json", json.dumps(payload, indent=2) + "\n")
 
     name_w = max(len(r[0]) for r in rows)
     lines = [f"{'layer'.ljust(name_w)}  before   after  removed"]
@@ -327,7 +331,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     lines.append(f"flops ({convention}): {base_flops} -> {post_flops}  (Frr {frr:.4f})")
     lines.append("fine-tuning required to recover accuracy (out of scope)")
     text = "\n".join(lines) + "\n"
-    run.add(_write(args.out_dir, "report.txt", text))
+    run.write_artifact(args.out_dir, "report.txt", text)
     print(text, end="")
     run.write(args.out_dir)
     return EXIT_OK

@@ -11,7 +11,10 @@ Two deliberately separate views:
   ``model_flop_count`` account for the whole model exactly, using output-side
   spatial sizes. These drive budgets and reduction reports, and removing
   channels in adjacent layers interacts multiplicatively there, so budgets are
-  always settled by recounting rather than by summing unit costs.
+  never settled by summing unit costs. ``RunningCosts`` keeps the exact count
+  during planning: each removal recomputes the terms of the layers it
+  touches, with the same per-node rules as the full count, and a final full
+  recount must agree with it.
 
 FLOP conventions: ``macs`` counts one fused multiply-add per kernel tap;
 ``2macs`` counts multiplies and adds separately (exactly double). Model totals
@@ -22,11 +25,14 @@ the usual published totals for the bundled CIFAR architectures.
 
 from __future__ import annotations
 
-from .errors import ShapeError
+from collections import Counter
+
+from .errors import PruneKitError, ShapeError
 from .graph import ModelGraph
 from .units import PruneUnit
 
 CONVENTIONS = ("macs", "2macs")
+_PASSING_KINDS = ("BatchNorm2d", "ReLU", "Pool", "Output", "Flatten", "Add", "Concat")
 
 
 def _factor(convention: str) -> int:
@@ -61,6 +67,39 @@ def unit_flop_cost(graph: ModelGraph, unit: PruneUnit, convention: str = "macs")
     return total * _factor(convention)
 
 
+def _weighted_terms(node, m: int, n: int, count_aux_params: bool) -> tuple[int, int]:
+    """(params, flops in MACs) of a conv/linear layer with ``m`` input slots and
+    ``n`` filters; the spatial factor is the output size."""
+    k = node.kernel()
+    params = k * k * m * n
+    if count_aux_params and "bias" in node.tensors:
+        params += n
+    spatial = node.out_size * node.out_size if node.kind == "Conv2d" else 1
+    return params, spatial * k * k * m * n
+
+
+def _elementwise_terms(node, width: int, count_aux_params: bool) -> tuple[int, int]:
+    """(params, flops in MACs) of a node on ``width`` channels: batch-norm scale
+    and shift at two ops per element, ReLU at one, everything else free."""
+    if node.kind == "BatchNorm2d":
+        params = 2 * width if count_aux_params else 0  # running stats are buffers
+        return params, 2 * width * node.out_size * node.out_size
+    if node.kind == "ReLU":
+        return 0, width * node.out_size * node.out_size
+    return 0, 0
+
+
+def _passed_width(node, pos: int) -> int:
+    """Output width of a non-weighted node per channel of its operand ``pos``:
+    widths pass through, Flatten spreads a channel over in_size² features,
+    Concat adds its operands and Add follows operand 0 (the others must match)."""
+    if node.kind == "Flatten":
+        return node.in_size * node.in_size
+    if node.kind == "Add":
+        return int(pos == 0)
+    return 1
+
+
 def effective_model_costs(
     graph: ModelGraph,
     removed_out: dict[str, int] | None = None,
@@ -87,41 +126,102 @@ def effective_model_costs(
         if node.kind == "Input":
             widths[nid] = graph.input_channels
             continue
-        w_in = widths[node.inputs[0]]
         if node.kind in ("Conv2d", "Linear"):
             m_eff = node.declared_in_width() - removed_slots.get(nid, 0)
             n_eff = node.declared_out_width() - removed_out.get(nid, 0)
             if m_eff < 0 or n_eff < 0:
                 raise ValueError(f"{nid}: removal counts exceed layer width")
-            k = node.kernel()
-            params += k * k * m_eff * n_eff
-            if count_aux_params and "bias" in node.tensors:
-                params += n_eff
-            spatial = node.out_size * node.out_size if node.kind == "Conv2d" else 1
-            flops += spatial * k * k * m_eff * n_eff
+            p, f = _weighted_terms(node, m_eff, n_eff, count_aux_params)
             widths[nid] = n_eff
-        elif node.kind == "BatchNorm2d":
-            if count_aux_params:
-                params += 2 * w_in  # scale and shift; running stats are buffers
-            flops += 2 * w_in * node.out_size * node.out_size
-            widths[nid] = w_in
-        elif node.kind == "ReLU":
-            flops += w_in * node.out_size * node.out_size
-            widths[nid] = w_in
-        elif node.kind in ("Pool", "Output"):
-            widths[nid] = w_in
-        elif node.kind == "Flatten":
-            widths[nid] = w_in * node.in_size * node.in_size
-        elif node.kind == "Add":
-            ws = {widths[i] for i in node.inputs}
-            if len(ws) != 1:
+        elif node.kind in _PASSING_KINDS:
+            if node.kind == "Add" and len(ws := {widths[i] for i in node.inputs}) != 1:
                 raise ValueError(f"{nid}: removal pattern breaks Add alignment ({sorted(ws)})")
-            widths[nid] = ws.pop()
-        elif node.kind == "Concat":
-            widths[nid] = sum(widths[i] for i in node.inputs)
+            widths[nid] = sum(_passed_width(node, pos) * widths[i] for pos, i in enumerate(node.inputs))
+            p, f = _elementwise_terms(node, widths[nid], count_aux_params)
         else:
             raise ValueError(f"{nid}: unsupported kind {node.kind!r}")
+        params += p
+        flops += f
     return params, flops * factor
+
+
+def _downstream_charges(graph: ModelGraph, count_aux_params: bool) -> dict[str, tuple[int, int]]:
+    """(params, flops in MACs) that one output channel of each node adds to the
+    non-weighted nodes downstream of it, up to the next weighted layers.
+
+    Every node's width is a linear function of its producers' widths (see
+    ``_passed_width``) and every non-weighted term is linear in its width, so
+    this per-channel charge is fixed: the same whatever else is removed.
+    """
+    charges = {nid: (0, 0) for nid in graph.order}
+    for nid in reversed(graph.order):
+        node = graph.nodes[nid]
+        if node.kind in ("Input", "Conv2d", "Linear"):
+            continue  # a weighted layer's term depends on its declared widths only
+        own_p, own_f = _elementwise_terms(node, 1, count_aux_params)
+        down_p, down_f = charges[nid]
+        for pos, src in enumerate(node.inputs):
+            scale = _passed_width(node, pos)
+            p, f = charges[src]
+            charges[src] = (p + scale * (own_p + down_p), f + scale * (own_f + down_f))
+    return charges
+
+
+class RunningCosts:
+    """Exact model (params, flops) as units are removed one at a time.
+
+    Starts from a full :func:`effective_model_costs` count. ``remove`` updates
+    both totals in O(|members| + |in_slices|): it recomputes the conv/linear
+    term of each layer the unit touches at the layer's new widths, and takes
+    each removed filter's fixed share of the batch-norm/ReLU terms downstream
+    (``_downstream_charges``). ``recount`` makes the second full count, for the
+    removals so far, and checks that it equals the running totals.
+    """
+
+    def __init__(self, graph: ModelGraph, *, convention: str = "macs", count_aux_params: bool = True):
+        self.graph = graph
+        self.convention = convention
+        self.count_aux_params = count_aux_params
+        self.params, self.flops = effective_model_costs(
+            graph, convention=convention, count_aux_params=count_aux_params
+        )
+        self.removed_out: Counter[str] = Counter()
+        self.removed_slots: Counter[str] = Counter()
+        self._factor = _factor(convention)
+        self._charges = _downstream_charges(graph, count_aux_params)
+
+    def _terms(self, layer: str) -> tuple[int, int]:
+        node = self.graph.nodes[layer]
+        m = node.declared_in_width() - self.removed_slots[layer]
+        n = node.declared_out_width() - self.removed_out[layer]
+        return _weighted_terms(node, m, n, self.count_aux_params)
+
+    def remove(self, unit: PruneUnit) -> None:
+        out_hits = Counter(m.layer for m in unit.members)
+        slot_hits = Counter(s.layer for s in unit.in_slices)
+        for layer in out_hits.keys() | slot_hits.keys():
+            p0, f0 = self._terms(layer)
+            self.removed_out[layer] += out_hits[layer]
+            self.removed_slots[layer] += slot_hits[layer]
+            p1, f1 = self._terms(layer)
+            self.params += p1 - p0
+            self.flops += (f1 - f0) * self._factor
+        for layer, hits in out_hits.items():
+            p, f = self._charges[layer]
+            self.params -= hits * p
+            self.flops -= hits * f * self._factor
+
+    def recount(self) -> None:
+        """Full recount of the removals so far; PruneKitError if it differs."""
+        exact = effective_model_costs(
+            self.graph,
+            dict(self.removed_out),
+            dict(self.removed_slots),
+            convention=self.convention,
+            count_aux_params=self.count_aux_params,
+        )
+        if exact != (self.params, self.flops):
+            raise PruneKitError(f"running cost count {(self.params, self.flops)} differs from recount {exact}")
 
 
 def model_param_count(graph: ModelGraph, count_aux_params: bool = True) -> int:

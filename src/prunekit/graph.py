@@ -551,19 +551,23 @@ def serialize_graph(graph: ModelGraph, weights_file: str = "") -> tuple[dict, by
     return manifest, b"".join(arrays)
 
 
-def save_model(graph: ModelGraph, manifest_path: str, weights_path: str) -> None:
-    """Write manifest JSON and raw weight container, tensor by tensor.
+def save_model(graph: ModelGraph, manifest_path: str, weights_path: str) -> tuple[str, str]:
+    """Write manifest JSON and raw weight container, tensor by tensor, and
+    return the sha256 hex digests of the two files' bytes as written.
 
     load_model(save_model(g)) is structurally identical to g and bit-identical
     in weights.
     """
     manifest, arrays = _layout(graph, weights_file=os.path.basename(weights_path))
+    weights_digest = hashlib.sha256()
     with open(weights_path, "wb") as f:
         for arr in arrays:
             f.write(arr)
+            weights_digest.update(arr)
+    text = json.dumps(manifest, indent=2) + "\n"
     with open(manifest_path, "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2)
-        f.write("\n")
+        f.write(text)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest(), weights_digest.hexdigest()
 
 
 def graph_checksum(graph: ModelGraph) -> str:

@@ -1,10 +1,12 @@
 """Global ranking and FLOP-budgeted selection.
 
 Units are ranked by ascending importance and marked for removal greedily until
-the exact recounted model FLOPs meet the budget. Recounting (rather than
-summing per-unit costs) is what keeps plans truthful: removing channels in
-adjacent layers shrinks a layer's cost multiplicatively, and unit costs would
-double-count the shared term. Ties in importance break toward the costlier
+the exact model FLOPs meet the budget. Exact counting (rather than summing
+per-unit costs) is what keeps plans truthful: removing channels in adjacent
+layers shrinks a layer's cost multiplicatively, and unit costs would
+double-count the shared term. ``costs.RunningCosts`` keeps the exact totals
+by updating only the layers each mark touches, and one full recount of the
+final removal set checks them. Ties in importance break toward the costlier
 unit (larger F, then larger P, then unit id), so equal-importance removals buy
 the most budget. A survival floor keeps every weighted layer alive.
 """
@@ -15,7 +17,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .costs import effective_model_costs
+from .costs import RunningCosts
 from .errors import InfeasibleBudgetError, PruneKitError
 from .graph import ModelGraph, graph_checksum
 from .scoring import Config, ImportanceRecord, score_all
@@ -106,15 +108,16 @@ def select_threshold(
 ) -> PruningPlan:
     """Pick the shortest ascending-importance prefix whose removal meets the
     FLOP budget, skipping units that would empty a layer past the floor.
+    Costs two full counts (baseline and final check), however many units are
+    marked.
 
     Raises InfeasibleBudgetError (with the best achievable reduction) when the
     floors make the target unreachable.
     """
     config.validate()
     ranked = rank_global(records)
-    baseline_params, baseline_flops = effective_model_costs(
-        graph, convention=config.flops_convention, count_aux_params=config.count_aux_params
-    )
+    costs = RunningCosts(graph, convention=config.flops_convention, count_aux_params=config.count_aux_params)
+    baseline_params, baseline_flops = costs.params, costs.flops
     budget = (1.0 - config.flop_target_ratio) * baseline_flops
     param_budget = (
         (1.0 - config.param_target_ratio) * baseline_params
@@ -124,11 +127,9 @@ def select_threshold(
 
     out_width = {n.id: n.declared_out_width() for n in graph.weighted_layers()}
     in_width = {n.id: n.declared_in_width() for n in graph.weighted_layers()}
-    removed_out: Counter[str] = Counter()
-    removed_slots: Counter[str] = Counter()
+    removed_out, removed_slots = costs.removed_out, costs.removed_slots
 
     taken: list[ImportanceRecord] = []
-    params, flops = baseline_params, baseline_flops
     met = False
     for rec in ranked:
         unit = rec.unit
@@ -142,20 +143,13 @@ def select_threshold(
             in_width[layer] - removed_slots[layer] - hits < 1 for layer, hits in slot_hits.items()
         ):
             continue
-        for m in unit.members:
-            removed_out[m.layer] += 1
-        removed_slots.update(slot_hits)
+        costs.remove(unit)
         taken.append(rec)
-        params, flops = effective_model_costs(
-            graph,
-            dict(removed_out),
-            dict(removed_slots),
-            convention=config.flops_convention,
-            count_aux_params=config.count_aux_params,
-        )
-        if flops <= budget and (param_budget is None or params <= param_budget):
+        if costs.flops <= budget and (param_budget is None or costs.params <= param_budget):
             met = True
             break
+    costs.recount()
+    params, flops = costs.params, costs.flops
 
     frr = 1.0 - flops / baseline_flops
     if not met:

@@ -25,7 +25,7 @@ import numpy as np
 from .costs import unit_flop_cost, unit_param_cost
 from .errors import DegenerateModelError, PruneKitError
 from .graph import ModelGraph
-from .units import FULL_CHANNEL, InSliceRef, PruneUnit, group_importance
+from .units import FULL_CHANNEL, PruneUnit, group_importance
 
 WEIGHT_NORM_MODES = ("max-min", "max", "log")
 
@@ -110,14 +110,35 @@ class ImportanceRecord:
         ]
 
 
-def _abs_sum_row(graph: ModelGraph, layer: str, channel: int) -> float:
-    w = graph.nodes[layer].weight()
-    return float(np.abs(w[channel]).sum(dtype=np.float64))
+def _abs_sums(w: np.ndarray) -> list[float]:
+    """L1 mass of each slice of ``w`` along axis 0, as a float64 sum over the
+    slice's float32 values laid out contiguously. A strided layout would change
+    numpy's order of additions; a contiguous one gives the same float whether
+    the slice is summed alone or with the rest of the layer."""
+    return np.abs(w, order="C").reshape(len(w), -1).sum(axis=1, dtype=np.float64).tolist()
 
 
-def _abs_sum_slice(graph: ModelGraph, s: InSliceRef) -> float:
-    w = graph.nodes[s.layer].weight()
-    return float(np.abs(w[:, s.in_channel]).sum(dtype=np.float64))
+def _axis_view(graph: ModelGraph, layer: str, axis: int) -> np.ndarray:
+    """The layer's weight with filters (axis 0) or input slots (axis 1) first."""
+    return np.swapaxes(graph.nodes[layer].weight(), 0, axis)
+
+
+def _raw_score(unit: PruneUnit, use_in_channel: bool, l1) -> float:
+    """Dependency L1 of one unit from ``l1(layer, axis, index)``, the mass of one
+    filter (axis 0) or input slot (axis 1)."""
+    if unit.kind == FULL_CHANNEL:
+        member_scores = []
+        for m, slices in zip(unit.members, unit.member_slices):
+            score = l1(m.layer, 0, m.channel)
+            if use_in_channel:
+                score += sum(l1(s.layer, 1, s.in_channel) for s in slices)
+            member_scores.append(score)
+        return group_importance(member_scores)
+    # in-channel-only: the producing filter survives but still anchors the score
+    score = l1(unit.origin.layer, 0, unit.origin.channel)
+    if use_in_channel:
+        score += sum(l1(s.layer, 1, s.in_channel) for s in unit.in_slices)
+    return score
 
 
 def dependency_l1(graph: ModelGraph, unit: PruneUnit, use_in_channel: bool = True) -> float:
@@ -125,19 +146,9 @@ def dependency_l1(graph: ModelGraph, unit: PruneUnit, use_in_channel: bool = Tru
     consumer slices when ``use_in_channel``. Coupled groups average over their
     members. Biases and batch-norm parameters never contribute.
     """
-    if unit.kind == FULL_CHANNEL:
-        member_scores = []
-        for m, slices in zip(unit.members, unit.member_slices):
-            score = _abs_sum_row(graph, m.layer, m.channel)
-            if use_in_channel:
-                score += sum(_abs_sum_slice(graph, s) for s in slices)
-            member_scores.append(score)
-        return group_importance(member_scores)
-    # in-channel-only: the producing filter survives but still anchors the score
-    score = _abs_sum_row(graph, unit.origin.layer, unit.origin.channel)
-    if use_in_channel:
-        score += sum(_abs_sum_slice(graph, s) for s in unit.in_slices)
-    return score
+    return _raw_score(
+        unit, use_in_channel, lambda layer, axis, i: _abs_sums(_axis_view(graph, layer, axis)[i : i + 1])[0]
+    )
 
 
 def normalize_weight_scores(scores: list[float], mode: str = "max-min") -> list[float]:
@@ -186,10 +197,20 @@ def combined_importance(weight_score: float, param_score: float, flop_score: flo
 
 def score_all(graph: ModelGraph, units: list[PruneUnit], config: Config) -> list[ImportanceRecord]:
     """Score every unit. Deterministic given graph and config; the cost maxima
-    are taken over exactly this unit set. Raises DegenerateModelError when a
+    are taken over exactly this unit set. Each weighted layer's L1 sums are
+    computed once. Raises DegenerateModelError when there is no unit or a
     unit's raw score is NaN or infinite."""
     config.validate()
-    raws = [dependency_l1(graph, u, config.use_in_channel) for u in units]
+    if not units:
+        raise DegenerateModelError("model has no prunable units")
+    sums: dict[tuple[str, int], list[float]] = {}  # (layer, axis) -> whole-layer L1 masses
+
+    def l1(layer: str, axis: int, i: int) -> float:
+        if (layer, axis) not in sums:
+            sums[layer, axis] = _abs_sums(_axis_view(graph, layer, axis))
+        return sums[layer, axis][i]
+
+    raws = [_raw_score(u, config.use_in_channel, l1) for u in units]
     for u, raw in zip(units, raws):
         if not math.isfinite(raw):
             raise DegenerateModelError(f"{u.uid}: raw score L is {raw} (non-finite weights)")

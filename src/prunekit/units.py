@@ -17,6 +17,7 @@ fixed), and channels of the graph Input are never removable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import PruneKitError, ShapeError
 from .graph import ModelGraph
@@ -27,24 +28,26 @@ FULL_CHANNEL = "full_channel"
 IN_CHANNEL_ONLY = "in_channel_only"
 
 
-@dataclass(frozen=True, order=True)
-class ChannelRef:
-    """One output channel of a weighted layer."""
+class ChannelRef(NamedTuple):
+    """One output channel of a weighted layer.
+
+    The three ref types are named tuples, so hashing, equality and ordering
+    run on plain tuples: refs of different types with equal fields compare
+    equal. Nothing mixes them; ``_check_partition`` keeps one set per type.
+    """
 
     layer: str
     channel: int
 
 
-@dataclass(frozen=True, order=True)
-class InSliceRef:
+class InSliceRef(NamedTuple):
     """One input slot of a weighted consumer (a kernel slice across its filters)."""
 
     layer: str
     in_channel: int
 
 
-@dataclass(frozen=True, order=True)
-class AuxRef:
+class AuxRef(NamedTuple):
     """A per-channel vector entry to drop with the unit (bias or BN index)."""
 
     layer: str
@@ -192,11 +195,13 @@ def build_prune_units(graph: ModelGraph) -> list[PruneUnit]:
         node = graph.nodes[nid]
         if node.kind != "Add":
             continue
+        # an operand's origins at one index are already tied (by an earlier
+        # Add, or it is a single channel), so one origin per operand stands in
         ops = [maps[i] for i in node.inputs]
         for idx in range(len(ops[0])):
-            tied = sorted(frozenset().union(*(op[idx] for op in ops)))
-            for other in tied[1:]:
-                uf.union(tied[0], other)
+            first, *rest = (next(iter(op[idx])) for op in ops)
+            for other in rest:
+                uf.union(first, other)
 
     interior = _dense_interior(graph, consumers)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 
@@ -11,7 +12,7 @@ import pytest
 
 from prunekit.cli import main
 
-from conftest import make_chain, make_dense_toy, save_tmp
+from conftest import make_chain, make_dense_toy, make_minimal, save_tmp
 
 
 @pytest.fixture()
@@ -108,6 +109,23 @@ class TestPlanPrune:
         assert payload["frr"] == pytest.approx(plan["predicted"]["frr"])
         text = read(rep_dir / "report.txt")
         assert "fine-tuning required to recover accuracy (out of scope)" in text
+
+    @pytest.mark.parametrize("multi_pass", [False, True])
+    def test_run_manifest_digests_match_files(self, toy_model, tmp_path, multi_pass):
+        manifest, weights = toy_model
+        out = tmp_path / "out"
+        assert main(["plan", "--model", manifest, "--weights", weights, "--out-dir", str(out), "--flop-target", "0.3"]) == 0
+        mode = ["--passes", "2", "--per-pass", "0.2"] if multi_pass else ["--plan", str(out / "plan.json")]
+        pruned = tmp_path / "pruned"
+        assert main(["prune", "--model", manifest, "--weights", weights, *mode, "--out-dir", str(pruned)]) == 0
+        written = {"pruned_manifest.json", "pruned_weights.bin", "surgery_report.json"}
+        written |= {"plan_pass1.json", "plan_pass2.json"} if multi_pass else set()
+        for run_dir, names in ((out, {"plan.json"}), (pruned, written)):
+            artifacts = json.loads(read(run_dir / "run_manifest.json"))["artifacts"]
+            assert {os.path.basename(a["path"]) for a in artifacts} == names
+            for artifact in artifacts:
+                with open(artifact["path"], "rb") as f:
+                    assert artifact["sha256"] == hashlib.sha256(f.read()).hexdigest()
 
     def test_report_identical_models(self, toy_model, tmp_path):
         manifest, weights = toy_model
@@ -308,6 +326,16 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["code"] == "infeasible-budget"
         assert 0 < err["error"]["best_frr"] < 1
+
+    @pytest.mark.parametrize("command", ["analyze", "plan"])
+    def test_model_without_units_exits_2(self, tmp_path, capsys, command):
+        # one conv feeding Output: its channels are the model's outputs, so nothing is prunable
+        manifest, weights = save_tmp(make_minimal(), tmp_path)
+        rc = main([command, "--model", manifest, "--weights", weights, "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        assert json.loads(err)["error"] == {"code": "DegenerateModelError", "message": "model has no prunable units"}
 
     def test_missing_file_exits_4(self, tmp_path, capsys):
         rc = main(["analyze", "--model", str(tmp_path / "nope.json"), "--out-dir", str(tmp_path / "o")])

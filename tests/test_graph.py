@@ -20,6 +20,7 @@ from prunekit import (
     infer_shapes,
     load_model,
     model_param_count,
+    save_model,
     validate,
 )
 from prunekit.graph import serialize_graph
@@ -98,6 +99,17 @@ class TestLoadSave:
                 assert f.read() == container
             with open(manifest_path, encoding="utf-8") as f:
                 assert f.read() == json.dumps(manifest, indent=2) + "\n"
+
+    def test_save_model_returns_file_digests(self, tmp_path):
+        rng = np.random.default_rng(14)
+        for i in range(4):
+            manifest_path, weights_path = str(tmp_path / f"m{i}.json"), str(tmp_path / f"m{i}.bin")
+            digests = save_model(random_tiny_net(rng), manifest_path, weights_path)
+            on_disk = []
+            for path in (manifest_path, weights_path):
+                with open(path, "rb") as f:
+                    on_disk.append(hashlib.sha256(f.read()).hexdigest())
+            assert digests == tuple(on_disk)
 
     def test_tensor_out_of_bounds(self, tmp_path):
         g = make_minimal()

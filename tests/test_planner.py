@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
+
 import numpy as np
 import pytest
 
+import prunekit.costs as costs_module
 from prunekit import (
     Config,
     GraphBuilder,
@@ -12,6 +15,7 @@ from prunekit import (
     PruneKitError,
     apply_plan,
     build_prune_units,
+    effective_model_costs,
     graph_checksum,
     infer_shapes,
     model_flop_count,
@@ -27,7 +31,7 @@ from prunekit.planner import PruningPlan
 from prunekit.scoring import ImportanceRecord
 from prunekit.units import IN_CHANNEL_ONLY
 
-from conftest import conv_w, make_chain
+from conftest import conv_w, make_chain, random_tiny_net
 from oracles import enumerate_all_subsets_check, exhaustive_prefix_plan, manifest_param_count, naive_rank
 
 
@@ -218,6 +222,102 @@ class TestSelectThreshold:
         plan = select_threshold(records, g, config)
         again = PruningPlan.from_json(plan.to_json())
         assert again.to_json() == plan.to_json()
+
+
+def recount_every_mark(records, graph, config):
+    """Reference planner: the greedy prefix with a full effective_model_costs
+    recount after every mark. Returns (removed ids, params, flops, met)."""
+    costs = lambda out, slots: effective_model_costs(
+        graph, out, slots, convention=config.flops_convention, count_aux_params=config.count_aux_params
+    )
+    base_params, base_flops = costs({}, {})
+    out_width = {n.id: n.declared_out_width() for n in graph.weighted_layers()}
+    in_width = {n.id: n.declared_in_width() for n in graph.weighted_layers()}
+    removed_out, removed_slots = Counter(), Counter()
+    taken, params, flops = [], base_params, base_flops
+    for rec in rank_global(records):
+        members = [m.layer for m in rec.unit.members]
+        slots = Counter(s.layer for s in rec.unit.in_slices)
+        if any(out_width[m] - removed_out[m] - 1 < config.min_channels_per_layer for m in members):
+            continue
+        if any(in_width[layer] - removed_slots[layer] - hits < 1 for layer, hits in slots.items()):
+            continue
+        removed_out.update(members)
+        removed_slots.update(slots)
+        taken.append(rec.unit_id)
+        params, flops = costs(dict(removed_out), dict(removed_slots))
+        if flops <= (1 - config.flop_target_ratio) * base_flops and (
+            config.param_target_ratio is None or params <= (1 - config.param_target_ratio) * base_params
+        ):
+            return taken, params, flops, True
+    return taken, params, flops, False
+
+
+def assert_plan_matches_recount(graph, config):
+    records = score_all(graph, build_prune_units(graph), config)
+    taken, params, flops, met = recount_every_mark(records, graph, config)
+    if not met:
+        with pytest.raises(InfeasibleBudgetError) as err:
+            select_threshold(records, graph, config)
+        base_flops = model_flop_count(graph, config.flops_convention)
+        assert err.value.best_frr == 1.0 - flops / base_flops
+        return None
+    plan = select_threshold(records, graph, config)
+    assert plan.removed_unit_ids == taken
+    assert (plan.predicted_params, plan.predicted_flops) == (params, flops)
+    return plan
+
+
+PLANNER_CONFIGS = [
+    dict(),
+    dict(flops_convention="2macs", count_aux_params=False),
+    dict(param_target_ratio=0.4),
+    dict(flops_convention="2macs", param_target_ratio=0.3, min_channels_per_layer=2),
+    dict(count_aux_params=False, min_channels_per_layer=3, use_in_channel=False),
+]
+
+
+class TestRunningCosts:
+    """select_threshold's running totals against a recount after every mark."""
+
+    @pytest.mark.parametrize("kwargs", PLANNER_CONFIGS, ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()) or "default")
+    def test_tiny_nets_match_recount(self, kwargs):
+        rng = np.random.default_rng(41)
+        planned = 0
+        for _ in range(12):
+            g = random_tiny_net(rng)
+            for target in (0.2, 0.45):
+                planned += assert_plan_matches_recount(g, Config(flop_target_ratio=target, **kwargs)) is not None
+        assert planned >= 6
+
+    @pytest.mark.parametrize("kwargs", [PLANNER_CONFIGS[0], PLANNER_CONFIGS[3], PLANNER_CONFIGS[4]])
+    @pytest.mark.parametrize("model", ["resnet_graph", "densenet_graph"])
+    def test_zoo_models_match_recount(self, request, model, kwargs):
+        g = request.getfixturevalue(model)
+        plan = assert_plan_matches_recount(g, Config(flop_target_ratio=0.4, **kwargs))
+        assert plan is not None and len(plan.removed_unit_ids) > 100
+
+    @pytest.mark.parametrize("model", ["resnet_graph", "densenet_graph"])
+    def test_two_full_counts_per_plan(self, request, monkeypatch, model):
+        g = request.getfixturevalue(model)
+        config = Config(flop_target_ratio=0.5, param_target_ratio=0.3)
+        records = score_all(g, build_prune_units(g), config)
+        calls = []
+        original = costs_module.effective_model_costs
+        monkeypatch.setattr(costs_module, "effective_model_costs", lambda *a, **kw: calls.append(1) or original(*a, **kw))
+        plan = select_threshold(records, g, config)
+        assert len(plan.removed_unit_ids) > 300
+        assert len(calls) == 2
+
+    def test_disagreeing_running_count_fails(self, monkeypatch):
+        # without the batch-norm/ReLU share of each removed filter the running
+        # totals drift from the truth, and the final recount must say so
+        g = make_chain(np.random.default_rng(42), (6, 8), with_bn=True)
+        config = Config(flop_target_ratio=0.3)
+        records = score_all(g, build_prune_units(g), config)
+        monkeypatch.setattr(costs_module, "_downstream_charges", lambda graph, aux: defaultdict(lambda: (0, 0)))
+        with pytest.raises(PruneKitError, match="differs from recount"):
+            select_threshold(records, g, config)
 
 
 class TestMultiPass:

@@ -22,8 +22,11 @@ from prunekit import (
 )
 from prunekit.graph import serialize_graph
 from prunekit.scoring import RECORD_COLUMNS, records_to_csv
+from prunekit.surgeon import apply_units
+from prunekit.units import IN_CHANNEL_ONLY
+from prunekit.zoo import densenet40
 
-from conftest import make_chain, random_tiny_net
+from conftest import conv_w, make_chain, random_tiny_net
 from oracles import container_unit_l1, manifest_unit_costs, oracle_cost_norm, oracle_weight_norm
 
 
@@ -207,6 +210,71 @@ class TestScoreAll:
             # the in-channel term is exactly the difference in raw mass
             slices_mass = sum(float(np.abs(g.nodes[s.layer].weight()[:, s.in_channel]).sum()) for s in a.unit.in_slices)
             assert a.raw - b.raw == pytest.approx(slices_mass, rel=1e-6)
+
+
+def per_slice_l1(graph, unit, use_in_channel):
+    """Reference raw score: every filter and slice summed on its own with
+    np.abs(...).sum(dtype=np.float64), added in the unit's member/slice order."""
+    def filter_l1(layer, c):
+        return float(np.abs(graph.nodes[layer].weight()[c]).sum(dtype=np.float64))
+
+    def slot_l1(layer, j):
+        return float(np.abs(graph.nodes[layer].weight()[:, j]).sum(dtype=np.float64))
+
+    anchors = zip(unit.members, unit.member_slices) if unit.members else [(unit.origin, unit.in_slices)]
+    scores = []
+    for m, slices in anchors:
+        score = filter_l1(m.layer, m.channel)
+        if use_in_channel:
+            score += sum(slot_l1(s.layer, s.in_channel) for s in slices)
+        scores.append(score)
+    return sum(scores) / len(scores)
+
+
+def wide_net():
+    """Rows and columns longer than 8,192 elements: conv2's input slots span
+    1,000 filters x 3x3, and fc1 reads 9 x 32 x 32 = 9,216 inputs. Their
+    weights spread over 2^-60..2^60, so a float64 sum of them depends on the
+    order of its additions (a cast to float64 before summing changes it)."""
+    rng = np.random.default_rng(31)
+
+    def wide(shape):
+        return (rng.standard_normal(shape) * np.exp2(rng.integers(-60, 60, shape))).astype(np.float32)
+
+    b = GraphBuilder(3, 32)
+    x = b.relu("r1", b.conv("conv1", "input", conv_w(rng, 9, 3, 3), padding=1))
+    x = b.relu("r2", b.conv("conv2", x, wide((1000, 9, 3, 3)), padding=1))
+    x = b.relu("r3", b.conv("conv3", x, conv_w(rng, 9, 1000, 1)))
+    x = b.relu("r4", b.linear("fc1", b.flatten("flat", x), wide((16, 9216))))
+    return infer_shapes(b.output(b.linear("fc2", x, rng.standard_normal((5, 16)).astype(np.float32))))
+
+
+def in_select_net():
+    """densenet40 after removing every third in-channel-only unit: its
+    consumers read their inputs through in_select."""
+    g = densenet40(seed=3)
+    slots = [u for u in build_prune_units(g) if u.kind == IN_CHANNEL_ONLY]
+    return apply_units(g, slots[::3])
+
+
+class TestVectorisedRawScores:
+    """score_all's whole-layer sums give exactly the per-slice floats."""
+
+    @pytest.mark.parametrize("use_in_channel", [True, False], ids=["cpmc", "cpmc-a"])
+    @pytest.mark.parametrize("model", ["vgg_graph", "densenet_graph", "resnet_graph", "in_select", "wide"])
+    def test_raw_equals_dependency_l1_and_per_slice_sums(self, request, model, use_in_channel):
+        if model == "in_select":
+            g = in_select_net()
+            assert any(n.in_select() is not None for n in g.weighted_layers())
+        elif model == "wide":
+            g = wide_net()
+        else:
+            g = request.getfixturevalue(model)
+        units = build_prune_units(g)
+        records = score_all(g, units, Config(use_in_channel=use_in_channel))
+        for r, u in zip(records, units):
+            assert r.unit is u
+            assert r.raw == dependency_l1(g, u, use_in_channel) == per_slice_l1(g, u, use_in_channel)
 
 
 class TestInvariances:

@@ -132,6 +132,28 @@ class TestResidualGroups:
             assert len(layers) == 7  # six block outputs plus the projection
 
 
+    def test_resnet56_unit_inventory(self, resnet_graph):
+        # closed form per stage: 4*planes residual groups of (blocks + 1)
+        # members (every block's conv3 plus the projection), and planes
+        # singletons for each block's conv1 and conv2; plus the 16 stem channels
+        blocks = 6
+        units = build_prune_units(resnet_graph)
+        expected: dict[str, int] = {"conv1": 16}
+        for stage, planes in enumerate((16, 32, 64), start=1):
+            tied = [f"s{stage}b{b}_conv3" for b in range(1, blocks + 1)] + [f"s{stage}b1_proj"]
+            expected["group:" + "|".join(sorted(tied))] = 4 * planes
+            for b in range(1, blocks + 1):
+                expected[f"s{stage}b{b}_conv1"] = expected[f"s{stage}b{b}_conv2"] = planes
+        got: dict[str, int] = {}
+        for u in units:
+            assert u.kind == FULL_CHANNEL
+            key = u.family if len(u.members) > 1 else u.members[0].layer
+            got[key] = got.get(key, 0) + 1
+            assert len(u.members) == (blocks + 1 if u.family.startswith("group:") else 1)
+        assert got == expected
+        assert len(units) == 16 + sum(4 * p + 2 * blocks * p for p in (16, 32, 64)) == 1808
+
+
 class TestDenseBlocks:
     def test_growth_example(self):
         rng = np.random.default_rng(7)

@@ -4,7 +4,11 @@
 
 Runs, for zoo vgg16, densenet40 and resnet56 (seed 0, each with its own
 preset), the quick start (``analyze --dump-units``, ``plan``, ``prune --plan``,
-``report``) and the multi-pass ``prune --passes 3 --per-pass 0.2`` through
+``report``), the multi-pass ``prune --passes 3 --per-pass 0.2`` and four
+variant plans that the quick start never reaches (``analyze``/``plan --mode
+cpmc-a``; ``plan --flops-convention 2macs --param-target``; ``plan
+--weight-norm log``; ``plan`` and ``prune --plan`` under a config file with
+``count_aux_params = false`` and ``min_channels_per_layer = 2``) through
 ``prunekit.cli.main`` in a temporary directory, then prints one
 ``<sha256>  <model>/<path>`` line per artifact, sorted by path. The
 ``run_manifest.json`` files carry timings and absolute paths and are skipped.
@@ -31,11 +35,17 @@ from prunekit.cli import main  # noqa: E402
 # model -> (preset, quick-start FLOP target)
 MODELS = {"vgg16": ("vggnet", "0.66"), "densenet40": ("densenet", "0.5"), "resnet56": ("resnet", "0.5")}
 
+NO_AUX_CONFIG = "count_aux_params = false\nmin_channels_per_layer = 2\n"
+
 
 def run_model(name: str, preset: str, flop_target: str, work: str) -> None:
     model = os.path.join(work, "model.json")
     save_model(getattr(zoo, name)(seed=0), model, os.path.join(work, "model.bin"))
     out, pruned, report, multi = (os.path.join(work, d) for d in ("out", "pruned", "report", "multipass"))
+    cpmc_a, two_macs, log_norm, no_aux = (os.path.join(work, d) for d in ("cpmc_a", "2macs", "log_norm", "no_aux"))
+    config = os.path.join(work, "no_aux.cfg")
+    with open(config, "w", encoding="utf-8") as f:
+        f.write(NO_AUX_CONFIG)
     common = ["--model", model, "--preset", preset]
     steps = [
         ["analyze", *common, "--out-dir", out, "--dump-units"],
@@ -43,6 +53,14 @@ def run_model(name: str, preset: str, flop_target: str, work: str) -> None:
         ["prune", *common, "--plan", os.path.join(out, "plan.json"), "--out-dir", pruned],
         ["report", "--baseline", model, "--pruned", os.path.join(pruned, "pruned_manifest.json"), "--out-dir", report],
         ["prune", *common, "--passes", "3", "--per-pass", "0.2", "--out-dir", multi],
+        ["analyze", *common, "--mode", "cpmc-a", "--out-dir", cpmc_a],
+        ["plan", *common, "--mode", "cpmc-a", "--flop-target", flop_target, "--out-dir", cpmc_a],
+        ["plan", *common, "--flops-convention", "2macs", "--flop-target", "0.3", "--param-target", "0.4",
+         "--out-dir", two_macs],
+        ["plan", *common, "--weight-norm", "log", "--flop-target", flop_target, "--out-dir", log_norm],
+        ["plan", *common, "--config", config, "--flop-target", flop_target, "--out-dir", no_aux],
+        ["prune", *common, "--config", config, "--plan", os.path.join(no_aux, "plan.json"),
+         "--out-dir", os.path.join(no_aux, "pruned")],
     ]
     for argv in steps:
         with contextlib.redirect_stdout(io.StringIO()):
@@ -55,7 +73,7 @@ def digests(top: str) -> dict[str, str]:
     found = {}
     for root, _, files in os.walk(top):
         for name in files:
-            if name == "run_manifest.json":
+            if name in ("run_manifest.json", "no_aux.cfg"):
                 continue
             path = os.path.join(root, name)
             with open(path, "rb") as f:
