@@ -22,11 +22,11 @@ import sys
 import time
 
 from . import __version__
-from .costs import effective_model_costs
-from .errors import GraphValidationError, InfeasibleBudgetError, PruneKitError
+from .costs import CONVENTIONS, effective_model_costs
+from .errors import DegenerateModelError, GraphValidationError, InfeasibleBudgetError, PruneKitError
 from .graph import ModelGraph, infer_shapes, load_model, save_model
 from .planner import PruningPlan, multi_pass, select_threshold
-from .scoring import Config, records_to_csv, records_to_json, score_all
+from .scoring import WEIGHT_NORM_MODES, Config, records_to_csv, records_to_json, score_all
 from .surgeon import apply_plan
 from .units import build_prune_units
 
@@ -73,14 +73,21 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--preset", choices=sorted(Config.PRESETS), help="alpha/beta preset")
         p.add_argument("--alpha", type=float)
         p.add_argument("--beta", type=float)
-        p.add_argument("--flop-target", type=float, dest="flop_target")
-        p.add_argument("--param-target", type=float, dest="param_target", help="optional secondary budget")
-        p.add_argument("--weight-norm", choices=["max-min", "max", "log"], dest="weight_norm")
+        # each dest is the Config field the flag sets (see _make_config)
+        p.add_argument("--flop-target", type=float, dest="flop_target_ratio", metavar="FLOP_TARGET")
+        p.add_argument(
+            "--param-target",
+            type=float,
+            dest="param_target_ratio",
+            metavar="PARAM_TARGET",
+            help="optional secondary budget",
+        )
+        p.add_argument("--weight-norm", choices=WEIGHT_NORM_MODES, dest="weight_norm_mode")
         p.add_argument("--mode", choices=["cpmc", "cpmc-a"], help="cpmc-a scores out-channels only")
-        p.add_argument("--flops-convention", choices=["macs", "2macs"], dest="flops_convention")
-        p.add_argument("--min-channels", type=int, dest="min_channels")
+        p.add_argument("--flops-convention", choices=CONVENTIONS, dest="flops_convention")
+        p.add_argument("--min-channels", type=int, dest="min_channels_per_layer", metavar="MIN_CHANNELS")
         p.add_argument("--passes", type=int)
-        p.add_argument("--per-pass", type=float, dest="per_pass")
+        p.add_argument("--per-pass", type=float, dest="per_pass_ratio", metavar="PER_PASS")
 
     p = sub.add_parser("analyze", help="score all prunable units and export records")
     common(p)
@@ -102,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pruned", required=True, help="pruned model manifest")
     p.add_argument("--pruned-weights")
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--flops-convention", choices=["macs", "2macs"], dest="flops_convention", default="macs")
+    p.add_argument("--flops-convention", choices=CONVENTIONS, dest="flops_convention", default="macs")
     p.set_defaults(func=cmd_report)
     return parser
 
@@ -145,21 +152,10 @@ def _make_config(args: argparse.Namespace) -> Config:
             setattr(config, key, value)
     if getattr(args, "preset", None):
         config.apply_preset(args.preset)
-    overrides = {
-        "alpha": "alpha",
-        "beta": "beta",
-        "flop_target": "flop_target_ratio",
-        "param_target": "param_target_ratio",
-        "weight_norm": "weight_norm_mode",
-        "flops_convention": "flops_convention",
-        "min_channels": "min_channels_per_layer",
-        "passes": "passes",
-        "per_pass": "per_pass_ratio",
-    }
-    for arg_name, field in overrides.items():
-        value = getattr(args, arg_name, None)
+    for field in dataclasses.fields(Config):
+        value = getattr(args, field.name, None)
         if value is not None:
-            setattr(config, field, value)
+            setattr(config, field.name, value)
     mode = getattr(args, "mode", None)
     if mode is not None:
         config.use_in_channel = mode != "cpmc-a"
@@ -253,27 +249,30 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_prune(args: argparse.Namespace) -> int:
     config = _make_config(args)
+    if args.plan and (config.passes > 1 or config.per_pass_ratio is not None):
+        raise PruneKitError("--plan applies one saved plan: it cannot be combined with passes > 1 or per_pass_ratio")
+    if not args.plan and config.passes == 1 and config.per_pass_ratio is None:
+        raise PruneKitError("single-pass pruning needs --plan (or use --passes with --per-pass)")
     run = _RunManifest("prune", args, config)
     graph = _load(args)
     out_dir = args.out_dir
 
-    if config.passes > 1 or (config.per_pass_ratio is not None and not args.plan):
-        trajectory = multi_pass(graph, config)
-        pruned = trajectory[-1][1]
-        for i, (plan, _stage) in enumerate(trajectory, 1):
-            run.write_artifact(out_dir, f"plan_pass{i}.json", plan.to_json())
-        report_dict = {
-            "passes": len(trajectory),
-            "per_pass_ratio": config.per_pass_ratio,
-            "final_frr": 1.0 - trajectory[-1][0].predicted_flops / trajectory[0][0].baseline_flops,
-        }
-    else:
-        if not args.plan:
-            raise PruneKitError("single-pass pruning needs --plan (or use --passes with --per-pass)")
+    if args.plan:
         with open(args.plan, "r", encoding="utf-8") as f:
             plan = PruningPlan.from_json(f.read())
         pruned, report = apply_plan(graph, plan)
         report_dict = report.to_dict()
+    else:
+        # keep only the latest pass's graph alive
+        for passes, (plan, pruned) in enumerate(multi_pass(graph, config), 1):
+            run.write_artifact(out_dir, f"plan_pass{passes}.json", plan.to_json())
+            if passes == 1:
+                baseline_flops = plan.baseline_flops
+        report_dict = {
+            "passes": passes,
+            "per_pass_ratio": config.per_pass_ratio,
+            "final_frr": 1.0 - plan.predicted_flops / baseline_flops,
+        }
 
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "pruned_manifest.json")
@@ -301,6 +300,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     convention = args.flops_convention
     base_params, base_flops = effective_model_costs(baseline, convention=convention)
     post_params, post_flops = effective_model_costs(pruned, convention=convention)
+    if base_params == 0 or base_flops == 0:
+        raise DegenerateModelError("baseline model has no parameters or no FLOPs to reduce")
     prr = 1.0 - post_params / base_params
     frr = 1.0 - post_flops / base_flops
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .errors import PruneKitError, ShapeError
-from .graph import ModelGraph
+from .graph import WEIGHTED_KINDS, ModelGraph
 from .units import PruneUnit
 
 CONVENTIONS = ("macs", "2macs")
@@ -62,8 +62,7 @@ def unit_flop_cost(graph: ModelGraph, unit: PruneUnit, convention: str = "macs")
         raise ShapeError("run infer_shapes before unit_flop_cost")
     total = 0
     for node, width in _unit_blocks(graph, unit):
-        i = node.in_size if node.kind == "Conv2d" else 1
-        total += i * i * node.kernel() ** 2 * width
+        total += node.in_size * node.in_size * node.kernel() ** 2 * width
     return total * _factor(convention)
 
 
@@ -74,8 +73,7 @@ def _weighted_terms(node, m: int, n: int, count_aux_params: bool) -> tuple[int, 
     params = k * k * m * n
     if count_aux_params and "bias" in node.tensors:
         params += n
-    spatial = node.out_size * node.out_size if node.kind == "Conv2d" else 1
-    return params, spatial * k * k * m * n
+    return params, node.out_size * node.out_size * k * k * m * n
 
 
 def _elementwise_terms(node, width: int, count_aux_params: bool) -> tuple[int, int]:
@@ -126,7 +124,7 @@ def effective_model_costs(
         if node.kind == "Input":
             widths[nid] = graph.input_channels
             continue
-        if node.kind in ("Conv2d", "Linear"):
+        if node.kind in WEIGHTED_KINDS:
             m_eff = node.declared_in_width() - removed_slots.get(nid, 0)
             n_eff = node.declared_out_width() - removed_out.get(nid, 0)
             if m_eff < 0 or n_eff < 0:
@@ -156,7 +154,7 @@ def _downstream_charges(graph: ModelGraph, count_aux_params: bool) -> dict[str, 
     charges = {nid: (0, 0) for nid in graph.order}
     for nid in reversed(graph.order):
         node = graph.nodes[nid]
-        if node.kind in ("Input", "Conv2d", "Linear"):
+        if node.kind == "Input" or node.kind in WEIGHTED_KINDS:
             continue  # a weighted layer's term depends on its declared widths only
         own_p, own_f = _elementwise_terms(node, 1, count_aux_params)
         down_p, down_f = charges[nid]

@@ -31,7 +31,12 @@ NODE_KINDS = (
     "Concat",
     "Output",
 )
-WEIGHTED_KINDS = ("Conv2d", "Linear")
+# Width attribute names (input, output) of each weighted kind. A Linear layer
+# is a 1x1 convolution at spatial size 1, so the kinds differ only in these
+# names, in Conv2d's kernel/stride/padding (a Linear weight has no kernel axes)
+# and in Linear's input, which must have spatial size 1.
+_WIDTH_ATTRS = {"Conv2d": ("in_channels", "out_channels"), "Linear": ("in_features", "out_features")}
+WEIGHTED_KINDS = tuple(_WIDTH_ATTRS)
 POOL_MODES = ("max", "avg", "global-avg")
 
 # Fixed serialization order of tensor roles within a node.
@@ -67,27 +72,21 @@ class LayerNode:
 
     def declared_in_width(self) -> int:
         """Input width of a weighted node (length of in_select when present)."""
-        if self.kind == "Conv2d":
-            return int(self.attrs["in_channels"])
-        if self.kind == "Linear":
-            return int(self.attrs["in_features"])
-        raise ValueError(f"node {self.id} has no input width")
+        if self.kind not in _WIDTH_ATTRS:
+            raise ValueError(f"node {self.id} has no input width")
+        return int(self.attrs[_WIDTH_ATTRS[self.kind][0]])
 
     def declared_out_width(self) -> int:
-        if self.kind == "Conv2d":
-            return int(self.attrs["out_channels"])
-        if self.kind == "Linear":
-            return int(self.attrs["out_features"])
         if self.kind == "BatchNorm2d":
             return int(self.attrs["channels"])
-        raise ValueError(f"node {self.id} has no declared width")
+        if self.kind not in _WIDTH_ATTRS:
+            raise ValueError(f"node {self.id} has no declared width")
+        return int(self.attrs[_WIDTH_ATTRS[self.kind][1]])
 
     def kernel(self) -> int:
-        if self.kind == "Conv2d":
-            return int(self.attrs["kernel"])
-        if self.kind == "Linear":
-            return 1
-        raise ValueError(f"node {self.id} has no kernel")
+        if self.kind not in _WIDTH_ATTRS:
+            raise ValueError(f"node {self.id} has no kernel")
+        return int(self.attrs["kernel"]) if self.kind == "Conv2d" else 1
 
     def in_select(self) -> list[int] | None:
         sel = self.attrs.get("in_select")
@@ -258,7 +257,8 @@ def _static_widths(graph: ModelGraph) -> dict[str, int | None]:
         if node.kind == "Input":
             widths[nid] = graph.input_channels
         elif node.kind in WEIGHTED_KINDS:
-            widths[nid] = node.declared_out_width()
+            n = node.attrs.get(_WIDTH_ATTRS[node.kind][1])
+            widths[nid] = n if isinstance(n, int) and n > 0 else None  # validate reports a bad width
         elif node.kind in ("BatchNorm2d", "ReLU", "Pool", "Output"):
             widths[nid] = widths.get(node.inputs[0]) if node.inputs else None
         elif node.kind == "Concat":
@@ -332,33 +332,23 @@ def validate(graph: ModelGraph) -> list[str]:
         elif arity != 1:
             v.append(f"{nid}: expected exactly one input, found {arity}")
 
-        if node.kind == "Conv2d":
-            m, n, k = node.attrs.get("in_channels"), node.attrs.get("out_channels"), node.attrs.get("kernel")
-            if not all(isinstance(x, int) and x > 0 for x in (m, n, k)):
-                v.append(f"{nid}: Conv2d needs positive in_channels/out_channels/kernel")
+        if node.kind in WEIGHTED_KINDS:
+            required = _WIDTH_ATTRS[node.kind] + (("kernel",) if node.kind == "Conv2d" else ())
+            if not all(isinstance(x, int) and x > 0 for x in map(node.attrs.get, required)):
+                v.append(f"{nid}: {node.kind} needs positive {'/'.join(required)}")
                 continue
-            stride, pad = node.attrs.get("stride", 1), node.attrs.get("padding", 0)
-            if not isinstance(stride, int) or not isinstance(pad, int) or stride < 1 or pad < 0:
-                v.append(f"{nid}: bad stride/padding")
+            m, n, k = node.declared_in_width(), node.declared_out_width(), node.kernel()
+            shape = (n, m)
+            if node.kind == "Conv2d":
+                shape += (k, k)
+                stride, pad = node.attrs.get("stride", 1), node.attrs.get("padding", 0)
+                if not isinstance(stride, int) or not isinstance(pad, int) or stride < 1 or pad < 0:
+                    v.append(f"{nid}: bad stride/padding")
             w = node.tensors.get("weight")
             if w is None:
                 v.append(f"{nid}: missing weight tensor")
-            elif w.shape != (n, m, k, k):
-                v.append(f"{nid}: weight shape {w.shape} does not match ({n}, {m}, {k}, {k})")
-            b = node.tensors.get("bias")
-            if b is not None and b.shape != (n,):
-                v.append(f"{nid}: bias shape {b.shape} does not match ({n},)")
-            v.extend(_check_in_select(node, m, widths))
-        elif node.kind == "Linear":
-            m, n = node.attrs.get("in_features"), node.attrs.get("out_features")
-            if not all(isinstance(x, int) and x > 0 for x in (m, n)):
-                v.append(f"{nid}: Linear needs positive in_features/out_features")
-                continue
-            w = node.tensors.get("weight")
-            if w is None:
-                v.append(f"{nid}: missing weight tensor")
-            elif w.shape != (n, m):
-                v.append(f"{nid}: weight shape {w.shape} does not match ({n}, {m})")
+            elif w.shape != shape:
+                v.append(f"{nid}: weight shape {w.shape} does not match {shape}")
             b = node.tensors.get("bias")
             if b is not None and b.shape != (n,):
                 v.append(f"{nid}: bias shape {b.shape} does not match ({n},)")
@@ -435,42 +425,28 @@ def infer_shapes(graph: ModelGraph, input_size: int | None = None) -> ModelGraph
         src = node.inputs[0]
         w_in, s_in = widths[src], sizes[src]
         node.in_size = s_in
-        if node.kind == "Conv2d":
-            m = node.declared_in_width()
-            sel = node.in_select()
-            if sel is None:
-                if m != w_in:
-                    raise ShapeError(f"{nid}: in_channels {m} does not match producer width {w_in}")
-            else:
-                if sel and sel[-1] >= w_in:
-                    raise ShapeError(f"{nid}: in_select exceeds producer width {w_in}")
-            k = node.kernel()
-            stride = int(node.attrs.get("stride", 1))
-            pad = int(node.attrs.get("padding", 0))
-            span = s_in + 2 * pad - k
-            if span < 0:
-                raise ShapeError(f"{nid}: kernel {k} larger than padded input {s_in + 2 * pad}")
-            o = span // stride + 1
+        if node.kind in WEIGHTED_KINDS:
+            if node.kind == "Linear" and s_in != 1:
+                raise ShapeError(f"{nid}: Linear requires spatial size 1 input, got {s_in}")
+            m, sel = node.declared_in_width(), node.in_select()
+            if sel is None and m != w_in:
+                raise ShapeError(f"{nid}: {_WIDTH_ATTRS[node.kind][0]} {m} does not match producer width {w_in}")
+            if sel and sel[-1] >= w_in:
+                raise ShapeError(f"{nid}: in_select exceeds producer width {w_in}")
+            o = 1
+            if node.kind == "Conv2d":
+                k = node.kernel()
+                stride = int(node.attrs.get("stride", 1))
+                pad = int(node.attrs.get("padding", 0))
+                span = s_in + 2 * pad - k
+                if span < 0:
+                    raise ShapeError(f"{nid}: kernel {k} larger than padded input {s_in + 2 * pad}")
+                o = span // stride + 1
             widths[nid] = node.declared_out_width()
             sizes[nid] = o
-        elif node.kind == "Linear":
-            if s_in != 1:
-                raise ShapeError(f"{nid}: Linear requires spatial size 1 input, got {s_in}")
-            m = node.declared_in_width()
-            sel = node.in_select()
-            if sel is None:
-                if m != w_in:
-                    raise ShapeError(f"{nid}: in_features {m} does not match producer width {w_in}")
-            elif sel and sel[-1] >= w_in:
-                raise ShapeError(f"{nid}: in_select exceeds producer width {w_in}")
-            widths[nid] = node.declared_out_width()
-            sizes[nid] = 1
-        elif node.kind == "BatchNorm2d":
-            if node.declared_out_width() != w_in:
+        elif node.kind in ("BatchNorm2d", "ReLU", "Output"):
+            if node.kind == "BatchNorm2d" and node.declared_out_width() != w_in:
                 raise ShapeError(f"{nid}: channel count {node.declared_out_width()} vs producer width {w_in}")
-            widths[nid] = w_in
-            sizes[nid] = s_in
-        elif node.kind == "ReLU":
             widths[nid] = w_in
             sizes[nid] = s_in
         elif node.kind == "Pool":
@@ -501,9 +477,6 @@ def infer_shapes(graph: ModelGraph, input_size: int | None = None) -> ModelGraph
                 raise ShapeError(f"{nid}: Concat operands disagree on spatial size {sorted(ss)}")
             widths[nid] = sum(widths[i] for i in node.inputs)
             sizes[nid] = ss.pop()
-        elif node.kind == "Output":
-            widths[nid] = w_in
-            sizes[nid] = s_in
         else:
             raise ShapeError(f"{nid}: cannot infer shape for kind {node.kind!r}")
         node.out_size = sizes[nid]

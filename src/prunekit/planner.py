@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .costs import RunningCosts
@@ -184,17 +185,18 @@ def select_threshold(
     )
 
 
-def multi_pass(graph: ModelGraph, config: Config) -> list[tuple[PruningPlan, ModelGraph]]:
+def multi_pass(graph: ModelGraph, config: Config) -> Iterator[tuple[PruningPlan, ModelGraph]]:
     """Iteratively score, plan and prune ``config.passes`` times, each pass
     removing ``config.per_pass_ratio`` of the current FLOPs and re-scoring the
-    pruned weights. Returns the full (plan, graph) trajectory."""
+    pruned weights. Yields each pass's (plan, pruned graph) as it completes and
+    keeps no earlier pass's graph, so a caller that keeps only the latest one
+    holds one pruned model at a time."""
     from .surgeon import _checked_surgery  # local import: surgeon depends on this module
 
     config.validate()
     if config.per_pass_ratio is None:
         raise PruneKitError("multi-pass pruning needs per_pass_ratio (--per-pass)")
     pass_config = Config(**{**config.to_dict(), "flop_target_ratio": config.per_pass_ratio})
-    trajectory: list[tuple[PruningPlan, ModelGraph]] = []
     current = graph
     for _ in range(config.passes):
         units = build_prune_units(current)
@@ -202,5 +204,4 @@ def multi_pass(graph: ModelGraph, config: Config) -> list[tuple[PruningPlan, Mod
         plan = select_threshold(records, current, pass_config)
         by_uid = {u.uid: u for u in units}
         current = _checked_surgery(current, [by_uid[uid] for uid in plan.removed_unit_ids], plan)
-        trajectory.append((plan, current))
-    return trajectory
+        yield plan, current

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .costs import unit_flop_cost, unit_param_cost
+from .costs import CONVENTIONS, unit_flop_cost, unit_param_cost
 from .errors import DegenerateModelError, PruneKitError
 from .graph import ModelGraph
 from .units import FULL_CHANNEL, PruneUnit, group_importance
@@ -64,7 +64,7 @@ class Config:
             raise PruneKitError("alpha and beta must be finite and nonnegative")
         if self.weight_norm_mode not in WEIGHT_NORM_MODES:
             raise PruneKitError(f"unknown weight_norm_mode {self.weight_norm_mode!r}")
-        if self.flops_convention not in ("macs", "2macs"):
+        if self.flops_convention not in CONVENTIONS:
             raise PruneKitError(f"unknown flops_convention {self.flops_convention!r}")
         if self.min_channels_per_layer < 1:
             raise PruneKitError("min_channels_per_layer must be >= 1")

@@ -19,7 +19,7 @@ import numpy as np
 from .costs import effective_model_costs
 from .errors import PlanMismatchError, PruneKitError
 from .eval import forward_eval
-from .graph import ModelGraph, _layout, graph_checksum, infer_shapes, validate
+from .graph import _WIDTH_ATTRS, WEIGHTED_KINDS, ModelGraph, _layout, graph_checksum, infer_shapes, validate
 from .planner import PruningPlan
 from .units import PruneUnit, build_prune_units
 
@@ -124,7 +124,7 @@ def apply_units(graph: ModelGraph, units: list[PruneUnit]) -> ModelGraph:
             survivors[nid] = list(range(graph.input_channels))
             continue
         esl = survivors[old.inputs[0]]
-        if old.kind in ("Conv2d", "Linear"):
+        if old.kind in WEIGHTED_KINDS:
             out_gone = removed_out.get(nid, set())
             slot_gone = removed_slots.get(nid, set())
             n_old = old.declared_out_width()
@@ -143,12 +143,8 @@ def apply_units(graph: ModelGraph, units: list[PruneUnit]) -> ModelGraph:
                 node.tensors["weight"] = old.weight()[np.ix_(out_keep, slot_keep)]
                 if "bias" in old.tensors:
                     node.tensors["bias"] = old.tensors["bias"][out_keep]
-            if old.kind == "Conv2d":
-                node.attrs["in_channels"] = len(slot_keep)
-                node.attrs["out_channels"] = len(out_keep)
-            else:
-                node.attrs["in_features"] = len(slot_keep)
-                node.attrs["out_features"] = len(out_keep)
+            in_name, out_name = _WIDTH_ATTRS[old.kind]
+            node.attrs[in_name], node.attrs[out_name] = len(slot_keep), len(out_keep)
             if new_sel == list(range(len(esl))):
                 node.attrs.pop("in_select", None)
             else:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import PruneKitError, ShapeError
-from .graph import ModelGraph
+from .graph import WEIGHTED_KINDS, ModelGraph
 
 PASS_THROUGH_KINDS = ("BatchNorm2d", "ReLU", "Pool", "Flatten")
 
@@ -115,7 +115,7 @@ def _origin_maps(graph: ModelGraph) -> dict[str, list[frozenset[ChannelRef]]]:
         node = graph.nodes[nid]
         if node.kind == "Input":
             maps[nid] = [frozenset({ChannelRef(nid, c)}) for c in range(graph.input_channels)]
-        elif node.kind in ("Conv2d", "Linear"):
+        elif node.kind in WEIGHTED_KINDS:
             maps[nid] = [frozenset({ChannelRef(nid, c)}) for c in range(node.declared_out_width())]
         elif node.kind in ("BatchNorm2d", "ReLU", "Pool", "Output"):
             maps[nid] = maps[node.inputs[0]]
@@ -150,7 +150,7 @@ def _dense_interior(graph: ModelGraph, consumers: dict[str, list[str]]) -> set[s
                 continue
             seen.add(nid)
             kind = graph.nodes[nid].kind
-            if kind in ("Conv2d", "Linear"):
+            if kind in WEIGHTED_KINDS:
                 direct = True
                 break
             if kind == "Concat":
@@ -229,14 +229,15 @@ def build_prune_units(graph: ModelGraph) -> list[PruneUnit]:
                 bn_slots.setdefault(origin, []).append(AuxRef(nid, j))
 
     units: list[PruneUnit] = []
-    member_key = lambda m: (topo[m.layer], m.channel)
     slice_key = lambda s: (topo[s.layer], s.in_channel)
 
+    # groups and slice_of were filled walking weighted layers in graph order and
+    # indices upwards, so members and each member's slices are already in
+    # (topo, index) order
     for root, members in groups.items():
-        members = sorted(members, key=member_key)
         if any(m.layer in interior for m in members):
             raise PruneKitError(f"overlapping dense/residual structures at {members[0].layer}")
-        per_member = tuple(tuple(sorted(slice_of.get(m, []), key=slice_key)) for m in members)
+        per_member = tuple(tuple(slice_of.get(m, ())) for m in members)
         all_slices = sorted({s for group in per_member for s in group}, key=slice_key)
         if not all_slices:
             continue  # terminal layer: its outputs are the model's outputs

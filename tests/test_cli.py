@@ -10,6 +10,7 @@ import os
 import numpy as np
 import pytest
 
+from prunekit import GraphBuilder
 from prunekit.cli import main
 
 from conftest import make_chain, make_dense_toy, make_minimal, save_tmp
@@ -318,6 +319,58 @@ class TestExitCodes:
         rc = main(["prune", "--model", manifest, "--weights", weights, "--out-dir", str(tmp_path / "o")])
         assert rc == 2
         assert "needs --plan" in json.loads(capsys.readouterr().err)["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "flags, cfg_text",
+        [
+            (["--passes", "2", "--per-pass", "0.1"], None),
+            (["--per-pass", "0.1"], None),
+            (["--passes", "2"], None),
+            ([], "passes = 2\nper_pass_ratio = 0.1\n"),
+            ([], "per_pass_ratio = 0.1\n"),
+        ],
+        ids=["passes-and-per-pass", "per-pass", "passes", "config-passes-and-per-pass", "config-per-pass"],
+    )
+    def test_plan_with_multi_pass_settings_exits_2(self, toy_model, tmp_path, capsys, flags, cfg_text):
+        manifest, weights = toy_model
+        out = tmp_path / "out"
+        assert main(["plan", "--model", manifest, "--weights", weights, "--out-dir", str(out), "--flop-target", "0.3"]) == 0
+        if cfg_text is not None:
+            cfg = tmp_path / "multi.cfg"
+            cfg.write_text(cfg_text)
+            flags = ["--config", str(cfg)]
+        capsys.readouterr()
+        pruned = tmp_path / "pruned"
+        rc = main(["prune", "--model", manifest, "--weights", weights, "--plan", str(out / "plan.json"), *flags, "--out-dir", str(pruned)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        assert "--plan" in json.loads(err)["error"]["message"]
+        assert not os.path.exists(pruned)
+
+    def test_report_on_baseline_without_params_exits_2(self, tmp_path, capsys):
+        b = GraphBuilder(3, 4)
+        manifest, weights = save_tmp(b.output(b.relu("relu", "input")), tmp_path)
+        rc = main(["report", "--baseline", manifest, "--pruned", manifest, "--out-dir", str(tmp_path / "rep")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        assert json.loads(err)["error"]["code"] == "DegenerateModelError"
+
+    @pytest.mark.parametrize("value", [None, "abc", [6]])
+    def test_bad_out_width_in_manifest_exits_2(self, toy_model, tmp_path, capsys, value):
+        manifest, weights = toy_model
+        doc = json.loads(read(manifest))
+        doc["nodes"][1]["attrs"].pop("out_channels")
+        if value is not None:
+            doc["nodes"][1]["attrs"]["out_channels"] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(["analyze", "--model", str(bad), "--weights", weights, "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        assert json.loads(err)["error"]["violations"] == ["conv1: Conv2d needs positive in_channels/out_channels/kernel"]
 
     def test_infeasible_budget_exits_3(self, toy_model, tmp_path, capsys):
         manifest, weights = toy_model

@@ -23,6 +23,7 @@ from prunekit import (
     save_model,
     validate,
 )
+from prunekit.costs import effective_model_costs
 from prunekit.graph import serialize_graph
 from prunekit.units import IN_CHANNEL_ONLY
 from prunekit.zoo import vgg16
@@ -283,6 +284,146 @@ class TestValidate:
         b.addnode("add", [a, c])
         g = b.output("add")
         assert any("disagree" in v for v in validate(g))
+
+
+def _conv_linear_net():
+    """Input(3, 8) -> conv(3->4, K=3, pad 1, bias) -> gap -> flat -> fc(4->5, bias) -> Output."""
+    rng = np.random.default_rng(0)
+    b = GraphBuilder(3, 8)
+    c = b.conv("conv", "input", conv_w(rng, 4, 3, 3), bias=np.zeros(4, np.float32), padding=1)
+    f = b.flatten("flat", b.pool("gap", c, "global-avg"))
+    fc = b.linear("fc", f, rng.standard_normal((5, 4)).astype(np.float32), bias=np.zeros(5, np.float32))
+    return b.output(fc)
+
+
+def _set_attrs(nid, **attrs):
+    return lambda g: g.nodes[nid].attrs.update(attrs)
+
+
+def _drop_attr(nid, key):
+    return lambda g: g.nodes[nid].attrs.pop(key)
+
+
+def _set_tensors(nid, **shapes):
+    return lambda g: g.nodes[nid].tensors.update({r: np.zeros(s, np.float32) for r, s in shapes.items()})
+
+
+def _drop_tensor(nid, role):
+    return lambda g: g.nodes[nid].tensors.pop(role)
+
+
+# Conv2d and Linear share one code path; these pin its messages for both kinds.
+_CONV_NEEDS = ["conv: Conv2d needs positive in_channels/out_channels/kernel"]
+_FC_NEEDS = ["fc: Linear needs positive in_features/out_features"]
+VALIDATE_CASES = {
+    "conv-in-zero": (_set_attrs("conv", in_channels=0), _CONV_NEEDS),
+    "conv-in-missing": (_drop_attr("conv", "in_channels"), _CONV_NEEDS),
+    "conv-kernel-missing": (_drop_attr("conv", "kernel"), _CONV_NEEDS),
+    "conv-kernel-str": (_set_attrs("conv", kernel="3"), _CONV_NEEDS),
+    "conv-stride-zero": (_set_attrs("conv", stride=0), ["conv: bad stride/padding"]),
+    "conv-padding-negative": (_set_attrs("conv", padding=-1), ["conv: bad stride/padding"]),
+    "conv-weight-missing": (_drop_tensor("conv", "weight"), ["conv: missing weight tensor"]),
+    "conv-weight-shape": (
+        _set_tensors("conv", weight=(3, 4, 3, 3)),
+        ["conv: weight shape (3, 4, 3, 3) does not match (4, 3, 3, 3)"],
+    ),
+    "conv-bias-shape": (_set_tensors("conv", bias=(3,)), ["conv: bias shape (3,) does not match (4,)"]),
+    "conv-weight-and-bias": (
+        _set_tensors("conv", weight=(4, 3, 1, 1), bias=(5,)),
+        [
+            "conv: weight shape (4, 3, 1, 1) does not match (4, 3, 3, 3)",
+            "conv: bias shape (5,) does not match (4,)",
+        ],
+    ),
+    "conv-in-select-type": (
+        _set_attrs("conv", in_select="012"),
+        ["conv: in_select must be a list of nonnegative integers"],
+    ),
+    "conv-in-select-length": (
+        _set_attrs("conv", in_select=[0, 1]),
+        ["conv: in_select length 2 does not match input width 3"],
+    ),
+    "conv-in-select-order": (_set_attrs("conv", in_select=[2, 1, 0]), ["conv: in_select must be strictly increasing"]),
+    "conv-in-select-range": (
+        _set_attrs("conv", in_select=[0, 1, 3]),
+        ["conv: in_select index 3 exceeds producer width 3"],
+    ),
+    "fc-in-zero": (_set_attrs("fc", in_features=0), _FC_NEEDS),
+    "fc-in-missing": (_drop_attr("fc", "in_features"), _FC_NEEDS),
+    "fc-in-float": (_set_attrs("fc", in_features=4.0), _FC_NEEDS),
+    "fc-weight-missing": (_drop_tensor("fc", "weight"), ["fc: missing weight tensor"]),
+    "fc-weight-4d": (_set_tensors("fc", weight=(5, 4, 1, 1)), ["fc: weight shape (5, 4, 1, 1) does not match (5, 4)"]),
+    "fc-bias-shape": (_set_tensors("fc", bias=(4,)), ["fc: bias shape (4,) does not match (5,)"]),
+    "fc-in-select-negative": (
+        _set_attrs("fc", in_select=[-1, 0, 1, 2]),
+        ["fc: in_select must be a list of nonnegative integers"],
+    ),
+    "fc-in-select-length": (
+        _set_attrs("fc", in_select=[0, 1]),
+        ["fc: in_select length 2 does not match input width 4"],
+    ),
+    "fc-in-select-order": (_set_attrs("fc", in_select=[3, 2, 1, 0]), ["fc: in_select must be strictly increasing"]),
+    # kernel, stride and padding are Conv2d attributes: a Linear node ignores them
+    "fc-stray-conv-attrs": (_set_attrs("fc", kernel=3, stride=0, padding=2), []),
+}
+
+INFER_CASES = {
+    "conv-width-mismatch": (lambda g: setattr(g, "input_channels", 2), "conv: in_channels 3 does not match producer width 2"),
+    "conv-kernel-too-large": (
+        lambda g: (setattr(g, "input_size", 2), g.nodes["conv"].attrs.update(padding=0)),
+        "conv: kernel 3 larger than padded input 2",
+    ),
+    "fc-width-mismatch": (
+        _set_attrs("gap", pool="max", kernel=2, stride=2),
+        "fc: in_features 4 does not match producer width 64",
+    ),
+    "fc-in-select-range": (_set_attrs("fc", in_select=[0, 1, 2, 4]), "fc: in_select exceeds producer width 4"),
+    "fc-spatial-size": (lambda g: setattr(g.nodes["fc"], "inputs", ["conv"]), "fc: Linear requires spatial size 1 input, got 8"),
+}
+
+
+class TestWeightedLayerMessages:
+    @pytest.mark.parametrize("case", sorted(VALIDATE_CASES))
+    def test_validate_violations(self, case):
+        mutate, expected = VALIDATE_CASES[case]
+        g = _conv_linear_net()
+        mutate(g)
+        assert validate(g) == expected
+
+    @pytest.mark.parametrize("case", sorted(INFER_CASES))
+    def test_infer_shapes_error(self, case):
+        mutate, expected = INFER_CASES[case]
+        g = _conv_linear_net()
+        mutate(g)
+        assert validate(g) == []
+        with pytest.raises(ShapeError) as info:
+            infer_shapes(g)
+        assert str(info.value) == expected
+
+    def test_conv_in_select_beyond_flattened_producer(self):
+        b = GraphBuilder(3, 2)
+        f = b.flatten("flat", "input")  # width 12, unknown until shapes are inferred
+        g = b.output(b.conv("conv", f, conv_w(np.random.default_rng(0), 4, 3, 1), in_select=[0, 5, 12]))
+        assert validate(g) == []
+        with pytest.raises(ShapeError) as info:
+            infer_shapes(g)
+        assert str(info.value) == "conv: in_select exceeds producer width 12"
+
+    @pytest.mark.parametrize("nid, key, value", [("conv", "out_channels", None), ("conv", "out_channels", "abc"), ("fc", "out_features", [5])])
+    def test_bad_out_width_is_a_violation(self, nid, key, value):
+        g = _conv_linear_net()
+        g.nodes[nid].attrs[key] = value
+        if value is None:
+            del g.nodes[nid].attrs[key]
+        assert validate(g) == {"conv": _CONV_NEEDS, "fc": _FC_NEEDS}[nid]
+
+    def test_linear_ignores_conv_attrs(self):
+        g = _conv_linear_net()
+        clean = infer_shapes(_conv_linear_net())
+        g.nodes["fc"].attrs.update(kernel=3, stride=2, padding=2)
+        infer_shapes(g)
+        assert (g.nodes["fc"].in_size, g.nodes["fc"].out_size, g.nodes["fc"].kernel()) == (1, 1, 1)
+        assert effective_model_costs(g) == effective_model_costs(clean)
 
 
 class TestInferShapes:

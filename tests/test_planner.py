@@ -329,7 +329,7 @@ class TestMultiPass:
         records = score_all(g, units, config)
         direct_plan = select_threshold(records, g, config)
         direct, _ = apply_plan(g, direct_plan)
-        trajectory = multi_pass(g, Config(passes=1, per_pass_ratio=0.3))
+        trajectory = list(multi_pass(g, Config(passes=1, per_pass_ratio=0.3)))
         assert len(trajectory) == 1
         assert model_flop_count(trajectory[0][1]) == model_flop_count(direct)
         assert model_param_count(trajectory[0][1]) == model_param_count(direct)
@@ -340,7 +340,7 @@ class TestMultiPass:
         rng = np.random.default_rng(11)
         g = make_chain(rng, (8, 10))
         baseline = model_flop_count(g)
-        trajectory = multi_pass(g, Config(passes=2, per_pass_ratio=0.2))
+        trajectory = list(multi_pass(g, Config(passes=2, per_pass_ratio=0.2)))
         assert len(trajectory) == 2
         assert model_flop_count(trajectory[-1][1]) <= 0.64 * baseline
 
@@ -356,4 +356,4 @@ class TestMultiPass:
     def test_needs_per_pass_ratio(self):
         g = make_chain(np.random.default_rng(13), (4, 6))
         with pytest.raises(PruneKitError, match="per_pass_ratio"):
-            multi_pass(g, Config(passes=2))
+            list(multi_pass(g, Config(passes=2)))

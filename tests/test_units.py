@@ -237,6 +237,24 @@ class TestPartition:
                     fed_by_weighted = any(o.layer != input_id for o in origins)
                     assert (InSliceRef(node.id, slot) in seen_slices) == fed_by_weighted
 
+    @pytest.mark.parametrize("model", ["random", "vgg_graph", "resnet_graph", "densenet_graph"])
+    def test_members_and_member_slices_in_graph_order(self, request, model):
+        # build_prune_units relies on append order here instead of sorting
+        if model == "random":
+            rng = np.random.default_rng(23)
+            graphs = [random_tiny_net(rng) for _ in range(12)]
+        else:
+            graphs = [request.getfixturevalue(model)]
+        for g in graphs:
+            topo = {nid: i for i, nid in enumerate(g.order)}
+            for u in build_prune_units(g):
+                keys = [(topo[m.layer], m.channel) for m in u.members]
+                assert keys == sorted(set(keys)), u.uid
+                assert len(u.member_slices) == len(u.members), u.uid
+                for slices in u.member_slices:
+                    keys = [(topo[s.layer], s.in_channel) for s in slices]
+                    assert keys == sorted(set(keys)), u.uid
+
     def test_deterministic_order(self):
         rng1, rng2 = np.random.default_rng(42), np.random.default_rng(42)
         g1, g2 = make_dense_toy(rng1), make_dense_toy(rng2)
