@@ -277,7 +277,7 @@ def cmd_prune(args: argparse.Namespace) -> int:
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "pruned_manifest.json")
     weights_path = os.path.join(out_dir, "pruned_weights.bin")
-    manifest_digest, weights_digest = save_model(pruned, manifest_path, weights_path)
+    manifest_digest, weights_digest = save_model(pruned, manifest_path, weights_path, digests=True)
     run.add(manifest_path, manifest_digest)
     run.add(weights_path, weights_digest)
     run.write_artifact(out_dir, "surgery_report.json", json.dumps(report_dict, indent=2) + "\n")
@@ -311,6 +311,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         before = node.declared_out_width()
         after = pruned_widths.get(node.id, 0)
         rows.append((node.id, before, after, before - after))
+    if not rows:
+        raise DegenerateModelError("baseline model has no weighted layer to report")
 
     payload = {
         "baseline": {"params": base_params, "flops": base_flops},

@@ -5,7 +5,8 @@ Two deliberately separate views:
 * ``unit_param_cost`` / ``unit_flop_cost`` price a single prunable unit with
   the per-channel formula used for importance scoring: kernel terms only, the
   spatial factor taken from the *input* side of each layer, fully-connected
-  layers treated as 1x1 kernels at spatial size 1.
+  layers treated as 1x1 kernels at spatial size 1. ``unit_costs`` gives both
+  for a list of units, pricing each (member layers, slice layers) signature once.
 
 * ``effective_model_costs`` and its two halves ``model_param_count`` /
   ``model_flop_count`` account for the whole model exactly, using output-side
@@ -26,6 +27,7 @@ the usual published totals for the bundled CIFAR architectures.
 from __future__ import annotations
 
 from collections import Counter
+from operator import attrgetter
 
 from .errors import PruneKitError, ShapeError
 from .graph import WEIGHTED_KINDS, ModelGraph
@@ -33,6 +35,7 @@ from .units import PruneUnit
 
 CONVENTIONS = ("macs", "2macs")
 _PASSING_KINDS = ("BatchNorm2d", "ReLU", "Pool", "Output", "Flatten", "Add", "Concat")
+_LAYER = attrgetter("layer")
 
 
 def _factor(convention: str) -> int:
@@ -51,19 +54,45 @@ def _unit_blocks(graph: ModelGraph, unit: PruneUnit):
         yield node, node.declared_out_width()
 
 
+def _price(graph: ModelGraph, unit: PruneUnit) -> tuple[int, int]:
+    """(params, flops in MACs) of the unit's kernel blocks, in one walk; each
+    block's spatial factor is its layer's input size."""
+    params = flops = 0
+    for node, width in _unit_blocks(graph, unit):
+        block = node.kernel() ** 2 * width
+        params += block
+        flops += node.in_size * node.in_size * block
+    return params, flops
+
+
+def unit_costs(graph: ModelGraph, units: list[PruneUnit], convention: str = "macs") -> list[tuple[int, int]]:
+    """(``unit_param_cost``, ``unit_flop_cost``) of every unit. A unit's price
+    depends only on the layers of its members and slices, so each such
+    signature is walked once and its price reused."""
+    if not graph.inferred:
+        raise ShapeError("run infer_shapes before unit_costs")
+    factor = _factor(convention)
+    prices: dict[tuple[tuple[str, ...], tuple[str, ...]], tuple[int, int]] = {}
+    costs = []
+    for unit in units:
+        signature = (tuple(map(_LAYER, unit.members)), tuple(map(_LAYER, unit.in_slices)))
+        if (price := prices.get(signature)) is None:
+            params, flops = _price(graph, unit)
+            price = prices[signature] = (params, flops * factor)
+        costs.append(price)
+    return costs
+
+
 def unit_param_cost(graph: ModelGraph, unit: PruneUnit) -> int:
     """Weights owned by the unit: K*K*M per member filter, K*K*N per consumer slice."""
-    return sum(node.kernel() ** 2 * width for node, width in _unit_blocks(graph, unit))
+    return _price(graph, unit)[0]
 
 
 def unit_flop_cost(graph: ModelGraph, unit: PruneUnit, convention: str = "macs") -> int:
     """Scoring-side cost of the unit; spatial factor is each layer's input size."""
     if not graph.inferred:
         raise ShapeError("run infer_shapes before unit_flop_cost")
-    total = 0
-    for node, width in _unit_blocks(graph, unit):
-        total += node.in_size * node.in_size * node.kernel() ** 2 * width
-    return total * _factor(convention)
+    return _price(graph, unit)[1] * _factor(convention)
 
 
 def _weighted_terms(node, m: int, n: int, count_aux_params: bool) -> tuple[int, int]:

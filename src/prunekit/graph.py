@@ -524,9 +524,12 @@ def serialize_graph(graph: ModelGraph, weights_file: str = "") -> tuple[dict, by
     return manifest, b"".join(arrays)
 
 
-def save_model(graph: ModelGraph, manifest_path: str, weights_path: str) -> tuple[str, str]:
-    """Write manifest JSON and raw weight container, tensor by tensor, and
-    return the sha256 hex digests of the two files' bytes as written.
+def save_model(
+    graph: ModelGraph, manifest_path: str, weights_path: str, *, digests: bool = False
+) -> tuple[str, str] | None:
+    """Write manifest JSON and raw weight container, tensor by tensor. With
+    ``digests``, also hash the bytes as they are written and return the sha256
+    hex digests of the two files; otherwise return None.
 
     load_model(save_model(g)) is structurally identical to g and bit-identical
     in weights.
@@ -536,10 +539,13 @@ def save_model(graph: ModelGraph, manifest_path: str, weights_path: str) -> tupl
     with open(weights_path, "wb") as f:
         for arr in arrays:
             f.write(arr)
-            weights_digest.update(arr)
+            if digests:
+                weights_digest.update(arr)
     text = json.dumps(manifest, indent=2) + "\n"
     with open(manifest_path, "w", encoding="utf-8") as f:
         f.write(text)
+    if not digests:
+        return None
     return hashlib.sha256(text.encode("utf-8")).hexdigest(), weights_digest.hexdigest()
 
 

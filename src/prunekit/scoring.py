@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .costs import CONVENTIONS, unit_flop_cost, unit_param_cost
+from .costs import CONVENTIONS, unit_costs
 from .errors import DegenerateModelError, PruneKitError
 from .graph import ModelGraph
 from .units import FULL_CHANNEL, PruneUnit, group_importance
@@ -224,12 +224,12 @@ def score_all(graph: ModelGraph, units: list[PruneUnit], config: Config) -> list
         for i, g in zip(idxs, normed):
             weight_scores[i] = g
 
-    params = [unit_param_cost(graph, u) for u in units]
-    flops = [unit_flop_cost(graph, u, config.flops_convention) for u in units]
-    pmax, fmax = max(params), max(flops)
+    costs = unit_costs(graph, units, config.flops_convention)
+    pmax = max(p for p, _ in costs)
+    fmax = max(f for _, f in costs)
 
     records = []
-    for u, raw, gl, p, f in zip(units, raws, weight_scores, params, flops):
+    for u, raw, gl, (p, f) in zip(units, raws, weight_scores, costs):
         gp, gf = normalize_cost_scores(p, f, pmax, fmax, config.alpha, config.beta)
         anchor = u.members[0] if u.members else u.in_slices[0]
         channel = anchor.channel if u.members else anchor.in_channel

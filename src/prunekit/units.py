@@ -1,6 +1,6 @@
 """Prunable-unit extraction.
 
-Walks the graph once and partitions its removable surface into units:
+Partitions the model's removable surface into units:
 
 * plain-chain output channels, each bundled with every downstream kernel slice
   that reads it (through ReLU/BatchNorm/Pool/Flatten pass-throughs);
@@ -12,12 +12,29 @@ Walks the graph once and partitions its removable surface into units:
 
 The final weighted layer feeding Output keeps all its channels (class count is
 fixed), and channels of the graph Input are never removable.
+
+Units are derived per layer, not per channel. Input and weighted-layer
+channels share one global id numbering laid out layer by layer in graph order,
+so sorting ids sorts channels by (topo, index); consumer slots and per-channel
+vector entries (biases, batch-norm indices) are numbered the same way. One walk
+gives every node an integer array of the channel ids feeding each of its
+output indices, with one row per origin (an Add stacks its operands' rows).
+Each weighted layer's reads then become (channel, slot) id pairs, and each
+batch-norm layer's entries (channel, entry) pairs, a whole layer at a time.
+Each Add ties whole operand arrays in an array union-find, whose classes are
+the residual groups. A group's members, reads and entries are runs of sorted
+ids, and a unit's fields are slices of tuples of ref objects, one ref per
+(layer, index), made once the inventory is final.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import PruneKitError, ShapeError
 from .graph import WEIGHTED_KINDS, ModelGraph
@@ -86,54 +103,85 @@ def group_importance(member_scores: list[float]) -> float:
     return sum(member_scores) / len(member_scores)
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
+class _Numbering:
+    """One global numbering of (layer, index) pairs, laid out layer by layer in
+    graph order, so sorting ids sorts by (topo, index). Holds the one ref
+    object of each pair, shared by every unit that names it."""
 
-    def find(self, x):
-        self.parent.setdefault(x, x)
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+    def __init__(self, ref_type, widths: list[tuple[str, int]]):
+        self.offset: dict[str, int] = {}
+        self.refs: list = []
+        make = partial(tuple.__new__, ref_type)  # what the named tuple's own _make calls
+        for layer, width in widths:
+            self.offset[layer] = len(self.refs)
+            self.refs.extend(map(make, zip(repeat(layer), range(width))))
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+    def ids(self, layer: str, width: int) -> np.ndarray:
+        return np.arange(self.offset[layer], self.offset[layer] + width)
 
 
-def _origin_maps(graph: ModelGraph) -> dict[str, list[frozenset[ChannelRef]]]:
-    """For every node, map each output index to the weighted channels feeding it.
-
-    Channels of the graph Input appear as refs on the Input node's id.
-    """
-    maps: dict[str, list[frozenset[ChannelRef]]] = {}
+def _origin_arrays(graph: ModelGraph, channels: _Numbering) -> dict[str, np.ndarray]:
+    """For every node, a (k, width) array of the channel ids feeding each output
+    index: one row per origin, -1 where an index has fewer than k origins.
+    Input and weighted layers are their own origins; Add stacks its operands'
+    rows, Concat pads them to one height and joins them side by side."""
+    arrays: dict[str, np.ndarray] = {}
     for nid in graph.order:
         node = graph.nodes[nid]
         if node.kind == "Input":
-            maps[nid] = [frozenset({ChannelRef(nid, c)}) for c in range(graph.input_channels)]
+            arrays[nid] = channels.ids(nid, graph.input_channels)[None, :]
         elif node.kind in WEIGHTED_KINDS:
-            maps[nid] = [frozenset({ChannelRef(nid, c)}) for c in range(node.declared_out_width())]
+            arrays[nid] = channels.ids(nid, node.declared_out_width())[None, :]
         elif node.kind in ("BatchNorm2d", "ReLU", "Pool", "Output"):
-            maps[nid] = maps[node.inputs[0]]
+            arrays[nid] = arrays[node.inputs[0]]
         elif node.kind == "Flatten":
-            src = maps[node.inputs[0]]
-            block = node.in_size * node.in_size
-            maps[nid] = [origins for origins in src for _ in range(block)]
+            arrays[nid] = np.repeat(arrays[node.inputs[0]], node.in_size * node.in_size, axis=1)
         elif node.kind == "Add":
-            ops = [maps[i] for i in node.inputs]
-            maps[nid] = [frozenset().union(*(op[i] for op in ops)) for i in range(len(ops[0]))]
+            arrays[nid] = np.vstack([arrays[i] for i in node.inputs])
         elif node.kind == "Concat":
-            merged: list[frozenset[ChannelRef]] = []
-            for i in node.inputs:
-                merged.extend(maps[i])
-            maps[nid] = merged
+            ops = [arrays[i] for i in node.inputs]
+            height = max(len(op) for op in ops)
+            arrays[nid] = np.hstack([np.pad(op, ((0, height - len(op)), (0, 0)), constant_values=-1) for op in ops])
         else:
             raise PruneKitError(f"{nid}: unsupported node kind {node.kind!r}")
-    return maps
+    return arrays
+
+
+def _pairs(origins: list[np.ndarray], targets: list[np.ndarray], n_targets: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct (origin, target) id pairs sorted by origin, then target; -1
+    origins (padding) are dropped."""
+    none = np.empty(0, np.int64)
+    origin, target = np.concatenate([none, *origins]), np.concatenate([none, *targets])
+    key = _sorted_unique(origin * n_targets + target)
+    key = key[key >= 0]
+    return key // n_targets, key % n_targets
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """np.unique for integer ids; a plain sort is many times faster here."""
+    a = np.sort(a)
+    keep = np.ones(len(a), bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
+def _roots(parent: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The class root of each id in the union-find forest ``parent``."""
+    while not np.array_equal(up := parent[ids], ids):
+        ids = up
+    return ids
+
+
+def _tie(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Union the classes of a[i] and b[i] for every i, linking the larger root
+    under the smaller; repeats until every pair shares a root, because two
+    pairs may relink the same root in one step."""
+    while True:
+        ra, rb = _roots(parent, a), _roots(parent, b)
+        split = ra != rb
+        if not split.any():
+            return
+        parent[np.maximum(ra, rb)[split]] = np.minimum(ra, rb)[split]
 
 
 def _dense_interior(graph: ModelGraph, consumers: dict[str, list[str]]) -> set[str]:
@@ -163,140 +211,204 @@ def _dense_interior(graph: ModelGraph, consumers: dict[str, list[str]]) -> set[s
     return interior
 
 
+def _ranges(keys: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end of the run of each wanted key in the sorted ``keys``."""
+    return np.searchsorted(keys, wanted), np.searchsorted(keys, wanted, side="right")
+
+
 def build_prune_units(graph: ModelGraph) -> list[PruneUnit]:
     """Enumerate the model's prunable units. Requires inferred shapes."""
     if not graph.inferred:
         raise ShapeError("run infer_shapes before build_prune_units")
     consumers = graph.consumers()
     _check_reachability(graph, consumers)
-    maps = _origin_maps(graph)
-    input_id = graph.input_node().id
-    topo = {nid: i for i, nid in enumerate(graph.order)}
-
-    # every weighted read, attributed to the channels that feed it
-    slice_of: dict[ChannelRef, list[InSliceRef]] = {}
-    slot_origins: dict[InSliceRef, frozenset[ChannelRef]] = {}
-    for node in graph.weighted_layers():
-        edge_map = maps[node.inputs[0]]
-        sel = node.in_select()
-        if sel is None:
-            sel = list(range(len(edge_map)))
-        if len(sel) != node.declared_in_width():
-            raise ShapeError(f"{node.id}: input width {node.declared_in_width()} vs edge width {len(sel)}")
-        for slot, edge_idx in enumerate(sel):
-            ref = InSliceRef(node.id, slot)
-            slot_origins[ref] = edge_map[edge_idx]
-            for origin in edge_map[edge_idx]:
-                slice_of.setdefault(origin, []).append(ref)
-
-    # channels meeting at an Add must come and go together
-    uf = _UnionFind()
+    weighted = graph.weighted_layers()
+    channel_widths, aux_widths = [], []
     for nid in graph.order:
         node = graph.nodes[nid]
-        if node.kind != "Add":
-            continue
-        # an operand's origins at one index are already tied (by an earlier
-        # Add, or it is a single channel), so one origin per operand stands in
-        ops = [maps[i] for i in node.inputs]
-        for idx in range(len(ops[0])):
-            first, *rest = (next(iter(op[idx])) for op in ops)
+        if node.kind == "Input":
+            channel_widths.append((nid, graph.input_channels))
+        elif node.kind in WEIGHTED_KINDS:
+            channel_widths.append((nid, node.declared_out_width()))
+        if node.kind == "BatchNorm2d" or (node.kind in WEIGHTED_KINDS and "bias" in node.tensors):
+            aux_widths.append((nid, node.declared_out_width()))
+    channels = _Numbering(ChannelRef, channel_widths)
+    slots = _Numbering(InSliceRef, [(n.id, n.declared_in_width()) for n in weighted])
+    auxes = _Numbering(AuxRef, aux_widths)
+    arrays = _origin_arrays(graph, channels)
+
+    # every weighted read, as (origin channel, consumer slot) pairs
+    origins, targets = [], []
+    for node in weighted:
+        edge = arrays[node.inputs[0]]
+        sel = node.in_select()
+        width = edge.shape[1] if sel is None else len(sel)
+        if width != node.declared_in_width():
+            raise ShapeError(f"{node.id}: input width {node.declared_in_width()} vs edge width {width}")
+        cols = edge if sel is None else edge[:, sel]
+        origins.append(cols.ravel())
+        targets.append(np.tile(slots.ids(node.id, width), len(cols)))
+    reads = _pairs(origins, targets, len(slots.refs))
+
+    # per-channel vector entries: the batch-norm indices a channel feeds, and its own bias
+    origins, targets = [], []
+    for layer in auxes.offset:
+        node = graph.nodes[layer]
+        width = node.declared_out_width()
+        if node.kind == "BatchNorm2d":
+            edge = arrays[node.inputs[0]]
+            origins.append(edge.ravel())
+            targets.append(np.tile(auxes.ids(layer, width), len(edge)))
+        else:
+            origins.append(channels.ids(layer, width))
+            targets.append(auxes.ids(layer, width))
+    aux = _pairs(origins, targets, len(auxes.refs))
+
+    # channels meeting at an Add must come and go together; an operand's
+    # origins at one index are already tied (by an earlier Add, or it is a
+    # single channel), so its first row stands in for all of them
+    parent = np.arange(len(channels.refs))
+    for nid in graph.order:
+        if graph.nodes[nid].kind == "Add":
+            first, *rest = (arrays[i][0] for i in graph.nodes[nid].inputs)
             for other in rest:
-                uf.union(first, other)
+                _tie(parent, first, other)
+    label = _roots(parent, np.arange(len(parent)))
 
     interior = _dense_interior(graph, consumers)
-
+    dense = np.zeros(len(channels.refs), bool)
+    removable = np.zeros(len(channels.refs), bool)
+    for node in weighted:
+        mask = dense if node.id in interior else removable
+        mask[channels.ids(node.id, node.declared_out_width())] = True
     # groups tied to raw input channels are not removable
-    tainted = {uf.find(ChannelRef(input_id, c)) for c in range(graph.input_channels)}
+    input_id = graph.input_node().id
+    removable &= ~np.isin(label, label[channels.ids(input_id, graph.input_channels)])
 
-    groups: dict[ChannelRef, list[ChannelRef]] = {}
-    for node in graph.weighted_layers():
-        if node.id in interior:
-            continue
-        for c in range(node.declared_out_width()):
-            ref = ChannelRef(node.id, c)
-            root = uf.find(ref)
-            if root in tainted:
-                continue
-            groups.setdefault(root, []).append(ref)
-
-    bn_slots: dict[ChannelRef, list[AuxRef]] = {}
-    for nid in graph.order:
-        node = graph.nodes[nid]
-        if node.kind != "BatchNorm2d":
-            continue
-        for j, origins in enumerate(maps[node.inputs[0]]):
-            for origin in origins:
-                bn_slots.setdefault(origin, []).append(AuxRef(nid, j))
-
-    units: list[PruneUnit] = []
-    slice_key = lambda s: (topo[s.layer], s.in_channel)
-
-    # groups and slice_of were filled walking weighted layers in graph order and
-    # indices upwards, so members and each member's slices are already in
-    # (topo, index) order
-    for root, members in groups.items():
-        if any(m.layer in interior for m in members):
-            raise PruneKitError(f"overlapping dense/residual structures at {members[0].layer}")
-        per_member = tuple(tuple(slice_of.get(m, ())) for m in members)
-        all_slices = sorted({s for group in per_member for s in group}, key=slice_key)
-        if not all_slices:
-            continue  # terminal layer: its outputs are the model's outputs
-        aux: set[AuxRef] = set()
-        for m in members:
-            aux.update(bn_slots.get(m, []))
-            if "bias" in graph.nodes[m.layer].tensors:
-                aux.add(AuxRef(m.layer, m.channel))
-        primary = members[0]
-        family = (
-            f"layer:{primary.layer}"
-            if len(members) == 1
-            else "group:" + "|".join(sorted({m.layer for m in members}))
-        )
-        units.append(
-            PruneUnit(
-                uid=f"{primary.layer}.c{primary.channel}",
-                kind=FULL_CHANNEL,
-                members=tuple(members),
-                in_slices=tuple(all_slices),
-                aux=tuple(sorted(aux, key=lambda a: (topo[a.layer], a.index))),
-                family=family,
-                member_slices=per_member,
-            )
-        )
-
-    for producer in sorted(interior, key=lambda p: topo[p]):
-        node = graph.nodes[producer]
-        for c in range(node.declared_out_width()):
-            ref = ChannelRef(producer, c)
-            for sl in slice_of.get(ref, []):
-                origins = slot_origins[sl]
-                if len(origins) > 1:
-                    raise PruneKitError(
-                        f"overlapping dense/residual structures: slot {sl.layer}.in{sl.in_channel}"
-                    )
-                units.append(
-                    PruneUnit(
-                        uid=f"{sl.layer}.in{sl.in_channel}",
-                        kind=IN_CHANNEL_ONLY,
-                        members=(),
-                        in_slices=(sl,),
-                        aux=(),
-                        family=f"inslice:{sl.layer}",
-                        origin=ref,
-                    )
-                )
-
-    units.sort(key=lambda u: (topo[_anchor(u)], 0 if u.kind == FULL_CHANNEL else 1, _index(u)))
+    full = _full_channel_units(channels, slots, auxes, label, removable, dense, reads, aux)
+    in_only = _in_channel_only_units(channels, slots, dense, reads)
+    # each list is in (topo, index) order; full-channel units of a layer come
+    # before the in-channel-only units of its slots
+    topo = {nid: i for i, nid in enumerate(graph.order)}
+    keys = [2 * topo[u.members[0].layer] for u in full] + [2 * topo[u.in_slices[0].layer] + 1 for u in in_only]
+    units = full + in_only
+    units = [units[i] for i in sorted(range(len(units)), key=keys.__getitem__)]
     _check_partition(units)
     return units
 
 
-def _anchor(unit: PruneUnit) -> str:
-    return unit.members[0].layer if unit.members else unit.in_slices[0].layer
+def _full_channel_units(
+    channels: _Numbering,
+    slots: _Numbering,
+    auxes: _Numbering,
+    label: np.ndarray,
+    removable: np.ndarray,
+    dense: np.ndarray,
+    reads: tuple[np.ndarray, np.ndarray],
+    aux: tuple[np.ndarray, np.ndarray],
+) -> list[PruneUnit]:
+    """One unit per residual class (``label``) of removable channels that some
+    weighted layer reads, in order of its first member. ``reads`` and ``aux``
+    are the sorted (channel, slot) and (channel, entry) id pairs."""
+    # a group is named by its first member, and groups are listed in that order
+    members = np.flatnonzero(removable)  # ascending id: (topo, index) order
+    lead = np.full(len(channels.refs), len(channels.refs))
+    np.minimum.at(lead, label[members], members)
+    group_of = lead[label]
+    members = members[np.argsort(group_of[members], kind="stable")]
+    starts = np.flatnonzero(np.diff(group_of[members], prepend=-1))
+    ends = np.append(starts[1:], len(members))
+
+    # each group's distinct reads and aux entries, keyed by (group, slot or entry)
+    mine = removable[reads[0]]
+    read_origin, read_slot = reads[0][mine], reads[1][mine]
+    n_slots, n_aux = len(slots.refs), len(auxes.refs)
+    group_reads = _sorted_unique(group_of[read_origin] * n_slots + read_slot)
+    mine = removable[aux[0]]
+    group_aux = _sorted_unique(group_of[aux[0][mine]] * n_aux + aux[1][mine])
+    read_lo, read_hi = _ranges(group_reads // n_slots, members[starts])
+    aux_lo, aux_hi = _ranges(group_aux // n_aux, members[starts])
+
+    # a member's own reads are rows member_lo:member_hi of the read pairs, and
+    # a subset of its group's reads. Members enter a residual chain in graph
+    # order and read everything after it, so their reads are usually one run
+    # of the group's, starting at ``first``: they are when the last one sits
+    # where the run would end. (The spare entry serves members without reads.)
+    member_lo, member_hi = _ranges(read_origin, members)
+    slot_at = np.append(read_slot, 0)
+    first, last = (
+        np.searchsorted(group_reads, group_of[members] * n_slots + slot_at[i]) for i in (member_lo, member_hi - 1)
+    )
+    one_run = (last - first + 1 == member_hi - member_lo) | (member_hi == member_lo)
+
+    # a group that nothing reads is the terminal layer's: its outputs are the model's outputs
+    kept = read_hi > read_lo
+    starts, ends, read_lo, read_hi, aux_lo, aux_hi = (
+        a[kept].tolist() for a in (starts, ends, read_lo, read_hi, aux_lo, aux_hi)
+    )
+    tied_dense = set(group_of[dense].tolist()).intersection(members[starts].tolist())
+    if tied_dense:
+        raise PruneKitError(f"overlapping dense/residual structures at {channels.refs[min(tied_dense)].layer}")
+
+    # every field is a slice of one tuple of shared refs
+    member_refs = tuple(map(channels.refs.__getitem__, members.tolist()))
+    group_read_refs = tuple(map(slots.refs.__getitem__, (group_reads % n_slots).tolist()))
+    group_aux_refs = tuple(map(auxes.refs.__getitem__, (group_aux % n_aux).tolist()))
+    members_of = list(map(member_refs.__getitem__, map(slice, starts, ends)))
+    in_slices_of = list(map(group_read_refs.__getitem__, map(slice, read_lo, read_hi)))
+    primaries = [refs[0] for refs in members_of]
+    families = [f"layer:{m.layer}" for m in primaries]
+    per_member = list(zip(in_slices_of))  # a lone member's reads are its group's
+    member_lo, member_hi, first, one_run = member_lo.tolist(), member_hi.tolist(), first.tolist(), one_run.tolist()
+    for g in np.flatnonzero(np.subtract(ends, starts) > 1).tolist():
+        families[g] = "group:" + "|".join(sorted({m.layer for m in members_of[g]}))
+        per_member[g] = tuple(
+            group_read_refs[first[i] : first[i] + member_hi[i] - member_lo[i]]
+            if one_run[i]
+            else tuple(slots.refs[s] for s in read_slot[member_lo[i] : member_hi[i]].tolist())
+            for i in range(starts[g], ends[g])
+        )
+    return list(
+        map(
+            PruneUnit,
+            [f"{m.layer}.c{m.channel}" for m in primaries],
+            repeat(FULL_CHANNEL),
+            members_of,
+            in_slices_of,
+            map(group_aux_refs.__getitem__, map(slice, aux_lo, aux_hi)),
+            families,
+            per_member,
+        )
+    )
 
 
-def _index(unit: PruneUnit) -> int:
-    return unit.members[0].channel if unit.members else unit.in_slices[0].in_channel
+def _in_channel_only_units(
+    channels: _Numbering, slots: _Numbering, dense: np.ndarray, reads: tuple[np.ndarray, np.ndarray]
+) -> list[PruneUnit]:
+    """One unit per read of a dense-interior channel, in slot order; that
+    channel must be the slot's only origin."""
+    shared = np.bincount(reads[1], minlength=len(slots.refs)) > 1
+    mine = dense[reads[0]]
+    origin, slot = reads[0][mine], reads[1][mine]
+    if shared[slot].any():
+        sl = slots.refs[slot[shared[slot]][0]]
+        raise PruneKitError(f"overlapping dense/residual structures: slot {sl.layer}.in{sl.in_channel}")
+    order = np.argsort(slot)
+    units = []
+    for o, s in zip(origin[order].tolist(), slot[order].tolist()):
+        sl = slots.refs[s]
+        units.append(
+            PruneUnit(
+                f"{sl.layer}.in{sl.in_channel}",
+                IN_CHANNEL_ONLY,
+                (),
+                (sl,),
+                (),
+                f"inslice:{sl.layer}",
+                origin=channels.refs[o],
+            )
+        )
+    return units
 
 
 def _check_reachability(graph: ModelGraph, consumers: dict[str, list[str]]) -> None:
@@ -314,14 +426,14 @@ def _check_reachability(graph: ModelGraph, consumers: dict[str, list[str]]) -> N
 
 
 def _check_partition(units: list[PruneUnit]) -> None:
-    seen_members: set[ChannelRef] = set()
-    seen_slices: set[InSliceRef] = set()
-    for u in units:
-        for m in u.members:
-            if m in seen_members:
-                raise PruneKitError(f"channel {m.layer}.c{m.channel} appears in two units")
-            seen_members.add(m)
-        for s in u.in_slices:
-            if s in seen_slices:
-                raise PruneKitError(f"slice {s.layer}.in{s.in_channel} appears in two units")
-            seen_slices.add(s)
+    """No channel and no slot belongs to two units."""
+    for refs, name in (
+        ([m for u in units for m in u.members], "channel {0}.c{1}"),
+        ([s for u in units for s in u.in_slices], "slice {0}.in{1}"),
+    ):
+        if len(set(refs)) < len(refs):
+            seen: set = set()
+            for ref in refs:
+                if ref in seen:
+                    raise PruneKitError(name.format(*ref) + " appears in two units")
+                seen.add(ref)

@@ -127,6 +127,32 @@ def make_flatten_toy(rng: np.random.Generator, channels: int = 3, size: int = 4)
     return infer_shapes(b.output(head))
 
 
+def member_reads_out_of_run():
+    """stem and b tied by an Add; stem is also read after the Add (late) and
+    b before it (side), so stem's reads are not one run of the group's."""
+    rng = np.random.default_rng(0)
+    b = GraphBuilder(3, 4)
+    stem = b.conv("stem", "input", conv_w(rng, 4, 3, 1))
+    br = b.conv("b", stem, conv_w(rng, 4, 4, 1))
+    side = b.conv("side", br, conv_w(rng, 4, 4, 1))
+    post = b.conv("post", b.addnode("a", [br, stem]), conv_w(rng, 4, 4, 1))
+    late = b.conv("late", stem, conv_w(rng, 4, 4, 1))
+    flat = b.flatten("flat", b.pool("gap", b.addnode("a2", [post, late, side]), "global-avg"))
+    return infer_shapes(b.output(b.linear("head", flat, rng.standard_normal((5, 4)).astype(np.float32))))
+
+
+def dense_channel_tied_by_add():
+    """p reaches a weighted layer only through a Concat (dense interior), and
+    an Add ties it to q, which e reads directly."""
+    rng = np.random.default_rng(0)
+    b = GraphBuilder(3, 4)
+    p = b.conv("p", "input", conv_w(rng, 4, 3, 1))
+    q = b.conv("q", "input", conv_w(rng, 4, 3, 1))
+    d = b.conv("d", b.concat("cat", [p, q]), conv_w(rng, 4, 8, 1))
+    e = b.conv("e", q, conv_w(rng, 4, 4, 1))
+    return infer_shapes(b.output(b.addnode("a2", [b.addnode("a1", [p, q]), d, e])))
+
+
 def random_tiny_net(rng: np.random.Generator):
     """Random small model: at most 4 weighted layers, 8 channels, 8x8 input."""
     kind = rng.choice(["chain", "chain_bn", "residual", "dense", "flatten"])

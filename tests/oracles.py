@@ -408,3 +408,194 @@ def enumerate_all_subsets_check(
                 if math.fsum(imp[u] for u in s) < best_sum - 1e-12:
                     return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# per-channel unit builder: one origin set per output index, one union-find
+# step per tied channel, one Python object per read. This is the builder the
+# library used before it worked per layer; it is kept as the reference that
+# build_prune_units must reproduce field for field.
+
+_WEIGHTED = ("Conv2d", "Linear")
+_PASS_THROUGH = ("BatchNorm2d", "ReLU", "Pool", "Flatten")
+
+
+class _UnionFind:
+    def __init__(self):
+        self.parent: dict = {}
+
+    def find(self, x):
+        self.parent.setdefault(x, x)
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+
+
+def origin_maps(graph) -> dict:
+    """For every node, map each output index to the frozenset of weighted (or
+    Input) channels feeding it, as ``ChannelRef``s."""
+    from prunekit.units import ChannelRef
+
+    maps: dict = {}
+    for nid in graph.order:
+        node = graph.nodes[nid]
+        if node.kind == "Input":
+            maps[nid] = [frozenset({ChannelRef(nid, c)}) for c in range(graph.input_channels)]
+        elif node.kind in _WEIGHTED:
+            maps[nid] = [frozenset({ChannelRef(nid, c)}) for c in range(node.declared_out_width())]
+        elif node.kind in ("BatchNorm2d", "ReLU", "Pool", "Output"):
+            maps[nid] = maps[node.inputs[0]]
+        elif node.kind == "Flatten":
+            block = node.in_size * node.in_size
+            maps[nid] = [origins for origins in maps[node.inputs[0]] for _ in range(block)]
+        elif node.kind == "Add":
+            ops = [maps[i] for i in node.inputs]
+            maps[nid] = [frozenset().union(*(op[i] for op in ops)) for i in range(len(ops[0]))]
+        elif node.kind == "Concat":
+            maps[nid] = [origins for i in node.inputs for origins in maps[i]]
+        else:
+            raise ValueError(f"{nid}: unsupported node kind {node.kind!r}")
+    return maps
+
+
+def _dense_interior(graph, consumers: dict) -> set:
+    interior = set()
+    for node in graph.weighted_layers():
+        frontier = list(consumers[node.id])
+        seen: set = set()
+        direct = via_concat = False
+        while frontier:
+            nid = frontier.pop()
+            if nid in seen:
+                continue
+            seen.add(nid)
+            kind = graph.nodes[nid].kind
+            if kind in _WEIGHTED:
+                direct = True
+                break
+            if kind == "Concat":
+                via_concat = True
+                continue
+            if kind in _PASS_THROUGH or kind == "Add":
+                frontier.extend(consumers[nid])
+        if not direct and via_concat:
+            interior.add(node.id)
+    return interior
+
+
+def per_channel_units(graph) -> list:
+    """Prune units of an inferred graph, built channel by channel."""
+    from prunekit.units import FULL_CHANNEL, IN_CHANNEL_ONLY, AuxRef, ChannelRef, InSliceRef, PruneUnit
+
+    consumers = graph.consumers()
+    maps = origin_maps(graph)
+    input_id = graph.input_node().id
+    topo = {nid: i for i, nid in enumerate(graph.order)}
+
+    slice_of: dict = {}
+    slot_origins: dict = {}
+    for node in graph.weighted_layers():
+        edge_map = maps[node.inputs[0]]
+        sel = node.in_select()
+        if sel is None:
+            sel = list(range(len(edge_map)))
+        assert len(sel) == node.declared_in_width()
+        for slot, edge_idx in enumerate(sel):
+            ref = InSliceRef(node.id, slot)
+            slot_origins[ref] = edge_map[edge_idx]
+            for origin in edge_map[edge_idx]:
+                slice_of.setdefault(origin, []).append(ref)
+
+    uf = _UnionFind()
+    for nid in graph.order:
+        node = graph.nodes[nid]
+        if node.kind == "Add":
+            ops = [maps[i] for i in node.inputs]
+            for idx in range(len(ops[0])):
+                every = [origin for op in ops for origin in op[idx]]
+                for other in every[1:]:
+                    uf.union(every[0], other)
+
+    interior = _dense_interior(graph, consumers)
+    tainted = {uf.find(ChannelRef(input_id, c)) for c in range(graph.input_channels)}
+    groups: dict = {}
+    for node in graph.weighted_layers():
+        if node.id in interior:
+            continue
+        for c in range(node.declared_out_width()):
+            ref = ChannelRef(node.id, c)
+            root = uf.find(ref)
+            if root not in tainted:
+                groups.setdefault(root, []).append(ref)
+
+    bn_slots: dict = {}
+    for nid in graph.order:
+        node = graph.nodes[nid]
+        if node.kind == "BatchNorm2d":
+            for j, origins in enumerate(maps[node.inputs[0]]):
+                for origin in origins:
+                    bn_slots.setdefault(origin, []).append(AuxRef(nid, j))
+
+    slice_key = lambda s: (topo[s.layer], s.in_channel)
+    units = []
+    for members in groups.values():
+        members = sorted(members, key=lambda m: (topo[m.layer], m.channel))
+        per_member = tuple(tuple(sorted(slice_of.get(m, ()), key=slice_key)) for m in members)
+        all_slices = sorted({s for group in per_member for s in group}, key=slice_key)
+        if not all_slices:
+            continue
+        aux = set()
+        for m in members:
+            aux.update(bn_slots.get(m, []))
+            if "bias" in graph.nodes[m.layer].tensors:
+                aux.add(AuxRef(m.layer, m.channel))
+        primary = members[0]
+        family = (
+            f"layer:{primary.layer}"
+            if len(members) == 1
+            else "group:" + "|".join(sorted({m.layer for m in members}))
+        )
+        units.append(
+            PruneUnit(
+                uid=f"{primary.layer}.c{primary.channel}",
+                kind=FULL_CHANNEL,
+                members=tuple(members),
+                in_slices=tuple(all_slices),
+                aux=tuple(sorted(aux, key=lambda a: (topo[a.layer], a.index))),
+                family=family,
+                member_slices=per_member,
+            )
+        )
+
+    for producer in sorted(interior, key=lambda p: topo[p]):
+        for c in range(graph.nodes[producer].declared_out_width()):
+            ref = ChannelRef(producer, c)
+            for sl in slice_of.get(ref, []):
+                assert len(slot_origins[sl]) == 1
+                units.append(
+                    PruneUnit(
+                        uid=f"{sl.layer}.in{sl.in_channel}",
+                        kind=IN_CHANNEL_ONLY,
+                        members=(),
+                        in_slices=(sl,),
+                        aux=(),
+                        family=f"inslice:{sl.layer}",
+                        origin=ref,
+                    )
+                )
+
+    def sort_key(u):
+        if u.members:
+            return (topo[u.members[0].layer], 0, u.members[0].channel)
+        return (topo[u.in_slices[0].layer], 1, u.in_slices[0].in_channel)
+
+    units.sort(key=sort_key)
+    return units

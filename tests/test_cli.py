@@ -13,7 +13,7 @@ import pytest
 from prunekit import GraphBuilder
 from prunekit.cli import main
 
-from conftest import make_chain, make_dense_toy, make_minimal, save_tmp
+from conftest import bn_params, make_chain, make_dense_toy, make_minimal, save_tmp
 
 
 @pytest.fixture()
@@ -356,6 +356,21 @@ class TestExitCodes:
         assert rc == 2
         assert "Traceback" not in err
         assert json.loads(err)["error"]["code"] == "DegenerateModelError"
+
+    def test_report_on_baseline_without_weighted_layer_exits_2(self, tmp_path, capsys):
+        # batch norm has params and FLOPs, so the baseline passes the zero check
+        b = GraphBuilder(3, 4)
+        bn = b.batchnorm("bn", "input", **bn_params(np.random.default_rng(0), 3))
+        manifest, weights = save_tmp(b.output(bn), tmp_path)
+        rc = main(["report", "--baseline", manifest, "--pruned", manifest, "--out-dir", str(tmp_path / "rep")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        assert json.loads(err)["error"] == {
+            "code": "DegenerateModelError",
+            "message": "baseline model has no weighted layer to report",
+        }
+        assert not os.path.exists(tmp_path / "rep" / "report.json")
 
     @pytest.mark.parametrize("value", [None, "abc", [6]])
     def test_bad_out_width_in_manifest_exits_2(self, toy_model, tmp_path, capsys, value):

@@ -15,6 +15,7 @@ from prunekit import (
     unit_flop_cost,
     unit_param_cost,
 )
+from prunekit.costs import unit_costs
 from prunekit.graph import serialize_graph
 from prunekit.units import ChannelRef, InSliceRef, PruneUnit
 
@@ -117,6 +118,22 @@ class TestUnitCosts:
                     p_ref, f_ref = manifest_unit_costs(manifest, u, convention)
                     assert unit_param_cost(g, u) == p_ref
                     assert unit_flop_cost(g, u, convention) == f_ref
+
+    @pytest.mark.parametrize("model", ["random", "vgg_graph", "resnet_graph", "densenet_graph"])
+    def test_unit_costs_price_each_unit_like_the_single_walks(self, request, model):
+        if model == "random":
+            rng = np.random.default_rng(5)
+            graphs = [random_tiny_net(rng) for _ in range(8)]
+        else:
+            graphs = [request.getfixturevalue(model)]
+        for g in graphs:
+            units = build_prune_units(g)
+            for convention in ("macs", "2macs"):
+                want = [(unit_param_cost(g, u), unit_flop_cost(g, u, convention)) for u in units]
+                assert unit_costs(g, units, convention) == want
+            if model == "random":
+                manifest, _ = serialize_graph(g)
+                assert unit_costs(g, units, "2macs") == [manifest_unit_costs(manifest, u, "2macs") for u in units]
 
 
 class TestModelTotals:

@@ -105,12 +105,22 @@ class TestLoadSave:
         rng = np.random.default_rng(14)
         for i in range(4):
             manifest_path, weights_path = str(tmp_path / f"m{i}.json"), str(tmp_path / f"m{i}.bin")
-            digests = save_model(random_tiny_net(rng), manifest_path, weights_path)
+            digests = save_model(random_tiny_net(rng), manifest_path, weights_path, digests=True)
             on_disk = []
             for path in (manifest_path, weights_path):
                 with open(path, "rb") as f:
                     on_disk.append(hashlib.sha256(f.read()).hexdigest())
             assert digests == tuple(on_disk)
+
+    def test_save_model_hashes_only_when_asked(self, tmp_path):
+        g = random_tiny_net(np.random.default_rng(15))
+        plain = (str(tmp_path / "a.json"), str(tmp_path / "a.bin"))
+        hashed = (str(tmp_path / "b.json"), str(tmp_path / "b.bin"))
+        assert save_model(g, *plain) is None
+        save_model(g, *hashed, digests=True)
+        for a, b in zip(plain, hashed):
+            with open(a, "rb") as fa, open(b, "rb") as fb:
+                assert fa.read().replace(b"a.bin", b"b.bin") == fb.read()
 
     def test_tensor_out_of_bounds(self, tmp_path):
         g = make_minimal()

@@ -8,20 +8,26 @@ import pytest
 from prunekit import (
     GraphBuilder,
     PruneKitError,
+    ShapeError,
     build_prune_units,
     group_importance,
     infer_shapes,
 )
+from prunekit.planner import multi_pass
+from prunekit.scoring import Config
 from prunekit.units import FULL_CHANNEL, IN_CHANNEL_ONLY
 
 from conftest import (
     conv_w,
+    dense_channel_tied_by_add,
     make_chain,
     make_dense_toy,
     make_flatten_toy,
     make_residual_toy,
+    member_reads_out_of_run,
     random_tiny_net,
 )
+from oracles import origin_maps, per_channel_units
 
 
 class TestPlainChain:
@@ -201,7 +207,7 @@ class TestFlattenMapping:
 
 class TestPartition:
     def test_every_channel_and_slot_once(self):
-        from prunekit.units import InSliceRef, _origin_maps
+        from prunekit.units import InSliceRef
 
         rng = np.random.default_rng(10)
         for _ in range(12):
@@ -227,7 +233,7 @@ class TestPartition:
 
                     assert ChannelRef(node.id, c) in seen_members
             # every consumer slot fed by a weighted producer is covered
-            maps = _origin_maps(g)
+            maps = origin_maps(g)
             input_id = g.input_node().id
             for node in g.weighted_layers():
                 edge_map = maps[node.inputs[0]]
@@ -261,6 +267,66 @@ class TestPartition:
         u1 = [u.uid for u in build_prune_units(g1)]
         u2 = [u.uid for u in build_prune_units(g2)]
         assert u1 == u2
+
+
+class TestAgainstPerChannelBuilder:
+    """build_prune_units equals the per-channel reference builder: the same
+    units in the same order, every field equal."""
+
+    @staticmethod
+    def assert_same_units(graph):
+        got, want = build_prune_units(graph), per_channel_units(graph)
+        assert [u.uid for u in got] == [u.uid for u in want]
+        for a, b in zip(got, want):
+            assert a == b, a.uid
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_random_tiny_nets(self, seed):
+        self.assert_same_units(random_tiny_net(np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("model", ["vgg_graph", "resnet_graph", "densenet_graph"])
+    def test_zoo(self, request, model):
+        self.assert_same_units(request.getfixturevalue(model))
+
+    def test_member_reads_outside_one_run(self):
+        # stem is read before and after the Add that ties it to b, and b's own
+        # reader sits in between: stem's reads are not one run of the group's
+        g = member_reads_out_of_run()
+        unit = next(u for u in build_prune_units(g) if u.uid == "stem.c0")
+        assert [[s.layer for s in reads] for reads in unit.member_slices] == [["b", "post", "late"], ["side", "post"]]
+        assert [s.layer for s in unit.in_slices] == ["b", "side", "post", "late"]
+        self.assert_same_units(g)
+
+    def test_densenet40_after_one_pass(self, densenet_graph):
+        _, pruned = next(multi_pass(densenet_graph, Config(per_pass_ratio=0.2)))
+        assert any(n.in_select() for n in pruned.weighted_layers())
+        units = build_prune_units(pruned)
+        assert any(u.kind == IN_CHANNEL_ONLY for u in units)
+        self.assert_same_units(pruned)
+
+
+class TestStructureErrors:
+    def test_dense_channel_tied_to_a_removable_group(self):
+        # p reaches a weighted layer only through a Concat, but an Add ties it
+        # to q, whose group would leave p's channel behind
+        with pytest.raises(PruneKitError, match="overlapping dense/residual structures at q"):
+            build_prune_units(dense_channel_tied_by_add())
+
+    def test_slot_with_two_dense_origins(self):
+        rng = np.random.default_rng(0)
+        b = GraphBuilder(3, 4)
+        p = b.conv("p", "input", conv_w(rng, 4, 3, 1))
+        q = b.conv("q", "input", conv_w(rng, 4, 3, 1))
+        cat = b.concat("cat", [b.addnode("add", [p, q]), q])
+        g = infer_shapes(b.output(b.conv("d", cat, conv_w(rng, 4, 8, 1))))
+        with pytest.raises(PruneKitError, match=r"overlapping dense/residual structures: slot d\.in0$"):
+            build_prune_units(g)
+
+    def test_declared_width_differs_from_edge(self):
+        g = make_chain(np.random.default_rng(1), (4, 6))
+        g.nodes["conv2"].attrs["in_channels"] = 5
+        with pytest.raises(ShapeError, match="conv2: input width 5 vs edge width 4"):
+            build_prune_units(g)
 
 
 class TestGroupImportance:
