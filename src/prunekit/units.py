@@ -11,7 +11,8 @@ Partitions the model's removable surface into units:
 * conv -> Flatten -> Linear column blocks under channel-major flattening.
 
 The final weighted layer feeding Output keeps all its channels (class count is
-fixed), and channels of the graph Input are never removable.
+fixed). Channels of the graph Input are never removable, and neither is a group
+that an Add ties to them or to a dense-interior producer.
 
 Units are derived per layer, not per channel. Input and weighted-layer
 channels share one global id numbering laid out layer by layer in graph order,
@@ -30,7 +31,6 @@ ids, and a unit's fields are slices of tuples of ref objects, one ref per
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import repeat
 from typing import NamedTuple
 
@@ -111,10 +111,9 @@ class _Numbering:
     def __init__(self, ref_type, widths: list[tuple[str, int]]):
         self.offset: dict[str, int] = {}
         self.refs: list = []
-        make = partial(tuple.__new__, ref_type)  # what the named tuple's own _make calls
         for layer, width in widths:
             self.offset[layer] = len(self.refs)
-            self.refs.extend(map(make, zip(repeat(layer), range(width))))
+            self.refs.extend(map(ref_type._make, zip(repeat(layer), range(width))))
 
     def ids(self, layer: str, width: int) -> np.ndarray:
         return np.arange(self.offset[layer], self.offset[layer] + width)
@@ -281,11 +280,13 @@ def build_prune_units(graph: ModelGraph) -> list[PruneUnit]:
     for node in weighted:
         mask = dense if node.id in interior else removable
         mask[channels.ids(node.id, node.declared_out_width())] = True
-    # groups tied to raw input channels are not removable
+    # groups tied to raw input channels, or to a channel that dense-block reads
+    # keep alive, are not removable
     input_id = graph.input_node().id
     removable &= ~np.isin(label, label[channels.ids(input_id, graph.input_channels)])
+    removable &= ~np.isin(label, label[dense])
 
-    full = _full_channel_units(channels, slots, auxes, label, removable, dense, reads, aux)
+    full = _full_channel_units(channels, slots, auxes, label, removable, reads, aux)
     in_only = _in_channel_only_units(channels, slots, dense, reads)
     # each list is in (topo, index) order; full-channel units of a layer come
     # before the in-channel-only units of its slots
@@ -303,7 +304,6 @@ def _full_channel_units(
     auxes: _Numbering,
     label: np.ndarray,
     removable: np.ndarray,
-    dense: np.ndarray,
     reads: tuple[np.ndarray, np.ndarray],
     aux: tuple[np.ndarray, np.ndarray],
 ) -> list[PruneUnit]:
@@ -329,45 +329,30 @@ def _full_channel_units(
     read_lo, read_hi = _ranges(group_reads // n_slots, members[starts])
     aux_lo, aux_hi = _ranges(group_aux // n_aux, members[starts])
 
-    # a member's own reads are rows member_lo:member_hi of the read pairs, and
-    # a subset of its group's reads. Members enter a residual chain in graph
-    # order and read everything after it, so their reads are usually one run
-    # of the group's, starting at ``first``: they are when the last one sits
-    # where the run would end. (The spare entry serves members without reads.)
+    # a member's own reads are rows member_lo:member_hi of the read pairs,
+    # already in slot order
     member_lo, member_hi = _ranges(read_origin, members)
-    slot_at = np.append(read_slot, 0)
-    first, last = (
-        np.searchsorted(group_reads, group_of[members] * n_slots + slot_at[i]) for i in (member_lo, member_hi - 1)
-    )
-    one_run = (last - first + 1 == member_hi - member_lo) | (member_hi == member_lo)
 
     # a group that nothing reads is the terminal layer's: its outputs are the model's outputs
     kept = read_hi > read_lo
     starts, ends, read_lo, read_hi, aux_lo, aux_hi = (
         a[kept].tolist() for a in (starts, ends, read_lo, read_hi, aux_lo, aux_hi)
     )
-    tied_dense = set(group_of[dense].tolist()).intersection(members[starts].tolist())
-    if tied_dense:
-        raise PruneKitError(f"overlapping dense/residual structures at {channels.refs[min(tied_dense)].layer}")
 
     # every field is a slice of one tuple of shared refs
     member_refs = tuple(map(channels.refs.__getitem__, members.tolist()))
     group_read_refs = tuple(map(slots.refs.__getitem__, (group_reads % n_slots).tolist()))
     group_aux_refs = tuple(map(auxes.refs.__getitem__, (group_aux % n_aux).tolist()))
+    member_read_refs = tuple(map(slots.refs.__getitem__, read_slot.tolist()))
     members_of = list(map(member_refs.__getitem__, map(slice, starts, ends)))
     in_slices_of = list(map(group_read_refs.__getitem__, map(slice, read_lo, read_hi)))
     primaries = [refs[0] for refs in members_of]
     families = [f"layer:{m.layer}" for m in primaries]
     per_member = list(zip(in_slices_of))  # a lone member's reads are its group's
-    member_lo, member_hi, first, one_run = member_lo.tolist(), member_hi.tolist(), first.tolist(), one_run.tolist()
+    member_lo, member_hi = member_lo.tolist(), member_hi.tolist()
     for g in np.flatnonzero(np.subtract(ends, starts) > 1).tolist():
         families[g] = "group:" + "|".join(sorted({m.layer for m in members_of[g]}))
-        per_member[g] = tuple(
-            group_read_refs[first[i] : first[i] + member_hi[i] - member_lo[i]]
-            if one_run[i]
-            else tuple(slots.refs[s] for s in read_slot[member_lo[i] : member_hi[i]].tolist())
-            for i in range(starts[g], ends[g])
-        )
+        per_member[g] = tuple(member_read_refs[member_lo[i] : member_hi[i]] for i in range(starts[g], ends[g]))
     return list(
         map(
             PruneUnit,

@@ -526,6 +526,7 @@ def per_channel_units(graph) -> list:
 
     interior = _dense_interior(graph, consumers)
     tainted = {uf.find(ChannelRef(input_id, c)) for c in range(graph.input_channels)}
+    tainted |= {uf.find(ChannelRef(p, c)) for p in interior for c in range(graph.nodes[p].declared_out_width())}
     groups: dict = {}
     for node in graph.weighted_layers():
         if node.id in interior:

@@ -15,7 +15,8 @@ from prunekit import (
 )
 from prunekit.planner import multi_pass
 from prunekit.scoring import Config
-from prunekit.units import FULL_CHANNEL, IN_CHANNEL_ONLY
+from prunekit.surgeon import apply_units
+from prunekit.units import FULL_CHANNEL, IN_CHANNEL_ONLY, ChannelRef
 
 from conftest import (
     conv_w,
@@ -191,6 +192,18 @@ class TestDenseBlocks:
         assert len(full) == 24 + 168 + 312
         assert len(ico) == 2808
 
+    def test_dense_channel_tied_to_a_removable_group(self):
+        # p reaches a weighted layer only through a Concat, and an Add ties it
+        # to q, d and e: removing their channels would leave p's behind, so
+        # only p's dense reads are units, and each of them can be cut
+        g = dense_channel_tied_by_add()
+        units = build_prune_units(g)
+        assert [u.uid for u in units] == [f"d.in{i}" for i in range(4)]
+        assert [u.origin for u in units] == [ChannelRef("p", i) for i in range(4)]
+        assert units == per_channel_units(g)
+        for u in units:
+            apply_units(g, [u])
+
 
 class TestFlattenMapping:
     def test_column_blocks(self):
@@ -306,12 +319,6 @@ class TestAgainstPerChannelBuilder:
 
 
 class TestStructureErrors:
-    def test_dense_channel_tied_to_a_removable_group(self):
-        # p reaches a weighted layer only through a Concat, but an Add ties it
-        # to q, whose group would leave p's channel behind
-        with pytest.raises(PruneKitError, match="overlapping dense/residual structures at q"):
-            build_prune_units(dense_channel_tied_by_add())
-
     def test_slot_with_two_dense_origins(self):
         rng = np.random.default_rng(0)
         b = GraphBuilder(3, 4)
