@@ -131,11 +131,9 @@ class ModelGraph:
 class GraphBuilder:
     """Convenience constructor used by fixtures and tests."""
 
-    def __init__(self, input_channels: int, input_size: int, input_id: str = "input"):
-        self.input_id = input_id
-        node = LayerNode(id=input_id, kind="Input", inputs=[])
-        self._nodes: dict[str, LayerNode] = {input_id: node}
-        self._order: list[str] = [input_id]
+    def __init__(self, input_channels: int, input_size: int):
+        self._nodes: dict[str, LayerNode] = {"input": LayerNode(id="input", kind="Input", inputs=[])}
+        self._order: list[str] = ["input"]
         self._input_channels = input_channels
         self._input_size = input_size
 
@@ -404,22 +402,21 @@ def _check_in_select(node: LayerNode, declared_in: int, widths: dict[str, int | 
 # shape inference
 
 
-def infer_shapes(graph: ModelGraph, input_size: int | None = None) -> ModelGraph:
+def infer_shapes(graph: ModelGraph) -> ModelGraph:
     """Annotate every node with input/output spatial size and output width.
 
     Convolutions follow O = floor((I + 2*pad - K)/stride) + 1; pools the same
     without padding; Linear layers live at spatial size 1. Raises ShapeError on
     inconsistency. Deterministic and total on valid graphs.
     """
-    size = graph.input_size if input_size is None else input_size
     widths: dict[str, int] = {}
     sizes: dict[str, int] = {}
     for nid in graph.order:
         node = graph.nodes[nid]
         if node.kind == "Input":
             widths[nid] = graph.input_channels
-            sizes[nid] = size
-            node.in_size = node.out_size = size
+            sizes[nid] = graph.input_size
+            node.in_size = node.out_size = graph.input_size
             node.out_channels = graph.input_channels
             continue
         src = node.inputs[0]

@@ -13,15 +13,19 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
+from operator import itemgetter
 
 import numpy as np
 
 from .costs import effective_model_costs
 from .errors import PlanMismatchError, PruneKitError
 from .eval import forward_eval
-from .graph import _WIDTH_ATTRS, WEIGHTED_KINDS, ModelGraph, _layout, graph_checksum, infer_shapes, validate
+from .graph import _BN_ROLES, _WIDTH_ATTRS, WEIGHTED_KINDS, ModelGraph, _layout, graph_checksum, infer_shapes, validate
 from .planner import PruningPlan
-from .units import PruneUnit, build_prune_units
+from .units import AuxRef, InSliceRef, PruneUnit, _Numbering, build_prune_units, channel_flow
+
+_VECTOR_KINDS = (*WEIGHTED_KINDS, "BatchNorm2d")  # layers with per-channel vectors
 
 
 @dataclass
@@ -98,95 +102,83 @@ def _checked_surgery(graph: ModelGraph, units: list[PruneUnit], plan: PruningPla
 
 
 def apply_units(graph: ModelGraph, units: list[PruneUnit]) -> ModelGraph:
-    """Remove the given units from the graph, returning a new validated graph."""
+    """Remove the given units from the graph, returning a new validated graph.
+
+    Every kept-index mask comes from ``units.channel_flow``: a node keeps the
+    output columns whose origins all survive, with -1 padding counted alive.
+    A weighted layer's new ``in_select`` entry for each kept slot is its
+    column's position among the producer's kept columns.
+    """
     if not graph.inferred:
         raise PruneKitError("run infer_shapes before surgery")
-    removed_out: dict[str, set[int]] = {}
-    removed_slots: dict[str, set[int]] = {}
-    removed_bn: dict[str, set[int]] = {}
-    for u in units:
-        for m in u.members:
-            removed_out.setdefault(m.layer, set()).add(m.channel)
-        for s in u.in_slices:
-            removed_slots.setdefault(s.layer, set()).add(s.in_channel)
-        for a in u.aux:
-            if graph.nodes[a.layer].kind == "BatchNorm2d":
-                removed_bn.setdefault(a.layer, set()).add(a.index)
+    channels, arrays = channel_flow(graph)
+    weighted = graph.weighted_layers()
+    slots = _Numbering(InSliceRef, [(n.id, n.declared_in_width()) for n in weighted])
+    entries = _Numbering(AuxRef, [(n.id, n.out_channels) for n in graph.nodes.values() if n.kind in _VECTOR_KINDS])
+    layer_widths = {n.id: n.out_channels for n in weighted}  # Input channels are not removable
+    removed = _marks(chain.from_iterable(u.members for u in units), channels, layer_widths, "output channel")
+    slot_gone = _marks(chain.from_iterable(u.in_slices for u in units), slots, slots.width, "input slot")
+    entry_gone = _marks(chain.from_iterable(u.aux for u in units), entries, entries.width, "vector entry")
 
     # sliced tensors and changed attrs are replaced below; everything else is shared
     nodes = {nid: replace(n, attrs=dict(n.attrs), tensors=dict(n.tensors)) for nid, n in graph.nodes.items()}
     new = replace(graph, nodes=nodes, order=list(graph.order), inferred=False)
-    survivors: dict[str, list[int]] = {}  # node -> surviving old output indices, in order
+    kept: dict[int, np.ndarray] = {}  # id of an origin array -> mask of its surviving columns
     for nid in graph.order:
-        old = graph.nodes[nid]
-        node = new.nodes[nid]
-        if old.kind == "Input":
-            survivors[nid] = list(range(graph.input_channels))
-            continue
-        esl = survivors[old.inputs[0]]
-        if old.kind in WEIGHTED_KINDS:
-            out_gone = removed_out.get(nid, set())
-            slot_gone = removed_slots.get(nid, set())
-            n_old = old.declared_out_width()
-            m_old = old.declared_in_width()
-            out_keep = [c for c in range(n_old) if c not in out_gone]
-            slot_keep = [m for m in range(m_old) if m not in slot_gone]
-            if not out_keep or not slot_keep:
-                raise PruneKitError(f"{nid}: surgery would remove every channel")
-            sel = old.in_select() or list(range(graph.nodes[old.inputs[0]].out_channels))
-            pos = {old_idx: i for i, old_idx in enumerate(esl)}
-            try:
-                new_sel = [pos[sel[m]] for m in slot_keep]
-            except KeyError as e:
-                raise PruneKitError(f"{nid}: surviving slot reads removed channel {e}") from e
-            if out_gone or slot_gone:
-                node.tensors["weight"] = old.weight()[np.ix_(out_keep, slot_keep)]
-                if "bias" in old.tensors:
-                    node.tensors["bias"] = old.tensors["bias"][out_keep]
-            in_name, out_name = _WIDTH_ATTRS[old.kind]
-            node.attrs[in_name], node.attrs[out_name] = len(slot_keep), len(out_keep)
-            if new_sel == list(range(len(esl))):
-                node.attrs.pop("in_select", None)
-            else:
-                node.attrs["in_select"] = new_sel
-            survivors[nid] = out_keep
-        elif old.kind == "BatchNorm2d":
-            width_old = old.declared_out_width()
-            expected = set(range(width_old)) - set(esl)
-            stated = removed_bn.get(nid, set())
-            if stated != expected:
-                raise PruneKitError(
-                    f"{nid}: batch-norm slice set {sorted(stated)} does not match "
-                    f"upstream removals {sorted(expected)}"
-                )
-            for role in ("gamma", "beta", "running_mean", "running_var"):
-                node.tensors[role] = old.tensors[role][esl]
-            node.attrs["channels"] = len(esl)
-            survivors[nid] = esl
-        elif old.kind in ("ReLU", "Pool", "Output"):
-            survivors[nid] = esl
-        elif old.kind == "Flatten":
-            block = old.in_size * old.in_size
-            survivors[nid] = [c * block + k for c in esl for k in range(block)]
-        elif old.kind == "Add":
-            lists = [survivors[i] for i in old.inputs]
-            if any(lst != lists[0] for lst in lists[1:]):
+        arr = arrays[nid]
+        if id(arr) not in kept:
+            dead = removed[arr]  # -1 padding reads the last entry of removed, which is never set
+            kept[id(arr)] = ~dead.any(axis=0)
+            if len(arr) > 1 and (~kept[id(arr)] & (~dead & (arr >= 0)).any(axis=0)).any():
                 raise PruneKitError(f"{nid}: removal pattern breaks Add operand alignment")
-            survivors[nid] = lists[0]
-        elif old.kind == "Concat":
-            merged: list[int] = []
-            offset = 0
-            for src in old.inputs:
-                merged.extend(offset + idx for idx in survivors[src])
-                offset += graph.nodes[src].out_channels
-            survivors[nid] = merged
-        else:
-            raise PruneKitError(f"{nid}: unsupported kind {old.kind!r}")
+        old, node, keep = graph.nodes[nid], new.nodes[nid], kept[id(arr)]
+        if old.kind in WEIGHTED_KINDS:
+            edge, slot_keep = kept[id(arrays[old.inputs[0]])], ~slot_gone[slots.ids(nid)]
+            outs, ins = np.flatnonzero(keep), np.flatnonzero(slot_keep)
+            if not len(outs) or not len(ins):
+                raise PruneKitError(f"{nid}: surgery would remove every channel")
+            cols = ins if old.in_select() is None else np.take(old.in_select(), ins)
+            if not edge[cols].all():
+                raise PruneKitError(f"{nid}: surviving slot reads removed channel {cols[~edge[cols]][0]}")
+            if len(outs) < len(keep) or len(ins) < len(slot_keep):
+                node.tensors["weight"] = old.weight().take(outs, 0).take(ins, 1)
+                if "bias" in old.tensors:
+                    node.tensors["bias"] = old.tensors["bias"].take(outs)
+            in_name, out_name = _WIDTH_ATTRS[old.kind]
+            node.attrs[in_name], node.attrs[out_name] = len(ins), len(outs)
+            new_sel = np.cumsum(edge)[cols] - 1
+            node.attrs.pop("in_select", None)
+            if not np.array_equal(new_sel, np.arange(np.count_nonzero(edge))):
+                node.attrs["in_select"] = new_sel.tolist()
+        elif old.kind == "BatchNorm2d":
+            stated, expected = np.flatnonzero(entry_gone[entries.ids(nid)]).tolist(), np.flatnonzero(~keep).tolist()
+            if stated != expected:
+                raise PruneKitError(f"{nid}: batch-norm slice set {stated} does not match upstream removals {expected}")
+            if expected:
+                for role in _BN_ROLES:
+                    node.tensors[role] = old.tensors[role].take(np.flatnonzero(keep))
+            node.attrs["channels"] = len(keep) - len(expected)
 
     violations = validate(new)
     if violations:
         raise PruneKitError("surgery produced an invalid graph: " + "; ".join(violations))
     return infer_shapes(new)
+
+
+def _marks(refs, numbering: _Numbering, widths: dict[str, int], what: str) -> np.ndarray:
+    """Mask over ``numbering`` of the (layer, index) refs, plus one last entry
+    that is never set. Each ref must name a layer of ``widths`` and an index
+    inside its width."""
+    refs = list(refs)
+    layers = list(map(itemgetter(0), refs))
+    index = np.fromiter(map(itemgetter(1), refs), np.int64, len(refs))
+    bad = (index < 0) | (index >= np.fromiter(map(widths.get, layers, repeat(0)), np.int64, len(refs)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise PruneKitError(f"{layers[i]}: unit names {what} {index[i]}, which the layer does not have")
+    marks = np.zeros(numbering.size + 1, bool)
+    marks[np.fromiter(map(numbering.offset.__getitem__, layers), np.int64, len(refs)) + index] = True
+    return marks
 
 
 def _make_report(before: ModelGraph, after: ModelGraph, units: list[PruneUnit], plan: PruningPlan) -> SurgeryReport:

@@ -25,13 +25,16 @@ batch-norm layer's entries (channel, entry) pairs, a whole layer at a time.
 Each Add ties whole operand arrays in an array union-find, whose classes are
 the residual groups. A group's members, reads and entries are runs of sorted
 ids, and a unit's fields are slices of tuples of ref objects, one ref per
-(layer, index), made once the inventory is final.
+(layer, index), made once the inventory is final. Surgery reads the same
+channel numbering and origin arrays (``channel_flow``) to find the indices
+each node keeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from functools import cached_property
+from itertools import accumulate, chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -105,32 +108,43 @@ def group_importance(member_scores: list[float]) -> float:
 
 class _Numbering:
     """One global numbering of (layer, index) pairs, laid out layer by layer in
-    graph order, so sorting ids sorts by (topo, index). Holds the one ref
-    object of each pair, shared by every unit that names it."""
+    graph order, so sorting ids sorts by (topo, index)."""
 
     def __init__(self, ref_type, widths: list[tuple[str, int]]):
-        self.offset: dict[str, int] = {}
-        self.refs: list = []
-        for layer, width in widths:
-            self.offset[layer] = len(self.refs)
-            self.refs.extend(map(ref_type._make, zip(repeat(layer), range(width))))
+        self.ref_type = ref_type
+        self.width = dict(widths)
+        self.offset = dict(zip(self.width, accumulate(self.width.values(), initial=0)))
+        self.size = sum(self.width.values())
 
-    def ids(self, layer: str, width: int) -> np.ndarray:
-        return np.arange(self.offset[layer], self.offset[layer] + width)
+    def ids(self, layer: str) -> np.ndarray:
+        return np.arange(self.offset[layer], self.offset[layer] + self.width[layer])
+
+    @cached_property
+    def refs(self) -> list:
+        """The one ref of each pair, shared by every unit that names it."""
+        pairs = chain.from_iterable(zip(repeat(layer), range(width)) for layer, width in self.width.items())
+        return list(map(self.ref_type._make, pairs))
+
+
+def channel_flow(graph: ModelGraph) -> tuple[_Numbering, dict[str, np.ndarray]]:
+    """The global numbering of Input and weighted-layer channels, and every
+    node's origin array over it (see ``_origin_arrays``). Makes no refs."""
+    nodes = map(graph.nodes.__getitem__, graph.order)
+    channels = _Numbering(ChannelRef, [(n.id, n.out_channels) for n in nodes if n.kind in ("Input", *WEIGHTED_KINDS)])
+    return channels, _origin_arrays(graph, channels)
 
 
 def _origin_arrays(graph: ModelGraph, channels: _Numbering) -> dict[str, np.ndarray]:
     """For every node, a (k, width) array of the channel ids feeding each output
     index: one row per origin, -1 where an index has fewer than k origins.
     Input and weighted layers are their own origins; Add stacks its operands'
-    rows, Concat pads them to one height and joins them side by side."""
+    rows, Concat pads them to one height and joins them side by side.
+    Pass-through nodes share their input's array object."""
     arrays: dict[str, np.ndarray] = {}
     for nid in graph.order:
         node = graph.nodes[nid]
-        if node.kind == "Input":
-            arrays[nid] = channels.ids(nid, graph.input_channels)[None, :]
-        elif node.kind in WEIGHTED_KINDS:
-            arrays[nid] = channels.ids(nid, node.declared_out_width())[None, :]
+        if nid in channels.offset:
+            arrays[nid] = channels.ids(nid)[None, :]
         elif node.kind in ("BatchNorm2d", "ReLU", "Pool", "Output"):
             arrays[nid] = arrays[node.inputs[0]]
         elif node.kind == "Flatten":
@@ -222,19 +236,11 @@ def build_prune_units(graph: ModelGraph) -> list[PruneUnit]:
     consumers = graph.consumers()
     _check_reachability(graph, consumers)
     weighted = graph.weighted_layers()
-    channel_widths, aux_widths = [], []
-    for nid in graph.order:
-        node = graph.nodes[nid]
-        if node.kind == "Input":
-            channel_widths.append((nid, graph.input_channels))
-        elif node.kind in WEIGHTED_KINDS:
-            channel_widths.append((nid, node.declared_out_width()))
-        if node.kind == "BatchNorm2d" or (node.kind in WEIGHTED_KINDS and "bias" in node.tensors):
-            aux_widths.append((nid, node.declared_out_width()))
-    channels = _Numbering(ChannelRef, channel_widths)
+    channels, arrays = channel_flow(graph)
     slots = _Numbering(InSliceRef, [(n.id, n.declared_in_width()) for n in weighted])
-    auxes = _Numbering(AuxRef, aux_widths)
-    arrays = _origin_arrays(graph, channels)
+    nodes = map(graph.nodes.__getitem__, graph.order)
+    has_aux = [n for n in nodes if n.kind == "BatchNorm2d" or (n.kind in WEIGHTED_KINDS and "bias" in n.tensors)]
+    auxes = _Numbering(AuxRef, [(n.id, n.out_channels) for n in has_aux])
 
     # every weighted read, as (origin channel, consumer slot) pairs
     origins, targets = [], []
@@ -246,27 +252,26 @@ def build_prune_units(graph: ModelGraph) -> list[PruneUnit]:
             raise ShapeError(f"{node.id}: input width {node.declared_in_width()} vs edge width {width}")
         cols = edge if sel is None else edge[:, sel]
         origins.append(cols.ravel())
-        targets.append(np.tile(slots.ids(node.id, width), len(cols)))
-    reads = _pairs(origins, targets, len(slots.refs))
+        targets.append(np.tile(slots.ids(node.id), len(cols)))
+    reads = _pairs(origins, targets, slots.size)
 
     # per-channel vector entries: the batch-norm indices a channel feeds, and its own bias
     origins, targets = [], []
     for layer in auxes.offset:
         node = graph.nodes[layer]
-        width = node.declared_out_width()
         if node.kind == "BatchNorm2d":
             edge = arrays[node.inputs[0]]
             origins.append(edge.ravel())
-            targets.append(np.tile(auxes.ids(layer, width), len(edge)))
+            targets.append(np.tile(auxes.ids(layer), len(edge)))
         else:
-            origins.append(channels.ids(layer, width))
-            targets.append(auxes.ids(layer, width))
-    aux = _pairs(origins, targets, len(auxes.refs))
+            origins.append(channels.ids(layer))
+            targets.append(auxes.ids(layer))
+    aux = _pairs(origins, targets, auxes.size)
 
     # channels meeting at an Add must come and go together; an operand's
     # origins at one index are already tied (by an earlier Add, or it is a
     # single channel), so its first row stands in for all of them
-    parent = np.arange(len(channels.refs))
+    parent = np.arange(channels.size)
     for nid in graph.order:
         if graph.nodes[nid].kind == "Add":
             first, *rest = (arrays[i][0] for i in graph.nodes[nid].inputs)
@@ -275,15 +280,14 @@ def build_prune_units(graph: ModelGraph) -> list[PruneUnit]:
     label = _roots(parent, np.arange(len(parent)))
 
     interior = _dense_interior(graph, consumers)
-    dense = np.zeros(len(channels.refs), bool)
-    removable = np.zeros(len(channels.refs), bool)
+    dense = np.zeros(channels.size, bool)
+    removable = np.zeros(channels.size, bool)
     for node in weighted:
         mask = dense if node.id in interior else removable
-        mask[channels.ids(node.id, node.declared_out_width())] = True
+        mask[channels.ids(node.id)] = True
     # groups tied to raw input channels, or to a channel that dense-block reads
     # keep alive, are not removable
-    input_id = graph.input_node().id
-    removable &= ~np.isin(label, label[channels.ids(input_id, graph.input_channels)])
+    removable &= ~np.isin(label, label[channels.ids(graph.input_node().id)])
     removable &= ~np.isin(label, label[dense])
 
     full = _full_channel_units(channels, slots, auxes, label, removable, reads, aux)
@@ -312,7 +316,7 @@ def _full_channel_units(
     are the sorted (channel, slot) and (channel, entry) id pairs."""
     # a group is named by its first member, and groups are listed in that order
     members = np.flatnonzero(removable)  # ascending id: (topo, index) order
-    lead = np.full(len(channels.refs), len(channels.refs))
+    lead = np.full(channels.size, channels.size)
     np.minimum.at(lead, label[members], members)
     group_of = lead[label]
     members = members[np.argsort(group_of[members], kind="stable")]
@@ -322,7 +326,7 @@ def _full_channel_units(
     # each group's distinct reads and aux entries, keyed by (group, slot or entry)
     mine = removable[reads[0]]
     read_origin, read_slot = reads[0][mine], reads[1][mine]
-    n_slots, n_aux = len(slots.refs), len(auxes.refs)
+    n_slots, n_aux = slots.size, auxes.size
     group_reads = _sorted_unique(group_of[read_origin] * n_slots + read_slot)
     mine = removable[aux[0]]
     group_aux = _sorted_unique(group_of[aux[0][mine]] * n_aux + aux[1][mine])
@@ -372,7 +376,7 @@ def _in_channel_only_units(
 ) -> list[PruneUnit]:
     """One unit per read of a dense-interior channel, in slot order; that
     channel must be the slot's only origin."""
-    shared = np.bincount(reads[1], minlength=len(slots.refs)) > 1
+    shared = np.bincount(reads[1], minlength=slots.size) > 1
     mine = dense[reads[0]]
     origin, slot = reads[0][mine], reads[1][mine]
     if shared[slot].any():

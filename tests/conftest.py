@@ -153,6 +153,20 @@ def dense_channel_tied_by_add():
     return infer_shapes(b.output(b.addnode("a2", [b.addnode("a1", [p, q]), d, e])))
 
 
+def concat_over_add():
+    """q reads p and an Add ties them; cat joins that Add's two-row origins with
+    r's one row, padded with -1. d reads cat, e reads the Add, and an Add of d
+    and e feeds Output."""
+    rng = np.random.default_rng(0)
+    b = GraphBuilder(3, 4)
+    p = b.conv("p", "input", conv_w(rng, 4, 3, 1))
+    a = b.addnode("a", [p, b.conv("q", p, conv_w(rng, 4, 4, 1))])
+    r = b.conv("r", "input", conv_w(rng, 3, 3, 1))
+    d = b.conv("d", b.concat("cat", [a, r]), conv_w(rng, 4, 7, 1))
+    e = b.conv("e", a, conv_w(rng, 4, 4, 1))
+    return infer_shapes(b.output(b.addnode("a2", [d, e])))
+
+
 def random_tiny_net(rng: np.random.Generator):
     """Random small model: at most 4 weighted layers, 8 channels, 8x8 input."""
     kind = rng.choice(["chain", "chain_bn", "residual", "dense", "flatten"])

@@ -172,7 +172,7 @@ class TestPlanPrune:
                 "--plan", str(out / "plan.json"), "--out-dir", str(out),
             ]) == 0
             blobs[run] = {
-                name: open(out / name, "rb").read()
+                name: (out / name).read_bytes()
                 for name in ("records.csv", "records.json", "plan.json", "pruned_manifest.json", "pruned_weights.bin", "surgery_report.json")
             }
         assert blobs["a"] == blobs["b"]

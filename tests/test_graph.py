@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,7 +126,7 @@ class TestLoadSave:
     def test_tensor_out_of_bounds(self, tmp_path):
         g = make_minimal()
         manifest_path, weights_path = save_tmp(g, tmp_path)
-        doc = json.loads(open(manifest_path).read())
+        doc = json.loads(Path(manifest_path).read_text())
         doc["nodes"][1]["tensors"]["weight"]["offset"] = doc["total_bytes"]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -136,7 +137,7 @@ class TestLoadSave:
         rng = np.random.default_rng(0)
         g = make_chain(rng, (4, 4), kernel=1)
         manifest_path, weights_path = save_tmp(g, tmp_path)
-        doc = json.loads(open(manifest_path).read())
+        doc = json.loads(Path(manifest_path).read_text())
         doc["nodes"][3]["tensors"]["weight"]["offset"] = doc["nodes"][1]["tensors"]["weight"]["offset"] + 4
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -166,7 +167,7 @@ class TestLoadSave:
     def test_load_rejects_invalid_graph(self, tmp_path):
         g = make_minimal()
         manifest_path, weights_path = save_tmp(g, tmp_path)
-        doc = json.loads(open(manifest_path).read())
+        doc = json.loads(Path(manifest_path).read_text())
         doc["nodes"][1]["attrs"]["out_channels"] = 5  # weight tensor stays (4,3,3,3)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -232,8 +233,8 @@ class TestLoadSave:
         again = tmp_path / "again"
         again.mkdir()
         manifest2, weights2 = save_tmp(load_model(manifest, weights), again)
-        assert open(weights2, "rb").read() == open(weights, "rb").read()
-        assert open(manifest2, "rb").read() == open(manifest, "rb").read()
+        assert Path(weights2).read_bytes() == Path(weights).read_bytes()
+        assert Path(manifest2).read_bytes() == Path(manifest).read_bytes()
 
     def test_short_read_rejected(self, tmp_path, monkeypatch):
         import os
@@ -274,7 +275,7 @@ class TestValidate:
         rng = np.random.default_rng(15)
         g = make_chain(rng, (4,))
         manifest_path, weights_path = save_tmp(g, tmp_path)
-        doc = json.loads(open(manifest_path).read())
+        doc = json.loads(Path(manifest_path).read_text())
         doc["nodes"] = doc["nodes"][::-1]  # acyclic but reversed
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))

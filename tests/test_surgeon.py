@@ -29,6 +29,7 @@ from prunekit.graph import serialize_graph
 from prunekit.units import FULL_CHANNEL, IN_CHANNEL_ONLY, AuxRef, ChannelRef, InSliceRef, PruneUnit
 
 from conftest import (
+    concat_over_add,
     make_chain,
     make_dense_toy,
     make_flatten_toy,
@@ -216,6 +217,18 @@ class TestSlicing:
         assert g.nodes["stem"].declared_out_width() == g.nodes["b2_conv3"].declared_out_width()
 
 
+class TestConcatOverAdd:
+    def test_in_select_is_position_among_kept_columns(self):
+        # removing p.c1 drops cat column 1; d.in5 drops only d's read of r.c1,
+        # so d keeps cat columns 0, 2, 3, 4, 6, at positions 0, 1, 2, 3, 5
+        g = concat_over_add()
+        units = {u.uid: u for u in build_prune_units(g)}
+        pruned = apply_units(g, [units["p.c1"], units["d.in5"]])
+        assert pruned.nodes["cat"].out_channels == 6
+        assert pruned.nodes["d"].in_select() == [0, 1, 2, 3, 5]
+        assert np.array_equal(pruned.nodes["d"].weight(), g.nodes["d"].weight()[:, [0, 2, 3, 4, 6]])
+
+
 class TestApplyUnitsFailsClosed:
     @pytest.mark.parametrize(
         "make, unit, message",
@@ -240,8 +253,31 @@ class TestApplyUnitsFailsClosed:
                 hand_unit(members=[("b1_conv3", 0)]),
                 "b1_add: removal pattern breaks Add operand alignment",
             ),
+            (
+                lambda: make_chain(np.random.default_rng(44), (4, 6), with_bn=True),
+                hand_unit(members=[("conv1", 99)]),
+                "conv1: unit names output channel 99, which the layer does not have",
+            ),
+            (
+                lambda: make_chain(np.random.default_rng(45), (4, 6), with_bn=True),
+                hand_unit(members=[("bn1", 0)]),
+                "bn1: unit names output channel 0, which the layer does not have",
+            ),
+            (
+                lambda: make_chain(np.random.default_rng(46), (4, 6), with_bn=True),
+                hand_unit(in_slices=[("conv2", 99)]),
+                "conv2: unit names input slot 99, which the layer does not have",
+            ),
         ],
-        ids=["every-channel", "slot-reads-removed-channel", "bn-slice-mismatch", "add-misaligned"],
+        ids=[
+            "every-channel",
+            "slot-reads-removed-channel",
+            "bn-slice-mismatch",
+            "add-misaligned",
+            "member-outside-width",
+            "member-on-batchnorm",
+            "slice-outside-width",
+        ],
     )
     def test_inconsistent_units_rejected(self, make, unit, message):
         with pytest.raises(PruneKitError, match=message):
@@ -270,6 +306,11 @@ class TestZeroEquivalence:
     def test_flatten_column_blocks(self):
         rng = np.random.default_rng(14)
         g = make_flatten_toy(rng)
+        for u in build_prune_units(g):
+            assert zero_equivalence_check(g, u, trials=6), u.uid
+
+    def test_concat_over_add(self):
+        g = concat_over_add()
         for u in build_prune_units(g):
             assert zero_equivalence_check(g, u, trials=6), u.uid
 

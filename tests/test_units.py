@@ -19,6 +19,7 @@ from prunekit.surgeon import apply_units
 from prunekit.units import FULL_CHANNEL, IN_CHANNEL_ONLY, ChannelRef
 
 from conftest import (
+    concat_over_add,
     conv_w,
     dense_channel_tied_by_add,
     make_chain,
@@ -308,6 +309,15 @@ class TestAgainstPerChannelBuilder:
         unit = next(u for u in build_prune_units(g) if u.uid == "stem.c0")
         assert [[s.layer for s in reads] for reads in unit.member_slices] == [["b", "post", "late"], ["side", "post"]]
         assert [s.layer for s in unit.in_slices] == ["b", "side", "post", "late"]
+        self.assert_same_units(g)
+
+    def test_concat_over_add(self):
+        # cat pads the Add's two-row origin array beside r's one row
+        g = concat_over_add()
+        units = build_prune_units(g)
+        assert [u.uid for u in units] == [f"p.c{i}" for i in range(4)] + [f"d.in{i}" for i in range(4, 7)]
+        assert all(u.kind == FULL_CHANNEL and {m.layer for m in u.members} == {"p", "q"} for u in units[:4])
+        assert [u.origin for u in units[4:]] == [ChannelRef("r", i) for i in range(3)]
         self.assert_same_units(g)
 
     def test_densenet40_after_one_pass(self, densenet_graph):
