@@ -7,6 +7,8 @@ consumer keeps an explicit ``in_select`` index list instead of a full-width
 kernel. Surgery returns a new graph and leaves its input untouched: sliced
 tensors are fresh arrays, tensors of layers that lose nothing are shared with
 the input, and surviving weights are bit-identical to their pre-surgery values.
+Surgery takes its kept indices from the same origin arrays that the units come
+from (``units.channel_flow``).
 """
 
 from __future__ import annotations
@@ -104,11 +106,9 @@ def _checked_surgery(graph: ModelGraph, units: list[PruneUnit], plan: PruningPla
 def apply_units(graph: ModelGraph, units: list[PruneUnit]) -> ModelGraph:
     """Remove the given units from the graph, returning a new validated graph.
 
-    Every kept-index mask comes from ``units.channel_flow``: a node keeps the
-    output columns whose origins all survive, with -1 padding counted alive.
-    A weighted layer's new ``in_select`` entry for each kept slot is its
-    column's position among the producer's kept columns.
-    """
+    A node keeps the output columns whose origins (``units.channel_flow``) all
+    survive, with -1 padding counted alive; a kept slot's new ``in_select``
+    entry is its column's position among the producer's kept columns."""
     if not graph.inferred:
         raise PruneKitError("run infer_shapes before surgery")
     channels, arrays = channel_flow(graph)
@@ -128,20 +128,20 @@ def apply_units(graph: ModelGraph, units: list[PruneUnit]) -> ModelGraph:
         arr = arrays[nid]
         if id(arr) not in kept:
             dead = removed[arr]  # -1 padding reads the last entry of removed, which is never set
-            kept[id(arr)] = ~dead.any(axis=0)
+            kept[id(arr)] = ~dead[0] if len(arr) == 1 else ~dead.any(axis=0)
             if len(arr) > 1 and (~kept[id(arr)] & (~dead & (arr >= 0)).any(axis=0)).any():
                 raise PruneKitError(f"{nid}: removal pattern breaks Add operand alignment")
         old, node, keep = graph.nodes[nid], new.nodes[nid], kept[id(arr)]
         if old.kind in WEIGHTED_KINDS:
-            edge, slot_keep = kept[id(arrays[old.inputs[0]])], ~slot_gone[slots.ids(nid)]
+            edge, slot_keep, sel = kept[id(arrays[old.inputs[0]])], ~slot_gone[slots.span(nid)], old.in_select()
             outs, ins = np.flatnonzero(keep), np.flatnonzero(slot_keep)
             if not len(outs) or not len(ins):
                 raise PruneKitError(f"{nid}: surgery would remove every channel")
-            cols = ins if old.in_select() is None else np.take(old.in_select(), ins)
+            cols = ins if sel is None else np.take(sel, ins)
             if not edge[cols].all():
                 raise PruneKitError(f"{nid}: surviving slot reads removed channel {cols[~edge[cols]][0]}")
             if len(outs) < len(keep) or len(ins) < len(slot_keep):
-                node.tensors["weight"] = old.weight().take(outs, 0).take(ins, 1)
+                node.tensors["weight"] = old.weight()[np.ix_(outs, ins)]
                 if "bias" in old.tensors:
                     node.tensors["bias"] = old.tensors["bias"].take(outs)
             in_name, out_name = _WIDTH_ATTRS[old.kind]
@@ -151,12 +151,13 @@ def apply_units(graph: ModelGraph, units: list[PruneUnit]) -> ModelGraph:
             if not np.array_equal(new_sel, np.arange(np.count_nonzero(edge))):
                 node.attrs["in_select"] = new_sel.tolist()
         elif old.kind == "BatchNorm2d":
-            stated, expected = np.flatnonzero(entry_gone[entries.ids(nid)]).tolist(), np.flatnonzero(~keep).tolist()
+            stated, expected = np.flatnonzero(entry_gone[entries.span(nid)]).tolist(), np.flatnonzero(~keep).tolist()
             if stated != expected:
                 raise PruneKitError(f"{nid}: batch-norm slice set {stated} does not match upstream removals {expected}")
             if expected:
+                survivors = np.flatnonzero(keep)
                 for role in _BN_ROLES:
-                    node.tensors[role] = old.tensors[role].take(np.flatnonzero(keep))
+                    node.tensors[role] = old.tensors[role].take(survivors)
             node.attrs["channels"] = len(keep) - len(expected)
 
     violations = validate(new)
@@ -170,14 +171,15 @@ def _marks(refs, numbering: _Numbering, widths: dict[str, int], what: str) -> np
     that is never set. Each ref must name a layer of ``widths`` and an index
     inside its width."""
     refs = list(refs)
-    layers = list(map(itemgetter(0), refs))
+    code = {layer: i for i, layer in enumerate(widths)}
+    layer = np.fromiter(map(code.get, map(itemgetter(0), refs), repeat(-1)), np.int64, len(refs))
     index = np.fromiter(map(itemgetter(1), refs), np.int64, len(refs))
-    bad = (index < 0) | (index >= np.fromiter(map(widths.get, layers, repeat(0)), np.int64, len(refs)))
+    bad = (index < 0) | (index >= np.array([*widths.values(), 0])[layer])  # an unknown layer (-1) has width 0
     if bad.any():
-        i = int(np.argmax(bad))
-        raise PruneKitError(f"{layers[i]}: unit names {what} {index[i]}, which the layer does not have")
+        ref = refs[int(np.argmax(bad))]
+        raise PruneKitError(f"{ref[0]}: unit names {what} {ref[1]}, which the layer does not have")
     marks = np.zeros(numbering.size + 1, bool)
-    marks[np.fromiter(map(numbering.offset.__getitem__, layers), np.int64, len(refs)) + index] = True
+    marks[np.array([numbering.offset[name] for name in widths], np.int64)[layer] + index] = True
     return marks
 
 

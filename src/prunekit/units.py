@@ -116,6 +116,9 @@ class _Numbering:
         self.offset = dict(zip(self.width, accumulate(self.width.values(), initial=0)))
         self.size = sum(self.width.values())
 
+    def span(self, layer: str) -> slice:
+        return slice(self.offset[layer], self.offset[layer] + self.width[layer])
+
     def ids(self, layer: str) -> np.ndarray:
         return np.arange(self.offset[layer], self.offset[layer] + self.width[layer])
 
