@@ -27,8 +27,6 @@ from .graph import _BN_ROLES, _WIDTH_ATTRS, WEIGHTED_KINDS, ModelGraph, _layout,
 from .planner import PruningPlan
 from .units import AuxRef, InSliceRef, PruneUnit, _Numbering, build_prune_units, channel_flow
 
-_VECTOR_KINDS = (*WEIGHTED_KINDS, "BatchNorm2d")  # layers with per-channel vectors
-
 
 @dataclass
 class SurgeryReport:
@@ -114,7 +112,8 @@ def apply_units(graph: ModelGraph, units: list[PruneUnit]) -> ModelGraph:
     channels, arrays = channel_flow(graph)
     weighted = graph.weighted_layers()
     slots = _Numbering(InSliceRef, [(n.id, n.declared_in_width()) for n in weighted])
-    entries = _Numbering(AuxRef, [(n.id, n.out_channels) for n in graph.nodes.values() if n.kind in _VECTOR_KINDS])
+    vectors = [n for n in graph.nodes.values() if n.kind in (*WEIGHTED_KINDS, "BatchNorm2d")]
+    entries = _Numbering(AuxRef, [(n.id, n.out_channels) for n in vectors])
     layer_widths = {n.id: n.out_channels for n in weighted}  # Input channels are not removable
     removed = _marks(chain.from_iterable(u.members for u in units), channels, layer_widths, "output channel")
     slot_gone = _marks(chain.from_iterable(u.in_slices for u in units), slots, slots.width, "input slot")

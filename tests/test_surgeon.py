@@ -216,9 +216,7 @@ class TestSlicing:
         assert g.nodes["stem"].declared_out_width() == g.nodes["b1_conv3"].declared_out_width()
         assert g.nodes["stem"].declared_out_width() == g.nodes["b2_conv3"].declared_out_width()
 
-
-class TestConcatOverAdd:
-    def test_in_select_is_position_among_kept_columns(self):
+    def test_in_select_after_concat_over_add(self):
         # removing p.c1 drops cat column 1; d.in5 drops only d's read of r.c1,
         # so d keeps cat columns 0, 2, 3, 4, 6, at positions 0, 1, 2, 3, 5
         g = concat_over_add()
