@@ -6,16 +6,16 @@ Two deliberately separate views:
   the per-channel formula used for importance scoring: kernel terms only, the
   spatial factor taken from the *input* side of each layer, fully-connected
   layers treated as 1x1 kernels at spatial size 1. ``unit_costs`` gives both
-  for a list of units, pricing each (member layers, slice layers) signature once.
+  for a list of units from int64 per-layer block prices indexed by id arrays.
 
 * ``effective_model_costs`` and its two halves ``model_param_count`` /
   ``model_flop_count`` account for the whole model exactly, using output-side
   spatial sizes. These drive budgets and reduction reports, and removing
   channels in adjacent layers interacts multiplicatively there, so budgets are
-  never settled by summing unit costs. ``RunningCosts`` keeps the exact count
-  during planning: each removal recomputes the terms of the layers it
-  touches, with the same per-node rules as the full count, and a final full
-  recount must agree with it.
+  never settled by summing unit costs. ``RunningCosts`` holds the exact count
+  during planning as plain per-layer lists: each removal moves the totals by
+  the conv/linear terms of the layers it touches and the fixed downstream
+  share of each removed filter, and a final full recount must agree with it.
 
 FLOP conventions: ``macs`` counts one fused multiply-add per kernel tap;
 ``2macs`` counts multiplies and adds separately (exactly double). Model totals
@@ -26,16 +26,14 @@ the usual published totals for the bundled CIFAR architectures.
 
 from __future__ import annotations
 
-from collections import Counter
-from operator import attrgetter
+import numpy as np
 
 from .errors import PruneKitError, ShapeError
 from .graph import WEIGHTED_KINDS, ModelGraph
-from .units import PruneUnit
+from .units import PruneUnit, ref_arrays, run_sums
 
 CONVENTIONS = ("macs", "2macs")
 _PASSING_KINDS = ("BatchNorm2d", "ReLU", "Pool", "Output", "Flatten", "Add", "Concat")
-_LAYER = attrgetter("layer")
 
 
 def _factor(convention: str) -> int:
@@ -66,21 +64,27 @@ def _price(graph: ModelGraph, unit: PruneUnit) -> tuple[int, int]:
 
 
 def unit_costs(graph: ModelGraph, units: list[PruneUnit], convention: str = "macs") -> list[tuple[int, int]]:
-    """(``unit_param_cost``, ``unit_flop_cost``) of every unit. A unit's price
-    depends only on the layers of its members and slices, so each such
-    signature is walked once and its price reused."""
+    """(``unit_param_cost``, ``unit_flop_cost``) of every unit. Members and
+    slices become layer-code arrays in one step, each layer's price per
+    filter and per slice is one int64 entry, and a unit's price is the sum
+    of its blocks' prices."""
     if not graph.inferred:
         raise ShapeError("run infer_shapes before unit_costs")
-    factor = _factor(convention)
-    prices: dict[tuple[tuple[str, ...], tuple[str, ...]], tuple[int, int]] = {}
-    costs = []
-    for unit in units:
-        signature = (tuple(map(_LAYER, unit.members)), tuple(map(_LAYER, unit.in_slices)))
-        if (price := prices.get(signature)) is None:
-            params, flops = _price(graph, unit)
-            price = prices[signature] = (params, flops * factor)
-        costs.append(price)
-    return costs
+    weighted = graph.weighted_layers()
+    out_widths = {n.id: n.declared_out_width() for n in weighted}
+    in_widths = {n.id: n.declared_in_width() for n in weighted}
+    area = np.array([n.kernel() ** 2 for n in weighted], np.int64)
+    spatial = np.array([n.in_size * n.in_size for n in weighted], np.int64)
+    params = flops = 0
+    # a member filter owns K*K*M weights and a consumer slice K*K*N
+    for refs, widths, block, what in (
+        ((u.members for u in units), out_widths, area * list(in_widths.values()), "output channel"),
+        ((u.in_slices for u in units), in_widths, area * list(out_widths.values()), "input slot"),
+    ):
+        layer, _, sizes = ref_arrays(refs, widths, what)
+        params = params + run_sums(block[layer], sizes)
+        flops = flops + run_sums((block * spatial)[layer], sizes)
+    return list(zip(params.tolist(), (flops * _factor(convention)).tolist()))
 
 
 def unit_param_cost(graph: ModelGraph, unit: PruneUnit) -> int:
@@ -195,14 +199,24 @@ def _downstream_charges(graph: ModelGraph, count_aux_params: bool) -> dict[str, 
 
 
 class RunningCosts:
-    """Exact model (params, flops) as units are removed one at a time.
+    """Exact model (params, flops) as units are removed, kept in plain
+    per-layer lists for the planner's loop.
 
-    Starts from a full :func:`effective_model_costs` count. ``remove`` updates
-    both totals in O(|members| + |in_slices|): it recomputes the conv/linear
-    term of each layer the unit touches at the layer's new widths, and takes
-    each removed filter's fixed share of the batch-norm/ReLU terms downstream
-    (``_downstream_charges``). ``recount`` makes the second full count, for the
-    removals so far, and checks that it equals the running totals.
+    Starts from a full :func:`effective_model_costs` count. Weighted layers
+    are numbered by their position in ``graph.weighted_layers()`` (a layer
+    code). With ``m`` input slots and ``n`` filters left in layer ``l``, the
+    model totals are a fixed part plus, over every weighted layer,
+
+        params: area_params[l] * m * n + filter_params[l] * n
+        flops:  area_flops[l] * m * n + filter_flops[l] * n
+
+    ``filter_params``/``filter_flops`` hold a filter's bias and its fixed
+    share of the batch-norm/ReLU terms downstream (``_downstream_charges``),
+    so removing filters and slots from a layer moves the totals by that
+    layer's two terms alone. The caller updates ``params``, ``flops``,
+    ``in_width`` and ``out_width`` as it removes; ``recount`` makes the
+    second full count, for the widths so far, and checks that it equals the
+    running totals.
     """
 
     def __init__(self, graph: ModelGraph, *, convention: str = "macs", count_aux_params: bool = True):
@@ -212,38 +226,25 @@ class RunningCosts:
         self.params, self.flops = effective_model_costs(
             graph, convention=convention, count_aux_params=count_aux_params
         )
-        self.removed_out: Counter[str] = Counter()
-        self.removed_slots: Counter[str] = Counter()
-        self._factor = _factor(convention)
-        self._charges = _downstream_charges(graph, count_aux_params)
-
-    def _terms(self, layer: str) -> tuple[int, int]:
-        node = self.graph.nodes[layer]
-        m = node.declared_in_width() - self.removed_slots[layer]
-        n = node.declared_out_width() - self.removed_out[layer]
-        return _weighted_terms(node, m, n, self.count_aux_params)
-
-    def remove(self, unit: PruneUnit) -> None:
-        out_hits = Counter(m.layer for m in unit.members)
-        slot_hits = Counter(s.layer for s in unit.in_slices)
-        for layer in out_hits.keys() | slot_hits.keys():
-            p0, f0 = self._terms(layer)
-            self.removed_out[layer] += out_hits[layer]
-            self.removed_slots[layer] += slot_hits[layer]
-            p1, f1 = self._terms(layer)
-            self.params += p1 - p0
-            self.flops += (f1 - f0) * self._factor
-        for layer, hits in out_hits.items():
-            p, f = self._charges[layer]
-            self.params -= hits * p
-            self.flops -= hits * f * self._factor
+        factor = _factor(convention)
+        charges = _downstream_charges(graph, count_aux_params)
+        weighted = graph.weighted_layers()
+        self.layers = [n.id for n in weighted]
+        self.declared_out = [n.declared_out_width() for n in weighted]
+        self.declared_in = [n.declared_in_width() for n in weighted]
+        self.out_width, self.in_width = list(self.declared_out), list(self.declared_in)
+        self.area_params = [n.kernel() ** 2 for n in weighted]
+        self.area_flops = [factor * n.out_size * n.out_size * k for n, k in zip(weighted, self.area_params)]
+        bias = [int(count_aux_params and "bias" in n.tensors) for n in weighted]
+        self.filter_params = [b + charges[n.id][0] for n, b in zip(weighted, bias)]
+        self.filter_flops = [factor * charges[n.id][1] for n in weighted]
 
     def recount(self) -> None:
         """Full recount of the removals so far; PruneKitError if it differs."""
         exact = effective_model_costs(
             self.graph,
-            dict(self.removed_out),
-            dict(self.removed_slots),
+            dict(zip(self.layers, map(int.__sub__, self.declared_out, self.out_width))),
+            dict(zip(self.layers, map(int.__sub__, self.declared_in, self.in_width))),
             convention=self.convention,
             count_aux_params=self.count_aux_params,
         )

@@ -4,25 +4,29 @@ Units are ranked by ascending importance and marked for removal greedily until
 the exact model FLOPs meet the budget. Exact counting (rather than summing
 per-unit costs) is what keeps plans truthful: removing channels in adjacent
 layers shrinks a layer's cost multiplicatively, and unit costs would
-double-count the shared term. ``costs.RunningCosts`` keeps the exact totals
-by updating only the layers each mark touches, and one full recount of the
-final removal set checks them. Ties in importance break toward the costlier
-unit (larger F, then larger P, then unit id), so equal-importance removals buy
-the most budget. A survival floor keeps every weighted layer alive.
+double-count the shared term. Each visited unit becomes one (layer code,
+filters, slots) row per weighted layer it touches, built with numpy in chunks
+of the ranking; the greedy loop checks the floors and moves the exact totals
+row by row against the plain per-layer lists of ``costs.RunningCosts``, and
+one full recount of the final removal set checks them. Ties in importance
+break toward the costlier unit (larger F, then larger P, then unit id), so
+equal-importance removals buy the most budget. A survival floor keeps every
+weighted layer alive.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .costs import RunningCosts
 from .errors import InfeasibleBudgetError, PruneKitError
 from .graph import ModelGraph, graph_checksum
 from .scoring import Config, ImportanceRecord, score_all
-from .units import build_prune_units
+from .units import build_prune_units, ref_arrays
 
 
 @dataclass
@@ -126,31 +130,30 @@ def select_threshold(
         else None
     )
 
-    out_width = {n.id: n.declared_out_width() for n in graph.weighted_layers()}
-    in_width = {n.id: n.declared_in_width() for n in graph.weighted_layers()}
-    removed_out, removed_slots = costs.removed_out, costs.removed_slots
+    n, m = costs.out_width, costs.in_width
+    area_params, area_flops = costs.area_params, costs.area_flops
+    filter_params, filter_flops = costs.filter_params, costs.filter_flops
+    floor = config.min_channels_per_layer
+    params, flops = costs.params, costs.flops
 
     taken: list[ImportanceRecord] = []
     met = False
-    for rec in ranked:
-        unit = rec.unit
-        if any(
-            out_width[m.layer] - removed_out[m.layer] - 1 < config.min_channels_per_layer
-            for m in unit.members
-        ):
+    for rec, rows in _ranked_rows(ranked, costs):
+        # skip a unit that would take a layer below the floor or take its last input slot
+        if any(o and n[l] - 1 < floor or m[l] - s < 1 for l, o, s in rows):
             continue
-        slot_hits = Counter(s.layer for s in unit.in_slices)
-        if any(
-            in_width[layer] - removed_slots[layer] - hits < 1 for layer, hits in slot_hits.items()
-        ):
-            continue
-        costs.remove(unit)
+        for l, o, s in rows:
+            area = (m[l] - s) * (n[l] - o) - m[l] * n[l]
+            params += area_params[l] * area - filter_params[l] * o
+            flops += area_flops[l] * area - filter_flops[l] * o
+            m[l] -= s
+            n[l] -= o
         taken.append(rec)
-        if costs.flops <= budget and (param_budget is None or costs.params <= param_budget):
+        if flops <= budget and (param_budget is None or params <= param_budget):
             met = True
             break
+    costs.params, costs.flops = params, flops
     costs.recount()
-    params, flops = costs.params, costs.flops
 
     frr = 1.0 - flops / baseline_flops
     if not met:
@@ -160,7 +163,6 @@ def select_threshold(
             best_frr=frr,
         )
 
-    widths_after = {lid: out_width[lid] - removed_out[lid] for lid in out_width}
     return PruningPlan(
         threshold=taken[-1].importance,
         baseline_params=baseline_params,
@@ -169,8 +171,8 @@ def select_threshold(
         predicted_flops=flops,
         prr=1.0 - params / baseline_params,
         frr=frr,
-        layer_widths_before=dict(out_width),
-        layer_widths_after=widths_after,
+        layer_widths_before=dict(zip(costs.layers, costs.declared_out)),
+        layer_widths_after=dict(zip(costs.layers, n)),
         model_checksum=graph_checksum(graph),
         config=config.to_dict(),
         removed_entries=[
@@ -183,6 +185,33 @@ def select_threshold(
             for r in taken
         ],
     )
+
+
+def _ranked_rows(ranked: list[ImportanceRecord], costs: RunningCosts) -> Iterator[tuple[ImportanceRecord, list]]:
+    """Each ranked record with its unit's rows: one (layer code, filters, slots)
+    row per weighted layer the unit touches, counting its members and its
+    in-slices there. Rows are built in chunks that double in size, so a plan
+    that stops early builds few."""
+    out_widths = dict(zip(costs.layers, costs.declared_out))
+    in_widths = dict(zip(costs.layers, costs.declared_in))
+    k = len(costs.layers)
+    start, size = 0, 256
+    while start < len(ranked):
+        chunk = ranked[start : start + size]
+        units = [r.unit for r in chunk]
+        out_layer, _, n_out = ref_arrays((u.members for u in units), out_widths, "output channel")
+        in_layer, _, n_in = ref_arrays((u.in_slices for u in units), in_widths, "input slot")
+        unit = np.arange(len(units))
+        keys, inverse = np.unique(
+            np.concatenate([np.repeat(unit, n_out) * k + out_layer, np.repeat(unit, n_in) * k + in_layer]),
+            return_inverse=True,
+        )
+        outs = np.bincount(inverse[: len(out_layer)], minlength=len(keys))
+        slots = np.bincount(inverse[len(out_layer) :], minlength=len(keys))
+        rows = list(zip((keys % k).tolist(), outs.tolist(), slots.tolist()))
+        bounds = np.searchsorted(keys // k, np.arange(len(units) + 1)).tolist()
+        yield from zip(chunk, map(rows.__getitem__, map(slice, bounds, bounds[1:])))
+        start, size = start + size, 2 * size
 
 
 def multi_pass(graph: ModelGraph, config: Config) -> Iterator[tuple[PruningPlan, ModelGraph]]:

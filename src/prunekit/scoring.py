@@ -10,6 +10,13 @@ log-normalized parameter and FLOP costs so cheap-but-heavy channels sink:
                               + beta  * (1 - log F / log Fmax)
 
 with Pmax/Fmax taken over every unit of the model.
+
+Scoring works on id arrays, not on ref objects: a unit list's filters and
+consumer slices become (layer code, index) arrays in one step
+(``units.ref_arrays``), each weighted layer's L1 masses are summed once, and
+the per-unit sums add the indexed masses in the order a per-reference loop
+would, so every raw score is the same float. Prices come from int64
+per-layer block prices (``costs.unit_costs``).
 """
 
 from __future__ import annotations
@@ -19,13 +26,14 @@ import io
 import json
 import math
 from dataclasses import dataclass, field, asdict
+from itertools import chain
 
 import numpy as np
 
 from .costs import CONVENTIONS, unit_costs
 from .errors import DegenerateModelError, PruneKitError
 from .graph import ModelGraph
-from .units import FULL_CHANNEL, PruneUnit, group_importance
+from .units import FULL_CHANNEL, PruneUnit, ref_arrays, run_sums
 
 WEIGHT_NORM_MODES = ("max-min", "max", "log")
 
@@ -123,22 +131,44 @@ def _axis_view(graph: ModelGraph, layer: str, axis: int) -> np.ndarray:
     return np.swapaxes(graph.nodes[layer].weight(), 0, axis)
 
 
-def _raw_score(unit: PruneUnit, use_in_channel: bool, l1) -> float:
-    """Dependency L1 of one unit from ``l1(layer, axis, index)``, the mass of one
-    filter (axis 0) or input slot (axis 1)."""
-    if unit.kind == FULL_CHANNEL:
-        member_scores = []
-        for m, slices in zip(unit.members, unit.member_slices):
-            score = l1(m.layer, 0, m.channel)
-            if use_in_channel:
-                score += sum(l1(s.layer, 1, s.in_channel) for s in slices)
-            member_scores.append(score)
-        return group_importance(member_scores)
-    # in-channel-only: the producing filter survives but still anchors the score
-    score = l1(unit.origin.layer, 0, unit.origin.channel)
+def _l1(graph: ModelGraph, widths: dict[str, int], axis: int, layer: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """L1 mass of each (layer code, index) filter (axis 0) or input slot
+    (axis 1). Each layer's named slices are summed in one ``_abs_sums`` call,
+    the whole layer when every slice is named."""
+    offset = np.cumsum([0, *widths.values()])
+    ids = offset[layer] + index
+    named = np.unique(ids)
+    bounds = np.searchsorted(named, offset).tolist()  # each layer's run of named ids
+    masses = np.zeros(offset[-1])
+    for name, base, lo, hi in zip(widths, offset.tolist(), bounds, bounds[1:]):
+        if lo < hi:
+            view = _axis_view(graph, name, axis)
+            masses[named[lo:hi]] = _abs_sums(view if hi - lo == len(view) else view[named[lo:hi] - base])
+    return masses[ids]
+
+
+def _raw_scores(graph: ModelGraph, units: list[PruneUnit], use_in_channel: bool) -> list[float]:
+    """Dependency L1 of every unit. A unit's filters (its members, or the
+    origin of an in-channel-only unit) and their consumer slices become id
+    arrays in one step; each filter's score is its mass plus its slices'
+    masses, and a unit's score the mean of its filters' scores, all added in
+    the order a per-reference loop would add them."""
+    weighted = graph.weighted_layers()
+    out_widths = {n.id: n.declared_out_width() for n in weighted}
+    in_widths = {n.id: n.declared_in_width() for n in weighted}
+    full = [u.kind == FULL_CHANNEL for u in units]
+    filters = [u.members if f else (u.origin,) for u, f in zip(units, full)]
+    layer, index, n_filters = ref_arrays(filters, out_widths, "output channel")
+    if not n_filters.all():
+        raise ValueError("group has no members")
+    scores = _l1(graph, out_widths, 0, layer, index)
     if use_in_channel:
-        score += sum(l1(s.layer, 1, s.in_channel) for s in unit.in_slices)
-    return score
+        reads = chain.from_iterable(u.member_slices if f else (u.in_slices,) for u, f in zip(units, full))
+        layer, index, n_reads = ref_arrays(reads, in_widths, "input slot")
+        if len(n_reads) != len(scores):
+            raise ValueError("every member needs its own consumer slices (member_slices)")
+        scores = scores + run_sums(_l1(graph, in_widths, 1, layer, index), n_reads)
+    return (run_sums(scores, n_filters) / n_filters).tolist()
 
 
 def dependency_l1(graph: ModelGraph, unit: PruneUnit, use_in_channel: bool = True) -> float:
@@ -146,9 +176,7 @@ def dependency_l1(graph: ModelGraph, unit: PruneUnit, use_in_channel: bool = Tru
     consumer slices when ``use_in_channel``. Coupled groups average over their
     members. Biases and batch-norm parameters never contribute.
     """
-    return _raw_score(
-        unit, use_in_channel, lambda layer, axis, i: _abs_sums(_axis_view(graph, layer, axis)[i : i + 1])[0]
-    )
+    return _raw_scores(graph, [unit], use_in_channel)[0]
 
 
 def normalize_weight_scores(scores: list[float], mode: str = "max-min") -> list[float]:
@@ -198,19 +226,13 @@ def combined_importance(weight_score: float, param_score: float, flop_score: flo
 def score_all(graph: ModelGraph, units: list[PruneUnit], config: Config) -> list[ImportanceRecord]:
     """Score every unit. Deterministic given graph and config; the cost maxima
     are taken over exactly this unit set. Each weighted layer's L1 sums are
-    computed once. Raises DegenerateModelError when there is no unit or a
-    unit's raw score is NaN or infinite."""
+    computed once, and units read them through id arrays. Raises
+    DegenerateModelError when there is no unit or a unit's raw score is NaN
+    or infinite."""
     config.validate()
     if not units:
         raise DegenerateModelError("model has no prunable units")
-    sums: dict[tuple[str, int], list[float]] = {}  # (layer, axis) -> whole-layer L1 masses
-
-    def l1(layer: str, axis: int, i: int) -> float:
-        if (layer, axis) not in sums:
-            sums[layer, axis] = _abs_sums(_axis_view(graph, layer, axis))
-        return sums[layer, axis][i]
-
-    raws = [_raw_score(u, config.use_in_channel, l1) for u in units]
+    raws = _raw_scores(graph, units, config.use_in_channel)
     for u, raw in zip(units, raws):
         if not math.isfinite(raw):
             raise DegenerateModelError(f"{u.uid}: raw score L is {raw} (non-finite weights)")

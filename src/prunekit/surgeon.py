@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
-from operator import itemgetter
 
 import numpy as np
 
@@ -25,7 +23,7 @@ from .errors import PlanMismatchError, PruneKitError
 from .eval import forward_eval
 from .graph import _BN_ROLES, _WIDTH_ATTRS, WEIGHTED_KINDS, ModelGraph, _layout, graph_checksum, infer_shapes, validate
 from .planner import PruningPlan
-from .units import AuxRef, InSliceRef, PruneUnit, _Numbering, build_prune_units, channel_flow
+from .units import AuxRef, InSliceRef, PruneUnit, _Numbering, build_prune_units, channel_flow, ref_arrays
 
 
 @dataclass
@@ -112,12 +110,12 @@ def apply_units(graph: ModelGraph, units: list[PruneUnit]) -> ModelGraph:
     channels, arrays = channel_flow(graph)
     weighted = graph.weighted_layers()
     slots = _Numbering(InSliceRef, [(n.id, n.declared_in_width()) for n in weighted])
-    vectors = [n for n in graph.nodes.values() if n.kind in (*WEIGHTED_KINDS, "BatchNorm2d")]
+    vectors = [n for n in graph.nodes.values() if n.kind == "BatchNorm2d" or (n.kind in WEIGHTED_KINDS and "bias" in n.tensors)]
     entries = _Numbering(AuxRef, [(n.id, n.out_channels) for n in vectors])
     layer_widths = {n.id: n.out_channels for n in weighted}  # Input channels are not removable
-    removed = _marks(chain.from_iterable(u.members for u in units), channels, layer_widths, "output channel")
-    slot_gone = _marks(chain.from_iterable(u.in_slices for u in units), slots, slots.width, "input slot")
-    entry_gone = _marks(chain.from_iterable(u.aux for u in units), entries, entries.width, "vector entry")
+    removed = _marks((u.members for u in units), channels, layer_widths, "output channel")
+    slot_gone = _marks((u.in_slices for u in units), slots, slots.width, "input slot")
+    entry_gone = _marks((u.aux for u in units), entries, entries.width, "vector entry")
 
     # sliced tensors and changed attrs are replaced below; everything else is shared
     nodes = {nid: replace(n, attrs=dict(n.attrs), tensors=dict(n.tensors)) for nid, n in graph.nodes.items()}
@@ -139,6 +137,8 @@ def apply_units(graph: ModelGraph, units: list[PruneUnit]) -> ModelGraph:
             cols = ins if sel is None else np.take(sel, ins)
             if not edge[cols].all():
                 raise PruneKitError(f"{nid}: surviving slot reads removed channel {cols[~edge[cols]][0]}")
+            if "bias" in old.tensors:
+                _check_entries(nid, entry_gone[entries.span(nid)], keep, "bias entry set", "removed channels")
             if len(outs) < len(keep) or len(ins) < len(slot_keep):
                 node.tensors["weight"] = old.weight()[np.ix_(outs, ins)]
                 if "bias" in old.tensors:
@@ -150,14 +150,12 @@ def apply_units(graph: ModelGraph, units: list[PruneUnit]) -> ModelGraph:
             if not np.array_equal(new_sel, np.arange(np.count_nonzero(edge))):
                 node.attrs["in_select"] = new_sel.tolist()
         elif old.kind == "BatchNorm2d":
-            stated, expected = np.flatnonzero(entry_gone[entries.span(nid)]).tolist(), np.flatnonzero(~keep).tolist()
-            if stated != expected:
-                raise PruneKitError(f"{nid}: batch-norm slice set {stated} does not match upstream removals {expected}")
-            if expected:
+            _check_entries(nid, entry_gone[entries.span(nid)], keep, "batch-norm slice set", "upstream removals")
+            if not keep.all():
                 survivors = np.flatnonzero(keep)
                 for role in _BN_ROLES:
                     node.tensors[role] = old.tensors[role].take(survivors)
-            node.attrs["channels"] = len(keep) - len(expected)
+            node.attrs["channels"] = int(np.count_nonzero(keep))
 
     violations = validate(new)
     if violations:
@@ -165,21 +163,22 @@ def apply_units(graph: ModelGraph, units: list[PruneUnit]) -> ModelGraph:
     return infer_shapes(new)
 
 
-def _marks(refs, numbering: _Numbering, widths: dict[str, int], what: str) -> np.ndarray:
-    """Mask over ``numbering`` of the (layer, index) refs, plus one last entry
-    that is never set. Each ref must name a layer of ``widths`` and an index
-    inside its width."""
-    refs = list(refs)
-    code = {layer: i for i, layer in enumerate(widths)}
-    layer = np.fromiter(map(code.get, map(itemgetter(0), refs), repeat(-1)), np.int64, len(refs))
-    index = np.fromiter(map(itemgetter(1), refs), np.int64, len(refs))
-    bad = (index < 0) | (index >= np.array([*widths.values(), 0])[layer])  # an unknown layer (-1) has width 0
-    if bad.any():
-        ref = refs[int(np.argmax(bad))]
-        raise PruneKitError(f"{ref[0]}: unit names {what} {ref[1]}, which the layer does not have")
+def _marks(groups, numbering: _Numbering, widths: dict[str, int], what: str) -> np.ndarray:
+    """Mask over ``numbering`` of the (layer, index) refs in ``groups``, plus
+    one last entry that is never set. Each ref must name a layer of
+    ``widths`` and an index inside its width (``units.ref_arrays``)."""
+    layer, index, _ = ref_arrays(groups, widths, what)
     marks = np.zeros(numbering.size + 1, bool)
     marks[np.array([numbering.offset[name] for name in widths], np.int64)[layer] + index] = True
     return marks
+
+
+def _check_entries(nid: str, stated: np.ndarray, keep: np.ndarray, what: str, removals: str) -> None:
+    """The vector entries the units state for ``nid`` must be exactly the
+    channels it loses."""
+    stated, expected = np.flatnonzero(stated).tolist(), np.flatnonzero(~keep).tolist()
+    if stated != expected:
+        raise PruneKitError(f"{nid}: {what} {stated} does not match {removals} {expected}")
 
 
 def _make_report(before: ModelGraph, after: ModelGraph, units: list[PruneUnit], plan: PruningPlan) -> SurgeryReport:

@@ -27,7 +27,9 @@ the residual groups. A group's members, reads and entries are runs of sorted
 ids, and a unit's fields are slices of tuples of ref objects, one ref per
 (layer, index), made once the inventory is final. Surgery reads the same
 channel numbering and origin arrays (``channel_flow``) to find the indices
-each node keeps.
+each node keeps. Going the other way, ``ref_arrays`` turns a unit list's refs
+back into (layer code, index) arrays in one step; scoring, planning and
+surgery all read units through it.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -127,6 +130,42 @@ class _Numbering:
         """The one ref of each pair, shared by every unit that names it."""
         pairs = chain.from_iterable(zip(repeat(layer), range(width)) for layer, width in self.width.items())
         return list(map(self.ref_type._make, pairs))
+
+
+def ref_arrays(groups, widths: dict[str, int], what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (layer, index) refs of ``groups``, an iterable of ref tuples, as two
+    flat int64 arrays, layer code (the layer's position in ``widths``) and
+    index, plus the number of refs in each group. Each ref must name a layer of
+    ``widths`` and an index inside its width; PruneKitError otherwise, naming
+    the index as ``what``."""
+    groups = list(groups)
+    sizes = np.fromiter(map(len, groups), np.int64, len(groups))
+    refs = list(chain.from_iterable(groups))
+    code = {layer: i for i, layer in enumerate(widths)}
+    layer = np.fromiter(map(code.get, map(itemgetter(0), refs), repeat(-1)), np.int64, len(refs))
+    index = np.fromiter(map(itemgetter(1), refs), np.int64, len(refs))
+    bad = (index < 0) | (index >= np.array([*widths.values(), 0])[layer])  # an unknown layer (-1) has width 0
+    if bad.any():
+        ref = refs[int(np.argmax(bad))]
+        raise PruneKitError(f"{ref[0]}: unit names {what} {ref[1]}, which the layer does not have")
+    return layer, index, sizes
+
+
+def run_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Sum of each consecutive run of ``values`` (run lengths ``sizes``), added
+    left to right from zero as Python's ``sum`` adds, so float sums equal a
+    per-run loop's to the bit. Adds one column of runs at a time, the longest
+    runs first, so the work is one numpy step per position of the longest run."""
+    order = np.argsort(-sizes, kind="stable")
+    starts = (np.cumsum(sizes) - sizes)[order]
+    longest = sizes[order]
+    sums = np.zeros(len(sizes), values.dtype)
+    # column j adds the j-th value of every run longer than j: a prefix in this order
+    for j, active in enumerate(np.searchsorted(-longest, -np.arange(sizes.max(initial=0)), side="left").tolist()):
+        sums[:active] += values[starts[:active] + j]
+    out = np.empty_like(sums)
+    out[order] = sums
+    return out
 
 
 def channel_flow(graph: ModelGraph) -> tuple[_Numbering, dict[str, np.ndarray]]:

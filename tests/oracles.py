@@ -189,6 +189,26 @@ def container_unit_l1(manifest: dict, container: bytes, unit, use_in_channel: bo
     return s
 
 
+def loop_raw_score(graph, unit, use_in_channel: bool) -> float:
+    """Raw dependency score by a per-reference loop: every filter and slice
+    summed on its own with np.abs(...).sum(dtype=np.float64), added in the
+    unit's member/slice order with Python's sum, and a group's members
+    averaged. This is the route scoring took before it worked on id arrays;
+    score_all must reproduce its floats exactly."""
+
+    def l1(layer, axis, i):
+        return float(np.abs(np.swapaxes(graph.nodes[layer].weight(), 0, axis)[i]).sum(dtype=np.float64))
+
+    anchors = zip(unit.members, unit.member_slices) if unit.members else [(unit.origin, unit.in_slices)]
+    scores = []
+    for m, slices in anchors:
+        score = l1(m.layer, 0, m.channel)
+        if use_in_channel:
+            score += sum(l1(s.layer, 1, s.in_channel) for s in slices)
+        scores.append(score)
+    return sum(scores) / len(scores)
+
+
 # ---------------------------------------------------------------------------
 # cost oracles from the manifest alone
 
@@ -408,6 +428,72 @@ def enumerate_all_subsets_check(
                 if math.fsum(imp[u] for u in s) < best_sum - 1e-12:
                     return False
     return True
+
+
+def greedy_plan(records, graph, config):
+    """Reference planner: walk the ranking, skip a unit when one of its members
+    would take its layer below the floor or its slices would take a layer's
+    last input slot (per-reference Counter checks), and count the whole model
+    with effective_model_costs after every mark. Returns (removed unit ids,
+    params, flops, plan JSON), the JSON None when the budget is unreachable."""
+    from collections import Counter
+
+    from prunekit.costs import effective_model_costs
+    from prunekit.graph import graph_checksum
+    from prunekit.planner import PruningPlan
+
+    def count(out, slots):
+        return effective_model_costs(
+            graph, out, slots, convention=config.flops_convention, count_aux_params=config.count_aux_params
+        )
+
+    base_params, base_flops = count({}, {})
+    out_width = {n.id: n.declared_out_width() for n in graph.weighted_layers()}
+    in_width = {n.id: n.declared_in_width() for n in graph.weighted_layers()}
+    removed_out, removed_slots = Counter(), Counter()
+    taken, params, flops, met = [], base_params, base_flops, False
+    for rec in sorted(records, key=lambda r: (r.importance, -r.flops, -r.params, r.unit_id)):
+        members = [m.layer for m in rec.unit.members]
+        slots = Counter(s.layer for s in rec.unit.in_slices)
+        if any(out_width[m] - removed_out[m] - 1 < config.min_channels_per_layer for m in members):
+            continue
+        if any(in_width[layer] - removed_slots[layer] - hits < 1 for layer, hits in slots.items()):
+            continue
+        removed_out.update(members)
+        removed_slots.update(slots)
+        taken.append(rec)
+        params, flops = count(dict(removed_out), dict(removed_slots))
+        if flops <= (1 - config.flop_target_ratio) * base_flops and (
+            config.param_target_ratio is None or params <= (1 - config.param_target_ratio) * base_params
+        ):
+            met = True
+            break
+    ids = [r.unit_id for r in taken]
+    if not met:
+        return ids, params, flops, None
+    plan = PruningPlan(
+        threshold=taken[-1].importance,
+        baseline_params=base_params,
+        baseline_flops=base_flops,
+        predicted_params=params,
+        predicted_flops=flops,
+        prr=1.0 - params / base_params,
+        frr=1.0 - flops / base_flops,
+        layer_widths_before=out_width,
+        layer_widths_after={layer: width - removed_out[layer] for layer, width in out_width.items()},
+        model_checksum=graph_checksum(graph),
+        config=config.to_dict(),
+        removed_entries=[
+            {
+                "unit_id": r.unit_id,
+                "imp": r.importance,
+                "members": [[m.layer, m.channel] for m in r.unit.members],
+                "in_slices": [[s.layer, s.in_channel] for s in r.unit.in_slices],
+            }
+            for r in taken
+        ],
+    )
+    return ids, params, flops, plan.to_json()
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import prunekit.costs as costs_module
 from prunekit import (
@@ -15,7 +17,6 @@ from prunekit import (
     PruneKitError,
     apply_plan,
     build_prune_units,
-    effective_model_costs,
     graph_checksum,
     infer_shapes,
     model_flop_count,
@@ -32,7 +33,14 @@ from prunekit.scoring import ImportanceRecord
 from prunekit.units import IN_CHANNEL_ONLY
 
 from conftest import conv_w, make_chain, random_tiny_net
-from oracles import enumerate_all_subsets_check, exhaustive_prefix_plan, manifest_param_count, naive_rank
+from oracles import (
+    enumerate_all_subsets_check,
+    exhaustive_prefix_plan,
+    greedy_plan,
+    loop_raw_score,
+    manifest_param_count,
+    naive_rank,
+)
 
 
 def fake_record(uid, imp, flops=1, params=1):
@@ -224,39 +232,10 @@ class TestSelectThreshold:
         assert again.to_json() == plan.to_json()
 
 
-def recount_every_mark(records, graph, config):
-    """Reference planner: the greedy prefix with a full effective_model_costs
-    recount after every mark. Returns (removed ids, params, flops, met)."""
-    costs = lambda out, slots: effective_model_costs(
-        graph, out, slots, convention=config.flops_convention, count_aux_params=config.count_aux_params
-    )
-    base_params, base_flops = costs({}, {})
-    out_width = {n.id: n.declared_out_width() for n in graph.weighted_layers()}
-    in_width = {n.id: n.declared_in_width() for n in graph.weighted_layers()}
-    removed_out, removed_slots = Counter(), Counter()
-    taken, params, flops = [], base_params, base_flops
-    for rec in rank_global(records):
-        members = [m.layer for m in rec.unit.members]
-        slots = Counter(s.layer for s in rec.unit.in_slices)
-        if any(out_width[m] - removed_out[m] - 1 < config.min_channels_per_layer for m in members):
-            continue
-        if any(in_width[layer] - removed_slots[layer] - hits < 1 for layer, hits in slots.items()):
-            continue
-        removed_out.update(members)
-        removed_slots.update(slots)
-        taken.append(rec.unit_id)
-        params, flops = costs(dict(removed_out), dict(removed_slots))
-        if flops <= (1 - config.flop_target_ratio) * base_flops and (
-            config.param_target_ratio is None or params <= (1 - config.param_target_ratio) * base_params
-        ):
-            return taken, params, flops, True
-    return taken, params, flops, False
-
-
 def assert_plan_matches_recount(graph, config):
     records = score_all(graph, build_prune_units(graph), config)
-    taken, params, flops, met = recount_every_mark(records, graph, config)
-    if not met:
+    taken, params, flops, want = greedy_plan(records, graph, config)
+    if want is None:
         with pytest.raises(InfeasibleBudgetError) as err:
             select_threshold(records, graph, config)
         base_flops = model_flop_count(graph, config.flops_convention)
@@ -265,6 +244,7 @@ def assert_plan_matches_recount(graph, config):
     plan = select_threshold(records, graph, config)
     assert plan.removed_unit_ids == taken
     assert (plan.predicted_params, plan.predicted_flops) == (params, flops)
+    assert plan.to_json() == want
     return plan
 
 
@@ -278,7 +258,8 @@ PLANNER_CONFIGS = [
 
 
 class TestRunningCosts:
-    """select_threshold's running totals against a recount after every mark."""
+    """select_threshold's running totals against a recount after every mark
+    (``oracles.greedy_plan``)."""
 
     @pytest.mark.parametrize("kwargs", PLANNER_CONFIGS, ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()) or "default")
     def test_tiny_nets_match_recount(self, kwargs):
@@ -318,6 +299,31 @@ class TestRunningCosts:
         monkeypatch.setattr(costs_module, "_downstream_charges", lambda graph, aux: defaultdict(lambda: (0, 0)))
         with pytest.raises(PruneKitError, match="differs from recount"):
             select_threshold(records, g, config)
+
+
+class TestAgainstPerReferenceLoop:
+    """score_all and select_threshold work on id arrays; the per-reference
+    loops they replaced must give the same floats and the same plan bytes."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kwargs=st.sampled_from(PLANNER_CONFIGS),
+        target=st.sampled_from((0.1, 0.45)),
+    )
+    def test_tiny_nets(self, seed, kwargs, target):
+        g = random_tiny_net(np.random.default_rng(seed))
+        config = Config(flop_target_ratio=target, **kwargs)
+        units = build_prune_units(g)
+        records = score_all(g, units, config)
+        assert [r.raw for r in records] == [loop_raw_score(g, u, config.use_in_channel) for u in units]
+        _, _, flops, want = greedy_plan(records, g, config)
+        if want is None:
+            with pytest.raises(InfeasibleBudgetError) as err:
+                select_threshold(records, g, config)
+            assert err.value.best_frr == 1.0 - flops / model_flop_count(g, config.flops_convention)
+        else:
+            assert select_threshold(records, g, config).to_json() == want
 
 
 class TestMultiPass:

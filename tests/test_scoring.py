@@ -27,7 +27,7 @@ from prunekit.units import IN_CHANNEL_ONLY
 from prunekit.zoo import densenet40
 
 from conftest import conv_w, make_chain, random_tiny_net
-from oracles import container_unit_l1, manifest_unit_costs, oracle_cost_norm, oracle_weight_norm
+from oracles import container_unit_l1, loop_raw_score, manifest_unit_costs, oracle_cost_norm, oracle_weight_norm
 
 
 def fanout_toy():
@@ -212,25 +212,6 @@ class TestScoreAll:
             assert a.raw - b.raw == pytest.approx(slices_mass, rel=1e-6)
 
 
-def per_slice_l1(graph, unit, use_in_channel):
-    """Reference raw score: every filter and slice summed on its own with
-    np.abs(...).sum(dtype=np.float64), added in the unit's member/slice order."""
-    def filter_l1(layer, c):
-        return float(np.abs(graph.nodes[layer].weight()[c]).sum(dtype=np.float64))
-
-    def slot_l1(layer, j):
-        return float(np.abs(graph.nodes[layer].weight()[:, j]).sum(dtype=np.float64))
-
-    anchors = zip(unit.members, unit.member_slices) if unit.members else [(unit.origin, unit.in_slices)]
-    scores = []
-    for m, slices in anchors:
-        score = filter_l1(m.layer, m.channel)
-        if use_in_channel:
-            score += sum(slot_l1(s.layer, s.in_channel) for s in slices)
-        scores.append(score)
-    return sum(scores) / len(scores)
-
-
 def wide_net():
     """Rows and columns longer than 8,192 elements: conv2's input slots span
     1,000 filters x 3x3, and fc1 reads 9 x 32 x 32 = 9,216 inputs. Their
@@ -274,7 +255,7 @@ class TestVectorisedRawScores:
         records = score_all(g, units, Config(use_in_channel=use_in_channel))
         for r, u in zip(records, units):
             assert r.unit is u
-            assert r.raw == dependency_l1(g, u, use_in_channel) == per_slice_l1(g, u, use_in_channel)
+            assert r.raw == dependency_l1(g, u, use_in_channel) == loop_raw_score(g, u, use_in_channel)
 
 
 class TestInvariances:

@@ -266,6 +266,21 @@ class TestApplyUnitsFailsClosed:
                 hand_unit(in_slices=[("conv2", 99)]),
                 "conv2: unit names input slot 99, which the layer does not have",
             ),
+            (
+                lambda: make_chain(np.random.default_rng(47), (4, 6), conv_bias=True),
+                hand_unit(members=[("conv1", 0)], in_slices=[("conv2", 0)], aux=[("conv1", 3)]),
+                r"conv1: bias entry set \[3\] does not match removed channels \[0\]",
+            ),
+            (
+                lambda: make_chain(np.random.default_rng(48), (4, 6), conv_bias=True),
+                hand_unit(members=[("conv1", 0)], in_slices=[("conv2", 0)]),
+                r"conv1: bias entry set \[\] does not match removed channels \[0\]",
+            ),
+            (
+                lambda: make_chain(np.random.default_rng(49), (4, 6)),
+                hand_unit(members=[("conv1", 0)], in_slices=[("conv2", 0)], aux=[("conv1", 0)]),
+                "conv1: unit names vector entry 0, which the layer does not have",
+            ),
         ],
         ids=[
             "every-channel",
@@ -275,6 +290,9 @@ class TestApplyUnitsFailsClosed:
             "member-outside-width",
             "member-on-batchnorm",
             "slice-outside-width",
+            "bias-entry-wrong",
+            "bias-entry-missing",
+            "bias-entry-without-bias",
         ],
     )
     def test_inconsistent_units_rejected(self, make, unit, message):
