@@ -118,12 +118,12 @@ class ImportanceRecord:
         ]
 
 
-def _abs_sums(w: np.ndarray) -> list[float]:
+def _abs_sums(w: np.ndarray) -> np.ndarray:
     """L1 mass of each slice of ``w`` along axis 0, as a float64 sum over the
     slice's float32 values laid out contiguously. A strided layout would change
     numpy's order of additions; a contiguous one gives the same float whether
     the slice is summed alone or with the rest of the layer."""
-    return np.abs(w, order="C").reshape(len(w), -1).sum(axis=1, dtype=np.float64).tolist()
+    return np.abs(w, order="C").reshape(len(w), -1).sum(axis=1, dtype=np.float64)
 
 
 def _axis_view(graph: ModelGraph, layer: str, axis: int) -> np.ndarray:

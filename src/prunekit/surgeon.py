@@ -110,7 +110,7 @@ def apply_units(graph: ModelGraph, units: list[PruneUnit]) -> ModelGraph:
     channels, arrays = channel_flow(graph)
     weighted = graph.weighted_layers()
     slots = _Numbering(InSliceRef, [(n.id, n.declared_in_width()) for n in weighted])
-    vectors = [n for n in graph.nodes.values() if n.kind == "BatchNorm2d" or (n.kind in WEIGHTED_KINDS and "bias" in n.tensors)]
+    vectors = [n for n in graph.nodes.values() if n.kind == "BatchNorm2d" or "bias" in n.tensors]
     entries = _Numbering(AuxRef, [(n.id, n.out_channels) for n in vectors])
     layer_widths = {n.id: n.out_channels for n in weighted}  # Input channels are not removable
     removed = _marks((u.members for u in units), channels, layer_widths, "output channel")

@@ -435,7 +435,10 @@ def greedy_plan(records, graph, config):
     would take its layer below the floor or its slices would take a layer's
     last input slot (per-reference Counter checks), and count the whole model
     with effective_model_costs after every mark. Returns (removed unit ids,
-    params, flops, plan JSON), the JSON None when the budget is unreachable."""
+    params, flops, plan JSON), the JSON None when the budget is unreachable.
+    It shares the full count (which tests check against loop_forward's op
+    count and manifest_param_count) and the plan format with the library,
+    not its running arithmetic or its rows."""
     from collections import Counter
 
     from prunekit.costs import effective_model_costs

@@ -16,7 +16,7 @@ from prunekit import (
 from prunekit.planner import multi_pass
 from prunekit.scoring import Config
 from prunekit.surgeon import apply_units
-from prunekit.units import FULL_CHANNEL, IN_CHANNEL_ONLY, ChannelRef
+from prunekit.units import FULL_CHANNEL, IN_CHANNEL_ONLY, ChannelRef, run_sums
 
 from conftest import (
     concat_over_add,
@@ -359,6 +359,23 @@ class TestGroupImportance:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             group_importance([])
+
+
+class TestRunSums:
+    def test_adds_each_run_left_to_right_like_python_sum(self):
+        # values spread over 2^-60..2^60 make a float sum depend on its order,
+        # and runs longer than 8 would show numpy's pairwise summation
+        rng = np.random.default_rng(0)
+        sizes = rng.integers(0, 40, 300)
+        starts = np.cumsum(sizes) - sizes
+        floats = rng.standard_normal(sizes.sum()) * np.exp2(rng.integers(-60, 60, sizes.sum()))
+        ints = rng.integers(0, 2**40, sizes.sum())
+        for values in (floats, ints):
+            want = [sum(values[a : a + n].tolist()) for a, n in zip(starts, sizes)]
+            assert run_sums(values, sizes).tolist() == want
+
+    def test_no_runs(self):
+        assert run_sums(np.zeros(0), np.zeros(0, np.int64)).tolist() == []
 
 
 class TestExport:
