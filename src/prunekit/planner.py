@@ -26,7 +26,7 @@ from .costs import RunningCosts
 from .errors import InfeasibleBudgetError, PruneKitError
 from .graph import ModelGraph, graph_checksum
 from .scoring import Config, ImportanceRecord, score_all
-from .units import build_prune_units, ref_arrays
+from .units import _sorted_unique, build_prune_units, ref_arrays
 
 
 @dataclass
@@ -202,12 +202,11 @@ def _ranked_rows(ranked: list[ImportanceRecord], costs: RunningCosts) -> Iterato
         out_layer, _, n_out = ref_arrays((u.members for u in units), out_widths, "output channel")
         in_layer, _, n_in = ref_arrays((u.in_slices for u in units), in_widths, "input slot")
         unit = np.arange(len(units))
-        keys, inverse = np.unique(
-            np.concatenate([np.repeat(unit, n_out) * k + out_layer, np.repeat(unit, n_in) * k + in_layer]),
-            return_inverse=True,
-        )
-        outs = np.bincount(inverse[: len(out_layer)], minlength=len(keys))
-        slots = np.bincount(inverse[len(out_layer) :], minlength=len(keys))
+        key = np.concatenate([np.repeat(unit, n_out) * k + out_layer, np.repeat(unit, n_in) * k + in_layer])
+        keys = _sorted_unique(key)
+        row = np.searchsorted(keys, key)
+        outs = np.bincount(row[: len(out_layer)], minlength=len(keys))
+        slots = np.bincount(row[len(out_layer) :], minlength=len(keys))
         rows = list(zip((keys % k).tolist(), outs.tolist(), slots.tolist()))
         bounds = np.searchsorted(keys // k, np.arange(len(units) + 1)).tolist()
         yield from zip(chunk, map(rows.__getitem__, map(slice, bounds, bounds[1:])))

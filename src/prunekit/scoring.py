@@ -33,7 +33,7 @@ import numpy as np
 from .costs import CONVENTIONS, unit_costs
 from .errors import DegenerateModelError, PruneKitError
 from .graph import ModelGraph
-from .units import FULL_CHANNEL, PruneUnit, ref_arrays, run_sums
+from .units import FULL_CHANNEL, PruneUnit, _sorted_unique, ref_arrays, run_sums
 
 WEIGHT_NORM_MODES = ("max-min", "max", "log")
 
@@ -137,7 +137,7 @@ def _l1(graph: ModelGraph, widths: dict[str, int], axis: int, layer: np.ndarray,
     the whole layer when every slice is named."""
     offset = np.cumsum([0, *widths.values()])
     ids = offset[layer] + index
-    named = np.unique(ids)
+    named = _sorted_unique(ids)
     bounds = np.searchsorted(named, offset).tolist()  # each layer's run of named ids
     masses = np.zeros(offset[-1])
     for name, base, lo, hi in zip(widths, offset.tolist(), bounds, bounds[1:]):
