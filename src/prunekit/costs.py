@@ -213,10 +213,9 @@ class RunningCosts:
     ``filter_params``/``filter_flops`` hold a filter's bias and its fixed
     share of the batch-norm/ReLU terms downstream (``_downstream_charges``),
     so removing filters and slots from a layer moves the totals by that
-    layer's two terms alone. The caller updates ``params``, ``flops``,
-    ``in_width`` and ``out_width`` as it removes; ``recount`` makes the
-    second full count, for the widths so far, and checks that it equals the
-    running totals.
+    layer's two terms alone (``remove_rows``). ``recount`` makes the second
+    full count, for the widths so far, and checks that it equals the running
+    totals.
     """
 
     def __init__(self, graph: ModelGraph, *, convention: str = "macs", count_aux_params: bool = True):
@@ -238,6 +237,17 @@ class RunningCosts:
         bias = [int(count_aux_params and "bias" in n.tensors) for n in weighted]
         self.filter_params = [b + charges[n.id][0] for n, b in zip(weighted, bias)]
         self.filter_flops = [factor * charges[n.id][1] for n in weighted]
+
+    def remove_rows(self, rows: list[tuple[int, int, int]]) -> None:
+        """Remove, for each (layer code, filters, slots) row, that many
+        filters and input slots from the layer, in O(1) per row."""
+        n, m = self.out_width, self.in_width
+        for l, o, s in rows:
+            area = (m[l] - s) * (n[l] - o) - m[l] * n[l]
+            self.params += self.area_params[l] * area - self.filter_params[l] * o
+            self.flops += self.area_flops[l] * area - self.filter_flops[l] * o
+            m[l] -= s
+            n[l] -= o
 
     def recount(self) -> None:
         """Full recount of the removals so far; PruneKitError if it differs."""

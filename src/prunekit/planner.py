@@ -6,12 +6,12 @@ per-unit costs) is what keeps plans truthful: removing channels in adjacent
 layers shrinks a layer's cost multiplicatively, and unit costs would
 double-count the shared term. Each visited unit becomes one (layer code,
 filters, slots) row per weighted layer it touches, built with numpy in chunks
-of the ranking; the greedy loop checks the floors and moves the exact totals
-row by row against the plain per-layer lists of ``costs.RunningCosts``, and
-one full recount of the final removal set checks them. Ties in importance
-break toward the costlier unit (larger F, then larger P, then unit id), so
-equal-importance removals buy the most budget. A survival floor keeps every
-weighted layer alive.
+of the ranking. The greedy loop checks the floors against the plain per-layer
+width lists of ``costs.RunningCosts``, which moves the exact totals row by
+row, and one full recount of the final removal set checks them. Ties in
+importance break toward the costlier unit (larger F, then larger P, then unit
+id), so equal-importance removals buy the most budget. A survival floor keeps
+every weighted layer alive.
 """
 
 from __future__ import annotations
@@ -131,10 +131,7 @@ def select_threshold(
     )
 
     n, m = costs.out_width, costs.in_width
-    area_params, area_flops = costs.area_params, costs.area_flops
-    filter_params, filter_flops = costs.filter_params, costs.filter_flops
     floor = config.min_channels_per_layer
-    params, flops = costs.params, costs.flops
 
     taken: list[ImportanceRecord] = []
     met = False
@@ -142,18 +139,13 @@ def select_threshold(
         # skip a unit that would take a layer below the floor or take its last input slot
         if any(o and n[l] - 1 < floor or m[l] - s < 1 for l, o, s in rows):
             continue
-        for l, o, s in rows:
-            area = (m[l] - s) * (n[l] - o) - m[l] * n[l]
-            params += area_params[l] * area - filter_params[l] * o
-            flops += area_flops[l] * area - filter_flops[l] * o
-            m[l] -= s
-            n[l] -= o
+        costs.remove_rows(rows)
         taken.append(rec)
-        if flops <= budget and (param_budget is None or params <= param_budget):
+        if costs.flops <= budget and (param_budget is None or costs.params <= param_budget):
             met = True
             break
-    costs.params, costs.flops = params, flops
     costs.recount()
+    params, flops = costs.params, costs.flops
 
     frr = 1.0 - flops / baseline_flops
     if not met:
