@@ -44,7 +44,6 @@ from .units import (
     InSliceRef,
     PruneUnit,
     build_prune_units,
-    group_importance,
 )
 from .zoo import densenet40, resnet56, vgg16
 
@@ -78,7 +77,6 @@ __all__ = [
     "effective_model_costs",
     "forward_eval",
     "graph_checksum",
-    "group_importance",
     "infer_shapes",
     "load_model",
     "model_flop_count",

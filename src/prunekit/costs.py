@@ -2,11 +2,12 @@
 
 Two deliberately separate views:
 
-* ``unit_param_cost`` / ``unit_flop_cost`` price a single prunable unit with
-  the per-channel formula used for importance scoring: kernel terms only, the
-  spatial factor taken from the *input* side of each layer, fully-connected
-  layers treated as 1x1 kernels at spatial size 1. ``unit_costs`` gives both
-  for a list of units from int64 per-layer block prices indexed by id arrays.
+* ``unit_rows`` is the one footprint of a unit: per weighted layer it
+  touches, the filters and input slots it removes there. ``unit_costs``
+  prices those rows with the per-channel formula used for importance
+  scoring: kernel terms only, the spatial factor taken from the *input* side
+  of each layer, fully-connected layers treated as 1x1 kernels at spatial
+  size 1. ``unit_param_cost`` / ``unit_flop_cost`` price one unit.
 
 * ``effective_model_costs`` and its two halves ``model_param_count`` /
   ``model_flop_count`` account for the whole model exactly, using output-side
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import PruneKitError, ShapeError
 from .graph import WEIGHTED_KINDS, ModelGraph
-from .units import PruneUnit, ref_arrays, run_sums
+from .units import PruneUnit, _sorted_unique, ref_arrays
 
 CONVENTIONS = ("macs", "2macs")
 _PASSING_KINDS = ("BatchNorm2d", "ReLU", "Pool", "Output", "Flatten", "Add", "Concat")
@@ -42,61 +43,59 @@ def _factor(convention: str) -> int:
     return 2 if convention == "2macs" else 1
 
 
-def _unit_blocks(graph: ModelGraph, unit: PruneUnit):
-    """(layer, width) of each kernel block the unit owns: M per filter, N per slice."""
-    for m in unit.members:
-        node = graph.nodes[m.layer]
-        yield node, node.declared_in_width()
-    for s in unit.in_slices:
-        node = graph.nodes[s.layer]
-        yield node, node.declared_out_width()
-
-
-def _price(graph: ModelGraph, unit: PruneUnit) -> tuple[int, int]:
-    """(params, flops in MACs) of the unit's kernel blocks, in one walk; each
-    block's spatial factor is its layer's input size."""
-    params = flops = 0
-    for node, width in _unit_blocks(graph, unit):
-        block = node.kernel() ** 2 * width
-        params += block
-        flops += node.in_size * node.in_size * block
-    return params, flops
+def unit_rows(graph: ModelGraph, units: list[PruneUnit]) -> tuple[np.ndarray, np.ndarray]:
+    """The footprint of every unit: one (layer code, filters, slots) row per
+    weighted layer the unit touches, counting its members and its in-slices
+    there, and the bounds of each unit's run of rows (unit ``i`` owns rows
+    ``bounds[i]:bounds[i + 1]``, sorted by layer code). A layer code is the
+    layer's position in ``graph.weighted_layers()``. Each ref must name a
+    weighted layer and an index inside its declared width; PruneKitError
+    otherwise."""
+    weighted = graph.weighted_layers()
+    k = len(weighted)
+    out_layer, _, n_out = ref_arrays(
+        (u.members for u in units), {n.id: n.declared_out_width() for n in weighted}, "output channel"
+    )
+    in_layer, _, n_in = ref_arrays((u.in_slices for u in units), {n.id: n.declared_in_width() for n in weighted}, "input slot")
+    unit = np.arange(len(units))
+    key = np.concatenate([np.repeat(unit, n_out) * k + out_layer, np.repeat(unit, n_in) * k + in_layer])
+    keys = _sorted_unique(key)
+    row = np.searchsorted(keys, key)
+    filters = np.bincount(row[: len(out_layer)], minlength=len(keys))
+    slots = np.bincount(row[len(out_layer) :], minlength=len(keys))
+    bounds = np.searchsorted(keys // k, np.arange(len(units) + 1))
+    return np.stack([keys % k, filters, slots], axis=1), bounds
 
 
 def unit_costs(graph: ModelGraph, units: list[PruneUnit], convention: str = "macs") -> list[tuple[int, int]]:
-    """(``unit_param_cost``, ``unit_flop_cost``) of every unit. Members and
-    slices become layer-code arrays in one step, each layer's price per
-    filter and per slice is one int64 entry, and a unit's price is the sum
-    of its blocks' prices."""
+    """(params, flops) of every unit, priced from its :func:`unit_rows`. A row
+    of ``filters`` filters and ``slots`` slots in a layer of kernel K, input
+    width M and output width N owns K*K*(filters*M + slots*N) weights, and
+    those times the layer's input size squared in MACs. A unit's rows are
+    summed in int64, so its price is exact."""
     if not graph.inferred:
-        raise ShapeError("run infer_shapes before unit_costs")
+        raise ShapeError("run infer_shapes before unit costs")
     weighted = graph.weighted_layers()
-    out_widths = {n.id: n.declared_out_width() for n in weighted}
-    in_widths = {n.id: n.declared_in_width() for n in weighted}
-    area = np.array([n.kernel() ** 2 for n in weighted], np.int64)
+    rows, bounds = unit_rows(graph, units)
+    layer, filters, slots = rows.T
+    per_filter = np.array([n.kernel() ** 2 * n.declared_in_width() for n in weighted], np.int64)
+    per_slot = np.array([n.kernel() ** 2 * n.declared_out_width() for n in weighted], np.int64)
     spatial = np.array([n.in_size * n.in_size for n in weighted], np.int64)
-    params = flops = 0
-    # a member filter owns K*K*M weights and a consumer slice K*K*N
-    for refs, widths, block, what in (
-        ((u.members for u in units), out_widths, area * list(in_widths.values()), "output channel"),
-        ((u.in_slices for u in units), in_widths, area * list(out_widths.values()), "input slot"),
-    ):
-        layer, _, sizes = ref_arrays(refs, widths, what)
-        params = params + run_sums(block[layer], sizes)
-        flops = flops + run_sums((block * spatial)[layer], sizes)
-    return list(zip(params.tolist(), (flops * _factor(convention)).tolist()))
+    params = filters * per_filter[layer] + slots * per_slot[layer]
+    totals = np.zeros((2, len(rows) + 1), np.int64)
+    np.cumsum([params, params * spatial[layer] * _factor(convention)], axis=1, out=totals[:, 1:])
+    return list(zip(*(totals[:, bounds[1:]] - totals[:, bounds[:-1]]).tolist()))
 
 
 def unit_param_cost(graph: ModelGraph, unit: PruneUnit) -> int:
-    """Weights owned by the unit: K*K*M per member filter, K*K*N per consumer slice."""
-    return _price(graph, unit)[0]
+    """Weights owned by the unit: K*K*M per member filter, K*K*N per consumer
+    slice. Needs inferred shapes, like every :func:`unit_costs` price."""
+    return unit_costs(graph, [unit])[0][0]
 
 
 def unit_flop_cost(graph: ModelGraph, unit: PruneUnit, convention: str = "macs") -> int:
-    """Scoring-side cost of the unit; spatial factor is each layer's input size."""
-    if not graph.inferred:
-        raise ShapeError("run infer_shapes before unit_flop_cost")
-    return _price(graph, unit)[1] * _factor(convention)
+    """Scoring-side FLOPs of the unit; each layer's spatial factor is its input size."""
+    return unit_costs(graph, [unit], convention)[0][1]
 
 
 def _weighted_terms(node, m: int, n: int, count_aux_params: bool) -> tuple[int, int]:
@@ -238,7 +237,7 @@ class RunningCosts:
         self.filter_params = [b + charges[n.id][0] for n, b in zip(weighted, bias)]
         self.filter_flops = [factor * charges[n.id][1] for n in weighted]
 
-    def remove_rows(self, rows: list[tuple[int, int, int]]) -> None:
+    def remove_rows(self, rows: list[list[int]]) -> None:
         """Remove, for each (layer code, filters, slots) row, that many
         filters and input slots from the layer, in O(1) per row."""
         n, m = self.out_width, self.in_width

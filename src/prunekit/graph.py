@@ -247,6 +247,11 @@ class GraphBuilder:
 # validation
 
 
+def _is_int(x) -> bool:
+    """An int but not a bool: JSON ``true``/``false`` would index as masks."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _static_widths(graph: ModelGraph) -> dict[str, int | None]:
     """Output widths derivable without spatial inference (None = unknown)."""
     widths: dict[str, int | None] = {}
@@ -256,7 +261,7 @@ def _static_widths(graph: ModelGraph) -> dict[str, int | None]:
             widths[nid] = graph.input_channels
         elif node.kind in WEIGHTED_KINDS:
             n = node.attrs.get(_WIDTH_ATTRS[node.kind][1])
-            widths[nid] = n if isinstance(n, int) and n > 0 else None  # validate reports a bad width
+            widths[nid] = n if _is_int(n) and n > 0 else None  # validate reports a bad width
         elif node.kind in ("BatchNorm2d", "ReLU", "Pool", "Output"):
             widths[nid] = widths.get(node.inputs[0]) if node.inputs else None
         elif node.kind == "Concat":
@@ -332,7 +337,7 @@ def validate(graph: ModelGraph) -> list[str]:
 
         if node.kind in WEIGHTED_KINDS:
             required = _WIDTH_ATTRS[node.kind] + (("kernel",) if node.kind == "Conv2d" else ())
-            if not all(isinstance(x, int) and x > 0 for x in map(node.attrs.get, required)):
+            if not all(_is_int(x) and x > 0 for x in map(node.attrs.get, required)):
                 v.append(f"{nid}: {node.kind} needs positive {'/'.join(required)}")
                 continue
             m, n, k = node.declared_in_width(), node.declared_out_width(), node.kernel()
@@ -340,7 +345,7 @@ def validate(graph: ModelGraph) -> list[str]:
             if node.kind == "Conv2d":
                 shape += (k, k)
                 stride, pad = node.attrs.get("stride", 1), node.attrs.get("padding", 0)
-                if not isinstance(stride, int) or not isinstance(pad, int) or stride < 1 or pad < 0:
+                if not _is_int(stride) or not _is_int(pad) or stride < 1 or pad < 0:
                     v.append(f"{nid}: bad stride/padding")
             w = node.tensors.get("weight")
             if w is None:
@@ -353,7 +358,7 @@ def validate(graph: ModelGraph) -> list[str]:
             v.extend(_check_in_select(node, m, widths))
         elif node.kind == "BatchNorm2d":
             c = node.attrs.get("channels")
-            if not isinstance(c, int) or c <= 0:
+            if not _is_int(c) or c <= 0:
                 v.append(f"{nid}: BatchNorm2d needs positive channels")
                 continue
             for role in _BN_ROLES:
@@ -371,7 +376,7 @@ def validate(graph: ModelGraph) -> list[str]:
                 v.append(f"{nid}: unknown pool mode {mode!r}")
             elif mode != "global-avg":
                 k, stride = node.attrs.get("kernel", 0), node.attrs.get("stride", 0)
-                if not isinstance(k, int) or not isinstance(stride, int) or k < 1 or stride < 1:
+                if not _is_int(k) or not _is_int(stride) or k < 1 or stride < 1:
                     v.append(f"{nid}: pool needs positive kernel and stride")
         elif node.kind == "Add":
             ws = [widths.get(i) for i in node.inputs]
@@ -385,7 +390,7 @@ def _check_in_select(node: LayerNode, declared_in: int, widths: dict[str, int | 
     sel = node.attrs.get("in_select")
     if sel is None:
         return []
-    if not isinstance(sel, list) or not all(isinstance(i, int) and i >= 0 for i in sel):
+    if not isinstance(sel, list) or not all(_is_int(i) and i >= 0 for i in sel):
         return [f"{node.id}: in_select must be a list of nonnegative integers"]
     v = []
     if len(sel) != declared_in:
@@ -596,7 +601,7 @@ def load_model(manifest_path: str, weights_path: str | None = None) -> ModelGrap
     if len(container) != total:
         raise ManifestError(f"weight container is {len(container)} bytes, manifest declares {total}")
 
-    if not isinstance(inp.get("channels"), int) or not isinstance(inp.get("size"), int):
+    if not _is_int(inp.get("channels")) or not _is_int(inp.get("size")):
         raise ManifestError("manifest input must declare integer channels and size")
     if inp["channels"] < 1 or inp["size"] < 1:
         raise ManifestError("manifest input channels/size must be positive")
@@ -623,9 +628,9 @@ def load_model(manifest_path: str, weights_path: str | None = None) -> ModelGrap
                 raise ManifestError(f"{nid}: unknown tensor role {role!r}")
             _expect(meta, dict, f"{nid}.{role}")
             off, shape = meta.get("offset"), tuple(_expect(meta.get("shape", []), list, f"{nid}.{role}: shape"))
-            if not isinstance(off, int) or off < 0:
+            if not _is_int(off) or off < 0:
                 raise ManifestError(f"{nid}.{role}: bad offset {off!r}")
-            if not shape or any((not isinstance(d, int)) or d < 1 for d in shape):
+            if not shape or any((not _is_int(d)) or d < 1 for d in shape):
                 raise ManifestError(f"{nid}.{role}: bad shape {shape}")
             nbytes = int(np.prod(shape)) * 4
             if off + nbytes > total:

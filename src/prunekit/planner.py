@@ -4,9 +4,9 @@ Units are ranked by ascending importance and marked for removal greedily until
 the exact model FLOPs meet the budget. Exact counting (rather than summing
 per-unit costs) is what keeps plans truthful: removing channels in adjacent
 layers shrinks a layer's cost multiplicatively, and unit costs would
-double-count the shared term. Each visited unit becomes one (layer code,
-filters, slots) row per weighted layer it touches, built with numpy in chunks
-of the ranking. The greedy loop checks the floors against the plain per-layer
+double-count the shared term. Each visited unit's footprint is its
+``costs.unit_rows``, the same rows its price comes from, built in chunks of
+the ranking. The greedy loop checks the floors against the plain per-layer
 width lists of ``costs.RunningCosts``, which moves the exact totals row by
 row, and one full recount of the final removal set checks them. Ties in
 importance break toward the costlier unit (larger F, then larger P, then unit
@@ -20,13 +20,11 @@ import json
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .costs import RunningCosts
+from .costs import RunningCosts, unit_rows
 from .errors import InfeasibleBudgetError, PruneKitError
 from .graph import ModelGraph, graph_checksum
 from .scoring import Config, ImportanceRecord, score_all
-from .units import _sorted_unique, build_prune_units, ref_arrays
+from .units import build_prune_units
 
 
 @dataclass
@@ -135,7 +133,7 @@ def select_threshold(
 
     taken: list[ImportanceRecord] = []
     met = False
-    for rec, rows in _ranked_rows(ranked, costs):
+    for rec, rows in _ranked_rows(ranked, graph):
         # skip a unit that would take a layer below the floor or take its last input slot
         if any(o and n[l] - 1 < floor or m[l] - s < 1 for l, o, s in rows):
             continue
@@ -179,28 +177,14 @@ def select_threshold(
     )
 
 
-def _ranked_rows(ranked: list[ImportanceRecord], costs: RunningCosts) -> Iterator[tuple[ImportanceRecord, list]]:
-    """Each ranked record with its unit's rows: one (layer code, filters, slots)
-    row per weighted layer the unit touches, counting its members and its
-    in-slices there. Rows are built in chunks that double in size, so a plan
-    that stops early builds few."""
-    out_widths = dict(zip(costs.layers, costs.declared_out))
-    in_widths = dict(zip(costs.layers, costs.declared_in))
-    k = len(costs.layers)
+def _ranked_rows(ranked: list[ImportanceRecord], graph: ModelGraph) -> Iterator[tuple[ImportanceRecord, list]]:
+    """Each ranked record with its unit's rows (``costs.unit_rows``), built in
+    chunks that double in size, so a plan that stops early builds few."""
     start, size = 0, 256
     while start < len(ranked):
         chunk = ranked[start : start + size]
-        units = [r.unit for r in chunk]
-        out_layer, _, n_out = ref_arrays((u.members for u in units), out_widths, "output channel")
-        in_layer, _, n_in = ref_arrays((u.in_slices for u in units), in_widths, "input slot")
-        unit = np.arange(len(units))
-        key = np.concatenate([np.repeat(unit, n_out) * k + out_layer, np.repeat(unit, n_in) * k + in_layer])
-        keys = _sorted_unique(key)
-        row = np.searchsorted(keys, key)
-        outs = np.bincount(row[: len(out_layer)], minlength=len(keys))
-        slots = np.bincount(row[len(out_layer) :], minlength=len(keys))
-        rows = list(zip((keys % k).tolist(), outs.tolist(), slots.tolist()))
-        bounds = np.searchsorted(keys // k, np.arange(len(units) + 1)).tolist()
+        rows, bounds = unit_rows(graph, [r.unit for r in chunk])
+        rows, bounds = rows.tolist(), bounds.tolist()
         yield from zip(chunk, map(rows.__getitem__, map(slice, bounds, bounds[1:])))
         start, size = start + size, 2 * size
 

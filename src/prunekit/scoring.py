@@ -15,8 +15,9 @@ Scoring works on id arrays, not on ref objects: a unit list's filters and
 consumer slices become (layer code, index) arrays in one step
 (``units.ref_arrays``), each weighted layer's L1 masses are summed once, and
 the per-unit sums add the indexed masses in the order a per-reference loop
-would, so every raw score is the same float. Prices come from int64
-per-layer block prices (``costs.unit_costs``).
+would, so every raw score is the same float. P and F are each unit's
+footprint rows (``costs.unit_rows``) priced in int64 (``costs.unit_costs``),
+the same rows the planner removes.
 """
 
 from __future__ import annotations
@@ -126,11 +127,6 @@ def _abs_sums(w: np.ndarray) -> np.ndarray:
     return np.abs(w, order="C").reshape(len(w), -1).sum(axis=1, dtype=np.float64)
 
 
-def _axis_view(graph: ModelGraph, layer: str, axis: int) -> np.ndarray:
-    """The layer's weight with filters (axis 0) or input slots (axis 1) first."""
-    return np.swapaxes(graph.nodes[layer].weight(), 0, axis)
-
-
 def _l1(graph: ModelGraph, widths: dict[str, int], axis: int, layer: np.ndarray, index: np.ndarray) -> np.ndarray:
     """L1 mass of each (layer code, index) filter (axis 0) or input slot
     (axis 1). Each layer's named slices are summed in one ``_abs_sums`` call,
@@ -142,7 +138,7 @@ def _l1(graph: ModelGraph, widths: dict[str, int], axis: int, layer: np.ndarray,
     masses = np.zeros(offset[-1])
     for name, base, lo, hi in zip(widths, offset.tolist(), bounds, bounds[1:]):
         if lo < hi:
-            view = _axis_view(graph, name, axis)
+            view = np.swapaxes(graph.nodes[name].weight(), 0, axis)  # filters or input slots first
             masses[named[lo:hi]] = _abs_sums(view if hi - lo == len(view) else view[named[lo:hi] - base])
     return masses[ids]
 

@@ -67,20 +67,23 @@ def apply_plan(graph: ModelGraph, plan: PruningPlan) -> tuple[ModelGraph, Surger
     if plan.model_checksum != graph_checksum(graph):
         raise PlanMismatchError("plan was produced from a different model (checksum mismatch)")
     by_uid = {u.uid: u for u in build_prune_units(graph)}
-    selected: list[PruneUnit] = []
+    selected: dict[str, PruneUnit] = {}
     for entry in plan.removed_entries:
         uid = entry["unit_id"]
         unit = by_uid.get(uid)
         if unit is None:
             raise PlanMismatchError(f"corrupt plan: unknown unit {uid!r}")
+        if uid in selected:
+            raise PlanMismatchError(f"corrupt plan: unit {uid!r} listed twice")
         if entry["members"] != [[m.layer, m.channel] for m in unit.members] or entry[
             "in_slices"
         ] != [[s.layer, s.in_channel] for s in unit.in_slices]:
             raise PlanMismatchError(f"corrupt plan: unit {uid!r} does not match the graph")
-        selected.append(unit)
+        selected[uid] = unit
 
-    pruned = _checked_surgery(graph, selected, plan)
-    return pruned, _make_report(graph, pruned, selected, plan)
+    units = list(selected.values())
+    pruned = _checked_surgery(graph, units, plan)
+    return pruned, _make_report(graph, pruned, units, plan)
 
 
 def _checked_surgery(graph: ModelGraph, units: list[PruneUnit], plan: PruningPlan) -> ModelGraph:

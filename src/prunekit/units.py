@@ -102,13 +102,6 @@ class PruneUnit:
         return payload
 
 
-def group_importance(member_scores: list[float]) -> float:
-    """Aggregate raw scores of a coupled group: arithmetic mean."""
-    if not member_scores:
-        raise ValueError("group has no members")
-    return sum(member_scores) / len(member_scores)
-
-
 class _Numbering:
     """One global numbering of (layer, index) pairs, laid out layer by layer in
     graph order, so sorting ids sorts by (topo, index)."""

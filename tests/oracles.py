@@ -236,8 +236,9 @@ def manifest_spatial_sizes(manifest: dict) -> dict[str, int]:
     return sizes
 
 
-def manifest_unit_costs(manifest: dict, unit, convention: str) -> tuple[int, int]:
-    """(P, F) for a unit, recomputed from manifest attributes."""
+def manifest_costs_of_units(manifest: dict, units, convention: str) -> list[tuple[int, int]]:
+    """(P, F) for each unit, recomputed from manifest attributes one ref at a
+    time; the manifest's spatial sizes are worked out once for the list."""
     sizes = manifest_spatial_sizes(manifest)
     attrs = {n["id"]: (n["kind"], n["attrs"]) for n in manifest["nodes"]}
 
@@ -253,16 +254,19 @@ def manifest_unit_costs(manifest: dict, unit, convention: str) -> tuple[int, int
             i = 1
         return k * k * width, i * i * k * k * width
 
-    p_total, f_total = 0, 0
-    for m in unit.members:
-        p, f = layer_terms(m.layer, "in")
-        p_total += p
-        f_total += f
-    for s in unit.in_slices:
-        p, f = layer_terms(s.layer, "out")
-        p_total += p
-        f_total += f
-    return p_total, f_total * (2 if convention == "2macs" else 1)
+    costs = []
+    for unit in units:
+        p_total, f_total = 0, 0
+        for m in unit.members:
+            p, f = layer_terms(m.layer, "in")
+            p_total += p
+            f_total += f
+        for s in unit.in_slices:
+            p, f = layer_terms(s.layer, "out")
+            p_total += p
+            f_total += f
+        costs.append((p_total, f_total * (2 if convention == "2macs" else 1)))
+    return costs
 
 
 def manifest_param_count(manifest: dict, count_aux: bool = True) -> int:

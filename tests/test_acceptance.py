@@ -38,8 +38,8 @@ from oracles import (
     container_unit_l1,
     enumerate_all_subsets_check,
     exhaustive_prefix_plan,
+    manifest_costs_of_units,
     manifest_param_count,
-    manifest_unit_costs,
     naive_rank,
     oracle_cost_norm,
     oracle_weight_norm,
@@ -127,7 +127,7 @@ def test_ac3_scoring_oracle_equivalence():
         for idxs in families.values():
             for i, v in zip(idxs, oracle_weight_norm([raw_ref[j] for j in idxs], config.weight_norm_mode)):
                 gl_ref[i] = v
-        costs = [manifest_unit_costs(manifest, u, config.flops_convention) for u in units]
+        costs = manifest_costs_of_units(manifest, units, config.flops_convention)
         pmax = max(c[0] for c in costs)
         fmax = max(c[1] for c in costs)
         for r, raw_i, gl_i, (p, f) in zip(records, raw_ref, gl_ref, costs):

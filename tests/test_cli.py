@@ -387,6 +387,20 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert json.loads(err)["error"]["violations"] == ["conv1: Conv2d needs positive in_channels/out_channels/kernel"]
 
+    @pytest.mark.parametrize("command", ["analyze", "plan"])
+    def test_boolean_in_select_exits_2(self, tmp_path, capsys, command):
+        # JSON true/false load as bools, which are ints to isinstance and index as a mask
+        manifest, weights = save_tmp(make_chain(np.random.default_rng(23), (2, 4, 4)), tmp_path)
+        doc = json.loads(read(manifest))
+        next(n for n in doc["nodes"] if n["id"] == "conv2")["attrs"]["in_select"] = [False, True]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = main([command, "--model", str(bad), "--weights", weights, "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        assert json.loads(err)["error"]["violations"] == ["conv2: in_select must be a list of nonnegative integers"]
+
     def test_infeasible_budget_exits_3(self, toy_model, tmp_path, capsys):
         manifest, weights = toy_model
         rc = main(["plan", "--model", manifest, "--weights", weights, "--flop-target", "0.999", "--out-dir", str(tmp_path / "o")])

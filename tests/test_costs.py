@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from prunekit import (
     GraphBuilder,
+    ShapeError,
     apply_units,
     build_prune_units,
     infer_shapes,
@@ -15,12 +19,12 @@ from prunekit import (
     unit_flop_cost,
     unit_param_cost,
 )
-from prunekit.costs import unit_costs
+from prunekit.costs import unit_costs, unit_rows
 from prunekit.graph import serialize_graph
-from prunekit.units import ChannelRef, InSliceRef, PruneUnit
+from prunekit.units import IN_CHANNEL_ONLY, ChannelRef, InSliceRef, PruneUnit
 
 from conftest import conv_w, make_chain, make_minimal, random_tiny_net
-from oracles import loop_forward, manifest_param_count, manifest_unit_costs
+from oracles import loop_forward, manifest_costs_of_units, manifest_param_count
 
 
 def synthetic_unit(members=(), in_slices=()):
@@ -113,14 +117,15 @@ class TestUnitCosts:
         for _ in range(8):
             g = random_tiny_net(rng)
             manifest, _ = serialize_graph(g)
-            for u in build_prune_units(g):
-                for convention in ("macs", "2macs"):
-                    p_ref, f_ref = manifest_unit_costs(manifest, u, convention)
+            units = build_prune_units(g)
+            for convention in ("macs", "2macs"):
+                for u, (p_ref, f_ref) in zip(units, manifest_costs_of_units(manifest, units, convention)):
                     assert unit_param_cost(g, u) == p_ref
                     assert unit_flop_cost(g, u, convention) == f_ref
 
     @pytest.mark.parametrize("model", ["random", "vgg_graph", "resnet_graph", "densenet_graph"])
     def test_unit_costs_price_each_unit_like_the_single_walks(self, request, model):
+        # the single walk is the manifest oracle's, one unit at a time
         if model == "random":
             rng = np.random.default_rng(5)
             graphs = [random_tiny_net(rng) for _ in range(8)]
@@ -128,12 +133,47 @@ class TestUnitCosts:
             graphs = [request.getfixturevalue(model)]
         for g in graphs:
             units = build_prune_units(g)
+            manifest, _ = serialize_graph(g)
             for convention in ("macs", "2macs"):
-                want = [(unit_param_cost(g, u), unit_flop_cost(g, u, convention)) for u in units]
-                assert unit_costs(g, units, convention) == want
-            if model == "random":
-                manifest, _ = serialize_graph(g)
-                assert unit_costs(g, units, "2macs") == [manifest_unit_costs(manifest, u, "2macs") for u in units]
+                assert unit_costs(g, units, convention) == manifest_costs_of_units(manifest, units, convention)
+
+    def test_unit_param_cost_needs_inferred_shapes(self):
+        g = make_chain(np.random.default_rng(11), (4, 6))
+        u = build_prune_units(g)[0]
+        with pytest.raises(ShapeError, match="infer_shapes"):
+            unit_param_cost(replace(g, inferred=False), u)
+        with pytest.raises(ShapeError, match="infer_shapes"):
+            unit_flop_cost(replace(g, inferred=False), u)
+
+
+class TestUnitRows:
+    """unit_rows against per-layer counts of each unit's members and in-slices."""
+
+    @staticmethod
+    def assert_rows_count_refs(g, units):
+        code = {n.id: i for i, n in enumerate(g.weighted_layers())}
+        rows, bounds = unit_rows(g, units)
+        assert bounds[0] == 0 and bounds[-1] == len(rows)
+        for u, lo, hi in zip(units, bounds, bounds[1:]):
+            filters = Counter(code[m.layer] for m in u.members)
+            slots = Counter(code[s.layer] for s in u.in_slices)
+            want = [[l, filters[l], slots[l]] for l in sorted(filters.keys() | slots.keys())]
+            assert rows[lo:hi].tolist() == want
+
+    def test_random_tiny_nets(self):
+        rng = np.random.default_rng(12)
+        for _ in range(12):
+            g = random_tiny_net(rng)
+            self.assert_rows_count_refs(g, build_prune_units(g))
+
+    def test_densenet_in_channel_only_units(self, densenet_graph):
+        units = [u for u in build_prune_units(densenet_graph) if u.kind == IN_CHANNEL_ONLY]
+        assert units and not any(u.members for u in units)
+        self.assert_rows_count_refs(densenet_graph, units)
+
+    def test_no_units(self, vgg_graph):
+        rows, bounds = unit_rows(vgg_graph, [])
+        assert rows.shape == (0, 3) and bounds.tolist() == [0]
 
 
 class TestModelTotals:

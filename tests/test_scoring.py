@@ -27,7 +27,7 @@ from prunekit.units import IN_CHANNEL_ONLY
 from prunekit.zoo import densenet40
 
 from conftest import conv_w, make_chain, random_tiny_net
-from oracles import container_unit_l1, loop_raw_score, manifest_unit_costs, oracle_cost_norm, oracle_weight_norm
+from oracles import container_unit_l1, loop_raw_score, manifest_costs_of_units, oracle_cost_norm, oracle_weight_norm
 
 
 def fanout_toy():
@@ -178,7 +178,7 @@ class TestScoreAll:
         for idxs in families.values():
             for i, v in zip(idxs, oracle_weight_norm([raw[j] for j in idxs], "max-min")):
                 gl[i] = v
-        costs = [manifest_unit_costs(manifest, u, "macs") for u in units]
+        costs = manifest_costs_of_units(manifest, units, "macs")
         pmax = max(c[0] for c in costs)
         fmax = max(c[1] for c in costs)
         for r, u, raw_i, gl_i, (p, f) in zip(records, units, raw, gl, costs):

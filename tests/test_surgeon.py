@@ -84,6 +84,14 @@ class TestApplyPlan:
         with pytest.raises(PlanMismatchError, match="does not match"):
             apply_plan(g, plan)
 
+    def test_corrupt_plan_duplicate_unit(self):
+        # the surgery and recount would pass, but the report would count the unit twice
+        g = make_chain(np.random.default_rng(5), (4, 6))
+        plan = plan_for(g)
+        plan.removed_entries.append(dict(plan.removed_entries[0]))
+        with pytest.raises(PlanMismatchError, match="unit 'conv.*' listed twice"):
+            apply_plan(g, plan)
+
     def test_tampered_prediction_fails_closed(self):
         g = make_chain(np.random.default_rng(4), (4, 6))
         plan = plan_for(g)

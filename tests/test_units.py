@@ -10,7 +10,6 @@ from prunekit import (
     PruneKitError,
     ShapeError,
     build_prune_units,
-    group_importance,
     infer_shapes,
 )
 from prunekit.planner import multi_pass
@@ -344,21 +343,6 @@ class TestStructureErrors:
         g.nodes["conv2"].attrs["in_channels"] = 5
         with pytest.raises(ShapeError, match="conv2: input width 5 vs edge width 4"):
             build_prune_units(g)
-
-
-class TestGroupImportance:
-    def test_singleton(self):
-        assert group_importance([2.0]) == 2.0
-
-    def test_mean(self):
-        assert group_importance([1.0, 3.0]) == 2.0
-
-    def test_zero(self):
-        assert group_importance([0.0, 0.0, 0.0]) == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            group_importance([])
 
 
 class TestRunSums:
