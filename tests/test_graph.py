@@ -25,7 +25,9 @@ from prunekit import (
     validate,
 )
 from prunekit.costs import effective_model_costs
-from prunekit.graph import serialize_graph
+from prunekit.graph import _static_widths, serialize_graph
+from prunekit.planner import multi_pass
+from prunekit.scoring import Config
 from prunekit.units import IN_CHANNEL_ONLY
 from prunekit.zoo import vgg16
 
@@ -393,7 +395,94 @@ INFER_CASES = {
 }
 
 
+def _graph(size, body, input_channels=3):
+    """Input(input_channels, size) -> the nodes ``body(builder, rng)`` adds -> Output."""
+    b = GraphBuilder(input_channels, size)
+    return b.output(body(b, np.random.default_rng(0)))
+
+
+def _join(join, widths=(4, 4), kernels=(1, 1), size=8):
+    """Two unpadded convs a and c on the input, joined by ``join`` ("addnode"
+    or "concat") as node ``add`` / ``cat``."""
+
+    def body(b, rng):
+        a, c = (b.conv(nid, "input", conv_w(rng, n, 3, k)) for nid, n, k in zip("ac", widths, kernels))
+        return getattr(b, join)({"addnode": "add", "concat": "cat"}[join], [a, c])
+
+    return lambda: _graph(size, body)
+
+
+def _bn(b, src, channels):
+    roles = ("gamma", "beta", "running_mean", "running_var")
+    return b.batchnorm("bn", src, **{role: np.ones(channels, np.float32) for role in roles})
+
+
+def _flat_plus_conv(b, rng):
+    """Add(Flatten(input), a 1x1 conv of the input) on a 4-channel 1x1 input."""
+    return b.addnode("add", [b.flatten("flat", "input"), b.conv("conv", "input", conv_w(rng, 4, 4, 1))])
+
+
+def _flat_plus_pooled_conv(b, rng):
+    """Add(Flatten(input), a 1x1 conv of the globally pooled input)."""
+    pooled = b.pool("gap", "input", "global-avg")
+    return b.addnode("add", [b.flatten("flat", "input"), b.conv("c", pooled, conv_w(rng, 4, 3, 1))])
+
+
+# Messages whose checks read the per-kind shape rules: (graph, validate's
+# violations, infer_shapes' ShapeError).
+SHAPE_RULE_CASES = {
+    "add-size-disagreement": (_join("addnode", kernels=(1, 3)), [], "add: Add operands disagree (widths [4], sizes [6, 8])"),
+    "add-width-disagreement": (
+        lambda: _graph(2, _flat_plus_pooled_conv),
+        [],
+        "add: Add operands disagree (widths [4, 12], sizes [1])",
+    ),
+    "concat-size-disagreement": (_join("concat", kernels=(1, 3)), [], "cat: Concat operands disagree on spatial size [6, 8]"),
+    "pool-kernel-too-large": (
+        lambda: _graph(8, lambda b, rng: b.pool("pool", "input", "max", kernel=9, stride=1)),
+        [],
+        "pool: pool kernel 9 larger than input 8",
+    ),
+    "bn-after-flatten": (
+        lambda: _graph(2, lambda b, rng: _bn(b, b.flatten("flat", "input"), 3)),
+        [],
+        "bn: channel count 3 vs producer width 12",
+    ),
+    "unknown-kind": (
+        lambda: _graph(8, lambda b, rng: b.add("odd", "Bogus", "input")),
+        ["odd: unknown node kind 'Bogus'"],
+        "odd: cannot infer shape for kind 'Bogus'",
+    ),
+    "validate-add-widths": (
+        _join("addnode", widths=(4, 5)),
+        ["add: Add operands disagree on channel count [4, 5]"],
+        "add: Add operands disagree (widths [4, 5], sizes [8])",
+    ),
+    "validate-bn-width": (
+        lambda: _graph(8, lambda b, rng: _bn(b, b.conv("conv", "input", conv_w(rng, 4, 3, 1)), 3)),
+        ["bn: channel count 3 does not match producer width 4"],
+        "bn: channel count 3 vs producer width 4",
+    ),
+    # operand 0's width is unknown before inference, so validate checks the
+    # BatchNorm against operand 1's
+    "validate-add-first-known-operand": (
+        lambda: _graph(1, lambda b, rng: _bn(b, _flat_plus_conv(b, rng), 5), input_channels=4),
+        ["bn: channel count 5 does not match producer width 4"],
+        "bn: channel count 5 vs producer width 4",
+    ),
+}
+
+
 class TestWeightedLayerMessages:
+    @pytest.mark.parametrize("case", sorted(SHAPE_RULE_CASES))
+    def test_shape_rule_messages(self, case):
+        build, violations, error = SHAPE_RULE_CASES[case]
+        g = build()
+        assert validate(g) == violations
+        with pytest.raises(ShapeError) as info:
+            infer_shapes(g)
+        assert str(info.value) == error
+
     @pytest.mark.parametrize("case", sorted(VALIDATE_CASES))
     def test_validate_violations(self, case):
         mutate, expected = VALIDATE_CASES[case]
@@ -490,6 +579,33 @@ class TestInferShapes:
         infer_shapes(g)
         second = {nid: (n.in_size, n.out_size, n.out_channels) for nid, n in g.nodes.items()}
         assert first == second
+
+
+class TestOneShapeRule:
+    """validate's widths before inference come from the same rule as
+    infer_shapes': wherever the static walk knows a width, they agree."""
+
+    @staticmethod
+    def assert_static_widths_agree(g):
+        static = _static_widths(g)
+        infer_shapes(g)
+        known = {nid: w for nid, w in static.items() if w is not None}
+        assert known == {nid: g.nodes[nid].out_channels for nid in known}
+        return known
+
+    def test_random_tiny_nets(self):
+        rng = np.random.default_rng(16)
+        for _ in range(16):
+            self.assert_static_widths_agree(random_tiny_net(rng))
+
+    def test_zoo_models(self, vgg_graph, resnet_graph, densenet_graph):
+        for g in (vgg_graph, resnet_graph, densenet_graph):
+            assert len(self.assert_static_widths_agree(g)) > len(g.weighted_layers())
+
+    def test_densenet40_after_one_pass(self, densenet_graph):
+        _, pruned = next(multi_pass(densenet_graph, Config(per_pass_ratio=0.2)))
+        assert any(n.in_select() for n in pruned.weighted_layers())
+        self.assert_static_widths_agree(pruned)
 
 
 class TestForwardEval:
