@@ -18,6 +18,9 @@ Two deliberately separate views:
   the conv/linear terms of the layers it touches and the fixed downstream
   share of each removed filter, and a final full recount must agree with it.
 
+Both views read the sizes ``infer_shapes`` annotated, and carry widths through
+non-weighted nodes by ``graph.passed_width``; neither derives a shape by kind.
+
 FLOP conventions: ``macs`` counts one fused multiply-add per kernel tap;
 ``2macs`` counts multiplies and adds separately (exactly double). Model totals
 also charge inference-mode batch norm at two ops per element and ReLU at one
@@ -30,11 +33,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PruneKitError, ShapeError
-from .graph import WEIGHTED_KINDS, ModelGraph
+from .graph import WEIGHTED_KINDS, ModelGraph, passed_width
 from .units import PruneUnit, _sorted_unique, ref_arrays
 
 CONVENTIONS = ("macs", "2macs")
-_PASSING_KINDS = ("BatchNorm2d", "ReLU", "Pool", "Output", "Flatten", "Add", "Concat")
 
 
 def _factor(convention: str) -> int:
@@ -119,17 +121,6 @@ def _elementwise_terms(node, width: int, count_aux_params: bool) -> tuple[int, i
     return 0, 0
 
 
-def _passed_width(node, pos: int) -> int:
-    """Output width of a non-weighted node per channel of its operand ``pos``:
-    widths pass through, Flatten spreads a channel over in_size² features,
-    Concat adds its operands and Add follows operand 0 (the others must match)."""
-    if node.kind == "Flatten":
-        return node.in_size * node.in_size
-    if node.kind == "Add":
-        return int(pos == 0)
-    return 1
-
-
 def effective_model_costs(
     graph: ModelGraph,
     removed_out: dict[str, int] | None = None,
@@ -163,13 +154,12 @@ def effective_model_costs(
                 raise ValueError(f"{nid}: removal counts exceed layer width")
             p, f = _weighted_terms(node, m_eff, n_eff, count_aux_params)
             widths[nid] = n_eff
-        elif node.kind in _PASSING_KINDS:
-            if node.kind == "Add" and len(ws := {widths[i] for i in node.inputs}) != 1:
-                raise ValueError(f"{nid}: removal pattern breaks Add alignment ({sorted(ws)})")
-            widths[nid] = sum(_passed_width(node, pos) * widths[i] for pos, i in enumerate(node.inputs))
-            p, f = _elementwise_terms(node, widths[nid], count_aux_params)
         else:
-            raise ValueError(f"{nid}: unsupported kind {node.kind!r}")
+            operand_widths = [widths[i] for i in node.inputs]
+            if node.kind == "Add" and len(set(operand_widths)) != 1:
+                raise ValueError(f"{nid}: removal pattern breaks Add alignment ({sorted(set(operand_widths))})")
+            widths[nid] = passed_width(node, operand_widths, node.in_size)
+            p, f = _elementwise_terms(node, widths[nid], count_aux_params)
         params += p
         flops += f
     return params, flops * factor
@@ -179,9 +169,10 @@ def _downstream_charges(graph: ModelGraph, count_aux_params: bool) -> dict[str, 
     """(params, flops in MACs) that one output channel of each node adds to the
     non-weighted nodes downstream of it, up to the next weighted layers.
 
-    Every node's width is a linear function of its producers' widths (see
-    ``_passed_width``) and every non-weighted term is linear in its width, so
-    this per-channel charge is fixed: the same whatever else is removed.
+    Every node's width is a linear function of its producers' widths (each
+    operand's scale is ``graph.passed_width`` of a one-hot list) and every
+    non-weighted term is linear in its width, so this per-channel charge is
+    fixed: the same whatever else is removed.
     """
     charges = {nid: (0, 0) for nid in graph.order}
     for nid in reversed(graph.order):
@@ -191,7 +182,7 @@ def _downstream_charges(graph: ModelGraph, count_aux_params: bool) -> dict[str, 
         own_p, own_f = _elementwise_terms(node, 1, count_aux_params)
         down_p, down_f = charges[nid]
         for pos, src in enumerate(node.inputs):
-            scale = _passed_width(node, pos)
+            scale = passed_width(node, [int(i == pos) for i in range(len(node.inputs))], node.in_size)
             p, f = charges[src]
             charges[src] = (p + scale * (own_p + down_p), f + scale * (own_f + down_f))
     return charges

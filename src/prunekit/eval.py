@@ -14,7 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
-from .graph import ModelGraph
+from .graph import ModelGraph, sliding_window
 
 
 def forward_eval(graph: ModelGraph, x: np.ndarray) -> np.ndarray:
@@ -71,10 +71,8 @@ def _run(graph: ModelGraph, x: np.ndarray) -> np.ndarray:
                 y = y + other
         elif node.kind == "Concat":
             y = np.concatenate(args, axis=1)
-        elif node.kind == "Output":
+        else:  # Output
             y = a
-        else:
-            raise ShapeError(f"{nid}: cannot evaluate kind {node.kind!r}")
         values[nid] = y
         for src in set(node.inputs):
             if last_use[src] == i:
@@ -82,8 +80,12 @@ def _run(graph: ModelGraph, x: np.ndarray) -> np.ndarray:
     return values[out_id]
 
 
-def _windows(a: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """(N, C, O, O, k, k) view of the k x k windows of ``a`` at ``stride``."""
+def _windows(node, a: np.ndarray) -> np.ndarray:
+    """(N, C, O, O, k, k) view of the node's sliding windows over ``a``
+    (``graph.sliding_window``), zero-padded."""
+    k, stride, pad = sliding_window(node)
+    if pad:
+        a = np.pad(a, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     return sliding_window_view(a, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
 
 
@@ -92,12 +94,8 @@ def _conv2d(node, a: np.ndarray) -> np.ndarray:
     sel = node.in_select()
     if sel is not None:
         a = a[:, sel]
+    win = _windows(node, a)
     f, m, k, _ = w.shape
-    stride = int(node.attrs.get("stride", 1))
-    pad = int(node.attrs.get("padding", 0))
-    if pad:
-        a = np.pad(a, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = _windows(a, k, stride)
     n, o = win.shape[0], win.shape[2]
     cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, m * k * k, o * o)
     out = (w.reshape(f, -1) @ cols).reshape(n, f, o, o)
@@ -110,5 +108,5 @@ def _pool(node, a: np.ndarray) -> np.ndarray:
     mode = node.attrs["pool"]
     if mode == "global-avg":
         return a.mean(axis=(2, 3), keepdims=True)
-    win = _windows(a, int(node.attrs["kernel"]), int(node.attrs["stride"]))
+    win = _windows(node, a)
     return win.max(axis=(4, 5)) if mode == "max" else win.mean(axis=(4, 5))

@@ -253,7 +253,8 @@ def _is_int(x) -> bool:
 
 
 def _static_widths(graph: ModelGraph) -> dict[str, int | None]:
-    """Output widths derivable without spatial inference (None = unknown)."""
+    """Output widths known before spatial inference (None = unknown): declared
+    for Input and weighted nodes, ``passed_width`` for the rest."""
     widths: dict[str, int | None] = {}
     for nid in graph.order:
         node = graph.nodes[nid]
@@ -262,17 +263,8 @@ def _static_widths(graph: ModelGraph) -> dict[str, int | None]:
         elif node.kind in WEIGHTED_KINDS:
             n = node.attrs.get(_WIDTH_ATTRS[node.kind][1])
             widths[nid] = n if _is_int(n) and n > 0 else None  # validate reports a bad width
-        elif node.kind in ("BatchNorm2d", "ReLU", "Pool", "Output"):
-            widths[nid] = widths.get(node.inputs[0]) if node.inputs else None
-        elif node.kind == "Concat":
-            ws = [widths.get(i) for i in node.inputs]
-            widths[nid] = sum(ws) if all(w is not None for w in ws) else None  # type: ignore[arg-type]
-        elif node.kind == "Add":
-            ws = [widths.get(i) for i in node.inputs]
-            known = [w for w in ws if w is not None]
-            widths[nid] = known[0] if known else None
-        else:  # Flatten: width depends on spatial size
-            widths[nid] = None
+        else:
+            widths[nid] = passed_width(node, [widths.get(i) for i in node.inputs])
     return widths
 
 
@@ -367,7 +359,7 @@ def validate(graph: ModelGraph) -> list[str]:
                     v.append(f"{nid}: missing {role} tensor")
                 elif t.shape != (c,):
                     v.append(f"{nid}: {role} shape {t.shape} does not match ({c},)")
-            pw = widths.get(node.inputs[0]) if node.inputs else None
+            pw = widths[nid]  # a BatchNorm passes its producer's width on
             if pw is not None and pw != c:
                 v.append(f"{nid}: channel count {c} does not match producer width {pw}")
         elif node.kind == "Pool":
@@ -404,85 +396,88 @@ def _check_in_select(node: LayerNode, declared_in: int, widths: dict[str, int | 
 
 
 # ---------------------------------------------------------------------------
-# shape inference
+# shape rules and inference
+
+
+def passed_width(node: LayerNode, operand_widths: list, in_size: int | None = None) -> int | None:
+    """Output width of a non-weighted node from its operands' widths (None =
+    unknown, as before inference): Concat sums them, Add follows the first
+    known one, Flatten spreads each channel over in_size² features, and every
+    other kind passes its one operand's width on. On a one-hot list of operand
+    widths it gives that operand's width per channel."""
+    known = [w for w in operand_widths if w is not None]
+    if node.kind == "Concat":
+        return sum(known) if len(known) == len(operand_widths) else None
+    if node.kind == "Add":
+        return known[0] if known else None
+    width = operand_widths[0] if operand_widths else None
+    if node.kind == "Flatten":
+        return None if width is None or in_size is None else width * in_size * in_size
+    return width
+
+
+def sliding_window(node: LayerNode) -> tuple[int, int, int] | None:
+    """(kernel, stride, padding) of a Conv2d or windowed Pool node, else None."""
+    if node.kind == "Conv2d":
+        return node.kernel(), int(node.attrs.get("stride", 1)), int(node.attrs.get("padding", 0))
+    if node.kind == "Pool" and node.attrs["pool"] != "global-avg":
+        return int(node.attrs["kernel"]), int(node.attrs["stride"]), 0
+    return None
+
+
+def passed_size(node: LayerNode, in_size: int) -> int:
+    """Output side of a node on an input of side ``in_size``: (in_size + 2*pad -
+    kernel) // stride + 1 for a sliding window (ShapeError if it does not fit),
+    1 for Linear, Flatten and global pooling, and ``in_size`` for the rest."""
+    window = sliding_window(node)
+    if window is None:
+        return 1 if node.kind in ("Linear", "Flatten", "Pool") else in_size
+    k, stride, pad = window
+    if in_size + 2 * pad < k:
+        what = "kernel {} larger than padded input {}" if node.kind == "Conv2d" else "pool kernel {} larger than input {}"
+        raise ShapeError(f"{node.id}: " + what.format(k, in_size + 2 * pad))
+    return (in_size + 2 * pad - k) // stride + 1
 
 
 def infer_shapes(graph: ModelGraph) -> ModelGraph:
     """Annotate every node with input/output spatial size and output width.
 
-    Convolutions follow O = floor((I + 2*pad - K)/stride) + 1; pools the same
-    without padding; Linear layers live at spatial size 1. Raises ShapeError on
-    inconsistency. Deterministic and total on valid graphs.
+    A weighted layer outputs its declared width, and every other node the
+    width ``passed_width`` gives; every spatial size is ``passed_size`` of the
+    node's input size. Raises ShapeError where operands or declared widths
+    disagree, and on a kind it does not know. Deterministic and total on
+    valid graphs.
     """
-    widths: dict[str, int] = {}
-    sizes: dict[str, int] = {}
     for nid in graph.order:
         node = graph.nodes[nid]
         if node.kind == "Input":
-            widths[nid] = graph.input_channels
-            sizes[nid] = graph.input_size
             node.in_size = node.out_size = graph.input_size
             node.out_channels = graph.input_channels
             continue
-        src = node.inputs[0]
-        w_in, s_in = widths[src], sizes[src]
-        node.in_size = s_in
+        if node.kind not in NODE_KINDS:
+            raise ShapeError(f"{nid}: cannot infer shape for kind {node.kind!r}")
+        operands = [graph.nodes[i] for i in node.inputs]
+        widths = [op.out_channels for op in operands]
+        sizes = sorted({op.out_size for op in operands})
+        s_in = node.in_size = operands[0].out_size
+        if node.kind == "Add" and (len(set(widths)) != 1 or len(sizes) != 1):
+            raise ShapeError(f"{nid}: Add operands disagree (widths {sorted(set(widths))}, sizes {sizes})")
+        if node.kind == "Concat" and len(sizes) != 1:
+            raise ShapeError(f"{nid}: Concat operands disagree on spatial size {sizes}")
         if node.kind in WEIGHTED_KINDS:
             if node.kind == "Linear" and s_in != 1:
                 raise ShapeError(f"{nid}: Linear requires spatial size 1 input, got {s_in}")
-            m, sel = node.declared_in_width(), node.in_select()
+            m, sel, w_in = node.declared_in_width(), node.in_select(), widths[0]
             if sel is None and m != w_in:
                 raise ShapeError(f"{nid}: {_WIDTH_ATTRS[node.kind][0]} {m} does not match producer width {w_in}")
             if sel and sel[-1] >= w_in:
                 raise ShapeError(f"{nid}: in_select exceeds producer width {w_in}")
-            o = 1
-            if node.kind == "Conv2d":
-                k = node.kernel()
-                stride = int(node.attrs.get("stride", 1))
-                pad = int(node.attrs.get("padding", 0))
-                span = s_in + 2 * pad - k
-                if span < 0:
-                    raise ShapeError(f"{nid}: kernel {k} larger than padded input {s_in + 2 * pad}")
-                o = span // stride + 1
-            widths[nid] = node.declared_out_width()
-            sizes[nid] = o
-        elif node.kind in ("BatchNorm2d", "ReLU", "Output"):
-            if node.kind == "BatchNorm2d" and node.declared_out_width() != w_in:
-                raise ShapeError(f"{nid}: channel count {node.declared_out_width()} vs producer width {w_in}")
-            widths[nid] = w_in
-            sizes[nid] = s_in
-        elif node.kind == "Pool":
-            mode = node.attrs["pool"]
-            if mode == "global-avg":
-                o = 1
-            else:
-                k = int(node.attrs["kernel"])
-                stride = int(node.attrs["stride"])
-                if s_in < k:
-                    raise ShapeError(f"{nid}: pool kernel {k} larger than input {s_in}")
-                o = (s_in - k) // stride + 1
-            widths[nid] = w_in
-            sizes[nid] = o
-        elif node.kind == "Flatten":
-            widths[nid] = w_in * s_in * s_in
-            sizes[nid] = 1
-        elif node.kind == "Add":
-            ws = {widths[i] for i in node.inputs}
-            ss = {sizes[i] for i in node.inputs}
-            if len(ws) != 1 or len(ss) != 1:
-                raise ShapeError(f"{nid}: Add operands disagree (widths {sorted(ws)}, sizes {sorted(ss)})")
-            widths[nid] = ws.pop()
-            sizes[nid] = ss.pop()
-        elif node.kind == "Concat":
-            ss = {sizes[i] for i in node.inputs}
-            if len(ss) != 1:
-                raise ShapeError(f"{nid}: Concat operands disagree on spatial size {sorted(ss)}")
-            widths[nid] = sum(widths[i] for i in node.inputs)
-            sizes[nid] = ss.pop()
+            node.out_channels = node.declared_out_width()
         else:
-            raise ShapeError(f"{nid}: cannot infer shape for kind {node.kind!r}")
-        node.out_size = sizes[nid]
-        node.out_channels = widths[nid]
+            w_out = node.out_channels = passed_width(node, widths, s_in)
+            if node.kind == "BatchNorm2d" and node.declared_out_width() != w_out:
+                raise ShapeError(f"{nid}: channel count {node.declared_out_width()} vs producer width {w_out}")
+        node.out_size = passed_size(node, s_in)
     graph.inferred = True
     return graph
 

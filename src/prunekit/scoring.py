@@ -26,7 +26,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from itertools import chain
 
 import numpy as np
@@ -37,6 +37,19 @@ from .graph import ModelGraph
 from .units import FULL_CHANNEL, PruneUnit, _sorted_unique, ref_arrays, run_sums
 
 WEIGHT_NORM_MODES = ("max-min", "max", "log")
+
+# the Python types each Config field type admits
+_FIELD_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float), "str": (str,)}
+
+
+def _admits(annotation: str, value) -> bool:
+    """Whether a Config field annotated ``annotation`` ("float", "int | None",
+    ...) may hold ``value``. A bool is an int to Python, but only a bool here."""
+    name, *optional = annotation.split(" | ")
+    if value is None:
+        return bool(optional)
+    return isinstance(value, _FIELD_TYPES[name]) and (name == "bool" or not isinstance(value, bool))
+
 
 # csv/json column contract: unit_id, layer, channel, L, GL, GP, GF, Imp
 RECORD_COLUMNS = ("unit_id", "layer", "channel", "L", "GL", "GP", "GF", "Imp")
@@ -65,6 +78,9 @@ class Config:
     }
 
     def validate(self) -> None:
+        for f in fields(self):
+            if not _admits(f.type, value := getattr(self, f.name)):
+                raise PruneKitError(f"{f.name} must be {f.type}, got {type(value).__name__} {value!r}")
         if not 0.0 < self.flop_target_ratio < 1.0:
             raise PruneKitError(f"flop_target_ratio must be in (0, 1), got {self.flop_target_ratio}")
         if self.param_target_ratio is not None and not 0.0 < self.param_target_ratio < 1.0:

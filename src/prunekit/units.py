@@ -45,8 +45,6 @@ import numpy as np
 from .errors import PruneKitError, ShapeError
 from .graph import WEIGHTED_KINDS, ModelGraph
 
-PASS_THROUGH_KINDS = ("BatchNorm2d", "ReLU", "Pool", "Flatten")
-
 FULL_CHANNEL = "full_channel"
 IN_CHANNEL_ONLY = "in_channel_only"
 
@@ -173,17 +171,14 @@ def _origin_arrays(graph: ModelGraph, channels: _Numbering) -> dict[str, np.ndar
     """For every node, a (k, width) array of the channel ids feeding each output
     index: one row per origin, -1 where an index has fewer than k origins.
     Input and weighted layers are their own origins; Add stacks its operands'
-    rows, Concat pads them to one height and joins them side by side.
-    Pass-through nodes share their input's array object."""
+    rows, Concat pads them to one height and joins them side by side. Any
+    other node repeats its one operand's columns up to its inferred width (a
+    Flatten's feature blocks), or shares the operand's array at equal width."""
     arrays: dict[str, np.ndarray] = {}
     for nid in graph.order:
         node = graph.nodes[nid]
         if nid in channels.offset:
             arrays[nid] = channels.ids(nid)[None, :]
-        elif node.kind in ("BatchNorm2d", "ReLU", "Pool", "Output"):
-            arrays[nid] = arrays[node.inputs[0]]
-        elif node.kind == "Flatten":
-            arrays[nid] = np.repeat(arrays[node.inputs[0]], node.in_size * node.in_size, axis=1)
         elif node.kind == "Add":
             arrays[nid] = np.vstack([arrays[i] for i in node.inputs])
         elif node.kind == "Concat":
@@ -191,7 +186,9 @@ def _origin_arrays(graph: ModelGraph, channels: _Numbering) -> dict[str, np.ndar
             height = max(len(op) for op in ops)
             arrays[nid] = np.hstack([np.pad(op, ((0, height - len(op)), (0, 0)), constant_values=-1) for op in ops])
         else:
-            raise PruneKitError(f"{nid}: unsupported node kind {node.kind!r}")
+            edge = arrays[node.inputs[0]]
+            spread = node.out_channels // edge.shape[1]
+            arrays[nid] = edge if spread == 1 else np.repeat(edge, spread, axis=1)
     return arrays
 
 
@@ -252,8 +249,7 @@ def _dense_interior(graph: ModelGraph, consumers: dict[str, list[str]]) -> set[s
             if kind == "Concat":
                 via_concat = True
                 continue  # do not traverse: reads beyond here are slice-level
-            if kind in PASS_THROUGH_KINDS or kind == "Add":
-                frontier.extend(consumers[nid])
+            frontier.extend(consumers[nid])
         if not direct and via_concat:
             interior.add(node.id)
     return interior

@@ -285,10 +285,16 @@ class TestExitCodes:
             lambda doc: doc["removed_units"][0].update(unit_id=["conv1.c0"]),
             lambda doc: doc.update(config=[1]),
             lambda doc: doc["config"].update(flops_convention="flops"),
+            lambda doc: doc["config"].update(count_aux_params="no"),
+            lambda doc: doc["config"].update(min_channels_per_layer=1.5),
+            lambda doc: doc["config"].update(passes=True),
+            lambda doc: doc["config"].update(use_in_channel=0),
+            lambda doc: doc["config"].update(alpha="1"),
         ],
         ids=[
             "entry-string", "entry-without-members", "entry-without-unit_id", "removed_units-object",
-            "unit_id-list", "config-list", "flops_convention-unknown",
+            "unit_id-list", "config-list", "flops_convention-unknown", "count_aux_params-string",
+            "min_channels_per_layer-float", "passes-bool", "use_in_channel-int", "alpha-string",
         ],
     )
     def test_malformed_plan_exits_2(self, toy_model, tmp_path, capsys, mutate):
