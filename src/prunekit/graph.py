@@ -399,7 +399,7 @@ def _check_in_select(node: LayerNode, declared_in: int, widths: dict[str, int | 
 # shape rules and inference
 
 
-def passed_width(node: LayerNode, operand_widths: list, in_size: int | None = None) -> int | None:
+def passed_width(node: LayerNode, operand_widths: list[int | None], in_size: int | None = None) -> int | None:
     """Output width of a non-weighted node from its operands' widths (None =
     unknown, as before inference): Concat sums them, Add follows the first
     known one, Flatten spreads each channel over in_size² features, and every

@@ -3,7 +3,7 @@
 Partitions the model's removable surface into units:
 
 * plain-chain output channels, each bundled with every downstream kernel slice
-  that reads it (through ReLU/BatchNorm/Pool/Flatten pass-throughs);
+  that reads it (through any one-operand nodes: ReLU, BatchNorm, Pool, Flatten);
 * residual-coupled channel groups: channels forced to share an index because
   they meet at Add nodes are removed together;
 * in-channel-only slices inside densely concatenated blocks, where the
