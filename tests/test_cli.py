@@ -312,6 +312,36 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert json.loads(err)["error"]["message"].startswith("malformed plan file")
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda entry, _: entry["members"][0].__setitem__(1, str(entry["members"][0][1])),
+            lambda entry, _: entry["in_slices"][0].__setitem__(1, str(entry["in_slices"][0][1])),
+            lambda entry, _: entry["members"][0].pop(),
+            lambda entry, _: entry.update(members=entry["members"][0][0]),
+            lambda entry, _: entry["members"][0].__setitem__(0, 0),
+            lambda entry, other: entry["in_slices"].append(other["in_slices"][0]),
+        ],
+        ids=["member-index-string", "slice-index-string", "member-short-pair", "members-string", "member-layer-int", "extra-slice"],
+    )
+    def test_entry_that_does_not_name_the_unit_exits_2(self, toy_model, tmp_path, capsys, mutate):
+        # well-formed JSON entries whose members or slices are not the unit's:
+        # rejected either as a malformed plan or when compared with the graph
+        manifest, weights = toy_model
+        out = tmp_path / "out"
+        assert main(["plan", "--model", manifest, "--weights", weights, "--out-dir", str(out), "--flop-target", "0.3"]) == 0
+        doc = json.loads(read(out / "plan.json"))
+        mutate(*doc["removed_units"][:2])
+        bad = tmp_path / "bad_plan.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["prune", "--model", manifest, "--weights", weights, "--plan", str(bad), "--out-dir", str(tmp_path / "p")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        assert json.loads(err)["error"]["message"].startswith(("corrupt plan", "malformed plan file"))
+        assert not os.path.exists(tmp_path / "p")
+
     def test_config_line_without_equals_exits_2(self, toy_model, tmp_path, capsys):
         manifest, weights = toy_model
         cfg = tmp_path / "bad.cfg"

@@ -4,7 +4,9 @@
 
 Runs, for zoo vgg16, densenet40 and resnet56 (seed 0, each with its own
 preset), the quick start (``analyze --dump-units``, ``plan``, ``prune --plan``,
-``report``), the multi-pass ``prune --passes 3 --per-pass 0.2`` and four
+``report``), the multi-pass ``prune --passes 3 --per-pass 0.2`` followed by
+``analyze --dump-units`` on its pruned model (densenet40's has ``in_select``
+consumers and in-channel-only units) and four
 variant plans that the quick start never reaches (``analyze``/``plan --mode
 cpmc-a``; ``plan --flops-convention 2macs --param-target``; ``plan
 --weight-norm log``; ``plan`` and ``prune --plan`` under a config file with
@@ -53,6 +55,8 @@ def run_model(name: str, preset: str, flop_target: str, work: str) -> None:
         ["prune", *common, "--plan", os.path.join(out, "plan.json"), "--out-dir", pruned],
         ["report", "--baseline", model, "--pruned", os.path.join(pruned, "pruned_manifest.json"), "--out-dir", report],
         ["prune", *common, "--passes", "3", "--per-pass", "0.2", "--out-dir", multi],
+        ["analyze", "--model", os.path.join(multi, "pruned_manifest.json"), "--preset", preset, "--dump-units",
+         "--out-dir", os.path.join(multi, "analyze")],
         ["analyze", *common, "--mode", "cpmc-a", "--out-dir", cpmc_a],
         ["plan", *common, "--mode", "cpmc-a", "--flop-target", flop_target, "--out-dir", cpmc_a],
         ["plan", *common, "--flops-convention", "2macs", "--flop-target", "0.3", "--param-target", "0.4",
