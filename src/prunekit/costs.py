@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import PruneKitError, ShapeError
 from .graph import WEIGHTED_KINDS, ModelGraph, passed_width
-from .units import PruneUnit, _sorted_unique, ref_arrays
+from .units import PruneUnit, UnitTable, _sorted_unique, unit_table
 
 CONVENTIONS = ("macs", "2macs")
 
@@ -45,31 +45,30 @@ def _factor(convention: str) -> int:
     return 2 if convention == "2macs" else 1
 
 
-def unit_rows(graph: ModelGraph, units: list[PruneUnit]) -> tuple[np.ndarray, np.ndarray]:
+def unit_rows(graph: ModelGraph, units: UnitTable | list[PruneUnit]) -> tuple[np.ndarray, np.ndarray]:
     """The footprint of every unit: one (layer code, filters, slots) row per
     weighted layer the unit touches, counting its members and its in-slices
     there, and the bounds of each unit's run of rows (unit ``i`` owns rows
     ``bounds[i]:bounds[i + 1]``, sorted by layer code). A layer code is the
-    layer's position in ``graph.weighted_layers()``. Each ref must name a
-    weighted layer and an index inside its declared width; PruneKitError
-    otherwise."""
-    weighted = graph.weighted_layers()
-    k = len(weighted)
-    out_layer, _, n_out = ref_arrays(
-        (u.members for u in units), {n.id: n.declared_out_width() for n in weighted}, "output channel"
+    layer's position in ``graph.weighted_layers()``. Units made by hand enter
+    through ``units.unit_table``, which checks their refs."""
+    table = unit_table(graph, units)
+    k = len(table.filters.names)
+    out_layer, _ = table.filters.locate(table.members.ids)
+    in_layer, _ = table.slots.locate(table.in_slices.ids)
+    unit = np.arange(len(table))
+    key = np.concatenate(
+        [np.repeat(unit, table.members.sizes()) * k + out_layer, np.repeat(unit, table.in_slices.sizes()) * k + in_layer]
     )
-    in_layer, _, n_in = ref_arrays((u.in_slices for u in units), {n.id: n.declared_in_width() for n in weighted}, "input slot")
-    unit = np.arange(len(units))
-    key = np.concatenate([np.repeat(unit, n_out) * k + out_layer, np.repeat(unit, n_in) * k + in_layer])
     keys = _sorted_unique(key)
     row = np.searchsorted(keys, key)
     filters = np.bincount(row[: len(out_layer)], minlength=len(keys))
     slots = np.bincount(row[len(out_layer) :], minlength=len(keys))
-    bounds = np.searchsorted(keys // k, np.arange(len(units) + 1))
+    bounds = np.searchsorted(keys // k, np.arange(len(table) + 1))
     return np.stack([keys % k, filters, slots], axis=1), bounds
 
 
-def unit_costs(graph: ModelGraph, units: list[PruneUnit], convention: str = "macs") -> list[tuple[int, int]]:
+def unit_costs(graph: ModelGraph, units: UnitTable | list[PruneUnit], convention: str = "macs") -> list[tuple[int, int]]:
     """(params, flops) of every unit, priced from its :func:`unit_rows`. A row
     of ``filters`` filters and ``slots`` slots in a layer of kernel K, input
     width M and output width N owns K*K*(filters*M + slots*N) weights, and

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import jsontext
 from .errors import GraphValidationError, ManifestError, ShapeError
 
 MANIFEST_VERSION = 1
@@ -538,7 +539,7 @@ def save_model(
             f.write(arr)
             if digests:
                 weights_digest.update(arr)
-    text = json.dumps(manifest, indent=2) + "\n"
+    text = jsontext.dumps(manifest) + "\n"
     with open(manifest_path, "w", encoding="utf-8") as f:
         f.write(text)
     if not digests:

@@ -18,13 +18,16 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
+import numpy as np
+
+from . import jsontext
 from .costs import RunningCosts, unit_rows
 from .errors import InfeasibleBudgetError, PruneKitError
 from .graph import ModelGraph, graph_checksum
-from .scoring import Config, ImportanceRecord, score_all
-from .units import build_prune_units
+from .scoring import Config, ImportanceRecord, _admits, score_all
+from .units import build_prune_units, unit_table
 
 
 @dataclass
@@ -61,12 +64,13 @@ class PruningPlan:
             "config": self.config,
             "model_checksum": self.model_checksum,
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return jsontext.dumps(payload) + "\n"
 
     @staticmethod
     def from_json(text: str) -> "PruningPlan":
-        """Parse a plan file; a document of the wrong shape, a removed unit that
-        is not well formed or an invalid config is a PruneKitError."""
+        """Parse a plan file; a document of the wrong shape, a field of the
+        wrong type (an int field holding a bool or float, say), a removed unit
+        that is not well formed or an invalid config is a PruneKitError."""
         try:
             payload = json.loads(text)
             plan = PruningPlan(
@@ -83,19 +87,47 @@ class PruningPlan:
                 config=payload["config"],
                 removed_entries=payload["removed_units"],
             )
+            plan._check_types()
             Config(**plan.config).validate()
             if not isinstance(plan.removed_entries, list) or not all(map(_is_entry, plan.removed_entries)):
-                raise PruneKitError("removed units need a string unit_id, members and in_slices")
+                raise PruneKitError("removed units need a string unit_id, a number imp, and members and in_slices of [layer, index] pairs")
         except (KeyError, TypeError, PruneKitError, json.JSONDecodeError) as e:
             raise PruneKitError(f"malformed plan file: {e}") from e
         return plan
 
 
+    def _check_types(self) -> None:
+        """Each int, float and str field holds that type (``scoring._admits``),
+        and each layer-width map maps names to ints."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "dict[str, int]":
+                ok = isinstance(value, dict) and all(_admits("int", w) for w in value.values())
+            else:
+                ok = f.type not in ("int", "float", "str") or _admits(f.type, value)
+            if not ok:
+                raise PruneKitError(f"{f.name} must be {f.type}, got {type(value).__name__}")
+
+
 def _is_entry(entry) -> bool:
-    """An object with a string unit_id and members/in_slices keys; apply_plan
-    compares their contents with the real unit."""
-    keys = {"unit_id", "members", "in_slices"}
-    return isinstance(entry, dict) and keys <= entry.keys() and isinstance(entry["unit_id"], str)
+    """An object with a string unit_id, a number imp, and members and
+    in_slices that are lists of [layer, index] pairs; apply_plan compares
+    their contents with the real unit."""
+    return (
+        isinstance(entry, dict)
+        and {"unit_id", "imp", "members", "in_slices"} <= entry.keys()
+        and isinstance(entry["unit_id"], str)
+        and _admits("float", entry["imp"])
+        and _is_pairs(entry["members"])
+        and _is_pairs(entry["in_slices"])
+    )
+
+
+def _is_pairs(value) -> bool:
+    return type(value) is list and all(
+        type(p) is list and len(p) == 2 and type(p[0]) is str and type(p[1]) is int for p in value
+    )
+
 
 
 def rank_global(records: list[ImportanceRecord]) -> list[ImportanceRecord]:
@@ -165,28 +197,33 @@ def select_threshold(
         layer_widths_after=dict(zip(costs.layers, n)),
         model_checksum=graph_checksum(graph),
         config=config.to_dict(),
-        removed_entries=[
-            {
-                "unit_id": r.unit_id,
-                "imp": r.importance,
-                "members": [[m.layer, m.channel] for m in r.unit.members],
-                "in_slices": [[s.layer, s.in_channel] for s in r.unit.in_slices],
-            }
-            for r in taken
-        ],
+        removed_entries=_entries(taken, graph),
     )
+
+
+def _entries(taken: list[ImportanceRecord], graph: ModelGraph) -> list[dict]:
+    """The plan entry of each taken record, its members and in-slices as
+    [layer, index] pairs."""
+    units = unit_table(graph, [r.unit for r in taken])
+    members = units.filters.pairs(units.members.ids, units.members.bounds)
+    in_slices = units.slots.pairs(units.in_slices.ids, units.in_slices.bounds)
+    return [
+        {"unit_id": r.unit_id, "imp": r.importance, "members": m, "in_slices": s}
+        for r, m, s in zip(taken, members, in_slices)
+    ]
 
 
 def _ranked_rows(ranked: list[ImportanceRecord], graph: ModelGraph) -> Iterator[tuple[ImportanceRecord, list]]:
     """Each ranked record with its unit's rows (``costs.unit_rows``), built in
     chunks that double in size, so a plan that stops early builds few."""
+    units = unit_table(graph, [r.unit for r in ranked])
     start, size = 0, 256
     while start < len(ranked):
-        chunk = ranked[start : start + size]
-        rows, bounds = unit_rows(graph, [r.unit for r in chunk])
+        stop = min(start + size, len(ranked))
+        rows, bounds = unit_rows(graph, units.take(np.arange(start, stop)))
         rows, bounds = rows.tolist(), bounds.tolist()
-        yield from zip(chunk, map(rows.__getitem__, map(slice, bounds, bounds[1:])))
-        start, size = start + size, 2 * size
+        yield from zip(ranked[start:stop], map(rows.__getitem__, map(slice, bounds, bounds[1:])))
+        start, size = stop, 2 * size
 
 
 def multi_pass(graph: ModelGraph, config: Config) -> Iterator[tuple[PruningPlan, ModelGraph]]:
@@ -206,6 +243,6 @@ def multi_pass(graph: ModelGraph, config: Config) -> Iterator[tuple[PruningPlan,
         units = build_prune_units(current)
         records = score_all(current, units, pass_config)
         plan = select_threshold(records, current, pass_config)
-        by_uid = {u.uid: u for u in units}
-        current = _checked_surgery(current, [by_uid[uid] for uid in plan.removed_unit_ids], plan)
+        row = {uid: i for i, uid in enumerate(units.uid)}
+        current = _checked_surgery(current, units.take([row[uid] for uid in plan.removed_unit_ids]), plan)
         yield plan, current

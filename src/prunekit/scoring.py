@@ -24,17 +24,16 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field, fields, asdict
-from itertools import chain
 
 import numpy as np
 
+from . import jsontext
 from .costs import CONVENTIONS, unit_costs
 from .errors import DegenerateModelError, PruneKitError
 from .graph import ModelGraph
-from .units import FULL_CHANNEL, PruneUnit, _sorted_unique, ref_arrays, run_sums
+from .units import FULL_CHANNEL, PruneUnit, UnitTable, _Numbering, _sorted_unique, _spans, run_sums, unit_table
 
 WEIGHT_NORM_MODES = ("max-min", "max", "log")
 
@@ -143,43 +142,50 @@ def _abs_sums(w: np.ndarray) -> np.ndarray:
     return np.abs(w, order="C").reshape(len(w), -1).sum(axis=1, dtype=np.float64)
 
 
-def _l1(graph: ModelGraph, widths: dict[str, int], axis: int, layer: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """L1 mass of each (layer code, index) filter (axis 0) or input slot
-    (axis 1). Each layer's named slices are summed in one ``_abs_sums`` call,
-    the whole layer when every slice is named."""
-    offset = np.cumsum([0, *widths.values()])
-    ids = offset[layer] + index
+def _l1(graph: ModelGraph, numbering: _Numbering, axis: int, ids: np.ndarray) -> np.ndarray:
+    """L1 mass of each filter (axis 0) or input slot (axis 1) id of
+    ``numbering``. Each layer's named slices are summed in one ``_abs_sums``
+    call, the whole layer when every slice is named; only the layers named
+    are visited."""
     named = _sorted_unique(ids)
-    bounds = np.searchsorted(named, offset).tolist()  # each layer's run of named ids
-    masses = np.zeros(offset[-1])
-    for name, base, lo, hi in zip(widths, offset.tolist(), bounds, bounds[1:]):
-        if lo < hi:
-            view = np.swapaxes(graph.nodes[name].weight(), 0, axis)  # filters or input slots first
-            masses[named[lo:hi]] = _abs_sums(view if hi - lo == len(view) else view[named[lo:hi] - base])
-    return masses[ids]
+    layer, index = numbering.locate(named)
+    bounds = [*np.flatnonzero(np.diff(layer, prepend=-1)).tolist(), len(named)]  # each layer's run of named ids
+    masses = np.empty(len(named))
+    for lo, hi in zip(bounds, bounds[1:]):
+        view = np.swapaxes(graph.nodes[numbering.names[layer[lo]]].weight(), 0, axis)  # filters or input slots first
+        masses[lo:hi] = _abs_sums(view if hi - lo == len(view) else view[index[lo:hi]])
+    return masses[np.searchsorted(named, ids)]
 
 
-def _raw_scores(graph: ModelGraph, units: list[PruneUnit], use_in_channel: bool) -> list[float]:
-    """Dependency L1 of every unit. A unit's filters (its members, or the
-    origin of an in-channel-only unit) and their consumer slices become id
-    arrays in one step; each filter's score is its mass plus its slices'
-    masses, and a unit's score the mean of its filters' scores, all added in
-    the order a per-reference loop would add them."""
-    weighted = graph.weighted_layers()
-    out_widths = {n.id: n.declared_out_width() for n in weighted}
-    in_widths = {n.id: n.declared_in_width() for n in weighted}
-    full = [u.kind == FULL_CHANNEL for u in units]
-    filters = [u.members if f else (u.origin,) for u, f in zip(units, full)]
-    layer, index, n_filters = ref_arrays(filters, out_widths, "output channel")
+def _raw_scores(graph: ModelGraph, units: UnitTable, use_in_channel: bool) -> list[float]:
+    """Dependency L1 of every unit. A unit's filters are its members, or the
+    origin of an in-channel-only unit, and their consumer slices are each
+    member's reads, or the unit's slots; each filter's score is its mass plus
+    its slices' masses, and a unit's score the mean of its filters' scores,
+    all added in the order a per-reference loop would add them."""
+    members, slots, reads = units.members, units.in_slices, units.member_reads
+    full = np.array([k == FULL_CHANNEL for k in units.kind], bool)
+    # filter positions: members index members.ids; unit i's origin is position len(members.ids) + i
+    first = len(members.ids) + np.arange(len(units))
+    lo = np.where(full, members.bounds[:-1], first)
+    hi = np.where(full, members.bounds[1:], first + 1)
+    n_filters = hi - lo
     if not n_filters.all():
         raise ValueError("group has no members")
-    scores = _l1(graph, out_widths, 0, layer, index)
+    at = _spans(lo, hi)
+    filters = np.concatenate([members.ids, units.origin])[at]
+    if (filters < 0).any():
+        raise ValueError("an in-channel-only unit needs its origin")
+    scores = _l1(graph, units.filters, 0, filters)
     if use_in_channel:
-        reads = chain.from_iterable(u.member_slices if f else (u.in_slices,) for u, f in zip(units, full))
-        layer, index, n_reads = ref_arrays(reads, in_widths, "input slot")
-        if len(n_reads) != len(scores):
+        if reads is None:
             raise ValueError("every member needs its own consumer slices (member_slices)")
-        scores = scores + run_sums(_l1(graph, in_widths, 1, layer, index), n_reads)
+        # read runs: members' own runs, then each unit's slots as the run of its origin
+        skip = len(reads.ids)
+        lo = np.concatenate([reads.bounds[:-1], skip + slots.bounds[:-1]])[at]
+        hi = np.concatenate([reads.bounds[1:], skip + slots.bounds[1:]])[at]
+        read_ids = np.concatenate([reads.ids, slots.ids])[_spans(lo, hi)]
+        scores = scores + run_sums(_l1(graph, units.slots, 1, read_ids), hi - lo)
     return (run_sums(scores, n_filters) / n_filters).tolist()
 
 
@@ -188,7 +194,7 @@ def dependency_l1(graph: ModelGraph, unit: PruneUnit, use_in_channel: bool = Tru
     consumer slices when ``use_in_channel``. Coupled groups average over their
     members. Biases and batch-norm parameters never contribute.
     """
-    return _raw_scores(graph, [unit], use_in_channel)[0]
+    return _raw_scores(graph, unit_table(graph, [unit]), use_in_channel)[0]
 
 
 def normalize_weight_scores(scores: list[float], mode: str = "max-min") -> list[float]:
@@ -242,35 +248,34 @@ def score_all(graph: ModelGraph, units: list[PruneUnit], config: Config) -> list
     DegenerateModelError when there is no unit or a unit's raw score is NaN
     or infinite."""
     config.validate()
-    if not units:
+    if not len(units):
         raise DegenerateModelError("model has no prunable units")
-    raws = _raw_scores(graph, units, config.use_in_channel)
-    for u, raw in zip(units, raws):
+    table = unit_table(graph, units)
+    raws = _raw_scores(graph, table, config.use_in_channel)
+    for uid, raw in zip(table.uid, raws):
         if not math.isfinite(raw):
-            raise DegenerateModelError(f"{u.uid}: raw score L is {raw} (non-finite weights)")
+            raise DegenerateModelError(f"{uid}: raw score L is {raw} (non-finite weights)")
 
     by_family: dict[str, list[int]] = {}
-    for i, u in enumerate(units):
-        by_family.setdefault(u.family, []).append(i)
-    weight_scores = [0.0] * len(units)
+    for i, family in enumerate(table.family):
+        by_family.setdefault(family, []).append(i)
+    weight_scores = [0.0] * len(raws)
     for family, idxs in by_family.items():
         normed = normalize_weight_scores([raws[i] for i in idxs], config.weight_norm_mode)
         for i, g in zip(idxs, normed):
             weight_scores[i] = g
 
-    costs = unit_costs(graph, units, config.flops_convention)
+    costs = unit_costs(graph, table, config.flops_convention)
     pmax = max(p for p, _ in costs)
     fmax = max(f for _, f in costs)
 
     records = []
-    for u, raw, gl, (p, f) in zip(units, raws, weight_scores, costs):
+    for u, layer, channel, raw, gl, (p, f) in zip(units, *table.anchors(), raws, weight_scores, costs):
         gp, gf = normalize_cost_scores(p, f, pmax, fmax, config.alpha, config.beta)
-        anchor = u.members[0] if u.members else u.in_slices[0]
-        channel = anchor.channel if u.members else anchor.in_channel
         records.append(
             ImportanceRecord(
                 unit_id=u.uid,
-                layer=anchor.layer,
+                layer=layer,
                 channel=channel,
                 raw=raw,
                 weight_score=gl,
@@ -295,5 +300,19 @@ def records_to_csv(records: list[ImportanceRecord]) -> str:
 
 
 def records_to_json(records: list[ImportanceRecord]) -> str:
-    rows = [dict(zip(RECORD_COLUMNS, [r.unit_id, r.layer, r.channel, r.raw, r.weight_score, r.param_score, r.flop_score, r.importance])) for r in records]
-    return json.dumps(rows, indent=2) + "\n"
+    """The records as ``json.dumps`` of one object per record (the
+    ``RECORD_COLUMNS`` keys) with ``indent=2``, written column by column."""
+    columns = [
+        jsontext.texts(values, "")
+        for values in (
+            [r.unit_id for r in records],
+            [r.layer for r in records],
+            [r.channel for r in records],
+            [r.raw for r in records],
+            [r.weight_score for r in records],
+            [r.param_score for r in records],
+            [r.flop_score for r in records],
+            [r.importance for r in records],
+        )
+    ]
+    return jsontext.array(jsontext.objects(dict(zip(RECORD_COLUMNS, columns)), "\n  "), "\n") + "\n"

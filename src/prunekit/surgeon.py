@@ -22,8 +22,8 @@ from .costs import effective_model_costs
 from .errors import PlanMismatchError, PruneKitError
 from .eval import forward_eval
 from .graph import _BN_ROLES, _WIDTH_ATTRS, WEIGHTED_KINDS, ModelGraph, _layout, graph_checksum, infer_shapes, validate
-from .planner import PruningPlan
-from .units import AuxRef, InSliceRef, PruneUnit, _Numbering, build_prune_units, channel_flow, ref_arrays
+from .planner import PruningPlan, _is_entry
+from .units import PruneUnit, UnitTable, _Numbering, build_prune_units, channel_flow, unit_table
 
 
 @dataclass
@@ -66,27 +66,48 @@ def apply_plan(graph: ModelGraph, plan: PruningPlan) -> tuple[ModelGraph, Surger
     checks that the recounted params/FLOPs equal the plan's predictions."""
     if plan.model_checksum != graph_checksum(graph):
         raise PlanMismatchError("plan was produced from a different model (checksum mismatch)")
-    by_uid = {u.uid: u for u in build_prune_units(graph)}
-    selected: dict[str, PruneUnit] = {}
-    for entry in plan.removed_entries:
+    units = build_prune_units(graph)
+    row = {uid: i for i, uid in enumerate(units.uid)}
+    entries = plan.removed_entries
+    rows = [row.get(entry["unit_id"], -1) for entry in entries]
+    matches = _matches(units, rows, entries)
+    selected: set[int] = set()
+    for entry, r, match in zip(entries, rows, matches):
         uid = entry["unit_id"]
-        unit = by_uid.get(uid)
-        if unit is None:
+        if r < 0:
             raise PlanMismatchError(f"corrupt plan: unknown unit {uid!r}")
-        if uid in selected:
+        if r in selected:
             raise PlanMismatchError(f"corrupt plan: unit {uid!r} listed twice")
-        if entry["members"] != [[m.layer, m.channel] for m in unit.members] or entry[
-            "in_slices"
-        ] != [[s.layer, s.in_channel] for s in unit.in_slices]:
+        if not match:
             raise PlanMismatchError(f"corrupt plan: unit {uid!r} does not match the graph")
-        selected[uid] = unit
+        selected.add(r)
 
-    units = list(selected.values())
+    units = units.take(rows)
     pruned = _checked_surgery(graph, units, plan)
     return pruned, _make_report(graph, pruned, units, plan)
 
 
-def _checked_surgery(graph: ModelGraph, units: list[PruneUnit], plan: PruningPlan) -> ModelGraph:
+def _matches(units: UnitTable, rows: list[int], entries: list[dict]) -> list[bool]:
+    """Whether each entry's members and in-slices are exactly those of table
+    row ``rows[i]``. The entries' [layer, index] pairs become ids in one step;
+    a pair naming no such channel or slot never matches, nor does an entry
+    that is not well formed (``planner._is_entry``) or names no row."""
+    good = [r >= 0 and _is_entry(e) for e, r in zip(entries, rows)]
+    picked = [(e, r) for e, r, ok in zip(entries, rows, good) if ok]
+    same = [True] * len(picked)
+    for key, numbering, ragged in (("members", units.filters, units.members), ("in_slices", units.slots, units.in_slices)):
+        got = numbering.ids_of([pair for e, _ in picked for pair in e[key]]).tolist()
+        want, bounds = ragged.ids.tolist(), ragged.bounds.tolist()
+        at = 0
+        for i, (e, r) in enumerate(picked):
+            n = len(e[key])
+            same[i] = same[i] and got[at : at + n] == want[bounds[r] : bounds[r + 1]]
+            at += n
+    it = iter(same)
+    return [ok and next(it) for ok in good]
+
+
+def _checked_surgery(graph: ModelGraph, units: UnitTable, plan: PruningPlan) -> ModelGraph:
     """apply_units, then check the recounted params/FLOPs against the plan."""
     pruned = apply_units(graph, units)
     post_params, post_flops = effective_model_costs(
@@ -102,7 +123,7 @@ def _checked_surgery(graph: ModelGraph, units: list[PruneUnit], plan: PruningPla
     return pruned
 
 
-def apply_units(graph: ModelGraph, units: list[PruneUnit]) -> ModelGraph:
+def apply_units(graph: ModelGraph, units: UnitTable | list[PruneUnit]) -> ModelGraph:
     """Remove the given units from the graph, returning a new validated graph.
 
     A node keeps the output columns whose origins (``units.channel_flow``) all
@@ -111,14 +132,11 @@ def apply_units(graph: ModelGraph, units: list[PruneUnit]) -> ModelGraph:
     if not graph.inferred:
         raise PruneKitError("run infer_shapes before surgery")
     channels, arrays = channel_flow(graph)
-    weighted = graph.weighted_layers()
-    slots = _Numbering(InSliceRef, [(n.id, n.declared_in_width()) for n in weighted])
-    vectors = [n for n in graph.nodes.values() if n.kind == "BatchNorm2d" or "bias" in n.tensors]
-    entries = _Numbering(AuxRef, [(n.id, n.out_channels) for n in vectors])
-    layer_widths = {n.id: n.out_channels for n in weighted}  # Input channels are not removable
-    removed = _marks((u.members for u in units), channels, layer_widths, "output channel")
-    slot_gone = _marks((u.in_slices for u in units), slots, slots.width, "input slot")
-    entry_gone = _marks((u.aux for u in units), entries, entries.width, "vector entry")
+    table = unit_table(graph, units)
+    slots, entries = table.slots, table.entries
+    removed = _marks(table.members.ids, channels)  # a filter id is its channel's id
+    slot_gone = _marks(table.in_slices.ids, slots)
+    entry_gone = _marks(table.aux.ids, entries)
 
     # sliced tensors and changed attrs are replaced below; everything else is shared
     nodes = {nid: replace(n, attrs=dict(n.attrs), tensors=dict(n.tensors)) for nid, n in graph.nodes.items()}
@@ -166,13 +184,10 @@ def apply_units(graph: ModelGraph, units: list[PruneUnit]) -> ModelGraph:
     return infer_shapes(new)
 
 
-def _marks(groups, numbering: _Numbering, widths: dict[str, int], what: str) -> np.ndarray:
-    """Mask over ``numbering`` of the (layer, index) refs in ``groups``, plus
-    one last entry that is never set. Each ref must name a layer of
-    ``widths`` and an index inside its width (``units.ref_arrays``)."""
-    layer, index, _ = ref_arrays(groups, widths, what)
+def _marks(ids: np.ndarray, numbering: _Numbering) -> np.ndarray:
+    """Mask over ``numbering`` of ``ids``, plus one last entry that is never set."""
     marks = np.zeros(numbering.size + 1, bool)
-    marks[np.array([numbering.offset[name] for name in widths], np.int64)[layer] + index] = True
+    marks[ids] = True
     return marks
 
 
@@ -184,30 +199,27 @@ def _check_entries(nid: str, stated: np.ndarray, keep: np.ndarray, what: str, re
         raise PruneKitError(f"{nid}: {what} {stated} does not match {removals} {expected}")
 
 
-def _make_report(before: ModelGraph, after: ModelGraph, units: list[PruneUnit], plan: PruningPlan) -> SurgeryReport:
-    removed_outputs: dict[str, list[int]] = {}
-    removed_inputs: dict[str, list[int]] = {}
-    for u in units:
-        for m in u.members:
-            removed_outputs.setdefault(m.layer, []).append(m.channel)
-        for s in u.in_slices:
-            removed_inputs.setdefault(s.layer, []).append(s.in_channel)
-    for d in (removed_outputs, removed_inputs):
-        for key in d:
-            d[key] = sorted(d[key])
+def _make_report(before: ModelGraph, after: ModelGraph, units: UnitTable, plan: PruningPlan) -> SurgeryReport:
     manifest_before, _ = _layout(before)
     manifest_after, arrays_after = _layout(after)
     container_digest = hashlib.sha256()
     for arr in arrays_after:
         container_digest.update(arr)
     return SurgeryReport(
-        removed_outputs=removed_outputs,
-        removed_inputs=removed_inputs,
+        removed_outputs=_by_layer(units.filters, units.members.ids),
+        removed_inputs=_by_layer(units.slots, units.in_slices.ids),
         bytes_removed=manifest_before["total_bytes"] - manifest_after["total_bytes"],
         post_params=plan.predicted_params,
         post_flops=plan.predicted_flops,
         container_checksum=container_digest.hexdigest(),
     )
+
+
+def _by_layer(numbering: _Numbering, ids: np.ndarray) -> dict[str, list[int]]:
+    """The indices of ``ids`` in each layer they name, ascending."""
+    layer, index = numbering.locate(np.sort(ids))
+    bounds = [*np.flatnonzero(np.diff(layer, prepend=-1)).tolist(), len(ids)]
+    return {numbering.names[layer[lo]]: index[lo:hi].tolist() for lo, hi in zip(bounds, bounds[1:])}
 
 
 def zero_equivalence_check(

@@ -34,7 +34,7 @@ surgery all read units through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
 from functools import cached_property
 from itertools import accumulate, chain, repeat
 from operator import itemgetter
@@ -42,6 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import jsontext
 from .errors import PruneKitError, ShapeError
 from .graph import WEIGHTED_KINDS, ModelGraph
 
@@ -54,7 +55,7 @@ class ChannelRef(NamedTuple):
 
     The three ref types are named tuples, so hashing, equality and ordering
     run on plain tuples: refs of different types with equal fields compare
-    equal. Nothing mixes them; ``_check_partition`` keeps one set per type.
+    equal. Nothing mixes them.
     """
 
     layer: str
@@ -75,16 +76,47 @@ class AuxRef(NamedTuple):
     index: int
 
 
-@dataclass
 class PruneUnit:
-    uid: str
-    kind: str
-    members: tuple[ChannelRef, ...]
-    in_slices: tuple[InSliceRef, ...]
-    aux: tuple[AuxRef, ...]
-    family: str  # normalization scope for the weight score
-    member_slices: tuple[tuple[InSliceRef, ...], ...] = ()  # per-member consumer slices
-    origin: ChannelRef | None = None  # producing channel of an in-channel-only unit
+    """One prunable unit.
+
+    ``uid``, ``kind`` and ``family`` (the normalization scope of its weight
+    score) are attributes. ``members``, ``in_slices`` and ``aux`` are tuples of
+    refs, ``member_slices`` holds each member's own consumer slices and
+    ``origin`` is the producing channel of an in-channel-only unit (None
+    otherwise). A unit of a :class:`UnitTable` is row ``row`` of ``table`` and
+    makes these refs from the table's id arrays on first access; a unit made by
+    hand holds the refs it is given. Units with equal fields compare equal.
+    """
+
+    __slots__ = ("uid", "kind", "family", "table", "row", "_refs")
+    _FIELDS = ("members", "in_slices", "aux", "member_slices", "origin")
+
+    def __init__(self, uid, kind, members, in_slices, aux, family, member_slices=(), origin=None):
+        self.uid, self.kind, self.family = uid, kind, family
+        self.table = self.row = None
+        self._refs = (tuple(members), tuple(in_slices), tuple(aux), tuple(member_slices), origin)
+
+    def _fields(self) -> tuple:
+        if self._refs is None:
+            self._refs = self.table.refs(self.row)
+        return self._refs
+
+    members = property(lambda self: self._fields()[0])
+    in_slices = property(lambda self: self._fields()[1])
+    aux = property(lambda self: self._fields()[2])
+    member_slices = property(lambda self: self._fields()[3])
+    origin = property(lambda self: self._fields()[4])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PruneUnit):
+            return NotImplemented
+        return (self.uid, self.kind, self.family, self._fields()) == (other.uid, other.kind, other.family, other._fields())
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = zip(("uid", "kind", "family", *self._FIELDS), (self.uid, self.kind, self.family, *self._fields()))
+        return "PruneUnit(" + ", ".join(f"{name}={value!r}" for name, value in fields) + ")"
 
     def to_json(self) -> dict:
         payload = {
@@ -101,14 +133,16 @@ class PruneUnit:
 
 
 class _Numbering:
-    """One global numbering of (layer, index) pairs, laid out layer by layer in
-    graph order, so sorting ids sorts by (topo, index)."""
+    """One global numbering of (layer, index) pairs, laid out layer by layer
+    in the given order; the ``ref_type`` of a pair is its ref."""
 
     def __init__(self, ref_type, widths: list[tuple[str, int]]):
         self.ref_type = ref_type
         self.width = dict(widths)
-        self.offset = dict(zip(self.width, accumulate(self.width.values(), initial=0)))
-        self.size = sum(self.width.values())
+        self.names = list(self.width)
+        self.starts = np.fromiter(accumulate(self.width.values(), initial=0), np.int64, len(widths) + 1)
+        self.offset = dict(zip(self.names, self.starts.tolist()))
+        self.size = int(self.starts[-1])
 
     def span(self, layer: str) -> slice:
         return slice(self.offset[layer], self.offset[layer] + self.width[layer])
@@ -116,30 +150,224 @@ class _Numbering:
     def ids(self, layer: str) -> np.ndarray:
         return np.arange(self.offset[layer], self.offset[layer] + self.width[layer])
 
+    def locate(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The layer position (in ``names``) and index of each id."""
+        layer = np.searchsorted(self.starts, ids, side="right") - 1
+        return layer, ids - self.starts[layer]
+
+    def refs(self, ids: np.ndarray) -> list:
+        layer, index = self.locate(ids)
+        return list(map(self.ref_type, map(self.names.__getitem__, layer.tolist()), index.tolist()))
+
+    def pairs(self, ids: np.ndarray, bounds: np.ndarray) -> list[list[list]]:
+        """The [layer, index] pairs of each run ``bounds[i]:bounds[i + 1]`` of ``ids``."""
+        layer, index = self.locate(ids)
+        pairs = list(map(list, zip(map(self.names.__getitem__, layer.tolist()), index.tolist())))
+        b = bounds.tolist()
+        return list(map(pairs.__getitem__, map(slice, b, b[1:])))
+
+    def ids_of(self, pairs: list) -> np.ndarray:
+        """The id of each (layer, index) pair, or -1 where the layer is not
+        numbered here or the index is outside its width."""
+        code = {name: i for i, name in enumerate(self.names)}
+        layer = np.fromiter(map(code.get, map(itemgetter(0), pairs), repeat(-1)), np.int64, len(pairs))
+        index = np.fromiter(map(itemgetter(1), pairs), np.int64, len(pairs))
+        ok = (index >= 0) & (index < np.append(np.diff(self.starts), 0)[layer])  # an unknown layer (-1) has width 0
+        return np.where(ok, self.starts[layer] + index, -1)
+
+
+def _spans(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The indices lo[0]:hi[0], lo[1]:hi[1], ... as one array."""
+    sizes = hi - lo
+    return np.repeat(lo - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+
+
+class Ragged(NamedTuple):
+    """Runs of ids: run ``i`` is ``ids[bounds[i]:bounds[i + 1]]``."""
+
+    ids: np.ndarray
+    bounds: np.ndarray
+
+    @staticmethod
+    def of(ids: np.ndarray, sizes: np.ndarray) -> "Ragged":
+        return Ragged(ids, np.concatenate([[0], np.cumsum(sizes)]))
+
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.bounds)
+
+    def take(self, runs: np.ndarray) -> "Ragged":
+        lo, hi = self.bounds[runs], self.bounds[runs + 1]
+        return Ragged.of(self.ids[_spans(lo, hi)], hi - lo)
+
+
+def _numberings(graph: ModelGraph) -> tuple[_Numbering, _Numbering, _Numbering]:
+    """The numberings of weighted-layer filters, weighted-layer input slots
+    and per-channel vector entries (batch-norm indices and biases), each laid
+    out in graph order."""
+    weighted = graph.weighted_layers()
+    nodes = map(graph.nodes.__getitem__, graph.order)
+    has_aux = [n for n in nodes if n.kind == "BatchNorm2d" or (n.kind in WEIGHTED_KINDS and "bias" in n.tensors)]
+    return (
+        _Numbering(ChannelRef, [(n.id, n.out_channels) for n in weighted]),
+        _Numbering(InSliceRef, [(n.id, n.declared_in_width()) for n in weighted]),
+        _Numbering(AuxRef, [(n.id, n.out_channels) for n in has_aux]),
+    )
+
+
+class UnitTable:
+    """The units of one graph as a table: ``uid``, ``kind`` and ``family``
+    lists, and id arrays shared by all rows.
+
+    ``members`` (filter ids), ``in_slices`` (slot ids) and ``aux`` (entry ids)
+    hold one run per unit, numbered by ``filters``, ``slots`` and ``entries``;
+    ``member_reads`` holds one run of slot ids per member (None for hand-made
+    units without ``member_slices``); ``origin`` is the filter id producing an
+    in-channel-only unit's slot, -1 for other units. Filter and slot numberings
+    list the weighted layers in graph order, so a layer's position in them is
+    its layer code. Iterating or indexing the table gives :class:`PruneUnit`
+    rows; ``take`` selects rows as a new table.
+    """
+
+    def __init__(self, graph: weakref.ref, numberings, uid, kind, family, members, in_slices, aux, member_reads, origin):
+        self._graph = graph  # a weak reference: a table does not keep its graph alive
+        self.filters, self.slots, self.entries = numberings
+        self.uid, self.kind, self.family = uid, kind, family
+        self.members, self.in_slices, self.aux = members, in_slices, aux
+        self.member_reads, self.origin = member_reads, origin
+
+    def of(self, graph: ModelGraph) -> bool:
+        """Whether the table was made from this graph object."""
+        return self._graph() is graph
+
+    def __len__(self) -> int:
+        return len(self.uid)
+
+    def __iter__(self):
+        return iter(self.units)
+
+    def __getitem__(self, i):
+        return self.units[i]
+
     @cached_property
-    def refs(self) -> list:
-        """The one ref of each pair, shared by every unit that names it."""
-        pairs = chain.from_iterable(zip(repeat(layer), range(width)) for layer, width in self.width.items())
-        return list(map(self.ref_type._make, pairs))
+    def units(self) -> list[PruneUnit]:
+        units = []
+        for row, (uid, kind, family) in enumerate(zip(self.uid, self.kind, self.family)):
+            unit = PruneUnit.__new__(PruneUnit)
+            unit.uid, unit.kind, unit.family, unit.table, unit.row, unit._refs = uid, kind, family, self, row, None
+            units.append(unit)
+        return units
+
+    def take(self, rows: np.ndarray) -> "UnitTable":
+        rows = np.asarray(rows, np.int64)
+        members = self.members.take(rows)
+        member_reads = None
+        if self.member_reads is not None:
+            member_reads = self.member_reads.take(_spans(self.members.bounds[rows], self.members.bounds[rows + 1]))
+        pick = rows.tolist()
+        return UnitTable(
+            self._graph,
+            (self.filters, self.slots, self.entries),
+            [self.uid[i] for i in pick],
+            [self.kind[i] for i in pick],
+            [self.family[i] for i in pick],
+            members,
+            self.in_slices.take(rows),
+            self.aux.take(rows),
+            member_reads,
+            self.origin[rows],
+        )
+
+    def refs(self, row: int) -> tuple:
+        """The ref fields of one row, in :class:`PruneUnit` order."""
+        run = lambda ragged, i: ragged.ids[ragged.bounds[i] : ragged.bounds[i + 1]]
+        members = tuple(self.filters.refs(run(self.members, row)))
+        in_slices = tuple(self.slots.refs(run(self.in_slices, row)))
+        member_slices = ()
+        if self.member_reads is not None:
+            lo, hi = self.members.bounds[row], self.members.bounds[row + 1]
+            member_slices = tuple(tuple(self.slots.refs(run(self.member_reads, m))) for m in range(lo, hi))
+        origin = self.filters.refs(self.origin[row : row + 1])[0] if self.origin[row] >= 0 else None
+        return members, in_slices, tuple(self.entries.refs(run(self.aux, row))), member_slices, origin
+
+    def anchors(self) -> tuple[list[str], list[int]]:
+        """Layer and index of each unit's first member, or of its first slot
+        when it has no member."""
+        has = self.members.sizes() > 0
+        layer, index = np.empty((2, len(self)), np.int64)
+        layer[has], index[has] = self.filters.locate(self.members.ids[self.members.bounds[:-1][has]])
+        layer[~has], index[~has] = self.slots.locate(self.in_slices.ids[self.in_slices.bounds[:-1][~has]])
+        return list(map(self.filters.names.__getitem__, layer.tolist())), index.tolist()
+
+    def to_json(self) -> str:
+        """The unit inventory as ``json.dumps([u.to_json() for u in table], indent=2)``."""
+        ind = "\n    "
+        columns = {"uid": jsontext.texts(self.uid, ind), "kind": jsontext.texts(self.kind, ind)}
+        for name, numbering, ragged in (
+            ("members", self.filters, self.members),
+            ("in_slices", self.slots, self.in_slices),
+            ("aux", self.entries, self.aux),
+        ):
+            layer, index = numbering.locate(ragged.ids)
+            columns[name] = jsontext.pair_arrays(numbering.names, layer.tolist(), index.tolist(), ragged.bounds.tolist(), ind)
+        columns["family"] = jsontext.texts(self.family, ind)
+        origin = [None] * len(self)
+        rows = np.flatnonzero(self.origin >= 0)
+        layer, index = self.filters.locate(self.origin[rows])
+        for row, text in zip(rows.tolist(), jsontext.pair_texts(self.filters.names, layer.tolist(), index.tolist(), ind)):
+            origin[row] = text
+        columns["origin"] = origin
+        return jsontext.array(jsontext.objects(columns, "\n  "), "\n") + "\n"
 
 
-def ref_arrays(groups, widths: dict[str, int], what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (layer, index) refs of ``groups``, an iterable of ref tuples, as two
-    flat int64 arrays, layer code (the layer's position in ``widths``) and
-    index, plus the number of refs in each group. Each ref must name a layer of
-    ``widths`` and an index inside its width; PruneKitError otherwise, naming
-    the index as ``what``."""
+def unit_table(graph: ModelGraph, units) -> UnitTable:
+    """``units`` over ``graph``'s numberings as a :class:`UnitTable`: the table
+    itself or the rows of the table its units belong to, when that table was
+    made from ``graph``; otherwise (units made by hand, or from another graph)
+    a table made from the units' refs. Each ref must name a layer of ``graph``
+    that has such entries and an index inside its width; PruneKitError
+    otherwise."""
+    if isinstance(units, UnitTable) and units.of(graph):
+        return units
+    units = list(units)
+    table = units[0].table if units else None
+    if table is not None and table.of(graph) and all(u.table is table for u in units):
+        return table.take(np.fromiter((u.row for u in units), np.int64, len(units)))
+    filters, slots, entries = numberings = _numberings(graph)
+    members = ref_arrays((u.members for u in units), filters, "output channel")
+    origins = ref_arrays(((u.origin,) if u.origin is not None else () for u in units), filters, "output channel")
+    in_slices = ref_arrays((u.in_slices for u in units), slots, "input slot")
+    member_reads = None
+    if all(len(u.member_slices) == len(u.members) for u in units):
+        member_reads = ref_arrays(chain.from_iterable(u.member_slices for u in units), slots, "input slot")
+    aux = ref_arrays((u.aux for u in units), entries, "vector entry")
+    origin = np.full(len(units), -1)
+    origin[origins.sizes() > 0] = origins.ids
+    return UnitTable(
+        weakref.ref(graph),
+        numberings,
+        [u.uid for u in units],
+        [u.kind for u in units],
+        [u.family for u in units],
+        members,
+        in_slices,
+        aux,
+        member_reads,
+        origin,
+    )
+
+
+def ref_arrays(groups, numbering: _Numbering, what: str) -> Ragged:
+    """The refs of ``groups``, an iterable of ref tuples, as one run of ids
+    over ``numbering`` per group. Each ref must name a layer of the numbering
+    and an index inside its width; PruneKitError otherwise, naming the index
+    as ``what``."""
     groups = list(groups)
-    sizes = np.fromiter(map(len, groups), np.int64, len(groups))
     refs = list(chain.from_iterable(groups))
-    code = {layer: i for i, layer in enumerate(widths)}
-    layer = np.fromiter(map(code.get, map(itemgetter(0), refs), repeat(-1)), np.int64, len(refs))
-    index = np.fromiter(map(itemgetter(1), refs), np.int64, len(refs))
-    bad = (index < 0) | (index >= np.array([*widths.values(), 0])[layer])  # an unknown layer (-1) has width 0
-    if bad.any():
-        ref = refs[int(np.argmax(bad))]
+    ids = numbering.ids_of(refs)
+    if (ids < 0).any():
+        ref = refs[int(np.argmax(ids < 0))]
         raise PruneKitError(f"{ref[0]}: unit names {what} {ref[1]}, which the layer does not have")
-    return layer, index, sizes
+    return Ragged.of(ids, np.fromiter(map(len, groups), np.int64, len(groups)))
 
 
 def run_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -160,10 +388,12 @@ def run_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 
 def channel_flow(graph: ModelGraph) -> tuple[_Numbering, dict[str, np.ndarray]]:
-    """The global numbering of Input and weighted-layer channels, and every
-    node's origin array over it (see ``_origin_arrays``). Makes no refs."""
-    nodes = map(graph.nodes.__getitem__, graph.order)
-    channels = _Numbering(ChannelRef, [(n.id, n.out_channels) for n in nodes if n.kind in ("Input", *WEIGHTED_KINDS)])
+    """The global numbering of channels, and every node's origin array over it
+    (see ``_origin_arrays``). Weighted-layer channels come first, laid out as
+    the ``filters`` numbering of ``_numberings`` (so a channel id is a filter
+    id), then the graph Input's."""
+    nodes = [*graph.weighted_layers(), graph.input_node()]
+    channels = _Numbering(ChannelRef, [(n.id, n.out_channels) for n in nodes])
     return channels, _origin_arrays(graph, channels)
 
 
@@ -260,18 +490,16 @@ def _ranges(keys: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.searchsorted(keys, wanted), np.searchsorted(keys, wanted, side="right")
 
 
-def build_prune_units(graph: ModelGraph) -> list[PruneUnit]:
-    """Enumerate the model's prunable units. Requires inferred shapes."""
+def build_prune_units(graph: ModelGraph) -> UnitTable:
+    """Enumerate the model's prunable units, as one table whose rows are in
+    (topo, index) order. Requires inferred shapes."""
     if not graph.inferred:
         raise ShapeError("run infer_shapes before build_prune_units")
     consumers = graph.consumers()
     _check_reachability(graph, consumers)
     weighted = graph.weighted_layers()
     channels, arrays = channel_flow(graph)
-    slots = _Numbering(InSliceRef, [(n.id, n.declared_in_width()) for n in weighted])
-    nodes = map(graph.nodes.__getitem__, graph.order)
-    has_aux = [n for n in nodes if n.kind == "BatchNorm2d" or (n.kind in WEIGHTED_KINDS and "bias" in n.tensors)]
-    auxes = _Numbering(AuxRef, [(n.id, n.out_channels) for n in has_aux])
+    filters, slots, auxes = numberings = _numberings(graph)
 
     # every weighted read, as (origin channel, consumer slot) pairs
     origins, targets = [], []
@@ -321,33 +549,63 @@ def build_prune_units(graph: ModelGraph) -> list[PruneUnit]:
     removable &= ~np.isin(label, label[channels.ids(graph.input_node().id)])
     removable &= ~np.isin(label, label[dense])
 
-    full = _full_channel_units(channels, slots, auxes, label, removable, reads, aux)
-    in_only = _in_channel_only_units(channels, slots, dense, reads)
-    # each list is in (topo, index) order; full-channel units of a layer come
-    # before the in-channel-only units of its slots
-    topo = {nid: i for i, nid in enumerate(graph.order)}
-    keys = [2 * topo[u.members[0].layer] for u in full] + [2 * topo[u.in_slices[0].layer] + 1 for u in in_only]
-    units = full + in_only
-    units = [units[i] for i in sorted(range(len(units)), key=keys.__getitem__)]
+    members, in_slices, unit_aux, member_reads = _full_channel_units(channels.size, slots.size, auxes.size, label, removable, reads, aux)
+    slot, origin = _in_channel_only_units(slots, dense, reads)
+    n_full, n_in = len(members.bounds) - 1, len(slot)
+
+    # names: a group by its first member, an in-channel-only unit by its slot
+    names = filters.names
+    lead, index = filters.locate(members.ids[members.bounds[:-1]])
+    uid = list(map("{}.c{}".format, map(names.__getitem__, lead.tolist()), index.tolist()))
+    family = ["layer:" + names[i] for i in lead.tolist()]
+    member_layer = filters.locate(members.ids)[0].tolist()
+    bounds = members.bounds.tolist()
+    for g in np.flatnonzero(members.sizes() > 1).tolist():
+        family[g] = "group:" + "|".join(sorted({names[i] for i in member_layer[bounds[g] : bounds[g + 1]]}))
+    slot_layer, slot_index = slots.locate(slot)
+    uid += map("{}.in{}".format, map(names.__getitem__, slot_layer.tolist()), slot_index.tolist())
+    family += ["inslice:" + names[i] for i in slot_layer.tolist()]
+
+    # full-channel units of a layer come before the in-channel-only units of its slots
+    order = np.argsort(np.concatenate([2 * lead, 2 * slot_layer + 1]), kind="stable")
+    nothing = Ragged.of(np.zeros(0, np.int64), np.zeros(n_in, np.int64))
+    units = UnitTable(
+        weakref.ref(graph),
+        numberings,
+        uid,
+        [FULL_CHANNEL] * n_full + [IN_CHANNEL_ONLY] * n_in,
+        family,
+        _joined(members, nothing),
+        _joined(in_slices, Ragged.of(slot, np.ones(n_in, np.int64))),
+        _joined(unit_aux, nothing),
+        member_reads,
+        np.concatenate([np.full(n_full, -1), origin]),
+    ).take(order)
     _check_partition(units)
     return units
 
 
+def _joined(a: Ragged, b: Ragged) -> Ragged:
+    """The runs of ``a``, then those of ``b``."""
+    return Ragged(np.concatenate([a.ids, b.ids]), np.concatenate([a.bounds, a.bounds[-1] + b.bounds[1:]]))
+
+
 def _full_channel_units(
-    channels: _Numbering,
-    slots: _Numbering,
-    auxes: _Numbering,
+    n_channels: int,
+    n_slots: int,
+    n_aux: int,
     label: np.ndarray,
     removable: np.ndarray,
     reads: tuple[np.ndarray, np.ndarray],
     aux: tuple[np.ndarray, np.ndarray],
-) -> list[PruneUnit]:
+) -> tuple[Ragged, Ragged, Ragged, Ragged]:
     """One unit per residual class (``label``) of removable channels that some
-    weighted layer reads, in order of its first member. ``reads`` and ``aux``
-    are the sorted (channel, slot) and (channel, entry) id pairs."""
+    weighted layer reads, in order of its first member: the members, reads
+    and aux entries of each unit, and the reads of each member. ``reads`` and
+    ``aux`` are the sorted (channel, slot) and (channel, entry) id pairs."""
     # a group is named by its first member, and groups are listed in that order
     members = np.flatnonzero(removable)  # ascending id: (topo, index) order
-    lead = np.full(channels.size, channels.size)
+    lead = np.full(n_channels, n_channels)
     np.minimum.at(lead, label[members], members)
     group_of = lead[label]
     members = members[np.argsort(group_of[members], kind="stable")]
@@ -357,78 +615,38 @@ def _full_channel_units(
     # each group's distinct reads and aux entries, keyed by (group, slot or entry)
     mine = removable[reads[0]]
     read_origin, read_slot = reads[0][mine], reads[1][mine]
-    n_slots, n_aux = slots.size, auxes.size
     group_reads = _sorted_unique(group_of[read_origin] * n_slots + read_slot)
     mine = removable[aux[0]]
     group_aux = _sorted_unique(group_of[aux[0][mine]] * n_aux + aux[1][mine])
     read_lo, read_hi = _ranges(group_reads // n_slots, members[starts])
     aux_lo, aux_hi = _ranges(group_aux // n_aux, members[starts])
 
-    # a member's own reads are rows member_lo:member_hi of the read pairs,
-    # already in slot order
-    member_lo, member_hi = _ranges(read_origin, members)
-
     # a group that nothing reads is the terminal layer's: its outputs are the model's outputs
     kept = read_hi > read_lo
-    starts, ends, read_lo, read_hi, aux_lo, aux_hi = (
-        a[kept].tolist() for a in (starts, ends, read_lo, read_hi, aux_lo, aux_hi)
-    )
+    starts, ends, read_lo, read_hi, aux_lo, aux_hi = (a[kept] for a in (starts, ends, read_lo, read_hi, aux_lo, aux_hi))
+    members = members[_spans(starts, ends)]
 
-    # every field is a slice of one tuple of shared refs
-    member_refs = tuple(map(channels.refs.__getitem__, members.tolist()))
-    group_read_refs = tuple(map(slots.refs.__getitem__, (group_reads % n_slots).tolist()))
-    group_aux_refs = tuple(map(auxes.refs.__getitem__, (group_aux % n_aux).tolist()))
-    member_read_refs = tuple(map(slots.refs.__getitem__, read_slot.tolist()))
-    members_of = list(map(member_refs.__getitem__, map(slice, starts, ends)))
-    in_slices_of = list(map(group_read_refs.__getitem__, map(slice, read_lo, read_hi)))
-    primaries = [refs[0] for refs in members_of]
-    families = [f"layer:{m.layer}" for m in primaries]
-    per_member = list(zip(in_slices_of))  # a lone member's reads are its group's
-    member_lo, member_hi = member_lo.tolist(), member_hi.tolist()
-    for g in np.flatnonzero(np.subtract(ends, starts) > 1).tolist():
-        families[g] = "group:" + "|".join(sorted({m.layer for m in members_of[g]}))
-        per_member[g] = tuple(member_read_refs[member_lo[i] : member_hi[i]] for i in range(starts[g], ends[g]))
-    return list(
-        map(
-            PruneUnit,
-            [f"{m.layer}.c{m.channel}" for m in primaries],
-            repeat(FULL_CHANNEL),
-            members_of,
-            in_slices_of,
-            map(group_aux_refs.__getitem__, map(slice, aux_lo, aux_hi)),
-            families,
-            per_member,
-        )
+    # a member's own reads are rows member_lo:member_hi of the read pairs, already in slot order
+    member_lo, member_hi = _ranges(read_origin, members)
+    return (
+        Ragged.of(members, ends - starts),
+        Ragged.of(group_reads[_spans(read_lo, read_hi)] % n_slots, read_hi - read_lo),
+        Ragged.of(group_aux[_spans(aux_lo, aux_hi)] % n_aux, aux_hi - aux_lo),
+        Ragged.of(read_slot[_spans(member_lo, member_hi)], member_hi - member_lo),
     )
 
 
-def _in_channel_only_units(
-    channels: _Numbering, slots: _Numbering, dense: np.ndarray, reads: tuple[np.ndarray, np.ndarray]
-) -> list[PruneUnit]:
-    """One unit per read of a dense-interior channel, in slot order; that
-    channel must be the slot's only origin."""
+def _in_channel_only_units(slots: _Numbering, dense: np.ndarray, reads: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The slot and origin channel of every read of a dense-interior channel,
+    in slot order; that channel must be the slot's only origin."""
     shared = np.bincount(reads[1], minlength=slots.size) > 1
     mine = dense[reads[0]]
     origin, slot = reads[0][mine], reads[1][mine]
     if shared[slot].any():
-        sl = slots.refs[slot[shared[slot]][0]]
-        raise PruneKitError(f"overlapping dense/residual structures: slot {sl.layer}.in{sl.in_channel}")
+        layer, index = slots.refs(slot[shared[slot]][:1])[0]
+        raise PruneKitError(f"overlapping dense/residual structures: slot {layer}.in{index}")
     order = np.argsort(slot)
-    units = []
-    for o, s in zip(origin[order].tolist(), slot[order].tolist()):
-        sl = slots.refs[s]
-        units.append(
-            PruneUnit(
-                f"{sl.layer}.in{sl.in_channel}",
-                IN_CHANNEL_ONLY,
-                (),
-                (sl,),
-                (),
-                f"inslice:{sl.layer}",
-                origin=channels.refs[o],
-            )
-        )
-    return units
+    return slot[order], origin[order]
 
 
 def _check_reachability(graph: ModelGraph, consumers: dict[str, list[str]]) -> None:
@@ -445,15 +663,12 @@ def _check_reachability(graph: ModelGraph, consumers: dict[str, list[str]]) -> N
             raise PruneKitError(f"unsupported topology: {node.id} has no path to Output")
 
 
-def _check_partition(units: list[PruneUnit]) -> None:
+def _check_partition(units: UnitTable) -> None:
     """No channel and no slot belongs to two units."""
-    for refs, name in (
-        ([m for u in units for m in u.members], "channel {0}.c{1}"),
-        ([s for u in units for s in u.in_slices], "slice {0}.in{1}"),
+    for ragged, numbering, name in (
+        (units.members, units.filters, "channel {0}.c{1}"),
+        (units.in_slices, units.slots, "slice {0}.in{1}"),
     ):
-        if len(set(refs)) < len(refs):
-            seen: set = set()
-            for ref in refs:
-                if ref in seen:
-                    raise PruneKitError(name.format(*ref) + " appears in two units")
-                seen.add(ref)
+        twice = np.flatnonzero(np.bincount(ragged.ids, minlength=numbering.size) > 1)
+        if len(twice):
+            raise PruneKitError(name.format(*numbering.refs(twice[:1])[0]) + " appears in two units")

@@ -200,7 +200,7 @@ class TestDenseBlocks:
         units = build_prune_units(g)
         assert [u.uid for u in units] == [f"d.in{i}" for i in range(4)]
         assert [u.origin for u in units] == [ChannelRef("p", i) for i in range(4)]
-        assert units == per_channel_units(g)
+        assert list(units) == per_channel_units(g)
         for u in units:
             apply_units(g, [u])
 
