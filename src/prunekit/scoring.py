@@ -149,7 +149,7 @@ def _l1(graph: ModelGraph, numbering: _Numbering, axis: int, ids: np.ndarray) ->
     are visited."""
     named = _sorted_unique(ids)
     layer, index = numbering.locate(named)
-    bounds = [*np.flatnonzero(np.diff(layer, prepend=-1)).tolist(), len(named)]  # each layer's run of named ids
+    bounds = [0, *(np.flatnonzero(layer[1:] != layer[:-1]) + 1).tolist(), len(named)]  # each layer's run of named ids
     masses = np.empty(len(named))
     for lo, hi in zip(bounds, bounds[1:]):
         view = np.swapaxes(graph.nodes[numbering.names[layer[lo]]].weight(), 0, axis)  # filters or input slots first
@@ -157,43 +157,36 @@ def _l1(graph: ModelGraph, numbering: _Numbering, axis: int, ids: np.ndarray) ->
     return masses[np.searchsorted(named, ids)]
 
 
-def _raw_scores(graph: ModelGraph, units: UnitTable, use_in_channel: bool) -> list[float]:
-    """Dependency L1 of every unit. A unit's filters are its members, or the
-    origin of an in-channel-only unit, and their consumer slices are each
-    member's reads, or the unit's slots; each filter's score is its mass plus
-    its slices' masses, and a unit's score the mean of its filters' scores,
-    all added in the order a per-reference loop would add them."""
-    members, slots, reads = units.members, units.in_slices, units.member_reads
-    full = np.array([k == FULL_CHANNEL for k in units.kind], bool)
-    # filter positions: members index members.ids; unit i's origin is position len(members.ids) + i
-    first = len(members.ids) + np.arange(len(units))
-    lo = np.where(full, members.bounds[:-1], first)
-    hi = np.where(full, members.bounds[1:], first + 1)
+def _raw_scores(graph: ModelGraph, units: UnitTable, use_in_channel: bool, rows=slice(None)) -> list[float]:
+    """Dependency L1 of every unit, or of table rows ``rows``. A unit's
+    filters are its members, or the origin of an in-channel-only unit
+    (``UnitTable.filter_runs``), and their consumer slices are each member's
+    reads, or the unit's slots; each filter's score is its mass plus its
+    slices' masses, and a unit's score the mean of its filters' scores, all
+    added in the order a per-reference loop would add them."""
+    runs = units.filter_runs
+    lo, hi = runs.lo[rows], runs.hi[rows]
     n_filters = hi - lo
     if not n_filters.all():
         raise ValueError("group has no members")
     at = _spans(lo, hi)
-    filters = np.concatenate([members.ids, units.origin])[at]
-    if (filters < 0).any():
-        raise ValueError("an in-channel-only unit needs its origin")
-    scores = _l1(graph, units.filters, 0, filters)
+    scores = _l1(graph, units.filters, 0, runs.ids[at])
     if use_in_channel:
-        if reads is None:
+        if runs.read_ids is None:
             raise ValueError("every member needs its own consumer slices (member_slices)")
-        # read runs: members' own runs, then each unit's slots as the run of its origin
-        skip = len(reads.ids)
-        lo = np.concatenate([reads.bounds[:-1], skip + slots.bounds[:-1]])[at]
-        hi = np.concatenate([reads.bounds[1:], skip + slots.bounds[1:]])[at]
-        read_ids = np.concatenate([reads.ids, slots.ids])[_spans(lo, hi)]
-        scores = scores + run_sums(_l1(graph, units.slots, 1, read_ids), hi - lo)
+        read_lo, read_hi = runs.read_lo[at], runs.read_hi[at]
+        scores = scores + run_sums(_l1(graph, units.slots, 1, runs.read_ids[_spans(read_lo, read_hi)]), read_hi - read_lo)
     return (run_sums(scores, n_filters) / n_filters).tolist()
 
 
 def dependency_l1(graph: ModelGraph, unit: PruneUnit, use_in_channel: bool = True) -> float:
     """Raw score: absolute weight mass of the unit's out-channel(s), plus its
     consumer slices when ``use_in_channel``. Coupled groups average over their
-    members. Biases and batch-norm parameters never contribute.
+    members. Biases and batch-norm parameters never contribute. A row of a
+    table made from ``graph`` is scored in place, without copying its runs.
     """
+    if unit.table is not None and unit.table.of(graph):
+        return _raw_scores(graph, unit.table, use_in_channel, slice(unit.row, unit.row + 1))[0]
     return _raw_scores(graph, unit_table(graph, [unit]), use_in_channel)[0]
 
 

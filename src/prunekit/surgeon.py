@@ -242,24 +242,29 @@ def zero_equivalence_check(
     unit touches, which get their own copies of their tensors; the input
     graph is left unchanged.
     """
+    table = unit_table(graph, [unit])
+    members, aux, slices = (
+        numbering.pairs(ragged.ids, ragged.bounds)[0]
+        for numbering, ragged in ((table.filters, table.members), (table.entries, table.aux), (table.slots, table.in_slices))
+    )
     nodes = dict(graph.nodes)
-    for nid in {ref.layer for ref in (*unit.members, *unit.aux, *unit.in_slices)}:
+    for nid in {layer for layer, _ in (*members, *aux, *slices)}:
         nodes[nid] = replace(nodes[nid], tensors={role: t.copy() for role, t in nodes[nid].tensors.items()})
     zeroed = replace(graph, nodes=nodes)
-    for m in unit.members:
-        node = zeroed.nodes[m.layer]
-        node.weight()[m.channel] = 0.0
+    for layer, c in members:
+        node = zeroed.nodes[layer]
+        node.weight()[c] = 0.0
         if "bias" in node.tensors:
-            node.tensors["bias"][m.channel] = 0.0
-    for a in unit.aux:
-        node = zeroed.nodes[a.layer]
+            node.tensors["bias"][c] = 0.0
+    for layer, i in aux:
+        node = zeroed.nodes[layer]
         if node.kind == "BatchNorm2d":
-            node.tensors["gamma"][a.index] = 0.0
-            node.tensors["beta"][a.index] = 0.0
-    for s in unit.in_slices:
-        zeroed.nodes[s.layer].weight()[:, s.in_channel] = 0.0
+            node.tensors["gamma"][i] = 0.0
+            node.tensors["beta"][i] = 0.0
+    for layer, s in slices:
+        zeroed.nodes[layer].weight()[:, s] = 0.0
 
-    pruned = apply_units(graph, [unit])
+    pruned = apply_units(graph, table)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((trials, graph.input_channels, graph.input_size, graph.input_size))
     y_zero = forward_eval(zeroed, x)

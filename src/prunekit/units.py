@@ -98,7 +98,7 @@ class PruneUnit:
 
     def _fields(self) -> tuple:
         if self._refs is None:
-            self._refs = self.table.refs(self.row)
+            self._refs = self.table.refs[self.row]
         return self._refs
 
     members = property(lambda self: self._fields()[0])
@@ -159,6 +159,11 @@ class _Numbering:
         layer, index = self.locate(ids)
         return list(map(self.ref_type, map(self.names.__getitem__, layer.tolist()), index.tolist()))
 
+    def runs(self, ragged: "Ragged") -> list[tuple]:
+        """The refs of each run of ``ragged``, as a tuple per run."""
+        refs, b = self.refs(ragged.ids), ragged.bounds.tolist()
+        return list(map(tuple, map(refs.__getitem__, map(slice, b, b[1:]))))
+
     def pairs(self, ids: np.ndarray, bounds: np.ndarray) -> list[list[list]]:
         """The [layer, index] pairs of each run ``bounds[i]:bounds[i + 1]`` of ``ids``."""
         layer, index = self.locate(ids)
@@ -198,6 +203,23 @@ class Ragged(NamedTuple):
     def take(self, runs: np.ndarray) -> "Ragged":
         lo, hi = self.bounds[runs], self.bounds[runs + 1]
         return Ragged.of(self.ids[_spans(lo, hi)], hi - lo)
+
+
+class FilterRuns(NamedTuple):
+    """The filters a unit's score reads: a full-channel unit's members, or
+    the origin of any other unit. Filter positions index ``ids``: position
+    ``p < len(members.ids)`` is member ``p``, and position
+    ``len(members.ids) + i`` is unit ``i``'s origin. Unit ``i`` owns
+    positions ``lo[i]:hi[i]``. The reads of position ``p`` are
+    ``read_ids[read_lo[p]:read_hi[p]]``: a member's own reads, or the unit's
+    slots for an origin (None without per-member reads)."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    ids: np.ndarray
+    read_lo: np.ndarray | None
+    read_hi: np.ndarray | None
+    read_ids: np.ndarray | None
 
 
 def _numberings(graph: ModelGraph) -> tuple[_Numbering, _Numbering, _Numbering]:
@@ -277,17 +299,43 @@ class UnitTable:
             self.origin[rows],
         )
 
-    def refs(self, row: int) -> tuple:
-        """The ref fields of one row, in :class:`PruneUnit` order."""
-        run = lambda ragged, i: ragged.ids[ragged.bounds[i] : ragged.bounds[i + 1]]
-        members = tuple(self.filters.refs(run(self.members, row)))
-        in_slices = tuple(self.slots.refs(run(self.in_slices, row)))
-        member_slices = ()
+    @cached_property
+    def refs(self) -> list[tuple]:
+        """The ref fields of every row, in :class:`PruneUnit` order, made in
+        one pass per field the first time any row's refs are read."""
+        members, in_slices, aux = (
+            numbering.runs(ragged) for numbering, ragged in ((self.filters, self.members), (self.slots, self.in_slices), (self.entries, self.aux))
+        )
+        member_slices = [()] * len(self)
         if self.member_reads is not None:
-            lo, hi = self.members.bounds[row], self.members.bounds[row + 1]
-            member_slices = tuple(tuple(self.slots.refs(run(self.member_reads, m))) for m in range(lo, hi))
-        origin = self.filters.refs(self.origin[row : row + 1])[0] if self.origin[row] >= 0 else None
-        return members, in_slices, tuple(self.entries.refs(run(self.aux, row))), member_slices, origin
+            reads, b = self.slots.runs(self.member_reads), self.members.bounds.tolist()
+            member_slices = list(map(tuple, map(reads.__getitem__, map(slice, b, b[1:]))))
+        origin = [None] * len(self)
+        rows = np.flatnonzero(self.origin >= 0)
+        for row, ref in zip(rows.tolist(), self.filters.refs(self.origin[rows])):
+            origin[row] = ref
+        return list(zip(members, in_slices, aux, member_slices, origin))
+
+    @cached_property
+    def filter_runs(self) -> "FilterRuns":
+        """Where each unit's filters and their reads are (see :class:`FilterRuns`)."""
+        full = np.array([kind == FULL_CHANNEL for kind in self.kind], bool)
+        members, slots, reads, n = self.members, self.in_slices, self.member_reads, len(self)
+        if (self.origin[~full] < 0).any():
+            raise ValueError("an in-channel-only unit needs its origin")
+        first = len(members.ids) + np.arange(n)
+        lo, hi = np.where(full, members.bounds[:-1], first), np.where(full, members.bounds[1:], first + 1)
+        if reads is None:
+            return FilterRuns(lo, hi, np.concatenate([members.ids, self.origin]), None, None, None)
+        skip = len(reads.ids)
+        return FilterRuns(
+            lo,
+            hi,
+            np.concatenate([members.ids, self.origin]),
+            np.concatenate([reads.bounds[:-1], skip + slots.bounds[:-1]]),
+            np.concatenate([reads.bounds[1:], skip + slots.bounds[1:]]),
+            np.concatenate([reads.ids, slots.ids]),
+        )
 
     def anchors(self) -> tuple[list[str], list[int]]:
         """Layer and index of each unit's first member, or of its first slot
@@ -375,6 +423,10 @@ def run_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     left to right from zero as Python's ``sum`` adds, so float sums equal a
     per-run loop's to the bit. Adds one column of runs at a time, the longest
     runs first, so the work is one numpy step per position of the longest run."""
+    if sizes.max(initial=0) <= 1:  # every run is empty or one value
+        sums = np.zeros(len(sizes), values.dtype)
+        sums[sizes == 1] += values
+        return sums
     order = np.argsort(-sizes, kind="stable")
     starts = (np.cumsum(sizes) - sizes)[order]
     longest = sizes[order]
