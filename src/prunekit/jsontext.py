@@ -68,8 +68,9 @@ def _text(v, ind: str) -> str:
         return _string(v)
     inner = ind + "  "
     if isinstance(v, (list, tuple)):
-        if v and all(type(p) is list and len(p) == 2 and type(p[0]) is str and type(p[1]) is int for p in v):
-            return array(_pairs(map(_string, (p[0] for p in v)), (p[1] for p in v), inner), ind)
+        if v and is_pairs(v):
+            deeper = inner + "  "
+            return array([f"[{deeper}{_string(name)},{deeper}{i}{inner}]" for name, i in v], ind)
         return array(texts(v, inner), ind)
     if isinstance(v, dict):
         if not v:
@@ -77,6 +78,13 @@ def _text(v, ind: str) -> str:
         keys = [_string(k) if type(k) is str else _key(k) for k in v]
         return "{" + inner + ("," + inner).join(map("{}: {}".format, keys, texts(v.values(), inner))) + ind + "}"
     return _scalar(v)
+
+
+def is_pairs(value) -> bool:
+    """Whether ``value`` is a list of [str, int] lists (an int that is not a bool)."""
+    return type(value) is list and all(
+        type(p) is list and len(p) == 2 and type(p[0]) is str and type(p[1]) is int for p in value
+    )
 
 
 def texts(values, ind: str) -> list[str]:
@@ -99,17 +107,11 @@ def array(items: list[str], ind: str) -> str:
     return "[" + inner + ("," + inner).join(items) + ind + "]"
 
 
-def _pairs(names, indices, ind: str) -> list[str]:
-    """The text of each [name, index] pair at indentation ``ind``, from
-    already-encoded names and integer indices."""
-    inner = ind + "  "
-    return [f"[{inner}{name},{inner}{i}{ind}]" for name, i in zip(names, indices)]
-
-
 def pair_texts(names: list[str], layer: list[int], index: list[int], ind: str) -> list[str]:
     """The text of each [names[layer[j]], index[j]] pair at indentation ``ind``."""
     encoded = [_string(n) for n in names]
-    return _pairs(map(encoded.__getitem__, layer), index, ind)
+    inner = ind + "  "
+    return [f"[{inner}{encoded[l]},{inner}{i}{ind}]" for l, i in zip(layer, index)]
 
 
 def pair_arrays(names: list[str], layer: list[int], index: list[int], bounds: list[int], ind: str) -> list[str]:

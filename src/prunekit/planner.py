@@ -95,7 +95,6 @@ class PruningPlan:
             raise PruneKitError(f"malformed plan file: {e}") from e
         return plan
 
-
     def _check_types(self) -> None:
         """Each int, float and str field holds that type (``scoring._admits``),
         and each layer-width map maps names to ints."""
@@ -118,16 +117,9 @@ def _is_entry(entry) -> bool:
         and {"unit_id", "imp", "members", "in_slices"} <= entry.keys()
         and isinstance(entry["unit_id"], str)
         and _admits("float", entry["imp"])
-        and _is_pairs(entry["members"])
-        and _is_pairs(entry["in_slices"])
+        and jsontext.is_pairs(entry["members"])
+        and jsontext.is_pairs(entry["in_slices"])
     )
-
-
-def _is_pairs(value) -> bool:
-    return type(value) is list and all(
-        type(p) is list and len(p) == 2 and type(p[0]) is str and type(p[1]) is int for p in value
-    )
-
 
 
 def rank_global(records: list[ImportanceRecord]) -> list[ImportanceRecord]:
@@ -205,8 +197,7 @@ def _entries(taken: list[ImportanceRecord], graph: ModelGraph) -> list[dict]:
     """The plan entry of each taken record, its members and in-slices as
     [layer, index] pairs."""
     units = unit_table(graph, [r.unit for r in taken])
-    members = units.filters.pairs(units.members.ids, units.members.bounds)
-    in_slices = units.slots.pairs(units.in_slices.ids, units.in_slices.bounds)
+    members, in_slices = units.filters.pairs(units.members), units.slots.pairs(units.in_slices)
     return [
         {"unit_id": r.unit_id, "imp": r.importance, "members": m, "in_slices": s}
         for r, m, s in zip(taken, members, in_slices)

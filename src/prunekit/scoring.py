@@ -11,13 +11,12 @@ log-normalized parameter and FLOP costs so cheap-but-heavy channels sink:
 
 with Pmax/Fmax taken over every unit of the model.
 
-Scoring works on id arrays, not on ref objects: a unit list's filters and
-consumer slices become (layer code, index) arrays in one step
-(``units.ref_arrays``), each weighted layer's L1 masses are summed once, and
-the per-unit sums add the indexed masses in the order a per-reference loop
-would, so every raw score is the same float. P and F are each unit's
-footprint rows (``costs.unit_rows``) priced in int64 (``costs.unit_costs``),
-the same rows the planner removes.
+Scoring works on the unit table's id arrays, not on ref objects: each
+weighted layer's L1 masses are summed once over the filters and consumer
+slices the units name, and the per-unit sums add the indexed masses in the
+order a per-reference loop would, so every raw score is the same float. P and
+F are each unit's footprint rows (``costs.unit_rows``) priced in int64
+(``costs.unit_costs``), the same rows the planner removes.
 """
 
 from __future__ import annotations
@@ -261,10 +260,12 @@ def score_all(graph: ModelGraph, units: list[PruneUnit], config: Config) -> list
     costs = unit_costs(graph, table, config.flops_convention)
     pmax = max(p for p, _ in costs)
     fmax = max(f for _, f in costs)
+    # units of one layer shape share their prices, so each distinct price is normalized once
+    bonus = {pf: normalize_cost_scores(*pf, pmax, fmax, config.alpha, config.beta) for pf in set(costs)}
 
     records = []
     for u, layer, channel, raw, gl, (p, f) in zip(units, *table.anchors(), raws, weight_scores, costs):
-        gp, gf = normalize_cost_scores(p, f, pmax, fmax, config.alpha, config.beta)
+        gp, gf = bonus[p, f]
         records.append(
             ImportanceRecord(
                 unit_id=u.uid,

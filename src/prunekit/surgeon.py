@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -92,19 +93,16 @@ def _matches(units: UnitTable, rows: list[int], entries: list[dict]) -> list[boo
     row ``rows[i]``. The entries' [layer, index] pairs become ids in one step;
     a pair naming no such channel or slot never matches, nor does an entry
     that is not well formed (``planner._is_entry``) or names no row."""
-    good = [r >= 0 and _is_entry(e) for e, r in zip(entries, rows)]
-    picked = [(e, r) for e, r, ok in zip(entries, rows, good) if ok]
-    same = [True] * len(picked)
+    same = [r >= 0 and _is_entry(e) for e, r in zip(entries, rows)]
     for key, numbering, ragged in (("members", units.filters, units.members), ("in_slices", units.slots, units.in_slices)):
-        got = numbering.ids_of([pair for e, _ in picked for pair in e[key]]).tolist()
+        groups = [e[key] if ok else [] for e, ok in zip(entries, same)]
+        got = numbering.ids_of(list(chain.from_iterable(groups))).tolist()
         want, bounds = ragged.ids.tolist(), ragged.bounds.tolist()
         at = 0
-        for i, (e, r) in enumerate(picked):
-            n = len(e[key])
-            same[i] = same[i] and got[at : at + n] == want[bounds[r] : bounds[r + 1]]
-            at += n
-    it = iter(same)
-    return [ok and next(it) for ok in good]
+        for i, (group, r) in enumerate(zip(groups, rows)):
+            same[i] = same[i] and got[at : at + len(group)] == want[bounds[r] : bounds[r + 1]]
+            at += len(group)
+    return same
 
 
 def _checked_surgery(graph: ModelGraph, units: UnitTable, plan: PruningPlan) -> ModelGraph:
@@ -243,10 +241,7 @@ def zero_equivalence_check(
     graph is left unchanged.
     """
     table = unit_table(graph, [unit])
-    members, aux, slices = (
-        numbering.pairs(ragged.ids, ragged.bounds)[0]
-        for numbering, ragged in ((table.filters, table.members), (table.entries, table.aux), (table.slots, table.in_slices))
-    )
+    members, aux, slices = (table.filters.pairs(table.members)[0], table.entries.pairs(table.aux)[0], table.slots.pairs(table.in_slices)[0])
     nodes = dict(graph.nodes)
     for nid in {layer for layer, _ in (*members, *aux, *slices)}:
         nodes[nid] = replace(nodes[nid], tensors={role: t.copy() for role, t in nodes[nid].tensors.items()})

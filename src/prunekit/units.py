@@ -14,22 +14,24 @@ The final weighted layer feeding Output keeps all its channels (class count is
 fixed). Channels of the graph Input are never removable, and neither is a group
 that an Add ties to them or to a dense-interior producer.
 
-Units are derived per layer, not per channel. Input and weighted-layer
-channels share one global id numbering laid out layer by layer in graph order,
-so sorting ids sorts channels by (topo, index); consumer slots and per-channel
-vector entries (biases, batch-norm indices) are numbered the same way. One walk
-gives every node an integer array of the channel ids feeding each of its
-output indices, with one row per origin (an Add stacks its operands' rows).
-Each weighted layer's reads then become (channel, slot) id pairs, and each
-batch-norm layer's entries (channel, entry) pairs, a whole layer at a time.
-Each Add ties whole operand arrays in an array union-find, whose classes are
-the residual groups. A group's members, reads and entries are runs of sorted
-ids, and a unit's fields are slices of tuples of ref objects, one ref per
-(layer, index), made once the inventory is final. Surgery reads the same
-channel numbering and origin arrays (``channel_flow``) to find the indices
-each node keeps. Going the other way, ``ref_arrays`` turns a unit list's refs
-back into (layer code, index) arrays in one step; scoring, planning and
-surgery all read units through it.
+Units are derived per layer, not per channel. Weighted-layer channels, then
+the Input's, share one global id numbering laid out layer by layer in graph
+order, so sorting weighted-layer ids sorts channels by (topo, index); consumer
+slots and per-channel vector entries (biases, batch-norm indices) are numbered
+the same way. One walk gives every node an integer array of the channel ids
+feeding each of its output indices, with one row per origin (an Add stacks its
+operands' rows). Each weighted layer's reads then become (channel, slot) id
+pairs, and each batch-norm layer's entries (channel, entry) pairs, a whole
+layer at a time. Each Add ties whole operand arrays in an array union-find,
+whose classes are the residual groups.
+
+The inventory is one :class:`UnitTable`: every unit's members, reads, entries
+and per-member reads are runs of ids in shared arrays, and ``uid``, ``kind``
+and ``family`` are lists. Scoring, pricing, planning and surgery read those
+arrays; surgery also reads the channel numbering and origin arrays
+(``channel_flow``) to find the indices each node keeps. Ref objects are made
+only when something asks a unit for its ``members``, ``in_slices`` and so on,
+and units made by hand from refs enter a table through ``unit_table``.
 """
 
 from __future__ import annotations
@@ -164,11 +166,11 @@ class _Numbering:
         refs, b = self.refs(ragged.ids), ragged.bounds.tolist()
         return list(map(tuple, map(refs.__getitem__, map(slice, b, b[1:]))))
 
-    def pairs(self, ids: np.ndarray, bounds: np.ndarray) -> list[list[list]]:
-        """The [layer, index] pairs of each run ``bounds[i]:bounds[i + 1]`` of ``ids``."""
-        layer, index = self.locate(ids)
+    def pairs(self, ragged: "Ragged") -> list[list[list]]:
+        """The [layer, index] pairs of each run of ``ragged``, as a list per run."""
+        layer, index = self.locate(ragged.ids)
         pairs = list(map(list, zip(map(self.names.__getitem__, layer.tolist()), index.tolist())))
-        b = bounds.tolist()
+        b = ragged.bounds.tolist()
         return list(map(pairs.__getitem__, map(slice, b, b[1:])))
 
     def ids_of(self, pairs: list) -> np.ndarray:
@@ -279,7 +281,8 @@ class UnitTable:
             units.append(unit)
         return units
 
-    def take(self, rows: np.ndarray) -> "UnitTable":
+    def take(self, rows) -> "UnitTable":
+        """Rows ``rows`` (row numbers, in any order) as a new table."""
         rows = np.asarray(rows, np.int64)
         members = self.members.take(rows)
         member_reads = None

@@ -290,11 +290,31 @@ class TestExitCodes:
             lambda doc: doc["config"].update(passes=True),
             lambda doc: doc["config"].update(use_in_channel=0),
             lambda doc: doc["config"].update(alpha="1"),
+            lambda doc: doc.update(threshold="x"),
+            lambda doc: doc["baseline"].update(flops=[1]),
+            lambda doc: doc["baseline"].update(params=True),
+            lambda doc: doc["predicted"].update(params="5"),
+            lambda doc: doc["predicted"].update(flops=float(doc["predicted"]["flops"])),
+            lambda doc: doc["predicted"].update(prr="0.1"),
+            lambda doc: doc["predicted"].update(frr=None),
+            lambda doc: doc["layer_widths"].update(after="x"),
+            lambda doc: doc["layer_widths"]["before"].update(conv1="6"),
+            lambda doc: doc.update(model_checksum=5),
+            lambda doc: doc["removed_units"][0].update(imp="x"),
+            lambda doc: doc["removed_units"][0].pop("imp"),
+            # channel 0 of conv1 named by an index that equals 0 but is not an int
+            lambda doc: doc["removed_units"][0].update(unit_id="conv1.c0", members=[["conv1", False]], in_slices=[["conv2", 0]]),
+            lambda doc: doc["removed_units"][0].update(unit_id="conv1.c0", members=[["conv1", 0.0]], in_slices=[["conv2", 0]]),
+            lambda doc: doc["removed_units"][0].update(unit_id="conv1.c0", members=[["conv1", 0]], in_slices=[["conv2", False]]),
         ],
         ids=[
             "entry-string", "entry-without-members", "entry-without-unit_id", "removed_units-object",
             "unit_id-list", "config-list", "flops_convention-unknown", "count_aux_params-string",
             "min_channels_per_layer-float", "passes-bool", "use_in_channel-int", "alpha-string",
+            "threshold-string", "baseline-flops-list", "baseline-params-bool", "predicted-params-string",
+            "predicted-flops-float", "prr-string", "frr-null", "layer_widths-after-string",
+            "layer_width-string", "model_checksum-number", "imp-string", "entry-without-imp",
+            "member-index-false", "member-index-float", "slice-index-false",
         ],
     )
     def test_malformed_plan_exits_2(self, toy_model, tmp_path, capsys, mutate):

@@ -84,6 +84,16 @@ class TestApplyPlan:
         with pytest.raises(PlanMismatchError, match="does not match"):
             apply_plan(g, plan)
 
+    @pytest.mark.parametrize("index", [float, lambda i: bool(i) if i < 2 else str(i)], ids=["float", "bool-or-string"])
+    def test_corrupt_plan_index_of_another_type(self, index):
+        # an index equal to the unit's channel but not an int does not name it
+        g = make_chain(np.random.default_rng(6), (4, 6))
+        plan = plan_for(g)
+        entry = plan.removed_entries[0]
+        entry["members"] = [[layer, index(i)] for layer, i in entry["members"]]
+        with pytest.raises(PlanMismatchError, match=f"unit '{entry['unit_id']}' does not match the graph"):
+            apply_plan(g, plan)
+
     def test_corrupt_plan_duplicate_unit(self):
         # the surgery and recount would pass, but the report would count the unit twice
         g = make_chain(np.random.default_rng(5), (4, 6))

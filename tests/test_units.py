@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from prunekit import (
 from prunekit.planner import multi_pass
 from prunekit.scoring import Config
 from prunekit.surgeon import apply_units
-from prunekit.units import FULL_CHANNEL, IN_CHANNEL_ONLY, ChannelRef, run_sums
+from prunekit.units import FULL_CHANNEL, IN_CHANNEL_ONLY, ChannelRef, run_sums, unit_table
 
 from conftest import (
     concat_over_add,
@@ -288,10 +290,20 @@ class TestAgainstPerChannelBuilder:
 
     @staticmethod
     def assert_same_units(graph):
+        # the table's refs (its table-to-refs adapter) against the reference
+        # units, field by field; then the reference units through the
+        # refs-to-table adapter give the table's id arrays
         got, want = build_prune_units(graph), per_channel_units(graph)
-        assert [u.uid for u in got] == [u.uid for u in want]
-        for a, b in zip(got, want):
-            assert a == b, a.uid
+        assert got.uid == [u.uid for u in want]
+        assert got.kind == [u.kind for u in want]
+        assert got.family == [u.family for u in want]
+        for uid, refs, u in zip(got.uid, got.refs, want):
+            assert refs == (u.members, u.in_slices, u.aux, u.member_slices, u.origin), uid
+        again = unit_table(graph, want)
+        for field in ("members", "in_slices", "aux", "member_reads"):
+            for a, b in zip(getattr(again, field), getattr(got, field)):
+                assert np.array_equal(a, b), field
+        assert np.array_equal(again.origin, got.origin)
 
     @pytest.mark.parametrize("seed", range(16))
     def test_random_tiny_nets(self, seed):
@@ -327,6 +339,36 @@ class TestAgainstPerChannelBuilder:
         self.assert_same_units(pruned)
 
 
+class TestTable:
+    def test_partition_check_names_a_shared_channel(self):
+        from prunekit.units import _check_partition
+
+        g = make_chain(np.random.default_rng(2), (4, 6))
+        unit = build_prune_units(g)[0]
+        with pytest.raises(PruneKitError, match=r"^channel conv1\.c0 appears in two units$"):
+            _check_partition(unit_table(g, [unit, unit]))
+
+    def test_rows_of_the_same_graph_share_its_table(self):
+        g = make_chain(np.random.default_rng(3), (4, 6))
+        units = build_prune_units(g)
+        picked = unit_table(g, [units[3], units[1]])
+        assert picked.uid == [units[3].uid, units[1].uid]
+        assert list(picked) == [units[3], units[1]]
+        assert unit_table(g, units) is units
+
+    def test_a_table_does_not_keep_its_graph_alive(self):
+        import gc
+        import weakref
+
+        g = make_chain(np.random.default_rng(4), (4, 6))
+        units = build_prune_units(g)
+        ref = weakref.ref(g)
+        del g
+        gc.collect()
+        assert ref() is None
+        assert units[0].members == (ChannelRef("conv1", 0),)
+
+
 class TestStructureErrors:
     def test_slot_with_two_dense_origins(self):
         rng = np.random.default_rng(0)
@@ -350,13 +392,17 @@ class TestRunSums:
         # values spread over 2^-60..2^60 make a float sum depend on its order,
         # and runs longer than 8 would show numpy's pairwise summation
         rng = np.random.default_rng(0)
-        sizes = rng.integers(0, 40, 300)
-        starts = np.cumsum(sizes) - sizes
-        floats = rng.standard_normal(sizes.sum()) * np.exp2(rng.integers(-60, 60, sizes.sum()))
-        ints = rng.integers(0, 2**40, sizes.sum())
-        for values in (floats, ints):
-            want = [sum(values[a : a + n].tolist()) for a, n in zip(starts, sizes)]
-            assert run_sums(values, sizes).tolist() == want
+        for longest in (40, 1):  # runs of up to 40 values; runs of at most one
+            sizes = rng.integers(0, longest + 1, 300)
+            starts = np.cumsum(sizes) - sizes
+            floats = rng.standard_normal(sizes.sum()) * np.exp2(rng.integers(-60, 60, sizes.sum()))
+            floats[::7] = -0.0  # Python's sum starts from 0.0, so a lone -0.0 sums to 0.0
+            ints = rng.integers(0, 2**40, sizes.sum())
+            for values in (floats, ints):
+                want = [sum(values[a : a + n].tolist()) for a, n in zip(starts, sizes)]
+                got = run_sums(values, sizes).tolist()
+                assert got == want
+                assert [math.copysign(1, x) for x in got] == [math.copysign(1, x) for x in want]
 
     def test_no_runs(self):
         assert run_sums(np.zeros(0), np.zeros(0, np.int64)).tolist() == []
