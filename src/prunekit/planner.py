@@ -90,7 +90,9 @@ class PruningPlan:
             plan._check_types()
             Config(**plan.config).validate()
             if not isinstance(plan.removed_entries, list) or not all(map(_is_entry, plan.removed_entries)):
-                raise PruneKitError("removed units need a string unit_id, a number imp, and members and in_slices of [layer, index] pairs")
+                raise PruneKitError(
+                    "removed units need a string unit_id, a number imp, and members and in_slices of [layer, index] pairs"
+                )
         except (KeyError, TypeError, PruneKitError, json.JSONDecodeError) as e:
             raise PruneKitError(f"malformed plan file: {e}") from e
         return plan

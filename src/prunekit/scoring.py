@@ -32,7 +32,7 @@ from . import jsontext
 from .costs import CONVENTIONS, unit_costs
 from .errors import DegenerateModelError, PruneKitError
 from .graph import ModelGraph
-from .units import FULL_CHANNEL, PruneUnit, UnitTable, _Numbering, _sorted_unique, _spans, run_sums, unit_table
+from .units import PruneUnit, UnitTable, _Numbering, _sorted_unique, _spans, run_sums, unit_table
 
 WEIGHT_NORM_MODES = ("max-min", "max", "log")
 
@@ -174,7 +174,8 @@ def _raw_scores(graph: ModelGraph, units: UnitTable, use_in_channel: bool, rows=
         if runs.read_ids is None:
             raise ValueError("every member needs its own consumer slices (member_slices)")
         read_lo, read_hi = runs.read_lo[at], runs.read_hi[at]
-        scores = scores + run_sums(_l1(graph, units.slots, 1, runs.read_ids[_spans(read_lo, read_hi)]), read_hi - read_lo)
+        masses = _l1(graph, units.slots, 1, runs.read_ids[_spans(read_lo, read_hi)])
+        scores = scores + run_sums(masses, read_hi - read_lo)
     return (run_sums(scores, n_filters) / n_filters).tolist()
 
 

@@ -94,7 +94,10 @@ def _matches(units: UnitTable, rows: list[int], entries: list[dict]) -> list[boo
     a pair naming no such channel or slot never matches, nor does an entry
     that is not well formed (``planner._is_entry``) or names no row."""
     same = [r >= 0 and _is_entry(e) for e, r in zip(entries, rows)]
-    for key, numbering, ragged in (("members", units.filters, units.members), ("in_slices", units.slots, units.in_slices)):
+    for key, numbering, ragged in (
+        ("members", units.filters, units.members),
+        ("in_slices", units.slots, units.in_slices),
+    ):
         groups = [e[key] if ok else [] for e, ok in zip(entries, same)]
         got = numbering.ids_of(list(chain.from_iterable(groups))).tolist()
         want, bounds = ragged.ids.tolist(), ragged.bounds.tolist()
@@ -241,7 +244,11 @@ def zero_equivalence_check(
     graph is left unchanged.
     """
     table = unit_table(graph, [unit])
-    members, aux, slices = (table.filters.pairs(table.members)[0], table.entries.pairs(table.aux)[0], table.slots.pairs(table.in_slices)[0])
+    members, aux, slices = (
+        table.filters.pairs(table.members)[0],
+        table.entries.pairs(table.aux)[0],
+        table.slots.pairs(table.in_slices)[0],
+    )
     nodes = dict(graph.nodes)
     for nid in {layer for layer, _ in (*members, *aux, *slices)}:
         nodes[nid] = replace(nodes[nid], tensors={role: t.copy() for role, t in nodes[nid].tensors.items()})

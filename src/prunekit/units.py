@@ -112,7 +112,8 @@ class PruneUnit:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PruneUnit):
             return NotImplemented
-        return (self.uid, self.kind, self.family, self._fields()) == (other.uid, other.kind, other.family, other._fields())
+        mine, theirs = (self.uid, self.kind, self.family), (other.uid, other.kind, other.family)
+        return mine == theirs and self._fields() == other._fields()
 
     __hash__ = None
 
@@ -307,7 +308,9 @@ class UnitTable:
         """The ref fields of every row, in :class:`PruneUnit` order, made in
         one pass per field the first time any row's refs are read."""
         members, in_slices, aux = (
-            numbering.runs(ragged) for numbering, ragged in ((self.filters, self.members), (self.slots, self.in_slices), (self.entries, self.aux))
+            self.filters.runs(self.members),
+            self.slots.runs(self.in_slices),
+            self.entries.runs(self.aux),
         )
         member_slices = [()] * len(self)
         if self.member_reads is not None:
@@ -359,12 +362,14 @@ class UnitTable:
             ("aux", self.entries, self.aux),
         ):
             layer, index = numbering.locate(ragged.ids)
-            columns[name] = jsontext.pair_arrays(numbering.names, layer.tolist(), index.tolist(), ragged.bounds.tolist(), ind)
+            bounds = ragged.bounds.tolist()
+            columns[name] = jsontext.pair_arrays(numbering.names, layer.tolist(), index.tolist(), bounds, ind)
         columns["family"] = jsontext.texts(self.family, ind)
         origin = [None] * len(self)
         rows = np.flatnonzero(self.origin >= 0)
         layer, index = self.filters.locate(self.origin[rows])
-        for row, text in zip(rows.tolist(), jsontext.pair_texts(self.filters.names, layer.tolist(), index.tolist(), ind)):
+        texts = jsontext.pair_texts(self.filters.names, layer.tolist(), index.tolist(), ind)
+        for row, text in zip(rows.tolist(), texts):
             origin[row] = text
         columns["origin"] = origin
         return jsontext.array(jsontext.objects(columns, "\n  "), "\n") + "\n"
@@ -604,7 +609,9 @@ def build_prune_units(graph: ModelGraph) -> UnitTable:
     removable &= ~np.isin(label, label[channels.ids(graph.input_node().id)])
     removable &= ~np.isin(label, label[dense])
 
-    members, in_slices, unit_aux, member_reads = _full_channel_units(channels.size, slots.size, auxes.size, label, removable, reads, aux)
+    members, in_slices, unit_aux, member_reads = _full_channel_units(
+        channels.size, slots.size, auxes.size, label, removable, reads, aux
+    )
     slot, origin = _in_channel_only_units(slots, dense, reads)
     n_full, n_in = len(members.bounds) - 1, len(slot)
 
@@ -691,7 +698,9 @@ def _full_channel_units(
     )
 
 
-def _in_channel_only_units(slots: _Numbering, dense: np.ndarray, reads: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def _in_channel_only_units(
+    slots: _Numbering, dense: np.ndarray, reads: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
     """The slot and origin channel of every read of a dense-interior channel,
     in slot order; that channel must be the slot's only origin."""
     shared = np.bincount(reads[1], minlength=slots.size) > 1
