@@ -27,7 +27,7 @@ from .costs import RunningCosts, unit_rows
 from .errors import InfeasibleBudgetError, PruneKitError
 from .graph import ModelGraph, graph_checksum
 from .scoring import Config, ImportanceRecord, _admits, score_all
-from .units import build_prune_units, unit_table
+from .units import UnitTable, build_prune_units, unit_table
 
 
 @dataclass
@@ -44,12 +44,19 @@ class PruningPlan:
     model_checksum: str
     config: dict
     removed_entries: list[dict] = field(default_factory=list)  # ascending importance
+    # the removed units of a plan select_threshold made, as (table rows,
+    # importances), until removed_entries is first read: the entries are
+    # then made from them, and until then the plan file is written from them
+    _taken: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def removed_unit_ids(self) -> list[str]:
+        if self._taken is not None:
+            return list(self._taken[0].uid)
         return [e["unit_id"] for e in self.removed_entries]
 
     def to_json(self) -> str:
+        removed = self.removed_entries if self._taken is None else jsontext.Text(_entries_json(*self._taken))
         payload = {
             "baseline": {"params": self.baseline_params, "flops": self.baseline_flops},
             "predicted": {
@@ -59,7 +66,7 @@ class PruningPlan:
                 "frr": self.frr,
             },
             "threshold": self.threshold,
-            "removed_units": self.removed_entries,
+            "removed_units": removed,
             "layer_widths": {"before": self.layer_widths_before, "after": self.layer_widths_after},
             "config": self.config,
             "model_checksum": self.model_checksum,
@@ -179,7 +186,7 @@ def select_threshold(
             best_frr=frr,
         )
 
-    return PruningPlan(
+    plan = PruningPlan(
         threshold=taken[-1].importance,
         baseline_params=baseline_params,
         baseline_flops=baseline_flops,
@@ -191,19 +198,46 @@ def select_threshold(
         layer_widths_after=dict(zip(costs.layers, n)),
         model_checksum=graph_checksum(graph),
         config=config.to_dict(),
-        removed_entries=_entries(taken, graph),
     )
+    plan._taken = (unit_table(graph, [r.unit for r in taken]), [r.importance for r in taken])
+    return plan
 
 
-def _entries(taken: list[ImportanceRecord], graph: ModelGraph) -> list[dict]:
-    """The plan entry of each taken record, its members and in-slices as
+def _entries(units: UnitTable, imps: list[float]) -> list[dict]:
+    """The plan entry of each removed unit: its members and in-slices as
     [layer, index] pairs."""
-    units = unit_table(graph, [r.unit for r in taken])
     members, in_slices = units.filters.pairs(units.members), units.slots.pairs(units.in_slices)
     return [
-        {"unit_id": r.unit_id, "imp": r.importance, "members": m, "in_slices": s}
-        for r, m, s in zip(taken, members, in_slices)
+        {"unit_id": uid, "imp": imp, "members": m, "in_slices": s}
+        for uid, imp, m, s in zip(units.uid, imps, members, in_slices)
     ]
+
+
+def _entries_json(units: UnitTable, imps: list[float]) -> str:
+    """``_entries`` as a plan file's ``removed_units`` text, written from the
+    table's id arrays."""
+    ind = "\n      "
+    columns = {
+        "unit_id": jsontext.texts(units.uid, ind),
+        "imp": jsontext.texts(imps, ind),
+        "members": units.pair_arrays("members", ind),
+        "in_slices": units.pair_arrays("in_slices", ind),
+    }
+    return jsontext.array(jsontext.objects(columns, "\n    "), "\n  ")
+
+
+def _removed_entries(plan: PruningPlan) -> list[dict]:
+    if plan._taken is not None:
+        plan._entries, plan._taken = _entries(*plan._taken), None
+    return plan._entries
+
+
+def _set_removed_entries(plan: PruningPlan, entries: list[dict]) -> None:
+    plan._entries = entries
+
+
+# a property over the dataclass field, so that a plan's entries are made only when read
+PruningPlan.removed_entries = property(_removed_entries, _set_removed_entries)
 
 
 def _ranked_rows(ranked: list[ImportanceRecord], graph: ModelGraph) -> Iterator[tuple[ImportanceRecord, list]]:

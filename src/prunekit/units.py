@@ -352,18 +352,20 @@ class UnitTable:
         layer[~has], index[~has] = self.slots.locate(self.in_slices.ids[self.in_slices.bounds[:-1][~has]])
         return list(map(self.filters.names.__getitem__, layer.tolist())), index.tolist()
 
+    def pair_arrays(self, field: str, ind: str) -> list[str]:
+        """Each row's ``members``, ``in_slices`` or ``aux`` (``field``) as the
+        JSON text of a list of [layer, index] pairs at indentation ``ind``."""
+        numbering = {"members": self.filters, "in_slices": self.slots, "aux": self.entries}[field]
+        ragged = getattr(self, field)
+        layer, index = numbering.locate(ragged.ids)
+        return jsontext.pair_arrays(numbering.names, layer.tolist(), index.tolist(), ragged.bounds.tolist(), ind)
+
     def to_json(self) -> str:
         """The unit inventory as ``json.dumps([u.to_json() for u in table], indent=2)``."""
         ind = "\n    "
         columns = {"uid": jsontext.texts(self.uid, ind), "kind": jsontext.texts(self.kind, ind)}
-        for name, numbering, ragged in (
-            ("members", self.filters, self.members),
-            ("in_slices", self.slots, self.in_slices),
-            ("aux", self.entries, self.aux),
-        ):
-            layer, index = numbering.locate(ragged.ids)
-            bounds = ragged.bounds.tolist()
-            columns[name] = jsontext.pair_arrays(numbering.names, layer.tolist(), index.tolist(), bounds, ind)
+        for field in ("members", "in_slices", "aux"):
+            columns[field] = self.pair_arrays(field, ind)
         columns["family"] = jsontext.texts(self.family, ind)
         origin = [None] * len(self)
         rows = np.flatnonzero(self.origin >= 0)
