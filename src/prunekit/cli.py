@@ -21,7 +21,7 @@ import os
 import sys
 import time
 
-from . import __version__, jsontext
+from . import __version__
 from .costs import CONVENTIONS, effective_model_costs
 from .errors import DegenerateModelError, GraphValidationError, InfeasibleBudgetError, PruneKitError
 from .graph import ModelGraph, infer_shapes, load_model, save_model
@@ -205,7 +205,7 @@ class _RunManifest:
 
     def write(self, out_dir: str) -> None:
         self.data["timings"]["total_s"] = round(time.monotonic() - self.started, 6)
-        _write(out_dir, "run_manifest.json", jsontext.dumps(self.data) + "\n")
+        _write(out_dir, "run_manifest.json", json.dumps(self.data, indent=2) + "\n")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -279,7 +279,7 @@ def cmd_prune(args: argparse.Namespace) -> int:
     manifest_digest, weights_digest = save_model(pruned, manifest_path, weights_path, digests=True)
     run.add(manifest_path, manifest_digest)
     run.add(weights_path, weights_digest)
-    run.write_artifact(out_dir, "surgery_report.json", jsontext.dumps(report_dict) + "\n")
+    run.write_artifact(out_dir, "surgery_report.json", json.dumps(report_dict, indent=2) + "\n")
     post_params, post_flops = effective_model_costs(
         pruned, convention=config.flops_convention, count_aux_params=config.count_aux_params
     )
@@ -322,7 +322,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         "layers": [{"layer": r[0], "before": r[1], "after": r[2], "removed": r[3]} for r in rows],
         "note": "fine-tuning required to recover accuracy (out of scope)",
     }
-    run.write_artifact(args.out_dir, "report.json", jsontext.dumps(payload) + "\n")
+    run.write_artifact(args.out_dir, "report.json", json.dumps(payload, indent=2) + "\n")
 
     name_w = max(len(r[0]) for r in rows)
     lines = [f"{'layer'.ljust(name_w)}  before   after  removed"]

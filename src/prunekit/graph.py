@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import jsontext
 from .errors import GraphValidationError, ManifestError, ShapeError
 
 MANIFEST_VERSION = 1
@@ -539,7 +538,7 @@ def save_model(
             f.write(arr)
             if digests:
                 weights_digest.update(arr)
-    text = jsontext.dumps(manifest) + "\n"
+    text = json.dumps(manifest, indent=2) + "\n"
     with open(manifest_path, "w", encoding="utf-8") as f:
         f.write(text)
     if not digests:

@@ -2,7 +2,7 @@
 
 With ``indent``, CPython's ``json`` falls back to its pure-Python encoder,
 which yields every token through nested generators. The artifacts prunekit
-writes (plans, unit inventories, records, manifests) are long lists of small
+writes (plans, unit inventories, records) are long lists of small
 objects and [layer, index] pairs, so here each container is one ``join`` of
 its items' texts, and a list of pairs is written from one template. Scalars
 are spelled as ``json`` spells them: strings through its ASCII escaper,
@@ -22,13 +22,8 @@ _INF = float("inf")
 
 
 def dumps(value) -> str:
-    """``json.dumps(value, indent=2)``: the same text, faster. A :class:`Text`
-    value is written as it is."""
+    """``json.dumps(value, indent=2)``: the same text, faster."""
     return _text(value, "\n")
-
-
-class Text(str):
-    """A value already written as JSON text, indented for where it goes."""
 
 
 def _float(v: float) -> str:
@@ -70,7 +65,7 @@ def _key(k) -> str:
 def _text(v, ind: str) -> str:
     """The text of ``v`` whose first line starts at indentation ``ind``."""
     if isinstance(v, str):
-        return v if type(v) is Text else _string(v)
+        return _string(v)
     inner = ind + "  "
     if isinstance(v, (list, tuple)):
         if v and is_pairs(v):

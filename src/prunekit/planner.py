@@ -27,7 +27,7 @@ from .costs import RunningCosts, unit_rows
 from .errors import InfeasibleBudgetError, PruneKitError
 from .graph import ModelGraph, graph_checksum
 from .scoring import Config, ImportanceRecord, _admits, score_all
-from .units import UnitTable, build_prune_units, unit_table
+from .units import UnitTable, build_prune_units
 
 
 @dataclass
@@ -44,19 +44,12 @@ class PruningPlan:
     model_checksum: str
     config: dict
     removed_entries: list[dict] = field(default_factory=list)  # ascending importance
-    # the removed units of a plan select_threshold made, as (table rows,
-    # importances), until removed_entries is first read: the entries are
-    # then made from them, and until then the plan file is written from them
-    _taken: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def removed_unit_ids(self) -> list[str]:
-        if self._taken is not None:
-            return list(self._taken[0].uid)
         return [e["unit_id"] for e in self.removed_entries]
 
     def to_json(self) -> str:
-        removed = self.removed_entries if self._taken is None else jsontext.Text(_entries_json(*self._taken))
         payload = {
             "baseline": {"params": self.baseline_params, "flops": self.baseline_flops},
             "predicted": {
@@ -66,7 +59,7 @@ class PruningPlan:
                 "frr": self.frr,
             },
             "threshold": self.threshold,
-            "removed_units": removed,
+            "removed_units": self.removed_entries,
             "layer_widths": {"before": self.layer_widths_before, "after": self.layer_widths_after},
             "config": self.config,
             "model_checksum": self.model_checksum,
@@ -145,13 +138,20 @@ def select_threshold(
     """Pick the shortest ascending-importance prefix whose removal meets the
     FLOP budget, skipping units that would empty a layer past the floor.
     Costs two full counts (baseline and final check), however many units are
-    marked.
+    marked. The records must come from one ``score_all`` call.
 
     Raises InfeasibleBudgetError (with the best achievable reduction) when the
     floors make the target unreachable.
     """
+    return _select(records, graph, config)[0]
+
+
+def _select(records: list[ImportanceRecord], graph: ModelGraph, config: Config) -> tuple[PruningPlan, UnitTable]:
+    """:func:`select_threshold`'s plan, and its removed units as a table in
+    removal order."""
     config.validate()
     ranked = rank_global(records)
+    units = _ranked_table(ranked)
     costs = RunningCosts(graph, convention=config.flops_convention, count_aux_params=config.count_aux_params)
     baseline_params, baseline_flops = costs.params, costs.flops
     budget = (1.0 - config.flop_target_ratio) * baseline_flops
@@ -164,14 +164,14 @@ def select_threshold(
     n, m = costs.out_width, costs.in_width
     floor = config.min_channels_per_layer
 
-    taken: list[ImportanceRecord] = []
+    taken: list[int] = []  # positions in the ranking
     met = False
-    for rec, rows in _ranked_rows(ranked, graph):
+    for i, rows in enumerate(_ranked_rows(units, graph)):
         # skip a unit that would take a layer below the floor or take its last input slot
         if any(o and n[l] - 1 < floor or m[l] - s < 1 for l, o, s in rows):
             continue
         costs.remove_rows(rows)
-        taken.append(rec)
+        taken.append(i)
         if costs.flops <= budget and (param_budget is None or costs.params <= param_budget):
             met = True
             break
@@ -186,8 +186,10 @@ def select_threshold(
             best_frr=frr,
         )
 
+    removed = units.take(taken)
+    imps = [ranked[i].importance for i in taken]
     plan = PruningPlan(
-        threshold=taken[-1].importance,
+        threshold=imps[-1],
         baseline_params=baseline_params,
         baseline_flops=baseline_flops,
         predicted_params=params,
@@ -198,9 +200,17 @@ def select_threshold(
         layer_widths_after=dict(zip(costs.layers, n)),
         model_checksum=graph_checksum(graph),
         config=config.to_dict(),
+        removed_entries=_entries(removed, imps),
     )
-    plan._taken = (unit_table(graph, [r.unit for r in taken]), [r.importance for r in taken])
-    return plan
+    return plan, removed
+
+
+def _ranked_table(ranked: list[ImportanceRecord]) -> UnitTable:
+    """The units of the ranked records, as their table's rows in ranked order."""
+    table = ranked[0].table
+    if table is None or any(r.table is not table for r in ranked):
+        raise ValueError("records to plan must come from one score_all call")
+    return table.take([r.unit_row for r in ranked])
 
 
 def _entries(units: UnitTable, imps: list[float]) -> list[dict]:
@@ -213,43 +223,15 @@ def _entries(units: UnitTable, imps: list[float]) -> list[dict]:
     ]
 
 
-def _entries_json(units: UnitTable, imps: list[float]) -> str:
-    """``_entries`` as a plan file's ``removed_units`` text, written from the
-    table's id arrays."""
-    ind = "\n      "
-    columns = {
-        "unit_id": jsontext.texts(units.uid, ind),
-        "imp": jsontext.texts(imps, ind),
-        "members": units.pair_arrays("members", ind),
-        "in_slices": units.pair_arrays("in_slices", ind),
-    }
-    return jsontext.array(jsontext.objects(columns, "\n    "), "\n  ")
-
-
-def _removed_entries(plan: PruningPlan) -> list[dict]:
-    if plan._taken is not None:
-        plan._entries, plan._taken = _entries(*plan._taken), None
-    return plan._entries
-
-
-def _set_removed_entries(plan: PruningPlan, entries: list[dict]) -> None:
-    plan._entries = entries
-
-
-# a property over the dataclass field, so that a plan's entries are made only when read
-PruningPlan.removed_entries = property(_removed_entries, _set_removed_entries)
-
-
-def _ranked_rows(ranked: list[ImportanceRecord], graph: ModelGraph) -> Iterator[tuple[ImportanceRecord, list]]:
-    """Each ranked record with its unit's rows (``costs.unit_rows``), built in
-    chunks that double in size, so a plan that stops early builds few."""
-    units = unit_table(graph, [r.unit for r in ranked])
+def _ranked_rows(units: UnitTable, graph: ModelGraph) -> Iterator[list]:
+    """Each unit's rows (``costs.unit_rows``), built in chunks that double in
+    size, so a plan that stops early builds few."""
     start, size = 0, 256
-    while start < len(ranked):
-        stop = min(start + size, len(ranked))
+    while start < len(units):
+        stop = min(start + size, len(units))
         rows, bounds = unit_rows(graph, units.take(np.arange(start, stop)))
         rows, bounds = rows.tolist(), bounds.tolist()
-        yield from zip(ranked[start:stop], map(rows.__getitem__, map(slice, bounds, bounds[1:])))
+        yield from map(rows.__getitem__, map(slice, bounds, bounds[1:]))
         start, size = stop, 2 * size
 
 
@@ -269,7 +251,6 @@ def multi_pass(graph: ModelGraph, config: Config) -> Iterator[tuple[PruningPlan,
     for _ in range(config.passes):
         units = build_prune_units(current)
         records = score_all(current, units, pass_config)
-        plan = select_threshold(records, current, pass_config)
-        row = {uid: i for i, uid in enumerate(units.uid)}
-        current = _checked_surgery(current, units.take([row[uid] for uid in plan.removed_unit_ids]), plan)
+        plan, removed = _select(records, current, pass_config)
+        current = _checked_surgery(current, removed, plan)
         yield plan, current

@@ -118,7 +118,12 @@ class ImportanceRecord:
     importance: float  # GL + GP + GF
     params: int
     flops: int
-    unit: PruneUnit = field(repr=False, compare=False, default=None)
+    table: UnitTable | None = field(repr=False, compare=False, default=None)  # the scored units
+    unit_row: int = field(repr=False, compare=False, default=-1)  # this record's row of ``table``
+
+    @property
+    def unit(self) -> PruneUnit:
+        return self.table[self.unit_row]
 
     def row(self) -> list:
         return [
@@ -148,7 +153,7 @@ def _l1(graph: ModelGraph, numbering: _Numbering, axis: int, ids: np.ndarray) ->
     are visited."""
     named = _sorted_unique(ids)
     layer, index = numbering.locate(named)
-    bounds = [0, *(np.flatnonzero(layer[1:] != layer[:-1]) + 1).tolist(), len(named)]  # each layer's run of named ids
+    bounds = [*np.flatnonzero(np.diff(layer, prepend=-1)).tolist(), len(named)]  # each layer's run of named ids
     masses = np.empty(len(named))
     for lo, hi in zip(bounds, bounds[1:]):
         view = np.swapaxes(graph.nodes[numbering.names[layer[lo]]].weight(), 0, axis)  # filters or input slots first
@@ -265,11 +270,13 @@ def score_all(graph: ModelGraph, units: list[PruneUnit], config: Config) -> list
     bonus = {pf: normalize_cost_scores(*pf, pmax, fmax, config.alpha, config.beta) for pf in set(costs)}
 
     records = []
-    for u, layer, channel, raw, gl, (p, f) in zip(units, *table.anchors(), raws, weight_scores, costs):
+    for row, (uid, layer, channel, raw, gl, (p, f)) in enumerate(
+        zip(table.uid, *table.anchors(), raws, weight_scores, costs)
+    ):
         gp, gf = bonus[p, f]
         records.append(
             ImportanceRecord(
-                unit_id=u.uid,
+                unit_id=uid,
                 layer=layer,
                 channel=channel,
                 raw=raw,
@@ -279,7 +286,8 @@ def score_all(graph: ModelGraph, units: list[PruneUnit], config: Config) -> list
                 importance=combined_importance(gl, gp, gf),
                 params=p,
                 flops=f,
-                unit=u,
+                table=table,
+                unit_row=row,
             )
         )
     return records

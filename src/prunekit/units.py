@@ -179,7 +179,10 @@ class _Numbering:
         numbered here or the index is outside its width."""
         code = {name: i for i, name in enumerate(self.names)}
         layer = np.fromiter(map(code.get, map(itemgetter(0), pairs), repeat(-1)), np.int64, len(pairs))
-        index = np.fromiter(map(itemgetter(1), pairs), np.int64, len(pairs))
+        try:
+            index = np.fromiter(map(itemgetter(1), pairs), np.int64, len(pairs))
+        except OverflowError:  # an index beyond int64 is outside every width
+            index = np.fromiter((i if -(2**63) <= i < 2**63 else -1 for _, i in pairs), np.int64, len(pairs))
         ok = (index >= 0) & (index < np.append(np.diff(self.starts), 0)[layer])  # an unknown layer (-1) has width 0
         return np.where(ok, self.starts[layer] + index, -1)
 
@@ -352,20 +355,15 @@ class UnitTable:
         layer[~has], index[~has] = self.slots.locate(self.in_slices.ids[self.in_slices.bounds[:-1][~has]])
         return list(map(self.filters.names.__getitem__, layer.tolist())), index.tolist()
 
-    def pair_arrays(self, field: str, ind: str) -> list[str]:
-        """Each row's ``members``, ``in_slices`` or ``aux`` (``field``) as the
-        JSON text of a list of [layer, index] pairs at indentation ``ind``."""
-        numbering = {"members": self.filters, "in_slices": self.slots, "aux": self.entries}[field]
-        ragged = getattr(self, field)
-        layer, index = numbering.locate(ragged.ids)
-        return jsontext.pair_arrays(numbering.names, layer.tolist(), index.tolist(), ragged.bounds.tolist(), ind)
-
     def to_json(self) -> str:
         """The unit inventory as ``json.dumps([u.to_json() for u in table], indent=2)``."""
         ind = "\n    "
         columns = {"uid": jsontext.texts(self.uid, ind), "kind": jsontext.texts(self.kind, ind)}
-        for field in ("members", "in_slices", "aux"):
-            columns[field] = self.pair_arrays(field, ind)
+        for field, numbering in (("members", self.filters), ("in_slices", self.slots), ("aux", self.entries)):
+            ragged = getattr(self, field)
+            layer, index = numbering.locate(ragged.ids)
+            bounds = ragged.bounds.tolist()
+            columns[field] = jsontext.pair_arrays(numbering.names, layer.tolist(), index.tolist(), bounds, ind)
         columns["family"] = jsontext.texts(self.family, ind)
         origin = [None] * len(self)
         rows = np.flatnonzero(self.origin >= 0)
@@ -379,17 +377,13 @@ class UnitTable:
 
 def unit_table(graph: ModelGraph, units) -> UnitTable:
     """``units`` over ``graph``'s numberings as a :class:`UnitTable`: the table
-    itself or the rows of the table its units belong to, when that table was
-    made from ``graph``; otherwise (units made by hand, or from another graph)
-    a table made from the units' refs. Each ref must name a layer of ``graph``
-    that has such entries and an index inside its width; PruneKitError
-    otherwise."""
+    itself when it was made from ``graph``; otherwise (a list of units, or a
+    table of another graph) a table made from the units' refs. Each ref must
+    name a layer of ``graph`` that has such entries and an index inside its
+    width; PruneKitError otherwise."""
     if isinstance(units, UnitTable) and units.of(graph):
         return units
     units = list(units)
-    table = units[0].table if units else None
-    if table is not None and table.of(graph) and all(u.table is table for u in units):
-        return table.take(np.fromiter((u.row for u in units), np.int64, len(units)))
     filters, slots, entries = numberings = _numberings(graph)
     members = ref_arrays((u.members for u in units), filters, "output channel")
     origins = ref_arrays(((u.origin,) if u.origin is not None else () for u in units), filters, "output channel")

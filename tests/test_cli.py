@@ -341,8 +341,19 @@ class TestExitCodes:
             lambda entry, _: entry.update(members=entry["members"][0][0]),
             lambda entry, _: entry["members"][0].__setitem__(0, 0),
             lambda entry, other: entry["in_slices"].append(other["in_slices"][0]),
+            lambda entry, _: entry["members"][0].__setitem__(1, 2**63),
+            lambda entry, _: entry["in_slices"][0].__setitem__(1, -(2**64)),
         ],
-        ids=["member-index-string", "slice-index-string", "member-short-pair", "members-string", "member-layer-int", "extra-slice"],
+        ids=[
+            "member-index-string",
+            "slice-index-string",
+            "member-short-pair",
+            "members-string",
+            "member-layer-int",
+            "extra-slice",
+            "member-index-beyond-int64",
+            "slice-index-beyond-int64",
+        ],
     )
     def test_entry_that_does_not_name_the_unit_exits_2(self, toy_model, tmp_path, capsys, mutate):
         # well-formed JSON entries whose members or slices are not the unit's:

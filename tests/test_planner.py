@@ -117,6 +117,14 @@ def plan_toy(rng, widths, target, floor=1):
 
 
 class TestSelectThreshold:
+    def test_records_of_two_scorings_are_refused(self):
+        g, config, records = plan_toy(np.random.default_rng(1), (4, 5), target=0.3)
+        again = score_all(g, build_prune_units(g), config)
+        with pytest.raises(ValueError, match="one score_all call"):
+            select_threshold(records[:2] + again[2:], g, config)
+        with pytest.raises(ValueError, match="one score_all call"):
+            select_threshold([fake_record("u1", 0.1)], g, config)
+
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(1)
         g, config, records = plan_toy(rng, (4, 5), target=0.3)

@@ -23,7 +23,7 @@ from prunekit import (
 from prunekit.graph import serialize_graph
 from prunekit.scoring import RECORD_COLUMNS, records_to_csv
 from prunekit.surgeon import apply_units
-from prunekit.units import IN_CHANNEL_ONLY
+from prunekit.units import FULL_CHANNEL, IN_CHANNEL_ONLY, ChannelRef, PruneUnit
 from prunekit.zoo import densenet40
 
 from conftest import conv_w, make_chain, random_tiny_net
@@ -70,6 +70,17 @@ class TestDependencyL1:
         for role in ("gamma", "beta", "running_mean", "running_var"):
             g.nodes["bn1"].tensors[role][:] = 99.0
         assert dependency_l1(g, u, True) == before
+
+    def test_member_without_consumer_slices_scores_its_filter(self):
+        # a hand-made unit whose only member has no consumer slices: its
+        # dependency L1 is the filter's mass, with or without the in-channel term
+        g = make_chain(np.random.default_rng(3), (4, 6))
+        u = PruneUnit(
+            uid="probe", kind=FULL_CHANNEL, members=(ChannelRef("conv1", 2),), in_slices=(), aux=(),
+            family="probe", member_slices=((),),
+        )
+        mass = float(np.abs(g.nodes["conv1"].weight()[2]).sum(dtype=np.float64))
+        assert dependency_l1(g, u, True) == dependency_l1(g, u, False) == pytest.approx(mass, rel=1e-12)
 
     def test_container_walk_oracle(self):
         rng = np.random.default_rng(2)

@@ -348,12 +348,13 @@ class TestTable:
         with pytest.raises(PruneKitError, match=r"^channel conv1\.c0 appears in two units$"):
             _check_partition(unit_table(g, [unit, unit]))
 
-    def test_rows_of_the_same_graph_share_its_table(self):
+    def test_listed_rows_enter_a_new_table_through_their_refs(self):
         g = make_chain(np.random.default_rng(3), (4, 6))
         units = build_prune_units(g)
         picked = unit_table(g, [units[3], units[1]])
         assert picked.uid == [units[3].uid, units[1].uid]
         assert list(picked) == [units[3], units[1]]
+        assert picked.take([1, 0]).uid == units.take([1, 3]).uid
         assert unit_table(g, units) is units
 
     def test_a_table_does_not_keep_its_graph_alive(self):
