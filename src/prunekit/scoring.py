@@ -32,7 +32,7 @@ from . import jsontext
 from .costs import CONVENTIONS, unit_costs
 from .errors import DegenerateModelError, PruneKitError
 from .graph import ModelGraph
-from .units import PruneUnit, UnitTable, _Numbering, _sorted_unique, _spans, run_sums, unit_table
+from .units import PruneUnit, UnitTable, _Numbering, _sorted_unique, _spans, run_sums, table_row, unit_table
 
 WEIGHT_NORM_MODES = ("max-min", "max", "log")
 
@@ -188,11 +188,10 @@ def dependency_l1(graph: ModelGraph, unit: PruneUnit, use_in_channel: bool = Tru
     """Raw score: absolute weight mass of the unit's out-channel(s), plus its
     consumer slices when ``use_in_channel``. Coupled groups average over their
     members. Biases and batch-norm parameters never contribute. A row of a
-    table made from ``graph`` is scored in place, without copying its runs.
+    table made from ``graph`` is scored in place (``units.table_row``).
     """
-    if unit.table is not None and unit.table.of(graph):
-        return _raw_scores(graph, unit.table, use_in_channel, slice(unit.row, unit.row + 1))[0]
-    return _raw_scores(graph, unit_table(graph, [unit]), use_in_channel)[0]
+    table, row = table_row(graph, unit)
+    return _raw_scores(graph, table, use_in_channel, slice(row, row + 1))[0]
 
 
 def normalize_weight_scores(scores: list[float], mode: str = "max-min") -> list[float]:

@@ -24,7 +24,7 @@ from .errors import PlanMismatchError, PruneKitError
 from .eval import forward_eval
 from .graph import _BN_ROLES, _WIDTH_ATTRS, WEIGHTED_KINDS, ModelGraph, _layout, graph_checksum, infer_shapes, validate
 from .planner import PruningPlan, _is_entry
-from .units import PruneUnit, UnitTable, _Numbering, build_prune_units, channel_flow, unit_table
+from .units import PruneUnit, UnitTable, _Numbering, build_prune_units, channel_flow, table_row, unit_table
 
 
 @dataclass
@@ -243,7 +243,8 @@ def zero_equivalence_check(
     unit touches, which get their own copies of their tensors; the input
     graph is left unchanged.
     """
-    table = unit_table(graph, [unit])
+    table, row = table_row(graph, unit)
+    table = table.take([row])
     members, aux, slices = (
         table.filters.pairs(table.members)[0],
         table.entries.pairs(table.aux)[0],

@@ -408,6 +408,15 @@ def unit_table(graph: ModelGraph, units) -> UnitTable:
     )
 
 
+def table_row(graph: ModelGraph, unit: PruneUnit) -> tuple[UnitTable, int]:
+    """A table over ``graph`` that holds ``unit``, and its row there: the
+    unit's own table when it is a row of one made from ``graph``, so its runs
+    are read in place; otherwise a one-row table made from its refs."""
+    if unit.table is not None and unit.table.of(graph):
+        return unit.table, unit.row
+    return unit_table(graph, [unit]), 0
+
+
 def ref_arrays(groups, numbering: _Numbering, what: str) -> Ragged:
     """The refs of ``groups``, an iterable of ref tuples, as one run of ids
     over ``numbering`` per group. Each ref must name a layer of the numbering

@@ -348,6 +348,17 @@ class TestTable:
         with pytest.raises(PruneKitError, match=r"^channel conv1\.c0 appears in two units$"):
             _check_partition(unit_table(g, [unit, unit]))
 
+    def test_a_row_is_scored_and_checked_without_refs(self):
+        # dependency_l1 and zero_equivalence_check read a table row's runs in
+        # place: neither makes the table's ref tuples
+        from prunekit import dependency_l1, zero_equivalence_check
+
+        g = make_chain(np.random.default_rng(4), (4, 6))
+        units = build_prune_units(g)
+        assert dependency_l1(g, units[2]) > 0
+        assert zero_equivalence_check(g, units[2], trials=2)
+        assert "refs" not in vars(units)
+
     def test_listed_rows_enter_a_new_table_through_their_refs(self):
         g = make_chain(np.random.default_rng(3), (4, 6))
         units = build_prune_units(g)
