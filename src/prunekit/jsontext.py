@@ -3,11 +3,14 @@
 With ``indent``, CPython's ``json`` falls back to its pure-Python encoder,
 which yields every token through nested generators. The artifacts prunekit
 writes (plans, unit inventories, records) are long lists of small
-objects and [layer, index] pairs, so here each container is one ``join`` of
-its items' texts, and a list of pairs is written from one template. Scalars
-are spelled as ``json`` spells them: strings through its ASCII escaper,
-integers and floats through ``int.__repr__``/``float.__repr__``, and NaN and
-the infinities as ``NaN``/``Infinity``/``-Infinity``.
+objects and [layer, index] pairs, so this module writes lists and non-empty
+str-keyed dicts itself, each as one ``join`` of its items' texts, a list of
+pairs from one template, and strings, ints and finite floats as ``json``
+spells them (its ASCII escaper, ``int.__repr__``, ``float.__repr__``). Every
+other value (None, bools, NaN and the infinities, tuples, empty dicts, dicts
+with a non-str key, and what JSON cannot hold) goes to
+``json.dumps(value, indent=2)``, re-indented. JSON text holds no raw newline
+inside a string, so those bytes and errors are ``json``'s own.
 
 ``dumps`` writes any JSON value. ``texts``, ``objects`` and ``pair_arrays``
 write a list of objects column by column, for callers that hold their rows as
@@ -16,9 +19,8 @@ columns or id arrays rather than as dicts and lists.
 
 from __future__ import annotations
 
+import json
 from json.encoder import encode_basestring_ascii as _string
-
-_INF = float("inf")
 
 
 def dumps(value) -> str:
@@ -26,58 +28,18 @@ def dumps(value) -> str:
     return _text(value, "\n")
 
 
-def _float(v: float) -> str:
-    if v != v:
-        return "NaN"
-    if v == _INF:
-        return "Infinity"
-    if v == -_INF:
-        return "-Infinity"
-    return float.__repr__(v)
-
-
-def _scalar(v) -> str:
-    """The JSON text of a scalar, tested in the order ``json`` tests them."""
-    if isinstance(v, str):
-        return _string(v)
-    if v is None:
-        return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, int):
-        return int.__repr__(v)
-    if isinstance(v, float):
-        return _float(v)
-    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
-
-
-def _key(k) -> str:
-    """A dict key as ``json`` writes it: a string, or a scalar's text quoted."""
-    if isinstance(k, str):
-        return _string(k)
-    if k is None or isinstance(k, (int, float)):
-        return '"' + _scalar(k) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
-
-
 def _text(v, ind: str) -> str:
     """The text of ``v`` whose first line starts at indentation ``ind``."""
-    if isinstance(v, str):
-        return _string(v)
     inner = ind + "  "
-    if isinstance(v, (list, tuple)):
+    if type(v) is list:
         if v and is_pairs(v):
             deeper = inner + "  "
             return array([f"[{deeper}{_string(name)},{deeper}{i}{inner}]" for name, i in v], ind)
         return array(texts(v, inner), ind)
-    if isinstance(v, dict):
-        if not v:
-            return "{}"
-        keys = [_string(k) if type(k) is str else _key(k) for k in v]
+    if type(v) is dict and v and all(type(k) is str for k in v):
+        keys = map(_string, v)
         return "{" + inner + ("," + inner).join(map("{}: {}".format, keys, texts(v.values(), inner))) + ind + "}"
-    return _scalar(v)
+    return json.dumps(v, indent=2).replace("\n", ind)
 
 
 def is_pairs(value) -> bool:

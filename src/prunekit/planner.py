@@ -4,9 +4,9 @@ Units are ranked by ascending importance and marked for removal greedily until
 the exact model FLOPs meet the budget. Exact counting (rather than summing
 per-unit costs) is what keeps plans truthful: removing channels in adjacent
 layers shrinks a layer's cost multiplicatively, and unit costs would
-double-count the shared term. Each visited unit's footprint is its
-``costs.unit_rows``, the same rows its price comes from, built in chunks of
-the ranking. The greedy loop checks the floors against the plain per-layer
+double-count the shared term. Each visited unit's footprint is its run of
+``costs.unit_rows``, the rows its price comes from, built once for the whole
+scored table. The greedy loop checks the floors against the plain per-layer
 width lists of ``costs.RunningCosts``, which moves the exact totals row by
 row, and one full recount of the final removal set checks them. Ties in
 importance break toward the costlier unit (larger F, then larger P, then unit
@@ -19,8 +19,6 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
-
-import numpy as np
 
 from . import jsontext
 from .costs import RunningCosts, unit_rows
@@ -151,7 +149,12 @@ def _select(records: list[ImportanceRecord], graph: ModelGraph, config: Config) 
     removal order."""
     config.validate()
     ranked = rank_global(records)
-    units = _ranked_table(ranked)
+    table = ranked[0].table
+    if table is None or any(r.table is not table for r in ranked):
+        raise ValueError("records to plan must come from one score_all call")
+    order = [r.unit_row for r in ranked]
+    footprint, bounds = unit_rows(graph, table)
+    bounds = bounds.tolist()
     costs = RunningCosts(graph, convention=config.flops_convention, count_aux_params=config.count_aux_params)
     baseline_params, baseline_flops = costs.params, costs.flops
     budget = (1.0 - config.flop_target_ratio) * baseline_flops
@@ -166,7 +169,8 @@ def _select(records: list[ImportanceRecord], graph: ModelGraph, config: Config) 
 
     taken: list[int] = []  # positions in the ranking
     met = False
-    for i, rows in enumerate(_ranked_rows(units, graph)):
+    for i, row in enumerate(order):
+        rows = footprint[bounds[row] : bounds[row + 1]].tolist()
         # skip a unit that would take a layer below the floor or take its last input slot
         if any(o and n[l] - 1 < floor or m[l] - s < 1 for l, o, s in rows):
             continue
@@ -186,7 +190,7 @@ def _select(records: list[ImportanceRecord], graph: ModelGraph, config: Config) 
             best_frr=frr,
         )
 
-    removed = units.take(taken)
+    removed = table.take([order[i] for i in taken])
     imps = [ranked[i].importance for i in taken]
     plan = PruningPlan(
         threshold=imps[-1],
@@ -205,14 +209,6 @@ def _select(records: list[ImportanceRecord], graph: ModelGraph, config: Config) 
     return plan, removed
 
 
-def _ranked_table(ranked: list[ImportanceRecord]) -> UnitTable:
-    """The units of the ranked records, as their table's rows in ranked order."""
-    table = ranked[0].table
-    if table is None or any(r.table is not table for r in ranked):
-        raise ValueError("records to plan must come from one score_all call")
-    return table.take([r.unit_row for r in ranked])
-
-
 def _entries(units: UnitTable, imps: list[float]) -> list[dict]:
     """The plan entry of each removed unit: its members and in-slices as
     [layer, index] pairs."""
@@ -221,18 +217,6 @@ def _entries(units: UnitTable, imps: list[float]) -> list[dict]:
         {"unit_id": uid, "imp": imp, "members": m, "in_slices": s}
         for uid, imp, m, s in zip(units.uid, imps, members, in_slices)
     ]
-
-
-def _ranked_rows(units: UnitTable, graph: ModelGraph) -> Iterator[list]:
-    """Each unit's rows (``costs.unit_rows``), built in chunks that double in
-    size, so a plan that stops early builds few."""
-    start, size = 0, 256
-    while start < len(units):
-        stop = min(start + size, len(units))
-        rows, bounds = unit_rows(graph, units.take(np.arange(start, stop)))
-        rows, bounds = rows.tolist(), bounds.tolist()
-        yield from map(rows.__getitem__, map(slice, bounds, bounds[1:]))
-        start, size = stop, 2 * size
 
 
 def multi_pass(graph: ModelGraph, config: Config) -> Iterator[tuple[PruningPlan, ModelGraph]]:

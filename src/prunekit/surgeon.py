@@ -64,12 +64,21 @@ def clone_graph(graph: ModelGraph) -> ModelGraph:
 
 def apply_plan(graph: ModelGraph, plan: PruningPlan) -> tuple[ModelGraph, SurgeryReport]:
     """Apply a plan produced from this exact graph; re-validates the result and
-    checks that the recounted params/FLOPs equal the plan's predictions."""
+    checks that the recounted params/FLOPs equal the plan's predictions. A
+    removed entry that is not well formed, or that does not name one of the
+    graph's units exactly, is a PlanMismatchError."""
     if plan.model_checksum != graph_checksum(graph):
         raise PlanMismatchError("plan was produced from a different model (checksum mismatch)")
+    entries = plan.removed_entries
+    if not isinstance(entries, list):
+        raise PlanMismatchError("corrupt plan: removed units must be a list")
+    for entry in entries:
+        if not _is_entry(entry):
+            if isinstance(entry, dict) and isinstance(entry.get("unit_id"), str):
+                raise PlanMismatchError(f"corrupt plan: unit {entry['unit_id']!r} does not match the graph")
+            raise PlanMismatchError(f"corrupt plan: removed unit {entry!r} has no string unit_id")
     units = build_prune_units(graph)
     row = {uid: i for i, uid in enumerate(units.uid)}
-    entries = plan.removed_entries
     rows = [row.get(entry["unit_id"], -1) for entry in entries]
     matches = _matches(units, rows, entries)
     selected: set[int] = set()
@@ -92,8 +101,8 @@ def _matches(units: UnitTable, rows: list[int], entries: list[dict]) -> list[boo
     """Whether each entry's members and in-slices are exactly those of table
     row ``rows[i]``. The entries' [layer, index] pairs become ids in one step;
     a pair naming no such channel or slot never matches, nor does an entry
-    that is not well formed (``planner._is_entry``) or names no row."""
-    same = [r >= 0 and _is_entry(e) for e, r in zip(entries, rows)]
+    that names no row. The entries must be well formed (``planner._is_entry``)."""
+    same = [r >= 0 for r in rows]
     for key, numbering, ragged in (
         ("members", units.filters, units.members),
         ("in_slices", units.slots, units.in_slices),

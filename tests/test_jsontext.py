@@ -60,6 +60,13 @@ class TestDumps:
             [("a", 1)],
             [["a", 1, 2]],
             {1: "int", 2.5: "float", True: "bool", None: "none"},
+            # the boundary between the values written here and those handed to json
+            {"a": [], "b": {}, "c": None, "d": True},
+            [[], {}, [["a", 1]], [("a", 1)]],
+            {"x": float("nan"), "y": [float("inf")]},
+            {"k": (1, [2])},
+            {"a": {1: 2}},
+            {"members": [], "in_slices": [["c", 0]]},
             True,
             None,
             -(2**70),

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prunekit.costs as costs_module
+import prunekit.planner as planner_module
 from prunekit import (
     Config,
     GraphBuilder,
@@ -291,12 +292,15 @@ class TestRunningCosts:
         g = request.getfixturevalue(model)
         config = Config(flop_target_ratio=0.5, param_target_ratio=0.3)
         records = score_all(g, build_prune_units(g), config)
-        calls = []
+        calls, footprints = [], []
         original = costs_module.effective_model_costs
         monkeypatch.setattr(costs_module, "effective_model_costs", lambda *a, **kw: calls.append(1) or original(*a, **kw))
+        unit_rows = planner_module.unit_rows
+        monkeypatch.setattr(planner_module, "unit_rows", lambda *a: footprints.append(1) or unit_rows(*a))
         plan = select_threshold(records, g, config)
         assert len(plan.removed_unit_ids) > 300
         assert len(calls) == 2
+        assert len(footprints) == 1  # one footprint of the whole scored table
 
     def test_disagreeing_running_count_fails(self, monkeypatch):
         # without the batch-norm/ReLU share of each removed filter the running
@@ -318,20 +322,25 @@ class TestAgainstPerReferenceLoop:
         seed=st.integers(0, 2**32 - 1),
         kwargs=st.sampled_from(PLANNER_CONFIGS),
         target=st.sampled_from((0.1, 0.45)),
+        subset_seed=st.integers(0, 2**32 - 1),
     )
-    def test_tiny_nets(self, seed, kwargs, target):
+    def test_tiny_nets(self, seed, kwargs, target, subset_seed):
         g = random_tiny_net(np.random.default_rng(seed))
         config = Config(flop_target_ratio=target, **kwargs)
         units = build_prune_units(g)
         records = score_all(g, units, config)
         assert [r.raw for r in records] == [loop_raw_score(g, u, config.use_in_channel) for u in units]
-        _, _, flops, want = greedy_plan(records, g, config)
-        if want is None:
-            with pytest.raises(InfeasibleBudgetError) as err:
-                select_threshold(records, g, config)
-            assert err.value.best_frr == 1.0 - flops / model_flop_count(g, config.flops_convention)
-        else:
-            assert select_threshold(records, g, config).to_json() == want
+        # a shuffled subset's table rows index into the whole scored table's footprint
+        rng = np.random.default_rng(subset_seed)
+        subset = [records[i] for i in rng.permutation(len(records))[: rng.integers(1, len(records) + 1)]]
+        for planned in (records, subset):
+            _, _, flops, want = greedy_plan(planned, g, config)
+            if want is None:
+                with pytest.raises(InfeasibleBudgetError) as err:
+                    select_threshold(planned, g, config)
+                assert err.value.best_frr == 1.0 - flops / model_flop_count(g, config.flops_convention)
+            else:
+                assert select_threshold(planned, g, config).to_json() == want
 
 
 class TestMultiPass:

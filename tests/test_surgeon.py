@@ -94,6 +94,26 @@ class TestApplyPlan:
         with pytest.raises(PlanMismatchError, match=f"unit '{entry['unit_id']}' does not match the graph"):
             apply_plan(g, plan)
 
+    @pytest.mark.parametrize(
+        "malformed",
+        [lambda e: "x", lambda e: {"members": []}, lambda e: {**e, "unit_id": [e["unit_id"]]}, lambda e: None],
+        ids=["string", "no-unit-id", "list-unit-id", "none"],
+    )
+    def test_corrupt_plan_malformed_entry(self, malformed):
+        # an in-memory plan skips from_json's checks, so apply_plan checks each entry's shape
+        g = make_chain(np.random.default_rng(1), (4, 6))
+        plan = plan_for(g)
+        plan.removed_entries[0] = malformed(plan.removed_entries[0])
+        with pytest.raises(PlanMismatchError, match="corrupt plan: removed unit .* has no string unit_id"):
+            apply_plan(g, plan)
+
+    def test_corrupt_plan_removed_units_not_a_list(self):
+        g = make_chain(np.random.default_rng(1), (4, 6))
+        plan = plan_for(g)
+        plan.removed_entries = tuple(plan.removed_entries)
+        with pytest.raises(PlanMismatchError, match="corrupt plan: removed units must be a list"):
+            apply_plan(g, plan)
+
     def test_corrupt_plan_duplicate_unit(self):
         # the surgery and recount would pass, but the report would count the unit twice
         g = make_chain(np.random.default_rng(5), (4, 6))
