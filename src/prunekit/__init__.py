@@ -38,27 +38,18 @@ from .scoring import (
     score_all,
 )
 from .surgeon import SurgeryReport, apply_plan, apply_units, zero_equivalence_check
-from .units import (
-    AuxRef,
-    ChannelRef,
-    InSliceRef,
-    PruneUnit,
-    build_prune_units,
-)
+from .units import PruneUnit, build_prune_units, unit_table
 from .zoo import densenet40, resnet56, vgg16
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuxRef",
-    "ChannelRef",
     "Config",
     "DegenerateModelError",
     "GraphBuilder",
     "GraphValidationError",
     "ImportanceRecord",
     "InfeasibleBudgetError",
-    "InSliceRef",
     "LayerNode",
     "ManifestError",
     "ModelGraph",
@@ -91,6 +82,7 @@ __all__ = [
     "select_threshold",
     "unit_flop_cost",
     "unit_param_cost",
+    "unit_table",
     "validate",
     "vgg16",
     "zero_equivalence_check",

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import PruneKitError, ShapeError
 from .graph import WEIGHTED_KINDS, ModelGraph, passed_width
-from .units import PruneUnit, UnitTable, _sorted_unique, unit_table
+from .units import PruneUnit, UnitTable, _sorted_unique, graph_row, graph_table
 
 CONVENTIONS = ("macs", "2macs")
 
@@ -45,14 +45,14 @@ def _factor(convention: str) -> int:
     return 2 if convention == "2macs" else 1
 
 
-def unit_rows(graph: ModelGraph, units: UnitTable | list[PruneUnit]) -> tuple[np.ndarray, np.ndarray]:
+def unit_rows(graph: ModelGraph, units: UnitTable) -> tuple[np.ndarray, np.ndarray]:
     """The footprint of every unit: one (layer code, filters, slots) row per
     weighted layer the unit touches, counting its members and its in-slices
     there, and the bounds of each unit's run of rows (unit ``i`` owns rows
     ``bounds[i]:bounds[i + 1]``, sorted by layer code). A layer code is the
-    layer's position in ``graph.weighted_layers()``. Units made by hand enter
-    through ``units.unit_table``, which checks their refs."""
-    table = unit_table(graph, units)
+    layer's position in ``graph.weighted_layers()``. ``units`` is a table made
+    from ``graph``."""
+    table = graph_table(graph, units)
     k = len(table.filters.names)
     out_layer, _ = table.filters.locate(table.members.ids)
     in_layer, _ = table.slots.locate(table.in_slices.ids)
@@ -68,7 +68,7 @@ def unit_rows(graph: ModelGraph, units: UnitTable | list[PruneUnit]) -> tuple[np
     return np.stack([keys % k, filters, slots], axis=1), bounds
 
 
-def unit_costs(graph: ModelGraph, units: UnitTable | list[PruneUnit], convention: str = "macs") -> list[tuple[int, int]]:
+def unit_costs(graph: ModelGraph, units: UnitTable, convention: str = "macs") -> list[tuple[int, int]]:
     """(params, flops) of every unit, priced from its :func:`unit_rows`. A row
     of ``filters`` filters and ``slots`` slots in a layer of kernel K, input
     width M and output width N owns K*K*(filters*M + slots*N) weights, and
@@ -90,13 +90,14 @@ def unit_costs(graph: ModelGraph, units: UnitTable | list[PruneUnit], convention
 
 def unit_param_cost(graph: ModelGraph, unit: PruneUnit) -> int:
     """Weights owned by the unit: K*K*M per member filter, K*K*N per consumer
-    slice. Needs inferred shapes, like every :func:`unit_costs` price."""
-    return unit_costs(graph, [unit])[0][0]
+    slice. ``unit`` is a row of a table made from ``graph``; needs inferred
+    shapes, like every :func:`unit_costs` price."""
+    return unit_costs(graph, graph_row(graph, unit))[0][0]
 
 
 def unit_flop_cost(graph: ModelGraph, unit: PruneUnit, convention: str = "macs") -> int:
     """Scoring-side FLOPs of the unit; each layer's spatial factor is its input size."""
-    return unit_costs(graph, [unit], convention)[0][1]
+    return unit_costs(graph, graph_row(graph, unit), convention)[0][1]
 
 
 def _weighted_terms(node, m: int, n: int, count_aux_params: bool) -> tuple[int, int]:

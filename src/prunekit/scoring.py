@@ -32,7 +32,7 @@ from . import jsontext
 from .costs import CONVENTIONS, unit_costs
 from .errors import DegenerateModelError, PruneKitError
 from .graph import ModelGraph
-from .units import PruneUnit, UnitTable, _Numbering, _sorted_unique, _spans, run_sums, table_row, unit_table
+from .units import PruneUnit, UnitTable, _Numbering, _sorted_unique, _spans, graph_row, graph_table, run_sums
 
 WEIGHT_NORM_MODES = ("max-min", "max", "log")
 
@@ -161,23 +161,18 @@ def _l1(graph: ModelGraph, numbering: _Numbering, axis: int, ids: np.ndarray) ->
     return masses[np.searchsorted(named, ids)]
 
 
-def _raw_scores(graph: ModelGraph, units: UnitTable, use_in_channel: bool, rows=slice(None)) -> list[float]:
-    """Dependency L1 of every unit, or of table rows ``rows``. A unit's
-    filters are its members, or the origin of an in-channel-only unit
-    (``UnitTable.filter_runs``), and their consumer slices are each member's
-    reads, or the unit's slots; each filter's score is its mass plus its
-    slices' masses, and a unit's score the mean of its filters' scores, all
-    added in the order a per-reference loop would add them."""
+def _raw_scores(graph: ModelGraph, units: UnitTable, use_in_channel: bool) -> list[float]:
+    """Dependency L1 of every unit. A unit's filters are its members, or the
+    origin of an in-channel-only unit (``UnitTable.filter_runs``), and their
+    consumer slices are each member's reads, or the unit's slots; each
+    filter's score is its mass plus its slices' masses, and a unit's score the
+    mean of its filters' scores, all added in the order a per-reference loop
+    would add them."""
     runs = units.filter_runs
-    lo, hi = runs.lo[rows], runs.hi[rows]
-    n_filters = hi - lo
-    if not n_filters.all():
-        raise ValueError("group has no members")
-    at = _spans(lo, hi)
+    n_filters = runs.hi - runs.lo
+    at = _spans(runs.lo, runs.hi)
     scores = _l1(graph, units.filters, 0, runs.ids[at])
     if use_in_channel:
-        if runs.read_ids is None:
-            raise ValueError("every member needs its own consumer slices (member_slices)")
         read_lo, read_hi = runs.read_lo[at], runs.read_hi[at]
         masses = _l1(graph, units.slots, 1, runs.read_ids[_spans(read_lo, read_hi)])
         scores = scores + run_sums(masses, read_hi - read_lo)
@@ -187,11 +182,10 @@ def _raw_scores(graph: ModelGraph, units: UnitTable, use_in_channel: bool, rows=
 def dependency_l1(graph: ModelGraph, unit: PruneUnit, use_in_channel: bool = True) -> float:
     """Raw score: absolute weight mass of the unit's out-channel(s), plus its
     consumer slices when ``use_in_channel``. Coupled groups average over their
-    members. Biases and batch-norm parameters never contribute. A row of a
-    table made from ``graph`` is scored in place (``units.table_row``).
+    members. Biases and batch-norm parameters never contribute. ``unit`` is a
+    row of a table made from ``graph``.
     """
-    table, row = table_row(graph, unit)
-    return _raw_scores(graph, table, use_in_channel, slice(row, row + 1))[0]
+    return _raw_scores(graph, graph_row(graph, unit), use_in_channel)[0]
 
 
 def normalize_weight_scores(scores: list[float], mode: str = "max-min") -> list[float]:
@@ -238,16 +232,16 @@ def combined_importance(weight_score: float, param_score: float, flop_score: flo
     return weight_score + param_score + flop_score
 
 
-def score_all(graph: ModelGraph, units: list[PruneUnit], config: Config) -> list[ImportanceRecord]:
-    """Score every unit. Deterministic given graph and config; the cost maxima
-    are taken over exactly this unit set. Each weighted layer's L1 sums are
-    computed once, and units read them through id arrays. Raises
-    DegenerateModelError when there is no unit or a unit's raw score is NaN
-    or infinite."""
+def score_all(graph: ModelGraph, units: UnitTable, config: Config) -> list[ImportanceRecord]:
+    """Score every unit of ``units``, a table made from ``graph``.
+    Deterministic given graph and config; the cost maxima are taken over
+    exactly this unit set. Each weighted layer's L1 sums are computed once,
+    and units read them through id arrays. Raises DegenerateModelError when
+    there is no unit or a unit's raw score is NaN or infinite."""
     config.validate()
-    if not len(units):
+    table = graph_table(graph, units)
+    if not len(table):
         raise DegenerateModelError("model has no prunable units")
-    table = unit_table(graph, units)
     raws = _raw_scores(graph, table, config.use_in_channel)
     for uid, raw in zip(table.uid, raws):
         if not math.isfinite(raw):

@@ -24,7 +24,7 @@ from .errors import PlanMismatchError, PruneKitError
 from .eval import forward_eval
 from .graph import _BN_ROLES, _WIDTH_ATTRS, WEIGHTED_KINDS, ModelGraph, _layout, graph_checksum, infer_shapes, validate
 from .planner import PruningPlan, _is_entry
-from .units import PruneUnit, UnitTable, _Numbering, build_prune_units, channel_flow, table_row, unit_table
+from .units import PruneUnit, UnitTable, _Numbering, build_prune_units, channel_flow, graph_row, graph_table
 
 
 @dataclass
@@ -133,8 +133,9 @@ def _checked_surgery(graph: ModelGraph, units: UnitTable, plan: PruningPlan) -> 
     return pruned
 
 
-def apply_units(graph: ModelGraph, units: UnitTable | list[PruneUnit]) -> ModelGraph:
-    """Remove the given units from the graph, returning a new validated graph.
+def apply_units(graph: ModelGraph, units: UnitTable) -> ModelGraph:
+    """Remove the units of ``units``, a table made from ``graph``, returning a
+    new validated graph.
 
     A node keeps the output columns whose origins (``units.channel_flow``) all
     survive, with -1 padding counted alive; a kept slot's new ``in_select``
@@ -142,7 +143,7 @@ def apply_units(graph: ModelGraph, units: UnitTable | list[PruneUnit]) -> ModelG
     if not graph.inferred:
         raise PruneKitError("run infer_shapes before surgery")
     channels, arrays = channel_flow(graph)
-    table = unit_table(graph, units)
+    table = graph_table(graph, units)
     slots, entries = table.slots, table.entries
     removed = _marks(table.members.ids, channels)  # a filter id is its channel's id
     slot_gone = _marks(table.in_slices.ids, slots)
@@ -247,13 +248,13 @@ def zero_equivalence_check(
     forward evaluation of the zeroed graph against the surgically pruned graph
     on ``trials`` random inputs, drawn as one batch and evaluated in one
     batched pass per graph. Returns True iff all trials agree within ``rtol``.
+    ``unit`` is a row of a table made from ``graph``.
 
     The zeroed graph shares every node with the input except the layers the
     unit touches, which get their own copies of their tensors; the input
     graph is left unchanged.
     """
-    table, row = table_row(graph, unit)
-    table = table.take([row])
+    table = graph_row(graph, unit)
     members, aux, slices = (
         table.filters.pairs(table.members)[0],
         table.entries.pairs(table.aux)[0],

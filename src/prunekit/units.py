@@ -27,15 +27,17 @@ whose classes are the residual groups.
 
 The inventory is one :class:`UnitTable`: every unit's members, reads, entries
 and per-member reads are runs of ids in shared arrays, and ``uid``, ``kind``
-and ``family`` are lists. Scoring, pricing, planning and surgery read those
-arrays; surgery also reads the channel numbering and origin arrays
-(``channel_flow``) to find the indices each node keeps. Ref objects are made
-only when something asks a unit for its ``members``, ``in_slices`` and so on,
-and units made by hand from refs enter a table through ``unit_table``.
+and ``family`` are lists; a unit is a row of it (:class:`PruneUnit`).
+Scoring, pricing, planning and surgery read those arrays, and take only a
+table made from the graph they are given; surgery also reads the channel
+numbering and origin arrays (``channel_flow``) to find the indices each node
+keeps. Units made by hand enter a table as ``units.json`` entries through
+``unit_table``, which reads each member's reads from the graph.
 """
 
 from __future__ import annotations
 
+import json
 import weakref
 from functools import cached_property
 from itertools import accumulate, chain, repeat
@@ -52,95 +54,28 @@ FULL_CHANNEL = "full_channel"
 IN_CHANNEL_ONLY = "in_channel_only"
 
 
-class ChannelRef(NamedTuple):
-    """One output channel of a weighted layer.
+class PruneUnit(NamedTuple):
+    """Row ``row`` of ``table``: one prunable unit. ``uid``, ``kind`` and
+    ``family`` (the normalization scope of its weight score) are the table's.
+    Rows of one table compare equal when their row numbers do."""
 
-    The three ref types are named tuples, so hashing, equality and ordering
-    run on plain tuples: refs of different types with equal fields compare
-    equal. Nothing mixes them.
-    """
+    table: "UnitTable"
+    row: int
 
-    layer: str
-    channel: int
-
-
-class InSliceRef(NamedTuple):
-    """One input slot of a weighted consumer (a kernel slice across its filters)."""
-
-    layer: str
-    in_channel: int
-
-
-class AuxRef(NamedTuple):
-    """A per-channel vector entry to drop with the unit (bias or BN index)."""
-
-    layer: str
-    index: int
-
-
-class PruneUnit:
-    """One prunable unit.
-
-    ``uid``, ``kind`` and ``family`` (the normalization scope of its weight
-    score) are attributes. ``members``, ``in_slices`` and ``aux`` are tuples of
-    refs, ``member_slices`` holds each member's own consumer slices and
-    ``origin`` is the producing channel of an in-channel-only unit (None
-    otherwise). A unit of a :class:`UnitTable` is row ``row`` of ``table`` and
-    makes these refs from the table's id arrays on first access; a unit made by
-    hand holds the refs it is given. Units with equal fields compare equal.
-    """
-
-    __slots__ = ("uid", "kind", "family", "table", "row", "_refs")
-    _FIELDS = ("members", "in_slices", "aux", "member_slices", "origin")
-
-    def __init__(self, uid, kind, members, in_slices, aux, family, member_slices=(), origin=None):
-        self.uid, self.kind, self.family = uid, kind, family
-        self.table = self.row = None
-        self._refs = (tuple(members), tuple(in_slices), tuple(aux), tuple(member_slices), origin)
-
-    def _fields(self) -> tuple:
-        if self._refs is None:
-            self._refs = self.table.refs[self.row]
-        return self._refs
-
-    members = property(lambda self: self._fields()[0])
-    in_slices = property(lambda self: self._fields()[1])
-    aux = property(lambda self: self._fields()[2])
-    member_slices = property(lambda self: self._fields()[3])
-    origin = property(lambda self: self._fields()[4])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PruneUnit):
-            return NotImplemented
-        mine, theirs = (self.uid, self.kind, self.family), (other.uid, other.kind, other.family)
-        return mine == theirs and self._fields() == other._fields()
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        fields = zip(("uid", "kind", "family", *self._FIELDS), (self.uid, self.kind, self.family, *self._fields()))
-        return "PruneUnit(" + ", ".join(f"{name}={value!r}" for name, value in fields) + ")"
+    uid = property(lambda self: self.table.uid[self.row])
+    kind = property(lambda self: self.table.kind[self.row])
+    family = property(lambda self: self.table.family[self.row])
 
     def to_json(self) -> dict:
-        payload = {
-            "uid": self.uid,
-            "kind": self.kind,
-            "members": [[m.layer, m.channel] for m in self.members],
-            "in_slices": [[s.layer, s.in_channel] for s in self.in_slices],
-            "aux": [[a.layer, a.index] for a in self.aux],
-            "family": self.family,
-        }
-        if self.origin is not None:
-            payload["origin"] = [self.origin.layer, self.origin.channel]
-        return payload
+        """The unit's ``units.json`` entry (see :meth:`UnitTable.to_json`)."""
+        return json.loads(self.table.take([self.row]).to_json())[0]
 
 
 class _Numbering:
     """One global numbering of (layer, index) pairs, laid out layer by layer
-    in the given order; the ``ref_type`` of a pair is its ref."""
+    in the given order."""
 
-    def __init__(self, ref_type, widths: list[tuple[str, int]]):
-        self.ref_type = ref_type
+    def __init__(self, widths: list[tuple[str, int]]):
         self.width = dict(widths)
         self.names = list(self.width)
         self.starts = np.fromiter(accumulate(self.width.values(), initial=0), np.int64, len(widths) + 1)
@@ -158,14 +93,10 @@ class _Numbering:
         layer = np.searchsorted(self.starts, ids, side="right") - 1
         return layer, ids - self.starts[layer]
 
-    def refs(self, ids: np.ndarray) -> list:
-        layer, index = self.locate(ids)
-        return list(map(self.ref_type, map(self.names.__getitem__, layer.tolist()), index.tolist()))
-
-    def runs(self, ragged: "Ragged") -> list[tuple]:
-        """The refs of each run of ``ragged``, as a tuple per run."""
-        refs, b = self.refs(ragged.ids), ragged.bounds.tolist()
-        return list(map(tuple, map(refs.__getitem__, map(slice, b, b[1:]))))
+    def pair(self, i: int) -> tuple[str, int]:
+        """The layer and index of id ``i``."""
+        layer, index = self.locate(i)
+        return self.names[layer], int(index)
 
     def pairs(self, ragged: "Ragged") -> list[list[list]]:
         """The [layer, index] pairs of each run of ``ragged``, as a list per run."""
@@ -218,14 +149,14 @@ class FilterRuns(NamedTuple):
     ``len(members.ids) + i`` is unit ``i``'s origin. Unit ``i`` owns
     positions ``lo[i]:hi[i]``. The reads of position ``p`` are
     ``read_ids[read_lo[p]:read_hi[p]]``: a member's own reads, or the unit's
-    slots for an origin (None without per-member reads)."""
+    slots for an origin."""
 
     lo: np.ndarray
     hi: np.ndarray
     ids: np.ndarray
-    read_lo: np.ndarray | None
-    read_hi: np.ndarray | None
-    read_ids: np.ndarray | None
+    read_lo: np.ndarray
+    read_hi: np.ndarray
+    read_ids: np.ndarray
 
 
 def _numberings(graph: ModelGraph) -> tuple[_Numbering, _Numbering, _Numbering]:
@@ -236,9 +167,9 @@ def _numberings(graph: ModelGraph) -> tuple[_Numbering, _Numbering, _Numbering]:
     nodes = map(graph.nodes.__getitem__, graph.order)
     has_aux = [n for n in nodes if n.kind == "BatchNorm2d" or (n.kind in WEIGHTED_KINDS and "bias" in n.tensors)]
     return (
-        _Numbering(ChannelRef, [(n.id, n.out_channels) for n in weighted]),
-        _Numbering(InSliceRef, [(n.id, n.declared_in_width()) for n in weighted]),
-        _Numbering(AuxRef, [(n.id, n.out_channels) for n in has_aux]),
+        _Numbering([(n.id, n.out_channels) for n in weighted]),
+        _Numbering([(n.id, n.declared_in_width()) for n in weighted]),
+        _Numbering([(n.id, n.out_channels) for n in has_aux]),
     )
 
 
@@ -248,11 +179,10 @@ class UnitTable:
 
     ``members`` (filter ids), ``in_slices`` (slot ids) and ``aux`` (entry ids)
     hold one run per unit, numbered by ``filters``, ``slots`` and ``entries``;
-    ``member_reads`` holds one run of slot ids per member (None for hand-made
-    units without ``member_slices``); ``origin`` is the filter id producing an
-    in-channel-only unit's slot, -1 for other units. Filter and slot numberings
-    list the weighted layers in graph order, so a layer's position in them is
-    its layer code. Iterating or indexing the table gives :class:`PruneUnit`
+    ``member_reads`` holds one run of slot ids per member; ``origin`` is the
+    filter id producing an in-channel-only unit's slot, -1 for other units.
+    Filter and slot numberings list the weighted layers in graph order, so a
+    layer's position in them is its layer code. Iterating or indexing the table gives :class:`PruneUnit`
     rows; ``take`` selects rows as a new table.
     """
 
@@ -263,35 +193,18 @@ class UnitTable:
         self.members, self.in_slices, self.aux = members, in_slices, aux
         self.member_reads, self.origin = member_reads, origin
 
-    def of(self, graph: ModelGraph) -> bool:
-        """Whether the table was made from this graph object."""
-        return self._graph() is graph
-
     def __len__(self) -> int:
         return len(self.uid)
 
     def __iter__(self):
-        return iter(self.units)
+        return map(PruneUnit, repeat(self), range(len(self)))
 
-    def __getitem__(self, i):
-        return self.units[i]
-
-    @cached_property
-    def units(self) -> list[PruneUnit]:
-        units = []
-        for row, (uid, kind, family) in enumerate(zip(self.uid, self.kind, self.family)):
-            unit = PruneUnit.__new__(PruneUnit)
-            unit.uid, unit.kind, unit.family, unit.table, unit.row, unit._refs = uid, kind, family, self, row, None
-            units.append(unit)
-        return units
+    def __getitem__(self, i: int) -> PruneUnit:
+        return PruneUnit(self, range(len(self))[i])
 
     def take(self, rows) -> "UnitTable":
         """Rows ``rows`` (row numbers, in any order) as a new table."""
         rows = np.asarray(rows, np.int64)
-        members = self.members.take(rows)
-        member_reads = None
-        if self.member_reads is not None:
-            member_reads = self.member_reads.take(_spans(self.members.bounds[rows], self.members.bounds[rows + 1]))
         pick = rows.tolist()
         return UnitTable(
             self._graph,
@@ -299,43 +212,20 @@ class UnitTable:
             [self.uid[i] for i in pick],
             [self.kind[i] for i in pick],
             [self.family[i] for i in pick],
-            members,
+            self.members.take(rows),
             self.in_slices.take(rows),
             self.aux.take(rows),
-            member_reads,
+            self.member_reads.take(_spans(self.members.bounds[rows], self.members.bounds[rows + 1])),
             self.origin[rows],
         )
-
-    @cached_property
-    def refs(self) -> list[tuple]:
-        """The ref fields of every row, in :class:`PruneUnit` order, made in
-        one pass per field the first time any row's refs are read."""
-        members, in_slices, aux = (
-            self.filters.runs(self.members),
-            self.slots.runs(self.in_slices),
-            self.entries.runs(self.aux),
-        )
-        member_slices = [()] * len(self)
-        if self.member_reads is not None:
-            reads, b = self.slots.runs(self.member_reads), self.members.bounds.tolist()
-            member_slices = list(map(tuple, map(reads.__getitem__, map(slice, b, b[1:]))))
-        origin = [None] * len(self)
-        rows = np.flatnonzero(self.origin >= 0)
-        for row, ref in zip(rows.tolist(), self.filters.refs(self.origin[rows])):
-            origin[row] = ref
-        return list(zip(members, in_slices, aux, member_slices, origin))
 
     @cached_property
     def filter_runs(self) -> "FilterRuns":
         """Where each unit's filters and their reads are (see :class:`FilterRuns`)."""
         full = np.array([kind == FULL_CHANNEL for kind in self.kind], bool)
-        members, slots, reads, n = self.members, self.in_slices, self.member_reads, len(self)
-        if (self.origin[~full] < 0).any():
-            raise ValueError("an in-channel-only unit needs its origin")
-        first = len(members.ids) + np.arange(n)
+        members, slots, reads = self.members, self.in_slices, self.member_reads
+        first = len(members.ids) + np.arange(len(self))
         lo, hi = np.where(full, members.bounds[:-1], first), np.where(full, members.bounds[1:], first + 1)
-        if reads is None:
-            return FilterRuns(lo, hi, np.concatenate([members.ids, self.origin]), None, None, None)
         skip = len(reads.ids)
         return FilterRuns(
             lo,
@@ -356,7 +246,9 @@ class UnitTable:
         return list(map(self.filters.names.__getitem__, layer.tolist())), index.tolist()
 
     def to_json(self) -> str:
-        """The unit inventory as ``json.dumps([u.to_json() for u in table], indent=2)``."""
+        """The unit inventory as ``json.dumps`` with ``indent=2`` of one object
+        per unit: uid, kind, members, in_slices and aux as [layer, index]
+        pairs, family, and the origin pair of an in-channel-only unit."""
         ind = "\n    "
         columns = {"uid": jsontext.texts(self.uid, ind), "kind": jsontext.texts(self.kind, ind)}
         for field, numbering in (("members", self.filters), ("in_slices", self.slots), ("aux", self.entries)):
@@ -375,59 +267,89 @@ class UnitTable:
         return jsontext.array(jsontext.objects(columns, "\n  "), "\n") + "\n"
 
 
-def unit_table(graph: ModelGraph, units) -> UnitTable:
-    """``units`` over ``graph``'s numberings as a :class:`UnitTable`: the table
-    itself when it was made from ``graph``; otherwise (a list of units, or a
-    table of another graph) a table made from the units' refs. Each ref must
-    name a layer of ``graph`` that has such entries and an index inside its
-    width; PruneKitError otherwise."""
-    if isinstance(units, UnitTable) and units.of(graph):
+def graph_table(graph: ModelGraph, units) -> UnitTable:
+    """``units`` itself, when it is a :class:`UnitTable` made from this
+    ``graph`` object; PruneKitError otherwise."""
+    if isinstance(units, UnitTable) and units._graph() is graph:
         return units
-    units = list(units)
-    filters, slots, entries = numberings = _numberings(graph)
-    members = ref_arrays((u.members for u in units), filters, "output channel")
-    origins = ref_arrays(((u.origin,) if u.origin is not None else () for u in units), filters, "output channel")
-    in_slices = ref_arrays((u.in_slices for u in units), slots, "input slot")
-    member_reads = None
-    if all(len(u.member_slices) == len(u.members) for u in units):
-        member_reads = ref_arrays(chain.from_iterable(u.member_slices for u in units), slots, "input slot")
-    aux = ref_arrays((u.aux for u in units), entries, "vector entry")
-    origin = np.full(len(units), -1)
-    origin[origins.sizes() > 0] = origins.ids
+    raise PruneKitError("units must be a unit table built from this graph object (build_prune_units or unit_table)")
+
+
+def graph_row(graph: ModelGraph, unit) -> UnitTable:
+    """``unit``, a row of a table made from this ``graph`` object, as a
+    one-row table; PruneKitError otherwise."""
+    return graph_table(graph, getattr(unit, "table", None)).take([unit.row])
+
+
+def unit_table(graph: ModelGraph, entries: list[dict]) -> UnitTable:
+    """Units made by hand, given as ``units.json`` entries, as a table over
+    ``graph``. Each member reads the slots that the graph feeds from its
+    channel, among its unit's in_slices. PruneKitError for an entry of another
+    shape, an unknown kind, a missing or misplaced origin (only an
+    in-channel-only unit has one), a full-channel unit without members, an
+    in-channel-only unit with members or without a slot, and a pair naming an
+    index its layer does not have."""
+    if not graph.inferred:
+        raise ShapeError("run infer_shapes before unit_table")
+    entries = list(entries)
+    for e in entries:
+        if not (
+            isinstance(e, dict)
+            and all(type(e.get(key)) is str for key in ("uid", "kind", "family"))
+            and all(jsontext.is_pairs(e.get(key)) for key in ("members", "in_slices", "aux"))
+        ):
+            raise PruneKitError(
+                "a unit entry needs a string uid, kind and family, and members, in_slices and aux "
+                f"of [layer, index] pairs: {e!r}"
+            )
+        uid, kind, origin = e["uid"], e["kind"], e.get("origin")
+        if kind not in (FULL_CHANNEL, IN_CHANNEL_ONLY):
+            raise PruneKitError(f"{uid}: unknown unit kind {kind!r}")
+        if (origin is None) != (kind == FULL_CHANNEL) or not (origin is None or jsontext.is_pairs([origin])):
+            raise PruneKitError(f"{uid}: an in-channel-only unit, and no other, needs its [layer, index] origin")
+    filters, slots, auxes = numberings = _numberings(graph)
+    members = _ids([e["members"] for e in entries], filters, "output channel")
+    in_slices = _ids([e["in_slices"] for e in entries], slots, "input slot")
+    aux = _ids([e["aux"] for e in entries], auxes, "vector entry")
+    full = np.array([e["kind"] == FULL_CHANNEL for e in entries], bool)
+    origin = np.full(len(entries), -1)
+    origin[~full] = _ids([[e["origin"]] for e in entries if e["kind"] != FULL_CHANNEL], filters, "output channel").ids
+    bad = np.flatnonzero(np.where(full, members.sizes() == 0, (members.sizes() > 0) | (in_slices.sizes() == 0)))
+    if len(bad):
+        raise PruneKitError(
+            f"{entries[bad[0]]['uid']}: a full-channel unit needs members, an in-channel-only unit a slot and no members"
+        )
+
+    # a member's reads: the graph's (channel, slot) pairs of its channel whose slot is in its unit's in_slices
+    read_origin, read_slot = _reads(graph, channel_flow(graph)[1], slots)
+    lo, hi = _ranges(read_origin, members.ids)
+    member = np.repeat(np.arange(len(members.ids)), hi - lo)
+    unit, slot = np.repeat(np.arange(len(entries)), members.sizes())[member], read_slot[_spans(lo, hi)]
+    owned = np.repeat(np.arange(len(entries)), in_slices.sizes()) * slots.size + in_slices.ids
+    mine = np.isin(unit * slots.size + slot, owned)
     return UnitTable(
         weakref.ref(graph),
         numberings,
-        [u.uid for u in units],
-        [u.kind for u in units],
-        [u.family for u in units],
+        [e["uid"] for e in entries],
+        [e["kind"] for e in entries],
+        [e["family"] for e in entries],
         members,
         in_slices,
         aux,
-        member_reads,
+        Ragged.of(slot[mine], np.bincount(member[mine], minlength=len(members.ids))),
         origin,
     )
 
 
-def table_row(graph: ModelGraph, unit: PruneUnit) -> tuple[UnitTable, int]:
-    """A table over ``graph`` that holds ``unit``, and its row there: the
-    unit's own table when it is a row of one made from ``graph``, so its runs
-    are read in place; otherwise a one-row table made from its refs."""
-    if unit.table is not None and unit.table.of(graph):
-        return unit.table, unit.row
-    return unit_table(graph, [unit]), 0
-
-
-def ref_arrays(groups, numbering: _Numbering, what: str) -> Ragged:
-    """The refs of ``groups``, an iterable of ref tuples, as one run of ids
-    over ``numbering`` per group. Each ref must name a layer of the numbering
-    and an index inside its width; PruneKitError otherwise, naming the index
-    as ``what``."""
-    groups = list(groups)
-    refs = list(chain.from_iterable(groups))
-    ids = numbering.ids_of(refs)
+def _ids(groups: list[list], numbering: _Numbering, what: str) -> Ragged:
+    """The [layer, index] pairs of each group as one run of ids over
+    ``numbering``. Each pair must name a layer of the numbering and an index
+    inside its width; PruneKitError otherwise, naming the index as ``what``."""
+    pairs = list(chain.from_iterable(groups))
+    ids = numbering.ids_of(pairs)
     if (ids < 0).any():
-        ref = refs[int(np.argmax(ids < 0))]
-        raise PruneKitError(f"{ref[0]}: unit names {what} {ref[1]}, which the layer does not have")
+        layer, index = pairs[int(np.argmax(ids < 0))]
+        raise PruneKitError(f"{layer}: unit names {what} {index}, which the layer does not have")
     return Ragged.of(ids, np.fromiter(map(len, groups), np.int64, len(groups)))
 
 
@@ -458,7 +380,7 @@ def channel_flow(graph: ModelGraph) -> tuple[_Numbering, dict[str, np.ndarray]]:
     the ``filters`` numbering of ``_numberings`` (so a channel id is a filter
     id), then the graph Input's."""
     nodes = [*graph.weighted_layers(), graph.input_node()]
-    channels = _Numbering(ChannelRef, [(n.id, n.out_channels) for n in nodes])
+    channels = _Numbering([(n.id, n.out_channels) for n in nodes])
     return channels, _origin_arrays(graph, channels)
 
 
@@ -485,6 +407,22 @@ def _origin_arrays(graph: ModelGraph, channels: _Numbering) -> dict[str, np.ndar
             spread = node.out_channels // edge.shape[1]
             arrays[nid] = edge if spread == 1 else np.repeat(edge, spread, axis=1)
     return arrays
+
+
+def _reads(graph: ModelGraph, arrays: dict[str, np.ndarray], slots: _Numbering) -> tuple[np.ndarray, np.ndarray]:
+    """Every weighted read, as distinct (origin channel, consumer slot) id
+    pairs sorted by channel, then slot (``arrays`` from ``channel_flow``)."""
+    origins, targets = [], []
+    for node in graph.weighted_layers():
+        edge = arrays[node.inputs[0]]
+        sel = node.in_select()
+        width = edge.shape[1] if sel is None else len(sel)
+        if width != node.declared_in_width():
+            raise ShapeError(f"{node.id}: input width {node.declared_in_width()} vs edge width {width}")
+        cols = edge if sel is None else edge[:, sel]
+        origins.append(cols.ravel())
+        targets.append(np.tile(slots.ids(node.id), len(cols)))
+    return _pairs(origins, targets, slots.size)
 
 
 def _pairs(origins: list[np.ndarray], targets: list[np.ndarray], n_targets: int) -> tuple[np.ndarray, np.ndarray]:
@@ -566,18 +504,7 @@ def build_prune_units(graph: ModelGraph) -> UnitTable:
     channels, arrays = channel_flow(graph)
     filters, slots, auxes = numberings = _numberings(graph)
 
-    # every weighted read, as (origin channel, consumer slot) pairs
-    origins, targets = [], []
-    for node in weighted:
-        edge = arrays[node.inputs[0]]
-        sel = node.in_select()
-        width = edge.shape[1] if sel is None else len(sel)
-        if width != node.declared_in_width():
-            raise ShapeError(f"{node.id}: input width {node.declared_in_width()} vs edge width {width}")
-        cols = edge if sel is None else edge[:, sel]
-        origins.append(cols.ravel())
-        targets.append(np.tile(slots.ids(node.id), len(cols)))
-    reads = _pairs(origins, targets, slots.size)
+    reads = _reads(graph, arrays, slots)
 
     # per-channel vector entries: the batch-norm indices a channel feeds, and its own bias
     origins, targets = [], []
@@ -712,8 +639,7 @@ def _in_channel_only_units(
     mine = dense[reads[0]]
     origin, slot = reads[0][mine], reads[1][mine]
     if shared[slot].any():
-        layer, index = slots.refs(slot[shared[slot]][:1])[0]
-        raise PruneKitError(f"overlapping dense/residual structures: slot {layer}.in{index}")
+        raise PruneKitError("overlapping dense/residual structures: slot {}.in{}".format(*slots.pair(slot[shared[slot]][0])))
     order = np.argsort(slot)
     return slot[order], origin[order]
 
@@ -740,4 +666,4 @@ def _check_partition(units: UnitTable) -> None:
     ):
         twice = np.flatnonzero(np.bincount(ragged.ids, minlength=numbering.size) > 1)
         if len(twice):
-            raise PruneKitError(name.format(*numbering.refs(twice[:1])[0]) + " appears in two units")
+            raise PruneKitError(name.format(*numbering.pair(twice[0])) + " appears in two units")

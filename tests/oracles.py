@@ -5,6 +5,8 @@ different route: per-element Python loops instead of vectorized numpy, raw
 struct reads of the weight container instead of bound arrays, and brute-force
 enumeration instead of greedy selection. Keep this module free of imports from
 the code paths it checks (only graph/manifest data structures are shared).
+Units are this module's own records (``Unit`` of ``Channel``, ``Slot`` and
+``Entry`` refs); ``ref_units`` reads a library unit table into them.
 """
 
 from __future__ import annotations
@@ -12,8 +14,97 @@ from __future__ import annotations
 import math
 import struct
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
+
+FULL_CHANNEL = "full_channel"
+IN_CHANNEL_ONLY = "in_channel_only"
+
+
+class Channel(NamedTuple):
+    """One output channel of a weighted layer."""
+
+    layer: str
+    channel: int
+
+
+class Slot(NamedTuple):
+    """One input slot of a weighted consumer."""
+
+    layer: str
+    in_channel: int
+
+
+class Entry(NamedTuple):
+    """A per-channel vector entry (bias or batch-norm index)."""
+
+    layer: str
+    index: int
+
+
+class Unit(NamedTuple):
+    """One unit: its members, in-slices and entries as refs, each member's
+    own reads, and the origin channel of an in-channel-only unit."""
+
+    uid: str
+    kind: str
+    members: tuple
+    in_slices: tuple
+    aux: tuple
+    family: str
+    member_slices: tuple = ()
+    origin: Channel | None = None
+
+
+def _refs(numbering, ids, record) -> list:
+    """The ``record`` of each id of a library numbering (its public
+    ``locate`` and ``names``)."""
+    layer, index = numbering.locate(np.asarray(ids, np.int64))
+    return [record(numbering.names[l], i) for l, i in zip(layer.tolist(), index.tolist())]
+
+
+def ref_units(table) -> list[Unit]:
+    """The rows of a library unit table as ``Unit`` records, read from its
+    public id arrays (``members``, ``in_slices``, ``aux``, ``member_reads``,
+    ``origin``) and numberings."""
+
+    def runs(refs, bounds):
+        b = bounds.tolist()
+        return [tuple(refs[lo:hi]) for lo, hi in zip(b, b[1:])]
+
+    members = runs(_refs(table.filters, table.members.ids, Channel), table.members.bounds)
+    reads = runs(_refs(table.slots, table.member_reads.ids, Slot), table.member_reads.bounds)
+    origins = iter(_refs(table.filters, table.origin[table.origin >= 0], Channel))
+    return [
+        Unit(uid, kind, m, s, a, family, tuple(reads[lo:hi]), next(origins) if o >= 0 else None)
+        for uid, kind, m, s, a, family, lo, hi, o in zip(
+            table.uid,
+            table.kind,
+            members,
+            runs(_refs(table.slots, table.in_slices.ids, Slot), table.in_slices.bounds),
+            runs(_refs(table.entries, table.aux.ids, Entry), table.aux.bounds),
+            table.family,
+            table.members.bounds.tolist(),
+            table.members.bounds[1:].tolist(),
+            table.origin.tolist(),
+        )
+    ]
+
+
+def unit_entry(unit: Unit) -> dict:
+    """The ``units.json`` entry of a ``Unit`` record."""
+    entry = {
+        "uid": unit.uid,
+        "kind": unit.kind,
+        "members": [list(m) for m in unit.members],
+        "in_slices": [list(s) for s in unit.in_slices],
+        "aux": [list(a) for a in unit.aux],
+        "family": unit.family,
+    }
+    if unit.origin is not None:
+        entry["origin"] = list(unit.origin)
+    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +540,8 @@ def greedy_plan(records, graph, config):
     from prunekit.graph import graph_checksum
     from prunekit.planner import PruningPlan
 
+    units = ref_units(records[0].table)
+
     def count(out, slots):
         return effective_model_costs(
             graph, out, slots, convention=config.flops_convention, count_aux_params=config.count_aux_params
@@ -460,8 +553,9 @@ def greedy_plan(records, graph, config):
     removed_out, removed_slots = Counter(), Counter()
     taken, params, flops, met = [], base_params, base_flops, False
     for rec in sorted(records, key=lambda r: (r.importance, -r.flops, -r.params, r.unit_id)):
-        members = [m.layer for m in rec.unit.members]
-        slots = Counter(s.layer for s in rec.unit.in_slices)
+        unit = units[rec.unit_row]
+        members = [m.layer for m in unit.members]
+        slots = Counter(s.layer for s in unit.in_slices)
         if any(out_width[m] - removed_out[m] - 1 < config.min_channels_per_layer for m in members):
             continue
         if any(in_width[layer] - removed_slots[layer] - hits < 1 for layer, hits in slots.items()):
@@ -494,8 +588,8 @@ def greedy_plan(records, graph, config):
             {
                 "unit_id": r.unit_id,
                 "imp": r.importance,
-                "members": [[m.layer, m.channel] for m in r.unit.members],
-                "in_slices": [[s.layer, s.in_channel] for s in r.unit.in_slices],
+                "members": [list(m) for m in units[r.unit_row].members],
+                "in_slices": [list(s) for s in units[r.unit_row].in_slices],
             }
             for r in taken
         ],
@@ -534,16 +628,14 @@ class _UnionFind:
 
 def origin_maps(graph) -> dict:
     """For every node, map each output index to the frozenset of weighted (or
-    Input) channels feeding it, as ``ChannelRef``s."""
-    from prunekit.units import ChannelRef
-
+    Input) channels feeding it, as ``Channel`` records."""
     maps: dict = {}
     for nid in graph.order:
         node = graph.nodes[nid]
         if node.kind == "Input":
-            maps[nid] = [frozenset({ChannelRef(nid, c)}) for c in range(graph.input_channels)]
+            maps[nid] = [frozenset({Channel(nid, c)}) for c in range(graph.input_channels)]
         elif node.kind in _WEIGHTED:
-            maps[nid] = [frozenset({ChannelRef(nid, c)}) for c in range(node.declared_out_width())]
+            maps[nid] = [frozenset({Channel(nid, c)}) for c in range(node.declared_out_width())]
         elif node.kind in ("BatchNorm2d", "ReLU", "Pool", "Output"):
             maps[nid] = maps[node.inputs[0]]
         elif node.kind == "Flatten":
@@ -584,10 +676,8 @@ def _dense_interior(graph, consumers: dict) -> set:
     return interior
 
 
-def per_channel_units(graph) -> list:
+def per_channel_units(graph) -> list[Unit]:
     """Prune units of an inferred graph, built channel by channel."""
-    from prunekit.units import FULL_CHANNEL, IN_CHANNEL_ONLY, AuxRef, ChannelRef, InSliceRef, PruneUnit
-
     consumers = graph.consumers()
     maps = origin_maps(graph)
     input_id = graph.input_node().id
@@ -602,7 +692,7 @@ def per_channel_units(graph) -> list:
             sel = list(range(len(edge_map)))
         assert len(sel) == node.declared_in_width()
         for slot, edge_idx in enumerate(sel):
-            ref = InSliceRef(node.id, slot)
+            ref = Slot(node.id, slot)
             slot_origins[ref] = edge_map[edge_idx]
             for origin in edge_map[edge_idx]:
                 slice_of.setdefault(origin, []).append(ref)
@@ -618,14 +708,14 @@ def per_channel_units(graph) -> list:
                     uf.union(every[0], other)
 
     interior = _dense_interior(graph, consumers)
-    tainted = {uf.find(ChannelRef(input_id, c)) for c in range(graph.input_channels)}
-    tainted |= {uf.find(ChannelRef(p, c)) for p in interior for c in range(graph.nodes[p].declared_out_width())}
+    tainted = {uf.find(Channel(input_id, c)) for c in range(graph.input_channels)}
+    tainted |= {uf.find(Channel(p, c)) for p in interior for c in range(graph.nodes[p].declared_out_width())}
     groups: dict = {}
     for node in graph.weighted_layers():
         if node.id in interior:
             continue
         for c in range(node.declared_out_width()):
-            ref = ChannelRef(node.id, c)
+            ref = Channel(node.id, c)
             root = uf.find(ref)
             if root not in tainted:
                 groups.setdefault(root, []).append(ref)
@@ -636,7 +726,7 @@ def per_channel_units(graph) -> list:
         if node.kind == "BatchNorm2d":
             for j, origins in enumerate(maps[node.inputs[0]]):
                 for origin in origins:
-                    bn_slots.setdefault(origin, []).append(AuxRef(nid, j))
+                    bn_slots.setdefault(origin, []).append(Entry(nid, j))
 
     slice_key = lambda s: (topo[s.layer], s.in_channel)
     units = []
@@ -650,7 +740,7 @@ def per_channel_units(graph) -> list:
         for m in members:
             aux.update(bn_slots.get(m, []))
             if "bias" in graph.nodes[m.layer].tensors:
-                aux.add(AuxRef(m.layer, m.channel))
+                aux.add(Entry(m.layer, m.channel))
         primary = members[0]
         family = (
             f"layer:{primary.layer}"
@@ -658,7 +748,7 @@ def per_channel_units(graph) -> list:
             else "group:" + "|".join(sorted({m.layer for m in members}))
         )
         units.append(
-            PruneUnit(
+            Unit(
                 uid=f"{primary.layer}.c{primary.channel}",
                 kind=FULL_CHANNEL,
                 members=tuple(members),
@@ -671,11 +761,11 @@ def per_channel_units(graph) -> list:
 
     for producer in sorted(interior, key=lambda p: topo[p]):
         for c in range(graph.nodes[producer].declared_out_width()):
-            ref = ChannelRef(producer, c)
+            ref = Channel(producer, c)
             for sl in slice_of.get(ref, []):
                 assert len(slot_origins[sl]) == 1
                 units.append(
-                    PruneUnit(
+                    Unit(
                         uid=f"{sl.layer}.in{sl.in_channel}",
                         kind=IN_CHANNEL_ONLY,
                         members=(),

@@ -25,7 +25,7 @@ from prunekit import (
     zero_equivalence_check,
 )
 from prunekit.graph import serialize_graph
-from prunekit.units import FULL_CHANNEL, IN_CHANNEL_ONLY, ChannelRef, PruneUnit
+from prunekit.units import FULL_CHANNEL, IN_CHANNEL_ONLY, unit_table
 
 from conftest import (
     make_chain,
@@ -43,6 +43,7 @@ from oracles import (
     naive_rank,
     oracle_cost_norm,
     oracle_weight_norm,
+    ref_units,
 )
 
 
@@ -76,15 +77,15 @@ def test_ac1_cost_counter_fidelity(vgg_graph, densenet_graph, resnet_graph):
 
 def test_ac2_cost_awareness_ratio(vgg_graph):
     def out_portion(layer):
-        return PruneUnit(
-            uid=f"{layer}-portion",
-            kind=FULL_CHANNEL,
-            members=(ChannelRef(layer, 0),),
-            in_slices=(),
-            aux=(),
-            family="probe",
-            member_slices=((),),
-        )
+        entry = {
+            "uid": f"{layer}-portion",
+            "kind": FULL_CHANNEL,
+            "members": [[layer, 0]],
+            "in_slices": [],
+            "aux": [],
+            "family": "probe",
+        }
+        return unit_table(vgg_graph, [entry])[0]
 
     early, late = out_portion("conv2_1"), out_portion("conv3_1")
     p_early = unit_param_cost(vgg_graph, early)
@@ -119,7 +120,8 @@ def test_ac3_scoring_oracle_equivalence():
         records = score_all(g, units, config)
         manifest, container = serialize_graph(g)
 
-        raw_ref = [container_unit_l1(manifest, container, u, config.use_in_channel) for u in units]
+        refs = ref_units(units)
+        raw_ref = [container_unit_l1(manifest, container, u, config.use_in_channel) for u in refs]
         families: dict[str, list[int]] = {}
         for i, u in enumerate(units):
             families.setdefault(u.family, []).append(i)
@@ -127,7 +129,7 @@ def test_ac3_scoring_oracle_equivalence():
         for idxs in families.values():
             for i, v in zip(idxs, oracle_weight_norm([raw_ref[j] for j in idxs], config.weight_norm_mode)):
                 gl_ref[i] = v
-        costs = manifest_costs_of_units(manifest, units, config.flops_convention)
+        costs = manifest_costs_of_units(manifest, refs, config.flops_convention)
         pmax = max(c[0] for c in costs)
         fmax = max(c[1] for c in costs)
         for r, raw_i, gl_i, (p, f) in zip(records, raw_ref, gl_ref, costs):
@@ -170,8 +172,9 @@ def test_ac4_planner_prefix_equivalence():
 
         ranked_ref = naive_rank([(r.importance, r.flops, r.params, r.unit_id) for r in records])
         by_uid = {r.unit_id: r for r in records}
+        refs = ref_units(units)
         entries = [
-            {"uid": uid, "layer": by_uid[uid].unit.members[0].layer, "imp": by_uid[uid].importance}
+            {"uid": uid, "layer": refs[by_uid[uid].unit_row].members[0].layer, "imp": by_uid[uid].importance}
             for uid in ranked_ref
         ]
         layers = []
@@ -225,8 +228,8 @@ def test_ac5_surgery_functional_equivalence():
     ]
     for label, g in cases:
         units = build_prune_units(g)
-        for u in units:
-            assert zero_equivalence_check(g, u, trials=16, rtol=1e-5), f"{label}: {u.uid}"
+        for row, u in zip(units, ref_units(units)):
+            assert zero_equivalence_check(g, row, trials=16, rtol=1e-5), f"{label}: {u.uid}"
             if len(u.members) > 1:
                 kinds_seen.add("residual group")
             elif u.kind == IN_CHANNEL_ONLY:
@@ -335,12 +338,13 @@ def test_structural_counterparts_for_untrained_paths():
     rng = np.random.default_rng(88)
     g = make_chain(rng, (5, 7), with_bn=True)
     units = build_prune_units(g)
+    refs = ref_units(units)
     full = score_all(g, units, Config(use_in_channel=True))
     ablated = score_all(g, units, Config(use_in_channel=False))
     for a, b in zip(full, ablated):
         slice_mass = sum(
             float(np.abs(g.nodes[s.layer].weight()[:, s.in_channel]).sum(dtype=np.float64))
-            for s in a.unit.in_slices
+            for s in refs[a.unit_row].in_slices
         )
         assert a.raw - b.raw == pytest.approx(slice_mass, rel=1e-9, abs=1e-12)
         assert (a.param_score, a.flop_score) == (b.param_score, b.flop_score)

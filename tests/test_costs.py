@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,37 +20,37 @@ from prunekit import (
 )
 from prunekit.costs import unit_costs, unit_rows
 from prunekit.graph import serialize_graph
-from prunekit.units import IN_CHANNEL_ONLY, ChannelRef, InSliceRef, PruneUnit
+from prunekit.units import IN_CHANNEL_ONLY, unit_table
 
 from conftest import conv_w, make_chain, make_minimal, random_tiny_net
-from oracles import loop_forward, manifest_costs_of_units, manifest_param_count
+from oracles import loop_forward, manifest_costs_of_units, manifest_param_count, ref_units
 
 
-def synthetic_unit(members=(), in_slices=()):
-    """A bare unit for pricing individual portions."""
-    return PruneUnit(
-        uid="synthetic",
-        kind="full_channel",
-        members=tuple(ChannelRef(*m) for m in members),
-        in_slices=tuple(InSliceRef(*s) for s in in_slices),
-        aux=(),
-        family="synthetic",
-        member_slices=tuple(() for _ in members),
-    )
+def synthetic_unit(graph, members=(), in_slices=()):
+    """A bare unit of ``graph`` for pricing individual portions."""
+    entry = {
+        "uid": "synthetic",
+        "kind": "full_channel",
+        "members": [list(m) for m in members],
+        "in_slices": [list(s) for s in in_slices],
+        "aux": [],
+        "family": "synthetic",
+    }
+    return unit_table(graph, [entry])[0]
 
 
 class TestUnitCosts:
     def test_vgg_out_portions(self, vgg_graph):
         # one conv2_1 channel owns 9*64 = 576 weights; one conv3_1 channel 9*128 = 1152
-        early = synthetic_unit(members=[("conv2_1", 0)])
-        late = synthetic_unit(members=[("conv3_1", 0)])
+        early = synthetic_unit(vgg_graph, members=[("conv2_1", 0)])
+        late = synthetic_unit(vgg_graph, members=[("conv3_1", 0)])
         assert unit_param_cost(vgg_graph, early) == 576
         assert unit_param_cost(vgg_graph, late) == 1152
         assert 2 * unit_param_cost(vgg_graph, early) == unit_param_cost(vgg_graph, late)
 
     def test_vgg_flop_quarter_ratio(self, vgg_graph):
-        early = synthetic_unit(members=[("conv2_1", 0)])
-        late = synthetic_unit(members=[("conv3_1", 0)])
+        early = synthetic_unit(vgg_graph, members=[("conv2_1", 0)])
+        late = synthetic_unit(vgg_graph, members=[("conv3_1", 0)])
         f_early = unit_flop_cost(vgg_graph, early, "2macs")
         f_late = unit_flop_cost(vgg_graph, late, "2macs")
         assert f_early == 2 * 16 * 16 * 576 == 294912
@@ -85,8 +84,10 @@ class TestUnitCosts:
         from conftest import make_dense_toy
 
         g = make_dense_toy(rng, entry_width=6, growth=4, layers=3)
-        units = [u for u in build_prune_units(g) if u.kind == "in_channel_only"]
-        u = next(u for u in units if u.in_slices[0].layer == "d3")
+        units = build_prune_units(g)
+        u = next(
+            u for u, refs in zip(units, ref_units(units)) if u.kind == IN_CHANNEL_ONLY and refs.in_slices[0].layer == "d3"
+        )
         node = g.nodes["d3"]
         assert unit_param_cost(g, u) == 9 * node.declared_out_width()
         assert unit_flop_cost(g, u, "macs") == node.in_size**2 * 9 * node.declared_out_width()
@@ -119,7 +120,7 @@ class TestUnitCosts:
             manifest, _ = serialize_graph(g)
             units = build_prune_units(g)
             for convention in ("macs", "2macs"):
-                for u, (p_ref, f_ref) in zip(units, manifest_costs_of_units(manifest, units, convention)):
+                for u, (p_ref, f_ref) in zip(units, manifest_costs_of_units(manifest, ref_units(units), convention)):
                     assert unit_param_cost(g, u) == p_ref
                     assert unit_flop_cost(g, u, convention) == f_ref
 
@@ -135,15 +136,16 @@ class TestUnitCosts:
             units = build_prune_units(g)
             manifest, _ = serialize_graph(g)
             for convention in ("macs", "2macs"):
-                assert unit_costs(g, units, convention) == manifest_costs_of_units(manifest, units, convention)
+                assert unit_costs(g, units, convention) == manifest_costs_of_units(manifest, ref_units(units), convention)
 
     def test_unit_param_cost_needs_inferred_shapes(self):
         g = make_chain(np.random.default_rng(11), (4, 6))
         u = build_prune_units(g)[0]
+        g.inferred = False
         with pytest.raises(ShapeError, match="infer_shapes"):
-            unit_param_cost(replace(g, inferred=False), u)
+            unit_param_cost(g, u)
         with pytest.raises(ShapeError, match="infer_shapes"):
-            unit_flop_cost(replace(g, inferred=False), u)
+            unit_flop_cost(g, u)
 
 
 class TestUnitRows:
@@ -154,7 +156,7 @@ class TestUnitRows:
         code = {n.id: i for i, n in enumerate(g.weighted_layers())}
         rows, bounds = unit_rows(g, units)
         assert bounds[0] == 0 and bounds[-1] == len(rows)
-        for u, lo, hi in zip(units, bounds, bounds[1:]):
+        for u, lo, hi in zip(ref_units(units), bounds, bounds[1:]):
             filters = Counter(code[m.layer] for m in u.members)
             slots = Counter(code[s.layer] for s in u.in_slices)
             want = [[l, filters[l], slots[l]] for l in sorted(filters.keys() | slots.keys())]
@@ -167,12 +169,13 @@ class TestUnitRows:
             self.assert_rows_count_refs(g, build_prune_units(g))
 
     def test_densenet_in_channel_only_units(self, densenet_graph):
-        units = [u for u in build_prune_units(densenet_graph) if u.kind == IN_CHANNEL_ONLY]
-        assert units and not any(u.members for u in units)
+        units = build_prune_units(densenet_graph)
+        units = units.take([u.row for u in units if u.kind == IN_CHANNEL_ONLY])
+        assert len(units) and not any(u.members for u in ref_units(units))
         self.assert_rows_count_refs(densenet_graph, units)
 
     def test_no_units(self, vgg_graph):
-        rows, bounds = unit_rows(vgg_graph, [])
+        rows, bounds = unit_rows(vgg_graph, unit_table(vgg_graph, []))
         assert rows.shape == (0, 3) and bounds.tolist() == [0]
 
 
@@ -227,7 +230,7 @@ class TestRemovalArithmetic:
         units = {u.uid: u for u in build_prune_units(g)}
         u = units["conv1.c2"]
         before = model_param_count(g)
-        pruned = apply_units(g, [u])
+        pruned = apply_units(g, u.table.take([u.row]))
         assert before - model_param_count(pruned) == unit_param_cost(g, u)
 
     def test_conv_conv_example(self):
@@ -242,7 +245,7 @@ class TestRemovalArithmetic:
         u = {x.uid: x for x in build_prune_units(g)}["c1.c0"]
         # the unit's own slice sits in c2 only
         assert unit_param_cost(g, u) == 27 + 54 == 81
-        pruned = apply_units(g, [u])
+        pruned = apply_units(g, u.table.take([u.row]))
         assert pruned.nodes["c1"].weight().shape == (3, 3, 3, 3)
         assert pruned.nodes["c2"].weight().shape == (6, 3, 3, 3)
         assert model_param_count(g) - model_param_count(pruned) == 81

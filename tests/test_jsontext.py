@@ -15,6 +15,7 @@ from prunekit.planner import multi_pass
 from prunekit.scoring import RECORD_COLUMNS, records_to_json
 
 from conftest import random_tiny_net
+from oracles import ref_units, unit_entry
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.5, 0.1, 1e16, 2.0**-1074, float("inf"), float("-inf"), float("nan")]
 EDGE_STRINGS = ["", '"', "\\", '\\"', "\n\t\r\x00\x1f\x7f", "é", " ", "😀", "[1, 2]", "{}"]
@@ -84,9 +85,10 @@ class TestDumps:
 
 def assert_artifacts_match_json(graph):
     """units.json, records.json and plan.json equal json.dumps(indent=2) of
-    the same values, the units read through their refs."""
+    the same values, the units read into the oracle's records."""
     units = build_prune_units(graph)
-    assert units.to_json() == json.dumps([u.to_json() for u in units], indent=2) + "\n"
+    refs = ref_units(units)
+    assert units.to_json() == json.dumps([unit_entry(u) for u in refs], indent=2) + "\n"
     try:
         records = score_all(graph, units, Config())
     except DegenerateModelError:  # too small to score; its inventory is still checked
@@ -105,8 +107,8 @@ def assert_artifacts_match_json(graph):
             {
                 "unit_id": uid,
                 "imp": by_uid[uid].importance,
-                "members": [[m.layer, m.channel] for m in by_uid[uid].unit.members],
-                "in_slices": [[s.layer, s.in_channel] for s in by_uid[uid].unit.in_slices],
+                "members": unit_entry(refs[by_uid[uid].unit_row])["members"],
+                "in_slices": unit_entry(refs[by_uid[uid].unit_row])["in_slices"],
             }
             for uid in plan.removed_unit_ids
         ]

@@ -41,6 +41,7 @@ from oracles import (
     loop_raw_score,
     manifest_param_count,
     naive_rank,
+    ref_units,
 )
 
 
@@ -132,7 +133,8 @@ class TestSelectThreshold:
         plan = select_threshold(records, g, config)
 
         ranked = rank_global(records)
-        entries = [{"uid": r.unit_id, "layer": r.unit.members[0].layer, "imp": r.importance} for r in ranked]
+        refs = ref_units(records[0].table)
+        entries = [{"uid": r.unit_id, "layer": refs[r.unit_row].members[0].layer, "imp": r.importance} for r in ranked]
         layers = chain_descriptor(g)
         budget = (1 - config.flop_target_ratio) * model_flop_count(g, "macs")
         ref = exhaustive_prefix_plan(entries, layers, budget, config.min_channels_per_layer)
@@ -154,8 +156,8 @@ class TestSelectThreshold:
         # recount by hand: remove all but the last unit
         from prunekit.surgeon import apply_units
 
-        by_uid = {u.uid: u for u in build_prune_units(g)}
-        partial = apply_units(g, [by_uid[e["unit_id"]] for e in shorter_units])
+        units = build_prune_units(g)
+        partial = apply_units(g, units.take([units.uid.index(e["unit_id"]) for e in shorter_units]))
         assert model_flop_count(partial, "macs") > budget
 
     def test_threshold_is_last_removed_importance(self):
@@ -194,7 +196,8 @@ class TestSelectThreshold:
         records = score_all(g, build_prune_units(g), config)
         plan = select_threshold(records, g, config)
         slots = [r for r in records if r.unit.kind == IN_CHANNEL_ONLY]
-        assert sorted(s.layer for r in slots for s in r.unit.in_slices) == ["t"] * 4
+        refs = ref_units(records[0].table)
+        assert sorted(s.layer for r in slots for s in refs[r.unit_row].in_slices) == ["t"] * 4
         kept = [r for r in slots if r.unit_id not in plan.removed_unit_ids]
         # the kept slot ranks below the threshold, so only the slot floor skipped it
         assert len(kept) == 1 and kept[0].importance < plan.threshold
@@ -329,7 +332,7 @@ class TestAgainstPerReferenceLoop:
         config = Config(flop_target_ratio=target, **kwargs)
         units = build_prune_units(g)
         records = score_all(g, units, config)
-        assert [r.raw for r in records] == [loop_raw_score(g, u, config.use_in_channel) for u in units]
+        assert [r.raw for r in records] == [loop_raw_score(g, u, config.use_in_channel) for u in ref_units(units)]
         # a shuffled subset's table rows index into the whole scored table's footprint
         rng = np.random.default_rng(subset_seed)
         subset = [records[i] for i in rng.permutation(len(records))[: rng.integers(1, len(records) + 1)]]

@@ -23,11 +23,18 @@ from prunekit import (
 from prunekit.graph import serialize_graph
 from prunekit.scoring import RECORD_COLUMNS, records_to_csv
 from prunekit.surgeon import apply_units
-from prunekit.units import FULL_CHANNEL, IN_CHANNEL_ONLY, ChannelRef, PruneUnit
+from prunekit.units import FULL_CHANNEL, IN_CHANNEL_ONLY, unit_table
 from prunekit.zoo import densenet40
 
 from conftest import conv_w, make_chain, random_tiny_net
-from oracles import container_unit_l1, loop_raw_score, manifest_costs_of_units, oracle_cost_norm, oracle_weight_norm
+from oracles import (
+    container_unit_l1,
+    loop_raw_score,
+    manifest_costs_of_units,
+    oracle_cost_norm,
+    oracle_weight_norm,
+    ref_units,
+)
 
 
 def fanout_toy():
@@ -72,25 +79,25 @@ class TestDependencyL1:
         assert dependency_l1(g, u, True) == before
 
     def test_member_without_consumer_slices_scores_its_filter(self):
-        # a hand-made unit whose only member has no consumer slices: its
+        # a hand-made unit whose only member reads none of its in-slices: its
         # dependency L1 is the filter's mass, with or without the in-channel term
         g = make_chain(np.random.default_rng(3), (4, 6))
-        u = PruneUnit(
-            uid="probe", kind=FULL_CHANNEL, members=(ChannelRef("conv1", 2),), in_slices=(), aux=(),
-            family="probe", member_slices=((),),
-        )
-        mass = float(np.abs(g.nodes["conv1"].weight()[2]).sum(dtype=np.float64))
-        assert dependency_l1(g, u, True) == dependency_l1(g, u, False) == pytest.approx(mass, rel=1e-12)
+        entry = {"uid": "probe", "kind": FULL_CHANNEL, "members": [["conv1", 2]], "aux": [], "family": "probe"}
+        for in_slices in ([], [["conv2", 3]]):
+            u = unit_table(g, [{**entry, "in_slices": in_slices}])[0]
+            mass = float(np.abs(g.nodes["conv1"].weight()[2]).sum(dtype=np.float64))
+            assert dependency_l1(g, u, True) == dependency_l1(g, u, False) == pytest.approx(mass, rel=1e-12)
 
     def test_container_walk_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(8):
             g = random_tiny_net(rng)
             manifest, container = serialize_graph(g)
-            for u in build_prune_units(g):
+            units = build_prune_units(g)
+            for u, refs in zip(units, ref_units(units)):
                 for use_in in (True, False):
                     got = dependency_l1(g, u, use_in)
-                    ref = container_unit_l1(manifest, container, u, use_in)
+                    ref = container_unit_l1(manifest, container, refs, use_in)
                     assert got == pytest.approx(ref, rel=1e-6)
 
 
@@ -181,7 +188,7 @@ class TestScoreAll:
         records = score_all(g, units, config)
         manifest, container = serialize_graph(g)
 
-        raw = [container_unit_l1(manifest, container, u, True) for u in units]
+        raw = [container_unit_l1(manifest, container, u, True) for u in ref_units(units)]
         families = {}
         for i, u in enumerate(units):
             families.setdefault(u.family, []).append(i)
@@ -189,7 +196,7 @@ class TestScoreAll:
         for idxs in families.values():
             for i, v in zip(idxs, oracle_weight_norm([raw[j] for j in idxs], "max-min")):
                 gl[i] = v
-        costs = manifest_costs_of_units(manifest, units, "macs")
+        costs = manifest_costs_of_units(manifest, ref_units(units), "macs")
         pmax = max(c[0] for c in costs)
         fmax = max(c[1] for c in costs)
         for r, u, raw_i, gl_i, (p, f) in zip(records, units, raw, gl, costs):
@@ -210,6 +217,7 @@ class TestScoreAll:
         rng = np.random.default_rng(6)
         g = make_chain(rng, (4, 6))
         units = build_prune_units(g)
+        refs = ref_units(units)
         full = score_all(g, units, Config(use_in_channel=True))
         out_only = score_all(g, units, Config(use_in_channel=False))
         assert [r.unit_id for r in full] == [r.unit_id for r in out_only]
@@ -219,7 +227,7 @@ class TestScoreAll:
             assert a.param_score == b.param_score
             assert a.flop_score == b.flop_score
             # the in-channel term is exactly the difference in raw mass
-            slices_mass = sum(float(np.abs(g.nodes[s.layer].weight()[:, s.in_channel]).sum()) for s in a.unit.in_slices)
+            slices_mass = sum(float(np.abs(g.nodes[s.layer].weight()[:, s.in_channel]).sum()) for s in refs[a.unit_row].in_slices)
             assert a.raw - b.raw == pytest.approx(slices_mass, rel=1e-6)
 
 
@@ -245,8 +253,9 @@ def in_select_net():
     """densenet40 after removing every third in-channel-only unit: its
     consumers read their inputs through in_select."""
     g = densenet40(seed=3)
-    slots = [u for u in build_prune_units(g) if u.kind == IN_CHANNEL_ONLY]
-    return apply_units(g, slots[::3])
+    units = build_prune_units(g)
+    slots = [u.row for u in units if u.kind == IN_CHANNEL_ONLY]
+    return apply_units(g, units.take(slots[::3]))
 
 
 class TestVectorisedRawScores:
@@ -264,9 +273,9 @@ class TestVectorisedRawScores:
             g = request.getfixturevalue(model)
         units = build_prune_units(g)
         records = score_all(g, units, Config(use_in_channel=use_in_channel))
-        for r, u in zip(records, units):
-            assert r.unit is u
-            assert r.raw == dependency_l1(g, u, use_in_channel) == loop_raw_score(g, u, use_in_channel)
+        for r, u, refs in zip(records, units, ref_units(units)):
+            assert r.unit == u
+            assert r.raw == dependency_l1(g, u, use_in_channel) == loop_raw_score(g, refs, use_in_channel)
 
 
 class TestInvariances:

@@ -26,7 +26,7 @@ from prunekit import (
     zero_equivalence_check,
 )
 from prunekit.graph import serialize_graph
-from prunekit.units import FULL_CHANNEL, IN_CHANNEL_ONLY, AuxRef, ChannelRef, InSliceRef, PruneUnit
+from prunekit.units import FULL_CHANNEL, IN_CHANNEL_ONLY, unit_table
 
 from conftest import (
     concat_over_add,
@@ -37,7 +37,7 @@ from conftest import (
     random_tiny_net,
     save_tmp,
 )
-from oracles import manifest_param_count
+from oracles import manifest_param_count, ref_units
 
 
 def plan_for(graph, target=0.3, **config_kwargs):
@@ -48,15 +48,20 @@ def plan_for(graph, target=0.3, **config_kwargs):
 
 
 def hand_unit(members=(), in_slices=(), aux=()):
-    """A unit made by hand, not by build_prune_units."""
-    return PruneUnit(
-        uid="hand",
-        kind=FULL_CHANNEL,
-        members=tuple(ChannelRef(*m) for m in members),
-        in_slices=tuple(InSliceRef(*s) for s in in_slices),
-        aux=tuple(AuxRef(*a) for a in aux),
-        family="hand",
-    )
+    """The units.json entry of a unit made by hand, not by build_prune_units."""
+    return {
+        "uid": "hand",
+        "kind": FULL_CHANNEL,
+        "members": [list(m) for m in members],
+        "in_slices": [list(s) for s in in_slices],
+        "aux": [list(a) for a in aux],
+        "family": "hand",
+    }
+
+
+def only(units, *uids):
+    """The rows of ``units`` named ``uids``, as a table."""
+    return units.take([units.uid.index(uid) for uid in uids])
 
 
 class TestApplyPlan:
@@ -179,9 +184,7 @@ class TestSlicing:
     def test_untouched_weights_preserved(self):
         rng = np.random.default_rng(6)
         g = make_chain(rng, (4, 6))
-        units = {u.uid: u for u in build_prune_units(g)}
-        u = units["conv1.c1"]
-        pruned = apply_units(g, [u])
+        pruned = apply_units(g, only(build_prune_units(g), "conv1.c1"))
         survivors = [0, 2, 3]
         assert np.array_equal(pruned.nodes["conv1"].weight(), g.nodes["conv1"].weight()[survivors])
         assert np.array_equal(pruned.nodes["conv2"].weight(), g.nodes["conv2"].weight()[:, survivors])
@@ -191,9 +194,10 @@ class TestSlicing:
         chain = make_chain(np.random.default_rng(29), (4, 6, 5), conv_bias=True)
         for g, uid in ((chain, "conv1.c1"), (vgg_graph, "conv3_2.c7")):
             before = graph_checksum(g)
-            unit = next(u for u in build_prune_units(g) if u.uid == uid)
-            pruned = apply_units(g, [unit])
-            touched = {m.layer for m in unit.members} | {s.layer for s in unit.in_slices}
+            unit = only(build_prune_units(g), uid)
+            pruned = apply_units(g, unit)
+            refs = ref_units(unit)[0]
+            touched = {m.layer for m in refs.members} | {s.layer for s in refs.in_slices}
             for node in g.weighted_layers():
                 kept = pruned.nodes[node.id].tensors
                 shared = {role: kept[role] is blob for role, blob in node.tensors.items()}
@@ -203,8 +207,7 @@ class TestSlicing:
     def test_bn_and_bias_shrink_with_channel(self):
         rng = np.random.default_rng(7)
         g = make_chain(rng, (5,), with_bn=True, conv_bias=True)
-        units = {u.uid: u for u in build_prune_units(g)}
-        pruned = apply_units(g, [units["conv1.c2"]])
+        pruned = apply_units(g, only(build_prune_units(g), "conv1.c2"))
         keep = [0, 1, 3, 4]
         assert np.array_equal(pruned.nodes["conv1"].tensors["bias"], g.nodes["conv1"].tensors["bias"][keep])
         for role in ("gamma", "beta", "running_mean", "running_var"):
@@ -214,8 +217,9 @@ class TestSlicing:
     def test_residual_group_keeps_alignment(self):
         rng = np.random.default_rng(8)
         g = make_residual_toy(rng, width=8, planes=4, blocks=2)
-        groups = [u for u in build_prune_units(g) if len(u.members) > 1]
-        pruned = apply_units(g, groups[:3])
+        units = build_prune_units(g)
+        groups = [row for row, u in enumerate(ref_units(units)) if len(u.members) > 1]
+        pruned = apply_units(g, units.take(groups[:3]))
         assert validate(pruned) == []
         assert pruned.nodes["stem"].declared_out_width() == 5
         assert pruned.nodes["b1_conv3"].declared_out_width() == 5
@@ -224,8 +228,9 @@ class TestSlicing:
     def test_dense_in_slice_keeps_producer(self):
         rng = np.random.default_rng(9)
         g = make_dense_toy(rng)
-        target = next(u for u in build_prune_units(g) if u.kind == IN_CHANNEL_ONLY)
-        pruned = apply_units(g, [target])
+        units = build_prune_units(g)
+        target = next(u for u in ref_units(units) if u.kind == IN_CHANNEL_ONLY)
+        pruned = apply_units(g, only(units, target.uid))
         producer = target.origin.layer
         assert np.array_equal(pruned.nodes[producer].weight(), g.nodes[producer].weight())
         consumer = target.in_slices[0].layer
@@ -258,8 +263,7 @@ class TestSlicing:
         # removing p.c1 drops cat column 1; d.in5 drops only d's read of r.c1,
         # so d keeps cat columns 0, 2, 3, 4, 6, at positions 0, 1, 2, 3, 5
         g = concat_over_add()
-        units = {u.uid: u for u in build_prune_units(g)}
-        pruned = apply_units(g, [units["p.c1"], units["d.in5"]])
+        pruned = apply_units(g, only(build_prune_units(g), "p.c1", "d.in5"))
         assert pruned.nodes["cat"].out_channels == 6
         assert pruned.nodes["d"].in_select() == [0, 1, 2, 3, 5]
         assert np.array_equal(pruned.nodes["d"].weight(), g.nodes["d"].weight()[:, [0, 2, 3, 4, 6]])
@@ -334,8 +338,9 @@ class TestApplyUnitsFailsClosed:
         ],
     )
     def test_inconsistent_units_rejected(self, make, unit, message):
+        g = make()
         with pytest.raises(PruneKitError, match=message):
-            apply_units(make(), [unit])
+            apply_units(g, unit_table(g, [unit]))
 
 
 class TestZeroEquivalence:
@@ -468,7 +473,7 @@ class TestForwardConsistency:
                 continue
             pruned, _ = apply_plan(g, plan)
             zeroed = clone_graph(g)
-            by_uid = {u.uid: u for u in build_prune_units(g)}
+            by_uid = {u.uid: u for u in ref_units(build_prune_units(g))}
             for uid in plan.removed_unit_ids:
                 u = by_uid[uid]
                 for m in u.members:
@@ -496,7 +501,7 @@ class TestForwardConsistency:
         from prunekit.surgeon import clone_graph
 
         zeroed = clone_graph(g)
-        by_uid = {u.uid: u for u in build_prune_units(g)}
+        by_uid = {u.uid: u for u in ref_units(build_prune_units(g))}
         for uid in plan.removed_unit_ids:
             u = by_uid[uid]
             for m in u.members:

@@ -2,22 +2,31 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from prunekit import (
+    DegenerateModelError,
     GraphBuilder,
     PruneKitError,
     ShapeError,
     build_prune_units,
+    dependency_l1,
     infer_shapes,
+    score_all,
+    select_threshold,
+    unit_flop_cost,
+    unit_param_cost,
+    zero_equivalence_check,
 )
+from prunekit.costs import unit_costs, unit_rows
 from prunekit.planner import multi_pass
 from prunekit.scoring import Config
 from prunekit.surgeon import apply_units
-from prunekit.units import FULL_CHANNEL, IN_CHANNEL_ONLY, ChannelRef, run_sums, unit_table
+from prunekit.units import FULL_CHANNEL, IN_CHANNEL_ONLY, run_sums, unit_table
 
 from conftest import (
     concat_over_add,
@@ -30,14 +39,14 @@ from conftest import (
     member_reads_out_of_run,
     random_tiny_net,
 )
-from oracles import origin_maps, per_channel_units
+from oracles import Channel, Slot, origin_maps, per_channel_units, ref_units, unit_entry
 
 
 class TestPlainChain:
     def test_three_layer_chain_counts(self):
         rng = np.random.default_rng(0)
         g = make_chain(rng, (4, 6))
-        units = build_prune_units(g)
+        units = ref_units(build_prune_units(g))
         by_layer = {}
         for u in units:
             by_layer.setdefault(u.members[0].layer, []).append(u)
@@ -53,7 +62,7 @@ class TestPlainChain:
     def test_aux_covers_bias_and_bn(self):
         rng = np.random.default_rng(1)
         g = make_chain(rng, (4,), with_bn=True, conv_bias=True)
-        u = build_prune_units(g)[0]
+        u = ref_units(build_prune_units(g))[0]
         aux_layers = {a.layer for a in u.aux}
         assert aux_layers == {"conv1", "bn1"}
         assert all(a.index == u.members[0].channel for a in u.aux)
@@ -79,7 +88,7 @@ class TestResidualGroups:
     def test_identity_blocks_tie_boundary(self):
         rng = np.random.default_rng(4)
         g = make_residual_toy(rng, width=8, planes=4, blocks=2)
-        units = build_prune_units(g)
+        units = ref_units(build_prune_units(g))
         groups = [u for u in units if len(u.members) > 1]
         assert len(groups) == 8
         for u in groups:
@@ -94,7 +103,7 @@ class TestResidualGroups:
     def test_projection_breaks_input_tie(self):
         rng = np.random.default_rng(5)
         g = make_residual_toy(rng, width=8, planes=4, blocks=2, projection=True)
-        units = build_prune_units(g)
+        units = ref_units(build_prune_units(g))
         groups = [u for u in units if len(u.members) > 1]
         assert len(groups) == 8
         for u in groups:
@@ -110,7 +119,7 @@ class TestResidualGroups:
     def test_group_slices_cover_all_boundary_readers(self):
         rng = np.random.default_rng(6)
         g = make_residual_toy(rng, width=8, planes=4, blocks=2)
-        groups = [u for u in build_prune_units(g) if len(u.members) > 1]
+        groups = [u for u in ref_units(build_prune_units(g)) if len(u.members) > 1]
         for u in groups:
             consumers = {s.layer for s in u.in_slices}
             assert consumers == {"b1_conv1", "b2_conv1", "head"}
@@ -123,12 +132,12 @@ class TestResidualGroups:
         d = b.conv("d", b.addnode("add", ["input", conv]), conv_w(rng, 4, 3, 1))
         flat = b.flatten("flat", b.pool("gap", d, "global-avg"))
         g = infer_shapes(b.output(b.linear("head", flat, rng.standard_normal((5, 4)).astype(np.float32))))
-        units = build_prune_units(g)
+        units = ref_units(build_prune_units(g))
         assert not any(m.layer == "conv" for u in units for m in u.members)
         assert [u.uid for u in units] == [f"d.c{i}" for i in range(4)]
 
     def test_resnet56_group_shape(self, resnet_graph):
-        units = build_prune_units(resnet_graph)
+        units = ref_units(build_prune_units(resnet_graph))
         groups = [u for u in units if len(u.members) > 1]
         by_family = {}
         for u in groups:
@@ -146,7 +155,7 @@ class TestResidualGroups:
         # members (every block's conv3 plus the projection), and planes
         # singletons for each block's conv1 and conv2; plus the 16 stem channels
         blocks = 6
-        units = build_prune_units(resnet_graph)
+        units = ref_units(build_prune_units(resnet_graph))
         expected: dict[str, int] = {"conv1": 16}
         for stage, planes in enumerate((16, 32, 64), start=1):
             tied = [f"s{stage}b{b}_conv3" for b in range(1, blocks + 1)] + [f"s{stage}b1_proj"]
@@ -167,7 +176,7 @@ class TestDenseBlocks:
     def test_growth_example(self):
         rng = np.random.default_rng(7)
         g = make_dense_toy(rng, entry_width=6, growth=4, layers=3)
-        units = build_prune_units(g)
+        units = ref_units(build_prune_units(g))
         assert g.nodes["d3"].declared_in_width() == 6 + 2 * 4
         d3_inslices = [u for u in units if u.kind == IN_CHANNEL_ONLY and u.in_slices[0].layer == "d3"]
         assert len(d3_inslices) == 8  # every d3 input fed by d1/d2
@@ -179,7 +188,7 @@ class TestDenseBlocks:
     def test_interior_units_are_slice_singletons(self):
         rng = np.random.default_rng(8)
         g = make_dense_toy(rng)
-        for u in build_prune_units(g):
+        for u in ref_units(build_prune_units(g)):
             if u.kind == IN_CHANNEL_ONLY:
                 assert u.members == ()
                 assert len(u.in_slices) == 1
@@ -201,17 +210,17 @@ class TestDenseBlocks:
         g = dense_channel_tied_by_add()
         units = build_prune_units(g)
         assert [u.uid for u in units] == [f"d.in{i}" for i in range(4)]
-        assert [u.origin for u in units] == [ChannelRef("p", i) for i in range(4)]
-        assert list(units) == per_channel_units(g)
-        for u in units:
-            apply_units(g, [u])
+        assert [u.origin for u in ref_units(units)] == [Channel("p", i) for i in range(4)]
+        assert ref_units(units) == per_channel_units(g)
+        for row in range(len(units)):
+            apply_units(g, units.take([row]))
 
 
 class TestFlattenMapping:
     def test_column_blocks(self):
         rng = np.random.default_rng(9)
         g = make_flatten_toy(rng, channels=3, size=4)
-        units = build_prune_units(g)
+        units = ref_units(build_prune_units(g))
         assert len(units) == 3
         for u in units:
             c = u.members[0].channel
@@ -222,12 +231,10 @@ class TestFlattenMapping:
 
 class TestPartition:
     def test_every_channel_and_slot_once(self):
-        from prunekit.units import InSliceRef
-
         rng = np.random.default_rng(10)
         for _ in range(12):
             g = random_tiny_net(rng)
-            units = build_prune_units(g)
+            units = ref_units(build_prune_units(g))
             seen_members = set()
             seen_slices = set()
             for u in units:
@@ -244,9 +251,7 @@ class TestPartition:
                 if node.id in interior or node.id in terminal:
                     continue
                 for c in range(node.declared_out_width()):
-                    from prunekit.units import ChannelRef
-
-                    assert ChannelRef(node.id, c) in seen_members
+                    assert Channel(node.id, c) in seen_members
             # every consumer slot fed by a weighted producer is covered
             maps = origin_maps(g)
             input_id = g.input_node().id
@@ -256,7 +261,7 @@ class TestPartition:
                 for slot, edge_idx in enumerate(sel):
                     origins = edge_map[edge_idx]
                     fed_by_weighted = any(o.layer != input_id for o in origins)
-                    assert (InSliceRef(node.id, slot) in seen_slices) == fed_by_weighted
+                    assert (Slot(node.id, slot) in seen_slices) == fed_by_weighted
 
     @pytest.mark.parametrize("model", ["random", "vgg_graph", "resnet_graph", "densenet_graph"])
     def test_members_and_member_slices_in_graph_order(self, request, model):
@@ -268,7 +273,7 @@ class TestPartition:
             graphs = [request.getfixturevalue(model)]
         for g in graphs:
             topo = {nid: i for i, nid in enumerate(g.order)}
-            for u in build_prune_units(g):
+            for u in ref_units(build_prune_units(g)):
                 keys = [(topo[m.layer], m.channel) for m in u.members]
                 assert keys == sorted(set(keys)), u.uid
                 assert len(u.member_slices) == len(u.members), u.uid
@@ -290,16 +295,17 @@ class TestAgainstPerChannelBuilder:
 
     @staticmethod
     def assert_same_units(graph):
-        # the table's refs (its table-to-refs adapter) against the reference
-        # units, field by field; then the reference units through the
-        # refs-to-table adapter give the table's id arrays
+        # the table read into the oracle's records against the reference
+        # units, field by field; then the reference units' units.json entries
+        # through unit_table give the table's id arrays
         got, want = build_prune_units(graph), per_channel_units(graph)
         assert got.uid == [u.uid for u in want]
         assert got.kind == [u.kind for u in want]
         assert got.family == [u.family for u in want]
-        for uid, refs, u in zip(got.uid, got.refs, want):
-            assert refs == (u.members, u.in_slices, u.aux, u.member_slices, u.origin), uid
-        again = unit_table(graph, want)
+        for mine, u in zip(ref_units(got), want):
+            assert mine == u, u.uid
+        again = unit_table(graph, [unit_entry(u) for u in want])
+        assert (again.uid, again.kind, again.family) == (got.uid, got.kind, got.family)
         for field in ("members", "in_slices", "aux", "member_reads"):
             for a, b in zip(getattr(again, field), getattr(got, field)):
                 assert np.array_equal(a, b), field
@@ -317,7 +323,7 @@ class TestAgainstPerChannelBuilder:
         # stem is read before and after the Add that ties it to b, and b's own
         # reader sits in between: stem's reads are not one run of the group's
         g = member_reads_out_of_run()
-        unit = next(u for u in build_prune_units(g) if u.uid == "stem.c0")
+        unit = next(u for u in ref_units(build_prune_units(g)) if u.uid == "stem.c0")
         assert [[s.layer for s in reads] for reads in unit.member_slices] == [["b", "post", "late"], ["side", "post"]]
         assert [s.layer for s in unit.in_slices] == ["b", "side", "post", "late"]
         self.assert_same_units(g)
@@ -325,10 +331,10 @@ class TestAgainstPerChannelBuilder:
     def test_concat_over_add(self):
         # cat pads the Add's two-row origin array beside r's one row
         g = concat_over_add()
-        units = build_prune_units(g)
+        units = ref_units(build_prune_units(g))
         assert [u.uid for u in units] == [f"p.c{i}" for i in range(4)] + [f"d.in{i}" for i in range(4, 7)]
         assert all(u.kind == FULL_CHANNEL and {m.layer for m in u.members} == {"p", "q"} for u in units[:4])
-        assert [u.origin for u in units[4:]] == [ChannelRef("r", i) for i in range(3)]
+        assert [u.origin for u in units[4:]] == [Channel("r", i) for i in range(3)]
         self.assert_same_units(g)
 
     def test_densenet40_after_one_pass(self, densenet_graph):
@@ -344,29 +350,28 @@ class TestTable:
         from prunekit.units import _check_partition
 
         g = make_chain(np.random.default_rng(2), (4, 6))
-        unit = build_prune_units(g)[0]
+        unit = build_prune_units(g)[0].to_json()
         with pytest.raises(PruneKitError, match=r"^channel conv1\.c0 appears in two units$"):
             _check_partition(unit_table(g, [unit, unit]))
 
     def test_a_row_is_scored_and_checked_without_refs(self):
-        # dependency_l1 and zero_equivalence_check read a table row's runs in
-        # place: neither makes the table's ref tuples
-        from prunekit import dependency_l1, zero_equivalence_check
-
+        # dependency_l1 and zero_equivalence_check take a table row, a
+        # (table, row) pair, and read its runs of ids
         g = make_chain(np.random.default_rng(4), (4, 6))
         units = build_prune_units(g)
-        assert dependency_l1(g, units[2]) > 0
+        assert units[2] == (units, 2) and units[-1].row == len(units) - 1
+        assert dependency_l1(g, units[2]) == score_all(g, units, Config())[2].raw > 0
         assert zero_equivalence_check(g, units[2], trials=2)
-        assert "refs" not in vars(units)
 
-    def test_listed_rows_enter_a_new_table_through_their_refs(self):
+    def test_listed_rows_enter_a_new_table_through_their_entries(self):
         g = make_chain(np.random.default_rng(3), (4, 6))
         units = build_prune_units(g)
-        picked = unit_table(g, [units[3], units[1]])
+        picked = unit_table(g, [units[3].to_json(), units[1].to_json()])
         assert picked.uid == [units[3].uid, units[1].uid]
-        assert list(picked) == [units[3], units[1]]
+        assert [u.to_json() for u in picked] == [units[3].to_json(), units[1].to_json()]
         assert picked.take([1, 0]).uid == units.take([1, 3]).uid
-        assert unit_table(g, units) is units
+        with pytest.raises(PruneKitError, match="a unit entry needs"):
+            unit_table(g, units)
 
     def test_a_table_does_not_keep_its_graph_alive(self):
         import gc
@@ -378,7 +383,158 @@ class TestTable:
         del g
         gc.collect()
         assert ref() is None
-        assert units[0].members == (ChannelRef("conv1", 0),)
+        assert units[0].to_json()["members"] == [["conv1", 0]]
+
+
+def hand_made(kind):
+    """A valid units.json entry of each kind, and the dense toy it names."""
+    g = make_dense_toy(np.random.default_rng(8))
+    units = build_prune_units(g)
+    return g, units[units.kind.index(kind)].to_json()
+
+
+class TestHandMadeUnits:
+    """unit_table fails closed on entries that are not well-formed units."""
+
+    @pytest.mark.parametrize(
+        "kind, change, message",
+        [
+            (FULL_CHANNEL, lambda e: {**e, "kind": "half_channel"}, r"entry\.c0: unknown unit kind 'half_channel'$"),
+            (IN_CHANNEL_ONLY, lambda e: {k: v for k, v in e.items() if k != "origin"}, "needs its \\[layer, index\\] origin"),
+            (IN_CHANNEL_ONLY, lambda e: {**e, "origin": None}, "needs its \\[layer, index\\] origin"),
+            (IN_CHANNEL_ONLY, lambda e: {**e, "origin": ["entry"]}, "needs its \\[layer, index\\] origin"),
+            (FULL_CHANNEL, lambda e: {**e, "origin": ["entry", 0]}, "needs its \\[layer, index\\] origin"),
+            (FULL_CHANNEL, lambda e: {**e, "members": []}, "a full-channel unit needs members"),
+            (IN_CHANNEL_ONLY, lambda e: {**e, "in_slices": []}, "an in-channel-only unit a slot and no members"),
+            (IN_CHANNEL_ONLY, lambda e: {**e, "members": [e["origin"]]}, "an in-channel-only unit a slot and no members"),
+            (IN_CHANNEL_ONLY, lambda e: {**e, "origin": ["d1", 99]}, "d1: unit names output channel 99, which the layer"),
+            (FULL_CHANNEL, lambda e: {**e, "members": [["entry", True]]}, "a unit entry needs a string uid"),
+            (FULL_CHANNEL, lambda e: {k: v for k, v in e.items() if k != "aux"}, "a unit entry needs a string uid"),
+            (FULL_CHANNEL, lambda e: {**e, "uid": 7}, "a unit entry needs a string uid"),
+            (FULL_CHANNEL, lambda e: [e], "a unit entry needs a string uid"),
+        ],
+        ids=[
+            "unknown-kind",
+            "in-channel-only-without-origin",
+            "in-channel-only-with-null-origin",
+            "origin-not-a-pair",
+            "full-channel-with-origin",
+            "full-channel-without-members",
+            "in-channel-only-without-slot",
+            "in-channel-only-with-members",
+            "origin-outside-width",
+            "member-index-not-an-int",
+            "no-aux",
+            "uid-not-a-string",
+            "not-an-object",
+        ],
+    )
+    def test_malformed_entry_rejected(self, kind, change, message):
+        g, entry = hand_made(kind)
+        unit_table(g, [entry])  # the entry as built is accepted
+        with pytest.raises(PruneKitError, match=message):
+            unit_table(g, [entry, change(entry)])
+
+    def test_needs_inferred_shapes(self):
+        g, entry = hand_made(FULL_CHANNEL)
+        g.inferred = False
+        with pytest.raises(ShapeError, match="infer_shapes"):
+            unit_table(g, [entry])
+
+    def test_member_reads_come_from_the_graph(self):
+        # a member reads only the slots the graph feeds from it, among its unit's in_slices
+        g = make_chain(np.random.default_rng(5), (4, 6))
+        entry = {"uid": "u", "kind": FULL_CHANNEL, "members": [["conv1", 0], ["conv1", 1]], "aux": [], "family": "u"}
+        table = unit_table(g, [{**entry, "in_slices": [["conv2", 1], ["conv2", 2]]}])
+        assert ref_units(table)[0].member_slices == ((), (Slot("conv2", 1),))
+
+
+class TestUnitsJsonRoundTrip:
+    """unit_table(g, json.loads(units.to_json())) rebuilds the table exactly."""
+
+    @staticmethod
+    def assert_round_trip(graph):
+        units = build_prune_units(graph)
+        again = unit_table(graph, json.loads(units.to_json()))
+        assert (again.uid, again.kind, again.family) == (units.uid, units.kind, units.family)
+        for field in ("members", "in_slices", "aux", "member_reads"):
+            for a, b in zip(getattr(again, field), getattr(units, field)):
+                assert np.array_equal(a, b), field
+        assert np.array_equal(again.origin, units.origin)
+        assert again.to_json() == units.to_json()
+
+        def raws(table):
+            try:
+                return [r.raw for r in score_all(graph, table, Config())]
+            except DegenerateModelError as e:  # too small to score: both fail alike
+                return str(e)
+
+        assert raws(again) == raws(units)
+
+    @pytest.mark.parametrize("model", ["vgg_graph", "resnet_graph", "densenet_graph"])
+    def test_zoo(self, request, model):
+        self.assert_round_trip(request.getfixturevalue(model))
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_random_tiny_nets(self, seed):
+        self.assert_round_trip(random_tiny_net(np.random.default_rng(seed)))
+
+
+class TestOneGraph:
+    """Scoring, pricing and surgery take only a table built from the graph
+    object they are given; a table of an equal twin graph is refused."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g, t: score_all(g, t, Config()),
+            lambda g, t: unit_rows(g, t),
+            lambda g, t: unit_costs(g, t),
+            lambda g, t: apply_units(g, t.take([0])),
+            lambda g, t: dependency_l1(g, t[0]),
+            lambda g, t: zero_equivalence_check(g, t[0], trials=2),
+            lambda g, t: unit_param_cost(g, t[0]),
+            lambda g, t: unit_flop_cost(g, t[0]),
+        ],
+        ids=[
+            "score_all",
+            "unit_rows",
+            "unit_costs",
+            "apply_units",
+            "dependency_l1",
+            "zero_equivalence_check",
+            "unit_param_cost",
+            "unit_flop_cost",
+        ],
+    )
+    def test_another_graphs_table_is_rejected(self, call):
+        g, twin = (make_chain(np.random.default_rng(6), (4, 6), with_bn=True) for _ in range(2))
+        units = build_prune_units(twin)
+        call(twin, units)  # its own graph is accepted
+        with pytest.raises(PruneKitError, match="^units must be a unit table built from this graph object"):
+            call(g, units)
+
+    def test_records_of_another_graph_are_not_planned(self):
+        g, twin = (make_chain(np.random.default_rng(6), (4, 6), with_bn=True) for _ in range(2))
+        records = score_all(twin, build_prune_units(twin), Config())
+        select_threshold(records, twin, Config())
+        with pytest.raises(PruneKitError, match="^units must be a unit table built from this graph object"):
+            select_threshold(records, g, Config())
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g, t: score_all(g, list(t), Config()),
+            lambda g, t: unit_rows(g, [t[0]]),
+            lambda g, t: apply_units(g, [t[0]]),
+            lambda g, t: dependency_l1(g, t),
+        ],
+        ids=["score_all", "unit_rows", "apply_units", "dependency_l1-of-a-table"],
+    )
+    def test_rows_where_a_table_is_taken_and_a_table_for_a_row_are_refused(self, call):
+        g = make_chain(np.random.default_rng(6), (4, 6))
+        with pytest.raises(PruneKitError, match="^units must be a unit table built from this graph object"):
+            call(g, build_prune_units(g))
 
 
 class TestStructureErrors:
@@ -431,6 +587,6 @@ class TestExport:
     def test_to_json_carries_origin_for_dense_units(self):
         rng = np.random.default_rng(12)
         g = make_dense_toy(rng)
-        unit = next(u for u in build_prune_units(g) if u.kind == IN_CHANNEL_ONLY)
-        payload = unit.to_json()
+        unit = next(u for u in ref_units(build_prune_units(g)) if u.kind == IN_CHANNEL_ONLY)
+        payload = next(u for u in build_prune_units(g) if u.uid == unit.uid).to_json()
         assert payload["origin"] == [unit.origin.layer, unit.origin.channel]
