@@ -11,11 +11,11 @@ log-normalized parameter and FLOP costs so cheap-but-heavy channels sink:
 
 with Pmax/Fmax taken over every unit of the model.
 
-Scoring works on the unit table's id arrays, not on ref objects: each
-weighted layer's L1 masses are summed once over the filters and consumer
-slices the units name, and the per-unit sums add the indexed masses in the
-order a per-reference loop would, so every raw score is the same float. P and
-F are each unit's footprint rows (``costs.unit_rows``) priced in int64
+Scoring reads the unit table's id arrays as stored: each weighted layer's
+L1 masses are summed once over the filters and consumer slices the units
+name, and the per-unit sums add the indexed masses in the order a
+per-reference loop would, so every raw score is the same float. P and F are
+each unit's footprint rows (``costs.unit_rows``) priced in int64
 (``costs.unit_costs``), the same rows the planner removes.
 """
 
@@ -32,7 +32,7 @@ from . import jsontext
 from .costs import CONVENTIONS, unit_costs
 from .errors import DegenerateModelError, PruneKitError
 from .graph import ModelGraph
-from .units import PruneUnit, UnitTable, _Numbering, _sorted_unique, _spans, graph_row, graph_table, run_sums
+from .units import PruneUnit, UnitTable, _Numbering, _sorted_unique, graph_row, graph_table, run_sums
 
 WEIGHT_NORM_MODES = ("max-min", "max", "log")
 
@@ -162,21 +162,23 @@ def _l1(graph: ModelGraph, numbering: _Numbering, axis: int, ids: np.ndarray) ->
 
 
 def _raw_scores(graph: ModelGraph, units: UnitTable, use_in_channel: bool) -> list[float]:
-    """Dependency L1 of every unit. A unit's filters are its members, or the
-    origin of an in-channel-only unit (``UnitTable.filter_runs``), and their
-    consumer slices are each member's reads, or the unit's slots; each
-    filter's score is its mass plus its slices' masses, and a unit's score the
-    mean of its filters' scores, all added in the order a per-reference loop
-    would add them."""
-    runs = units.filter_runs
-    n_filters = runs.hi - runs.lo
-    at = _spans(runs.lo, runs.hi)
-    scores = _l1(graph, units.filters, 0, runs.ids[at])
+    """Dependency L1 of every unit. A unit's filters are its members, whose
+    consumer slices are each member's reads, or the origin of an
+    in-channel-only unit, whose slices are the unit's slots; each filter's
+    score is its mass plus its slices' masses, and a unit's score the mean of
+    its filters' scores, all added in the order a per-reference loop would
+    add them."""
+    members, reads, origin = units.members, units.member_reads, units.origin
+    own = np.flatnonzero(origin >= 0)  # in-channel-only units, which have no members
+    slots = units.in_slices.take(own)
+    scores = _l1(graph, units.filters, 0, np.concatenate([members.ids, origin[own]]))
     if use_in_channel:
-        read_lo, read_hi = runs.read_lo[at], runs.read_hi[at]
-        masses = _l1(graph, units.slots, 1, runs.read_ids[_spans(read_lo, read_hi)])
-        scores = scores + run_sums(masses, read_hi - read_lo)
-    return (run_sums(scores, n_filters) / n_filters).tolist()
+        masses = _l1(graph, units.slots, 1, np.concatenate([reads.ids, slots.ids]))
+        scores = scores + run_sums(masses, np.concatenate([reads.sizes(), slots.sizes()]))
+    n = members.sizes()
+    raws = run_sums(scores[: len(members.ids)], n) / np.maximum(n, 1)
+    raws[own] = scores[len(members.ids) :]
+    return raws.tolist()
 
 
 def dependency_l1(graph: ModelGraph, unit: PruneUnit, use_in_channel: bool = True) -> float:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .costs import effective_model_costs
 from .errors import PlanMismatchError, PruneKitError
 from .eval import forward_eval
 from .graph import _BN_ROLES, _WIDTH_ATTRS, WEIGHTED_KINDS, ModelGraph, _layout, graph_checksum, infer_shapes, validate
-from .planner import PruningPlan, _is_entry
+from .planner import PruningPlan, _entries, _is_entry
 from .units import PruneUnit, UnitTable, _Numbering, build_prune_units, channel_flow, graph_row, graph_table
 
 
@@ -80,41 +80,24 @@ def apply_plan(graph: ModelGraph, plan: PruningPlan) -> tuple[ModelGraph, Surger
     units = build_prune_units(graph)
     row = {uid: i for i, uid in enumerate(units.uid)}
     rows = [row.get(entry["unit_id"], -1) for entry in entries]
-    matches = _matches(units, rows, entries)
+    found = [r for r in rows if r >= 0]
+    # the entry the planner writes for each row named; its imp is not compared
+    expected = dict(zip(found, _entries(units.take(found), [0.0] * len(found))))
+    shape = itemgetter("members", "in_slices")
     selected: set[int] = set()
-    for entry, r, match in zip(entries, rows, matches):
+    for entry, r in zip(entries, rows):
         uid = entry["unit_id"]
         if r < 0:
             raise PlanMismatchError(f"corrupt plan: unknown unit {uid!r}")
         if r in selected:
             raise PlanMismatchError(f"corrupt plan: unit {uid!r} listed twice")
-        if not match:
+        if shape(entry) != shape(expected[r]):
             raise PlanMismatchError(f"corrupt plan: unit {uid!r} does not match the graph")
         selected.add(r)
 
     units = units.take(rows)
     pruned = _checked_surgery(graph, units, plan)
     return pruned, _make_report(graph, pruned, units, plan)
-
-
-def _matches(units: UnitTable, rows: list[int], entries: list[dict]) -> list[bool]:
-    """Whether each entry's members and in-slices are exactly those of table
-    row ``rows[i]``. The entries' [layer, index] pairs become ids in one step;
-    a pair naming no such channel or slot never matches, nor does an entry
-    that names no row. The entries must be well formed (``planner._is_entry``)."""
-    same = [r >= 0 for r in rows]
-    for key, numbering, ragged in (
-        ("members", units.filters, units.members),
-        ("in_slices", units.slots, units.in_slices),
-    ):
-        groups = [e[key] if ok else [] for e, ok in zip(entries, same)]
-        got = numbering.ids_of(list(chain.from_iterable(groups))).tolist()
-        want, bounds = ragged.ids.tolist(), ragged.bounds.tolist()
-        at = 0
-        for i, (group, r) in enumerate(zip(groups, rows)):
-            same[i] = same[i] and got[at : at + len(group)] == want[bounds[r] : bounds[r + 1]]
-            at += len(group)
-    return same
 
 
 def _checked_surgery(graph: ModelGraph, units: UnitTable, plan: PruningPlan) -> ModelGraph:

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import json
 import weakref
-from functools import cached_property
 from itertools import accumulate, chain, repeat
 from operator import itemgetter
 from typing import NamedTuple
@@ -142,23 +141,6 @@ class Ragged(NamedTuple):
         return Ragged.of(self.ids[_spans(lo, hi)], hi - lo)
 
 
-class FilterRuns(NamedTuple):
-    """The filters a unit's score reads: a full-channel unit's members, or
-    the origin of any other unit. Filter positions index ``ids``: position
-    ``p < len(members.ids)`` is member ``p``, and position
-    ``len(members.ids) + i`` is unit ``i``'s origin. Unit ``i`` owns
-    positions ``lo[i]:hi[i]``. The reads of position ``p`` are
-    ``read_ids[read_lo[p]:read_hi[p]]``: a member's own reads, or the unit's
-    slots for an origin."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-    ids: np.ndarray
-    read_lo: np.ndarray
-    read_hi: np.ndarray
-    read_ids: np.ndarray
-
-
 def _numberings(graph: ModelGraph) -> tuple[_Numbering, _Numbering, _Numbering]:
     """The numberings of weighted-layer filters, weighted-layer input slots
     and per-channel vector entries (batch-norm indices and biases), each laid
@@ -219,23 +201,6 @@ class UnitTable:
             self.origin[rows],
         )
 
-    @cached_property
-    def filter_runs(self) -> "FilterRuns":
-        """Where each unit's filters and their reads are (see :class:`FilterRuns`)."""
-        full = np.array([kind == FULL_CHANNEL for kind in self.kind], bool)
-        members, slots, reads = self.members, self.in_slices, self.member_reads
-        first = len(members.ids) + np.arange(len(self))
-        lo, hi = np.where(full, members.bounds[:-1], first), np.where(full, members.bounds[1:], first + 1)
-        skip = len(reads.ids)
-        return FilterRuns(
-            lo,
-            hi,
-            np.concatenate([members.ids, self.origin]),
-            np.concatenate([reads.bounds[:-1], skip + slots.bounds[:-1]]),
-            np.concatenate([reads.bounds[1:], skip + slots.bounds[1:]]),
-            np.concatenate([reads.ids, slots.ids]),
-        )
-
     def anchors(self) -> tuple[list[str], list[int]]:
         """Layer and index of each unit's first member, or of its first slot
         when it has no member."""
@@ -287,8 +252,9 @@ def unit_table(graph: ModelGraph, entries: list[dict]) -> UnitTable:
     channel, among its unit's in_slices. PruneKitError for an entry of another
     shape, an unknown kind, a missing or misplaced origin (only an
     in-channel-only unit has one), a full-channel unit without members, an
-    in-channel-only unit with members or without a slot, and a pair naming an
-    index its layer does not have."""
+    in-channel-only unit with members or without a slot or with an origin that
+    does not feed each of its slots, a pair naming an index its layer does not
+    have, and a pair named twice in one entry's members, in_slices or aux."""
     if not graph.inferred:
         raise ShapeError("run infer_shapes before unit_table")
     entries = list(entries)
@@ -320,13 +286,19 @@ def unit_table(graph: ModelGraph, entries: list[dict]) -> UnitTable:
             f"{entries[bad[0]]['uid']}: a full-channel unit needs members, an in-channel-only unit a slot and no members"
         )
 
-    # a member's reads: the graph's (channel, slot) pairs of its channel whose slot is in its unit's in_slices
     read_origin, read_slot = _reads(graph, channel_flow(graph)[1], slots)
+    run = np.repeat(np.arange(len(entries)), in_slices.sizes())  # each in-slice's unit
+    fed = np.isin(origin[run] * slots.size + in_slices.ids, read_origin * slots.size + read_slot)
+    if len(stray := np.flatnonzero(~full[run] & ~fed)):  # an in-channel-only unit's slot its origin does not feed
+        u, s = run[stray[0]], in_slices.ids[stray[0]]
+        where = (*filters.pair(origin[u]), *slots.pair(s))
+        raise PruneKitError("{}: origin {}.c{} does not feed slot {}.in{}".format(entries[u]["uid"], *where))
+
+    # a member's reads: the graph's (channel, slot) pairs of its channel whose slot is in its unit's in_slices
     lo, hi = _ranges(read_origin, members.ids)
     member = np.repeat(np.arange(len(members.ids)), hi - lo)
     unit, slot = np.repeat(np.arange(len(entries)), members.sizes())[member], read_slot[_spans(lo, hi)]
-    owned = np.repeat(np.arange(len(entries)), in_slices.sizes()) * slots.size + in_slices.ids
-    mine = np.isin(unit * slots.size + slot, owned)
+    mine = np.isin(unit * slots.size + slot, run * slots.size + in_slices.ids)
     return UnitTable(
         weakref.ref(graph),
         numberings,
@@ -344,13 +316,21 @@ def unit_table(graph: ModelGraph, entries: list[dict]) -> UnitTable:
 def _ids(groups: list[list], numbering: _Numbering, what: str) -> Ragged:
     """The [layer, index] pairs of each group as one run of ids over
     ``numbering``. Each pair must name a layer of the numbering and an index
-    inside its width; PruneKitError otherwise, naming the index as ``what``."""
+    inside its width, and no group may name a pair twice; PruneKitError
+    otherwise, naming the index as ``what``."""
     pairs = list(chain.from_iterable(groups))
     ids = numbering.ids_of(pairs)
     if (ids < 0).any():
         layer, index = pairs[int(np.argmax(ids < 0))]
         raise PruneKitError(f"{layer}: unit names {what} {index}, which the layer does not have")
-    return Ragged.of(ids, np.fromiter(map(len, groups), np.int64, len(groups)))
+    sizes = np.fromiter(map(len, groups), np.int64, len(groups))
+    key = np.repeat(np.arange(len(groups)), sizes) * numbering.size + ids
+    order = np.argsort(key, kind="stable")
+    again = order[1:][np.diff(key[order]) == 0]  # every naming of a pair after its group's first
+    if len(again):
+        layer, index = pairs[again.min()]
+        raise PruneKitError(f"{layer}: unit names {what} {index} twice")
+    return Ragged.of(ids, sizes)
 
 
 def run_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:

@@ -33,6 +33,7 @@ from conftest import (
     make_chain,
     make_dense_toy,
     make_flatten_toy,
+    make_minimal,
     make_residual_toy,
     random_tiny_net,
     save_tmp,
@@ -125,6 +126,23 @@ class TestApplyPlan:
         plan = plan_for(g)
         plan.removed_entries.append(dict(plan.removed_entries[0]))
         with pytest.raises(PlanMismatchError, match="unit 'conv.*' listed twice"):
+            apply_plan(g, plan)
+
+    def test_corrupt_plan_first_failing_entry_wins(self):
+        # each entry passes every check before the next entry is looked at
+        g = make_chain(np.random.default_rng(6), (4, 6))
+        plan = plan_for(g)
+        plan.removed_entries[0]["in_slices"] = [["conv2", 0]]
+        plan.removed_entries[1]["unit_id"] = "conv9.c99"
+        with pytest.raises(PlanMismatchError, match=r"^corrupt plan: unit 'conv1\.c2' does not match the graph$"):
+            apply_plan(g, plan)
+
+    def test_corrupt_plan_on_a_model_without_units(self):
+        g = make_minimal()
+        assert not len(build_prune_units(g))
+        plan = plan_for(make_chain(np.random.default_rng(6), (4, 6)))
+        plan.model_checksum = graph_checksum(g)
+        with pytest.raises(PlanMismatchError, match="^corrupt plan: unknown unit 'conv1.c2'$"):
             apply_plan(g, plan)
 
     def test_tampered_prediction_fails_closed(self):

@@ -412,6 +412,12 @@ class TestHandMadeUnits:
             (FULL_CHANNEL, lambda e: {k: v for k, v in e.items() if k != "aux"}, "a unit entry needs a string uid"),
             (FULL_CHANNEL, lambda e: {**e, "uid": 7}, "a unit entry needs a string uid"),
             (FULL_CHANNEL, lambda e: [e], "a unit entry needs a string uid"),
+            (IN_CHANNEL_ONLY, lambda e: {**e, "origin": ["entry", 0]}, r"d2\.in6: origin entry\.c0 does not feed slot d2\.in6$"),
+            (FULL_CHANNEL, lambda e: {**e, "members": e["members"] * 2}, r"entry: unit names output channel 0 twice$"),
+            (FULL_CHANNEL, lambda e: {**e, "in_slices": e["in_slices"] + e["in_slices"][:1]}, r"d1: unit names input slot 0 twice$"),
+            (FULL_CHANNEL, lambda e: {**e, "members": [["entry", 2**63]]}, r"entry: unit names output channel 9223372036854775808, which the layer does not have$"),
+            (FULL_CHANNEL, lambda e: {**e, "in_slices": [["d1", -(2**64)]]}, r"d1: unit names input slot -18446744073709551616, which the layer does not have$"),
+            (FULL_CHANNEL, lambda e: {**e, "aux": [["entry", 2**70]]}, r"entry: unit names vector entry 1180591620717411303424, which the layer does not have$"),
         ],
         ids=[
             "unknown-kind",
@@ -427,6 +433,12 @@ class TestHandMadeUnits:
             "no-aux",
             "uid-not-a-string",
             "not-an-object",
+            "origin-not-feeding-its-slot",
+            "member-named-twice",
+            "in-slice-named-twice",
+            "member-index-beyond-int64",
+            "slot-index-beyond-int64",
+            "aux-index-beyond-int64",
         ],
     )
     def test_malformed_entry_rejected(self, kind, change, message):
@@ -434,6 +446,14 @@ class TestHandMadeUnits:
         unit_table(g, [entry])  # the entry as built is accepted
         with pytest.raises(PruneKitError, match=message):
             unit_table(g, [entry, change(entry)])
+
+    def test_aux_entry_named_twice_rejected(self):
+        # the dense toy has no bias or batch norm, so its units name no vector entry
+        g = make_chain(np.random.default_rng(2), (4, 6), with_bn=True)
+        entry = build_prune_units(g)[0].to_json()
+        assert entry["aux"] == [["bn1", 0]]
+        with pytest.raises(PruneKitError, match=r"bn1: unit names vector entry 0 twice$"):
+            unit_table(g, [{**entry, "aux": entry["aux"] * 2}])
 
     def test_needs_inferred_shapes(self):
         g, entry = hand_made(FULL_CHANNEL)
