@@ -262,8 +262,9 @@ def cmd_prune(args: argparse.Namespace) -> int:
         pruned, report = apply_plan(graph, plan)
         report_dict = report.to_dict()
     else:
-        # keep only the latest pass's graph alive
-        for passes, (plan, pruned) in enumerate(multi_pass(graph, config), 1):
+        steps = multi_pass(graph, config)
+        del graph  # hold only the latest pass's graph: multi_pass frees the loaded one after pass 1
+        for passes, (plan, pruned) in enumerate(steps, 1):
             run.write_artifact(out_dir, f"plan_pass{passes}.json", plan.to_json())
             if passes == 1:
                 baseline_flops = plan.baseline_flops

@@ -50,8 +50,8 @@ class LayerNode:
     """One node of the model graph.
 
     Kind-specific attributes live in ``attrs``; ``tensors`` maps each tensor
-    role to a float32 ``np.ndarray`` (on a loaded model, a writable view of the
-    one container buffer).
+    role to a float32 ``np.ndarray`` (on a loaded model, a writable array of
+    its own, read from the container).
     ``in_size`` / ``out_size`` / ``out_channels`` are annotations filled in by
     :func:`infer_shapes` (-1 until then). For Flatten nodes ``in_size`` records
     the spatial side length being flattened, which downstream consumers need to
@@ -567,7 +567,11 @@ def _expect(value, kind: type, what: str):
 
 
 def load_model(manifest_path: str, weights_path: str | None = None) -> ModelGraph:
-    """Load and validate a model; fails rather than returning a partial graph."""
+    """Load and validate a model; fails rather than returning a partial graph.
+
+    Each tensor gets its own array, filled straight from the container in
+    offset order, so every byte is read once with no intermediate buffer and
+    no tensor keeps any other alive."""
     try:
         with open(manifest_path, "r", encoding="utf-8") as f:
             manifest = json.load(f)
@@ -587,15 +591,32 @@ def load_model(manifest_path: str, weights_path: str | None = None) -> ModelGrap
         weights_file = _expect(manifest["weights_file"], str, "manifest weights_file")
         weights_path = os.path.join(os.path.dirname(os.path.abspath(manifest_path)), weights_file)
     with open(weights_path, "rb") as f:
-        # one writable buffer; every tensor is a view of it
-        container = bytearray(os.fstat(f.fileno()).st_size)
-        got = f.readinto(container)
-    if got != len(container):
-        raise ManifestError(f"short read of weight container: {got} of {len(container)} bytes")
-    total = manifest["total_bytes"]
-    if len(container) != total:
-        raise ManifestError(f"weight container is {len(container)} bytes, manifest declares {total}")
+        size = os.fstat(f.fileno()).st_size
+        if size:  # the file must yield every byte fstat reports: probe the last one
+            f.seek(size - 1)
+            if not f.read(1):
+                raise ManifestError(f"short read of weight container: no byte at offset {size - 1} of {size}")
+        total = manifest["total_bytes"]
+        if size != total:
+            raise ManifestError(f"weight container is {size} bytes, manifest declares {total}")
+        nodes, order, regions = _parse_nodes(inp, entries, total)
+        # each tensor owns its array, read straight from the container in offset order
+        for off, end, name, arr in regions:
+            f.seek(off)
+            got = f.readinto(arr)
+            if got != end - off:
+                raise ManifestError(f"short read of weight container: {name} got {got} of {end - off} bytes")
 
+    graph = ModelGraph(nodes=nodes, order=order, input_channels=inp["channels"], input_size=inp["size"])
+    violations = validate(graph)
+    if violations:
+        raise GraphValidationError(violations)
+    return graph
+
+
+def _parse_nodes(inp: dict, entries: list, total: int) -> tuple[dict[str, LayerNode], list[str], list]:
+    """The manifest's nodes and node order, and the (start, end, name, array)
+    region of each tensor sorted by offset; each array is allocated, not read."""
     if not _is_int(inp.get("channels")) or not _is_int(inp.get("size")):
         raise ManifestError("manifest input must declare integer channels and size")
     if inp["channels"] < 1 or inp["size"] < 1:
@@ -603,7 +624,7 @@ def load_model(manifest_path: str, weights_path: str | None = None) -> ModelGrap
 
     nodes: dict[str, LayerNode] = {}
     order: list[str] = []
-    regions: list[tuple[int, int, str]] = []
+    regions: list[tuple[int, int, str, np.ndarray]] = []
     for i, entry in enumerate(entries):
         _expect(entry, dict, f"manifest node {i}")
         nid = entry.get("id")
@@ -630,18 +651,14 @@ def load_model(manifest_path: str, weights_path: str | None = None) -> ModelGrap
             nbytes = int(np.prod(shape)) * 4
             if off + nbytes > total:
                 raise ManifestError(f"{nid}.{role}: tensor out of bounds (offset {off} + {nbytes} > {total})")
-            node.tensors[role] = np.frombuffer(container, dtype="<f4", count=nbytes // 4, offset=off).reshape(shape)
-            regions.append((off, off + nbytes, f"{nid}.{role}"))
+            node.tensors[role] = np.empty(shape, "<f4")
+            regions.append((off, off + nbytes, f"{nid}.{role}", node.tensors[role]))
         nodes[nid] = node
         order.append(nid)
 
     regions.sort()
-    for (s0, e0, n0), (s1, e1, n1) in zip(regions, regions[1:]):
+    for (_, e0, n0, _), (s1, _, n1, _) in zip(regions, regions[1:]):
         if s1 < e0:
             raise ManifestError(f"overlapping tensor regions: {n0} and {n1}")
+    return nodes, order, regions
 
-    graph = ModelGraph(nodes=nodes, order=order, input_channels=inp["channels"], input_size=inp["size"])
-    violations = validate(graph)
-    if violations:
-        raise GraphValidationError(violations)
-    return graph

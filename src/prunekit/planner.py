@@ -223,18 +223,18 @@ def multi_pass(graph: ModelGraph, config: Config) -> Iterator[tuple[PruningPlan,
     """Iteratively score, plan and prune ``config.passes`` times, each pass
     removing ``config.per_pass_ratio`` of the current FLOPs and re-scoring the
     pruned weights. Yields each pass's (plan, pruned graph) as it completes and
-    keeps no earlier pass's graph, so a caller that keeps only the latest one
-    holds one pruned model at a time."""
+    keeps no earlier pass's graph, the input one included, so a caller that
+    lets go of ``graph`` and keeps only the latest pass's graph holds one model
+    at a time: the loaded graph is freed after pass 1's surgery."""
     from .surgeon import _checked_surgery  # local import: surgeon depends on this module
 
     config.validate()
     if config.per_pass_ratio is None:
         raise PruneKitError("multi-pass pruning needs per_pass_ratio (--per-pass)")
     pass_config = Config(**{**config.to_dict(), "flop_target_ratio": config.per_pass_ratio})
-    current = graph
     for _ in range(config.passes):
-        units = build_prune_units(current)
-        records = score_all(current, units, pass_config)
-        plan, removed = _select(records, current, pass_config)
-        current = _checked_surgery(current, removed, plan)
-        yield plan, current
+        units = build_prune_units(graph)
+        records = score_all(graph, units, pass_config)
+        plan, removed = _select(records, graph, pass_config)
+        graph = _checked_surgery(graph, removed, plan)
+        yield plan, graph

@@ -194,19 +194,23 @@ def _check_entries(nid: str, stated: np.ndarray, keep: np.ndarray, what: str, re
 
 
 def _make_report(before: ModelGraph, after: ModelGraph, units: UnitTable, plan: PruningPlan) -> SurgeryReport:
-    manifest_before, _ = _layout(before)
-    manifest_after, arrays_after = _layout(after)
+    _, arrays_after = _layout(after)
     container_digest = hashlib.sha256()
     for arr in arrays_after:
         container_digest.update(arr)
     return SurgeryReport(
         removed_outputs=_by_layer(units.filters, units.members.ids),
         removed_inputs=_by_layer(units.slots, units.in_slices.ids),
-        bytes_removed=manifest_before["total_bytes"] - manifest_after["total_bytes"],
+        bytes_removed=_container_bytes(before) - _container_bytes(after),
         post_params=plan.predicted_params,
         post_flops=plan.predicted_flops,
         container_checksum=container_digest.hexdigest(),
     )
+
+
+def _container_bytes(graph: ModelGraph) -> int:
+    """Bytes of the graph's tensors stored as float32, as its container holds them."""
+    return 4 * sum(t.size for node in graph.nodes.values() for t in node.tensors.values())
 
 
 def _by_layer(numbering: _Numbering, ids: np.ndarray) -> dict[str, list[int]]:
@@ -234,10 +238,21 @@ def zero_equivalence_check(
     ``unit`` is a row of a table made from ``graph``.
 
     The zeroed graph shares every node with the input except the layers the
-    unit touches, which get their own copies of their tensors; the input
-    graph is left unchanged.
+    unit touches, which get their own copies of their tensors; it is evaluated
+    and dropped before surgery builds the pruned graph. The input graph is left
+    unchanged.
     """
     table = graph_row(graph, unit)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((trials, graph.input_channels, graph.input_size, graph.input_size))
+    y_zero = forward_eval(_zeroed(graph, table), x)
+    y_cut = forward_eval(apply_units(graph, table), x)
+    return y_zero.shape == y_cut.shape and bool(np.allclose(y_cut, y_zero, rtol=rtol, atol=1e-8))
+
+
+def _zeroed(graph: ModelGraph, table: UnitTable) -> ModelGraph:
+    """``graph`` with the weights of ``table``'s units zeroed, in copies of the
+    tensors of the layers they touch."""
     members, aux, slices = (
         table.filters.pairs(table.members)[0],
         table.entries.pairs(table.aux)[0],
@@ -259,10 +274,4 @@ def zero_equivalence_check(
             node.tensors["beta"][i] = 0.0
     for layer, s in slices:
         zeroed.nodes[layer].weight()[:, s] = 0.0
-
-    pruned = apply_units(graph, table)
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((trials, graph.input_channels, graph.input_size, graph.input_size))
-    y_zero = forward_eval(zeroed, x)
-    y_cut = forward_eval(pruned, x)
-    return y_zero.shape == y_cut.shape and bool(np.allclose(y_cut, y_zero, rtol=rtol, atol=1e-8))
+    return zeroed

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import builtins
 import hashlib
 import json
+import os
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import prunekit.graph as graph_module
 from prunekit import (
     GraphBuilder,
     GraphValidationError,
@@ -50,6 +54,30 @@ def assert_batch_matches_oracle(g, xs):
     for row, x in zip(got, xs):
         assert np.allclose(row, loop_forward(g, x), rtol=1e-5, atol=1e-9)
     return got
+
+
+def _truncate(manifest, weights, monkeypatch):
+    os.truncate(weights, 200)  # inside conv.weight, bytes 0-432
+
+
+def _shrink_while_read(manifest, weights, monkeypatch):
+    # the container passes the size checks, then loses bytes inside conv.weight before it is read
+    parse = graph_module._parse_nodes
+
+    def parse_then_truncate(*args):
+        parsed = parse(*args)
+        _truncate(manifest, weights, monkeypatch)
+        return parsed
+
+    monkeypatch.setattr(graph_module, "_parse_nodes", parse_then_truncate)
+
+
+def _bad_shape(manifest, weights, monkeypatch):
+    with open(manifest, encoding="utf-8") as f:
+        data = json.load(f)
+    data["nodes"][1]["tensors"]["weight"]["shape"] = [0]
+    with open(manifest, "w", encoding="utf-8") as f:
+        json.dump(data, f)
 
 
 class TestLoadSave:
@@ -237,6 +265,36 @@ class TestLoadSave:
         manifest2, weights2 = save_tmp(load_model(manifest, weights), again)
         assert Path(weights2).read_bytes() == Path(weights).read_bytes()
         assert Path(manifest2).read_bytes() == Path(manifest).read_bytes()
+
+    def test_loaded_tensors_share_no_memory(self, tmp_path):
+        g = make_dense_toy(np.random.default_rng(23), with_bn=True)
+        loaded = load_model(*save_tmp(g, tmp_path))
+        tensors = [t for node in loaded.nodes.values() for t in node.tensors.values()]
+        assert all(t.flags.owndata for t in tensors)
+        assert not any(np.shares_memory(a, b) for a, b in combinations(tensors, 2))
+
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (_truncate, "weight container is 200 bytes, manifest declares 432"),
+            (_shrink_while_read, "short read of weight container: conv.weight got 200 of 432 bytes"),
+            (_bad_shape, r"conv.weight: bad shape \(0,\)"),
+        ],
+        ids=["truncated_in_tensor", "shrinks_while_read", "bad_shape"],
+    )
+    def test_failed_load_leaves_no_open_file(self, tmp_path, monkeypatch, spoil, message):
+        manifest, weights = save_tmp(make_minimal(), tmp_path)
+        spoil(manifest, weights, monkeypatch)
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(builtins.open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(graph_module, "open", recording_open, raising=False)
+        with pytest.raises(ManifestError, match=message):
+            load_model(manifest, weights)
+        assert len(opened) == 2 and all(f.closed for f in opened)
 
     def test_short_read_rejected(self, tmp_path, monkeypatch):
         import os

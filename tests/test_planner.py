@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from collections import defaultdict
 
 import numpy as np
@@ -20,6 +21,7 @@ from prunekit import (
     build_prune_units,
     graph_checksum,
     infer_shapes,
+    load_model,
     model_flop_count,
     model_param_count,
     multi_pass,
@@ -33,7 +35,7 @@ from prunekit.planner import PruningPlan
 from prunekit.scoring import ImportanceRecord
 from prunekit.units import IN_CHANNEL_ONLY
 
-from conftest import conv_w, make_chain, random_tiny_net
+from conftest import conv_w, make_chain, random_tiny_net, save_tmp
 from oracles import (
     enumerate_all_subsets_check,
     exhaustive_prefix_plan,
@@ -378,6 +380,20 @@ class TestMultiPass:
             assert validate(stage) == []
             assert stage.inferred
             assert model_flop_count(stage) == plan.predicted_flops
+
+    def test_loaded_graph_is_freed_after_pass_one(self, tmp_path):
+        g = make_chain(np.random.default_rng(14), (8, 10), with_bn=True, conv_bias=True)
+        loaded = infer_shapes(load_model(*save_tmp(g, tmp_path)))
+        tensors = {(nid, role): t for nid, node in loaded.nodes.items() for role, t in node.tensors.items()}
+        shapes = {key: t.shape for key, t in tensors.items()}
+        refs = {key: weakref.ref(t) for key, t in tensors.items()}
+        passes = multi_pass(loaded, Config(passes=2, per_pass_ratio=0.2))
+        del loaded, tensors  # the caller holds no graph
+        _, pruned = next(passes)
+        kept = {key: pruned.nodes[key[0]].tensors[key[1]] for key in refs}
+        sliced = [key for key, t in kept.items() if t.shape != shapes[key]]
+        assert sliced and all(refs[key]() is None for key in sliced)
+        assert all(kept[key] is refs[key]() for key in refs.keys() - set(sliced))
 
     def test_needs_per_pass_ratio(self):
         g = make_chain(np.random.default_rng(13), (4, 6))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -448,6 +449,34 @@ class TestZeroEquivalence:
             for role, t in node.tensors.items():
                 shared = zeroed.nodes[nid].tensors[role] is t
                 assert shared == (nid not in {"conv2", "bn2", "conv3"}), (nid, role)
+
+    def test_drops_the_zeroed_graph_before_surgery(self, monkeypatch):
+        from prunekit import surgeon
+
+        g = make_chain(np.random.default_rng(33), (4, 6, 5), with_bn=True, conv_bias=True)
+        unit = next(u for u in build_prune_units(g) if u.uid == "conv2.c1")
+        zeroed = []  # weak references to the zeroed graph and to its own tensor copies
+        alive_at_surgery = []
+
+        def eval_spy(graph, x):
+            if not zeroed:
+                copies = [
+                    t
+                    for nid, node in graph.nodes.items()
+                    for role, t in node.tensors.items()
+                    if t is not g.nodes[nid].tensors[role]
+                ]
+                zeroed.extend(map(weakref.ref, [graph, *copies]))
+            return forward_eval(graph, x)
+
+        def apply_spy(graph, units):
+            alive_at_surgery.extend(ref() is not None for ref in zeroed)
+            return apply_units(graph, units)
+
+        monkeypatch.setattr(surgeon, "forward_eval", eval_spy)
+        monkeypatch.setattr(surgeon, "apply_units", apply_spy)
+        assert zero_equivalence_check(g, unit, trials=3)
+        assert len(alive_at_surgery) > 1 and not any(alive_at_surgery)
 
     def test_one_batched_pass_per_graph(self, monkeypatch):
         from prunekit import surgeon
