@@ -2,8 +2,14 @@
 
 Exists as a correctness oracle for surgery and serialization tests, not as an
 inference engine: inference-mode batch norm, plain pooling, and convolution as
-im2col plus one matrix product per layer. Every tensor carries a leading batch
-axis, and each activation is dropped once its last consumer has run.
+one matrix product per layer in one of two contraction orders. A layer of f
+filters reading m channels of side h into side o goes channels first when
+f * h * h < m * o * o: every kernel tap's map comes from one product over the
+unpadded input, and the maps are added into the output at their offsets. Any
+other layer (ties included) multiplies the im2col columns of its zero-padded
+windows. So the intermediate is never the larger of the two. Every tensor
+carries a leading batch axis, and each activation is dropped once its last
+consumer has run.
 Computation runs in float64 for stable comparisons. The per-element loop
 evaluator in the tests stays the independent check on this one.
 """
@@ -90,18 +96,58 @@ def _windows(node, a: np.ndarray) -> np.ndarray:
 
 
 def _conv2d(node, a: np.ndarray) -> np.ndarray:
-    w = node.weight().astype(np.float64)
+    """Convolution in the order with the smaller intermediate: per tap, f * h * h
+    channels-first map entries against m * o * o im2col column entries."""
     sel = node.in_select()
     if sel is not None:
         a = a[:, sel]
+    f, m, _, _ = node.weight().shape
+    h, o = a.shape[2], node.out_size
+    out = _conv_channels_first(node, a, o) if f * h * h < m * o * o else _conv_im2col(node, a)
+    if "bias" in node.tensors:
+        out += node.tensors["bias"].astype(np.float64)[:, None, None]
+    return out
+
+
+def _conv_im2col(node, a: np.ndarray) -> np.ndarray:
+    """One (f, m*k*k) @ (n, m*k*k, o*o) product over the zero-padded windows."""
+    w = node.weight().astype(np.float64)
     win = _windows(node, a)
     f, m, k, _ = w.shape
     n, o = win.shape[0], win.shape[2]
     cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, m * k * k, o * o)
-    out = (w.reshape(f, -1) @ cols).reshape(n, f, o, o)
-    if "bias" in node.tensors:
-        out += node.tensors["bias"].astype(np.float64)[:, None, None]
+    return (w.reshape(f, -1) @ cols).reshape(n, f, o, o)
+
+
+def _conv_channels_first(node, a: np.ndarray, o: int) -> np.ndarray:
+    """One (k*k*f, m) @ (n, m, h*h) product gives every tap's (f, h, h) map
+    from one read of the input; each map is then added into the output where
+    its tap reads inside the input, which leaves the padding out."""
+    k, stride, pad = sliding_window(node)
+    n, m, h, _ = a.shape
+    w = node.weight().transpose(2, 3, 0, 1).astype(np.float64, order="C")  # (k, k, f, m), one copy
+    f = w.shape[2]
+    maps = (w.reshape(k * k * f, m) @ a.reshape(n, m, h * h)).reshape(n, k, k, f, h, h)
+    out = np.zeros((n, f, o, o))
+    spans = _tap_spans(k, stride, pad, h, o)
+    for ty, ys, y_in in spans:
+        for tx, xs, x_in in spans:
+            out[:, :, ys, xs] += maps[:, ty, tx, :, y_in, x_in]
     return out
+
+
+def _tap_spans(k: int, stride: int, pad: int, h: int, o: int) -> list[tuple[int, slice, slice]]:
+    """Along one axis, each kernel tap that reads inside an input of side
+    ``h``, with the output positions where it does and the input positions
+    they read."""
+    spans = []
+    for t in range(k):
+        lo = max(0, -((t - pad) // stride))  # ceil((pad - t) / stride)
+        hi = min(o, (h - 1 + pad - t) // stride + 1)
+        if lo < hi:
+            start = lo * stride + t - pad
+            spans.append((t, slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride)))
+    return spans
 
 
 def _pool(node, a: np.ndarray) -> np.ndarray:

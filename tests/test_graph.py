@@ -47,12 +47,12 @@ from conftest import (
 from oracles import loop_forward
 
 
-def assert_batch_matches_oracle(g, xs):
+def assert_batch_matches_oracle(g, xs, rtol=1e-5, atol=1e-9):
     """forward_eval on the batch ``xs`` equals loop_forward row by row."""
     got = forward_eval(g, xs)
     assert len(got) == len(xs)
     for row, x in zip(got, xs):
-        assert np.allclose(row, loop_forward(g, x), rtol=1e-5, atol=1e-9)
+        assert np.allclose(row, loop_forward(g, x), rtol=rtol, atol=atol)
     return got
 
 
@@ -666,6 +666,23 @@ class TestOneShapeRule:
         self.assert_static_widths_agree(pruned)
 
 
+# One-conv graphs on a 6x6 input for both of forward_eval's contraction orders:
+# (filters, channels) narrowing 16 -> 1 or widening 2 -> 4, by kernel, stride
+# and padding. Channels first is taken when filters * 6 * 6 < channels * out * out.
+CONV_GRID = [
+    (f, m, k, stride, pad)
+    for f, m in ((1, 16), (4, 2))
+    for k in (1, 3)
+    for stride in (1, 2, 3)
+    for pad in (0, 1, 2)
+]
+
+
+def _channels_first(f, m, k, stride, pad, size=6):
+    out = (size + 2 * pad - k) // stride + 1
+    return f * size * size < m * out * out
+
+
 class TestForwardEval:
     def test_identity_kernel(self):
         b = GraphBuilder(1, 4)
@@ -755,6 +772,34 @@ class TestForwardEval:
         g = make_flatten_toy(rng, channels=3, size=4)
         assert g.nodes["flat"].in_size == 4
         assert_batch_matches_oracle(g, rng.standard_normal((2, 2, 4, 4)))
+
+    def test_conv_grid_takes_both_contraction_orders(self):
+        orders = [_channels_first(*case) for case in CONV_GRID]
+        assert any(orders) and not all(orders)
+        assert {case[3] for case in CONV_GRID if _channels_first(*case)} == {1, 2, 3}
+        assert {case[4] for case in CONV_GRID if _channels_first(*case)} == {0, 1, 2}
+
+    @pytest.mark.parametrize("select", [False, True], ids=["full", "in_select"])
+    @pytest.mark.parametrize("bias", [False, True], ids=["nobias", "bias"])
+    @pytest.mark.parametrize("f,m,k,stride,pad", CONV_GRID)
+    def test_conv_matches_loop_oracle_in_both_orders(self, f, m, k, stride, pad, bias, select):
+        rng = np.random.default_rng(29)
+        channels = m + 3 if select else m
+        b = GraphBuilder(channels, 6)
+        c = b.conv(
+            "c",
+            "input",
+            conv_w(rng, f, m, k),
+            bias=rng.standard_normal(f).astype(np.float32) if bias else None,
+            stride=stride,
+            padding=pad,
+            in_select=sorted(rng.choice(channels, m, replace=False).tolist()) if select else None,
+        )
+        g = infer_shapes(b.output(c))
+        xs = rng.standard_normal((3, channels, 6, 6))
+        for batch in (0, 1, 3):
+            got = assert_batch_matches_oracle(g, xs[:batch], rtol=1e-12, atol=1e-12)
+            assert got.shape == (batch, f, g.nodes["c"].out_size, g.nodes["c"].out_size)
 
 
 VGG16_CONV_WIDTHS = (64, 64, 128, 128, 256, 256, 256, 512, 512, 512, 512, 512, 512)

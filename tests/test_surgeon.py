@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 import weakref
 
 import numpy as np
@@ -408,6 +409,25 @@ class TestZeroEquivalence:
             pick = units[int(rng.integers(0, len(units)))]
             assert zero_equivalence_check(g, pick, trials=4), pick.uid
 
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"trials": 0}, "trials must be an int of at least 1, got 0"),
+            ({"trials": -1}, "trials must be an int of at least 1, got -1"),
+            ({"trials": 2.5}, "trials must be an int of at least 1, got 2.5"),
+            ({"trials": True}, "trials must be an int of at least 1, got True"),
+            ({"rtol": float("nan")}, "rtol must be a finite number of at least 0, got nan"),
+            ({"rtol": float("inf")}, "rtol must be a finite number of at least 0, got inf"),
+            ({"rtol": -1e-5}, "rtol must be a finite number of at least 0, got -1e-05"),
+            ({"rtol": "1e-5"}, "rtol must be a finite number of at least 0, got '1e-5'"),
+        ],
+        ids=["trials-zero", "trials-negative", "trials-float", "trials-bool", "rtol-nan", "rtol-inf", "rtol-negative",
+             "rtol-str"],
+    )
+    def test_bad_arguments_rejected(self, kwargs, message):
+        g = make_chain(np.random.default_rng(34), (4, 6), with_bn=True)
+        with pytest.raises(PruneKitError, match=re.escape(message)):
+            zero_equivalence_check(g, build_prune_units(g)[0], **kwargs)
 
     def test_batched_check_fails_closed(self, monkeypatch):
         from prunekit import surgeon
