@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, replace
-from operator import itemgetter
+from operator import index, itemgetter
 
 import numpy as np
 
@@ -237,21 +238,26 @@ def zero_equivalence_check(
     on ``trials`` random inputs, drawn as one batch and evaluated in one
     batched pass per graph. Returns True iff all trials agree within ``rtol``.
     ``unit`` is a row of a table made from ``graph``. A ``trials`` that is not
-    an int of at least 1, or an ``rtol`` that is not a finite number of at
-    least 0, is a PruneKitError: a check that compares nothing passes nothing.
+    an integer of at least 1, or an ``rtol`` that is not a finite real number
+    of at least 0, is a PruneKitError (numpy scalars count, bools do not): a
+    check that compares nothing passes nothing.
 
     The zeroed graph shares every node with the input except the layers the
     unit touches, which get their own copies of their tensors; it is evaluated
     and dropped before surgery builds the pruned graph. The input graph is left
     unchanged.
     """
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+    try:
+        count = None if isinstance(trials, bool) else index(trials)
+    except TypeError:
+        count = None
+    if count is None or count < 1:
         raise PruneKitError(f"trials must be an int of at least 1, got {trials!r}")
-    if not isinstance(rtol, (int, float)) or not math.isfinite(rtol) or rtol < 0:
+    if isinstance(rtol, bool) or not isinstance(rtol, numbers.Real) or not math.isfinite(rtol) or rtol < 0:
         raise PruneKitError(f"rtol must be a finite number of at least 0, got {rtol!r}")
     table = graph_row(graph, unit)
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((trials, graph.input_channels, graph.input_size, graph.input_size))
+    x = rng.standard_normal((count, graph.input_channels, graph.input_size, graph.input_size))
     y_zero = forward_eval(_zeroed(graph, table), x)
     y_cut = forward_eval(apply_units(graph, table), x)
     return y_zero.shape == y_cut.shape and bool(np.allclose(y_cut, y_zero, rtol=rtol, atol=1e-8))

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import prunekit.eval as eval_module
 import prunekit.graph as graph_module
 from prunekit import (
     GraphBuilder,
@@ -668,7 +669,7 @@ class TestOneShapeRule:
 
 # One-conv graphs on a 6x6 input for both of forward_eval's contraction orders:
 # (filters, channels) narrowing 16 -> 1 or widening 2 -> 4, by kernel, stride
-# and padding. Channels first is taken when filters * 6 * 6 < channels * out * out.
+# and padding.
 CONV_GRID = [
     (f, m, k, stride, pad)
     for f, m in ((1, 16), (4, 2))
@@ -678,9 +679,20 @@ CONV_GRID = [
 ]
 
 
-def _channels_first(f, m, k, stride, pad, size=6):
-    out = (size + 2 * pad - k) // stride + 1
-    return f * size * size < m * out * out
+def _one_conv(rng, f, m, k, stride, pad, bias=False, select=False):
+    """A graph of one conv on a 6x6 input, and the number of input channels."""
+    channels = m + 3 if select else m
+    b = GraphBuilder(channels, 6)
+    c = b.conv(
+        "c",
+        "input",
+        conv_w(rng, f, m, k),
+        bias=rng.standard_normal(f).astype(np.float32) if bias else None,
+        stride=stride,
+        padding=pad,
+        in_select=sorted(rng.choice(channels, m, replace=False).tolist()) if select else None,
+    )
+    return infer_shapes(b.output(c)), channels
 
 
 class TestForwardEval:
@@ -773,29 +785,31 @@ class TestForwardEval:
         assert g.nodes["flat"].in_size == 4
         assert_batch_matches_oracle(g, rng.standard_normal((2, 2, 4, 4)))
 
-    def test_conv_grid_takes_both_contraction_orders(self):
-        orders = [_channels_first(*case) for case in CONV_GRID]
-        assert any(orders) and not all(orders)
-        assert {case[3] for case in CONV_GRID if _channels_first(*case)} == {1, 2, 3}
-        assert {case[4] for case in CONV_GRID if _channels_first(*case)} == {0, 1, 2}
+    def test_conv_grid_takes_both_contraction_orders(self, monkeypatch):
+        taken = {"_conv_channels_first": [], "_conv_im2col": []}
+        for name, cases in taken.items():
+            def counted(node, *args, real=getattr(eval_module, name), cases=cases):
+                cases.append(node.weight().shape[:3] + graph_module.sliding_window(node)[1:])  # (f, m, k, stride, pad)
+                return real(node, *args)
+            monkeypatch.setattr(eval_module, name, counted)
+        rng = np.random.default_rng(30)
+        for case in CONV_GRID:
+            g, channels = _one_conv(rng, *case)
+            forward_eval(g, rng.standard_normal((1, channels, 6, 6)))
+        first, im2col = taken["_conv_channels_first"], taken["_conv_im2col"]
+        assert len(first) + len(im2col) == len(CONV_GRID)
+        assert {stride for _, _, _, stride, _ in first} == {1, 2, 3}
+        assert {pad for _, _, _, _, pad in first} == {0, 1, 2}
+        assert im2col
+        # A narrowing 1x1, stride-1, unpadded layer reads its columns as a view of its input.
+        assert (1, 16, 1, 1, 0) in im2col
 
     @pytest.mark.parametrize("select", [False, True], ids=["full", "in_select"])
     @pytest.mark.parametrize("bias", [False, True], ids=["nobias", "bias"])
     @pytest.mark.parametrize("f,m,k,stride,pad", CONV_GRID)
     def test_conv_matches_loop_oracle_in_both_orders(self, f, m, k, stride, pad, bias, select):
         rng = np.random.default_rng(29)
-        channels = m + 3 if select else m
-        b = GraphBuilder(channels, 6)
-        c = b.conv(
-            "c",
-            "input",
-            conv_w(rng, f, m, k),
-            bias=rng.standard_normal(f).astype(np.float32) if bias else None,
-            stride=stride,
-            padding=pad,
-            in_select=sorted(rng.choice(channels, m, replace=False).tolist()) if select else None,
-        )
-        g = infer_shapes(b.output(c))
+        g, channels = _one_conv(rng, f, m, k, stride, pad, bias, select)
         xs = rng.standard_normal((3, channels, 6, 6))
         for batch in (0, 1, 3):
             got = assert_batch_matches_oracle(g, xs[:batch], rtol=1e-12, atol=1e-12)

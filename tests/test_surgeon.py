@@ -420,14 +420,23 @@ class TestZeroEquivalence:
             ({"rtol": float("inf")}, "rtol must be a finite number of at least 0, got inf"),
             ({"rtol": -1e-5}, "rtol must be a finite number of at least 0, got -1e-05"),
             ({"rtol": "1e-5"}, "rtol must be a finite number of at least 0, got '1e-5'"),
+            ({"rtol": True}, "rtol must be a finite number of at least 0, got True"),
+            ({"trials": np.float64(2.0)}, f"trials must be an int of at least 1, got {np.float64(2.0)!r}"),
+            ({"trials": np.True_}, f"trials must be an int of at least 1, got {np.True_!r}"),
+            ({"trials": np.int64(0)}, f"trials must be an int of at least 1, got {np.int64(0)!r}"),
+            ({"rtol": np.float32("nan")}, f"rtol must be a finite number of at least 0, got {np.float32('nan')!r}"),
         ],
         ids=["trials-zero", "trials-negative", "trials-float", "trials-bool", "rtol-nan", "rtol-inf", "rtol-negative",
-             "rtol-str"],
+             "rtol-str", "rtol-bool", "trials-np-float", "trials-np-bool", "trials-np-zero", "rtol-np-nan"],
     )
     def test_bad_arguments_rejected(self, kwargs, message):
         g = make_chain(np.random.default_rng(34), (4, 6), with_bn=True)
         with pytest.raises(PruneKitError, match=re.escape(message)):
             zero_equivalence_check(g, build_prune_units(g)[0], **kwargs)
+
+    def test_numpy_scalar_arguments_accepted(self):
+        g = make_chain(np.random.default_rng(34), (4, 6), with_bn=True)
+        assert zero_equivalence_check(g, build_prune_units(g)[0], trials=np.int64(2), rtol=np.float32(1e-5))
 
     def test_batched_check_fails_closed(self, monkeypatch):
         from prunekit import surgeon
