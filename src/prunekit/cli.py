@@ -168,8 +168,12 @@ def _load(args: argparse.Namespace) -> ModelGraph:
 
 
 def _file_checksum(path: str) -> str:
+    """sha256 of the file, read in 1 MiB chunks so no copy of it is held."""
+    digest = hashlib.sha256()
     with open(path, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _write(out_dir: str, name: str, text: str) -> str:

@@ -12,7 +12,8 @@ view of its input. So the intermediate is never the larger of the two. Neither
 order is the faster one on every model: forcing channels first everywhere slows
 vgg16 and resnet164, and forcing im2col everywhere slows densenet40. Every
 tensor carries a leading batch axis, and each activation is dropped once its
-last consumer has run.
+last consumer has run; elementwise layers write in place where that gives the
+same bits and touches nothing the evaluation did not allocate (``_run``).
 Computation runs in float64 for stable comparisons. The per-element loop
 evaluator in the tests stays the independent check on this one.
 """
@@ -41,16 +42,33 @@ def forward_eval(graph: ModelGraph, x: np.ndarray) -> np.ndarray:
     raise ShapeError(f"input shape {x.shape} does not match declared {sample}, with or without a batch axis")
 
 
-def _run(graph: ModelGraph, x: np.ndarray) -> np.ndarray:
+def _run(
+    graph: ModelGraph,
+    x: np.ndarray,
+    stop: int | None = None,
+    resume: tuple[int, dict[str, np.ndarray]] | None = None,
+):
+    """Evaluate ``graph`` on the batch ``x`` and return its output batch.
+
+    With ``stop``, evaluate only ``graph.order[:stop]`` and return the
+    activations that later nodes still read, by node id. With ``resume`` =
+    (start, activations), such a prefix's result, skip ``graph.order[:start]``
+    and evaluate the rest from them; this is exact only where the graph's first
+    ``start`` nodes compute what the prefix's did, which the caller checks.
+    Neither ``x`` nor a resumed activation is ever written: BatchNorm2d, ReLU
+    and Add write their result into an operand only when this call allocated
+    it, the operand dies at that node, and the node reads it once."""
     last_use = {src: i for i, nid in enumerate(graph.order) for src in graph.nodes[nid].inputs}
-    out_id = graph.output_node().id
-    values: dict[str, np.ndarray] = {}
-    for i, nid in enumerate(graph.order):
+    start, values = (0, {}) if resume is None else (resume[0], dict(resume[1]))
+    owned: set[str] = set()  # ids of live activations this call allocated and nothing else views
+    for i in range(start, len(graph.order) if stop is None else stop):
+        nid = graph.order[i]
         node = graph.nodes[nid]
         if node.kind == "Input":
             values[nid] = x
             continue
         args = [values[s] for s in node.inputs]
+        free = [s in owned and last_use[s] == i and node.inputs.count(s) == 1 for s in node.inputs]
         a = args[0]
         if node.kind == "Conv2d":
             y = _conv2d(node, a)
@@ -59,7 +77,7 @@ def _run(graph: ModelGraph, x: np.ndarray) -> np.ndarray:
             v = a if sel is None else a[:, sel]
             y = v @ node.weight().astype(np.float64).T
             if "bias" in node.tensors:
-                y = y + node.tensors["bias"].astype(np.float64)
+                y += node.tensors["bias"].astype(np.float64)
         elif node.kind == "BatchNorm2d":
             g = node.tensors["gamma"].astype(np.float64)
             b = node.tensors["beta"].astype(np.float64)
@@ -67,26 +85,36 @@ def _run(graph: ModelGraph, x: np.ndarray) -> np.ndarray:
             var = node.tensors["running_var"].astype(np.float64)
             eps = float(node.attrs.get("epsilon", 1e-5))
             scale = g / np.sqrt(var + eps)
-            y = a * scale[:, None, None] + (b - mu * scale)[:, None, None]
+            y = np.multiply(a, scale[:, None, None], out=a if free[0] else None)
+            y += (b - mu * scale)[:, None, None]
         elif node.kind == "ReLU":
-            y = np.maximum(a, 0.0)
+            y = np.maximum(a, 0.0, out=a if free[0] else None)
         elif node.kind == "Pool":
             y = _pool(node, a)
         elif node.kind == "Flatten":
-            y = a.reshape(a.shape[0], node.out_channels)  # channel-major per sample
+            y = a.reshape(a.shape[0], node.out_channels)  # channel-major per sample, often a view of a
+            owned.discard(node.inputs[0])
         elif node.kind == "Add":
-            y = args[0]
-            for other in args[1:]:
-                y = y + other
+            # left to right as a0 + a1 + ..., into a0 or a1 where allowed (a0 + a1 == a1 + a0 bit for bit)
+            if free[0] or free[1]:
+                y = args[0] if free[0] else args[1]
+                y += args[1] if free[0] else args[0]
+            else:
+                y = args[0] + args[1]
+            for other in args[2:]:
+                y += other
         elif node.kind == "Concat":
             y = np.concatenate(args, axis=1)
         else:  # Output
             y = a
         values[nid] = y
+        if node.kind not in ("Flatten", "Output"):  # every other kind returns a new array
+            owned.add(nid)
         for src in set(node.inputs):
             if last_use[src] == i:
                 del values[src]
-    return values[out_id]
+                owned.discard(src)
+    return values if stop is not None else values[graph.output_node().id]
 
 
 def _windows(node, a: np.ndarray) -> np.ndarray:

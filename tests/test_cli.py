@@ -128,6 +128,20 @@ class TestPlanPrune:
                 with open(artifact["path"], "rb") as f:
                     assert artifact["sha256"] == hashlib.sha256(f.read()).hexdigest()
 
+    def test_run_manifest_input_digests_match_files(self, toy_model, tmp_path):
+        from prunekit.cli import _file_checksum
+
+        manifest, weights = toy_model
+        out = tmp_path / "out"
+        assert main(["analyze", "--model", manifest, "--weights", weights, "--out-dir", str(out)]) == 0
+        inputs = json.loads(read(out / "run_manifest.json"))["inputs"]
+        for attr, path in (("model", manifest), ("weights", weights)):
+            with open(path, "rb") as f:
+                assert inputs[attr] == {"path": path, "sha256": hashlib.sha256(f.read()).hexdigest()}
+        big = tmp_path / "big.bin"  # several read chunks and a partial last one
+        big.write_bytes(np.random.default_rng(0).bytes(5 * 2**19 + 3))
+        assert _file_checksum(str(big)) == hashlib.sha256(big.read_bytes()).hexdigest()
+
     def test_report_identical_models(self, toy_model, tmp_path):
         manifest, weights = toy_model
         rep = tmp_path / "rep"

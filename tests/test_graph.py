@@ -37,11 +37,13 @@ from prunekit.units import IN_CHANNEL_ONLY
 from prunekit.zoo import vgg16
 
 from conftest import (
+    bn_params,
     conv_w,
     make_chain,
     make_dense_toy,
     make_flatten_toy,
     make_minimal,
+    make_residual_toy,
     random_tiny_net,
     save_tmp,
 )
@@ -784,6 +786,41 @@ class TestForwardEval:
         g = make_flatten_toy(rng, channels=3, size=4)
         assert g.nodes["flat"].in_size == 4
         assert_batch_matches_oracle(g, rng.standard_normal((2, 2, 4, 4)))
+
+    @pytest.mark.parametrize("make", ["fan_out_and_twice_read_add", "residual", "flatten", "in_select"])
+    def test_leaves_input_and_tensors_unchanged(self, make):
+        # BatchNorm2d, ReLU and Add may write into an operand this call made,
+        # never into the caller's input, a tensor, or an operand read twice
+        rng = np.random.default_rng(31)
+        if make == "fan_out_and_twice_read_add":
+            b = GraphBuilder(3, 8)
+            a0 = b.addnode("a0", ["input", b.conv("c0", "input", conv_w(rng, 3, 3, 1))])  # the last read of x
+            c1 = b.conv("c1", b.relu("r0", a0), conv_w(rng, 4, 3, 3), padding=1)
+            r1 = b.relu("r1", b.batchnorm("bn1", c1, **bn_params(rng, 4)))
+            twice = b.relu("r2", b.addnode("twice", [r1, r1]))
+            c2 = b.relu("r4", b.conv("c2", r1, conv_w(rng, 4, 4, 1)))
+            dbl = b.addnode("dbl", [c2, c2])  # the last read of r4
+            s = b.relu("r3", b.batchnorm("bn2", b.addnode("sum", [twice, dbl, r1]), **bn_params(rng, 4)))
+            flat = b.flatten("flat", b.pool("gap", s, "global-avg"))
+            g = infer_shapes(b.output(b.linear("head", flat, rng.standard_normal((5, 4)).astype(np.float32))))
+        elif make == "residual":
+            g = make_residual_toy(rng, width=6, planes=3, blocks=2)
+        elif make == "flatten":
+            g = make_flatten_toy(rng, channels=3, size=4)
+        else:
+            dense = make_dense_toy(rng, with_bn=True)
+            units = build_prune_units(dense)
+            g = apply_units(dense, units.take([units.kind.index(IN_CHANNEL_ONLY)]))
+            assert any(n.in_select() is not None for n in g.nodes.values())
+        before = graph_checksum(g)
+        xs = rng.standard_normal((3, g.input_channels, g.input_size, g.input_size))
+        kept = xs.copy()
+        got = assert_batch_matches_oracle(g, xs)
+        assert np.array_equal(xs, kept)
+        assert np.array_equal(forward_eval(g, xs), got)
+        assert np.array_equal(forward_eval(g, xs[0]), forward_eval(g, xs[:1])[0])
+        assert np.array_equal(xs, kept)
+        assert graph_checksum(g) == before
 
     def test_conv_grid_takes_both_contraction_orders(self, monkeypatch):
         taken = {"_conv_channels_first": [], "_conv_im2col": []}

@@ -11,6 +11,7 @@ import pytest
 
 from prunekit import (
     Config,
+    GraphBuilder,
     PlanMismatchError,
     PruneKitError,
     apply_plan,
@@ -31,7 +32,9 @@ from prunekit.graph import serialize_graph
 from prunekit.units import FULL_CHANNEL, IN_CHANNEL_ONLY, unit_table
 
 from conftest import (
+    bn_params,
     concat_over_add,
+    conv_w,
     make_chain,
     make_dense_toy,
     make_flatten_toy,
@@ -458,6 +461,28 @@ class TestZeroEquivalence:
         monkeypatch.setattr(surgeon, "apply_units", perturbed)
         assert zero_equivalence_check(g, unit, trials=4) is False
 
+    def test_surgery_bug_before_the_cut_fails_closed(self, monkeypatch):
+        # conv2.c1 first touches conv2, so the check shares the prefix up to it;
+        # a pruned graph whose conv1 differs from the input's must run in full
+        from prunekit import surgeon
+
+        rng = np.random.default_rng(35)
+        g = make_chain(rng, (4, 6, 5), with_bn=True, conv_bias=True)
+        unit = next(u for u in build_prune_units(g) if u.uid == "conv2.c1")
+        assert zero_equivalence_check(g, unit, trials=4)
+        real_apply_units = surgeon.apply_units
+
+        def perturbed(graph, units):
+            out = real_apply_units(graph, units)
+            node = out.nodes["conv1"]
+            w = node.weight().copy()
+            w.flat[0] += 0.5
+            node.tensors["weight"] = w
+            return out
+
+        monkeypatch.setattr(surgeon, "apply_units", perturbed)
+        assert zero_equivalence_check(g, unit, trials=4) is False
+
     def test_copies_only_the_layers_it_zeroes(self, monkeypatch):
         from prunekit import surgeon
 
@@ -465,15 +490,17 @@ class TestZeroEquivalence:
         unit = next(u for u in build_prune_units(g) if u.uid == "conv2.c1")
         before = graph_checksum(g)
         evaluated = []
+        real_run = surgeon._run
 
-        def spy(graph, x):
+        def spy(graph, x, stop=None, resume=None):
             evaluated.append(graph)
-            return forward_eval(graph, x)
+            return real_run(graph, x, stop, resume)
 
-        monkeypatch.setattr(surgeon, "forward_eval", spy)
+        monkeypatch.setattr(surgeon, "_run", spy)
         assert zero_equivalence_check(g, unit, trials=3)
         assert graph_checksum(g) == before
-        zeroed = evaluated[0]
+        assert evaluated[0] is g  # the shared prefix
+        zeroed = evaluated[1]
         for nid, node in g.nodes.items():
             for role, t in node.tensors.items():
                 shared = zeroed.nodes[nid].tensors[role] is t
@@ -486,9 +513,10 @@ class TestZeroEquivalence:
         unit = next(u for u in build_prune_units(g) if u.uid == "conv2.c1")
         zeroed = []  # weak references to the zeroed graph and to its own tensor copies
         alive_at_surgery = []
+        real_run = surgeon._run
 
-        def eval_spy(graph, x):
-            if not zeroed:
+        def eval_spy(graph, x, stop=None, resume=None):
+            if not zeroed and graph is not g:
                 copies = [
                     t
                     for nid, node in graph.nodes.items()
@@ -496,34 +524,41 @@ class TestZeroEquivalence:
                     if t is not g.nodes[nid].tensors[role]
                 ]
                 zeroed.extend(map(weakref.ref, [graph, *copies]))
-            return forward_eval(graph, x)
+            return real_run(graph, x, stop, resume)
 
         def apply_spy(graph, units):
             alive_at_surgery.extend(ref() is not None for ref in zeroed)
             return apply_units(graph, units)
 
-        monkeypatch.setattr(surgeon, "forward_eval", eval_spy)
+        monkeypatch.setattr(surgeon, "_run", eval_spy)
         monkeypatch.setattr(surgeon, "apply_units", apply_spy)
         assert zero_equivalence_check(g, unit, trials=3)
         assert len(alive_at_surgery) > 1 and not any(alive_at_surgery)
 
     def test_one_batched_pass_per_graph(self, monkeypatch):
+        # the input graph runs up to the cut, then the zeroed and the pruned
+        # graphs each run once from there, all on the one batched draw
         from prunekit import surgeon
 
         rng = np.random.default_rng(31)
         g = make_dense_toy(rng, with_bn=True)
         unit = build_prune_units(g)[0]
         seen = []
+        real_run = surgeon._run
 
-        def spy(graph, x):
-            seen.append(x)
-            return forward_eval(graph, x)
+        def spy(graph, x, stop=None, resume=None):
+            seen.append((graph, x, stop, resume))
+            return real_run(graph, x, stop, resume)
 
-        monkeypatch.setattr(surgeon, "forward_eval", spy)
+        monkeypatch.setattr(surgeon, "_run", spy)
         assert zero_equivalence_check(g, unit, trials=5, seed=3)
         expected = np.random.default_rng(3).standard_normal((5, 3, 8, 8))
-        assert len(seen) == 2
-        assert all(np.array_equal(x, expected) for x in seen)
+        assert len(seen) == 3
+        assert all(np.array_equal(x, expected) for _, x, _, _ in seen)
+        (first, _, cut, none), (zeroed, _, stop_z, prefix), (pruned, _, stop_p, prefix_p) = seen
+        assert first is g and none is None and 0 < cut < len(g.order)
+        assert len({id(first), id(zeroed), id(pruned)}) == 3
+        assert stop_z is None and stop_p is None and prefix_p is prefix and prefix[0] == cut
 
     def test_batched_draw_equals_sequential_draws(self):
         # the check draws all trials at once; these are the per-trial inputs
@@ -531,6 +566,68 @@ class TestZeroEquivalence:
         batch = np.random.default_rng(7).standard_normal((5, *shape))
         rng = np.random.default_rng(7)
         assert np.array_equal(batch, np.stack([rng.standard_normal(shape) for _ in range(5)]))
+
+
+class TestSharedPrefix:
+    """zero_equivalence_check evaluates the input graph up to the first node
+    the zeroed graph changes, once, and resumes the zeroed and pruned graphs
+    from there: each output must equal a full evaluation bit for bit."""
+
+    @staticmethod
+    def check(monkeypatch, g, unit, trials=2, seed=0):
+        from prunekit import surgeon
+        from prunekit.units import graph_row
+
+        calls = []
+        real_run = surgeon._run
+
+        def spy(graph, x, stop=None, resume=None):
+            out = real_run(graph, x, stop, resume)
+            snapshot = None if stop is None else {nid: v.copy() for nid, v in out.items()}
+            calls.append((x, stop, resume, out, snapshot))
+            return out
+
+        monkeypatch.setattr(surgeon, "_run", spy)
+        assert zero_equivalence_check(g, unit, trials=trials, seed=seed), unit.uid
+        monkeypatch.undo()
+        (x, cut, _, live, snapshot), (_, _, prefix, y_zero, _), (_, _, resumed, y_cut, _) = calls
+        assert prefix == (cut, live) and resumed is prefix, unit.uid
+        row = graph_row(g, unit)
+        assert np.array_equal(y_zero, forward_eval(surgeon._zeroed(g, row), x)), unit.uid
+        assert np.array_equal(y_cut, forward_eval(apply_units(g, row), x)), unit.uid
+        # neither suffix wrote into an activation of the shared prefix
+        assert snapshot.keys() == live.keys()
+        assert all(np.array_equal(live[nid], v) for nid, v in snapshot.items()), unit.uid
+
+    def test_random_tiny_nets(self, monkeypatch):
+        rng = np.random.default_rng(36)
+        for _ in range(10):
+            g = random_tiny_net(rng)
+            units = build_prune_units(g)
+            self.check(monkeypatch, g, units[int(rng.integers(0, len(units)))], trials=3)
+
+    def test_prefix_activations_last_read_by_elementwise_layers(self, monkeypatch):
+        # s and t are computed before the cut at c1 and last read after it, by
+        # a ReLU and as an Add's first operand, which could write into them
+        rng = np.random.default_rng(37)
+        b = GraphBuilder(3, 8)
+        s = b.relu("s", b.conv("stem", "input", conv_w(rng, 4, 3, 3), padding=1))
+        t = b.batchnorm("t", b.conv("stem2", "input", conv_w(rng, 4, 3, 1)), **bn_params(rng, 4))
+        c2 = b.conv("c2", b.relu("r1", b.conv("c1", s, conv_w(rng, 3, 4, 3), padding=1)), conv_w(rng, 4, 3, 1))
+        add = b.addnode("add", [t, c2, b.relu("side", s)])
+        flat = b.flatten("flat", b.pool("gap", add, "global-avg"))
+        g = infer_shapes(b.output(b.linear("head", flat, rng.standard_normal((5, 4)).astype(np.float32))))
+        self.check(monkeypatch, g, next(u for u in build_prune_units(g) if u.uid == "c1.c1"), trials=3)
+
+    @pytest.mark.parametrize("model", ["vgg_graph", "resnet_graph", "densenet_graph"])
+    def test_zoo_units_of_each_kind(self, monkeypatch, request, model):
+        g = request.getfixturevalue(model)
+        units = build_prune_units(g)
+        kinds = set(units.kind)
+        assert FULL_CHANNEL in kinds and (IN_CHANNEL_ONLY in kinds) == (model == "densenet_graph")
+        for kind in sorted(kinds):
+            pool = [u for u in units if u.kind == kind]
+            self.check(monkeypatch, g, pool[len(pool) // 2])
 
 
 class TestForwardConsistency:
