@@ -24,7 +24,7 @@ import time
 from . import __version__
 from .costs import CONVENTIONS, effective_model_costs
 from .errors import DegenerateModelError, GraphValidationError, InfeasibleBudgetError, PruneKitError
-from .graph import ModelGraph, infer_shapes, load_model, save_model
+from .graph import ModelGraph, container_checksum, infer_shapes, load_model, save_model
 from .planner import PruningPlan, multi_pass, select_threshold
 from .scoring import WEIGHT_NORM_MODES, Config, records_to_csv, records_to_json, score_all
 from .surgeon import apply_plan
@@ -265,6 +265,7 @@ def cmd_prune(args: argparse.Namespace) -> int:
             plan = PruningPlan.from_json(f.read())
         pruned, report = apply_plan(graph, plan)
         report_dict = report.to_dict()
+        weights_digest = report.container_checksum
     else:
         steps = multi_pass(graph, config)
         del graph  # hold only the latest pass's graph: multi_pass frees the loaded one after pass 1
@@ -277,12 +278,13 @@ def cmd_prune(args: argparse.Namespace) -> int:
             "per_pass_ratio": config.per_pass_ratio,
             "final_frr": 1.0 - plan.predicted_flops / baseline_flops,
         }
+        weights_digest = container_checksum(pruned)
 
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "pruned_manifest.json")
     weights_path = os.path.join(out_dir, "pruned_weights.bin")
-    manifest_digest, weights_digest = save_model(pruned, manifest_path, weights_path, digests=True)
-    run.add(manifest_path, manifest_digest)
+    save_model(pruned, manifest_path, weights_path)
+    run.add(manifest_path, _file_checksum(manifest_path))
     run.add(weights_path, weights_digest)
     run.write_artifact(out_dir, "surgery_report.json", json.dumps(report_dict, indent=2) + "\n")
     post_params, post_flops = effective_model_costs(

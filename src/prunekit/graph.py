@@ -521,29 +521,26 @@ def serialize_graph(graph: ModelGraph, weights_file: str = "") -> tuple[dict, by
     return manifest, b"".join(arrays)
 
 
-def save_model(
-    graph: ModelGraph, manifest_path: str, weights_path: str, *, digests: bool = False
-) -> tuple[str, str] | None:
-    """Write manifest JSON and raw weight container, tensor by tensor. With
-    ``digests``, also hash the bytes as they are written and return the sha256
-    hex digests of the two files; otherwise return None.
+def save_model(graph: ModelGraph, manifest_path: str, weights_path: str) -> None:
+    """Write manifest JSON and raw weight container, tensor by tensor.
 
     load_model(save_model(g)) is structurally identical to g and bit-identical
     in weights.
     """
     manifest, arrays = _layout(graph, weights_file=os.path.basename(weights_path))
-    weights_digest = hashlib.sha256()
     with open(weights_path, "wb") as f:
         for arr in arrays:
             f.write(arr)
-            if digests:
-                weights_digest.update(arr)
-    text = json.dumps(manifest, indent=2) + "\n"
     with open(manifest_path, "w", encoding="utf-8") as f:
-        f.write(text)
-    if not digests:
-        return None
-    return hashlib.sha256(text.encode("utf-8")).hexdigest(), weights_digest.hexdigest()
+        f.write(json.dumps(manifest, indent=2) + "\n")
+
+
+def container_checksum(graph: ModelGraph) -> str:
+    """sha256 of the container that save_model writes, hashed tensor by tensor."""
+    digest = hashlib.sha256()
+    for arr in _layout(graph)[1]:
+        digest.update(arr)
+    return digest.hexdigest()
 
 
 def graph_checksum(graph: ModelGraph) -> str:

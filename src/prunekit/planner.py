@@ -19,10 +19,11 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
+from operator import itemgetter
 
 from . import jsontext
 from .costs import RunningCosts, unit_rows
-from .errors import InfeasibleBudgetError, PruneKitError
+from .errors import InfeasibleBudgetError, PlanMismatchError, PruneKitError
 from .graph import ModelGraph, graph_checksum
 from .scoring import Config, ImportanceRecord, _admits, score_all
 from .units import UnitTable, build_prune_units
@@ -120,6 +121,37 @@ def _is_entry(entry) -> bool:
         and jsontext.is_pairs(entry["members"])
         and jsontext.is_pairs(entry["in_slices"])
     )
+
+
+def _entry_rows(units: UnitTable, entries: list[dict]) -> list[int]:
+    """The row of ``units`` that each plan entry names. An entry that is not
+    well formed, names no unit or a unit twice, or does not list the unit's
+    members and in-slices exactly is a PlanMismatchError; each entry passes
+    every check before the next one is looked at."""
+    if not isinstance(entries, list):
+        raise PlanMismatchError("corrupt plan: removed units must be a list")
+    for entry in entries:
+        if not _is_entry(entry):
+            if isinstance(entry, dict) and isinstance(entry.get("unit_id"), str):
+                raise PlanMismatchError(f"corrupt plan: unit {entry['unit_id']!r} does not match the graph")
+            raise PlanMismatchError(f"corrupt plan: removed unit {entry!r} has no string unit_id")
+    row = {uid: i for i, uid in enumerate(units.uid)}
+    rows = [row.get(entry["unit_id"], -1) for entry in entries]
+    found = [r for r in rows if r >= 0]
+    # the entry the planner writes for each row named; its imp is not compared
+    expected = dict(zip(found, _entries(units.take(found), [0.0] * len(found))))
+    shape = itemgetter("members", "in_slices")
+    selected: set[int] = set()
+    for entry, r in zip(entries, rows):
+        uid = entry["unit_id"]
+        if r < 0:
+            raise PlanMismatchError(f"corrupt plan: unknown unit {uid!r}")
+        if r in selected:
+            raise PlanMismatchError(f"corrupt plan: unit {uid!r} listed twice")
+        if shape(entry) != shape(expected[r]):
+            raise PlanMismatchError(f"corrupt plan: unit {uid!r} does not match the graph")
+        selected.add(r)
+    return rows
 
 
 def rank_global(records: list[ImportanceRecord]) -> list[ImportanceRecord]:

@@ -13,19 +13,28 @@ from (``units.channel_flow``).
 
 from __future__ import annotations
 
-import hashlib
+import copy
 import math
 import numbers
 from dataclasses import dataclass, replace
-from operator import index, itemgetter
+from operator import index
 
 import numpy as np
 
 from .costs import effective_model_costs
 from .errors import PlanMismatchError, PruneKitError
 from .eval import _run
-from .graph import _BN_ROLES, _WIDTH_ATTRS, WEIGHTED_KINDS, ModelGraph, _layout, graph_checksum, infer_shapes, validate
-from .planner import PruningPlan, _entries, _is_entry
+from .graph import (
+    _BN_ROLES,
+    _WIDTH_ATTRS,
+    WEIGHTED_KINDS,
+    ModelGraph,
+    container_checksum,
+    graph_checksum,
+    infer_shapes,
+    validate,
+)
+from .planner import PruningPlan, _entry_rows
 from .units import PruneUnit, UnitTable, _Numbering, build_prune_units, channel_flow, graph_row, graph_table
 
 
@@ -55,16 +64,7 @@ class SurgeryReport:
 def clone_graph(graph: ModelGraph) -> ModelGraph:
     """Deep copy of the graph that shares no mutable state with it, for
     callers that write into the copy's tensors or attrs."""
-    nodes = {
-        nid: replace(
-            n,
-            inputs=list(n.inputs),
-            attrs={k: (list(v) if isinstance(v, list) else v) for k, v in n.attrs.items()},
-            tensors={role: t.copy() for role, t in n.tensors.items()},
-        )
-        for nid, n in graph.nodes.items()
-    }
-    return replace(graph, nodes=nodes, order=list(graph.order))
+    return copy.deepcopy(graph)
 
 
 def apply_plan(graph: ModelGraph, plan: PruningPlan) -> tuple[ModelGraph, SurgeryReport]:
@@ -74,33 +74,8 @@ def apply_plan(graph: ModelGraph, plan: PruningPlan) -> tuple[ModelGraph, Surger
     graph's units exactly, is a PlanMismatchError."""
     if plan.model_checksum != graph_checksum(graph):
         raise PlanMismatchError("plan was produced from a different model (checksum mismatch)")
-    entries = plan.removed_entries
-    if not isinstance(entries, list):
-        raise PlanMismatchError("corrupt plan: removed units must be a list")
-    for entry in entries:
-        if not _is_entry(entry):
-            if isinstance(entry, dict) and isinstance(entry.get("unit_id"), str):
-                raise PlanMismatchError(f"corrupt plan: unit {entry['unit_id']!r} does not match the graph")
-            raise PlanMismatchError(f"corrupt plan: removed unit {entry!r} has no string unit_id")
     units = build_prune_units(graph)
-    row = {uid: i for i, uid in enumerate(units.uid)}
-    rows = [row.get(entry["unit_id"], -1) for entry in entries]
-    found = [r for r in rows if r >= 0]
-    # the entry the planner writes for each row named; its imp is not compared
-    expected = dict(zip(found, _entries(units.take(found), [0.0] * len(found))))
-    shape = itemgetter("members", "in_slices")
-    selected: set[int] = set()
-    for entry, r in zip(entries, rows):
-        uid = entry["unit_id"]
-        if r < 0:
-            raise PlanMismatchError(f"corrupt plan: unknown unit {uid!r}")
-        if r in selected:
-            raise PlanMismatchError(f"corrupt plan: unit {uid!r} listed twice")
-        if shape(entry) != shape(expected[r]):
-            raise PlanMismatchError(f"corrupt plan: unit {uid!r} does not match the graph")
-        selected.add(r)
-
-    units = units.take(rows)
+    units = units.take(_entry_rows(units, plan.removed_entries))
     pruned = _checked_surgery(graph, units, plan)
     return pruned, _make_report(graph, pruned, units, plan)
 
@@ -215,17 +190,13 @@ def _check_entries(nid: str, stated: np.ndarray, keep: np.ndarray, what: str, re
 
 
 def _make_report(before: ModelGraph, after: ModelGraph, units: UnitTable, plan: PruningPlan) -> SurgeryReport:
-    _, arrays_after = _layout(after)
-    container_digest = hashlib.sha256()
-    for arr in arrays_after:
-        container_digest.update(arr)
     return SurgeryReport(
         removed_outputs=_by_layer(units.filters, units.members.ids),
         removed_inputs=_by_layer(units.slots, units.in_slices.ids),
         bytes_removed=_container_bytes(before) - _container_bytes(after),
         post_params=plan.predicted_params,
         post_flops=plan.predicted_flops,
-        container_checksum=container_digest.hexdigest(),
+        container_checksum=container_checksum(after),
     )
 
 

@@ -109,10 +109,8 @@ class _Numbering:
         numbered here or the index is outside its width."""
         code = {name: i for i, name in enumerate(self.names)}
         layer = np.fromiter(map(code.get, map(itemgetter(0), pairs), repeat(-1)), np.int64, len(pairs))
-        try:
-            index = np.fromiter(map(itemgetter(1), pairs), np.int64, len(pairs))
-        except OverflowError:  # an index beyond int64 is outside every width
-            index = np.fromiter((i if -(2**63) <= i < 2**63 else -1 for _, i in pairs), np.int64, len(pairs))
+        # an index beyond int64 is outside every width
+        index = np.fromiter((i if -(2**63) <= i < 2**63 else -1 for _, i in pairs), np.int64, len(pairs))
         ok = (index >= 0) & (index < np.append(np.diff(self.starts), 0)[layer])  # an unknown layer (-1) has width 0
         return np.where(ok, self.starts[layer] + index, -1)
 
@@ -338,10 +336,6 @@ def run_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     left to right from zero as Python's ``sum`` adds, so float sums equal a
     per-run loop's to the bit. Adds one column of runs at a time, the longest
     runs first, so the work is one numpy step per position of the longest run."""
-    if sizes.max(initial=0) <= 1:  # every run is empty or one value
-        sums = np.zeros(len(sizes), values.dtype)
-        sums[sizes == 1] += values
-        return sums
     order = np.argsort(-sizes, kind="stable")
     starts = (np.cumsum(sizes) - sizes)[order]
     longest = sizes[order]

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import json
 import os
+import random
 
 import numpy as np
 import pytest
@@ -173,6 +175,36 @@ class TestPlanPrune:
         ]) == 0
         assert os.path.exists(out / "plan_pass1.json")
         assert json.loads(read(out / "surgery_report.json"))["final_frr"] >= 0.3
+
+    def test_pruned_container_is_hashed_once(self, toy_model, tmp_path, monkeypatch):
+        # the surgery report's container_checksum and the run manifest's digest come from one pass
+        manifest, weights = toy_model
+        out = tmp_path / "out"
+        assert main(["plan", "--model", manifest, "--weights", weights, "--out-dir", str(out), "--flop-target", "0.3"]) == 0
+        sha256, hashed = hashlib.sha256, []
+
+        class Spy:
+            """A sha256 that keeps every byte it is given, listed in ``hashed``."""
+
+            def __init__(self, data=b""):
+                self.data, self.digest = bytearray(), sha256()
+                self.update(data)
+                hashed.append(self)
+
+            def update(self, data):
+                self.data += memoryview(data).tobytes()
+                self.digest.update(data)
+
+            def hexdigest(self):
+                return self.digest.hexdigest()
+
+        monkeypatch.setattr(hashlib, "sha256", Spy)
+        for i, mode in enumerate((["--plan", str(out / "plan.json")], ["--passes", "2", "--per-pass", "0.2"])):
+            pruned = tmp_path / f"pruned{i}"
+            hashed.clear()
+            assert main(["prune", "--model", manifest, "--weights", weights, *mode, "--out-dir", str(pruned)]) == 0
+            container = (pruned / "pruned_weights.bin").read_bytes()
+            assert sum(spy.data.count(container) for spy in hashed) == 1, mode
 
     def test_end_to_end_determinism(self, toy_model, tmp_path):
         manifest, weights = toy_model
@@ -386,6 +418,56 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert json.loads(err)["error"]["message"].startswith(("corrupt plan", "malformed plan file"))
         assert not os.path.exists(tmp_path / "p")
+
+    def test_fuzzed_plan_exits_2(self, toy_model, tmp_path, capsys):
+        # seeded mutations of a real plan file, each of which no surgery may accept
+        manifest, weights = toy_model
+        out = tmp_path / "out"
+        assert main(["plan", "--model", manifest, "--weights", weights, "--out-dir", str(out), "--flop-target", "0.3"]) == 0
+        text = read(out / "plan.json")
+        plan = json.loads(text)
+        assert len(plan["removed_units"]) >= 2
+        rng = random.Random(0)
+        for i in range(40):
+            doc = copy.deepcopy(plan)
+            entries = doc["removed_units"]
+            entry = rng.choice(entries)
+            keyed = [
+                *((doc, key) for key in doc),
+                *((doc[part], key) for part in ("baseline", "predicted", "layer_widths") for key in doc[part]),
+                *((entry, key) for key in entry),
+            ]
+            mutation = i % 8
+            if mutation == 0:  # drop a key
+                parent, key = rng.choice(keyed)
+                del parent[key]
+            elif mutation == 1:  # retype a value
+                parent, key = rng.choice(keyed)
+                parent[key] = [parent[key]] if isinstance(parent[key], str) else str(parent[key])
+            elif mutation == 2:  # an index that is not an int the unit has
+                pairs = entry[rng.choice([key for key in ("members", "in_slices") if entry[key]])]
+                rng.choice(pairs)[1] = rng.choice([True, False, 1.0, 0.0, -1, 2**63, -(2**64)])
+            elif mutation == 3:  # swap two entries' unit ids
+                a, b = rng.sample(entries, 2)
+                a["unit_id"], b["unit_id"] = b["unit_id"], a["unit_id"]
+            elif mutation == 4:  # list an entry twice
+                entries.insert(rng.randrange(len(entries) + 1), copy.deepcopy(entry))
+            elif mutation == 5:  # drop an entry
+                entries.remove(entry)
+            elif mutation == 6:  # truncate the text
+                doc = text[: rng.randrange(len(text) - 1)]
+            else:  # a top level that is not an object
+                doc = rng.choice([[doc], entries, "plan", 3, None, True])
+            bad = tmp_path / f"bad{i}.json"
+            bad.write_text(doc if mutation == 6 else json.dumps(doc))
+            capsys.readouterr()
+            p = tmp_path / f"p{i}"
+            rc = main(["prune", "--model", manifest, "--weights", weights, "--plan", str(bad), "--out-dir", str(p)])
+            err = capsys.readouterr().err
+            assert rc == 2, (i, err)
+            assert "Traceback" not in err
+            assert err.count("\n") == 1 and isinstance(json.loads(err)["error"]["message"], str)
+            assert not os.path.exists(p)
 
     def test_config_line_without_equals_exits_2(self, toy_model, tmp_path, capsys):
         manifest, weights = toy_model

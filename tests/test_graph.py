@@ -26,11 +26,10 @@ from prunekit import (
     infer_shapes,
     load_model,
     model_param_count,
-    save_model,
     validate,
 )
 from prunekit.costs import effective_model_costs
-from prunekit.graph import _static_widths, serialize_graph
+from prunekit.graph import _static_widths, container_checksum, serialize_graph
 from prunekit.planner import multi_pass
 from prunekit.scoring import Config
 from prunekit.units import IN_CHANNEL_ONLY
@@ -135,26 +134,13 @@ class TestLoadSave:
             with open(manifest_path, encoding="utf-8") as f:
                 assert f.read() == json.dumps(manifest, indent=2) + "\n"
 
-    def test_save_model_returns_file_digests(self, tmp_path):
+    def test_container_checksum_is_digest_of_saved_container(self, tmp_path, densenet_graph):
         rng = np.random.default_rng(14)
-        for i in range(4):
-            manifest_path, weights_path = str(tmp_path / f"m{i}.json"), str(tmp_path / f"m{i}.bin")
-            digests = save_model(random_tiny_net(rng), manifest_path, weights_path, digests=True)
-            on_disk = []
-            for path in (manifest_path, weights_path):
-                with open(path, "rb") as f:
-                    on_disk.append(hashlib.sha256(f.read()).hexdigest())
-            assert digests == tuple(on_disk)
-
-    def test_save_model_hashes_only_when_asked(self, tmp_path):
-        g = random_tiny_net(np.random.default_rng(15))
-        plain = (str(tmp_path / "a.json"), str(tmp_path / "a.bin"))
-        hashed = (str(tmp_path / "b.json"), str(tmp_path / "b.bin"))
-        assert save_model(g, *plain) is None
-        save_model(g, *hashed, digests=True)
-        for a, b in zip(plain, hashed):
-            with open(a, "rb") as fa, open(b, "rb") as fb:
-                assert fa.read().replace(b"a.bin", b"b.bin") == fb.read()
+        _, pruned = next(multi_pass(densenet_graph, Config(per_pass_ratio=0.2)))
+        for i, g in enumerate([random_tiny_net(rng) for _ in range(4)] + [pruned]):
+            _, weights_path = save_tmp(g, tmp_path, f"m{i}")
+            with open(weights_path, "rb") as f:
+                assert container_checksum(g) == hashlib.sha256(f.read()).hexdigest()
 
     def test_tensor_out_of_bounds(self, tmp_path):
         g = make_minimal()
