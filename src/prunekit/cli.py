@@ -8,7 +8,7 @@ from defaults, then a key=value config file, then a preset, then explicit
 flags, each layer overriding the previous one.
 
 Exit codes: 0 success, 2 validation failure, 3 infeasible budget, 4 I/O error.
-Failures emit a machine-parsable JSON object on stderr.
+Failures, a bad command line too, emit a machine-parsable JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -36,11 +36,19 @@ EXIT_INFEASIBLE = 3
 EXIT_IO = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises on a usage error instead of exiting, so that main reports it."""
+
+    def error(self, message: str):
+        raise argparse.ArgumentError(None, message)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
+    except argparse.ArgumentError as e:
+        return _fail("usage", str(e), EXIT_VALIDATION)
     except GraphValidationError as e:
         return _fail("validation", str(e), EXIT_VALIDATION, violations=e.violations)
     except InfeasibleBudgetError as e:
@@ -60,14 +68,13 @@ def _fail(code: str, message: str, exit_code: int, **details) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="prunekit", description=__doc__.split("\n")[0])
+    parser = _Parser(prog="prunekit", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=f"prunekit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, model: bool = True) -> None:
-        if model:
-            p.add_argument("--model", required=True, help="model manifest (JSON)")
-            p.add_argument("--weights", help="weight container (defaults to manifest's weights_file)")
+    def common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--model", required=True, help="model manifest (JSON)")
+        p.add_argument("--weights", help="weight container (defaults to manifest's weights_file)")
         p.add_argument("--out-dir", default=".", help="directory for produced artifacts")
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--preset", choices=sorted(Config.PRESETS), help="alpha/beta preset")

@@ -73,7 +73,8 @@ def unit_costs(graph: ModelGraph, units: UnitTable, convention: str = "macs") ->
     of ``filters`` filters and ``slots`` slots in a layer of kernel K, input
     width M and output width N owns K*K*(filters*M + slots*N) weights, and
     those times the layer's input size squared in MACs. A unit's rows are
-    summed in int64, so its price is exact."""
+    summed in int64, so its price is exact; PruneKitError if the FLOPs of all
+    rows together could overflow it."""
     if not graph.inferred:
         raise ShapeError("run infer_shapes before unit costs")
     weighted = graph.weighted_layers()
@@ -81,10 +82,14 @@ def unit_costs(graph: ModelGraph, units: UnitTable, convention: str = "macs") ->
     layer, filters, slots = rows.T
     per_filter = np.array([n.kernel() ** 2 * n.declared_in_width() for n in weighted], np.int64)
     per_slot = np.array([n.kernel() ** 2 * n.declared_out_width() for n in weighted], np.int64)
-    spatial = np.array([n.in_size * n.in_size for n in weighted], np.int64)
     params = filters * per_filter[layer] + slots * per_slot[layer]
+    factor = _factor(convention)
+    spatial = [n.in_size * n.in_size for n in weighted]
+    if int(params.sum()) * max(spatial, default=0) * factor >= 2**63:
+        raise PruneKitError(f"input size {graph.input_size}: unit FLOPs overflow int64")
+    spatial = np.array(spatial, np.int64)
     totals = np.zeros((2, len(rows) + 1), np.int64)
-    np.cumsum([params, params * spatial[layer] * _factor(convention)], axis=1, out=totals[:, 1:])
+    np.cumsum([params, params * spatial[layer] * factor], axis=1, out=totals[:, 1:])
     return list(zip(*(totals[:, bounds[1:]] - totals[:, bounds[:-1]]).tolist()))
 
 

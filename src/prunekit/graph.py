@@ -252,24 +252,9 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _static_widths(graph: ModelGraph) -> dict[str, int | None]:
-    """Output widths known before spatial inference (None = unknown): declared
-    for Input and weighted nodes, ``passed_width`` for the rest."""
-    widths: dict[str, int | None] = {}
-    for nid in graph.order:
-        node = graph.nodes[nid]
-        if node.kind == "Input":
-            widths[nid] = graph.input_channels
-        elif node.kind in WEIGHTED_KINDS:
-            n = node.attrs.get(_WIDTH_ATTRS[node.kind][1])
-            widths[nid] = n if _is_int(n) and n > 0 else None  # validate reports a bad width
-        else:
-            widths[nid] = passed_width(node, [widths.get(i) for i in node.inputs])
-    return widths
-
-
 def validate(graph: ModelGraph) -> list[str]:
-    """Check structural invariants; returns a list of violations (empty = ok)."""
+    """Check structural invariants; returns a list of violations (empty = ok).
+    Widths and sizes, which follow from the producers, are infer_shapes' to check."""
     v: list[str] = []
     nodes = graph.nodes
 
@@ -313,7 +298,6 @@ def validate(graph: ModelGraph) -> list[str]:
             if src in position and position[src] >= position[nid]:
                 v.append(f"{nid}: node order is not topological (input {src!r} appears later)")
 
-    widths = _static_widths(graph)
     for nid in graph.order:
         node = nodes[nid]
         arity = len(node.inputs)
@@ -347,7 +331,7 @@ def validate(graph: ModelGraph) -> list[str]:
             b = node.tensors.get("bias")
             if b is not None and b.shape != (n,):
                 v.append(f"{nid}: bias shape {b.shape} does not match ({n},)")
-            v.extend(_check_in_select(node, m, widths))
+            v.extend(_check_in_select(node, m))
         elif node.kind == "BatchNorm2d":
             c = node.attrs.get("channels")
             if not _is_int(c) or c <= 0:
@@ -359,9 +343,6 @@ def validate(graph: ModelGraph) -> list[str]:
                     v.append(f"{nid}: missing {role} tensor")
                 elif t.shape != (c,):
                     v.append(f"{nid}: {role} shape {t.shape} does not match ({c},)")
-            pw = widths[nid]  # a BatchNorm passes its producer's width on
-            if pw is not None and pw != c:
-                v.append(f"{nid}: channel count {c} does not match producer width {pw}")
         elif node.kind == "Pool":
             mode = node.attrs.get("pool")
             if mode not in POOL_MODES:
@@ -370,15 +351,10 @@ def validate(graph: ModelGraph) -> list[str]:
                 k, stride = node.attrs.get("kernel", 0), node.attrs.get("stride", 0)
                 if not _is_int(k) or not _is_int(stride) or k < 1 or stride < 1:
                     v.append(f"{nid}: pool needs positive kernel and stride")
-        elif node.kind == "Add":
-            ws = [widths.get(i) for i in node.inputs]
-            known = {w for w in ws if w is not None}
-            if len(known) > 1:
-                v.append(f"{nid}: Add operands disagree on channel count {sorted(known)}")
     return v
 
 
-def _check_in_select(node: LayerNode, declared_in: int, widths: dict[str, int | None]) -> list[str]:
+def _check_in_select(node: LayerNode, declared_in: int) -> list[str]:
     sel = node.attrs.get("in_select")
     if sel is None:
         return []
@@ -389,9 +365,6 @@ def _check_in_select(node: LayerNode, declared_in: int, widths: dict[str, int | 
         v.append(f"{node.id}: in_select length {len(sel)} does not match input width {declared_in}")
     if sorted(set(sel)) != list(sel):
         v.append(f"{node.id}: in_select must be strictly increasing")
-    pw = widths.get(node.inputs[0]) if node.inputs else None
-    if pw is not None and sel and sel[-1] >= pw:
-        v.append(f"{node.id}: in_select index {sel[-1]} exceeds producer width {pw}")
     return v
 
 
@@ -399,21 +372,15 @@ def _check_in_select(node: LayerNode, declared_in: int, widths: dict[str, int | 
 # shape rules and inference
 
 
-def passed_width(node: LayerNode, operand_widths: list[int | None], in_size: int | None = None) -> int | None:
-    """Output width of a non-weighted node from its operands' widths (None =
-    unknown, as before inference): Concat sums them, Add follows the first
-    known one, Flatten spreads each channel over in_size² features, and every
-    other kind passes its one operand's width on. On a one-hot list of operand
-    widths it gives that operand's width per channel."""
-    known = [w for w in operand_widths if w is not None]
+def passed_width(node: LayerNode, operand_widths: list[int], in_size: int) -> int:
+    """Output width of a non-weighted node from its operands' widths: Concat
+    sums them, Flatten spreads each channel over in_size² features, and every
+    other kind passes its first operand's width on. On a one-hot list of
+    operand widths it gives that operand's width per channel."""
     if node.kind == "Concat":
-        return sum(known) if len(known) == len(operand_widths) else None
-    if node.kind == "Add":
-        return known[0] if known else None
-    width = operand_widths[0] if operand_widths else None
-    if node.kind == "Flatten":
-        return None if width is None or in_size is None else width * in_size * in_size
-    return width
+        return sum(operand_widths)
+    width = operand_widths[0]
+    return width * in_size * in_size if node.kind == "Flatten" else width
 
 
 def sliding_window(node: LayerNode) -> tuple[int, int, int] | None:
@@ -564,7 +531,8 @@ def _expect(value, kind: type, what: str):
 
 
 def load_model(manifest_path: str, weights_path: str | None = None) -> ModelGraph:
-    """Load and validate a model; fails rather than returning a partial graph.
+    """Load a model and :func:`validate` its structure; fails rather than
+    returning a partial graph. Widths and sizes are checked by infer_shapes.
 
     Each tensor gets its own array, filled straight from the container in
     offset order, so every byte is read once with no intermediate buffer and

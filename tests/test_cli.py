@@ -602,3 +602,102 @@ class TestExitCodes:
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["code"] == "PlanMismatchError"
+
+    @pytest.mark.parametrize("command", ["analyze", "plan", "report"])
+    def test_width_mismatch_exits_2_as_shape_error(self, toy_model, tmp_path, capsys, command):
+        # a BatchNorm whose tensors match its channel count but not its producer's width:
+        # validate passes it and infer_shapes, the one owner of widths, rejects it
+        manifest, _ = toy_model
+        doc = json.loads(read(manifest))
+        bn = next(n for n in doc["nodes"] if n["kind"] == "BatchNorm2d")
+        bn["attrs"]["channels"] = 5
+        for meta in bn["tensors"].values():
+            meta["shape"] = [5]
+        bad = tmp_path / "bad.json"  # next to model.bin, which weights_file names
+        bad.write_text(json.dumps(doc))
+        models = ["--baseline", str(bad), "--pruned", str(bad)] if command == "report" else ["--model", str(bad)]
+        rc = main([command, *models, "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        assert json.loads(err)["error"] == {"code": "ShapeError", "message": f"{bn['id']}: channel count 5 vs producer width 6"}
+        assert not os.path.exists(tmp_path / "o")
+
+    @pytest.mark.parametrize("command", ["analyze", "plan"])
+    @pytest.mark.parametrize("size, expected", [(2**20, 0), (2**29, 2), (2**63, 2)])
+    def test_input_size_that_overflows_unit_flops_exits_2(self, tmp_path, capsys, command, size, expected):
+        # unit FLOPs grow with the input size squared, which the container does not bound
+        manifest, weights = save_tmp(make_dense_toy(np.random.default_rng(0)), tmp_path)
+        doc = json.loads(read(manifest))
+        doc["input"]["size"] = size
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        rc = main([command, "--model", str(big), "--weights", weights, "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert rc == expected, err
+        assert "Traceback" not in err
+        if expected:
+            assert err.count("\n") == 1 and f"input size {size}" in json.loads(err)["error"]["message"]
+            assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["plan", "--model", "m.json", "--flop-target", "abc"], ["bogus"], ["analyze"]],
+        ids=["no-command", "float-flag-text", "unknown-command", "missing-model"],
+    )
+    def test_usage_error_exits_2_as_json(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        error = json.loads(captured.err)["error"]
+        assert error["code"] == "usage" and error["message"]
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, capsys, flag):
+        with pytest.raises(SystemExit) as info:
+            main([flag])
+        assert info.value.code == 0
+        assert "prunekit" in capsys.readouterr().out
+
+    def test_fuzzed_manifest_exits_0_2_or_4(self, tmp_path, capsys):
+        # seeded mutations of a real manifest: each is rejected with one JSON object
+        # and no output directory, or, where it still describes a model, analyzed
+        manifest, weights = save_tmp(make_dense_toy(np.random.default_rng(0), with_bn=True), tmp_path)
+        saved = json.loads(read(manifest))
+        rng = random.Random(0)
+        values = [None, True, False, 1.5, -1, 0, 2**63]
+        for i in range(60):
+            doc = copy.deepcopy(saved)
+            nodes = doc["nodes"]
+            node = rng.choice(nodes[1:])
+            mutation = i % 6
+            if mutation == 0:  # a bad attribute value
+                node["attrs"][rng.choice(sorted(node["attrs"]) or ["stride"])] = rng.choice(values)
+            elif mutation == 1:  # a bad tensor offset, shape or dimension
+                meta = rng.choice([m for n in nodes for m in n["tensors"].values()])
+                field = rng.choice(["offset", "shape", "dim"])
+                if field == "dim":
+                    meta["shape"][rng.randrange(len(meta["shape"]))] = rng.choice(values)
+                else:
+                    meta[field] = rng.choice(values)
+            elif mutation == 2:  # inputs retyped
+                node["inputs"] = rng.choice([node["inputs"][0], 3, None, {}, [node["inputs"]], [], node["inputs"] * 2])
+            elif mutation == 3:  # an unknown kind
+                node["kind"] = rng.choice(["Bogus", "conv2d", "", None, 3, ["Conv2d"]])
+            elif mutation == 4:  # two nodes swapped
+                a, b = rng.sample(range(len(nodes)), 2)
+                nodes[a], nodes[b] = nodes[b], nodes[a]
+            else:  # bad input channels or size
+                doc["input"][rng.choice(["channels", "size"])] = rng.choice([*values, 2**29, 2**20])
+            bad = tmp_path / f"bad{i}.json"
+            bad.write_text(json.dumps(doc))
+            out = tmp_path / f"o{i}"
+            rc = main(["analyze", "--model", str(bad), "--weights", weights, "--out-dir", str(out)])
+            captured = capsys.readouterr()
+            assert rc in (0, 2, 4), (i, captured.err)
+            assert "Traceback" not in captured.err
+            if rc:
+                assert captured.err.count("\n") == 1 and isinstance(json.loads(captured.err)["error"]["message"], str)
+                assert not os.path.exists(out)

@@ -29,7 +29,7 @@ from prunekit import (
     validate,
 )
 from prunekit.costs import effective_model_costs
-from prunekit.graph import _static_widths, container_checksum, serialize_graph
+from prunekit.graph import container_checksum, serialize_graph
 from prunekit.planner import multi_pass
 from prunekit.scoring import Config
 from prunekit.units import IN_CHANNEL_ONLY
@@ -305,8 +305,8 @@ class TestValidate:
         rng = np.random.default_rng(2)
         g = make_chain(rng, (4,), with_bn=True)
         g.nodes["bn1"].attrs["channels"] = 3
-        violations = validate(g)
-        assert any("bn1" in v and "producer width" in v for v in violations)
+        # the producer's width is infer_shapes' to check; the tensors are validate's
+        assert "bn1: gamma shape (4,) does not match (3,)" in validate(g)
 
     def test_cycle_detected(self):
         rng = np.random.default_rng(3)
@@ -335,15 +335,6 @@ class TestValidate:
         b = GraphBuilder(3, 8)
         with pytest.raises(ValueError, match="square"):
             b.conv("c", "input", np.zeros((4, 3, 3, 2), np.float32))
-
-    def test_add_width_disagreement(self):
-        rng = np.random.default_rng(6)
-        b = GraphBuilder(3, 8)
-        a = b.conv("a", "input", conv_w(rng, 4, 3, 1))
-        c = b.conv("c", "input", conv_w(rng, 5, 3, 1))
-        b.addnode("add", [a, c])
-        g = b.output("add")
-        assert any("disagree" in v for v in validate(g))
 
 
 def _conv_linear_net():
@@ -404,10 +395,6 @@ VALIDATE_CASES = {
         ["conv: in_select length 2 does not match input width 3"],
     ),
     "conv-in-select-order": (_set_attrs("conv", in_select=[2, 1, 0]), ["conv: in_select must be strictly increasing"]),
-    "conv-in-select-range": (
-        _set_attrs("conv", in_select=[0, 1, 3]),
-        ["conv: in_select index 3 exceeds producer width 3"],
-    ),
     "fc-in-zero": (_set_attrs("fc", in_features=0), _FC_NEEDS),
     "fc-in-missing": (_drop_attr("fc", "in_features"), _FC_NEEDS),
     "fc-in-float": (_set_attrs("fc", in_features=4.0), _FC_NEEDS),
@@ -437,6 +424,7 @@ INFER_CASES = {
         _set_attrs("gap", pool="max", kernel=2, stride=2),
         "fc: in_features 4 does not match producer width 64",
     ),
+    "conv-in-select-range": (_set_attrs("conv", in_select=[0, 1, 3]), "conv: in_select exceeds producer width 3"),
     "fc-in-select-range": (_set_attrs("fc", in_select=[0, 1, 2, 4]), "fc: in_select exceeds producer width 4"),
     "fc-spatial-size": (lambda g: setattr(g.nodes["fc"], "inputs", ["conv"]), "fc: Linear requires spatial size 1 input, got 8"),
 }
@@ -500,21 +488,21 @@ SHAPE_RULE_CASES = {
         ["odd: unknown node kind 'Bogus'"],
         "odd: cannot infer shape for kind 'Bogus'",
     ),
+    # validate checks no width against a producer's: infer_shapes alone does
     "validate-add-widths": (
         _join("addnode", widths=(4, 5)),
-        ["add: Add operands disagree on channel count [4, 5]"],
+        [],
         "add: Add operands disagree (widths [4, 5], sizes [8])",
     ),
     "validate-bn-width": (
         lambda: _graph(8, lambda b, rng: _bn(b, b.conv("conv", "input", conv_w(rng, 4, 3, 1)), 3)),
-        ["bn: channel count 3 does not match producer width 4"],
+        [],
         "bn: channel count 3 vs producer width 4",
     ),
-    # operand 0's width is unknown before inference, so validate checks the
-    # BatchNorm against operand 1's
+    # the Add passes its first operand's width, a Flatten's, on to the BatchNorm
     "validate-add-first-known-operand": (
         lambda: _graph(1, lambda b, rng: _bn(b, _flat_plus_conv(b, rng), 5), input_channels=4),
-        ["bn: channel count 5 does not match producer width 4"],
+        [],
         "bn: channel count 5 vs producer width 4",
     ),
 }
@@ -549,7 +537,7 @@ class TestWeightedLayerMessages:
 
     def test_conv_in_select_beyond_flattened_producer(self):
         b = GraphBuilder(3, 2)
-        f = b.flatten("flat", "input")  # width 12, unknown until shapes are inferred
+        f = b.flatten("flat", "input")  # width 12: infer_shapes checks in_select against it
         g = b.output(b.conv("conv", f, conv_w(np.random.default_rng(0), 4, 3, 1), in_select=[0, 5, 12]))
         assert validate(g) == []
         with pytest.raises(ShapeError) as info:
@@ -626,33 +614,6 @@ class TestInferShapes:
         infer_shapes(g)
         second = {nid: (n.in_size, n.out_size, n.out_channels) for nid, n in g.nodes.items()}
         assert first == second
-
-
-class TestOneShapeRule:
-    """validate's widths before inference come from the same rule as
-    infer_shapes': wherever the static walk knows a width, they agree."""
-
-    @staticmethod
-    def assert_static_widths_agree(g):
-        static = _static_widths(g)
-        infer_shapes(g)
-        known = {nid: w for nid, w in static.items() if w is not None}
-        assert known == {nid: g.nodes[nid].out_channels for nid in known}
-        return known
-
-    def test_random_tiny_nets(self):
-        rng = np.random.default_rng(16)
-        for _ in range(16):
-            self.assert_static_widths_agree(random_tiny_net(rng))
-
-    def test_zoo_models(self, vgg_graph, resnet_graph, densenet_graph):
-        for g in (vgg_graph, resnet_graph, densenet_graph):
-            assert len(self.assert_static_widths_agree(g)) > len(g.weighted_layers())
-
-    def test_densenet40_after_one_pass(self, densenet_graph):
-        _, pruned = next(multi_pass(densenet_graph, Config(per_pass_ratio=0.2)))
-        assert any(n.in_select() for n in pruned.weighted_layers())
-        self.assert_static_widths_agree(pruned)
 
 
 # One-conv graphs on a 6x6 input for both of forward_eval's contraction orders:
