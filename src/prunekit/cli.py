@@ -294,12 +294,10 @@ def cmd_prune(args: argparse.Namespace) -> int:
     run.add(manifest_path, _file_checksum(manifest_path))
     run.add(weights_path, weights_digest)
     run.write_artifact(out_dir, "surgery_report.json", json.dumps(report_dict, indent=2) + "\n")
-    post_params, post_flops = effective_model_costs(
-        pruned, convention=config.flops_convention, count_aux_params=config.count_aux_params
-    )
+    # the (last) plan's counts, which surgery checked against a recount under the plan's config
     print(f"pruned model: {manifest_path}")
-    print(f"post params: {post_params}")
-    print(f"post flops ({config.flops_convention}): {post_flops}")
+    print(f"post params: {plan.predicted_params}")
+    print(f"post flops ({plan.config.get('flops_convention', 'macs')}): {plan.predicted_flops}")
     run.write(out_dir)
     return EXIT_OK
 

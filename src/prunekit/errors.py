@@ -28,7 +28,7 @@ class DegenerateModelError(PruneKitError):
 
 
 class InfeasibleBudgetError(PruneKitError):
-    """The FLOP target cannot be reached under the layer survival floors."""
+    """A FLOP or parameter target cannot be reached under the layer survival floors."""
 
     def __init__(self, message: str, best_frr: float):
         self.best_frr = best_frr

@@ -254,7 +254,9 @@ def _is_int(x) -> bool:
 
 def validate(graph: ModelGraph) -> list[str]:
     """Check structural invariants; returns a list of violations (empty = ok).
-    Widths and sizes, which follow from the producers, are infer_shapes' to check."""
+    The stored order must list every node once and put each after its inputs,
+    which proves the graph acyclic, so every later walk may follow it. Widths
+    and sizes, which follow from the producers, are infer_shapes' to check."""
     v: list[str] = []
     nodes = graph.nodes
 
@@ -264,42 +266,21 @@ def validate(graph: ModelGraph) -> list[str]:
     if kinds.count("Output") != 1:
         v.append(f"graph must have exactly one Output node, found {kinds.count('Output')}")
 
-    for nid, node in nodes.items():
+    position = {nid: i for i, nid in enumerate(graph.order)}
+    if len(position) != len(graph.order) or position.keys() != nodes.keys():
+        v.append("node order must list every node exactly once")
+        return v
+
+    # with every node listed once, an input at a later position is the one sign of a cycle
+    for i, nid in enumerate(graph.order):
+        node = nodes[nid]
         if node.kind not in NODE_KINDS:
             v.append(f"{nid}: unknown node kind {node.kind!r}")
         for src in node.inputs:
             if src not in nodes:
                 v.append(f"{nid}: input {src!r} does not exist")
-
-    # cycle check via Kahn's algorithm (the stored order may be stale)
-    indeg = {nid: 0 for nid in nodes}
-    succ: dict[str, list[str]] = {nid: [] for nid in nodes}
-    for nid, node in nodes.items():
-        for src in node.inputs:
-            if src in nodes:
-                indeg[nid] += 1
-                succ[src].append(nid)
-    queue = [nid for nid, d in indeg.items() if d == 0]
-    seen = 0
-    while queue:
-        cur = queue.pop()
-        seen += 1
-        for nxt in succ[cur]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                queue.append(nxt)
-    if seen != len(nodes):
-        v.append("graph is cyclic")
-        return v
-
-    position = {nid: i for i, nid in enumerate(graph.order)}
-    for nid in graph.order:
-        for src in graph.nodes[nid].inputs:
-            if src in position and position[src] >= position[nid]:
-                v.append(f"{nid}: node order is not topological (input {src!r} appears later)")
-
-    for nid in graph.order:
-        node = nodes[nid]
+            elif position[src] >= i:
+                v.append(f"{nid}: node order is not topological (input {src!r} appears later, or the graph is cyclic)")
         arity = len(node.inputs)
         if node.kind == "Input":
             if arity != 0:

@@ -170,8 +170,8 @@ def select_threshold(
     Costs two full counts (baseline and final check), however many units are
     marked. The records must come from one ``score_all`` call.
 
-    Raises InfeasibleBudgetError (with the best achievable reduction) when the
-    floors make the target unreachable.
+    Raises InfeasibleBudgetError, naming each unmet target and giving the best
+    achievable reductions, when the floors make a target unreachable.
     """
     return _select(records, graph, config)[0]
 
@@ -216,9 +216,12 @@ def _select(records: list[ImportanceRecord], graph: ModelGraph, config: Config) 
 
     frr = 1.0 - flops / baseline_flops
     if not met:
+        unmet = [f"FLOP target {config.flop_target_ratio:.3f}"] if flops > budget else []
+        if param_budget is not None and params > param_budget:
+            unmet.append(f"parameter target {config.param_target_ratio:.3f}")
         raise InfeasibleBudgetError(
-            f"FLOP target {config.flop_target_ratio:.3f} unreachable under layer floors; "
-            f"best achievable reduction is {frr:.4f}",
+            f"{' and '.join(unmet)} unreachable under layer floors; best achievable reduction is "
+            f"{frr:.4f} in FLOPs and {1.0 - params / baseline_params:.4f} in parameters",
             best_frr=frr,
         )
 

@@ -282,25 +282,23 @@ def _same_prefix(graph: ModelGraph, pruned: ModelGraph, cut: int) -> bool:
 def _zeroed(graph: ModelGraph, table: UnitTable) -> ModelGraph:
     """``graph`` with the weights of ``table``'s units zeroed, in copies of the
     tensors of the layers they touch."""
-    members, aux, slices = (
-        table.filters.pairs(table.members)[0],
-        table.entries.pairs(table.aux)[0],
-        table.slots.pairs(table.in_slices)[0],
-    )
+    members = _by_layer(table.filters, table.members.ids)
+    aux = _by_layer(table.entries, table.aux.ids)
+    slices = _by_layer(table.slots, table.in_slices.ids)
     nodes = dict(graph.nodes)
-    for nid in {layer for layer, _ in (*members, *aux, *slices)}:
+    for nid in members.keys() | aux.keys() | slices.keys():
         nodes[nid] = replace(nodes[nid], tensors={role: t.copy() for role, t in nodes[nid].tensors.items()})
     zeroed = replace(graph, nodes=nodes)
-    for layer, c in members:
+    for layer, c in members.items():
         node = zeroed.nodes[layer]
         node.weight()[c] = 0.0
         if "bias" in node.tensors:
             node.tensors["bias"][c] = 0.0
-    for layer, i in aux:
+    for layer, i in aux.items():
         node = zeroed.nodes[layer]
         if node.kind == "BatchNorm2d":
             node.tensors["gamma"][i] = 0.0
             node.tensors["beta"][i] = 0.0
-    for layer, s in slices:
+    for layer, s in slices.items():
         zeroed.nodes[layer].weight()[:, s] = 0.0
     return zeroed

@@ -23,7 +23,10 @@ feeding each of its output indices, with one row per origin (an Add stacks its
 operands' rows). Each weighted layer's reads then become (channel, slot) id
 pairs, and each batch-norm layer's entries (channel, entry) pairs, a whole
 layer at a time. Each Add ties whole operand arrays in an array union-find,
-whose classes are the residual groups.
+whose classes are the residual groups. One reverse pass over the graph order
+finds the layers with no path to Output and the dense-interior ones, whose
+reads reach a weighted consumer only through a Concat. Every walk follows the
+stored order, which ``graph.validate`` proves topological.
 
 The inventory is one :class:`UnitTable`: every unit's members, reads, entries
 and per-member reads are runs of ids in shared arrays, and ``uid``, ``kind``
@@ -436,30 +439,26 @@ def _tie(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
         parent[np.maximum(ra, rb)[split]] = np.minimum(ra, rb)[split]
 
 
-def _dense_interior(graph: ModelGraph, consumers: dict[str, list[str]]) -> set[str]:
-    """Weighted producers whose every path to a weighted consumer crosses a Concat."""
-    interior: set[str] = set()
-    for node in graph.weighted_layers():
-        frontier = list(consumers[node.id])
-        seen: set[str] = set()
-        direct = False
-        via_concat = False
-        while frontier:
-            nid = frontier.pop()
-            if nid in seen:
-                continue
-            seen.add(nid)
-            kind = graph.nodes[nid].kind
-            if kind in WEIGHTED_KINDS:
-                direct = True
-                break
-            if kind == "Concat":
-                via_concat = True
-                continue  # do not traverse: reads beyond here are slice-level
-            frontier.extend(consumers[nid])
-        if not direct and via_concat:
-            interior.add(node.id)
-    return interior
+def _concat_interior(graph: ModelGraph) -> set[str]:
+    """Weighted layers whose every path to a weighted consumer crosses a
+    Concat, found in one reverse pass over the graph order. PruneKitError for
+    the first weighted layer with no path to Output."""
+    consumers = graph.consumers()
+
+    def after(flags: dict[str, bool], nid: str) -> bool:
+        return any(map(flags.__getitem__, consumers[nid]))
+
+    # per node: it reaches Output; a weighted layer before any Concat; a Concat before any weighted layer
+    to_output, to_weighted, to_concat = {}, {}, {}
+    for nid in reversed(graph.order):
+        kind = graph.nodes[nid].kind
+        to_output[nid] = kind == "Output" or after(to_output, nid)
+        to_weighted[nid] = kind in WEIGHTED_KINDS or (kind != "Concat" and after(to_weighted, nid))
+        to_concat[nid] = kind == "Concat" or (kind not in WEIGHTED_KINDS and after(to_concat, nid))
+    weighted = [node.id for node in graph.weighted_layers()]
+    if stranded := [nid for nid in weighted if not to_output[nid]]:
+        raise PruneKitError(f"unsupported topology: {stranded[0]} has no path to Output")
+    return {nid for nid in weighted if not after(to_weighted, nid) and after(to_concat, nid)}
 
 
 def _ranges(keys: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -472,8 +471,7 @@ def build_prune_units(graph: ModelGraph) -> UnitTable:
     (topo, index) order. Requires inferred shapes."""
     if not graph.inferred:
         raise ShapeError("run infer_shapes before build_prune_units")
-    consumers = graph.consumers()
-    _check_reachability(graph, consumers)
+    interior = _concat_interior(graph)
     weighted = graph.weighted_layers()
     channels, arrays = channel_flow(graph)
     filters, slots, auxes = numberings = _numberings(graph)
@@ -504,7 +502,6 @@ def build_prune_units(graph: ModelGraph) -> UnitTable:
                 _tie(parent, first, other)
     label = _roots(parent, np.arange(len(parent)))
 
-    interior = _dense_interior(graph, consumers)
     dense = np.zeros(channels.size, bool)
     removable = np.zeros(channels.size, bool)
     for node in weighted:
@@ -616,20 +613,6 @@ def _in_channel_only_units(
         raise PruneKitError("overlapping dense/residual structures: slot {}.in{}".format(*slots.pair(slot[shared[slot]][0])))
     order = np.argsort(slot)
     return slot[order], origin[order]
-
-
-def _check_reachability(graph: ModelGraph, consumers: dict[str, list[str]]) -> None:
-    reaches_output: set[str] = set()
-    stack = [graph.output_node().id]
-    while stack:
-        nid = stack.pop()
-        if nid in reaches_output:
-            continue
-        reaches_output.add(nid)
-        stack.extend(graph.nodes[nid].inputs)
-    for node in graph.weighted_layers():
-        if node.id not in reaches_output:
-            raise PruneKitError(f"unsupported topology: {node.id} has no path to Output")
 
 
 def _check_partition(units: UnitTable) -> None:

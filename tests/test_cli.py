@@ -113,6 +113,22 @@ class TestPlanPrune:
         text = read(rep_dir / "report.txt")
         assert "fine-tuning required to recover accuracy (out of scope)" in text
 
+    def test_prune_prints_the_plan_counts(self, toy_model, tmp_path, capsys):
+        # the plan is made under another config than the prune command line's
+        manifest, weights = toy_model
+        cfg = tmp_path / "plan.cfg"
+        cfg.write_text("count_aux_params = false\nflops_convention = 2macs\n")
+        out, pruned_dir = tmp_path / "out", tmp_path / "pruned"
+        assert main(["plan", "--model", manifest, "--weights", weights, "--config", str(cfg), "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        assert main([
+            "prune", "--model", manifest, "--weights", weights,
+            "--plan", str(out / "plan.json"), "--out-dir", str(pruned_dir),
+        ]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        report = json.loads(read(pruned_dir / "surgery_report.json"))
+        assert printed[1:] == [f"post params: {report['post_params']}", f"post flops (2macs): {report['post_flops']}"]
+
     @pytest.mark.parametrize("multi_pass", [False, True])
     def test_run_manifest_digests_match_files(self, toy_model, tmp_path, multi_pass):
         manifest, weights = toy_model
@@ -274,6 +290,18 @@ class TestConfigHandling:
         assert json.loads(read(tmp_path / "file" / "plan.json"))["config"]["alpha"] == 3.0
 
 
+    def test_config_file_bool_equals_flag(self, toy_model, tmp_path):
+        manifest, weights = toy_model
+        cfg = tmp_path / "ablation.cfg"
+        cfg.write_text("use_in_channel = false\n")
+        base = ["analyze", "--model", manifest, "--weights", weights]
+        assert main([*base, "--config", str(cfg), "--out-dir", str(tmp_path / "file")]) == 0
+        assert main([*base, "--mode", "cpmc-a", "--out-dir", str(tmp_path / "flag")]) == 0
+        assert main([*base, "--out-dir", str(tmp_path / "default")]) == 0
+        assert read(tmp_path / "file" / "records.csv") == read(tmp_path / "flag" / "records.csv")
+        assert read(tmp_path / "file" / "records.csv") != read(tmp_path / "default" / "records.csv")
+
+
 class TestExitCodes:
     def test_validation_failure_exits_2(self, toy_model, tmp_path, capsys):
         manifest, weights = toy_model
@@ -302,11 +330,16 @@ class TestExitCodes:
             lambda doc: doc["nodes"][1].update(tensors=[]),
             lambda doc: doc["nodes"][1]["tensors"].update(weight=7),
             lambda doc: doc["nodes"][1]["tensors"]["weight"].update(shape=5),
+            lambda doc: doc.update(version=2),
+            lambda doc: doc["nodes"][1].update(id=None),
+            lambda doc: doc["nodes"][2].update(id=doc["nodes"][1]["id"]),
+            lambda doc: doc["nodes"][1]["tensors"].update(kernel=doc["nodes"][1]["tensors"].pop("weight")),
         ],
         ids=[
             "document-array", "nodes-number", "input-array", "weights_file-number", "node-string",
             "inputs-number", "inputs-nested", "attrs-array", "stride-string", "tensors-array",
-            "tensor-number", "shape-number",
+            "tensor-number", "shape-number", "version-unsupported", "id-null", "id-duplicate",
+            "tensor-role-unknown",
         ],
     )
     def test_malformed_manifest_exits_2(self, toy_model, tmp_path, capsys, mutate):

@@ -29,7 +29,7 @@ from prunekit import (
     validate,
 )
 from prunekit.costs import effective_model_costs
-from prunekit.graph import container_checksum, serialize_graph
+from prunekit.graph import LayerNode, container_checksum, serialize_graph
 from prunekit.planner import multi_pass
 from prunekit.scoring import Config
 from prunekit.units import IN_CHANNEL_ONLY
@@ -363,6 +363,21 @@ def _drop_tensor(nid, role):
     return lambda g: g.nodes[nid].tensors.pop(role)
 
 
+def _set_kind(nid, kind):
+    return lambda g: setattr(g.nodes[nid], "kind", kind)
+
+
+def _as_bn(nid, channels, roles=("gamma", "beta", "running_mean", "running_var")):
+    """Node ``nid`` made a BatchNorm2d of ``channels`` with tensors of ``roles``."""
+
+    def mutate(g):
+        node = g.nodes[nid]
+        node.kind, node.attrs = "BatchNorm2d", {"channels": channels}
+        node.tensors = {role: np.ones(4, np.float32) for role in roles}
+
+    return mutate
+
+
 # Conv2d and Linear share one code path; these pin its messages for both kinds.
 _CONV_NEEDS = ["conv: Conv2d needs positive in_channels/out_channels/kernel"]
 _FC_NEEDS = ["fc: Linear needs positive in_features/out_features"]
@@ -412,6 +427,29 @@ VALIDATE_CASES = {
     "fc-in-select-order": (_set_attrs("fc", in_select=[3, 2, 1, 0]), ["fc: in_select must be strictly increasing"]),
     # kernel, stride and padding are Conv2d attributes: a Linear node ignores them
     "fc-stray-conv-attrs": (_set_attrs("fc", kernel=3, stride=0, padding=2), []),
+    "two-inputs": (
+        lambda g: (g.nodes.update(input2=LayerNode("input2", "Input", [])), g.order.insert(1, "input2")),
+        ["graph must have exactly one Input node, found 2"],
+    ),
+    "no-output": (_set_kind("output", "ReLU"), ["graph must have exactly one Output node, found 0"]),
+    "input-with-inputs": (
+        lambda g: setattr(g.nodes["input"], "inputs", ["ghost"]),
+        ["input: input 'ghost' does not exist", "input: Input node cannot have inputs"],
+    ),
+    "add-one-input": (_set_kind("gap", "Add"), ["gap: Add needs at least two inputs"]),
+    "concat-one-input": (_set_kind("gap", "Concat"), ["gap: Concat needs at least two inputs"]),
+    "bn-channels-zero": (_as_bn("gap", 0), ["gap: BatchNorm2d needs positive channels"]),
+    "bn-running-var-missing": (
+        _as_bn("gap", 4, ("gamma", "beta", "running_mean")),
+        ["gap: missing running_var tensor"],
+    ),
+    "pool-mode-unknown": (_set_attrs("gap", pool="median"), ["gap: unknown pool mode 'median'"]),
+    "pool-kernel-zero": (
+        _set_attrs("gap", pool="max", kernel=0, stride=2),
+        ["gap: pool needs positive kernel and stride"],
+    ),
+    "order-omits-node": (lambda g: g.order.remove("gap"), ["node order must list every node exactly once"]),
+    "order-lists-node-twice": (lambda g: g.order.insert(3, "conv"), ["node order must list every node exactly once"]),
 }
 
 INFER_CASES = {

@@ -177,6 +177,25 @@ class TestSelectThreshold:
             select_threshold(records, g, config)
         assert 0.0 < err.value.best_frr < 0.999
 
+    @pytest.mark.parametrize(
+        "flop_target, param_target, unmet",
+        [
+            (0.1, 0.995, "parameter target 0.995"),
+            (0.99, None, "FLOP target 0.990"),
+            (0.99, 0.995, "FLOP target 0.990 and parameter target 0.995"),
+        ],
+    )
+    def test_infeasible_budget_names_the_unmet_targets(self, vgg_graph, flop_target, param_target, unmet):
+        config = Config(flop_target_ratio=flop_target, param_target_ratio=param_target, min_channels_per_layer=32)
+        records = score_all(vgg_graph, build_prune_units(vgg_graph), config)
+        with pytest.raises(InfeasibleBudgetError) as err:
+            select_threshold(records, vgg_graph, config)
+        # the floors stop the planner at the same units whichever target is unmet
+        assert str(err.value) == (
+            f"{unmet} unreachable under layer floors; best achievable reduction is 0.9438 in FLOPs and 0.9923 in parameters"
+        )
+        assert round(err.value.best_frr, 4) == 0.9438
+
     def test_floor_safety(self):
         rng = np.random.default_rng(5)
         g, config, records = plan_toy(rng, (4, 5), target=0.5, floor=2)

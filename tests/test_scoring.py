@@ -259,7 +259,10 @@ def in_select_net():
 
 
 class TestVectorisedRawScores:
-    """score_all's whole-layer sums give exactly the per-slice floats."""
+    """score_all's whole-layer sums give exactly the per-slice floats.
+    Every unit is checked against the per-slice loop; dependency_l1, one
+    call per unit, only on a seeded sample: the first and last unit, one of
+    each kind and a few more."""
 
     @pytest.mark.parametrize("use_in_channel", [True, False], ids=["cpmc", "cpmc-a"])
     @pytest.mark.parametrize("model", ["vgg_graph", "densenet_graph", "resnet_graph", "in_select", "wide"])
@@ -275,7 +278,12 @@ class TestVectorisedRawScores:
         records = score_all(g, units, Config(use_in_channel=use_in_channel))
         for r, u, refs in zip(records, units, ref_units(units)):
             assert r.unit == u
-            assert r.raw == dependency_l1(g, u, use_in_channel) == loop_raw_score(g, refs, use_in_channel)
+            assert r.raw == loop_raw_score(g, refs, use_in_channel)
+        rng = np.random.default_rng(len(units))
+        sample = {0, len(units) - 1, *(units.kind.index(kind) for kind in set(units.kind))}
+        sample |= set(rng.choice(len(units), size=min(8, len(units)), replace=False).tolist())
+        for row in sorted(sample):
+            assert records[row].raw == dependency_l1(g, units[row], use_in_channel)
 
 
 class TestInvariances:
@@ -337,6 +345,13 @@ class TestConfig:
             Config(weight_norm_mode="minmax").validate()
         with pytest.raises(PruneKitError):
             Config(passes=0).validate()
+        for ratio in (0.0, 1.0, -0.5):
+            with pytest.raises(PruneKitError, match="param_target_ratio must be in"):
+                Config(param_target_ratio=ratio).validate()
+            with pytest.raises(PruneKitError, match="per_pass_ratio must be in"):
+                Config(per_pass_ratio=ratio).validate()
+        with pytest.raises(PruneKitError, match="min_channels_per_layer must be >= 1"):
+            Config(min_channels_per_layer=0).validate()
 
     def test_presets(self):
         c = Config()

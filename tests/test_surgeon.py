@@ -631,6 +631,18 @@ class TestSharedPrefix:
 
 
 class TestForwardConsistency:
+    @pytest.mark.parametrize("model", ["vgg_graph", "resnet_graph", "densenet_graph"])
+    def test_zeroed_table_matches_pruned_table(self, request, model):
+        # every row of a table is zeroed, not only its first
+        from prunekit.surgeon import _zeroed
+
+        g = request.getfixturevalue(model)
+        units = build_prune_units(g)
+        table = units.take([0, len(units) // 2, len(units) - 1])
+        x = np.random.default_rng(19).standard_normal((2, g.input_channels, g.input_size, g.input_size))
+        zeroed, pruned = forward_eval(_zeroed(g, table), x), forward_eval(apply_units(g, table), x)
+        assert np.allclose(pruned, zeroed, rtol=1e-5, atol=1e-8)
+
     def test_whole_plan_equivalence_on_random_nets(self):
         # the whole removal set behaves like zeroing it, across topologies
         from prunekit import InfeasibleBudgetError
