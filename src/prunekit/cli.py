@@ -275,7 +275,7 @@ def cmd_prune(args: argparse.Namespace) -> int:
         weights_digest = report.container_checksum
     else:
         steps = multi_pass(graph, config)
-        del graph  # hold only the latest pass's graph: multi_pass frees the loaded one after pass 1
+        del graph  # multi_pass owns the loaded graph and frees its replaced tensors during pass 1
         for passes, (plan, pruned) in enumerate(steps, 1):
             run.write_artifact(out_dir, f"plan_pass{passes}.json", plan.to_json())
             if passes == 1:
@@ -304,24 +304,24 @@ def cmd_prune(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     run = _RunManifest("report", args, None)
-    baseline = load_model(args.baseline, args.baseline_weights)
-    pruned = load_model(args.pruned, args.pruned_weights)
-    infer_shapes(baseline)
-    infer_shapes(pruned)
     convention = args.flops_convention
+    # one model in memory at a time: the baseline's costs and widths, then the pruned model's
+    baseline = infer_shapes(load_model(args.baseline, args.baseline_weights))
     base_params, base_flops = effective_model_costs(baseline, convention=convention)
+    base_widths = [(n.id, n.declared_out_width()) for n in baseline.weighted_layers()]
+    del baseline
+    pruned = infer_shapes(load_model(args.pruned, args.pruned_weights))
     post_params, post_flops = effective_model_costs(pruned, convention=convention)
+    pruned_widths = {n.id: n.declared_out_width() for n in pruned.weighted_layers()}
     if base_params == 0 or base_flops == 0:
         raise DegenerateModelError("baseline model has no parameters or no FLOPs to reduce")
     prr = 1.0 - post_params / base_params
     frr = 1.0 - post_flops / base_flops
 
     rows = []
-    pruned_widths = {n.id: n.declared_out_width() for n in pruned.weighted_layers()}
-    for node in baseline.weighted_layers():
-        before = node.declared_out_width()
-        after = pruned_widths.get(node.id, 0)
-        rows.append((node.id, before, after, before - after))
+    for lid, before in base_widths:
+        after = pruned_widths.get(lid, 0)
+        rows.append((lid, before, after, before - after))
     if not rows:
         raise DegenerateModelError("baseline model has no weighted layer to report")
 

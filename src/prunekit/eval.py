@@ -14,7 +14,9 @@ vgg16 and resnet164, and forcing im2col everywhere slows densenet40. Every
 tensor carries a leading batch axis, and each activation is dropped once its
 last consumer has run; elementwise layers write in place where that gives the
 same bits and touches nothing the evaluation did not allocate (``_run``).
-Computation runs in float64 for stable comparisons. The per-element loop
+Computation runs in float64 for stable comparisons; weights are converted one
+block of about ``_BLOCK_VALUES`` filter weights at a time (``_product``), so an
+evaluation holds no float64 copy of a whole layer. The per-element loop
 evaluator in the tests stays the independent check on this one.
 """
 
@@ -25,6 +27,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
 from .graph import ModelGraph, sliding_window
+
+_BLOCK_VALUES = 1 << 17  # float64 weights per block of filters in _product: 1 MB
 
 
 def forward_eval(graph: ModelGraph, x: np.ndarray) -> np.ndarray:
@@ -75,7 +79,7 @@ def _run(
         elif node.kind == "Linear":
             sel = node.in_select()
             v = a if sel is None else a[:, sel]
-            y = v @ node.weight().astype(np.float64).T
+            y = _product(node.weight(), v[:, :, None])[:, :, 0]  # each sample as a column
             if "bias" in node.tensors:
                 y += node.tensors["bias"].astype(np.float64)
         elif node.kind == "BatchNorm2d":
@@ -142,30 +146,50 @@ def _conv2d(node, a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _product(w: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``w @ right`` in float64 for float32 rows ``w`` of shape (f, K) and
+    ``right`` of shape (n, K, P): (n, f, P). Each block of rows is converted
+    and multiplied on its own and written into its rows of the result; a ``w``
+    that fits in one block returns its one product."""
+    f = len(w)
+    step = max(1, _BLOCK_VALUES // w.shape[1])
+    if step >= f:
+        return w.astype(np.float64) @ right
+    out = np.empty((len(right), f, right.shape[2]))
+    for lo in range(0, f, step):
+        np.matmul(w[lo : lo + step].astype(np.float64), right, out=out[:, lo : lo + step])
+    return out
+
+
 def _conv_im2col(node, a: np.ndarray) -> np.ndarray:
     """One (f, m*k*k) @ (n, m*k*k, o*o) product over the zero-padded windows."""
-    w = node.weight().astype(np.float64)
     win = _windows(node, a)
-    f, m, k, _ = w.shape
-    n, o = win.shape[0], win.shape[2]
+    n, m, o, _, k, _ = win.shape
     cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, m * k * k, o * o)
-    return (w.reshape(f, -1) @ cols).reshape(n, f, o, o)
+    w = node.weight()
+    return _product(w.reshape(len(w), -1), cols).reshape(n, len(w), o, o)
 
 
 def _conv_channels_first(node, a: np.ndarray, o: int) -> np.ndarray:
-    """One (k*k*f, m) @ (n, m, h*h) product gives every tap's (f, h, h) map
-    from one read of the input; each map is then added into the output where
-    its tap reads inside the input, which leaves the padding out."""
+    """Per block of filters, one (k*k*b, m) @ (n, m, h*h) product gives every
+    tap's (b, h, h) map from one read of the input; each map is then added
+    into the output where its tap reads inside the input, which leaves the
+    padding out."""
     k, stride, pad = sliding_window(node)
     n, m, h, _ = a.shape
-    w = node.weight().transpose(2, 3, 0, 1).astype(np.float64, order="C")  # (k, k, f, m), one copy
-    f = w.shape[2]
-    maps = (w.reshape(k * k * f, m) @ a.reshape(n, m, h * h)).reshape(n, k, k, f, h, h)
-    out = np.zeros((n, f, o, o))
+    w = node.weight()
+    f = len(w)
     spans = _tap_spans(k, stride, pad, h, o)
-    for ty, ys, y_in in spans:
-        for tx, xs, x_in in spans:
-            out[:, :, ys, xs] += maps[:, ty, tx, :, y_in, x_in]
+    step = max(1, _BLOCK_VALUES // (m * k * k))
+    for lo in range(0, f, step):
+        block = w[lo : lo + step]
+        taps = block.transpose(2, 3, 0, 1).reshape(-1, m)  # (k*k*b, m)
+        maps = _product(taps, a.reshape(n, m, h * h)).reshape(n, k, k, len(block), h, h)
+        if lo == 0:  # after the first maps: allocated before them, it raised densenet40 verify's peak RSS by 2 MB
+            out = np.zeros((n, f, o, o))
+        for ty, ys, y_in in spans:
+            for tx, xs, x_in in spans:
+                out[:, lo : lo + step, ys, xs] += maps[:, ty, tx, :, y_in, x_in]
     return out
 
 

@@ -257,10 +257,15 @@ def _entries(units: UnitTable, imps: list[float]) -> list[dict]:
 def multi_pass(graph: ModelGraph, config: Config) -> Iterator[tuple[PruningPlan, ModelGraph]]:
     """Iteratively score, plan and prune ``config.passes`` times, each pass
     removing ``config.per_pass_ratio`` of the current FLOPs and re-scoring the
-    pruned weights. Yields each pass's (plan, pruned graph) as it completes and
-    keeps no earlier pass's graph, the input one included, so a caller that
-    lets go of ``graph`` and keeps only the latest pass's graph holds one model
-    at a time: the loaded graph is freed after pass 1's surgery."""
+    pruned weights. Yields each pass's (plan, pruned graph) as it completes.
+
+    ``multi_pass`` takes ownership of ``graph``: each pass's surgery deletes a
+    replaced tensor from the graph it prunes as soon as the tensor's kept copy
+    exists (``apply_units(release=True)``). So ``graph`` is unusable once pass
+    1 has begun, and a yielded graph stays valid only until the next pass
+    starts; pass a copy to keep one. A caller that lets go of ``graph`` and
+    keeps only the latest pass's graph holds one model plus one layer at a
+    time, even during surgery."""
     from .surgeon import _checked_surgery  # local import: surgeon depends on this module
 
     config.validate()
@@ -271,5 +276,5 @@ def multi_pass(graph: ModelGraph, config: Config) -> Iterator[tuple[PruningPlan,
         units = build_prune_units(graph)
         records = score_all(graph, units, pass_config)
         plan, removed = _select(records, graph, pass_config)
-        graph = _checked_surgery(graph, removed, plan)
+        graph = _checked_surgery(graph, removed, plan, release=True)
         yield plan, graph

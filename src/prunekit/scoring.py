@@ -36,6 +36,8 @@ from .units import PruneUnit, UnitTable, _Numbering, _sorted_unique, graph_row, 
 
 WEIGHT_NORM_MODES = ("max-min", "max", "log")
 
+_ABS_VALUES = 1 << 18  # float32 values per block in _abs_sums: a 1 MB buffer
+
 # the Python types each Config field type admits
 _FIELD_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float), "str": (str,)}
 
@@ -138,12 +140,22 @@ class ImportanceRecord:
         ]
 
 
-def _abs_sums(w: np.ndarray) -> np.ndarray:
-    """L1 mass of each slice of ``w`` along axis 0, as a float64 sum over the
-    slice's float32 values laid out contiguously. A strided layout would change
-    numpy's order of additions; a contiguous one gives the same float whether
-    the slice is summed alone or with the rest of the layer."""
-    return np.abs(w, order="C").reshape(len(w), -1).sum(axis=1, dtype=np.float64)
+def _abs_sums(w: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """L1 mass of each slice of ``w`` along axis 0, or of the slices ``rows``
+    names, as a float64 sum over the slice's float32 values laid out
+    contiguously. A strided layout would change numpy's order of additions; a
+    contiguous one gives the same float whether the slice is summed alone or
+    with others. The slices pass through one reused buffer of about
+    ``_ABS_VALUES`` values a block at a time, so no layer-sized copy is made."""
+    count = len(w) if rows is None else len(rows)
+    step = max(1, _ABS_VALUES // w[0].size)
+    buf = np.empty((min(step, count), *w.shape[1:]), w.dtype)
+    sums = np.empty(count)
+    for lo in range(0, count, step):
+        block = buf[: min(step, count - lo)]
+        np.abs(w[lo : lo + step] if rows is None else w[rows[lo : lo + step]], out=block)
+        sums[lo : lo + len(block)] = block.reshape(len(block), -1).sum(axis=1, dtype=np.float64)
+    return sums
 
 
 def _l1(graph: ModelGraph, numbering: _Numbering, axis: int, ids: np.ndarray) -> np.ndarray:
@@ -157,7 +169,7 @@ def _l1(graph: ModelGraph, numbering: _Numbering, axis: int, ids: np.ndarray) ->
     masses = np.empty(len(named))
     for lo, hi in zip(bounds, bounds[1:]):
         view = np.swapaxes(graph.nodes[numbering.names[layer[lo]]].weight(), 0, axis)  # filters or input slots first
-        masses[lo:hi] = _abs_sums(view if hi - lo == len(view) else view[index[lo:hi]])
+        masses[lo:hi] = _abs_sums(view, None if hi - lo == len(view) else index[lo:hi])
     return masses[np.searchsorted(named, ids)]
 
 

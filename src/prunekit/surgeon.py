@@ -4,9 +4,10 @@ Filter rows are sliced on the output axis, consumer kernel slices on the input
 axis, and per-channel vectors (bias, batch-norm) shrink with their channels.
 Where a pruned read leaves the producing feature map alive (dense blocks), the
 consumer keeps an explicit ``in_select`` index list instead of a full-width
-kernel. Surgery returns a new graph and leaves its input untouched: sliced
-tensors are fresh arrays, tensors of layers that lose nothing are shared with
-the input, and surviving weights are bit-identical to their pre-surgery values.
+kernel. Surgery returns a new graph and leaves its input untouched, unless
+the caller gives the input up (``multi_pass``): sliced tensors are fresh
+arrays, tensors of layers that lose nothing are shared with the input, and
+surviving weights are bit-identical to their pre-surgery values.
 Surgery takes its kept indices from the same origin arrays that the units come
 from (``units.channel_flow``).
 """
@@ -80,9 +81,9 @@ def apply_plan(graph: ModelGraph, plan: PruningPlan) -> tuple[ModelGraph, Surger
     return pruned, _make_report(graph, pruned, units, plan)
 
 
-def _checked_surgery(graph: ModelGraph, units: UnitTable, plan: PruningPlan) -> ModelGraph:
+def _checked_surgery(graph: ModelGraph, units: UnitTable, plan: PruningPlan, release: bool = False) -> ModelGraph:
     """apply_units, then check the recounted params/FLOPs against the plan."""
-    pruned = apply_units(graph, units)
+    pruned = apply_units(graph, units, release=release)
     post_params, post_flops = effective_model_costs(
         pruned,
         convention=plan.config.get("flops_convention", "macs"),
@@ -96,13 +97,16 @@ def _checked_surgery(graph: ModelGraph, units: UnitTable, plan: PruningPlan) -> 
     return pruned
 
 
-def apply_units(graph: ModelGraph, units: UnitTable) -> ModelGraph:
+def apply_units(graph: ModelGraph, units: UnitTable, *, release: bool = False) -> ModelGraph:
     """Remove the units of ``units``, a table made from ``graph``, returning a
     new validated graph.
 
     A node keeps the output columns whose origins (``units.channel_flow``) all
     survive, with -1 padding counted alive; a kept slot's new ``in_select``
-    entry is its column's position among the producer's kept columns."""
+    entry is its column's position among the producer's kept columns. With
+    ``release`` the caller gives ``graph`` up: each replaced tensor is deleted
+    from its node as soon as its kept copy exists, so surgery holds one model
+    plus one layer, and ``graph`` is left without those tensors."""
     if not graph.inferred:
         raise PruneKitError("run infer_shapes before surgery")
     channels, arrays = channel_flow(graph)
@@ -138,6 +142,8 @@ def apply_units(graph: ModelGraph, units: UnitTable) -> ModelGraph:
                 node.tensors["weight"] = _kept_weight(old.weight(), outs, ins)
                 if "bias" in old.tensors:
                     node.tensors["bias"] = old.tensors["bias"].take(outs)
+                if release:
+                    old.tensors.clear()
             in_name, out_name = _WIDTH_ATTRS[old.kind]
             node.attrs[in_name], node.attrs[out_name] = len(ins), len(outs)
             new_sel = np.cumsum(edge)[cols] - 1
@@ -150,6 +156,8 @@ def apply_units(graph: ModelGraph, units: UnitTable) -> ModelGraph:
                 survivors = np.flatnonzero(keep)
                 for role in _BN_ROLES:
                     node.tensors[role] = old.tensors[role].take(survivors)
+                if release:
+                    old.tensors.clear()
             node.attrs["channels"] = int(np.count_nonzero(keep))
 
     violations = validate(new)

@@ -8,6 +8,7 @@ import hashlib
 import json
 import os
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -167,6 +168,24 @@ class TestPlanPrune:
         payload = json.loads(read(rep / "report.json"))
         assert payload["prr"] == 0.0
         assert payload["frr"] == 0.0
+
+    def test_report_holds_one_model_at_a_time(self, toy_model, tmp_path, monkeypatch):
+        import prunekit.cli as cli_module
+
+        manifest, weights = toy_model
+        loaded = []  # weakrefs to the graphs report has loaded
+
+        def load_model(*args, real=cli_module.load_model):
+            assert all(ref() is None for ref in loaded), "the baseline is still alive"
+            graph = real(*args)
+            loaded.append(weakref.ref(graph))
+            return graph
+
+        monkeypatch.setattr(cli_module, "load_model", load_model)
+        rep = tmp_path / "rep"
+        assert main(["report", "--baseline", manifest, "--pruned", manifest, "--out-dir", str(rep)]) == 0
+        assert len(loaded) == 2
+        assert json.loads(read(rep / "report.json"))["prr"] == 0.0
 
     def test_multi_pass_driver(self, tmp_path):
         rng = np.random.default_rng(22)

@@ -6,6 +6,7 @@ import builtins
 import hashlib
 import json
 import os
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from prunekit.graph import LayerNode, container_checksum, serialize_graph
 from prunekit.planner import multi_pass
 from prunekit.scoring import Config
 from prunekit.units import IN_CHANNEL_ONLY
-from prunekit.zoo import vgg16
+from prunekit.zoo import densenet40, vgg16
 
 from conftest import (
     bn_params,
@@ -134,9 +135,9 @@ class TestLoadSave:
             with open(manifest_path, encoding="utf-8") as f:
                 assert f.read() == json.dumps(manifest, indent=2) + "\n"
 
-    def test_container_checksum_is_digest_of_saved_container(self, tmp_path, densenet_graph):
+    def test_container_checksum_is_digest_of_saved_container(self, tmp_path):
         rng = np.random.default_rng(14)
-        _, pruned = next(multi_pass(densenet_graph, Config(per_pass_ratio=0.2)))
+        _, pruned = next(multi_pass(densenet40(seed=0), Config(per_pass_ratio=0.2)))  # multi_pass consumes its graph
         for i, g in enumerate([random_tiny_net(rng) for _ in range(4)] + [pruned]):
             _, weights_path = save_tmp(g, tmp_path, f"m{i}")
             with open(weights_path, "rb") as f:
@@ -836,6 +837,60 @@ class TestForwardEval:
         for batch in (0, 1, 3):
             got = assert_batch_matches_oracle(g, xs[:batch], rtol=1e-12, atol=1e-12)
             assert got.shape == (batch, f, g.nodes["c"].out_size, g.nodes["c"].out_size)
+
+    @pytest.mark.parametrize("f,m,k,stride,pad", CONV_GRID)
+    def test_one_filter_blocks_match_loop_oracle_and_default_block(self, monkeypatch, f, m, k, stride, pad):
+        rng = np.random.default_rng(32)
+        g, channels = _one_conv(rng, f, m, k, stride, pad, bias=True)
+        xs = rng.standard_normal((3, channels, 6, 6))
+        default = forward_eval(g, xs)
+        monkeypatch.setattr(eval_module, "_BLOCK_VALUES", 1)  # every filter converted and multiplied alone
+        got = assert_batch_matches_oracle(g, xs, rtol=1e-12, atol=1e-12)
+        assert np.allclose(got, default, rtol=1e-12, atol=1e-12)
+        assert forward_eval(g, xs[:0]).shape == (0, *default.shape[1:])
+
+    def test_one_row_blocks_in_linear_layer(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        g = make_flatten_toy(rng, channels=3, size=4)
+        xs = rng.standard_normal((2, 2, 4, 4))
+        default = forward_eval(g, xs)
+        monkeypatch.setattr(eval_module, "_BLOCK_VALUES", 1)
+        assert np.allclose(assert_batch_matches_oracle(g, xs), default, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("layer", ["conv5_1", "conv5_2", "conv5_3"])
+    def test_vgg16_conv5_evaluation_holds_no_float64_layer(self, vgg_graph, layer):
+        # 512x512x3x3 weights are 9.4 MB as float32 and 18.9 MB as float64
+        node = vgg_graph.nodes[layer]
+        a = np.random.default_rng(34).standard_normal((2, 512, node.in_size, node.in_size))
+        tracemalloc.start()
+        try:
+            eval_module._conv2d(node, a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < node.weight().nbytes
+
+    def test_layer_in_one_block_returns_its_product(self, monkeypatch):
+        # no output buffer beside the product unless the layer takes two blocks or more
+        class EmptySpy:
+            calls = 0
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def empty(self, *args, **kwargs):
+                EmptySpy.calls += 1
+                return np.empty(*args, **kwargs)
+
+        rng = np.random.default_rng(35)
+        w = rng.standard_normal((4, 8)).astype(np.float32)
+        right = rng.standard_normal((2, 8, 5))
+        monkeypatch.setattr(eval_module, "np", EmptySpy())
+        assert np.array_equal(eval_module._product(w, right), w.astype(np.float64) @ right)
+        assert EmptySpy.calls == 0
+        monkeypatch.setattr(eval_module, "_BLOCK_VALUES", 8 * 3)  # blocks of 3 and 1 rows
+        assert np.allclose(eval_module._product(w, right), w.astype(np.float64) @ right, rtol=1e-12, atol=1e-12)
+        assert EmptySpy.calls == 1
 
 
 VGG16_CONV_WIDTHS = (64, 64, 128, 128, 256, 256, 256, 512, 512, 512, 512, 512, 512)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import tracemalloc
 import weakref
 from collections import defaultdict
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 import prunekit.costs as costs_module
 import prunekit.planner as planner_module
+import prunekit.surgeon as surgeon_module
 from prunekit import (
     Config,
     GraphBuilder,
@@ -413,6 +416,34 @@ class TestMultiPass:
         sliced = [key for key, t in kept.items() if t.shape != shapes[key]]
         assert sliced and all(refs[key]() is None for key in sliced)
         assert all(kept[key] is refs[key]() for key in refs.keys() - set(sliced))
+
+    def test_pass_one_surgery_frees_each_replaced_tensor(self, tmp_path, monkeypatch, vgg_graph):
+        # multi_pass owns its input: every replaced weight of the loaded graph
+        # is freed before the next weighted layer is copied, so pass 1 holds
+        # at most the container plus one layer
+        manifest, weights = save_tmp(vgg_graph, tmp_path)
+        replaced = []  # weakrefs to the weights surgery has copied from
+
+        def kept_weight(w, outs, ins, real=surgeon_module._kept_weight):
+            assert all(ref() is None for ref in replaced), "a replaced weight outlived its copy"
+            replaced.append(weakref.ref(w))
+            return real(w, outs, ins)
+
+        monkeypatch.setattr(surgeon_module, "_kept_weight", kept_weight)
+        tracemalloc.start()
+        try:
+            loaded = infer_shapes(load_model(manifest, weights))
+            largest = max(node.weight().nbytes for node in loaded.weighted_layers())
+            passes = multi_pass(loaded, Config(passes=2, per_pass_ratio=0.2))
+            del loaded
+            tracemalloc.reset_peak()
+            _, pruned = next(passes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(replaced) > 1 and all(ref() is None for ref in replaced)
+        assert peak < os.path.getsize(weights) + largest
+        assert validate(pruned) == []
 
     def test_needs_per_pass_ratio(self):
         g = make_chain(np.random.default_rng(13), (4, 6))

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import prunekit.scoring as scoring_module
 from prunekit import (
     Config,
     DegenerateModelError,
@@ -284,6 +285,22 @@ class TestVectorisedRawScores:
         sample |= set(rng.choice(len(units), size=min(8, len(units)), replace=False).tolist())
         for row in sorted(sample):
             assert records[row].raw == dependency_l1(g, units[row], use_in_channel)
+
+    @pytest.mark.parametrize("block", [1, 5_000], ids=["one-value", "5000-values"])
+    @pytest.mark.parametrize("model", ["vgg_graph", "densenet_graph", "resnet_graph", "wide"])
+    def test_blocked_abs_sums_equal_whole_layer_sums(self, request, monkeypatch, model, block):
+        # one slice per block, or a few slices with a short last block: the
+        # same floats as one abs and one sum over the whole layer
+        g = wide_net() if model == "wide" else request.getfixturevalue(model)
+        monkeypatch.setattr(scoring_module, "_ABS_VALUES", block)
+        rng = np.random.default_rng(block)
+        for node in g.weighted_layers():
+            for axis in (0, 1):
+                view = np.swapaxes(node.weight(), 0, axis)
+                whole = np.abs(view, order="C").reshape(len(view), -1).sum(axis=1, dtype=np.float64)
+                assert np.array_equal(scoring_module._abs_sums(view), whole)
+                rows = np.sort(rng.choice(len(view), size=(len(view) + 1) // 2, replace=False))
+                assert np.array_equal(scoring_module._abs_sums(view, rows), whole[rows])
 
 
 class TestInvariances:
