@@ -26,7 +26,7 @@ from .costs import CONVENTIONS, effective_model_costs
 from .errors import DegenerateModelError, GraphValidationError, InfeasibleBudgetError, PruneKitError
 from .graph import ModelGraph, container_checksum, infer_shapes, load_model, save_model
 from .planner import PruningPlan, multi_pass, select_threshold
-from .scoring import WEIGHT_NORM_MODES, Config, records_to_csv, records_to_json, score_all
+from .scoring import WEIGHT_NORM_MODES, Config, records_texts, score_all
 from .surgeon import apply_plan
 from .units import build_prune_units
 
@@ -134,22 +134,30 @@ _VALUE_PARSERS = {"float": float, "int": int, "bool": _parse_bool, "str": str}
 def _parse_config_file(path: str) -> dict:
     values: dict = {}
     parsers = {f.name: _VALUE_PARSERS[f.type.split(" | ")[0]] for f in dataclasses.fields(Config)}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise PruneKitError(f"{path}:{lineno}: expected key=value")
-            key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in parsers:
-                raise PruneKitError(f"{path}:{lineno}: unknown config key {key!r}")
-            raw = raw.strip("\"'")
-            try:
-                values[key] = parsers[key](raw)
-            except ValueError:
-                raise PruneKitError(f"{path}:{lineno}: bad value {raw!r} for config key {key!r}") from None
+    for lineno, line in enumerate(_read_text(path, f"{path}: ").split("\n"), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise PruneKitError(f"{path}:{lineno}: expected key=value")
+        key, raw = (part.strip() for part in line.split("=", 1))
+        if key not in parsers:
+            raise PruneKitError(f"{path}:{lineno}: unknown config key {key!r}")
+        raw = raw.strip("\"'")
+        try:
+            values[key] = parsers[key](raw)
+        except ValueError:
+            raise PruneKitError(f"{path}:{lineno}: bad value {raw!r} for config key {key!r}") from None
     return values
+
+
+def _read_text(path: str, error_prefix: str) -> str:
+    """The file's text; a PruneKitError after ``error_prefix`` when it is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise PruneKitError(f"{error_prefix}{e}") from None
 
 
 def _make_config(args: argparse.Namespace) -> Config:
@@ -225,8 +233,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     graph = _load(args)
     units = build_prune_units(graph)
     records = score_all(graph, units, config)
-    run.write_artifact(args.out_dir, "records.csv", records_to_csv(records))
-    run.write_artifact(args.out_dir, "records.json", records_to_json(records))
+    csv_text, json_text = records_texts(records)
+    run.write_artifact(args.out_dir, "records.csv", csv_text)
+    run.write_artifact(args.out_dir, "records.json", json_text)
+    del csv_text, json_text  # before units.json, the largest text
     if args.dump_units:
         run.write_artifact(args.out_dir, "units.json", units.to_json())
     params, flops = effective_model_costs(
@@ -268,8 +278,7 @@ def cmd_prune(args: argparse.Namespace) -> int:
     out_dir = args.out_dir
 
     if args.plan:
-        with open(args.plan, "r", encoding="utf-8") as f:
-            plan = PruningPlan.from_json(f.read())
+        plan = PruningPlan.from_json(_read_text(args.plan, "malformed plan file: "))
         pruned, report = apply_plan(graph, plan)
         report_dict = report.to_dict()
         weights_digest = report.container_checksum

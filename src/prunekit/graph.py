@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -521,7 +522,7 @@ def load_model(manifest_path: str, weights_path: str | None = None) -> ModelGrap
     try:
         with open(manifest_path, "r", encoding="utf-8") as f:
             manifest = json.load(f)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ManifestError(f"malformed manifest: {e}") from e
 
     _expect(manifest, dict, "manifest")
@@ -594,7 +595,7 @@ def _parse_nodes(inp: dict, entries: list, total: int) -> tuple[dict[str, LayerN
                 raise ManifestError(f"{nid}.{role}: bad offset {off!r}")
             if not shape or any((not _is_int(d)) or d < 1 for d in shape):
                 raise ManifestError(f"{nid}.{role}: bad shape {shape}")
-            nbytes = int(np.prod(shape)) * 4
+            nbytes = math.prod(shape) * 4
             if off + nbytes > total:
                 raise ManifestError(f"{nid}.{role}: tensor out of bounds (offset {off} + {nbytes} > {total})")
             node.tensors[role] = np.empty(shape, "<f4")

@@ -1,45 +1,28 @@
-"""JSON text with the bytes of ``json.dumps(value, indent=2)``.
+"""JSON text with the bytes of ``json.dumps(value, indent=2)``, column by column.
 
 With ``indent``, CPython's ``json`` falls back to its pure-Python encoder,
 which yields every token through nested generators. The artifacts prunekit
-writes (plans, unit inventories, records) are long lists of small
-objects and [layer, index] pairs, so this module writes lists and non-empty
-str-keyed dicts itself, each as one ``join`` of its items' texts, a list of
-pairs from one template, and strings, ints and finite floats as ``json``
-spells them (its ASCII escaper, ``int.__repr__``, ``float.__repr__``). Every
-other value (None, bools, NaN and the infinities, tuples, empty dicts, dicts
-with a non-str key, and what JSON cannot hold) goes to
-``json.dumps(value, indent=2)``, re-indented. JSON text holds no raw newline
+writes (plans, unit inventories, records) are long lists of small objects
+and [layer, index] pairs, so this module writes a list of objects from one
+column of value texts per key, each object as one join, and each list of
+pairs from one pair template. Strings, ints and finite floats are spelled
+as ``json`` spells them (its ASCII escaper, ``int.__repr__``,
+``float.__repr__``); every other value goes to :func:`text`, which is
+``json.dumps(value, indent=2)`` re-indented. JSON text holds no raw newline
 inside a string, so those bytes and errors are ``json``'s own.
-
-``dumps`` writes any JSON value. ``texts``, ``objects`` and ``pair_arrays``
-write a list of objects column by column, for callers that hold their rows as
-columns or id arrays rather than as dicts and lists.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii as _string
+from operator import itemgetter
 
 
-def dumps(value) -> str:
-    """``json.dumps(value, indent=2)``: the same text, faster."""
-    return _text(value, "\n")
-
-
-def _text(v, ind: str) -> str:
-    """The text of ``v`` whose first line starts at indentation ``ind``."""
-    inner = ind + "  "
-    if type(v) is list:
-        if v and is_pairs(v):
-            deeper = inner + "  "
-            return array([f"[{deeper}{_string(name)},{deeper}{i}{inner}]" for name, i in v], ind)
-        return array(texts(v, inner), ind)
-    if type(v) is dict and v and all(type(k) is str for k in v):
-        keys = map(_string, v)
-        return "{" + inner + ("," + inner).join(map("{}: {}".format, keys, texts(v.values(), inner))) + ind + "}"
-    return json.dumps(v, indent=2).replace("\n", ind)
+def text(value, ind: str) -> str:
+    """``json.dumps(value, indent=2)`` with its first line at indentation ``ind``."""
+    return json.dumps(value, indent=2).replace("\n", ind)
 
 
 def is_pairs(value) -> bool:
@@ -56,7 +39,7 @@ def texts(values, ind: str) -> list[str]:
         _string(v) if type(v) is str
         else int.__repr__(v) if type(v) is int
         else float.__repr__(v) if type(v) is float and v - v == 0
-        else _text(v, ind)
+        else text(v, ind)
         for v in values
     ]
 
@@ -81,6 +64,20 @@ def pair_arrays(names: list[str], layer: list[int], index: list[int], bounds: li
     :func:`pair_texts`, each array written at indentation ``ind``."""
     items = pair_texts(names, layer, index, ind + "  ")
     return [array(items[lo:hi], ind) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def pair_lists(values: list, ind: str) -> list[str]:
+    """The text of each value at indentation ``ind``: when every value is a
+    list of [str, int] pairs, which is checked in bulk over all the pairs,
+    from :func:`pair_arrays`, and otherwise from :func:`text`."""
+    pairs = list(chain.from_iterable(values)) if set(map(type, values)) <= {list} else [None]
+    if set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}:
+        firsts, index = list(map(itemgetter(0), pairs)), list(map(itemgetter(1), pairs))
+        if set(map(type, firsts)) <= {str} and set(map(type, index)) <= {int}:
+            code = {name: i for i, name in enumerate(dict.fromkeys(firsts))}
+            bounds = list(accumulate(map(len, values), initial=0))
+            return pair_arrays(list(code), list(map(code.__getitem__, firsts)), index, bounds, ind)
+    return [text(v, ind) for v in values]
 
 
 def objects(columns: dict[str, list[str | None]], ind: str) -> list[str]:

@@ -28,6 +28,11 @@ from .graph import ModelGraph, graph_checksum
 from .scoring import Config, ImportanceRecord, _admits, score_all
 from .units import UnitTable, build_prune_units
 
+# the keys of a plan entry, in the order the planner writes them
+_ENTRY_KEYS = ["unit_id", "imp", "members", "in_slices"]
+# plan entries written per run of columns (_entry_texts)
+_ENTRY_RUN = 256
+
 
 @dataclass
 class PruningPlan:
@@ -49,21 +54,26 @@ class PruningPlan:
         return [e["unit_id"] for e in self.removed_entries]
 
     def to_json(self) -> str:
+        """``json.dumps`` of the plan with ``indent=2``; the removed units are
+        written column by column (:func:`_entry_texts`)."""
         payload = {
             "baseline": {"params": self.baseline_params, "flops": self.baseline_flops},
-            "predicted": {
-                "params": self.predicted_params,
-                "flops": self.predicted_flops,
-                "prr": self.prr,
-                "frr": self.frr,
-            },
+            "predicted": {"params": self.predicted_params, "flops": self.predicted_flops, "prr": self.prr, "frr": self.frr},
             "threshold": self.threshold,
             "removed_units": self.removed_entries,
             "layer_widths": {"before": self.layer_widths_before, "after": self.layer_widths_after},
             "config": self.config,
             "model_checksum": self.model_checksum,
         }
-        return jsontext.dumps(payload) + "\n"
+        ind = "\n  "
+        pieces = []
+        for key, value in payload.items():
+            pieces.append(f'{"," if pieces else "{"}{ind}"{key}": ')
+            if key == "removed_units" and type(value) is list:
+                pieces.append(jsontext.array(_entry_texts(value, ind + "  "), ind))
+            else:
+                pieces.append(jsontext.text(value, ind))
+        return "".join(pieces + ["\n}\n"])
 
     @staticmethod
     def from_json(text: str) -> "PruningPlan":
@@ -121,6 +131,24 @@ def _is_entry(entry) -> bool:
         and jsontext.is_pairs(entry["members"])
         and jsontext.is_pairs(entry["in_slices"])
     )
+
+
+def _entry_texts(entries: list, ind: str) -> list[str]:
+    """The text of each plan entry at indentation ``ind``: column by column
+    when every entry has the planner's keys in its order, and otherwise from
+    ``jsontext.text``. Runs of ``_ENTRY_RUN`` entries are written one after
+    another: holding every entry's column texts at once raised resnet164
+    ``plan``'s peak RSS by about 1.6 MB."""
+    if len(entries) > _ENTRY_RUN:
+        runs = (entries[lo : lo + _ENTRY_RUN] for lo in range(0, len(entries), _ENTRY_RUN))
+        return [t for run in runs for t in _entry_texts(run, ind)]
+    if not all(type(e) is dict and list(e) == _ENTRY_KEYS for e in entries):
+        return [jsontext.text(e, ind) for e in entries]
+    inner = ind + "  "
+    uid, imp, members, in_slices = ([e[key] for e in entries] for key in _ENTRY_KEYS)
+    columns = [jsontext.texts(uid, inner), jsontext.texts(imp, inner)]
+    columns += [jsontext.pair_lists(members, inner), jsontext.pair_lists(in_slices, inner)]
+    return jsontext.objects(dict(zip(_ENTRY_KEYS, columns)), ind)
 
 
 def _entry_rows(units: UnitTable, entries: list[dict]) -> list[int]:

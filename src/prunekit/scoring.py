@@ -24,7 +24,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass, field, fields, asdict
+from operator import attrgetter
 
 import numpy as np
 
@@ -53,6 +55,12 @@ def _admits(annotation: str, value) -> bool:
 
 # csv/json column contract: unit_id, layer, channel, L, GL, GP, GF, Imp
 RECORD_COLUMNS = ("unit_id", "layer", "channel", "L", "GL", "GP", "GF", "Imp")
+# a CSV field that holds none of these is written as it is
+_CSV_SPECIAL = re.compile('[,"\r\n]')
+# the ImportanceRecord field of each column
+_RECORD_FIELDS = attrgetter(
+    "unit_id", "layer", "channel", "raw", "weight_score", "param_score", "flop_score", "importance"
+)
 
 
 @dataclass
@@ -126,18 +134,6 @@ class ImportanceRecord:
     @property
     def unit(self) -> PruneUnit:
         return self.table[self.unit_row]
-
-    def row(self) -> list:
-        return [
-            self.unit_id,
-            self.layer,
-            self.channel,
-            repr(self.raw),
-            repr(self.weight_score),
-            repr(self.param_score),
-            repr(self.flop_score),
-            repr(self.importance),
-        ]
 
 
 def _abs_sums(w: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
@@ -300,29 +296,56 @@ def score_all(graph: ModelGraph, units: UnitTable, config: Config) -> list[Impor
     return records
 
 
+def records_texts(records: list[ImportanceRecord]) -> tuple[str, str]:
+    """``records.csv`` and ``records.json``: ``csv.writer`` rows of each
+    record's ``RECORD_COLUMNS`` fields, its numbers as ``repr`` spells them,
+    and ``json.dumps`` of one object per record with ``indent=2``. Both come
+    from one text column per field; each distinct float is rendered once,
+    and each CSV row is one join of its fields."""
+    uid, layer, channel, *numbers = zip(*map(_RECORD_FIELDS, records)) if records else [()] * 8
+    reprs, jsons = zip(*(_number_texts(column) for column in numbers))
+    fields = [_csv_fields(uid), _csv_fields(layer), _csv_fields(map(str, channel)), *reprs]
+    csv_text = "\n".join([",".join(RECORD_COLUMNS), *map(",".join, zip(*fields)), ""])
+    ind = "\n    "
+    columns = [jsontext.texts(uid, ind), jsontext.texts(layer, ind), jsontext.texts(channel, ind), *jsons]
+    json_text = jsontext.array(jsontext.objects(dict(zip(RECORD_COLUMNS, columns)), "\n  "), "\n") + "\n"
+    return csv_text, json_text
+
+
 def records_to_csv(records: list[ImportanceRecord]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(RECORD_COLUMNS)
-    for r in records:
-        writer.writerow(r.row())
-    return buf.getvalue()
+    """``records.csv`` alone; :func:`records_texts` writes both files."""
+    return records_texts(records)[0]
 
 
 def records_to_json(records: list[ImportanceRecord]) -> str:
-    """The records as ``json.dumps`` of one object per record (the
-    ``RECORD_COLUMNS`` keys) with ``indent=2``, written column by column."""
-    columns = [
-        jsontext.texts(values, "")
-        for values in (
-            [r.unit_id for r in records],
-            [r.layer for r in records],
-            [r.channel for r in records],
-            [r.raw for r in records],
-            [r.weight_score for r in records],
-            [r.param_score for r in records],
-            [r.flop_score for r in records],
-            [r.importance for r in records],
-        )
-    ]
-    return jsontext.array(jsontext.objects(dict(zip(RECORD_COLUMNS, columns)), "\n  "), "\n") + "\n"
+    """``records.json`` alone; :func:`records_texts` writes both files."""
+    return records_texts(records)[1]
+
+
+def _number_texts(values: tuple) -> tuple[list[str], list[str]]:
+    """The CSV text (``repr``) and JSON text of each value of a number column.
+    A column of finite floats renders each distinct value once, 0.0 apart
+    from -0.0 (one dict key), and shares its texts between the two formats;
+    a float's ``repr`` needs no CSV quoting."""
+    if set(map(type, values)) <= {float}:
+        distinct = set(values)
+        memo = dict(zip(distinct, map(float.__repr__, distinct)))
+        reprs = [memo[v] if v else float.__repr__(v) for v in values]
+        if all(map(math.isfinite, distinct)):
+            return reprs, reprs
+    else:
+        reprs = _csv_fields(map(repr, values))
+    return reprs, jsontext.texts(values, "\n    ")
+
+
+def _csv_fields(texts) -> list[str]:
+    """Each of ``texts`` as ``csv.writer`` writes it in a row; only a field
+    that holds a comma, quote or line break goes through the writer."""
+    return [_csv_field(t) if _CSV_SPECIAL.search(t) else t for t in texts]
+
+
+def _csv_field(text: str) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text])
+    return buf.getvalue()[:-1]
+

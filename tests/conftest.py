@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from prunekit import GraphBuilder, infer_shapes, save_model
+from prunekit import GraphBuilder, graph_checksum, infer_shapes, save_model
 from prunekit.zoo import densenet40, resnet56, vgg16
 
 
@@ -191,16 +191,24 @@ def save_tmp(graph, tmp_path, name: str = "model"):
     return str(manifest), str(weights)
 
 
+def _unchanged(name: str, graph):
+    """Yield ``graph`` to every test of the session, then fail the fixture's
+    teardown, naming it, if a test changed the graph."""
+    checksum = graph_checksum(graph)
+    yield graph
+    assert graph_checksum(graph) == checksum, f"a test changed the shared {name} fixture"
+
+
 @pytest.fixture(scope="session")
 def vgg_graph():
-    return vgg16(seed=0)
+    yield from _unchanged("vgg_graph", vgg16(seed=0))
 
 
 @pytest.fixture(scope="session")
 def densenet_graph():
-    return densenet40(seed=0)
+    yield from _unchanged("densenet_graph", densenet40(seed=0))
 
 
 @pytest.fixture(scope="session")
 def resnet_graph():
-    return resnet56(seed=0)
+    yield from _unchanged("resnet_graph", resnet56(seed=0))

@@ -9,6 +9,7 @@ import json
 import os
 import random
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -353,12 +354,15 @@ class TestExitCodes:
             lambda doc: doc["nodes"][1].update(id=None),
             lambda doc: doc["nodes"][2].update(id=doc["nodes"][1]["id"]),
             lambda doc: doc["nodes"][1]["tensors"].update(kernel=doc["nodes"][1]["tensors"].pop("weight")),
+            # element counts past 2**64, which wrap to 0 or a negative size in int64
+            lambda doc: doc["nodes"][1]["tensors"]["weight"].update(shape=[2**32, 2**32, 1, 1]),
+            lambda doc: doc["nodes"][1]["tensors"]["weight"].update(shape=[3, 2**62]),
         ],
         ids=[
             "document-array", "nodes-number", "input-array", "weights_file-number", "node-string",
             "inputs-number", "inputs-nested", "attrs-array", "stride-string", "tensors-array",
             "tensor-number", "shape-number", "version-unsupported", "id-null", "id-duplicate",
-            "tensor-role-unknown",
+            "tensor-role-unknown", "shape-count-wraps-to-0", "shape-count-wraps-negative",
         ],
     )
     def test_malformed_manifest_exits_2(self, toy_model, tmp_path, capsys, mutate):
@@ -528,6 +532,69 @@ class TestExitCodes:
         rc = main(["plan", "--model", manifest, "--weights", weights, "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"]["message"] == f"{cfg}:1: expected key=value"
+
+    @pytest.mark.parametrize("kind", ["analyze-model", "analyze-config", "prune-plan", "report-baseline"])
+    def test_input_that_is_not_utf8_exits_2(self, toy_model, tmp_path, capsys, kind):
+        manifest, weights = toy_model
+        out = tmp_path / "out"
+        assert main(["plan", "--model", manifest, "--weights", weights, "--out-dir", str(out), "--flop-target", "0.3"]) == 0
+        source = {"analyze-config": b"alpha = 2\n", "prune-plan": (out / "plan.json").read_bytes()}.get(kind)
+        bad = tmp_path / "bad"
+        bad.write_bytes((source or Path(manifest).read_bytes()).replace(b"\n", b"\xff\n", 1))
+        argv, prefix = {
+            "analyze-model": (["analyze", "--model", str(bad), "--weights", weights], "malformed manifest: "),
+            "analyze-config": (["analyze", "--model", manifest, "--weights", weights, "--config", str(bad)], f"{bad}: "),
+            "prune-plan": (["prune", "--model", manifest, "--weights", weights, "--plan", str(bad)], "malformed plan file: "),
+            "report-baseline": (["report", "--baseline", str(bad), "--baseline-weights", weights, "--pruned", manifest], "malformed manifest: "),
+        }[kind]
+        capsys.readouterr()
+        rc = main([*argv, "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err and err.count("\n") == 1
+        message = json.loads(err)["error"]["message"]
+        assert message.startswith(prefix) and "can't decode byte 0xff" in message, message
+        assert not os.path.exists(tmp_path / "o")
+
+    def test_fuzzed_config_exits_0_2_3_or_4(self, toy_model, tmp_path, capsys):
+        # seeded mutations of a small config file, values and raw bytes: each is
+        # rejected with one JSON object and no output directory, or planned
+        manifest, weights = toy_model
+        lines = [b"alpha = 1.5", b"beta = 0.5", b"flop_target_ratio = 0.3", b"min_channels_per_layer = 1", b"use_in_channel = true"]
+        values = [b"nan", b"inf", b"-inf", b"1e309", b"9" * 400, b"9" * 5000, b"-1", b"0", b"2", b"0.25", b"true", b"", b"'0.2'", b"0x10"]
+        rng = random.Random(0)
+        codes = set()
+        for i in range(36):
+            doc = list(lines)
+            j = rng.randrange(len(doc))
+            key, _, value = doc[j].partition(b" = ")
+            mutation = i % 6
+            if mutation == 0:  # a value that is out of range or does not parse
+                doc[j] = key + b" = " + rng.choice(values)
+            elif mutation == 1:  # a byte that is not UTF-8, or a NUL
+                pos = rng.randrange(len(doc[j]) + 1)
+                doc[j] = doc[j][:pos] + rng.choice([b"\xff", b"\xc3", b"\x80", b"\x00", b"\xef\xbb\xbf"]) + doc[j][pos:]
+            elif mutation == 2:  # "=" missing or repeated
+                doc[j] = rng.choice([key + b" " + value, key + b" = = " + value, key + b" = " + value + b" = " + value, b"= " + value])
+            elif mutation == 3:  # CRLF or CR line ends, comments and blank lines
+                doc = [line + rng.choice([b"", b"  # x = 1", b"\t", b"\n"]) for line in doc]
+            elif mutation == 4:  # a key repeated with a bad last value
+                doc.append(key + b" = " + rng.choice(values))
+            else:  # an unknown or mangled key
+                doc[j] = rng.choice([key.upper(), key + b"x", b"x" + key, key[:-1]]) + b" = " + value
+            newline = rng.choice([b"\n", b"\r\n", b"\r"]) if mutation == 3 else b"\n"
+            cfg = tmp_path / f"c{i}.cfg"
+            cfg.write_bytes(newline.join(doc) + newline)
+            out = tmp_path / f"o{i}"
+            rc = main(["plan", "--model", manifest, "--weights", weights, "--config", str(cfg), "--out-dir", str(out)])
+            captured = capsys.readouterr()
+            codes.add(rc)
+            assert rc in (0, 2, 3, 4), (i, captured.err)
+            assert "Traceback" not in captured.err
+            if rc:
+                assert captured.err.count("\n") == 1 and isinstance(json.loads(captured.err)["error"]["message"], str)
+                assert not os.path.exists(out)
+        assert {0, 2} <= codes
 
     def test_prune_without_plan_or_per_pass_exits_2(self, toy_model, tmp_path, capsys):
         manifest, weights = toy_model
@@ -720,11 +787,11 @@ class TestExitCodes:
         saved = json.loads(read(manifest))
         rng = random.Random(0)
         values = [None, True, False, 1.5, -1, 0, 2**63]
-        for i in range(60):
+        for i in range(70):
             doc = copy.deepcopy(saved)
             nodes = doc["nodes"]
             node = rng.choice(nodes[1:])
-            mutation = i % 6
+            mutation = i % 7
             if mutation == 0:  # a bad attribute value
                 node["attrs"][rng.choice(sorted(node["attrs"]) or ["stride"])] = rng.choice(values)
             elif mutation == 1:  # a bad tensor offset, shape or dimension
@@ -741,8 +808,11 @@ class TestExitCodes:
             elif mutation == 4:  # two nodes swapped
                 a, b = rng.sample(range(len(nodes)), 2)
                 nodes[a], nodes[b] = nodes[b], nodes[a]
-            else:  # bad input channels or size
+            elif mutation == 5:  # bad input channels or size
                 doc["input"][rng.choice(["channels", "size"])] = rng.choice([*values, 2**29, 2**20])
+            else:  # large dimensions, whose product may wrap around in 64 bits
+                meta = rng.choice([m for n in nodes for m in n["tensors"].values()])
+                meta["shape"] = [rng.choice([2**21, 2**31, 2**32, 2**62]) for _ in meta["shape"]] + [3]
             bad = tmp_path / f"bad{i}.json"
             bad.write_text(json.dumps(doc))
             out = tmp_path / f"o{i}"
