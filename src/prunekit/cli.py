@@ -116,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pruned", required=True, help="pruned model manifest")
     p.add_argument("--pruned-weights")
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--flops-convention", choices=CONVENTIONS, dest="flops_convention", default="macs")
+    p.add_argument("--flops-convention", choices=CONVENTIONS, dest="flops_convention", default=Config.flops_convention)
     p.set_defaults(func=cmd_report)
     return parser
 
@@ -191,11 +191,11 @@ def _file_checksum(path: str) -> str:
     return digest.hexdigest()
 
 
-def _write(out_dir: str, name: str, text: str) -> str:
+def _write(out_dir: str, name: str, data: bytes) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
+    with open(path, "wb") as f:
+        f.write(data)
     return path
 
 
@@ -219,12 +219,13 @@ class _RunManifest:
         self.data["artifacts"].append({"path": path, "sha256": sha256})
 
     def write_artifact(self, out_dir: str, name: str, text: str) -> None:
-        """Write a text artifact and record it, hashing the text in memory."""
-        self.add(_write(out_dir, name, text), hashlib.sha256(text.encode("utf-8")).hexdigest())
+        """Write a text artifact as UTF-8 and record it, hashing the bytes written."""
+        data = text.encode("utf-8")
+        self.add(_write(out_dir, name, data), hashlib.sha256(data).hexdigest())
 
     def write(self, out_dir: str) -> None:
         self.data["timings"]["total_s"] = round(time.monotonic() - self.started, 6)
-        _write(out_dir, "run_manifest.json", json.dumps(self.data, indent=2) + "\n")
+        _write(out_dir, "run_manifest.json", (json.dumps(self.data, indent=2) + "\n").encode("utf-8"))
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -279,6 +280,8 @@ def cmd_prune(args: argparse.Namespace) -> int:
 
     if args.plan:
         plan = PruningPlan.from_json(_read_text(args.plan, "malformed plan file: "))
+        config = Config(**plan.config)  # every scoring and planning setting comes from the plan
+        run.data["config"] = config.to_dict()
         pruned, report = apply_plan(graph, plan)
         report_dict = report.to_dict()
         weights_digest = report.container_checksum
@@ -306,7 +309,7 @@ def cmd_prune(args: argparse.Namespace) -> int:
     # the (last) plan's counts, which surgery checked against a recount under the plan's config
     print(f"pruned model: {manifest_path}")
     print(f"post params: {plan.predicted_params}")
-    print(f"post flops ({plan.config.get('flops_convention', 'macs')}): {plan.predicted_flops}")
+    print(f"post flops ({config.flops_convention}): {plan.predicted_flops}")
     run.write(out_dir)
     return EXIT_OK
 

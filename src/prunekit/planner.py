@@ -22,10 +22,11 @@ from dataclasses import dataclass, field, fields
 from operator import itemgetter
 
 from . import jsontext
-from .costs import RunningCosts, unit_rows
+from .costs import RunningCosts, effective_model_costs, unit_rows
 from .errors import InfeasibleBudgetError, PlanMismatchError, PruneKitError
 from .graph import ModelGraph, graph_checksum
 from .scoring import Config, ImportanceRecord, _admits, score_all
+from .surgeon import apply_units
 from .units import UnitTable, build_prune_units
 
 # the keys of a plan entry, in the order the planner writes them
@@ -66,14 +67,61 @@ class PruningPlan:
             "model_checksum": self.model_checksum,
         }
         ind = "\n  "
-        pieces = []
-        for key, value in payload.items():
-            pieces.append(f'{"," if pieces else "{"}{ind}"{key}": ')
-            if key == "removed_units" and type(value) is list:
-                pieces.append(jsontext.array(_entry_texts(value, ind + "  "), ind))
-            else:
-                pieces.append(jsontext.text(value, ind))
-        return "".join(pieces + ["\n}\n"])
+        columns = {
+            key: [jsontext.array(_entry_texts(value, ind + "  "), ind)]
+            if key == "removed_units" and type(value) is list
+            else [jsontext.text(value, ind)]
+            for key, value in payload.items()
+        }
+        return jsontext.objects(columns, "\n")[0] + "\n"
+
+    def removed_table(self, graph: ModelGraph) -> UnitTable:
+        """The units of ``graph`` that the plan removes, in entry order. A plan
+        made from another model is a PlanMismatchError, and so is an entry
+        that is not well formed, names no unit or a unit twice, or does not
+        list the unit's members and in-slices exactly. Every entry's form is
+        checked first; then each entry is matched before the next one."""
+        if self.model_checksum != graph_checksum(graph):
+            raise PlanMismatchError("plan was produced from a different model (checksum mismatch)")
+        units = build_prune_units(graph)
+        entries = self.removed_entries
+        if not isinstance(entries, list):
+            raise PlanMismatchError("corrupt plan: removed units must be a list")
+        for entry in entries:
+            if not _is_entry(entry):
+                if isinstance(entry, dict) and isinstance(entry.get("unit_id"), str):
+                    raise PlanMismatchError(f"corrupt plan: unit {entry['unit_id']!r} does not match the graph")
+                raise PlanMismatchError(f"corrupt plan: removed unit {entry!r} has no string unit_id")
+        row = {uid: i for i, uid in enumerate(units.uid)}
+        rows = [row.get(entry["unit_id"], -1) for entry in entries]
+        found = [r for r in rows if r >= 0]
+        # the entry the planner writes for each row named; its imp is not compared
+        expected = dict(zip(found, _entries(units.take(found), [0.0] * len(found))))
+        shape = itemgetter("members", "in_slices")
+        selected: set[int] = set()
+        for entry, r in zip(entries, rows):
+            uid = entry["unit_id"]
+            if r < 0:
+                raise PlanMismatchError(f"corrupt plan: unknown unit {uid!r}")
+            if r in selected:
+                raise PlanMismatchError(f"corrupt plan: unit {uid!r} listed twice")
+            if shape(entry) != shape(expected[r]):
+                raise PlanMismatchError(f"corrupt plan: unit {uid!r} does not match the graph")
+            selected.add(r)
+        return units.take(rows)
+
+    def check(self, pruned: ModelGraph) -> None:
+        """Recount ``pruned`` under the plan's config; params or FLOPs other
+        than the predicted ones are a PruneKitError."""
+        config = Config(**self.config)
+        post_params, post_flops = effective_model_costs(
+            pruned, convention=config.flops_convention, count_aux_params=config.count_aux_params
+        )
+        if (post_params, post_flops) != (self.predicted_params, self.predicted_flops):
+            raise PruneKitError(
+                f"surgery does not match plan: params {post_params} vs {self.predicted_params}, "
+                f"flops {post_flops} vs {self.predicted_flops}"
+            )
 
     @staticmethod
     def from_json(text: str) -> "PruningPlan":
@@ -121,7 +169,7 @@ class PruningPlan:
 
 def _is_entry(entry) -> bool:
     """An object with a string unit_id, a number imp, and members and
-    in_slices that are lists of [layer, index] pairs; apply_plan compares
+    in_slices that are lists of [layer, index] pairs; removed_table compares
     their contents with the real unit."""
     return (
         isinstance(entry, dict)
@@ -149,37 +197,6 @@ def _entry_texts(entries: list, ind: str) -> list[str]:
     columns = [jsontext.texts(uid, inner), jsontext.texts(imp, inner)]
     columns += [jsontext.pair_lists(members, inner), jsontext.pair_lists(in_slices, inner)]
     return jsontext.objects(dict(zip(_ENTRY_KEYS, columns)), ind)
-
-
-def _entry_rows(units: UnitTable, entries: list[dict]) -> list[int]:
-    """The row of ``units`` that each plan entry names. An entry that is not
-    well formed, names no unit or a unit twice, or does not list the unit's
-    members and in-slices exactly is a PlanMismatchError; each entry passes
-    every check before the next one is looked at."""
-    if not isinstance(entries, list):
-        raise PlanMismatchError("corrupt plan: removed units must be a list")
-    for entry in entries:
-        if not _is_entry(entry):
-            if isinstance(entry, dict) and isinstance(entry.get("unit_id"), str):
-                raise PlanMismatchError(f"corrupt plan: unit {entry['unit_id']!r} does not match the graph")
-            raise PlanMismatchError(f"corrupt plan: removed unit {entry!r} has no string unit_id")
-    row = {uid: i for i, uid in enumerate(units.uid)}
-    rows = [row.get(entry["unit_id"], -1) for entry in entries]
-    found = [r for r in rows if r >= 0]
-    # the entry the planner writes for each row named; its imp is not compared
-    expected = dict(zip(found, _entries(units.take(found), [0.0] * len(found))))
-    shape = itemgetter("members", "in_slices")
-    selected: set[int] = set()
-    for entry, r in zip(entries, rows):
-        uid = entry["unit_id"]
-        if r < 0:
-            raise PlanMismatchError(f"corrupt plan: unknown unit {uid!r}")
-        if r in selected:
-            raise PlanMismatchError(f"corrupt plan: unit {uid!r} listed twice")
-        if shape(entry) != shape(expected[r]):
-            raise PlanMismatchError(f"corrupt plan: unit {uid!r} does not match the graph")
-        selected.add(r)
-    return rows
 
 
 def rank_global(records: list[ImportanceRecord]) -> list[ImportanceRecord]:
@@ -294,8 +311,6 @@ def multi_pass(graph: ModelGraph, config: Config) -> Iterator[tuple[PruningPlan,
     starts; pass a copy to keep one. A caller that lets go of ``graph`` and
     keeps only the latest pass's graph holds one model plus one layer at a
     time, even during surgery."""
-    from .surgeon import _checked_surgery  # local import: surgeon depends on this module
-
     config.validate()
     if config.per_pass_ratio is None:
         raise PruneKitError("multi-pass pruning needs per_pass_ratio (--per-pass)")
@@ -304,5 +319,6 @@ def multi_pass(graph: ModelGraph, config: Config) -> Iterator[tuple[PruningPlan,
         units = build_prune_units(graph)
         records = score_all(graph, units, pass_config)
         plan, removed = _select(records, graph, pass_config)
-        graph = _checked_surgery(graph, removed, plan, release=True)
+        graph = apply_units(graph, removed, release=True)
+        plan.check(graph)
         yield plan, graph

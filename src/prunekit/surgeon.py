@@ -19,11 +19,11 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 from operator import index
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .costs import effective_model_costs
-from .errors import PlanMismatchError, PruneKitError
+from .errors import PruneKitError
 from .eval import _run
 from .graph import (
     _BN_ROLES,
@@ -31,12 +31,13 @@ from .graph import (
     WEIGHTED_KINDS,
     ModelGraph,
     container_checksum,
-    graph_checksum,
     infer_shapes,
     validate,
 )
-from .planner import PruningPlan, _entry_rows
-from .units import PruneUnit, UnitTable, _Numbering, build_prune_units, channel_flow, graph_row, graph_table
+from .units import PruneUnit, UnitTable, _Numbering, channel_flow, graph_row, graph_table
+
+if TYPE_CHECKING:  # the planner applies its plans with this module's apply_units
+    from .planner import PruningPlan
 
 
 _TAKE_ROWS = 8192  # rows per block in _kept_weight: a 64 KB index
@@ -69,32 +70,20 @@ def clone_graph(graph: ModelGraph) -> ModelGraph:
 
 
 def apply_plan(graph: ModelGraph, plan: PruningPlan) -> tuple[ModelGraph, SurgeryReport]:
-    """Apply a plan produced from this exact graph; re-validates the result and
-    checks that the recounted params/FLOPs equal the plan's predictions. A
-    removed entry that is not well formed, or that does not name one of the
-    graph's units exactly, is a PlanMismatchError."""
-    if plan.model_checksum != graph_checksum(graph):
-        raise PlanMismatchError("plan was produced from a different model (checksum mismatch)")
-    units = build_prune_units(graph)
-    units = units.take(_entry_rows(units, plan.removed_entries))
-    pruned = _checked_surgery(graph, units, plan)
-    return pruned, _make_report(graph, pruned, units, plan)
-
-
-def _checked_surgery(graph: ModelGraph, units: UnitTable, plan: PruningPlan, release: bool = False) -> ModelGraph:
-    """apply_units, then check the recounted params/FLOPs against the plan."""
-    pruned = apply_units(graph, units, release=release)
-    post_params, post_flops = effective_model_costs(
-        pruned,
-        convention=plan.config.get("flops_convention", "macs"),
-        count_aux_params=plan.config.get("count_aux_params", True),
+    """Apply a plan produced from this exact graph: ``plan.removed_table``
+    matches its entries to the graph's units, ``apply_units`` removes them and
+    ``plan.check`` recounts the result under the plan's config."""
+    units = plan.removed_table(graph)
+    pruned = apply_units(graph, units)
+    plan.check(pruned)
+    return pruned, SurgeryReport(
+        removed_outputs=_by_layer(units.filters, units.members.ids),
+        removed_inputs=_by_layer(units.slots, units.in_slices.ids),
+        bytes_removed=_container_bytes(graph) - _container_bytes(pruned),
+        post_params=plan.predicted_params,
+        post_flops=plan.predicted_flops,
+        container_checksum=container_checksum(pruned),
     )
-    if (post_params, post_flops) != (plan.predicted_params, plan.predicted_flops):
-        raise PruneKitError(
-            f"surgery does not match plan: params {post_params} vs {plan.predicted_params}, "
-            f"flops {post_flops} vs {plan.predicted_flops}"
-        )
-    return pruned
 
 
 def apply_units(graph: ModelGraph, units: UnitTable, *, release: bool = False) -> ModelGraph:
@@ -195,17 +184,6 @@ def _check_entries(nid: str, stated: np.ndarray, keep: np.ndarray, what: str, re
     stated, expected = np.flatnonzero(stated).tolist(), np.flatnonzero(~keep).tolist()
     if stated != expected:
         raise PruneKitError(f"{nid}: {what} {stated} does not match {removals} {expected}")
-
-
-def _make_report(before: ModelGraph, after: ModelGraph, units: UnitTable, plan: PruningPlan) -> SurgeryReport:
-    return SurgeryReport(
-        removed_outputs=_by_layer(units.filters, units.members.ids),
-        removed_inputs=_by_layer(units.slots, units.in_slices.ids),
-        bytes_removed=_container_bytes(before) - _container_bytes(after),
-        post_params=plan.predicted_params,
-        post_flops=plan.predicted_flops,
-        container_checksum=container_checksum(after),
-    )
 
 
 def _container_bytes(graph: ModelGraph) -> int:

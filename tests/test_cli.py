@@ -131,6 +131,22 @@ class TestPlanPrune:
         report = json.loads(read(pruned_dir / "surgery_report.json"))
         assert printed[1:] == [f"post params: {report['post_params']}", f"post flops (2macs): {report['post_flops']}"]
 
+    def test_prune_records_the_plan_config(self, toy_model, tmp_path):
+        # a bare prune --plan applies the plan's settings, so its run manifest records them
+        manifest, weights = toy_model
+        out, pruned_dir = tmp_path / "out", tmp_path / "pruned"
+        assert main([
+            "plan", "--model", manifest, "--weights", weights, "--preset", "vggnet", "--flop-target", "0.66",
+            "--out-dir", str(out),
+        ]) == 0
+        plan_config = json.loads(read(out / "plan.json"))["config"]
+        assert (plan_config["alpha"], plan_config["flop_target_ratio"]) == (3.0, 0.66)
+        assert main([
+            "prune", "--model", manifest, "--weights", weights,
+            "--plan", str(out / "plan.json"), "--out-dir", str(pruned_dir),
+        ]) == 0
+        assert json.loads(read(pruned_dir / "run_manifest.json"))["config"] == plan_config
+
     @pytest.mark.parametrize("multi_pass", [False, True])
     def test_run_manifest_digests_match_files(self, toy_model, tmp_path, multi_pass):
         manifest, weights = toy_model

@@ -192,12 +192,15 @@ class TestApplyPlan:
             "container_checksum",
         }
 
-    def test_pruned_graph_reloads(self, tmp_path):
-        rng = np.random.default_rng(5)
-        g = make_chain(rng, (6, 8), with_bn=True)
-        pruned, _ = apply_plan(g, plan_for(g))
-        manifest, weights = save_tmp(pruned, tmp_path, "pruned")
-        loaded = load_model(manifest, weights)
+    @pytest.mark.parametrize("seed", range(12))
+    def test_pruned_graph_reloads(self, tmp_path, seed):
+        # chains, residual and flatten nets, and dense nets (seeds 4, 5, 8 and
+        # 10) whose pruned consumers keep in_select
+        g = random_tiny_net(np.random.default_rng(seed))
+        pruned, _ = apply_plan(g, plan_for(g, target=0.5))
+        if any(node.kind == "Concat" for node in g.nodes.values()):
+            assert any("in_select" in node.attrs for node in pruned.nodes.values())
+        loaded = load_model(*save_tmp(pruned, tmp_path, "pruned"))
         assert validate(loaded) == []
         infer_shapes(loaded)
         assert graph_checksum(loaded) == graph_checksum(pruned)
