@@ -15,9 +15,7 @@ inside a string, so those bytes and errors are ``json``'s own.
 from __future__ import annotations
 
 import json
-from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii as _string
-from operator import itemgetter
 
 
 def text(value, ind: str) -> str:
@@ -64,20 +62,6 @@ def pair_arrays(names: list[str], layer: list[int], index: list[int], bounds: li
     :func:`pair_texts`, each array written at indentation ``ind``."""
     items = pair_texts(names, layer, index, ind + "  ")
     return [array(items[lo:hi], ind) for lo, hi in zip(bounds, bounds[1:])]
-
-
-def pair_lists(values: list, ind: str) -> list[str]:
-    """The text of each value at indentation ``ind``: when every value is a
-    list of [str, int] pairs, which is checked in bulk over all the pairs,
-    from :func:`pair_arrays`, and otherwise from :func:`text`."""
-    pairs = list(chain.from_iterable(values)) if set(map(type, values)) <= {list} else [None]
-    if set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}:
-        firsts, index = list(map(itemgetter(0), pairs)), list(map(itemgetter(1), pairs))
-        if set(map(type, firsts)) <= {str} and set(map(type, index)) <= {int}:
-            code = {name: i for i, name in enumerate(dict.fromkeys(firsts))}
-            bounds = list(accumulate(map(len, values), initial=0))
-            return pair_arrays(list(code), list(map(code.__getitem__, firsts)), index, bounds, ind)
-    return [text(v, ind) for v in values]
 
 
 def objects(columns: dict[str, list[str | None]], ind: str) -> list[str]:

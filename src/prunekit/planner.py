@@ -12,6 +12,13 @@ row, and one full recount of the final removal set checks them. Ties in
 importance break toward the costlier unit (larger F, then larger P, then unit
 id), so equal-importance removals buy the most budget. A survival floor keeps
 every weighted layer alive.
+
+A plan names each removed unit once, as a ``{"unit_id", "imp"}`` entry in
+removal order, under one ``units_checksum``: the ``UnitTable.checksum`` of the
+removed rows. The rows' members and slices follow from the model and the unit
+builder (``analyze --dump-units`` lists them), so ``PruningPlan.removed_table``
+rebuilds the units, takes the named rows and compares their checksum, and a
+plan made by a unit builder that built other rows is refused.
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
-from operator import itemgetter
 
 from . import jsontext
 from .costs import RunningCosts, effective_model_costs, unit_rows
@@ -30,9 +36,7 @@ from .surgeon import apply_units
 from .units import UnitTable, build_prune_units
 
 # the keys of a plan entry, in the order the planner writes them
-_ENTRY_KEYS = ["unit_id", "imp", "members", "in_slices"]
-# plan entries written per run of columns (_entry_texts)
-_ENTRY_RUN = 256
+_ENTRY_KEYS = ["unit_id", "imp"]
 
 
 @dataclass
@@ -47,6 +51,7 @@ class PruningPlan:
     layer_widths_before: dict[str, int]
     layer_widths_after: dict[str, int]
     model_checksum: str
+    units_checksum: str  # UnitTable.checksum of the removed units, in entry order
     config: dict
     removed_entries: list[dict] = field(default_factory=list)  # ascending importance
 
@@ -65,6 +70,7 @@ class PruningPlan:
             "layer_widths": {"before": self.layer_widths_before, "after": self.layer_widths_after},
             "config": self.config,
             "model_checksum": self.model_checksum,
+            "units_checksum": self.units_checksum,
         }
         ind = "\n  "
         columns = {
@@ -78,37 +84,32 @@ class PruningPlan:
     def removed_table(self, graph: ModelGraph) -> UnitTable:
         """The units of ``graph`` that the plan removes, in entry order. A plan
         made from another model is a PlanMismatchError, and so is an entry
-        that is not well formed, names no unit or a unit twice, or does not
-        list the unit's members and in-slices exactly. Every entry's form is
-        checked first; then each entry is matched before the next one."""
+        that is not well formed or names no unit or a unit twice, and so are
+        named units whose ``UnitTable.checksum`` is not the plan's
+        ``units_checksum``, as when a unit builder that built other rows made
+        the plan. Every entry's form is checked first, then each entry's unit
+        in turn, then the checksum."""
         if self.model_checksum != graph_checksum(graph):
             raise PlanMismatchError("plan was produced from a different model (checksum mismatch)")
-        units = build_prune_units(graph)
         entries = self.removed_entries
         if not isinstance(entries, list):
             raise PlanMismatchError("corrupt plan: removed units must be a list")
         for entry in entries:
             if not _is_entry(entry):
-                if isinstance(entry, dict) and isinstance(entry.get("unit_id"), str):
-                    raise PlanMismatchError(f"corrupt plan: unit {entry['unit_id']!r} does not match the graph")
-                raise PlanMismatchError(f"corrupt plan: removed unit {entry!r} has no string unit_id")
+                raise PlanMismatchError(f"corrupt plan: removed unit {entry!r} needs a string unit_id and a number imp")
+        units = build_prune_units(graph)
         row = {uid: i for i, uid in enumerate(units.uid)}
-        rows = [row.get(entry["unit_id"], -1) for entry in entries]
-        found = [r for r in rows if r >= 0]
-        # the entry the planner writes for each row named; its imp is not compared
-        expected = dict(zip(found, _entries(units.take(found), [0.0] * len(found))))
-        shape = itemgetter("members", "in_slices")
-        selected: set[int] = set()
-        for entry, r in zip(entries, rows):
-            uid = entry["unit_id"]
-            if r < 0:
+        rows: dict[str, int] = {}
+        for uid in self.removed_unit_ids:
+            if uid not in row:
                 raise PlanMismatchError(f"corrupt plan: unknown unit {uid!r}")
-            if r in selected:
+            if uid in rows:
                 raise PlanMismatchError(f"corrupt plan: unit {uid!r} listed twice")
-            if shape(entry) != shape(expected[r]):
-                raise PlanMismatchError(f"corrupt plan: unit {uid!r} does not match the graph")
-            selected.add(r)
-        return units.take(rows)
+            rows[uid] = row[uid]
+        removed = units.take(list(rows.values()))
+        if removed.checksum() != self.units_checksum:
+            raise PlanMismatchError("plan was produced from other units (units checksum mismatch)")
+        return removed
 
     def check(self, pruned: ModelGraph) -> None:
         """Recount ``pruned`` under the plan's config; params or FLOPs other
@@ -141,15 +142,14 @@ class PruningPlan:
                 layer_widths_before=payload["layer_widths"]["before"],
                 layer_widths_after=payload["layer_widths"]["after"],
                 model_checksum=payload["model_checksum"],
+                units_checksum=payload["units_checksum"],
                 config=payload["config"],
                 removed_entries=payload["removed_units"],
             )
             plan._check_types()
             Config(**plan.config).validate()
             if not isinstance(plan.removed_entries, list) or not all(map(_is_entry, plan.removed_entries)):
-                raise PruneKitError(
-                    "removed units need a string unit_id, a number imp, and members and in_slices of [layer, index] pairs"
-                )
+                raise PruneKitError("removed units need a string unit_id and a number imp")
         except (KeyError, TypeError, PruneKitError, json.JSONDecodeError) as e:
             raise PruneKitError(f"malformed plan file: {e}") from e
         return plan
@@ -168,35 +168,18 @@ class PruningPlan:
 
 
 def _is_entry(entry) -> bool:
-    """An object with a string unit_id, a number imp, and members and
-    in_slices that are lists of [layer, index] pairs; removed_table compares
-    their contents with the real unit."""
-    return (
-        isinstance(entry, dict)
-        and {"unit_id", "imp", "members", "in_slices"} <= entry.keys()
-        and isinstance(entry["unit_id"], str)
-        and _admits("float", entry["imp"])
-        and jsontext.is_pairs(entry["members"])
-        and jsontext.is_pairs(entry["in_slices"])
-    )
+    """An object with a string unit_id and a number imp."""
+    return isinstance(entry, dict) and isinstance(entry.get("unit_id"), str) and _admits("float", entry.get("imp"))
 
 
 def _entry_texts(entries: list, ind: str) -> list[str]:
     """The text of each plan entry at indentation ``ind``: column by column
     when every entry has the planner's keys in its order, and otherwise from
-    ``jsontext.text``. Runs of ``_ENTRY_RUN`` entries are written one after
-    another: holding every entry's column texts at once raised resnet164
-    ``plan``'s peak RSS by about 1.6 MB."""
-    if len(entries) > _ENTRY_RUN:
-        runs = (entries[lo : lo + _ENTRY_RUN] for lo in range(0, len(entries), _ENTRY_RUN))
-        return [t for run in runs for t in _entry_texts(run, ind)]
+    ``jsontext.text``."""
     if not all(type(e) is dict and list(e) == _ENTRY_KEYS for e in entries):
         return [jsontext.text(e, ind) for e in entries]
-    inner = ind + "  "
-    uid, imp, members, in_slices = ([e[key] for e in entries] for key in _ENTRY_KEYS)
-    columns = [jsontext.texts(uid, inner), jsontext.texts(imp, inner)]
-    columns += [jsontext.pair_lists(members, inner), jsontext.pair_lists(in_slices, inner)]
-    return jsontext.objects(dict(zip(_ENTRY_KEYS, columns)), ind)
+    columns = {key: jsontext.texts([e[key] for e in entries], ind + "  ") for key in _ENTRY_KEYS}
+    return jsontext.objects(columns, ind)
 
 
 def rank_global(records: list[ImportanceRecord]) -> list[ImportanceRecord]:
@@ -283,20 +266,11 @@ def _select(records: list[ImportanceRecord], graph: ModelGraph, config: Config) 
         layer_widths_before=dict(zip(costs.layers, costs.declared_out)),
         layer_widths_after=dict(zip(costs.layers, n)),
         model_checksum=graph_checksum(graph),
+        units_checksum=removed.checksum(),
         config=config.to_dict(),
-        removed_entries=_entries(removed, imps),
+        removed_entries=[{"unit_id": uid, "imp": imp} for uid, imp in zip(removed.uid, imps)],
     )
     return plan, removed
-
-
-def _entries(units: UnitTable, imps: list[float]) -> list[dict]:
-    """The plan entry of each removed unit: its members and in-slices as
-    [layer, index] pairs."""
-    members, in_slices = units.filters.pairs(units.members), units.slots.pairs(units.in_slices)
-    return [
-        {"unit_id": uid, "imp": imp, "members": m, "in_slices": s}
-        for uid, imp, m, s in zip(units.uid, imps, members, in_slices)
-    ]
 
 
 def multi_pass(graph: ModelGraph, config: Config) -> Iterator[tuple[PruningPlan, ModelGraph]]:

@@ -40,6 +40,7 @@ keeps. Units made by hand enter a table as ``units.json`` entries through
 
 from __future__ import annotations
 
+import hashlib
 import json
 import weakref
 from itertools import accumulate, chain, repeat
@@ -99,13 +100,6 @@ class _Numbering:
         """The layer and index of id ``i``."""
         layer, index = self.locate(i)
         return self.names[layer], int(index)
-
-    def pairs(self, ragged: "Ragged") -> list[list[list]]:
-        """The [layer, index] pairs of each run of ``ragged``, as a list per run."""
-        layer, index = self.locate(ragged.ids)
-        pairs = list(map(list, zip(map(self.names.__getitem__, layer.tolist()), index.tolist())))
-        b = ragged.bounds.tolist()
-        return list(map(pairs.__getitem__, map(slice, b, b[1:])))
 
     def ids_of(self, pairs: list) -> np.ndarray:
         """The id of each (layer, index) pair, or -1 where the layer is not
@@ -210,6 +204,16 @@ class UnitTable:
         layer[has], index[has] = self.filters.locate(self.members.ids[self.members.bounds[:-1][has]])
         layer[~has], index[~has] = self.slots.locate(self.in_slices.ids[self.in_slices.bounds[:-1][~has]])
         return list(map(self.filters.names.__getitem__, layer.tolist())), index.tolist()
+
+    def checksum(self) -> str:
+        """sha256 of the rows in order: their uids as JSON, then the run
+        bounds and ids of ``members``, ``in_slices`` and ``aux`` as
+        little-endian int64, the fields that surgery and its report read."""
+        digest = hashlib.sha256(json.dumps(self.uid).encode("utf-8"))
+        for ragged in (self.members, self.in_slices, self.aux):
+            for ids in ragged.bounds, ragged.ids:
+                digest.update(np.asarray(ids, "<i8").tobytes())
+        return digest.hexdigest()
 
     def to_json(self) -> str:
         """The unit inventory as ``json.dumps`` with ``indent=2`` of one object

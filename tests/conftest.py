@@ -2,10 +2,22 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from prunekit import GraphBuilder, graph_checksum, infer_shapes, save_model
+from prunekit import (
+    Config,
+    GraphBuilder,
+    build_prune_units,
+    graph_checksum,
+    infer_shapes,
+    save_model,
+    score_all,
+    select_threshold,
+    unit_table,
+)
 from prunekit.zoo import densenet40, resnet56, vgg16
 
 
@@ -182,6 +194,22 @@ def random_tiny_net(rng: np.random.Generator):
     if kind == "dense":
         return make_dense_toy(rng, entry_width=int(rng.integers(3, 7)), growth=int(rng.integers(2, 5)), layers=2)
     return make_flatten_toy(rng, channels=int(rng.integers(2, 5)))
+
+
+def plan_from_other_units(graph, target: float = 0.3):
+    """A plan selected from a hand-made copy of ``graph``'s unit table in
+    which one unit, the first that a plan of the builder's table removes, has
+    lost its last in-slice. The plan names that unit by the builder's uid,
+    but its row differs from the builder's in one in-slice."""
+    config = Config(flop_target_ratio=target)
+    units = build_prune_units(graph)
+    first = select_threshold(score_all(graph, units, config), graph, config).removed_unit_ids[0]
+    entries = json.loads(units.to_json())
+    next(e for e in entries if e["uid"] == first)["in_slices"].pop()
+    hand = unit_table(graph, entries)
+    plan = select_threshold(score_all(graph, hand, config), graph, config)
+    assert first in plan.removed_unit_ids
+    return plan
 
 
 def save_tmp(graph, tmp_path, name: str = "model"):

@@ -532,8 +532,9 @@ def greedy_plan(records, graph, config):
     with effective_model_costs after every mark. Returns (removed unit ids,
     params, flops, plan JSON), the JSON None when the budget is unreachable.
     It shares the full count (which tests check against loop_forward's op
-    count and manifest_param_count) and the plan format with the library,
-    not its running arithmetic or its rows."""
+    count and manifest_param_count), the plan format and
+    ``UnitTable.checksum`` with the library, not its running arithmetic or
+    its rows."""
     from collections import Counter
 
     from prunekit.costs import effective_model_costs
@@ -583,16 +584,10 @@ def greedy_plan(records, graph, config):
         layer_widths_before=out_width,
         layer_widths_after={layer: width - removed_out[layer] for layer, width in out_width.items()},
         model_checksum=graph_checksum(graph),
+        # the library's digest of the taken rows; TestChecksum pins what it covers
+        units_checksum=records[0].table.take([r.unit_row for r in taken]).checksum(),
         config=config.to_dict(),
-        removed_entries=[
-            {
-                "unit_id": r.unit_id,
-                "imp": r.importance,
-                "members": [list(m) for m in units[r.unit_row].members],
-                "in_slices": [list(s) for s in units[r.unit_row].in_slices],
-            }
-            for r in taken
-        ],
+        removed_entries=[{"unit_id": r.unit_id, "imp": r.importance} for r in taken],
     )
     return ids, params, flops, plan.to_json()
 

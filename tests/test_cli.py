@@ -8,16 +8,28 @@ import hashlib
 import json
 import os
 import random
+import re
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from prunekit import GraphBuilder
+from prunekit import GraphBuilder, infer_shapes, load_model
 from prunekit.cli import main
 
-from conftest import bn_params, make_chain, make_dense_toy, make_minimal, save_tmp
+from conftest import bn_params, make_chain, make_dense_toy, make_minimal, plan_from_other_units, save_tmp
+
+UNITS_MISMATCH = re.escape("plan was produced from other units (units checksum mismatch)")
+
+
+def to_pair_format(doc):
+    """``doc`` in the earlier plan format: no units_checksum, and each entry
+    listing its unit's members and in_slices as [layer, index] pairs."""
+    del doc["units_checksum"]
+    for entry in doc["removed_units"]:
+        layer, index = entry["unit_id"].rsplit(".c", 1)
+        entry.update(members=[[layer, int(index)]], in_slices=[])
 
 
 @pytest.fixture()
@@ -91,9 +103,11 @@ class TestPlanPrune:
         assert main(["plan", "--model", manifest, "--weights", weights, "--out-dir", str(out), "--flop-target", "0.3"]) == 0
         plan = json.loads(read(out / "plan.json"))
         assert plan["predicted"]["frr"] >= 0.3
-        assert set(plan) == {"baseline", "predicted", "threshold", "removed_units", "layer_widths", "config", "model_checksum"}
+        assert list(plan) == [
+            "baseline", "predicted", "threshold", "removed_units", "layer_widths", "config", "model_checksum", "units_checksum",
+        ]
         for entry in plan["removed_units"]:
-            assert set(entry) == {"unit_id", "imp", "members", "in_slices"}
+            assert list(entry) == ["unit_id", "imp"]
 
         pruned_dir = tmp_path / "pruned"
         assert main([
@@ -397,7 +411,6 @@ class TestExitCodes:
         "mutate",
         [
             lambda doc: doc["removed_units"].__setitem__(0, "conv1.c0"),
-            lambda doc: doc["removed_units"][0].pop("members"),
             lambda doc: doc["removed_units"][0].pop("unit_id"),
             lambda doc: doc.update(removed_units={"conv1.c0": {}}),
             lambda doc: doc["removed_units"][0].update(unit_id=["conv1.c0"]),
@@ -418,21 +431,21 @@ class TestExitCodes:
             lambda doc: doc["layer_widths"].update(after="x"),
             lambda doc: doc["layer_widths"]["before"].update(conv1="6"),
             lambda doc: doc.update(model_checksum=5),
+            lambda doc: doc.update(units_checksum=5),
+            lambda doc: doc.update(units_checksum=None),
+            lambda doc: doc.pop("units_checksum"),
             lambda doc: doc["removed_units"][0].update(imp="x"),
             lambda doc: doc["removed_units"][0].pop("imp"),
-            # channel 0 of conv1 named by an index that equals 0 but is not an int
-            lambda doc: doc["removed_units"][0].update(unit_id="conv1.c0", members=[["conv1", False]], in_slices=[["conv2", 0]]),
-            lambda doc: doc["removed_units"][0].update(unit_id="conv1.c0", members=[["conv1", 0.0]], in_slices=[["conv2", 0]]),
-            lambda doc: doc["removed_units"][0].update(unit_id="conv1.c0", members=[["conv1", 0]], in_slices=[["conv2", False]]),
+            to_pair_format,
         ],
         ids=[
-            "entry-string", "entry-without-members", "entry-without-unit_id", "removed_units-object",
+            "entry-string", "entry-without-unit_id", "removed_units-object",
             "unit_id-list", "config-list", "flops_convention-unknown", "count_aux_params-string",
             "min_channels_per_layer-float", "passes-bool", "use_in_channel-int", "alpha-string",
             "threshold-string", "baseline-flops-list", "baseline-params-bool", "predicted-params-string",
             "predicted-flops-float", "prr-string", "frr-null", "layer_widths-after-string",
-            "layer_width-string", "model_checksum-number", "imp-string", "entry-without-imp",
-            "member-index-false", "member-index-float", "slice-index-false",
+            "layer_width-string", "model_checksum-number", "units_checksum-number", "units_checksum-null",
+            "units_checksum-missing", "imp-string", "entry-without-imp", "pair-format",
         ],
     )
     def test_malformed_plan_exits_2(self, toy_model, tmp_path, capsys, mutate):
@@ -451,36 +464,25 @@ class TestExitCodes:
         assert json.loads(err)["error"]["message"].startswith("malformed plan file")
 
     @pytest.mark.parametrize(
-        "mutate",
+        "mutate, message",
         [
-            lambda entry, _: entry["members"][0].__setitem__(1, str(entry["members"][0][1])),
-            lambda entry, _: entry["in_slices"][0].__setitem__(1, str(entry["in_slices"][0][1])),
-            lambda entry, _: entry["members"][0].pop(),
-            lambda entry, _: entry.update(members=entry["members"][0][0]),
-            lambda entry, _: entry["members"][0].__setitem__(0, 0),
-            lambda entry, other: entry["in_slices"].append(other["in_slices"][0]),
-            lambda entry, _: entry["members"][0].__setitem__(1, 2**63),
-            lambda entry, _: entry["in_slices"][0].__setitem__(1, -(2**64)),
+            (lambda doc: doc["removed_units"][0].update(unit_id="conv9.c99"), "corrupt plan: unknown unit 'conv9.c99'"),
+            (lambda doc: doc["removed_units"].append(dict(doc["removed_units"][0])), "corrupt plan: unit 'conv.*' listed twice"),
+            (lambda doc: doc.update(units_checksum=doc["units_checksum"][::-1]), UNITS_MISMATCH),
+            (lambda doc: doc.update(units_checksum=doc["model_checksum"]), UNITS_MISMATCH),
+            (lambda doc: doc["removed_units"].pop(), UNITS_MISMATCH),
+            (lambda doc: doc["removed_units"].reverse(), UNITS_MISMATCH),
         ],
-        ids=[
-            "member-index-string",
-            "slice-index-string",
-            "member-short-pair",
-            "members-string",
-            "member-layer-int",
-            "extra-slice",
-            "member-index-beyond-int64",
-            "slice-index-beyond-int64",
-        ],
+        ids=["unknown-id", "duplicate-id", "units_checksum-tampered", "units_checksum-other", "entry-dropped", "entries-reordered"],
     )
-    def test_entry_that_does_not_name_the_unit_exits_2(self, toy_model, tmp_path, capsys, mutate):
-        # well-formed JSON entries whose members or slices are not the unit's:
-        # rejected either as a malformed plan or when compared with the graph
+    def test_plan_that_names_other_units_exits_2(self, toy_model, tmp_path, capsys, mutate, message):
+        # well-formed plan files whose entries are not the units the planner removed
         manifest, weights = toy_model
         out = tmp_path / "out"
         assert main(["plan", "--model", manifest, "--weights", weights, "--out-dir", str(out), "--flop-target", "0.3"]) == 0
         doc = json.loads(read(out / "plan.json"))
-        mutate(*doc["removed_units"][:2])
+        assert len(doc["removed_units"]) >= 2
+        mutate(doc)
         bad = tmp_path / "bad_plan.json"
         bad.write_text(json.dumps(doc))
         capsys.readouterr()
@@ -488,7 +490,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 2
         assert "Traceback" not in err
-        assert json.loads(err)["error"]["message"].startswith(("corrupt plan", "malformed plan file"))
+        error = json.loads(err)["error"]
+        assert error["code"] == "PlanMismatchError" and re.fullmatch(message, error["message"])
+        assert not os.path.exists(tmp_path / "p")
+
+    def test_plan_from_other_units_exits_2(self, toy_model, tmp_path, capsys):
+        # a plan from a unit table whose removed rows keep the builder's uids but differ in one in-slice
+        manifest, weights = toy_model
+        bad = tmp_path / "bad_plan.json"
+        bad.write_text(plan_from_other_units(infer_shapes(load_model(manifest, weights))).to_json())
+        rc = main(["prune", "--model", manifest, "--weights", weights, "--plan", str(bad), "--out-dir", str(tmp_path / "p")])
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert rc == 2
+        assert error["code"] == "PlanMismatchError" and re.fullmatch(UNITS_MISMATCH, error["message"])
         assert not os.path.exists(tmp_path / "p")
 
     def test_fuzzed_plan_exits_2(self, toy_model, tmp_path, capsys):
@@ -516,9 +530,9 @@ class TestExitCodes:
             elif mutation == 1:  # retype a value
                 parent, key = rng.choice(keyed)
                 parent[key] = [parent[key]] if isinstance(parent[key], str) else str(parent[key])
-            elif mutation == 2:  # an index that is not an int the unit has
-                pairs = entry[rng.choice([key for key in ("members", "in_slices") if entry[key]])]
-                rng.choice(pairs)[1] = rng.choice([True, False, 1.0, 0.0, -1, 2**63, -(2**64)])
+            elif mutation == 2:  # a units checksum that is not the removed units'
+                digest = doc["units_checksum"]
+                doc["units_checksum"] = rng.choice([digest[1:] + digest[0], digest.upper(), "", None, 0, doc["model_checksum"]])
             elif mutation == 3:  # swap two entries' unit ids
                 a, b = rng.sample(entries, 2)
                 a["unit_id"], b["unit_id"] = b["unit_id"], a["unit_id"]

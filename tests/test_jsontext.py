@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from prunekit import Config, DegenerateModelError, InfeasibleBudgetError, PruningPlan, build_prune_units, score_all, select_threshold
 from prunekit.planner import multi_pass
 from prunekit.scoring import RECORD_COLUMNS, ImportanceRecord, records_texts, records_to_csv, records_to_json
+from prunekit.units import unit_table
 from prunekit.zoo import densenet40
 
 from conftest import random_tiny_net
@@ -35,10 +36,8 @@ values = st.recursive(
     | pair_lists,
     max_leaves=30,
 )
-# an entry the planner writes: these keys in this order, the pair lists usually well formed
-planner_entries = st.fixed_dictionaries(
-    {"unit_id": strings, "imp": floats | st.integers(), "members": pair_lists | values, "in_slices": pair_lists | values}
-)
+# an entry the planner writes: these keys in this order
+planner_entries = st.fixed_dictionaries({"unit_id": strings, "imp": floats | st.integers()})
 
 
 def plan_payload(plan: PruningPlan) -> dict:
@@ -51,6 +50,7 @@ def plan_payload(plan: PruningPlan) -> dict:
         "layer_widths": {"before": plan.layer_widths_before, "after": plan.layer_widths_after},
         "config": plan.config,
         "model_checksum": plan.model_checksum,
+        "units_checksum": plan.units_checksum,
     }
 
 
@@ -58,7 +58,7 @@ def make_plan(removed_entries, **fields) -> PruningPlan:
     defaults = dict(
         threshold=0.5, baseline_params=100, baseline_flops=1000, predicted_params=60, predicted_flops=500,
         prr=0.4, frr=0.5, layer_widths_before={"c1": 4}, layer_widths_after={"c1": 2},
-        model_checksum="0" * 64, config=Config().to_dict(),
+        model_checksum="0" * 64, units_checksum="1" * 64, config=Config().to_dict(),
     )
     return PruningPlan(**{**defaults, **fields}, removed_entries=removed_entries)
 
@@ -67,7 +67,7 @@ def assert_plan_matches_json(plan: PruningPlan) -> None:
     assert plan.to_json() == json.dumps(plan_payload(plan), indent=2) + "\n"
 
 
-ENTRY = {"unit_id": "c1.c0", "imp": 0.25, "members": [["c1", 0]], "in_slices": [["c2", 0], ["c2", 1]]}
+ENTRY = {"unit_id": "c1.c0", "imp": 0.25}
 
 
 class TestPlanToJson:
@@ -78,14 +78,15 @@ class TestPlanToJson:
         counts=st.lists(st.integers(), min_size=4, max_size=4),
         widths=st.dictionaries(strings, st.integers(), max_size=4),
         config=st.dictionaries(st.text(max_size=4), scalars, max_size=4),
-        checksum=strings,
+        checksums=st.tuples(strings, strings),
     )
-    def test_equals_json_dumps_indent_2(self, entries, threshold, counts, widths, config, checksum):
+    def test_equals_json_dumps_indent_2(self, entries, threshold, counts, widths, config, checksums):
         params, flops, post_params, post_flops = counts
         plan = make_plan(
             entries, threshold=threshold, baseline_params=params, baseline_flops=flops, predicted_params=post_params,
             predicted_flops=post_flops, prr=threshold, frr=-threshold, layer_widths_before=widths,
-            layer_widths_after=dict(reversed(widths.items())), config=config, model_checksum=checksum,
+            layer_widths_after=dict(reversed(widths.items())), config=config, model_checksum=checksums[0],
+            units_checksum=checksums[1],
         )
         assert_plan_matches_json(plan)
 
@@ -124,33 +125,32 @@ class TestPlanToJson:
         assert_plan_matches_json(make_plan([ENTRY, value, ENTRY]))
         for key in ENTRY:
             assert_plan_matches_json(make_plan([ENTRY, {**ENTRY, key: value}]))
-        assert_plan_matches_json(make_plan([ENTRY], threshold=value, config={"alpha": value}, model_checksum=value))
+        assert_plan_matches_json(
+            make_plan([ENTRY], threshold=value, config={"alpha": value}, model_checksum=value, units_checksum=value)
+        )
 
     @pytest.mark.parametrize(
         "entries",
         [
             [],
-            [{**ENTRY, "members": [], "in_slices": []}],
             [ENTRY, {**ENTRY, "extra": [["c1", 1]]}],
-            [{"imp": 0.25, "unit_id": "c1.c0", "members": [["c1", 0]], "in_slices": []}, ENTRY],
-            [{k: ENTRY[k] for k in ("unit_id", "imp", "members")}],
-            [ENTRY, {**ENTRY, "members": [["c1", 0], ["c1", False]]}],
-            [{**ENTRY, "in_slices": [["c2", 0], ("c2", 1)]}, ENTRY],
-            [{**ENTRY, "members": [[0, "c1"]]}],
-            [{**ENTRY, "members": "c1"}, {**ENTRY, "in_slices": [[["c2"], 0]]}],
+            [{"imp": 0.25, "unit_id": "c1.c0"}, ENTRY],
+            [{"unit_id": "c1.c0"}],
+            [{**ENTRY, "members": [["c1", 0]], "in_slices": [["c2", 0], ("c2", 1)]}, ENTRY],  # the earlier format
+            [{**ENTRY, "imp": True}, {**ENTRY, "unit_id": ("c1", 0)}, {"unit_id": None, "imp": [0.25]}],
             [ENTRY, "c1.c0", None, [ENTRY]],
-            [ENTRY] * 300 + [{**ENTRY, "extra": 1}] + [{**ENTRY, "unit_id": "c1.c1"}] * 300,  # several runs of entries
+            [ENTRY] * 300 + [{**ENTRY, "extra": 1}] + [{**ENTRY, "unit_id": "c1.c1"}] * 300,
         ],
         ids=[
-            "no-entries", "empty-pair-lists", "extra-key", "other-key-order", "missing-key", "bool-index",
-            "tuple-pair", "swapped-pair", "non-list-values", "non-object-entries", "one-odd-entry-among-601",
+            "no-entries", "extra-key", "other-key-order", "missing-key", "pair-entries", "values-of-other-types",
+            "non-object-entries", "one-odd-entry-among-601",
         ],
     )
     def test_in_memory_entries(self, entries):
         assert_plan_matches_json(make_plan(entries))
 
     def test_rejects_what_json_rejects(self):
-        for entries in ([{"a": object()}], [{(1, 2): 3}], [{**ENTRY, "imp": object()}], [{**ENTRY, "members": [["c1", object()]]}]):
+        for entries in ([{"a": object()}], [{(1, 2): 3}], [{**ENTRY, "imp": object()}], [{**ENTRY, "unit_id": object()}]):
             with pytest.raises(TypeError):
                 make_plan(entries).to_json()
 
@@ -225,7 +225,8 @@ class TestRecordTexts:
 def assert_artifacts_match_json(graph):
     """units.json, records.csv/.json and plan.json equal csv.writer and
     json.dumps(indent=2) of the same values, the units read into the
-    oracle's records; each plan also survives a from_json round trip."""
+    oracle's records; each plan also survives a from_json round trip, and
+    its units_checksum is that of the oracle's entries of its removed units."""
     units = build_prune_units(graph)
     refs = ref_units(units)
     assert units.to_json() == json.dumps([unit_entry(u) for u in refs], indent=2) + "\n"
@@ -243,15 +244,9 @@ def assert_artifacts_match_json(graph):
         assert_plan_matches_json(plan)
         text = plan.to_json()
         assert PruningPlan.from_json(text).to_json() == text
-        assert plan.removed_entries == [
-            {
-                "unit_id": uid,
-                "imp": by_uid[uid].importance,
-                "members": unit_entry(refs[by_uid[uid].unit_row])["members"],
-                "in_slices": unit_entry(refs[by_uid[uid].unit_row])["in_slices"],
-            }
-            for uid in plan.removed_unit_ids
-        ]
+        assert plan.removed_entries == [{"unit_id": uid, "imp": by_uid[uid].importance} for uid in plan.removed_unit_ids]
+        removed = [unit_entry(refs[by_uid[uid].unit_row]) for uid in plan.removed_unit_ids]
+        assert plan.units_checksum == unit_table(graph, removed).checksum()
 
 
 class TestArtifacts:

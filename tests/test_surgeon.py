@@ -40,6 +40,7 @@ from conftest import (
     make_flatten_toy,
     make_minimal,
     make_residual_toy,
+    plan_from_other_units,
     random_tiny_net,
     save_tmp,
 )
@@ -87,35 +88,61 @@ class TestApplyPlan:
         with pytest.raises(PlanMismatchError, match="unknown unit"):
             apply_plan(g, plan)
 
-    def test_corrupt_plan_mismatched_slices(self):
-        rng = np.random.default_rng(2)
-        g = make_chain(rng, (4, 6))
+    def test_corrupt_plan_units_checksum_tampered(self):
+        g = make_chain(np.random.default_rng(2), (4, 6))
         plan = plan_for(g)
-        plan.removed_entries[0]["in_slices"] = [["conv2", 999]]
-        with pytest.raises(PlanMismatchError, match="does not match"):
+        plan.units_checksum = plan.units_checksum[::-1]
+        with pytest.raises(PlanMismatchError, match=r"^plan was produced from other units \(units checksum mismatch\)$"):
             apply_plan(g, plan)
 
-    @pytest.mark.parametrize("index", [float, lambda i: bool(i) if i < 2 else str(i)], ids=["float", "bool-or-string"])
-    def test_corrupt_plan_index_of_another_type(self, index):
-        # an index equal to the unit's channel but not an int does not name it
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda entries: entries.pop(),
+            lambda entries: entries.insert(0, entries.pop(1)),
+            lambda entries: entries.__setitem__(0, {**entries[0], "unit_id": "conv1.c3"}),
+        ],
+        ids=["entry-dropped", "entries-reordered", "entry-names-another-unit"],
+    )
+    def test_corrupt_plan_other_removed_units(self, change):
+        # each entry names a unit of the graph, once, but not the units the plan's checksum covers
         g = make_chain(np.random.default_rng(6), (4, 6))
         plan = plan_for(g)
-        entry = plan.removed_entries[0]
-        entry["members"] = [[layer, index(i)] for layer, i in entry["members"]]
-        with pytest.raises(PlanMismatchError, match=f"unit '{entry['unit_id']}' does not match the graph"):
+        assert "conv1.c3" not in plan.removed_unit_ids
+        change(plan.removed_entries)
+        with pytest.raises(PlanMismatchError, match="units checksum mismatch"):
+            apply_plan(g, plan)
+
+    @pytest.mark.parametrize(
+        "model",
+        [lambda: make_chain(np.random.default_rng(6), (4, 6)), lambda: make_dense_toy(np.random.default_rng(8))],
+        ids=["chain", "dense"],
+    )
+    def test_plan_from_other_units(self, model):
+        # the removed rows carry the builder's uids, but one lost an in-slice
+        g = model()
+        plan = plan_from_other_units(g)
+        with pytest.raises(PlanMismatchError, match="units checksum mismatch"):
             apply_plan(g, plan)
 
     @pytest.mark.parametrize(
         "malformed",
-        [lambda e: "x", lambda e: {"members": []}, lambda e: {**e, "unit_id": [e["unit_id"]]}, lambda e: None],
-        ids=["string", "no-unit-id", "list-unit-id", "none"],
+        [
+            lambda e: "x",
+            lambda e: {"members": []},
+            lambda e: {**e, "unit_id": [e["unit_id"]]},
+            lambda e: None,
+            lambda e: {**e, "imp": True},
+            lambda e: {"unit_id": e["unit_id"]},
+        ],
+        ids=["string", "no-unit-id", "list-unit-id", "none", "bool-imp", "no-imp"],
     )
     def test_corrupt_plan_malformed_entry(self, malformed):
         # an in-memory plan skips from_json's checks, so apply_plan checks each entry's shape
         g = make_chain(np.random.default_rng(1), (4, 6))
         plan = plan_for(g)
         plan.removed_entries[0] = malformed(plan.removed_entries[0])
-        with pytest.raises(PlanMismatchError, match="corrupt plan: removed unit .* has no string unit_id"):
+        with pytest.raises(PlanMismatchError, match="^corrupt plan: removed unit .* needs a string unit_id and a number imp$"):
             apply_plan(g, plan)
 
     def test_corrupt_plan_removed_units_not_a_list(self):
@@ -134,12 +161,16 @@ class TestApplyPlan:
             apply_plan(g, plan)
 
     def test_corrupt_plan_first_failing_entry_wins(self):
-        # each entry passes every check before the next entry is looked at
+        # each entry is matched before the next one, and every entry before the checksum
         g = make_chain(np.random.default_rng(6), (4, 6))
         plan = plan_for(g)
-        plan.removed_entries[0]["in_slices"] = [["conv2", 0]]
-        plan.removed_entries[1]["unit_id"] = "conv9.c99"
-        with pytest.raises(PlanMismatchError, match=r"^corrupt plan: unit 'conv1\.c2' does not match the graph$"):
+        plan.units_checksum = "0" * 64
+        plan.removed_entries.insert(1, dict(plan.removed_entries[0]))
+        plan.removed_entries[2]["unit_id"] = "conv9.c99"
+        with pytest.raises(PlanMismatchError, match=r"^corrupt plan: unit 'conv1\.c2' listed twice$"):
+            apply_plan(g, plan)
+        del plan.removed_entries[1]
+        with pytest.raises(PlanMismatchError, match=r"^corrupt plan: unknown unit 'conv9\.c99'$"):
             apply_plan(g, plan)
 
     def test_corrupt_plan_on_a_model_without_units(self):
@@ -181,7 +212,7 @@ class TestApplyPlan:
         assert report.bytes_removed == len(container_before) - len(container_after)
         assert report.container_checksum == hashlib.sha256(container_after).hexdigest()
         removed_total = sum(len(v) for v in report.removed_outputs.values())
-        assert removed_total == sum(len(e["members"]) for e in plan.removed_entries)
+        assert removed_total == len(only(build_prune_units(g), *plan.removed_unit_ids).members.ids)
         payload = report.to_dict()
         assert set(payload) == {
             "removed_outputs",

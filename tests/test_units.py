@@ -483,6 +483,7 @@ class TestUnitsJsonRoundTrip:
                 assert np.array_equal(a, b), field
         assert np.array_equal(again.origin, units.origin)
         assert again.to_json() == units.to_json()
+        assert again.checksum() == units.checksum()
 
         def raws(table):
             try:
@@ -499,6 +500,51 @@ class TestUnitsJsonRoundTrip:
     @pytest.mark.parametrize("seed", range(16))
     def test_random_tiny_nets(self, seed):
         self.assert_round_trip(random_tiny_net(np.random.default_rng(seed)))
+
+
+class TestChecksum:
+    """``UnitTable.checksum`` covers each row's uid, members, in_slices and aux,
+    in row order, and nothing else."""
+
+    @staticmethod
+    def entries():
+        g = make_chain(np.random.default_rng(3), (4, 6), with_bn=True, conv_bias=True)
+        entries = json.loads(build_prune_units(g).to_json())
+        assert entries[0]["members"] == [["conv1", 0]] and entries[0]["in_slices"] == [["conv2", 0]]
+        assert entries[0]["aux"] == [["conv1", 0], ["bn1", 0]]
+        return g, entries
+
+    def test_equal_for_the_same_rows(self):
+        g, entries = self.entries()
+        units = build_prune_units(g)
+        assert unit_table(g, entries).checksum() == units.checksum()
+        assert units.take([2, 0]).checksum() == unit_table(g, [entries[2], entries[0]]).checksum()
+        assert units.take([]).checksum() == unit_table(g, []).checksum()
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda e: e[0].update(uid="conv1.c9"),
+            lambda e: e[0].update(members=[["conv1", 1]]),
+            lambda e: e[0].update(in_slices=[["conv2", 1]]),
+            lambda e: e[0].update(aux=[["conv1", 0], ["bn1", 1]]),
+            lambda e: e[0].update(aux=[["conv1", 0]]),
+            lambda e: e.insert(0, e.pop(1)),
+        ],
+        ids=["uid", "member", "in-slice", "aux", "aux-dropped", "row-order"],
+    )
+    def test_changes_with_each_covered_field(self, change):
+        g, entries = self.entries()
+        before = unit_table(g, entries).checksum()
+        change(entries)
+        assert unit_table(g, entries).checksum() != before
+
+    def test_ignores_family(self):
+        # scoring reads a unit's family; surgery and its report do not
+        g, entries = self.entries()
+        before = unit_table(g, entries).checksum()
+        entries[0]["family"] = "elsewhere"
+        assert unit_table(g, entries).checksum() == before
 
 
 class TestOneGraph:
