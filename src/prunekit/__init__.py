@@ -31,6 +31,7 @@ from .planner import PruningPlan, multi_pass, rank_global, select_threshold
 from .scoring import (
     Config,
     ImportanceRecord,
+    ScoreTable,
     combined_importance,
     dependency_l1,
     normalize_cost_scores,
@@ -57,6 +58,7 @@ __all__ = [
     "PruneKitError",
     "PruneUnit",
     "PruningPlan",
+    "ScoreTable",
     "ShapeError",
     "SurgeryReport",
     "apply_plan",

@@ -13,10 +13,10 @@ Two deliberately separate views:
   ``model_flop_count`` account for the whole model exactly, using output-side
   spatial sizes. These drive budgets and reduction reports, and removing
   channels in adjacent layers interacts multiplicatively there, so budgets are
-  never settled by summing unit costs. ``RunningCosts`` holds the exact count
-  during planning as plain per-layer lists: each removal moves the totals by
-  the conv/linear terms of the layers it touches and the fixed downstream
-  share of each removed filter, and a final full recount must agree with it.
+  never settled by summing unit costs. ``RunningCosts`` keeps the exact count
+  during planning in per-layer int64 arrays, which give the totals after
+  every prefix of a ranked run of footprint rows at once; a final full
+  recount must agree with them.
 
 Both views read the sizes ``infer_shapes`` annotated, and carry widths through
 non-weighted nodes by ``graph.passed_width``; neither derives a shape by kind.
@@ -29,6 +29,8 @@ the usual published totals for the bundled CIFAR architectures.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -68,17 +70,18 @@ def unit_rows(graph: ModelGraph, units: UnitTable) -> tuple[np.ndarray, np.ndarr
     return np.stack([keys % k, filters, slots], axis=1), bounds
 
 
-def unit_costs(graph: ModelGraph, units: UnitTable, convention: str = "macs") -> list[tuple[int, int]]:
-    """(params, flops) of every unit, priced from its :func:`unit_rows`. A row
-    of ``filters`` filters and ``slots`` slots in a layer of kernel K, input
-    width M and output width N owns K*K*(filters*M + slots*N) weights, and
-    those times the layer's input size squared in MACs. A unit's rows are
-    summed in int64, so its price is exact; PruneKitError if the FLOPs of all
-    rows together could overflow it."""
+def unit_costs(graph: ModelGraph, footprint: tuple[np.ndarray, np.ndarray], convention: str = "macs") -> np.ndarray:
+    """The params and the flops of every unit, as two int64 rows, priced
+    from its rows of ``footprint`` (the rows and bounds of :func:`unit_rows`).
+    A row of ``filters`` filters and ``slots`` slots in a layer of kernel K,
+    input width M and output width N owns K*K*(filters*M + slots*N) weights,
+    and those times the layer's input size squared in MACs. A unit's rows
+    are summed in int64, so its price is exact; PruneKitError if the FLOPs of
+    all rows together could overflow it."""
     if not graph.inferred:
         raise ShapeError("run infer_shapes before unit costs")
     weighted = graph.weighted_layers()
-    rows, bounds = unit_rows(graph, units)
+    rows, bounds = footprint
     layer, filters, slots = rows.T
     per_filter = np.array([n.kernel() ** 2 * n.declared_in_width() for n in weighted], np.int64)
     per_slot = np.array([n.kernel() ** 2 * n.declared_out_width() for n in weighted], np.int64)
@@ -90,19 +93,19 @@ def unit_costs(graph: ModelGraph, units: UnitTable, convention: str = "macs") ->
     spatial = np.array(spatial, np.int64)
     totals = np.zeros((2, len(rows) + 1), np.int64)
     np.cumsum([params, params * spatial[layer] * factor], axis=1, out=totals[:, 1:])
-    return list(zip(*(totals[:, bounds[1:]] - totals[:, bounds[:-1]]).tolist()))
+    return totals[:, bounds[1:]] - totals[:, bounds[:-1]]
 
 
 def unit_param_cost(graph: ModelGraph, unit: PruneUnit) -> int:
     """Weights owned by the unit: K*K*M per member filter, K*K*N per consumer
     slice. ``unit`` is a row of a table made from ``graph``; needs inferred
     shapes, like every :func:`unit_costs` price."""
-    return unit_costs(graph, graph_row(graph, unit))[0][0]
+    return unit_costs(graph, unit_rows(graph, graph_row(graph, unit)))[0].item()
 
 
 def unit_flop_cost(graph: ModelGraph, unit: PruneUnit, convention: str = "macs") -> int:
     """Scoring-side FLOPs of the unit; each layer's spatial factor is its input size."""
-    return unit_costs(graph, graph_row(graph, unit), convention)[0][1]
+    return unit_costs(graph, unit_rows(graph, graph_row(graph, unit)), convention)[1].item()
 
 
 def _weighted_terms(node, m: int, n: int, count_aux_params: bool) -> tuple[int, int]:
@@ -194,8 +197,7 @@ def _downstream_charges(graph: ModelGraph, count_aux_params: bool) -> dict[str, 
 
 
 class RunningCosts:
-    """Exact model (params, flops) as units are removed, kept in plain
-    per-layer lists for the planner's loop.
+    """Exact model (params, flops) as units are removed.
 
     Starts from a full :func:`effective_model_costs` count. Weighted layers
     are numbered by their position in ``graph.weighted_layers()`` (a layer
@@ -208,51 +210,55 @@ class RunningCosts:
     ``filter_params``/``filter_flops`` hold a filter's bias and its fixed
     share of the batch-norm/ReLU terms downstream (``_downstream_charges``),
     so removing filters and slots from a layer moves the totals by that
-    layer's two terms alone (``remove_rows``). ``recount`` makes the second
-    full count, for the widths so far, and checks that it equals the running
-    totals.
+    layer's two terms alone (``after``). Each term lies between 0 and the
+    full count, so int64 holds them exactly. ``recount`` makes the second
+    full count, for the widths so far, and checks it against the totals.
     """
 
     def __init__(self, graph: ModelGraph, *, convention: str = "macs", count_aux_params: bool = True):
-        self.graph = graph
-        self.convention = convention
-        self.count_aux_params = count_aux_params
-        self.params, self.flops = effective_model_costs(
-            graph, convention=convention, count_aux_params=count_aux_params
-        )
+        self.count = partial(effective_model_costs, graph, convention=convention, count_aux_params=count_aux_params)
+        self.params, self.flops = self.count()
+        if max(self.params, self.flops) >= 2**63:
+            raise PruneKitError(f"model counts overflow int64: {self.params} params, {self.flops} FLOPs")
         factor = _factor(convention)
         charges = _downstream_charges(graph, count_aux_params)
         weighted = graph.weighted_layers()
         self.layers = [n.id for n in weighted]
-        self.declared_out = [n.declared_out_width() for n in weighted]
-        self.declared_in = [n.declared_in_width() for n in weighted]
-        self.out_width, self.in_width = list(self.declared_out), list(self.declared_in)
-        self.area_params = [n.kernel() ** 2 for n in weighted]
-        self.area_flops = [factor * n.out_size * n.out_size * k for n, k in zip(weighted, self.area_params)]
+        self.declared = np.array([[n.declared_out_width() for n in weighted], [n.declared_in_width() for n in weighted]])
+        self.out_width, self.in_width = self.declared.copy()
+        self.area_params = np.array([n.kernel() ** 2 for n in weighted], np.int64)
+        self.area_flops = np.array([factor * n.out_size * n.out_size for n in weighted], np.int64) * self.area_params
         bias = [int(count_aux_params and "bias" in n.tensors) for n in weighted]
-        self.filter_params = [b + charges[n.id][0] for n, b in zip(weighted, bias)]
-        self.filter_flops = [factor * charges[n.id][1] for n in weighted]
+        self.filter_params = np.array([b + charges[n.id][0] for n, b in zip(weighted, bias)], np.int64)
+        self.filter_flops = np.array([factor * charges[n.id][1] for n in weighted], np.int64)
 
-    def remove_rows(self, rows: list[list[int]]) -> None:
-        """Remove, for each (layer code, filters, slots) row, that many
-        filters and input slots from the layer, in O(1) per row."""
-        n, m = self.out_width, self.in_width
-        for l, o, s in rows:
-            area = (m[l] - s) * (n[l] - o) - m[l] * n[l]
-            self.params += self.area_params[l] * area - self.filter_params[l] * o
-            self.flops += self.area_flops[l] * area - self.filter_flops[l] * o
-            m[l] -= s
-            n[l] -= o
+    def after(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """For footprint rows (layer code, filters, slots) removed in the
+        given order: the filters and the slots each row's layer has just
+        before it, and the exact model params and flops just after it."""
+        layer, o, s = rows.T
+        order = np.argsort(layer, kind="stable")
+        start = np.searchsorted(layer[order], layer[order])  # the first sorted row of each row's layer
+        n, m = self.out_width[layer], self.in_width[layer]
+        for left, removed in (n, o), (m, s):
+            done = np.cumsum(removed[order]) - removed[order]  # removed by the rows sorted before
+            left[order] -= done - done[start]
+        area = (m - s) * (n - o) - m * n
+        params = self.params + np.cumsum(self.area_params[layer] * area - self.filter_params[layer] * o)
+        flops = self.flops + np.cumsum(self.area_flops[layer] * area - self.filter_flops[layer] * o)
+        return n, m, params, flops
+
+    def remove(self, rows: np.ndarray, params: int, flops: int) -> None:
+        """Remove the footprint rows' filters and slots; the model then has
+        ``params`` and ``flops`` (the last totals of their ``after``)."""
+        np.subtract.at(self.out_width, rows[:, 0], rows[:, 1])
+        np.subtract.at(self.in_width, rows[:, 0], rows[:, 2])
+        self.params, self.flops = params, flops
 
     def recount(self) -> None:
         """Full recount of the removals so far; PruneKitError if it differs."""
-        exact = effective_model_costs(
-            self.graph,
-            dict(zip(self.layers, map(int.__sub__, self.declared_out, self.out_width))),
-            dict(zip(self.layers, map(int.__sub__, self.declared_in, self.in_width))),
-            convention=self.convention,
-            count_aux_params=self.count_aux_params,
-        )
+        removed = (self.declared - [self.out_width, self.in_width]).tolist()
+        exact = self.count(*(dict(zip(self.layers, counts)) for counts in removed))
         if exact != (self.params, self.flops):
             raise PruneKitError(f"running cost count {(self.params, self.flops)} differs from recount {exact}")
 

@@ -1,17 +1,17 @@
 """Global ranking and FLOP-budgeted selection.
 
-Units are ranked by ascending importance and marked for removal greedily until
-the exact model FLOPs meet the budget. Exact counting (rather than summing
-per-unit costs) is what keeps plans truthful: removing channels in adjacent
-layers shrinks a layer's cost multiplicatively, and unit costs would
-double-count the shared term. Each visited unit's footprint is its run of
-``costs.unit_rows``, the rows its price comes from, built once for the whole
-scored table. The greedy loop checks the floors against the plain per-layer
-width lists of ``costs.RunningCosts``, which moves the exact totals row by
-row, and one full recount of the final removal set checks them. Ties in
-importance break toward the costlier unit (larger F, then larger P, then unit
-id), so equal-importance removals buy the most budget. A survival floor keeps
-every weighted layer alive.
+Units are ranked by ascending importance with one ``np.lexsort`` of the score
+table, and the shortest ranked prefix whose removal meets the budget, in
+exact model FLOPs, is removed. Exact counting (rather than summing per-unit
+costs) is what keeps plans truthful: removing channels in adjacent layers
+shrinks a layer's cost multiplicatively, and unit costs would double-count
+the shared term. Each unit's footprint is its run of ``costs.unit_rows``,
+the rows scoring priced it from; ``costs.RunningCosts.after`` turns the
+ranked rows into the exact totals after every prefix, and one full recount
+of the final removal set checks them. Ties in importance break toward the
+costlier unit (larger F, then larger P, then unit id), so equal-importance
+removals buy the most budget. A survival floor keeps every weighted layer
+alive, and a unit it stops is skipped.
 
 A plan names each removed unit once, as a ``{"unit_id", "imp"}`` entry in
 removal order, under one ``units_checksum``: the ``UnitTable.checksum`` of the
@@ -24,16 +24,20 @@ plan made by a unit builder that built other rows is refused.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
+from itertools import repeat
+
+import numpy as np
 
 from . import jsontext
-from .costs import RunningCosts, effective_model_costs, unit_rows
+from .costs import RunningCosts, effective_model_costs
 from .errors import InfeasibleBudgetError, PlanMismatchError, PruneKitError
 from .graph import ModelGraph, graph_checksum
-from .scoring import Config, ImportanceRecord, _admits, score_all
+from .scoring import Config, ScoreTable, _admits, score_all
 from .surgeon import apply_units
-from .units import UnitTable, build_prune_units
+from .units import UnitTable, _spans, build_prune_units, graph_table
 
 # the keys of a plan entry, in the order the planner writes them
 _ENTRY_KEYS = ["unit_id", "imp"]
@@ -182,70 +186,80 @@ def _entry_texts(entries: list, ind: str) -> list[str]:
     return jsontext.objects(columns, ind)
 
 
-def rank_global(records: list[ImportanceRecord]) -> list[ImportanceRecord]:
-    """Ascending importance; ties resolved by larger FLOP cost, then larger
-    parameter cost, then unit id. Deterministic."""
-    if not records:
+def rank_global(scores: ScoreTable) -> ScoreTable:
+    """The score rows by ascending importance; ties resolved by larger FLOP
+    cost, then larger parameter cost, then unit id. Deterministic."""
+    if not len(scores):
         raise ValueError("no records to rank")
-    return sorted(records, key=lambda r: (r.importance, -r.flops, -r.params, r.unit_id))
+    by_uid = np.empty(len(scores), np.int64)
+    by_uid[sorted(range(len(scores)), key=scores.unit_id.tolist().__getitem__)] = np.arange(len(scores))
+    return scores.take(np.lexsort((by_uid, -scores.params, -scores.flops, scores.importance)))
 
 
-def select_threshold(
-    records: list[ImportanceRecord], graph: ModelGraph, config: Config
-) -> PruningPlan:
+def select_threshold(scores: ScoreTable, graph: ModelGraph, config: Config) -> PruningPlan:
     """Pick the shortest ascending-importance prefix whose removal meets the
     FLOP budget, skipping units that would empty a layer past the floor.
     Costs two full counts (baseline and final check), however many units are
-    marked. The records must come from one ``score_all`` call.
+    marked. ``scores`` must be scored from ``graph`` (or taken from such a
+    table).
 
     Raises InfeasibleBudgetError, naming each unmet target and giving the best
     achievable reductions, when the floors make a target unreachable.
     """
-    return _select(records, graph, config)[0]
+    return _select(scores, graph, config)[0]
 
 
-def _select(records: list[ImportanceRecord], graph: ModelGraph, config: Config) -> tuple[PruningPlan, UnitTable]:
+def _skipped(rows: np.ndarray, n: np.ndarray, m: np.ndarray, floor: int) -> np.ndarray:
+    """Which footprint rows take their layer below the floor from ``n`` filters, or its last slot of ``m``."""
+    return (rows[:, 1] > 0) & (n - 1 < floor) | (m - rows[:, 2] < 1)
+
+
+def _select(scores: ScoreTable, graph: ModelGraph, config: Config) -> tuple[PruningPlan, UnitTable]:
     """:func:`select_threshold`'s plan, and its removed units as a table in
-    removal order."""
+    removal order.
+
+    A pass prices every prefix of the pending ranked units and takes the
+    shortest that meets the budgets, if it ends before the first unit that a
+    floor skips, and otherwise the units before that one. Widths only fall,
+    so a pending unit that the new widths rule out is dropped for good: one
+    pass, plus one per floor skip."""
     config.validate()
-    ranked = rank_global(records)
-    table = ranked[0].table
-    if table is None or any(r.table is not table for r in ranked):
-        raise ValueError("records to plan must come from one score_all call")
-    order = [r.unit_row for r in ranked]
-    footprint, bounds = unit_rows(graph, table)
-    bounds = bounds.tolist()
+    units = graph_table(graph, scores.units)
+    ranked = rank_global(scores)
+    footprint, bounds = ranked.footprint
     costs = RunningCosts(graph, convention=config.flops_convention, count_aux_params=config.count_aux_params)
     baseline_params, baseline_flops = costs.params, costs.flops
-    budget = (1.0 - config.flop_target_ratio) * baseline_flops
-    param_budget = (
-        (1.0 - config.param_target_ratio) * baseline_params
-        if config.param_target_ratio is not None
-        else None
-    )
-
-    n, m = costs.out_width, costs.in_width
+    # integer budgets, so int64 totals compare exactly; removals never add params
+    budget = math.floor((1.0 - config.flop_target_ratio) * baseline_flops)
+    param_target = config.param_target_ratio
+    param_budget = baseline_params if param_target is None else math.floor((1.0 - param_target) * baseline_params)
     floor = config.min_channels_per_layer
 
-    taken: list[int] = []  # positions in the ranking
-    met = False
-    for i, row in enumerate(order):
-        rows = footprint[bounds[row] : bounds[row + 1]].tolist()
-        # skip a unit that would take a layer below the floor or take its last input slot
-        if any(o and n[l] - 1 < floor or m[l] - s < 1 for l, o, s in rows):
+    pending = np.arange(len(ranked))  # positions in the ranking, neither taken nor ruled out
+    taken, met = [], False
+    while len(pending) and not met:
+        lo, hi = bounds[ranked.rows[pending]], bounds[ranked.rows[pending] + 1]
+        rows, unit = footprint[_spans(lo, hi)], np.repeat(np.arange(len(pending)), hi - lo)  # unit: index in pending
+        ruled_out = np.zeros(len(pending), bool)
+        ruled_out[unit[_skipped(rows, costs.out_width[rows[:, 0]], costs.in_width[rows[:, 0]], floor)]] = True
+        if ruled_out.any():
+            pending = pending[~ruled_out]
             continue
-        costs.remove_rows(rows)
-        taken.append(i)
-        if costs.flops <= budget and (param_budget is None or costs.params <= param_budget):
-            met = True
-            break
+        n, m, params, flops = costs.after(rows)
+        stop = unit[_skipped(rows, n, m, floor)].min(initial=len(pending))  # the first unit a floor skips
+        last = np.cumsum(np.bincount(unit)[:stop]) - 1  # the last row of each unit before it
+        fits = (flops[last] <= budget) & (params[last] <= param_budget)
+        k = int(np.argmax(fits)) + 1 if (met := bool(fits.any())) else stop  # stop > 0: unit 0 is not ruled out
+        costs.remove(rows[: last[k - 1] + 1], params.item(last[k - 1]), flops.item(last[k - 1]))
+        taken.append(pending[:k])
+        pending = pending[k:]
     costs.recount()
     params, flops = costs.params, costs.flops
 
     frr = 1.0 - flops / baseline_flops
     if not met:
         unmet = [f"FLOP target {config.flop_target_ratio:.3f}"] if flops > budget else []
-        if param_budget is not None and params > param_budget:
+        if param_target is not None and params > param_budget:
             unmet.append(f"parameter target {config.param_target_ratio:.3f}")
         raise InfeasibleBudgetError(
             f"{' and '.join(unmet)} unreachable under layer floors; best achievable reduction is "
@@ -253,8 +267,9 @@ def _select(records: list[ImportanceRecord], graph: ModelGraph, config: Config) 
             best_frr=frr,
         )
 
-    removed = table.take([order[i] for i in taken])
-    imps = [ranked[i].importance for i in taken]
+    chosen = ranked.take(np.concatenate(taken))
+    removed = units.take(chosen.rows)
+    imps = chosen.importance.tolist()
     plan = PruningPlan(
         threshold=imps[-1],
         baseline_params=baseline_params,
@@ -263,12 +278,12 @@ def _select(records: list[ImportanceRecord], graph: ModelGraph, config: Config) 
         predicted_flops=flops,
         prr=1.0 - params / baseline_params,
         frr=frr,
-        layer_widths_before=dict(zip(costs.layers, costs.declared_out)),
-        layer_widths_after=dict(zip(costs.layers, n)),
+        layer_widths_before=dict(zip(costs.layers, costs.declared[0].tolist())),
+        layer_widths_after=dict(zip(costs.layers, costs.out_width.tolist())),
         model_checksum=graph_checksum(graph),
         units_checksum=removed.checksum(),
         config=config.to_dict(),
-        removed_entries=[{"unit_id": uid, "imp": imp} for uid, imp in zip(removed.uid, imps)],
+        removed_entries=list(map(dict, map(zip, repeat(_ENTRY_KEYS), zip(removed.uid, imps)))),
     )
     return plan, removed
 
@@ -291,8 +306,7 @@ def multi_pass(graph: ModelGraph, config: Config) -> Iterator[tuple[PruningPlan,
     pass_config = Config(**{**config.to_dict(), "flop_target_ratio": config.per_pass_ratio})
     for _ in range(config.passes):
         units = build_prune_units(graph)
-        records = score_all(graph, units, pass_config)
-        plan, removed = _select(records, graph, pass_config)
+        plan, removed = _select(score_all(graph, units, pass_config), graph, pass_config)
         graph = apply_units(graph, removed, release=True)
         plan.check(graph)
         yield plan, graph

@@ -16,7 +16,9 @@ L1 masses are summed once over the filters and consumer slices the units
 name, and the per-unit sums add the indexed masses in the order a
 per-reference loop would, so every raw score is the same float. P and F are
 each unit's footprint rows (``costs.unit_rows``) priced in int64
-(``costs.unit_costs``), the same rows the planner removes.
+(``costs.unit_costs``), the same rows the planner removes. The scores form
+one :class:`ScoreTable` of columns, and each normalization runs once over a
+column, taking ``math`` logs of each raw score and each distinct price.
 """
 
 from __future__ import annotations
@@ -25,13 +27,14 @@ import csv
 import io
 import math
 import re
-from dataclasses import dataclass, field, fields, asdict
-from operator import attrgetter
+from dataclasses import asdict, dataclass, fields, replace
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
 from . import jsontext
-from .costs import CONVENTIONS, unit_costs
+from .costs import CONVENTIONS, unit_costs, unit_rows
 from .errors import DegenerateModelError, PruneKitError
 from .graph import ModelGraph
 from .units import PruneUnit, UnitTable, _Numbering, _sorted_unique, graph_row, graph_table, run_sums
@@ -57,10 +60,6 @@ def _admits(annotation: str, value) -> bool:
 RECORD_COLUMNS = ("unit_id", "layer", "channel", "L", "GL", "GP", "GF", "Imp")
 # a CSV field that holds none of these is written as it is
 _CSV_SPECIAL = re.compile('[,"\r\n]')
-# the ImportanceRecord field of each column
-_RECORD_FIELDS = attrgetter(
-    "unit_id", "layer", "channel", "raw", "weight_score", "param_score", "flop_score", "importance"
-)
 
 
 @dataclass
@@ -116,24 +115,59 @@ class Config:
         return asdict(self)
 
 
-@dataclass
-class ImportanceRecord:
-    unit_id: str
-    layer: str
-    channel: int
-    raw: float  # L: summed absolute weights of the unit
-    weight_score: float  # GL, normalized within the unit's layer family
-    param_score: float  # GP in [0, alpha]
-    flop_score: float  # GF in [0, beta]
-    importance: float  # GL + GP + GF
-    params: int
-    flops: int
-    table: UnitTable | None = field(repr=False, compare=False, default=None)  # the scored units
-    unit_row: int = field(repr=False, compare=False, default=-1)  # this record's row of ``table``
+@dataclass(eq=False, repr=False)
+class ScoreTable:
+    """The scores of units, one array per column, over the scored ``units``
+    and their ``footprint`` (``costs.unit_rows``). A table made by hand,
+    without units, can be ranked and exported, not planned. Iterating or
+    indexing the table gives :class:`ImportanceRecord` rows; ``take``
+    selects rows as a new table over the same units."""
 
-    @property
-    def unit(self) -> PruneUnit:
-        return self.table[self.unit_row]
+    unit_id: np.ndarray  # object array of str
+    layer: np.ndarray  # object array of str: the layer of the unit's first member, or of its first slot
+    channel: np.ndarray  # int64: that member's or slot's index
+    raw: np.ndarray  # float64 L: summed absolute weights of the unit
+    weight_score: np.ndarray  # float64 GL, normalized within the unit's layer family
+    param_score: np.ndarray  # float64 GP in [0, alpha]
+    flop_score: np.ndarray  # float64 GF in [0, beta]
+    importance: np.ndarray  # float64 GL + GP + GF
+    params: np.ndarray  # int64 P
+    flops: np.ndarray  # int64 F
+    rows: np.ndarray  # int64: each row's row of ``units``
+    units: UnitTable | None = None
+    footprint: tuple[np.ndarray, np.ndarray] | None = None
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        return map(ImportanceRecord, repeat(self), range(len(self)))
+
+    def __getitem__(self, i: int) -> "ImportanceRecord":
+        return ImportanceRecord(self, range(len(self))[i])
+
+    def take(self, rows) -> "ScoreTable":
+        """Rows ``rows`` (row numbers, in any order) as a new table."""
+        return replace(self, **{column: getattr(self, column)[rows] for column in (*SCORE_COLUMNS, "rows")})
+
+
+SCORE_COLUMNS = tuple(f.name for f in fields(ScoreTable)[:10])  # the columns, before rows, units and footprint
+
+
+class ImportanceRecord(NamedTuple):
+    """Row ``row`` of ``table``: one unit's scores. Each of ``SCORE_COLUMNS``
+    is an attribute, read from the table as a Python value."""
+
+    table: ScoreTable
+    row: int
+
+    unit_row = property(lambda self: self.table.rows.item(self.row))  # the record's row of ``table.units``
+    unit = property(lambda self: self.table.units[self.unit_row])
+
+    def __getattr__(self, column: str):
+        if column not in SCORE_COLUMNS:
+            raise AttributeError(column)
+        return getattr(self.table, column).item(self.row)
 
 
 def _abs_sums(w: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
@@ -169,7 +203,7 @@ def _l1(graph: ModelGraph, numbering: _Numbering, axis: int, ids: np.ndarray) ->
     return masses[np.searchsorted(named, ids)]
 
 
-def _raw_scores(graph: ModelGraph, units: UnitTable, use_in_channel: bool) -> list[float]:
+def _raw_scores(graph: ModelGraph, units: UnitTable, use_in_channel: bool) -> np.ndarray:
     """Dependency L1 of every unit. A unit's filters are its members, whose
     consumer slices are each member's reads, or the origin of an
     in-channel-only unit, whose slices are the unit's slots; each filter's
@@ -186,7 +220,7 @@ def _raw_scores(graph: ModelGraph, units: UnitTable, use_in_channel: bool) -> li
     n = members.sizes()
     raws = run_sums(scores[: len(members.ids)], n) / np.maximum(n, 1)
     raws[own] = scores[len(members.ids) :]
-    return raws.tolist()
+    return raws
 
 
 def dependency_l1(graph: ModelGraph, unit: PruneUnit, use_in_channel: bool = True) -> float:
@@ -195,11 +229,12 @@ def dependency_l1(graph: ModelGraph, unit: PruneUnit, use_in_channel: bool = Tru
     members. Biases and batch-norm parameters never contribute. ``unit`` is a
     row of a table made from ``graph``.
     """
-    return _raw_scores(graph, graph_row(graph, unit), use_in_channel)[0]
+    return _raw_scores(graph, graph_row(graph, unit), use_in_channel).item(0)
 
 
 def normalize_weight_scores(scores: list[float], mode: str = "max-min") -> list[float]:
-    """Normalize one layer family's raw scores onto [0, 1].
+    """Normalize one layer family's raw scores onto [0, 1], as
+    :func:`score_all` normalizes each family.
 
     max-min maps the range endpoints to 0 and 1; a layer whose scores are all
     equal gets the neutral 0.5 so its cost terms decide. max divides by the
@@ -207,22 +242,9 @@ def normalize_weight_scores(scores: list[float], mode: str = "max-min") -> list[
     """
     if not scores:
         raise ValueError("empty score list")
-    lmax = max(scores)
-    lmin = min(scores)
-    if mode == "max-min":
-        if lmax == lmin:
-            return [0.5] * len(scores)
-        return [(s - lmin) / (lmax - lmin) for s in scores]
-    if mode == "max":
-        if lmax == 0.0:
-            raise DegenerateModelError("cannot max-normalize an all-zero layer")
-        return [s / lmax for s in scores]
-    if mode == "log":
-        if lmax == 0.0:
-            raise DegenerateModelError("cannot log-normalize an all-zero layer")
-        denom = math.log1p(lmax)
-        return [math.log1p(s) / denom for s in scores]
-    raise ValueError(f"unknown weight_norm_mode {mode!r}")
+    if mode not in WEIGHT_NORM_MODES:
+        raise ValueError(f"unknown weight_norm_mode {mode!r}")
+    return _weight_scores(np.array(scores, np.float64), [""] * len(scores), mode).tolist()
 
 
 def normalize_cost_scores(
@@ -242,68 +264,69 @@ def combined_importance(weight_score: float, param_score: float, flop_score: flo
     return weight_score + param_score + flop_score
 
 
-def score_all(graph: ModelGraph, units: UnitTable, config: Config) -> list[ImportanceRecord]:
-    """Score every unit of ``units``, a table made from ``graph``.
-    Deterministic given graph and config; the cost maxima are taken over
-    exactly this unit set. Each weighted layer's L1 sums are computed once,
-    and units read them through id arrays. Raises DegenerateModelError when
-    there is no unit or a unit's raw score is NaN or infinite."""
+def _weight_scores(raws: np.ndarray, family: list[str], mode: str) -> np.ndarray:
+    """GL of every unit: its raw score normalized among its family's raw
+    scores (:func:`normalize_weight_scores`). ``log`` takes ``math.log1p`` of
+    each raw score and family maximum, since numpy's log1p differs from it
+    in the last bit for some inputs on some CPUs."""
+    codes = {f: i for i, f in enumerate(dict.fromkeys(family))}
+    code = np.fromiter(map(codes.__getitem__, family), np.int64, len(family))
+    lmax = np.full(len(codes), -np.inf)
+    lmin = -lmax
+    np.maximum.at(lmax, code, raws)
+    np.minimum.at(lmin, code, raws)
+    if mode == "max-min":
+        span = (lmax - lmin)[code]
+        return np.where(span == 0.0, 0.5, (raws - lmin[code]) / np.where(span == 0.0, 1.0, span))
+    if (lmax == 0.0).any():
+        raise DegenerateModelError(f"cannot {mode}-normalize an all-zero layer")
+    if mode == "max":
+        return raws / lmax[code]
+    log1p = np.fromiter(map(math.log1p, raws.tolist()), np.float64, len(raws))
+    return log1p / np.fromiter(map(math.log1p, lmax.tolist()), np.float64, len(lmax))[code]
+
+
+def score_all(graph: ModelGraph, units: UnitTable, config: Config) -> ScoreTable:
+    """Score every unit of ``units``, a table made from ``graph``, as one
+    :class:`ScoreTable`. Deterministic given graph and config; the cost
+    maxima are taken over exactly this unit set. Each weighted layer's L1
+    sums are computed once, and units read them through id arrays. Raises
+    DegenerateModelError when there is no unit or a unit's raw score is NaN
+    or infinite."""
     config.validate()
     table = graph_table(graph, units)
     if not len(table):
         raise DegenerateModelError("model has no prunable units")
     raws = _raw_scores(graph, table, config.use_in_channel)
-    for uid, raw in zip(table.uid, raws):
-        if not math.isfinite(raw):
-            raise DegenerateModelError(f"{uid}: raw score L is {raw} (non-finite weights)")
+    if len(bad := np.flatnonzero(~np.isfinite(raws))):
+        raise DegenerateModelError(f"{table.uid[bad[0]]}: raw score L is {raws.item(bad[0])} (non-finite weights)")
+    gl = _weight_scores(raws, table.family, config.weight_norm_mode)
 
-    by_family: dict[str, list[int]] = {}
-    for i, family in enumerate(table.family):
-        by_family.setdefault(family, []).append(i)
-    weight_scores = [0.0] * len(raws)
-    for family, idxs in by_family.items():
-        normed = normalize_weight_scores([raws[i] for i in idxs], config.weight_norm_mode)
-        for i, g in zip(idxs, normed):
-            weight_scores[i] = g
-
-    costs = unit_costs(graph, table, config.flops_convention)
-    pmax = max(p for p, _ in costs)
-    fmax = max(f for _, f in costs)
-    # units of one layer shape share their prices, so each distinct price is normalized once
-    bonus = {pf: normalize_cost_scores(*pf, pmax, fmax, config.alpha, config.beta) for pf in set(costs)}
-
-    records = []
-    for row, (uid, layer, channel, raw, gl, (p, f)) in enumerate(
-        zip(table.uid, *table.anchors(), raws, weight_scores, costs)
-    ):
-        gp, gf = bonus[p, f]
-        records.append(
-            ImportanceRecord(
-                unit_id=uid,
-                layer=layer,
-                channel=channel,
-                raw=raw,
-                weight_score=gl,
-                param_score=gp,
-                flop_score=gf,
-                importance=combined_importance(gl, gp, gf),
-                params=p,
-                flops=f,
-                table=table,
-                unit_row=row,
-            )
-        )
-    return records
+    footprint = unit_rows(graph, table)
+    params, flops = prices = unit_costs(graph, footprint, config.flops_convention)
+    pmax, fmax = prices.max(axis=1).tolist()
+    # GP depends on P alone and GF on F alone, and units of one layer shape
+    # share their prices, so each distinct P and F is normalized once
+    (ps, p_at), (fs, f_at) = (np.unique(c, return_inverse=True) for c in prices)
+    gp = np.array([normalize_cost_scores(p, fmax, pmax, fmax, config.alpha, config.beta)[0] for p in ps.tolist()])
+    gf = np.array([normalize_cost_scores(pmax, f, pmax, fmax, config.alpha, config.beta)[1] for f in fs.tolist()])
+    gp, gf = gp[p_at], gf[f_at]
+    layer, channel = table.anchors()
+    return ScoreTable(
+        unit_id=np.array(table.uid, object), layer=np.array(layer, object), channel=np.array(channel, np.int64),
+        raw=raws, weight_score=gl, param_score=gp, flop_score=gf, importance=combined_importance(gl, gp, gf),
+        params=params, flops=flops, rows=np.arange(len(table)), units=table, footprint=footprint,
+    )
 
 
-def records_texts(records: list[ImportanceRecord]) -> tuple[str, str]:
+def records_texts(scores: ScoreTable) -> tuple[str, str]:
     """``records.csv`` and ``records.json``: ``csv.writer`` rows of each
-    record's ``RECORD_COLUMNS`` fields, its numbers as ``repr`` spells them,
-    and ``json.dumps`` of one object per record with ``indent=2``. Both come
-    from one text column per field; each distinct float is rendered once,
-    and each CSV row is one join of its fields."""
-    uid, layer, channel, *numbers = zip(*map(_RECORD_FIELDS, records)) if records else [()] * 8
-    reprs, jsons = zip(*(_number_texts(column) for column in numbers))
+    score row's ``RECORD_COLUMNS`` fields, its numbers as ``repr`` spells
+    them, and ``json.dumps`` of one object per row with ``indent=2``. Both
+    come from one text column per field; each distinct float is rendered
+    once, and each CSV row is one join of its fields."""
+    uid, layer, channel, *numbers = (getattr(scores, column).tolist() for column in SCORE_COLUMNS[:8])
+    reprs, jsons = zip(*map(_number_texts, numbers))
     fields = [_csv_fields(uid), _csv_fields(layer), _csv_fields(map(str, channel)), *reprs]
     csv_text = "\n".join([",".join(RECORD_COLUMNS), *map(",".join, zip(*fields)), ""])
     ind = "\n    "
@@ -312,29 +335,26 @@ def records_texts(records: list[ImportanceRecord]) -> tuple[str, str]:
     return csv_text, json_text
 
 
-def records_to_csv(records: list[ImportanceRecord]) -> str:
+def records_to_csv(scores: ScoreTable) -> str:
     """``records.csv`` alone; :func:`records_texts` writes both files."""
-    return records_texts(records)[0]
+    return records_texts(scores)[0]
 
 
-def records_to_json(records: list[ImportanceRecord]) -> str:
+def records_to_json(scores: ScoreTable) -> str:
     """``records.json`` alone; :func:`records_texts` writes both files."""
-    return records_texts(records)[1]
+    return records_texts(scores)[1]
 
 
-def _number_texts(values: tuple) -> tuple[list[str], list[str]]:
-    """The CSV text (``repr``) and JSON text of each value of a number column.
-    A column of finite floats renders each distinct value once, 0.0 apart
-    from -0.0 (one dict key), and shares its texts between the two formats;
-    a float's ``repr`` needs no CSV quoting."""
-    if set(map(type, values)) <= {float}:
-        distinct = set(values)
-        memo = dict(zip(distinct, map(float.__repr__, distinct)))
-        reprs = [memo[v] if v else float.__repr__(v) for v in values]
-        if all(map(math.isfinite, distinct)):
-            return reprs, reprs
-    else:
-        reprs = _csv_fields(map(repr, values))
+def _number_texts(values: list[float]) -> tuple[list[str], list[str]]:
+    """The CSV text (``repr``) and JSON text of each float of a column. Each
+    distinct value is rendered once, 0.0 apart from -0.0 (one dict key), and
+    a column of finite floats shares its texts between the two formats; a
+    float's ``repr`` needs no CSV quoting."""
+    distinct = set(values)
+    memo = dict(zip(distinct, map(float.__repr__, distinct)))
+    reprs = [memo[v] if v else float.__repr__(v) for v in values]
+    if all(map(math.isfinite, distinct)):
+        return reprs, reprs
     return reprs, jsontext.texts(values, "\n    ")
 
 

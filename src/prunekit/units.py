@@ -186,9 +186,9 @@ class UnitTable:
         return UnitTable(
             self._graph,
             (self.filters, self.slots, self.entries),
-            [self.uid[i] for i in pick],
-            [self.kind[i] for i in pick],
-            [self.family[i] for i in pick],
+            list(map(self.uid.__getitem__, pick)),
+            list(map(self.kind.__getitem__, pick)),
+            list(map(self.family.__getitem__, pick)),
             self.members.take(rows),
             self.in_slices.take(rows),
             self.aux.take(rows),

@@ -10,6 +10,7 @@ import pytest
 from prunekit import (
     Config,
     GraphBuilder,
+    ScoreTable,
     build_prune_units,
     graph_checksum,
     infer_shapes,
@@ -194,6 +195,15 @@ def random_tiny_net(rng: np.random.Generator):
     if kind == "dense":
         return make_dense_toy(rng, entry_width=int(rng.integers(3, 7)), growth=int(rng.integers(2, 5)), layers=2)
     return make_flatten_toy(rng, channels=int(rng.integers(2, 5)))
+
+
+def hand_scores(**columns) -> ScoreTable:
+    """A score table made by hand from lists, without units: uids and layer
+    names as object arrays, channels, params and flops as int64 and the
+    scores as float64."""
+    dtypes = {"unit_id": object, "layer": object, "channel": np.int64, "params": np.int64, "flops": np.int64}
+    arrays = {column: np.array(values, dtypes.get(column, np.float64)) for column, values in columns.items()}
+    return ScoreTable(**arrays, rows=np.arange(len(arrays["unit_id"])))
 
 
 def plan_from_other_units(graph, target: float = 0.3):

@@ -526,7 +526,8 @@ def enumerate_all_subsets_check(
 
 
 def greedy_plan(records, graph, config):
-    """Reference planner: walk the ranking, skip a unit when one of its members
+    """Reference planner: walk the ranking of the score table ``records``
+    row by row with Python's sort, skip a unit when one of its members
     would take its layer below the floor or its slices would take a layer's
     last input slot (per-reference Counter checks), and count the whole model
     with effective_model_costs after every mark. Returns (removed unit ids,
@@ -541,7 +542,7 @@ def greedy_plan(records, graph, config):
     from prunekit.graph import graph_checksum
     from prunekit.planner import PruningPlan
 
-    units = ref_units(records[0].table)
+    units = ref_units(records.units)
 
     def count(out, slots):
         return effective_model_costs(
@@ -585,7 +586,7 @@ def greedy_plan(records, graph, config):
         layer_widths_after={layer: width - removed_out[layer] for layer, width in out_width.items()},
         model_checksum=graph_checksum(graph),
         # the library's digest of the taken rows; TestChecksum pins what it covers
-        units_checksum=records[0].table.take([r.unit_row for r in taken]).checksum(),
+        units_checksum=records.units.take([r.unit_row for r in taken]).checksum(),
         config=config.to_dict(),
         removed_entries=[{"unit_id": r.unit_id, "imp": r.importance} for r in taken],
     )

@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 from prunekit import Config, DegenerateModelError, InfeasibleBudgetError, PruningPlan, build_prune_units, score_all, select_threshold
 from prunekit.planner import multi_pass
-from prunekit.scoring import RECORD_COLUMNS, ImportanceRecord, records_texts, records_to_csv, records_to_json
+from prunekit.scoring import RECORD_COLUMNS, SCORE_COLUMNS, ScoreTable, records_texts, records_to_csv, records_to_json
 from prunekit.units import unit_table
 from prunekit.zoo import densenet40
 
-from conftest import random_tiny_net
+from conftest import hand_scores, random_tiny_net
 from oracles import ref_units, unit_entry
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.5, 0.1, 1e16, 2.0**-1074, float("inf"), float("-inf"), float("nan")]
@@ -179,8 +179,14 @@ def assert_records_match(records) -> None:
     assert texts == (expected_csv(records), expected_json(records))
 
 
-def record(uid="c1.c0", layer="c1", channel=0, numbers=(0.5, 0.25, 0.125, 0.0625, 0.9375)) -> ImportanceRecord:
-    return ImportanceRecord(uid, layer, channel, *numbers, params=1, flops=1)
+def record(uid="c1.c0", layer="c1", channel=0, numbers=(0.5, 0.25, 0.125, 0.0625, 0.9375)) -> tuple:
+    return (uid, layer, channel, *numbers)
+
+
+def scores(rows: list[tuple]) -> ScoreTable:
+    """A hand-made score table of ``record`` rows, each priced at one param and FLOP."""
+    columns = map(list, zip(*rows)) if rows else [[]] * 8
+    return hand_scores(**dict(zip(SCORE_COLUMNS, columns)), params=[1] * len(rows), flops=[1] * len(rows))
 
 
 NAN, INF = float("nan"), float("inf")
@@ -199,24 +205,21 @@ class TestRecordTexts:
         ids=["signed-zeros", "repeats", "extremes", "non-finite", "not-floats"],
     )
     def test_hand_made_numbers(self, numbers):
-        assert_records_match([record(uid=f"c1.c{i}", channel=i, numbers=n) for i, n in enumerate(numbers)])
+        assert_records_match(scores([record(uid=f"c1.c{i}", channel=i, numbers=n) for i, n in enumerate(numbers)]))
 
     @pytest.mark.parametrize("name", ['say "hi"', "new\nline", "cr\rlf", "層", " lead", *EDGE_STRINGS, *TEMPLATE_STRINGS])
     def test_hand_made_names(self, name):
-        assert_records_match([record(), record(uid=name, layer=name), record(layer=name, channel=True), record(uid=name, channel=2.0)])
+        assert_records_match(scores([record(), record(uid=name, layer=name), record(layer=name, channel=True), record(uid=name, channel=2.0)]))
 
     def test_no_records(self):
-        assert_records_match([])
+        assert_records_match(scores([]))
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(
         st.lists(
-            st.builds(
-                ImportanceRecord, strings, strings, st.integers(), floats, floats, floats, floats, floats,
-                params=st.just(1), flops=st.just(1),
-            ),
+            st.tuples(strings, strings, st.integers(-(2**63), 2**63 - 1), floats, floats, floats, floats, floats),
             max_size=6,
-        )
+        ).map(scores)
     )
     def test_equals_csv_writer_and_json_dumps(self, records):
         assert_records_match(records)

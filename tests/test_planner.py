@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prunekit.costs as costs_module
-import prunekit.planner as planner_module
+import prunekit.scoring as scoring_module
 import prunekit.surgeon as surgeon_module
 from prunekit import (
     Config,
+    DegenerateModelError,
     GraphBuilder,
     InfeasibleBudgetError,
     PruneKitError,
@@ -33,12 +34,12 @@ from prunekit import (
     select_threshold,
     validate,
 )
+from prunekit.zoo import resnet56
 from prunekit.graph import serialize_graph
 from prunekit.planner import PruningPlan
-from prunekit.scoring import ImportanceRecord
 from prunekit.units import IN_CHANNEL_ONLY
 
-from conftest import conv_w, make_chain, random_tiny_net, save_tmp
+from conftest import conv_w, hand_scores, make_chain, random_tiny_net, save_tmp
 from oracles import (
     enumerate_all_subsets_check,
     exhaustive_prefix_plan,
@@ -50,15 +51,18 @@ from oracles import (
 )
 
 
-def fake_record(uid, imp, flops=1, params=1):
-    return ImportanceRecord(
+def fake_scores(*rows):
+    """A hand-made score table of (uid, importance, flops, params) rows."""
+    uid, imp, flops, params = map(list, zip(*rows)) if rows else [[]] * 4
+    zeros = [0.0] * len(uid)
+    return hand_scores(
         unit_id=uid,
-        layer="x",
-        channel=0,
+        layer=["x"] * len(uid),
+        channel=[0] * len(uid),
         raw=imp,
         weight_score=imp,
-        param_score=0.0,
-        flop_score=0.0,
+        param_score=zeros,
+        flop_score=zeros,
         importance=imp,
         params=params,
         flops=flops,
@@ -67,34 +71,32 @@ def fake_record(uid, imp, flops=1, params=1):
 
 class TestRankGlobal:
     def test_ascending(self):
-        records = [fake_record("u1", 0.3), fake_record("u2", 0.1), fake_record("u3", 0.2)]
+        records = fake_scores(("u1", 0.3, 1, 1), ("u2", 0.1, 1, 1), ("u3", 0.2, 1, 1))
         assert [r.unit_id for r in rank_global(records)] == ["u2", "u3", "u1"]
 
     def test_tie_prefers_costlier(self):
-        records = [fake_record("a", 0.5, flops=50), fake_record("b", 0.5, flops=100)]
+        records = fake_scores(("a", 0.5, 50, 1), ("b", 0.5, 100, 1))
         assert [r.unit_id for r in rank_global(records)] == ["b", "a"]
 
     def test_tie_cascade_params_then_uid(self):
-        records = [
-            fake_record("b", 0.5, flops=10, params=3),
-            fake_record("a", 0.5, flops=10, params=3),
-            fake_record("c", 0.5, flops=10, params=7),
-        ]
+        records = fake_scores(("b", 0.5, 10, 3), ("a", 0.5, 10, 3), ("c", 0.5, 10, 7))
         assert [r.unit_id for r in rank_global(records)] == ["c", "a", "b"]
 
     def test_against_naive_sort_oracle(self):
         rng = np.random.default_rng(0)
-        records = [
-            fake_record(f"u{i}", float(rng.choice([0.1, 0.2, 0.3, 0.4])), int(rng.integers(1, 50)), int(rng.integers(1, 50)))
-            for i in range(1000)
-        ]
+        records = fake_scores(
+            *[
+                (f"u{i}", float(rng.choice([0.1, 0.2, 0.3, 0.4])), int(rng.integers(1, 50)), int(rng.integers(1, 50)))
+                for i in range(1000)
+            ]
+        )
         got = [r.unit_id for r in rank_global(records)]
         ref = naive_rank([(r.importance, r.flops, r.params, r.unit_id) for r in records])
         assert got == ref
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            rank_global([])
+            rank_global(fake_scores())
 
 
 def chain_descriptor(graph):
@@ -124,13 +126,13 @@ def plan_toy(rng, widths, target, floor=1):
 
 
 class TestSelectThreshold:
-    def test_records_of_two_scorings_are_refused(self):
-        g, config, records = plan_toy(np.random.default_rng(1), (4, 5), target=0.3)
-        again = score_all(g, build_prune_units(g), config)
-        with pytest.raises(ValueError, match="one score_all call"):
-            select_threshold(records[:2] + again[2:], g, config)
-        with pytest.raises(ValueError, match="one score_all call"):
-            select_threshold([fake_record("u1", 0.1)], g, config)
+    def test_score_table_from_another_graph_object_is_refused(self):
+        g, config, _ = plan_toy(np.random.default_rng(1), (4, 5), target=0.3)
+        twin, _, records = plan_toy(np.random.default_rng(1), (4, 5), target=0.3)
+        select_threshold(records, twin, config)
+        for scores in (records, records.take([2, 0]), fake_scores(("u1", 0.1, 1, 1))):
+            with pytest.raises(PruneKitError, match="^units must be a unit table built from this graph object"):
+                select_threshold(scores, g, config)
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(1)
@@ -138,7 +140,7 @@ class TestSelectThreshold:
         plan = select_threshold(records, g, config)
 
         ranked = rank_global(records)
-        refs = ref_units(records[0].table)
+        refs = ref_units(records.units)
         entries = [{"uid": r.unit_id, "layer": refs[r.unit_row].members[0].layer, "imp": r.importance} for r in ranked]
         layers = chain_descriptor(g)
         budget = (1 - config.flop_target_ratio) * model_flop_count(g, "macs")
@@ -220,7 +222,7 @@ class TestSelectThreshold:
         records = score_all(g, build_prune_units(g), config)
         plan = select_threshold(records, g, config)
         slots = [r for r in records if r.unit.kind == IN_CHANNEL_ONLY]
-        refs = ref_units(records[0].table)
+        refs = ref_units(records.units)
         assert sorted(s.layer for r in slots for s in refs[r.unit_row].in_slices) == ["t"] * 4
         kept = [r for r in slots if r.unit_id not in plan.removed_unit_ids]
         # the kept slot ranks below the threshold, so only the slot floor skipped it
@@ -318,16 +320,25 @@ class TestRunningCosts:
     def test_two_full_counts_per_plan(self, request, monkeypatch, model):
         g = request.getfixturevalue(model)
         config = Config(flop_target_ratio=0.5, param_target_ratio=0.3)
-        records = score_all(g, build_prune_units(g), config)
         calls, footprints = [], []
+        unit_rows = scoring_module.unit_rows
+        monkeypatch.setattr(scoring_module, "unit_rows", lambda *a: footprints.append(1) or unit_rows(*a))
+        records = score_all(g, build_prune_units(g), config)
         original = costs_module.effective_model_costs
         monkeypatch.setattr(costs_module, "effective_model_costs", lambda *a, **kw: calls.append(1) or original(*a, **kw))
-        unit_rows = planner_module.unit_rows
-        monkeypatch.setattr(planner_module, "unit_rows", lambda *a: footprints.append(1) or unit_rows(*a))
         plan = select_threshold(records, g, config)
         assert len(plan.removed_unit_ids) > 300
         assert len(calls) == 2
-        assert len(footprints) == 1  # one footprint of the whole scored table
+        assert len(footprints) == 1  # one footprint of the whole table: scoring prices it, selection removes it
+
+    def test_counts_beyond_int64_are_refused(self):
+        # c2's padding makes its output 2^32 + 1 wide; unit prices use its input size, 1
+        rng = np.random.default_rng(0)
+        b = GraphBuilder(3, 1)
+        g = infer_shapes(b.output(b.conv("c2", b.conv("c1", "input", conv_w(rng, 4, 3, 1)), conv_w(rng, 4, 4, 1), padding=2**31)))
+        records = score_all(g, build_prune_units(g), Config())
+        with pytest.raises(PruneKitError, match=r"^model counts overflow int64: 28 params, 295147905316791779356 FLOPs$"):
+            select_threshold(records, g, Config())
 
     def test_disagreeing_running_count_fails(self, monkeypatch):
         # without the batch-norm/ReLU share of each removed filter the running
@@ -338,6 +349,107 @@ class TestRunningCosts:
         monkeypatch.setattr(costs_module, "_downstream_charges", lambda graph, aux: defaultdict(lambda: (0, 0)))
         with pytest.raises(PruneKitError, match="differs from recount"):
             select_threshold(records, g, config)
+
+
+def slot_floor_net(rng, widths=(2, 2)):
+    """e feeds producers that reach t only through a Concat, so every input
+    slot of t is an in-channel-only unit, and only the slot floor stops the
+    planner taking t's last one."""
+    b = GraphBuilder(3, 8)
+    e = b.conv("e", "input", conv_w(rng, 4, 3, 1))
+    cat = b.concat("cat", [b.conv(f"d{i}", e, conv_w(rng, w, 4, 1)) for i, w in enumerate(widths)])
+    t = b.conv("t", cat, conv_w(rng, 16, sum(widths), 3), padding=1)
+    flat = b.flatten("flat", b.pool("gap", t, "global-avg"))
+    return infer_shapes(b.output(b.linear("head", flat, rng.standard_normal((5, 16)).astype(np.float32))))
+
+
+def floor_skips(records, graph, config):
+    """The units that the reference walk skips before its last removal, in
+    rank order, each with the layers of its members and of its in-slices."""
+    taken, *_ = greedy_plan(records, graph, config)
+    refs = ref_units(records.units)
+    ranked = list(rank_global(records))
+    kept = [r for r in ranked[: [r.unit_id for r in ranked].index(taken[-1])] if r.unit_id not in taken]
+    return [(r, {m.layer for m in refs[r.unit_row].members}, {s.layer for s in refs[r.unit_row].in_slices}) for r in kept]
+
+
+class TestFloorSkipsMidRanking:
+    """Floors that bind part-way through the ranking: the selection's
+    further passes give the reference walk's plan byte for byte."""
+
+    @pytest.mark.parametrize(
+        "model, preset, floor, target",
+        [
+            ("resnet_graph", "resnet", 12, 0.5),
+            ("resnet_graph", "densenet", 16, 0.3),
+            ("densenet_graph", "resnet", 12, 0.5),
+        ],
+    )
+    def test_zoo_filter_floors(self, request, model, preset, floor, target):
+        g = request.getfixturevalue(model)
+        config = Config(flop_target_ratio=target, min_channels_per_layer=floor)
+        config.apply_preset(preset)
+        plan = assert_plan_matches_recount(g, config)
+        records = score_all(g, build_prune_units(g), config)
+        skips = floor_skips(records, g, config)
+        # each skipped unit has a filter in a layer the floor holds
+        assert skips and all(any(plan.layer_widths_after[layer] == floor for layer in members) for _, members, _ in skips)
+
+    def test_layer_at_its_floor_early_skips_every_later_unit_of_it(self, resnet_graph):
+        config = Config(flop_target_ratio=0.3, min_channels_per_layer=16)
+        config.apply_preset("densenet")
+        plan = assert_plan_matches_recount(resnet_graph, config)
+        records = score_all(resnet_graph, build_prune_units(resnet_graph), config)
+        first, members, _ = floor_skips(records, resnet_graph, config)[0]
+        ranked = [r.unit_id for r in rank_global(records)]
+        assert ranked.index(first.unit_id) < ranked.index(plan.removed_unit_ids[-1]) // 8  # early in the walk
+        refs = ref_units(records.units)
+        later = [r for r in records if ranked.index(r.unit_id) > ranked.index(first.unit_id)]
+        of_layer = [r for r in later if members & {m.layer for m in refs[r.unit_row].members}]
+        assert of_layer and not {r.unit_id for r in of_layer} & set(plan.removed_unit_ids)
+
+    @pytest.mark.parametrize("floor", [2, 3])
+    def test_tiny_nets(self, floor):
+        skipped = 0
+        for seed in range(40, 60):
+            g = random_tiny_net(np.random.default_rng(seed))
+            for target in (0.3, 0.5, 0.7):
+                config = Config(flop_target_ratio=target, min_channels_per_layer=floor)
+                try:
+                    plan = assert_plan_matches_recount(g, config)
+                except DegenerateModelError:
+                    break
+                skipped += plan is not None and bool(floor_skips(score_all(g, build_prune_units(g), config), g, config))
+        assert skipped >= 5
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_last_slot_skips(self, seed):
+        rng = np.random.default_rng(seed)
+        g = slot_floor_net(rng, widths=tuple(int(w) for w in rng.integers(1, 4, 2)))
+        config = Config(flop_target_ratio=0.95)
+        assert assert_plan_matches_recount(g, config) is not None
+        skips = floor_skips(score_all(g, build_prune_units(g), config), g, config)
+        assert [(members, slots) for _, members, slots in skips] == [(set(), {"t"})]  # t's last input slot
+
+    @pytest.mark.parametrize(
+        "make, floor, target, param_target, best",
+        [
+            (lambda: resnet56(seed=0), 16, 0.75, 0.5, (0.7239255513720089, "0.7239 in FLOPs and 0.9088 in parameters")),
+            (lambda: random_tiny_net(np.random.default_rng(57)), 3, 0.9, None, (0.7148685883849089, "0.7149 in FLOPs and 0.7110 in parameters")),
+            (lambda: random_tiny_net(np.random.default_rng(59)), 3, 0.7, None, (0.5355826273772613, "0.5356 in FLOPs and 0.5568 in parameters")),
+        ],
+        ids=["resnet56", "tiny-57", "tiny-59"],
+    )
+    def test_infeasible_floors(self, make, floor, target, param_target, best):
+        # the message and best_frr of the per-unit walk that selection replaced; resnet56 meets its parameter target
+        g = make()
+        config = Config(flop_target_ratio=target, param_target_ratio=param_target, min_channels_per_layer=floor)
+        records = score_all(g, build_prune_units(g), config)
+        with pytest.raises(InfeasibleBudgetError) as err:
+            select_threshold(records, g, config)
+        best_frr, reductions = best
+        assert str(err.value) == f"FLOP target {target:.3f} unreachable under layer floors; best achievable reduction is {reductions}"
+        assert err.value.best_frr == best_frr
 
 
 class TestAgainstPerReferenceLoop:
@@ -359,7 +471,7 @@ class TestAgainstPerReferenceLoop:
         assert [r.raw for r in records] == [loop_raw_score(g, u, config.use_in_channel) for u in ref_units(units)]
         # a shuffled subset's table rows index into the whole scored table's footprint
         rng = np.random.default_rng(subset_seed)
-        subset = [records[i] for i in rng.permutation(len(records))[: rng.integers(1, len(records) + 1)]]
+        subset = records.take(rng.permutation(len(records))[: rng.integers(1, len(records) + 1)])
         for planned in (records, subset):
             _, _, flops, want = greedy_plan(planned, g, config)
             if want is None:

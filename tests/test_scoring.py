@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from prunekit import (
     score_all,
 )
 from prunekit.graph import serialize_graph
-from prunekit.scoring import RECORD_COLUMNS, records_to_csv
+from prunekit.scoring import RECORD_COLUMNS, WEIGHT_NORM_MODES, records_to_csv
 from prunekit.surgeon import apply_units
 from prunekit.units import FULL_CHANNEL, IN_CHANNEL_ONLY, unit_table
 from prunekit.zoo import densenet40
@@ -301,6 +302,41 @@ class TestVectorisedRawScores:
                 assert np.array_equal(scoring_module._abs_sums(view), whole)
                 rows = np.sort(rng.choice(len(view), size=(len(view) + 1) // 2, replace=False))
                 assert np.array_equal(scoring_module._abs_sums(view, rows), whole[rows])
+
+
+def math_weight_norm(scores: list[float], mode: str) -> list[float]:
+    """One family's GL, one Python float operation at a time."""
+    lmax, lmin = max(scores), min(scores)
+    if mode == "max-min":
+        return [0.5 if lmax == lmin else (s - lmin) / (lmax - lmin) for s in scores]
+    if mode == "max":
+        return [s / lmax for s in scores]
+    return [math.log1p(s) / math.log1p(lmax) for s in scores]
+
+
+class TestNormalizationsPinned:
+    """score_all normalizes whole columns at once, yet each unit's GP and GF
+    are normalize_cost_scores' floats, and its GL is normalize_weight_scores'
+    over its family and that of one Python float operation at a time, under
+    ==. All of them take math.log or math.log1p of each value; numpy's log
+    and log1p differ from those in the last bit for some inputs on some
+    CPUs, so a vectorised log could move plans there."""
+
+    @pytest.mark.parametrize("mode", WEIGHT_NORM_MODES)
+    @pytest.mark.parametrize("model", ["vgg_graph", "resnet_graph", "densenet_graph"])
+    def test_zoo(self, request, model, mode):
+        g = request.getfixturevalue(model)
+        config = Config(alpha=3.0, beta=0.1, weight_norm_mode=mode)
+        records = list(score_all(g, build_prune_units(g), config))
+        pmax, fmax = max(r.params for r in records), max(r.flops for r in records)
+        for r in records:
+            assert (r.param_score, r.flop_score) == normalize_cost_scores(r.params, r.flops, pmax, fmax, 3.0, 0.1)
+        families = defaultdict(list)
+        for r in records:
+            families[r.unit.family].append(r)
+        for members in families.values():
+            raws = [r.raw for r in members]
+            assert [r.weight_score for r in members] == normalize_weight_scores(raws, mode) == math_weight_norm(raws, mode)
 
 
 class TestInvariances:

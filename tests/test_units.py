@@ -556,7 +556,7 @@ class TestOneGraph:
         [
             lambda g, t: score_all(g, t, Config()),
             lambda g, t: unit_rows(g, t),
-            lambda g, t: unit_costs(g, t),
+            lambda g, t: unit_costs(g, unit_rows(g, t)),
             lambda g, t: apply_units(g, t.take([0])),
             lambda g, t: dependency_l1(g, t[0]),
             lambda g, t: zero_equivalence_check(g, t[0], trials=2),
