@@ -317,12 +317,13 @@ def cmd_prune(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     run = _RunManifest("report", args, None)
     convention = args.flops_convention
+    # costs and widths need shapes only, so each container is checked but not read;
     # one model in memory at a time: the baseline's costs and widths, then the pruned model's
-    baseline = infer_shapes(load_model(args.baseline, args.baseline_weights))
+    baseline = infer_shapes(load_model(args.baseline, args.baseline_weights, structure_only=True))
     base_params, base_flops = effective_model_costs(baseline, convention=convention)
     base_widths = [(n.id, n.declared_out_width()) for n in baseline.weighted_layers()]
     del baseline
-    pruned = infer_shapes(load_model(args.pruned, args.pruned_weights))
+    pruned = infer_shapes(load_model(args.pruned, args.pruned_weights, structure_only=True))
     post_params, post_flops = effective_model_costs(pruned, convention=convention)
     pruned_widths = {n.id: n.declared_out_width() for n in pruned.weighted_layers()}
     if base_params == 0 or base_flops == 0:

@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,7 @@ POOL_MODES = ("max", "avg", "global-avg")
 TENSOR_ROLES = ("weight", "bias", "gamma", "beta", "running_mean", "running_var")
 
 _BN_ROLES = ("gamma", "beta", "running_mean", "running_var")
+_NAN = np.float32(np.nan)  # every structure-only tensor is this one value, broadcast
 
 
 @dataclass
@@ -325,6 +327,10 @@ def validate(graph: ModelGraph) -> list[str]:
                     v.append(f"{nid}: missing {role} tensor")
                 elif t.shape != (c,):
                     v.append(f"{nid}: {role} shape {t.shape} does not match ({c},)")
+            eps = node.attrs.get("epsilon", 1e-5)
+            # a finite float; an int beyond float range or a bool (an int to Python) is not
+            if not isinstance(eps, (int, float)) or isinstance(eps, bool) or not 0 <= eps <= sys.float_info.max:
+                v.append(f"{nid}: BatchNorm2d epsilon must be a finite number of at least 0, got {eps!r}")
         elif node.kind == "Pool":
             mode = node.attrs.get("pool")
             if mode not in POOL_MODES:
@@ -512,13 +518,15 @@ def _expect(value, kind: type, what: str):
     return value
 
 
-def load_model(manifest_path: str, weights_path: str | None = None) -> ModelGraph:
+def load_model(manifest_path: str, weights_path: str | None = None, *, structure_only: bool = False) -> ModelGraph:
     """Load a model and :func:`validate` its structure; fails rather than
     returning a partial graph. Widths and sizes are checked by infer_shapes.
 
     Each tensor gets its own array, filled straight from the container in
     offset order, so every byte is read once with no intermediate buffer and
-    no tensor keeps any other alive."""
+    no tensor keeps any other alive. With ``structure_only`` the container is
+    checked (size and last byte) but no tensor is read: each is a read-only,
+    zero-stride float32 NaN of its declared shape, enough for shapes and costs."""
     try:
         with open(manifest_path, "r", encoding="utf-8") as f:
             manifest = json.load(f)
@@ -533,6 +541,9 @@ def load_model(manifest_path: str, weights_path: str | None = None) -> ModelGrap
         raise ManifestError(f"unsupported manifest version {manifest['version']}")
     inp = _expect(manifest["input"], dict, "manifest input")
     entries = _expect(manifest["nodes"], list, "manifest nodes")
+    total = manifest["total_bytes"]
+    if not _is_int(total) or total < 0:
+        raise ManifestError(f"manifest total_bytes must be a non-negative int, got {type(total).__name__} {total!r}")
 
     if weights_path is None:
         weights_file = _expect(manifest["weights_file"], str, "manifest weights_file")
@@ -543,16 +554,15 @@ def load_model(manifest_path: str, weights_path: str | None = None) -> ModelGrap
             f.seek(size - 1)
             if not f.read(1):
                 raise ManifestError(f"short read of weight container: no byte at offset {size - 1} of {size}")
-        total = manifest["total_bytes"]
         if size != total:
             raise ManifestError(f"weight container is {size} bytes, manifest declares {total}")
-        nodes, order, regions = _parse_nodes(inp, entries, total)
-        # each tensor owns its array, read straight from the container in offset order
-        for off, end, name, arr in regions:
-            f.seek(off)
-            got = f.readinto(arr)
-            if got != end - off:
-                raise ManifestError(f"short read of weight container: {name} got {got} of {end - off} bytes")
+        nodes, order, regions = _parse_nodes(inp, entries, total, structure_only)
+        if not structure_only:  # each tensor owns its array, read straight from the container in offset order
+            for off, end, name, arr in regions:
+                f.seek(off)
+                got = f.readinto(arr)
+                if got != end - off:
+                    raise ManifestError(f"short read of weight container: {name} got {got} of {end - off} bytes")
 
     graph = ModelGraph(nodes=nodes, order=order, input_channels=inp["channels"], input_size=inp["size"])
     violations = validate(graph)
@@ -561,9 +571,10 @@ def load_model(manifest_path: str, weights_path: str | None = None) -> ModelGrap
     return graph
 
 
-def _parse_nodes(inp: dict, entries: list, total: int) -> tuple[dict[str, LayerNode], list[str], list]:
+def _parse_nodes(inp: dict, entries: list, total: int, structure_only: bool) -> tuple[dict[str, LayerNode], list[str], list]:
     """The manifest's nodes and node order, and the (start, end, name, array)
-    region of each tensor sorted by offset; each array is allocated, not read."""
+    region of each tensor sorted by offset; each array is allocated, not read,
+    or with ``structure_only`` a read-only NaN broadcast to its shape."""
     if not _is_int(inp.get("channels")) or not _is_int(inp.get("size")):
         raise ManifestError("manifest input must declare integer channels and size")
     if inp["channels"] < 1 or inp["size"] < 1:
@@ -598,7 +609,7 @@ def _parse_nodes(inp: dict, entries: list, total: int) -> tuple[dict[str, LayerN
             nbytes = math.prod(shape) * 4
             if off + nbytes > total:
                 raise ManifestError(f"{nid}.{role}: tensor out of bounds (offset {off} + {nbytes} > {total})")
-            node.tensors[role] = np.empty(shape, "<f4")
+            node.tensors[role] = np.broadcast_to(_NAN, shape) if structure_only else np.empty(shape, "<f4")
             regions.append((off, off + nbytes, f"{nid}.{role}", node.tensors[role]))
         nodes[nid] = node
         order.append(nid)

@@ -6,6 +6,7 @@ import copy
 import csv
 import hashlib
 import json
+import math
 import os
 import random
 import re
@@ -206,9 +207,10 @@ class TestPlanPrune:
         manifest, weights = toy_model
         loaded = []  # weakrefs to the graphs report has loaded
 
-        def load_model(*args, real=cli_module.load_model):
+        def load_model(*args, real=cli_module.load_model, **kwargs):
             assert all(ref() is None for ref in loaded), "the baseline is still alive"
-            graph = real(*args)
+            assert kwargs == {"structure_only": True}
+            graph = real(*args, **kwargs)
             loaded.append(weakref.ref(graph))
             return graph
 
@@ -217,6 +219,30 @@ class TestPlanPrune:
         assert main(["report", "--baseline", manifest, "--pruned", manifest, "--out-dir", str(rep)]) == 0
         assert len(loaded) == 2
         assert json.loads(read(rep / "report.json"))["prr"] == 0.0
+
+    def test_report_reads_no_tensor_bytes(self, toy_model, tmp_path, capsys):
+        # containers of the right size holding only 0xFF bytes give the same report as the real ones
+        manifest, weights = toy_model
+        out, pruned = tmp_path / "out", tmp_path / "pruned"
+        assert main(["plan", "--model", manifest, "--weights", weights, "--out-dir", str(out), "--flop-target", "0.3"]) == 0
+        assert main(["prune", "--model", manifest, "--weights", weights, "--plan", str(out / "plan.json"), "--out-dir", str(pruned)]) == 0
+        pruned_manifest, pruned_weights = str(pruned / "pruned_manifest.json"), pruned / "pruned_weights.bin"
+        filled = {}
+        for name, path in (("baseline", Path(weights)), ("pruned", pruned_weights)):
+            filled[name] = tmp_path / f"{name}_ff.bin"
+            filled[name].write_bytes(b"\xff" * path.stat().st_size)
+        capsys.readouterr()
+        real, ff = tmp_path / "rep", tmp_path / "rep_ff"
+        assert main(["report", "--baseline", manifest, "--pruned", pruned_manifest, "--out-dir", str(real)]) == 0
+        real_stdout = capsys.readouterr().out
+        assert main([
+            "report", "--baseline", manifest, "--baseline-weights", str(filled["baseline"]),
+            "--pruned", pruned_manifest, "--pruned-weights", str(filled["pruned"]), "--out-dir", str(ff),
+        ]) == 0
+        assert capsys.readouterr().out == real_stdout
+        assert json.loads(read(real / "report.json"))["prr"] > 0
+        for name in ("report.json", "report.txt"):
+            assert (ff / name).read_bytes() == (real / name).read_bytes()
 
     def test_multi_pass_driver(self, tmp_path):
         rng = np.random.default_rng(22)
@@ -730,6 +756,65 @@ class TestExitCodes:
         assert rc == 2
         assert "Traceback" not in err
         assert json.loads(err)["error"] == {"code": "DegenerateModelError", "message": "model has no prunable units"}
+
+    @pytest.mark.parametrize("side", ["baseline", "pruned"])
+    def test_report_checks_each_container(self, toy_model, tmp_path, capsys, side):
+        # report reads no tensor, but a container of the wrong size exits 2 and a missing one 4
+        manifest, weights = toy_model
+        longer = tmp_path / "longer.bin"
+        longer.write_bytes(Path(weights).read_bytes() + b"\0\0\0\0")
+        size = os.path.getsize(weights)
+        for container, code, message in (
+            (longer, 2, f"weight container is {size + 4} bytes, manifest declares {size}"),
+            (tmp_path / "missing.bin", 4, None),
+        ):
+            argv = ["report", "--baseline", manifest, "--pruned", manifest, f"--{side}-weights", str(container)]
+            rc = main([*argv, "--out-dir", str(tmp_path / "o")])
+            err = capsys.readouterr().err
+            assert rc == code
+            assert "Traceback" not in err
+            error = json.loads(err)["error"]
+            assert error["code"] == ("ManifestError" if code == 2 else "io")
+            assert message is None or error["message"] == message
+            assert not os.path.exists(tmp_path / "o")
+
+    @pytest.mark.parametrize("command", ["analyze", "report"])
+    @pytest.mark.parametrize("value", ["x", None, "1e-5", -1.0, math.nan], ids=["text", "null", "numeric-text", "negative", "nan"])
+    def test_bad_batchnorm_epsilon_exits_2(self, toy_model, tmp_path, capsys, command, value):
+        manifest, _ = toy_model
+        doc = json.loads(read(manifest))
+        next(n for n in doc["nodes"] if n["id"] == "bn1")["attrs"]["epsilon"] = value
+        bad = tmp_path / "bad.json"  # next to model.bin, which weights_file names
+        bad.write_text(json.dumps(doc))
+        models = ["--baseline", str(bad), "--pruned", str(bad)] if command == "report" else ["--model", str(bad)]
+        rc = main([command, *models, "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        error = json.loads(err)["error"]
+        assert error["code"] == "validation"
+        assert error["violations"] == [f"bn1: BatchNorm2d epsilon must be a finite number of at least 0, got {value!r}"]
+        assert not os.path.exists(tmp_path / "o")
+
+    @pytest.mark.parametrize("command", ["analyze", "report"])
+    @pytest.mark.parametrize("spoil", [float, str, lambda n: -1, lambda n: True, lambda n: None, lambda n: [n]],
+                             ids=["float", "text", "negative", "bool", "null", "list"])
+    def test_bad_total_bytes_exits_2(self, toy_model, tmp_path, capsys, command, spoil):
+        manifest, _ = toy_model
+        doc = json.loads(read(manifest))
+        value = doc["total_bytes"] = spoil(doc["total_bytes"])
+        bad = tmp_path / "bad.json"  # next to model.bin, which weights_file names
+        bad.write_text(json.dumps(doc))
+        models = ["--baseline", str(bad), "--pruned", str(bad)] if command == "report" else ["--model", str(bad)]
+        rc = main([command, *models, "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        assert json.loads(err)["error"] == {
+            "code": "ManifestError",
+            "message": f"manifest total_bytes must be a non-negative int, got {type(value).__name__} {value!r}",
+        }
+        assert not os.path.exists(tmp_path / "o")
 
     def test_missing_file_exits_4(self, tmp_path, capsys):
         rc = main(["analyze", "--model", str(tmp_path / "nope.json"), "--out-dir", str(tmp_path / "o")])

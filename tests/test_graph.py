@@ -5,10 +5,13 @@ from __future__ import annotations
 import builtins
 import hashlib
 import json
+import math
 import os
+import sys
 import tracemalloc
 from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -296,11 +299,91 @@ class TestLoadSave:
         with pytest.raises(ManifestError, match="short read"):
             load_model(manifest, weights)
 
+    def test_structure_only_tensors_are_read_only_nan_placeholders(self, tmp_path):
+        g = make_dense_toy(np.random.default_rng(24), with_bn=True)
+        manifest, weights = save_tmp(g, tmp_path)
+        full = load_model(manifest, weights)
+        shell = infer_shapes(load_model(manifest, weights, structure_only=True))
+        assert validate(shell) == []
+        assert effective_model_costs(shell) == effective_model_costs(infer_shapes(full))
+        assert [(n.id, n.kind, n.inputs, n.attrs) for n in shell.nodes.values()] == [
+            (n.id, n.kind, n.inputs, n.attrs) for n in full.nodes.values()
+        ]
+        for nid, node in shell.nodes.items():
+            assert node.tensors.keys() == full.nodes[nid].tensors.keys()
+            for role, t in node.tensors.items():
+                real = full.nodes[nid].tensors[role]
+                assert (t.shape, t.dtype) == (real.shape, real.dtype)
+                assert t.strides == (0,) * t.ndim and not t.flags.writeable
+                assert np.isnan(t).all() and not np.isnan(real).any()  # nothing was read
+                with pytest.raises(ValueError, match="read-only"):
+                    t[(0,) * t.ndim] = 0.0
+
+    @pytest.mark.parametrize(
+        "spoil", ["truncate", "grow", "fstat", "bad_shape", "out_of_bounds", "overlap", "total_bytes", "epsilon"]
+    )
+    def test_structure_only_checks_what_a_full_load_checks(self, tmp_path, monkeypatch, spoil):
+        g = make_chain(np.random.default_rng(25), (4, 4), kernel=1, with_bn=True)
+        manifest, weights = save_tmp(g, tmp_path)
+        doc = json.loads(Path(manifest).read_text())
+        total = doc["total_bytes"]
+        conv1, conv2 = doc["nodes"][1]["tensors"]["weight"], doc["nodes"][4]["tensors"]["weight"]
+        error, message = ManifestError, None
+        if spoil == "truncate":
+            os.truncate(weights, 200)
+            message = f"weight container is 200 bytes, manifest declares {total}"
+        elif spoil == "grow":
+            os.truncate(weights, total + 4)
+            message = f"weight container is {total + 4} bytes, manifest declares {total}"
+        elif spoil == "fstat":
+            real_fstat = os.fstat
+            monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=real_fstat(fd).st_size + 8))
+            message = f"short read of weight container: no byte at offset {total + 7} of {total + 8}"
+        elif spoil == "bad_shape":
+            conv1["shape"] = [0]
+            message = r"conv1.weight: bad shape \(0,\)"
+        elif spoil == "out_of_bounds":
+            conv1["offset"] = total
+            message = "conv1.weight: tensor out of bounds"
+        elif spoil == "overlap":
+            conv2["offset"] = conv1["offset"] + 4
+            message = "overlapping tensor regions"
+        elif spoil == "total_bytes":
+            doc["total_bytes"] = float(total)
+            message = f"manifest total_bytes must be a non-negative int, got float {float(total)!r}"
+        else:
+            doc["nodes"][2]["attrs"]["epsilon"] = "1e-5"
+            error, message = GraphValidationError, "bn1: BatchNorm2d epsilon must be a finite number"
+        Path(manifest).write_text(json.dumps(doc))
+        with pytest.raises(error, match=message):
+            load_model(manifest, weights, structure_only=True)
+
 
 class TestValidate:
     def test_well_formed(self):
         rng = np.random.default_rng(1)
         assert validate(make_chain(rng, (4, 6), with_bn=True)) == []
+
+    @pytest.mark.parametrize("value", [0, 0.0, 1e-5, 1, 0.5, 1e-300, sys.float_info.max])
+    def test_batchnorm_epsilon_accepts_finite_numbers_of_at_least_0(self, value):
+        g = make_chain(np.random.default_rng(2), (4,), with_bn=True)
+        g.nodes["bn1"].attrs["epsilon"] = value
+        assert validate(g) == []
+
+    @pytest.mark.parametrize("value", ["x", None, "1e-5", -1.0, -1e-300, True, False, math.inf, -math.inf, math.nan, 10**400, [1e-5]])
+    def test_batchnorm_epsilon_rejects_other_values(self, value):
+        g = make_chain(np.random.default_rng(2), (4,), with_bn=True)
+        g.nodes["bn1"].attrs["epsilon"] = value
+        assert validate(g) == [f"bn1: BatchNorm2d epsilon must be a finite number of at least 0, got {value!r}"]
+
+    def test_batchnorm_epsilon_defaults_to_1e_5(self):
+        g = make_chain(np.random.default_rng(2), (4,), with_bn=True)
+        x = np.random.default_rng(3).standard_normal((2, 3, 8, 8))
+        g.nodes["bn1"].attrs["epsilon"] = 1e-5
+        explicit = forward_eval(g, x)
+        del g.nodes["bn1"].attrs["epsilon"]
+        assert validate(g) == []
+        assert np.array_equal(forward_eval(g, x), explicit)
 
     def test_bn_channel_mismatch(self):
         rng = np.random.default_rng(2)
