@@ -161,21 +161,14 @@ def _read_text(path: str, error_prefix: str) -> str:
 
 
 def _make_config(args: argparse.Namespace) -> Config:
-    config = Config()
-    if getattr(args, "config", None):
-        for key, value in _parse_config_file(args.config).items():
-            setattr(config, key, value)
-    if getattr(args, "preset", None):
-        config.apply_preset(args.preset)
-    for field in dataclasses.fields(Config):
-        value = getattr(args, field.name, None)
-        if value is not None:
-            setattr(config, field.name, value)
-    mode = getattr(args, "mode", None)
-    if mode is not None:
-        config.use_in_channel = mode != "cpmc-a"
-    config.validate()
-    return config
+    """One Config of the layered values: config file < preset < flags < ``--mode``."""
+    values = _parse_config_file(args.config) if args.config else {}
+    if args.preset:
+        values["alpha"], values["beta"] = Config.PRESETS[args.preset]
+    values.update((f.name, v) for f in dataclasses.fields(Config) if (v := getattr(args, f.name, None)) is not None)
+    if args.mode is not None:
+        values["use_in_channel"] = args.mode != "cpmc-a"
+    return Config(**values)
 
 
 def _load(args: argparse.Namespace) -> ModelGraph:
@@ -210,10 +203,13 @@ class _RunManifest:
             "artifacts": [],
             "timings": {},
         }
-        for attr in ("model", "weights", "plan", "baseline", "pruned"):
+        for attr in ("model", "weights", "plan", "baseline", "pruned", "baseline_weights", "pruned_weights"):
             path = getattr(args, attr, None)
             if path and os.path.exists(path):
-                self.data["inputs"][attr] = {"path": path, "sha256": _file_checksum(path)}
+                # report reads no tensor byte of its containers, so they are sized, not hashed
+                size_only = attr.endswith("_weights")
+                record = {"bytes": os.path.getsize(path)} if size_only else {"sha256": _file_checksum(path)}
+                self.data["inputs"][attr] = {"path": path, **record}
 
     def add(self, path: str, sha256: str) -> None:
         self.data["artifacts"].append({"path": path, "sha256": sha256})

@@ -526,7 +526,8 @@ def load_model(manifest_path: str, weights_path: str | None = None, *, structure
     offset order, so every byte is read once with no intermediate buffer and
     no tensor keeps any other alive. With ``structure_only`` the container is
     checked (size and last byte) but no tensor is read: each is a read-only,
-    zero-stride float32 NaN of its declared shape, enough for shapes and costs."""
+    zero-stride float32 NaN of its declared shape, enough for shapes and costs;
+    otherwise each BatchNorm2d's running_var + epsilon must be > 0."""
     try:
         with open(manifest_path, "r", encoding="utf-8") as f:
             manifest = json.load(f)
@@ -568,7 +569,21 @@ def load_model(manifest_path: str, weights_path: str | None = None, *, structure
     violations = validate(graph)
     if violations:
         raise GraphValidationError(violations)
+    if not structure_only:
+        _check_variances(graph)
     return graph
+
+
+def _check_variances(graph: ModelGraph) -> None:
+    """ManifestError naming the first BatchNorm2d, and its first index, whose
+    running_var + epsilon in float64 is not > 0 (a NaN is not): its scale in
+    eval would be infinite or NaN."""
+    for nid in graph.order:
+        node = graph.nodes[nid]
+        if node.kind == "BatchNorm2d":
+            var = node.tensors["running_var"].astype(np.float64) + float(node.attrs.get("epsilon", 1e-5))
+            if len(bad := np.flatnonzero(~(var > 0))):
+                raise ManifestError(f"{nid}: running_var + epsilon must be > 0, got {var.item(bad[0])} at index {bad[0]}")
 
 
 def _parse_nodes(inp: dict, entries: list, total: int, structure_only: bool) -> tuple[dict[str, LayerNode], list[str], list]:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from itertools import repeat
 
 import numpy as np
@@ -117,8 +117,12 @@ class PruningPlan:
 
     def check(self, pruned: ModelGraph) -> None:
         """Recount ``pruned`` under the plan's config; params or FLOPs other
-        than the predicted ones are a PruneKitError."""
-        config = Config(**self.config)
+        than the predicted ones are a PruneKitError, and so is a config with an
+        invalid value or a key that names no Config field."""
+        try:
+            config = Config(**self.config)
+        except TypeError as e:  # an unknown key, named by the message
+            raise PruneKitError(f"plan config: {e}") from None
         post_params, post_flops = effective_model_costs(
             pruned, convention=config.flops_convention, count_aux_params=config.count_aux_params
         )
@@ -151,7 +155,7 @@ class PruningPlan:
                 removed_entries=payload["removed_units"],
             )
             plan._check_types()
-            Config(**plan.config).validate()
+            Config(**plan.config)  # raises for an invalid config
             if not isinstance(plan.removed_entries, list) or not all(map(_is_entry, plan.removed_entries)):
                 raise PruneKitError("removed units need a string unit_id and a number imp")
         except (KeyError, TypeError, PruneKitError, json.JSONDecodeError) as e:
@@ -223,7 +227,6 @@ def _select(scores: ScoreTable, graph: ModelGraph, config: Config) -> tuple[Prun
     floor skips, and otherwise the units before that one. Widths only fall,
     so a pending unit that the new widths rule out is dropped for good: one
     pass, plus one per floor skip."""
-    config.validate()
     units = graph_table(graph, scores.units)
     ranked = rank_global(scores)
     footprint, bounds = ranked.footprint
@@ -300,10 +303,9 @@ def multi_pass(graph: ModelGraph, config: Config) -> Iterator[tuple[PruningPlan,
     starts; pass a copy to keep one. A caller that lets go of ``graph`` and
     keeps only the latest pass's graph holds one model plus one layer at a
     time, even during surgery."""
-    config.validate()
     if config.per_pass_ratio is None:
         raise PruneKitError("multi-pass pruning needs per_pass_ratio (--per-pass)")
-    pass_config = Config(**{**config.to_dict(), "flop_target_ratio": config.per_pass_ratio})
+    pass_config = replace(config, flop_target_ratio=config.per_pass_ratio)
     for _ in range(config.passes):
         units = build_prune_units(graph)
         plan, removed = _select(score_all(graph, units, pass_config), graph, pass_config)

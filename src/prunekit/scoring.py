@@ -62,9 +62,11 @@ RECORD_COLUMNS = ("unit_id", "layer", "channel", "L", "GL", "GP", "GF", "Imp")
 _CSV_SPECIAL = re.compile('[,"\r\n]')
 
 
-@dataclass
+@dataclass(frozen=True)
 class Config:
-    """Scoring and planning configuration."""
+    """Scoring and planning configuration. A Config is checked when it is made
+    and cannot be changed: an invalid value is a PruneKitError at construction,
+    and a variant comes from ``dataclasses.replace``."""
 
     alpha: float = 1.0
     beta: float = 1.0
@@ -84,7 +86,7 @@ class Config:
         "densenet": (0.1, 0.1),
     }
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for f in fields(self):
             if not _admits(f.type, value := getattr(self, f.name)):
                 raise PruneKitError(f"{f.name} must be {f.type}, got {type(value).__name__} {value!r}")
@@ -104,12 +106,6 @@ class Config:
             raise PruneKitError("passes must be >= 1")
         if self.per_pass_ratio is not None and not 0.0 < self.per_pass_ratio < 1.0:
             raise PruneKitError("per_pass_ratio must be in (0, 1)")
-
-    def apply_preset(self, name: str) -> None:
-        try:
-            self.alpha, self.beta = self.PRESETS[name]
-        except KeyError:
-            raise PruneKitError(f"unknown preset {name!r}") from None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -293,7 +289,6 @@ def score_all(graph: ModelGraph, units: UnitTable, config: Config) -> ScoreTable
     sums are computed once, and units read them through id arrays. Raises
     DegenerateModelError when there is no unit or a unit's raw score is NaN
     or infinite."""
-    config.validate()
     table = graph_table(graph, units)
     if not len(table):
         raise DegenerateModelError("model has no prunable units")

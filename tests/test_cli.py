@@ -193,6 +193,27 @@ class TestPlanPrune:
         big.write_bytes(np.random.default_rng(0).bytes(5 * 2**19 + 3))
         assert _file_checksum(str(big)) == hashlib.sha256(big.read_bytes()).hexdigest()
 
+    def test_report_records_containers_by_size(self, toy_model, tmp_path, monkeypatch):
+        import prunekit.cli as cli_module
+
+        manifest, weights = toy_model
+        out, pruned = tmp_path / "out", tmp_path / "pruned"
+        assert main(["plan", "--model", manifest, "--weights", weights, "--out-dir", str(out), "--flop-target", "0.3"]) == 0
+        assert main(["prune", "--model", manifest, "--weights", weights, "--plan", str(out / "plan.json"), "--out-dir", str(pruned)]) == 0
+        pruned_manifest, pruned_weights = str(pruned / "pruned_manifest.json"), str(pruned / "pruned_weights.bin")
+        hashed = []
+        monkeypatch.setattr(cli_module, "_file_checksum", lambda path, real=cli_module._file_checksum: hashed.append(path) or real(path))
+        rep = tmp_path / "rep"
+        assert main([
+            "report", "--baseline", manifest, "--baseline-weights", weights,
+            "--pruned", pruned_manifest, "--pruned-weights", pruned_weights, "--out-dir", str(rep),
+        ]) == 0
+        inputs = json.loads(read(rep / "run_manifest.json"))["inputs"]
+        assert inputs["baseline_weights"] == {"path": weights, "bytes": os.path.getsize(weights)}
+        assert inputs["pruned_weights"] == {"path": pruned_weights, "bytes": os.path.getsize(pruned_weights)}
+        assert os.path.getsize(pruned_weights) < os.path.getsize(weights)
+        assert hashed == [manifest, pruned_manifest]  # the manifests, and no container
+
     def test_report_identical_models(self, toy_model, tmp_path):
         manifest, weights = toy_model
         rep = tmp_path / "rep"
@@ -795,6 +816,33 @@ class TestExitCodes:
         assert error["code"] == "validation"
         assert error["violations"] == [f"bn1: BatchNorm2d epsilon must be a finite number of at least 0, got {value!r}"]
         assert not os.path.exists(tmp_path / "o")
+
+    @pytest.mark.parametrize("variance, epsilon", [(0.0, 0.0), (-1.0, 1e-5), (math.nan, 1e-5)], ids=["zero", "negative", "nan"])
+    def test_bad_batchnorm_variance_exits_2_on_a_full_load_only(self, toy_model, tmp_path, capsys, variance, epsilon):
+        # analyze reads the variances and refuses the first bad one; report reads no tensor
+        manifest, weights = toy_model
+        doc = json.loads(read(manifest))
+        bn1 = next(n for n in doc["nodes"] if n["id"] == "bn1")
+        bn1["attrs"]["epsilon"] = epsilon
+        container = bytearray(Path(weights).read_bytes())
+        for index in (2, 4):
+            at = bn1["tensors"]["running_var"]["offset"] + 4 * index
+            container[at : at + 4] = np.float32(variance).tobytes()
+        bad, bad_bin = tmp_path / "bad.json", tmp_path / "bad.bin"
+        bad.write_text(json.dumps(doc))
+        bad_bin.write_bytes(container)
+        rc = main(["analyze", "--model", str(bad), "--weights", str(bad_bin), "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        assert json.loads(err)["error"] == {
+            "code": "ManifestError",
+            "message": f"bn1: running_var + epsilon must be > 0, got {variance + epsilon} at index 2",
+        }
+        assert not os.path.exists(tmp_path / "o")
+        models = ["--baseline", str(bad), "--baseline-weights", str(bad_bin), "--pruned", str(bad), "--pruned-weights", str(bad_bin)]
+        assert main(["report", *models, "--out-dir", str(tmp_path / "rep")]) == 0
+        assert json.loads(read(tmp_path / "rep" / "report.json"))["prr"] == 0.0
 
     @pytest.mark.parametrize("command", ["analyze", "report"])
     @pytest.mark.parametrize("spoil", [float, str, lambda n: -1, lambda n: True, lambda n: None, lambda n: [n]],

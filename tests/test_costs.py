@@ -12,6 +12,7 @@ from prunekit import (
     ShapeError,
     apply_units,
     build_prune_units,
+    effective_model_costs,
     infer_shapes,
     model_flop_count,
     model_param_count,
@@ -22,7 +23,7 @@ from prunekit.costs import unit_costs, unit_rows
 from prunekit.graph import serialize_graph
 from prunekit.units import IN_CHANNEL_ONLY, unit_table
 
-from conftest import conv_w, make_chain, make_minimal, random_tiny_net
+from conftest import conv_w, make_chain, make_minimal, make_residual_toy, random_tiny_net
 from oracles import loop_forward, manifest_costs_of_units, manifest_param_count, ref_units
 
 
@@ -233,6 +234,18 @@ class TestRemovalArithmetic:
         before = model_param_count(g)
         pruned = apply_units(g, u.table.take([u.row]))
         assert before - model_param_count(pruned) == unit_param_cost(g, u)
+
+    def test_removal_counts_beyond_layer_width_rejected(self):
+        g = make_chain(np.random.default_rng(12), (4, 6))
+        with pytest.raises(ValueError, match="^conv1: removal counts exceed layer width$"):
+            effective_model_costs(g, {"conv1": 5})
+        with pytest.raises(ValueError, match="^conv2: removal counts exceed layer width$"):
+            effective_model_costs(g, removed_slots={"conv2": 5})
+
+    def test_removal_breaking_add_alignment_rejected(self):
+        g = make_residual_toy(np.random.default_rng(13), with_bn=False)
+        with pytest.raises(ValueError, match=r"^b1_add: removal pattern breaks Add alignment \(\[7, 8\]\)$"):
+            effective_model_costs(g, {"b1_conv3": 1})
 
     def test_conv_conv_example(self):
         # conv(3->4,K3) -> conv(4->6,K3): one channel costs 27 + 54 = 81

@@ -22,6 +22,7 @@ from prunekit import (
     GraphBuilder,
     GraphValidationError,
     ManifestError,
+    PruneKitError,
     ShapeError,
     apply_units,
     build_prune_units,
@@ -357,6 +358,42 @@ class TestLoadSave:
         Path(manifest).write_text(json.dumps(doc))
         with pytest.raises(error, match=message):
             load_model(manifest, weights, structure_only=True)
+
+
+class TestBuilderAndNodes:
+    def test_width_accessors_refuse_a_node_without_weights(self):
+        node = LayerNode(id="relu1", kind="ReLU", inputs=["conv1"])
+        for accessor, what in ((node.declared_in_width, "input width"), (node.declared_out_width, "declared width"), (node.kernel, "kernel")):
+            with pytest.raises(ValueError, match=f"^node relu1 has no {what}$"):
+                accessor()
+
+    def test_duplicate_node_id_rejected(self):
+        b = GraphBuilder(3, 8)
+        b.relu("r", "input")
+        with pytest.raises(ValueError, match="^duplicate node id 'r'$"):
+            b.relu("r", "input")
+
+    def test_linear_in_select(self):
+        rng = np.random.default_rng(14)
+        b = GraphBuilder(3, 4)
+        prev = b.flatten("flat", b.pool("gap", b.conv("conv1", "input", conv_w(rng, 4, 3, 3), padding=1), "global-avg"))
+        g = infer_shapes(b.output(b.linear("head", prev, rng.standard_normal((5, 2)).astype(np.float32), in_select=[0, 2])))
+        head = g.nodes["head"]
+        assert validate(g) == []
+        assert (head.in_select(), head.declared_in_width(), head.kernel()) == ([0, 2], 2, 1)
+        x = rng.standard_normal((3, 4, 4))
+        assert np.allclose(forward_eval(g, x), loop_forward(g, x))
+
+    def test_shape_dependent_stages_need_inferred_shapes(self):
+        g = make_chain(np.random.default_rng(15), (4, 6))
+        units = build_prune_units(g)
+        g.inferred = False
+        with pytest.raises(ShapeError, match="^run infer_shapes before forward_eval$"):
+            forward_eval(g, np.zeros((3, 8, 8)))
+        with pytest.raises(ShapeError, match="^run infer_shapes before cost accounting$"):
+            effective_model_costs(g)
+        with pytest.raises(PruneKitError, match="^run infer_shapes before surgery$"):
+            apply_units(g, units)
 
 
 class TestValidate:

@@ -387,8 +387,8 @@ class TestFloorSkipsMidRanking:
     )
     def test_zoo_filter_floors(self, request, model, preset, floor, target):
         g = request.getfixturevalue(model)
-        config = Config(flop_target_ratio=target, min_channels_per_layer=floor)
-        config.apply_preset(preset)
+        alpha, beta = Config.PRESETS[preset]
+        config = Config(alpha=alpha, beta=beta, flop_target_ratio=target, min_channels_per_layer=floor)
         plan = assert_plan_matches_recount(g, config)
         records = score_all(g, build_prune_units(g), config)
         skips = floor_skips(records, g, config)
@@ -396,8 +396,7 @@ class TestFloorSkipsMidRanking:
         assert skips and all(any(plan.layer_widths_after[layer] == floor for layer in members) for _, members, _ in skips)
 
     def test_layer_at_its_floor_early_skips_every_later_unit_of_it(self, resnet_graph):
-        config = Config(flop_target_ratio=0.3, min_channels_per_layer=16)
-        config.apply_preset("densenet")
+        config = Config(alpha=0.1, beta=0.1, flop_target_ratio=0.3, min_channels_per_layer=16)  # the densenet preset
         plan = assert_plan_matches_recount(resnet_graph, config)
         records = score_all(resnet_graph, build_prune_units(resnet_graph), config)
         first, members, _ = floor_skips(records, resnet_graph, config)[0]

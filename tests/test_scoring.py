@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import defaultdict
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import prunekit.scoring as scoring_module
+from prunekit import cli
 from prunekit import (
     Config,
     DegenerateModelError,
@@ -124,6 +126,12 @@ class TestWeightNormalization:
             with pytest.raises(DegenerateModelError):
                 normalize_weight_scores([0.0, 0.0], mode)
 
+    def test_empty_list_and_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="empty score list"):
+            normalize_weight_scores([])
+        with pytest.raises(ValueError, match="unknown weight_norm_mode 'minmax'"):
+            normalize_weight_scores([1.0, 2.0], "minmax")
+
     def test_oracle_agreement(self):
         rng = np.random.default_rng(3)
         for mode in ("max-min", "max", "log"):
@@ -173,6 +181,14 @@ class TestScoreAll:
         g.nodes["conv1"].weight()[2, 0, 1, 1] = np.nan
         with pytest.raises(DegenerateModelError, match=r"conv1\.c2"):
             score_all(g, build_prune_units(g), Config())
+
+    def test_record_has_no_other_attribute(self):
+        g = make_chain(np.random.default_rng(2), (4,))
+        record = score_all(g, build_prune_units(g), Config())[0]
+        assert record.unit_id == "conv1.c0"
+        with pytest.raises(AttributeError, match="^importanse$"):
+            record.importanse
+        assert not hasattr(record, "rows")  # a table column, but not a score column
 
     def test_cost_free_ranking_follows_weight_score(self):
         rng = np.random.default_rng(4)
@@ -388,34 +404,51 @@ class TestInvariances:
 class TestConfig:
     def test_validation(self):
         with pytest.raises(PruneKitError):
-            Config(flop_target_ratio=0.0).validate()
+            Config(flop_target_ratio=0.0)
         with pytest.raises(PruneKitError):
-            Config(flop_target_ratio=1.0).validate()
+            Config(flop_target_ratio=1.0)
         for alpha, beta in [(-1.0, 1.0), (math.nan, 1.0), (1.0, math.inf)]:
             with pytest.raises(PruneKitError):
-                Config(alpha=alpha, beta=beta).validate()
+                Config(alpha=alpha, beta=beta)
         with pytest.raises(PruneKitError):
-            Config(weight_norm_mode="minmax").validate()
+            Config(weight_norm_mode="minmax")
         with pytest.raises(PruneKitError):
-            Config(passes=0).validate()
+            Config(passes=0)
         for ratio in (0.0, 1.0, -0.5):
             with pytest.raises(PruneKitError, match="param_target_ratio must be in"):
-                Config(param_target_ratio=ratio).validate()
+                Config(param_target_ratio=ratio)
             with pytest.raises(PruneKitError, match="per_pass_ratio must be in"):
-                Config(per_pass_ratio=ratio).validate()
+                Config(per_pass_ratio=ratio)
         with pytest.raises(PruneKitError, match="min_channels_per_layer must be >= 1"):
-            Config(min_channels_per_layer=0).validate()
+            Config(min_channels_per_layer=0)
 
-    def test_presets(self):
+    def test_replace_validates(self):
+        with pytest.raises(PruneKitError, match="alpha and beta must be finite and nonnegative"):
+            dataclasses.replace(Config(), alpha=-1.0)
+        assert dataclasses.replace(Config(), alpha=2.0) == Config(alpha=2.0)
+
+    def test_frozen(self):
         c = Config()
-        c.apply_preset("vggnet")
-        assert (c.alpha, c.beta) == (3.0, 1.0)
-        c.apply_preset("resnet")
-        assert (c.alpha, c.beta) == (1.0, 1.0)
-        c.apply_preset("densenet")
-        assert (c.alpha, c.beta) == (0.1, 0.1)
-        with pytest.raises(PruneKitError):
-            c.apply_preset("transformer")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.alpha = 2.0
+        assert c == Config()
+
+    def test_presets(self, tmp_path):
+        assert Config.PRESETS == {"vggnet": (3.0, 1.0), "resnet": (1.0, 1.0), "densenet": (0.1, 0.1)}
+        cfg = tmp_path / "layer.cfg"
+        cfg.write_text("alpha = 2.0\nbeta = 2.0\npasses = 2\nuse_in_channel = true\n")
+
+        def config(*flags):
+            return cli._make_config(cli._build_parser().parse_args(["plan", "--model", "m.json", *flags]))
+
+        for name, (alpha, beta) in Config.PRESETS.items():
+            assert config("--preset", name) == Config(alpha=alpha, beta=beta)
+        # config file < preset < flags < --mode
+        assert config("--config", str(cfg)) == Config(alpha=2.0, beta=2.0, passes=2)
+        assert config("--config", str(cfg), "--preset", "vggnet") == Config(alpha=3.0, beta=1.0, passes=2)
+        assert config("--config", str(cfg), "--preset", "vggnet", "--beta", "0.5") == Config(alpha=3.0, beta=0.5, passes=2)
+        assert config("--config", str(cfg), "--mode", "cpmc-a") == Config(alpha=2.0, beta=2.0, passes=2, use_in_channel=False)
+        assert cli.main(["plan", "--model", "m.json", "--preset", "transformer"]) == cli.EXIT_VALIDATION
 
 
 class TestExport:

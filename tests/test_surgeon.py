@@ -188,6 +188,21 @@ class TestApplyPlan:
         with pytest.raises(PruneKitError, match="surgery does not match plan: params"):
             apply_plan(g, plan)
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"flop_target_ratio": 7.0}, r"flop_target_ratio must be in \(0, 1\), got 7\.0"),
+            ({"gamma": 1.0}, "plan config: .*unexpected keyword argument 'gamma'"),
+        ],
+        ids=["invalid-value", "unknown-key"],
+    )
+    def test_in_memory_plan_with_bad_config(self, change, message):
+        g = make_chain(np.random.default_rng(4), (4, 6))
+        plan = plan_for(g)
+        plan.config = {**plan.config, **change}
+        with pytest.raises(PruneKitError, match=message):
+            apply_plan(g, plan)
+
     def test_exactness(self):
         rng = np.random.default_rng(3)
         for widths in [(4, 6), (8, 10, 6)]:

@@ -23,7 +23,6 @@ this script, so each checkout measures its own code.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import io
 import os
 import sys
@@ -32,7 +31,7 @@ import tempfile
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
 from prunekit import save_model, zoo  # noqa: E402
-from prunekit.cli import main  # noqa: E402
+from prunekit.cli import _file_checksum, main  # noqa: E402
 
 # model -> (preset, quick-start FLOP target)
 MODELS = {"vgg16": ("vggnet", "0.66"), "densenet40": ("densenet", "0.5"), "resnet56": ("resnet", "0.5")}
@@ -80,8 +79,7 @@ def digests(top: str) -> dict[str, str]:
             if name in ("run_manifest.json", "no_aux.cfg"):
                 continue
             path = os.path.join(root, name)
-            with open(path, "rb") as f:
-                found[os.path.relpath(path, top)] = hashlib.sha256(f.read()).hexdigest()
+            found[os.path.relpath(path, top)] = _file_checksum(path)  # read in 1 MiB chunks
     return found
 
 

@@ -68,8 +68,8 @@ def stage_times(name: str, seed: int, repeats: int, work: str) -> dict[str, floa
     w = run.WORKLOADS[name]
     manifest, weights = os.path.join(work, f"{name}.json"), os.path.join(work, f"{name}.bin")
     save_model(models.BUILDERS[w.model](seed=seed), manifest, weights)
-    config = Config(flop_target_ratio=w.flop_target)
-    config.apply_preset(w.preset)
+    alpha, beta = Config.PRESETS[w.preset]
+    config = Config(alpha=alpha, beta=beta, flop_target_ratio=w.flop_target)
     times = {}
     times[STAGES[0]], graph = best_ms(lambda: infer_shapes(load_model(manifest, weights)), repeats)
     times[STAGES[1]], units = best_ms(lambda: build_prune_units(graph), repeats)
