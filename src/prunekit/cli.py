@@ -276,7 +276,7 @@ def cmd_prune(args: argparse.Namespace) -> int:
 
     if args.plan:
         plan = PruningPlan.from_json(_read_text(args.plan, "malformed plan file: "))
-        config = Config(**plan.config)  # every scoring and planning setting comes from the plan
+        config = plan.config  # every scoring and planning setting comes from the plan
         run.data["config"] = config.to_dict()
         pruned, report = apply_plan(graph, plan)
         report_dict = report.to_dict()

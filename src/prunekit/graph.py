@@ -518,6 +518,15 @@ def _expect(value, kind: type, what: str):
     return value
 
 
+def _check_utf8(value: str, what: str) -> None:
+    """ManifestError unless ``value`` encodes as UTF-8: JSON's ``\\ud800`` escape
+    spells a lone surrogate, which no file name or UTF-8 artifact can hold."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as e:
+        raise ManifestError(f"{what} {value!r} is not encodable as UTF-8: {e.reason}") from None
+
+
 def load_model(manifest_path: str, weights_path: str | None = None, *, structure_only: bool = False) -> ModelGraph:
     """Load a model and :func:`validate` its structure; fails rather than
     returning a partial graph. Widths and sizes are checked by infer_shapes.
@@ -531,7 +540,7 @@ def load_model(manifest_path: str, weights_path: str | None = None, *, structure
     try:
         with open(manifest_path, "r", encoding="utf-8") as f:
             manifest = json.load(f)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise ManifestError(f"malformed manifest: {e}") from e
 
     _expect(manifest, dict, "manifest")
@@ -548,6 +557,7 @@ def load_model(manifest_path: str, weights_path: str | None = None, *, structure
 
     if weights_path is None:
         weights_file = _expect(manifest["weights_file"], str, "manifest weights_file")
+        _check_utf8(weights_file, "manifest weights_file")
         weights_path = os.path.join(os.path.dirname(os.path.abspath(manifest_path)), weights_file)
     with open(weights_path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -603,6 +613,7 @@ def _parse_nodes(inp: dict, entries: list, total: int, structure_only: bool) -> 
         nid = entry.get("id")
         if not isinstance(nid, str) or nid in nodes:
             raise ManifestError(f"bad or duplicate node id {nid!r}")
+        _check_utf8(nid, "node id")
         inputs = _expect(entry.get("inputs", []), list, f"{nid}: inputs")
         if not all(isinstance(src, str) for src in inputs):
             raise ManifestError(f"{nid}: inputs must be node ids (strings)")

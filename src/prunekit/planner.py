@@ -26,8 +26,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field, fields, replace
-from itertools import repeat
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -39,12 +38,12 @@ from .scoring import Config, ScoreTable, _admits, score_all
 from .surgeon import apply_units
 from .units import UnitTable, _spans, build_prune_units, graph_table
 
-# the keys of a plan entry, in the order the planner writes them
-_ENTRY_KEYS = ["unit_id", "imp"]
-
-
-@dataclass
+@dataclass(frozen=True)
 class PruningPlan:
+    """A plan is checked when it is made and cannot be changed: a field of the
+    wrong type, or removal columns of two lengths, is a PruneKitError at
+    construction, so every consumer trusts the plan it is given."""
+
     threshold: float  # importance of the last removed unit
     baseline_params: int
     baseline_flops: int
@@ -55,52 +54,62 @@ class PruningPlan:
     layer_widths_before: dict[str, int]
     layer_widths_after: dict[str, int]
     model_checksum: str
-    units_checksum: str  # UnitTable.checksum of the removed units, in entry order
-    config: dict
-    removed_entries: list[dict] = field(default_factory=list)  # ascending importance
+    units_checksum: str  # UnitTable.checksum of the removed units, in removal order
+    config: Config
+    removed_unit_ids: tuple[str, ...]  # ascending importance
+    removed_imps: tuple[float, ...]  # each removed unit's importance
 
-    @property
-    def removed_unit_ids(self) -> list[str]:
-        return [e["unit_id"] for e in self.removed_entries]
+    def __post_init__(self) -> None:
+        """Each int, float and str field holds that type (``scoring._admits``),
+        each layer-width map maps names to ints, ``config`` is a Config and each
+        removal column is a tuple of its element type, as long as the other."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            item = f.type.removeprefix("tuple[").removesuffix(", ...]")  # a column's element type
+            if f.type == "dict[str, int]":
+                ok = isinstance(value, dict) and all(_admits("int", w) for w in value.values())
+            elif f.type == "Config":
+                ok = isinstance(value, Config)
+            elif item != f.type:  # a column: a tuple of values of its element type, checked once per type
+                ok = type(value) is tuple
+                if ok and (wrong := [v for v in dict(zip(map(type, value), value)).values() if not _admits(item, v)]):
+                    ok, value = False, wrong[0]
+            else:
+                ok = _admits(f.type, value)
+            if not ok:
+                raise PruneKitError(f"{f.name} must be {f.type}, got {type(value).__name__}")
+        if len(self.removed_unit_ids) != len(self.removed_imps):
+            raise PruneKitError(f"{len(self.removed_unit_ids)} removed unit ids but {len(self.removed_imps)} imps")
 
     def to_json(self) -> str:
-        """``json.dumps`` of the plan with ``indent=2``; the removed units are
-        written column by column (:func:`_entry_texts`)."""
+        """``json.dumps`` of the plan with ``indent=2``; each removed unit is a
+        ``{"unit_id", "imp"}`` object, written from the two columns."""
+        ind = "\n  "
         payload = {
             "baseline": {"params": self.baseline_params, "flops": self.baseline_flops},
             "predicted": {"params": self.predicted_params, "flops": self.predicted_flops, "prr": self.prr, "frr": self.frr},
             "threshold": self.threshold,
-            "removed_units": self.removed_entries,
+            "removed_units": None,  # written from the two columns below
             "layer_widths": {"before": self.layer_widths_before, "after": self.layer_widths_after},
-            "config": self.config,
+            "config": self.config.to_dict(),
             "model_checksum": self.model_checksum,
             "units_checksum": self.units_checksum,
         }
-        ind = "\n  "
-        columns = {
-            key: [jsontext.array(_entry_texts(value, ind + "  "), ind)]
-            if key == "removed_units" and type(value) is list
-            else [jsontext.text(value, ind)]
-            for key, value in payload.items()
-        }
+        texts = [jsontext.texts(column, ind + "    ") for column in (self.removed_unit_ids, self.removed_imps)]
+        entries = jsontext.objects(dict(zip(("unit_id", "imp"), texts)), ind + "  ")
+        columns = {key: [jsontext.text(value, ind)] for key, value in payload.items()}
+        columns["removed_units"] = [jsontext.array(entries, ind)]
         return jsontext.objects(columns, "\n")[0] + "\n"
 
     def removed_table(self, graph: ModelGraph) -> UnitTable:
-        """The units of ``graph`` that the plan removes, in entry order. A plan
-        made from another model is a PlanMismatchError, and so is an entry
-        that is not well formed or names no unit or a unit twice, and so are
-        named units whose ``UnitTable.checksum`` is not the plan's
-        ``units_checksum``, as when a unit builder that built other rows made
-        the plan. Every entry's form is checked first, then each entry's unit
-        in turn, then the checksum."""
+        """The units of ``graph`` that the plan removes, in removal order. A plan
+        made from another model is a PlanMismatchError, and so is an id that
+        names no unit or a unit twice, and so are named units whose
+        ``UnitTable.checksum`` is not the plan's ``units_checksum``, as when a
+        unit builder that built other rows made the plan. Each id is matched in
+        turn, then the checksum compared."""
         if self.model_checksum != graph_checksum(graph):
             raise PlanMismatchError("plan was produced from a different model (checksum mismatch)")
-        entries = self.removed_entries
-        if not isinstance(entries, list):
-            raise PlanMismatchError("corrupt plan: removed units must be a list")
-        for entry in entries:
-            if not _is_entry(entry):
-                raise PlanMismatchError(f"corrupt plan: removed unit {entry!r} needs a string unit_id and a number imp")
         units = build_prune_units(graph)
         row = {uid: i for i, uid in enumerate(units.uid)}
         rows: dict[str, int] = {}
@@ -117,14 +126,9 @@ class PruningPlan:
 
     def check(self, pruned: ModelGraph) -> None:
         """Recount ``pruned`` under the plan's config; params or FLOPs other
-        than the predicted ones are a PruneKitError, and so is a config with an
-        invalid value or a key that names no Config field."""
-        try:
-            config = Config(**self.config)
-        except TypeError as e:  # an unknown key, named by the message
-            raise PruneKitError(f"plan config: {e}") from None
+        than the predicted ones are a PruneKitError."""
         post_params, post_flops = effective_model_costs(
-            pruned, convention=config.flops_convention, count_aux_params=config.count_aux_params
+            pruned, convention=self.config.flops_convention, count_aux_params=self.config.count_aux_params
         )
         if (post_params, post_flops) != (self.predicted_params, self.predicted_flops):
             raise PruneKitError(
@@ -134,12 +138,16 @@ class PruningPlan:
 
     @staticmethod
     def from_json(text: str) -> "PruningPlan":
-        """Parse a plan file; a document of the wrong shape, a field of the
-        wrong type (an int field holding a bool or float, say), a removed unit
-        that is not well formed or an invalid config is a PruneKitError."""
+        """Parse a plan file; a document of the wrong shape or nested too deep,
+        a removed unit that is not an object of exactly ``unit_id`` and ``imp``,
+        or a plan that cannot be made (a field of the wrong type, an invalid
+        config) is a PruneKitError."""
         try:
             payload = json.loads(text)
-            plan = PruningPlan(
+            entries = payload["removed_units"]
+            if type(entries) is not list or not all(type(e) is dict and len(e) == 2 for e in entries):
+                raise PruneKitError("each removed unit must be an object of unit_id and imp")  # both are read below
+            return PruningPlan(
                 threshold=payload["threshold"],
                 baseline_params=payload["baseline"]["params"],
                 baseline_flops=payload["baseline"]["flops"],
@@ -151,43 +159,12 @@ class PruningPlan:
                 layer_widths_after=payload["layer_widths"]["after"],
                 model_checksum=payload["model_checksum"],
                 units_checksum=payload["units_checksum"],
-                config=payload["config"],
-                removed_entries=payload["removed_units"],
+                config=Config(**payload["config"]),
+                removed_unit_ids=tuple(e["unit_id"] for e in entries),
+                removed_imps=tuple(e["imp"] for e in entries),
             )
-            plan._check_types()
-            Config(**plan.config)  # raises for an invalid config
-            if not isinstance(plan.removed_entries, list) or not all(map(_is_entry, plan.removed_entries)):
-                raise PruneKitError("removed units need a string unit_id and a number imp")
-        except (KeyError, TypeError, PruneKitError, json.JSONDecodeError) as e:
+        except (KeyError, TypeError, PruneKitError, json.JSONDecodeError, RecursionError) as e:
             raise PruneKitError(f"malformed plan file: {e}") from e
-        return plan
-
-    def _check_types(self) -> None:
-        """Each int, float and str field holds that type (``scoring._admits``),
-        and each layer-width map maps names to ints."""
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "dict[str, int]":
-                ok = isinstance(value, dict) and all(_admits("int", w) for w in value.values())
-            else:
-                ok = f.type not in ("int", "float", "str") or _admits(f.type, value)
-            if not ok:
-                raise PruneKitError(f"{f.name} must be {f.type}, got {type(value).__name__}")
-
-
-def _is_entry(entry) -> bool:
-    """An object with a string unit_id and a number imp."""
-    return isinstance(entry, dict) and isinstance(entry.get("unit_id"), str) and _admits("float", entry.get("imp"))
-
-
-def _entry_texts(entries: list, ind: str) -> list[str]:
-    """The text of each plan entry at indentation ``ind``: column by column
-    when every entry has the planner's keys in its order, and otherwise from
-    ``jsontext.text``."""
-    if not all(type(e) is dict and list(e) == _ENTRY_KEYS for e in entries):
-        return [jsontext.text(e, ind) for e in entries]
-    columns = {key: jsontext.texts([e[key] for e in entries], ind + "  ") for key in _ENTRY_KEYS}
-    return jsontext.objects(columns, ind)
 
 
 def rank_global(scores: ScoreTable) -> ScoreTable:
@@ -285,8 +262,9 @@ def _select(scores: ScoreTable, graph: ModelGraph, config: Config) -> tuple[Prun
         layer_widths_after=dict(zip(costs.layers, costs.out_width.tolist())),
         model_checksum=graph_checksum(graph),
         units_checksum=removed.checksum(),
-        config=config.to_dict(),
-        removed_entries=list(map(dict, map(zip, repeat(_ENTRY_KEYS), zip(removed.uid, imps)))),
+        config=config,
+        removed_unit_ids=tuple(removed.uid),
+        removed_imps=tuple(imps),
     )
     return plan, removed
 

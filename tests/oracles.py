@@ -587,8 +587,9 @@ def greedy_plan(records, graph, config):
         model_checksum=graph_checksum(graph),
         # the library's digest of the taken rows; TestChecksum pins what it covers
         units_checksum=records.units.take([r.unit_row for r in taken]).checksum(),
-        config=config.to_dict(),
-        removed_entries=[{"unit_id": r.unit_id, "imp": r.importance} for r in taken],
+        config=config,
+        removed_unit_ids=tuple(ids),
+        removed_imps=tuple(r.importance for r in taken),
     )
     return ids, params, flops, plan.to_json()
 

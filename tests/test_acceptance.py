@@ -200,7 +200,7 @@ def test_ac4_planner_prefix_equivalence():
             infeasible += 1
             continue
         plan = select_threshold(records, g, config)
-        assert plan.removed_unit_ids == ref, f"net {nets}: {plan.removed_unit_ids} vs {ref}"
+        assert plan.removed_unit_ids == tuple(ref), f"net {nets}: {plan.removed_unit_ids} vs {ref}"
         assert enumerate_all_subsets_check(entries, layers, budget, floor, ref)
         assert plan.predicted_flops <= budget
         if len(ref) > 1:

@@ -468,6 +468,7 @@ class TestExitCodes:
             lambda doc: doc["config"].update(passes=True),
             lambda doc: doc["config"].update(use_in_channel=0),
             lambda doc: doc["config"].update(alpha="1"),
+            lambda doc: doc["config"].update(gamma=1.0),
             lambda doc: doc.update(threshold="x"),
             lambda doc: doc["baseline"].update(flops=[1]),
             lambda doc: doc["baseline"].update(params=True),
@@ -483,16 +484,17 @@ class TestExitCodes:
             lambda doc: doc.pop("units_checksum"),
             lambda doc: doc["removed_units"][0].update(imp="x"),
             lambda doc: doc["removed_units"][0].pop("imp"),
+            lambda doc: doc["removed_units"][0].update(members=[["conv1", 0]]),
             to_pair_format,
         ],
         ids=[
             "entry-string", "entry-without-unit_id", "removed_units-object",
             "unit_id-list", "config-list", "flops_convention-unknown", "count_aux_params-string",
-            "min_channels_per_layer-float", "passes-bool", "use_in_channel-int", "alpha-string",
+            "min_channels_per_layer-float", "passes-bool", "use_in_channel-int", "alpha-string", "config-unknown-key",
             "threshold-string", "baseline-flops-list", "baseline-params-bool", "predicted-params-string",
             "predicted-flops-float", "prr-string", "frr-null", "layer_widths-after-string",
             "layer_width-string", "model_checksum-number", "units_checksum-number", "units_checksum-null",
-            "units_checksum-missing", "imp-string", "entry-without-imp", "pair-format",
+            "units_checksum-missing", "imp-string", "entry-without-imp", "entry-with-third-key", "pair-format",
         ],
     )
     def test_malformed_plan_exits_2(self, toy_model, tmp_path, capsys, mutate):
@@ -631,6 +633,53 @@ class TestExitCodes:
         assert "Traceback" not in err and err.count("\n") == 1
         message = json.loads(err)["error"]["message"]
         assert message.startswith(prefix) and "can't decode byte 0xff" in message, message
+        assert not os.path.exists(tmp_path / "o")
+
+    @pytest.mark.parametrize("kind", ["analyze-model", "prune-plan", "report-baseline"])
+    def test_input_nested_past_the_recursion_limit_exits_2(self, toy_model, tmp_path, capsys, kind):
+        manifest, weights = toy_model
+        bad = tmp_path / "bad.json"
+        bad.write_text("[" * 200_000 + "]" * 200_000)
+        argv, prefix = {
+            "analyze-model": (["analyze", "--model", str(bad), "--weights", weights], "malformed manifest: "),
+            "prune-plan": (["prune", "--model", manifest, "--weights", weights, "--plan", str(bad)], "malformed plan file: "),
+            "report-baseline": (["report", "--baseline", str(bad), "--baseline-weights", weights, "--pruned", manifest], "malformed manifest: "),
+        }[kind]
+        rc = main([*argv, "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err and err.count("\n") == 1
+        message = json.loads(err)["error"]["message"]
+        assert message.startswith(prefix) and "recursion" in message, message
+        assert not os.path.exists(tmp_path / "o")
+
+    @pytest.mark.parametrize(
+        "command, field", [("analyze", "node id"), ("plan", "node id"), ("report", "node id"), ("analyze", "weights_file")]
+    )
+    def test_manifest_string_that_is_not_utf8_exits_2(self, toy_model, tmp_path, capsys, command, field):
+        # JSON's \ud800 escape spells a lone surrogate, which records.csv, report.txt and file names cannot hold
+        manifest, weights = toy_model
+        doc = json.loads(read(manifest))
+        old = doc["nodes"][1]["id"]
+        if field == "node id":
+            for node in doc["nodes"]:
+                node["id"] = old + "\ud800" if node["id"] == old else node["id"]
+                node["inputs"] = [old + "\ud800" if i == old else i for i in node.get("inputs", [])]
+            value, weights_flag = old + "\ud800", ["--weights", weights]
+        else:
+            doc["weights_file"] = value = "\ud800.bin"
+            field, weights_flag = "manifest weights_file", []
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        model = ["--model", str(bad), *weights_flag]
+        if command == "report":
+            model = ["--baseline", str(bad), "--baseline-weights", weights, "--pruned", manifest]
+        rc = main([command, *model, "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err and err.count("\n") == 1
+        message = f"{field} {value!r} is not encodable as UTF-8: surrogates not allowed"
+        assert json.loads(err)["error"] == {"code": "ManifestError", "message": message}
         assert not os.path.exists(tmp_path / "o")
 
     def test_fuzzed_config_exits_0_2_3_or_4(self, toy_model, tmp_path, capsys):

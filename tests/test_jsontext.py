@@ -11,7 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prunekit import Config, DegenerateModelError, InfeasibleBudgetError, PruningPlan, build_prune_units, score_all, select_threshold
+from prunekit import (
+    Config,
+    DegenerateModelError,
+    InfeasibleBudgetError,
+    PruneKitError,
+    PruningPlan,
+    build_prune_units,
+    score_all,
+    select_threshold,
+)
 from prunekit.planner import multi_pass
 from prunekit.scoring import RECORD_COLUMNS, SCORE_COLUMNS, ScoreTable, records_texts, records_to_csv, records_to_json
 from prunekit.units import unit_table
@@ -27,17 +36,17 @@ TEMPLATE_STRINGS = ["a,b", "%s", "%", "{0}"]  # text that csv quotes, or that a 
 floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(EDGE_FLOATS)
 named = st.sampled_from(EDGE_STRINGS + TEMPLATE_STRINGS)
 strings = st.text() | named
-scalars = st.none() | st.booleans() | st.integers() | floats | strings
-pair_lists = st.lists(st.tuples(st.text(max_size=3) | named, st.integers()).map(list), max_size=4)
-values = st.recursive(
-    scalars,
-    lambda inner: st.lists(inner, max_size=5)
-    | st.dictionaries(st.text(max_size=4) | named, inner, max_size=5)
-    | pair_lists,
-    max_leaves=30,
-)
-# an entry the planner writes: these keys in this order
-planner_entries = st.fixed_dictionaries({"unit_id": strings, "imp": floats | st.integers()})
+# valid configs, ints among the float values
+CONFIGS = [
+    Config(),
+    Config(alpha=3, beta=1, flop_target_ratio=0.66),
+    Config(alpha=5e-324, beta=1e300, flop_target_ratio=1e-300, param_target_ratio=0.999, weight_norm_mode="log"),
+    Config(
+        use_in_channel=False, flops_convention="2macs", min_channels_per_layer=2**70, passes=3, per_pass_ratio=0.2,
+        count_aux_params=False,
+    ),
+]
+BIG_INTS = [0, -1, 2**63, -(2**70), 10**40]
 
 
 def plan_payload(plan: PruningPlan) -> dict:
@@ -46,113 +55,88 @@ def plan_payload(plan: PruningPlan) -> dict:
         "baseline": {"params": plan.baseline_params, "flops": plan.baseline_flops},
         "predicted": {"params": plan.predicted_params, "flops": plan.predicted_flops, "prr": plan.prr, "frr": plan.frr},
         "threshold": plan.threshold,
-        "removed_units": plan.removed_entries,
+        "removed_units": [{"unit_id": uid, "imp": imp} for uid, imp in zip(plan.removed_unit_ids, plan.removed_imps)],
         "layer_widths": {"before": plan.layer_widths_before, "after": plan.layer_widths_after},
-        "config": plan.config,
+        "config": plan.config.to_dict(),
         "model_checksum": plan.model_checksum,
         "units_checksum": plan.units_checksum,
     }
 
 
-def make_plan(removed_entries, **fields) -> PruningPlan:
+def make_plan(ids=(), imps=(), **fields) -> PruningPlan:
     defaults = dict(
         threshold=0.5, baseline_params=100, baseline_flops=1000, predicted_params=60, predicted_flops=500,
         prr=0.4, frr=0.5, layer_widths_before={"c1": 4}, layer_widths_after={"c1": 2},
-        model_checksum="0" * 64, units_checksum="1" * 64, config=Config().to_dict(),
+        model_checksum="0" * 64, units_checksum="1" * 64, config=Config(),
     )
-    return PruningPlan(**{**defaults, **fields}, removed_entries=removed_entries)
+    return PruningPlan(**{**defaults, **fields}, removed_unit_ids=tuple(ids), removed_imps=tuple(imps))
 
 
 def assert_plan_matches_json(plan: PruningPlan) -> None:
     assert plan.to_json() == json.dumps(plan_payload(plan), indent=2) + "\n"
 
 
-ENTRY = {"unit_id": "c1.c0", "imp": 0.25}
-
-
 class TestPlanToJson:
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
     @given(
-        entries=st.lists(planner_entries, max_size=6) | st.lists(planner_entries | values, max_size=4) | values,
+        entries=st.lists(st.tuples(strings, floats | st.integers()), max_size=6),
         threshold=floats,
-        counts=st.lists(st.integers(), min_size=4, max_size=4),
+        counts=st.lists(st.integers() | st.sampled_from(BIG_INTS), min_size=4, max_size=4),
         widths=st.dictionaries(strings, st.integers(), max_size=4),
-        config=st.dictionaries(st.text(max_size=4), scalars, max_size=4),
+        config=st.sampled_from(CONFIGS),
         checksums=st.tuples(strings, strings),
     )
     def test_equals_json_dumps_indent_2(self, entries, threshold, counts, widths, config, checksums):
         params, flops, post_params, post_flops = counts
         plan = make_plan(
-            entries, threshold=threshold, baseline_params=params, baseline_flops=flops, predicted_params=post_params,
-            predicted_flops=post_flops, prr=threshold, frr=-threshold, layer_widths_before=widths,
-            layer_widths_after=dict(reversed(widths.items())), config=config, model_checksum=checksums[0],
-            units_checksum=checksums[1],
+            [uid for uid, _ in entries], [imp for _, imp in entries], threshold=threshold, baseline_params=params,
+            baseline_flops=flops, predicted_params=post_params, predicted_flops=post_flops, prr=threshold,
+            frr=-threshold, layer_widths_before=widths, layer_widths_after=dict(reversed(widths.items())),
+            config=config, model_checksum=checksums[0], units_checksum=checksums[1],
         )
         assert_plan_matches_json(plan)
 
-    @pytest.mark.parametrize(
-        "value",
-        [
-            *EDGE_FLOATS,
-            *EDGE_STRINGS,
-            [],
-            {},
-            [[]],
-            [{}],
-            {"a": []},
-            (1, (2, "x")),
-            [["a", 1], ["b", 2]],
-            [["a", True]],
-            [["a", 1.0]],
-            [("a", 1)],
-            [["a", 1, 2]],
-            {1: "int", 2.5: "float", True: "bool", None: "none"},
-            # the boundary between the values written column by column and those handed to json
-            {"a": [], "b": {}, "c": None, "d": True},
-            [[], {}, [["a", 1]], [("a", 1)]],
-            {"x": float("nan"), "y": [float("inf")]},
-            {"k": (1, [2])},
-            {"a": {1: 2}},
-            {"members": [], "in_slices": [["c", 0]]},
-            True,
-            None,
-            -(2**70),
-        ],
-    )
-    def test_edge_values(self, value):
-        # the value as the removed units, as one of them, and as each field of a planner entry
-        assert_plan_matches_json(make_plan(value))
-        assert_plan_matches_json(make_plan([ENTRY, value, ENTRY]))
-        for key in ENTRY:
-            assert_plan_matches_json(make_plan([ENTRY, {**ENTRY, key: value}]))
-        assert_plan_matches_json(
-            make_plan([ENTRY], threshold=value, config={"alpha": value}, model_checksum=value, units_checksum=value)
-        )
+    @pytest.mark.parametrize("value", EDGE_FLOATS)
+    def test_edge_floats(self, value):
+        # as one imp among others, as every imp, and as the threshold, Prr and Frr
+        assert_plan_matches_json(make_plan(["c1.c0", "c1.c1", "c1.c2"], [0.25, value, 1]))
+        assert_plan_matches_json(make_plan(["c1.c0", "c1.c1"], [value, value]))
+        assert_plan_matches_json(make_plan(["c1.c0"], [0.25], threshold=value, prr=value, frr=value))
+
+    @pytest.mark.parametrize("value", EDGE_STRINGS + TEMPLATE_STRINGS)
+    def test_edge_strings(self, value):
+        # as one unit id among others, as the layer names and as both checksums
+        assert_plan_matches_json(make_plan(["c1.c0", value, "c1.c1"], [0.25, 0.5, 0.75]))
+        widths = {value: 4, "c1": 2}
+        names = dict(layer_widths_before=widths, layer_widths_after=widths, model_checksum=value, units_checksum=value)
+        assert_plan_matches_json(make_plan([value], [0.25], **names))
+
+    @pytest.mark.parametrize("value", BIG_INTS)
+    def test_big_ints(self, value):
+        counts = dict(baseline_params=value, baseline_flops=value, predicted_params=value, predicted_flops=value)
+        assert_plan_matches_json(make_plan(["c1.c0"], [value], layer_widths_before={"c1": value}, **counts))
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_configs(self, config):
+        assert_plan_matches_json(make_plan(["c1.c0"], [0.25], config=config))
+
+    def test_no_entries(self):
+        assert_plan_matches_json(make_plan())
 
     @pytest.mark.parametrize(
-        "entries",
+        "change, message",
         [
-            [],
-            [ENTRY, {**ENTRY, "extra": [["c1", 1]]}],
-            [{"imp": 0.25, "unit_id": "c1.c0"}, ENTRY],
-            [{"unit_id": "c1.c0"}],
-            [{**ENTRY, "members": [["c1", 0]], "in_slices": [["c2", 0], ("c2", 1)]}, ENTRY],  # the earlier format
-            [{**ENTRY, "imp": True}, {**ENTRY, "unit_id": ("c1", 0)}, {"unit_id": None, "imp": [0.25]}],
-            [ENTRY, "c1.c0", None, [ENTRY]],
-            [ENTRY] * 300 + [{**ENTRY, "extra": 1}] + [{**ENTRY, "unit_id": "c1.c1"}] * 300,
+            (dict(ids=[("c1", 0)]), r"^removed_unit_ids must be tuple\[str, \.\.\.\], got tuple$"),
+            (dict(imps=[True]), r"^removed_imps must be tuple\[float, \.\.\.\], got bool$"),
+            (dict(config=Config().to_dict()), r"^config must be Config, got dict$"),
+            (dict(ids=["c1.c0", "c1.c1"]), r"^2 removed unit ids but 1 imps$"),
+            (dict(imps=[0.25, 0.5]), r"^1 removed unit ids but 2 imps$"),
         ],
-        ids=[
-            "no-entries", "extra-key", "other-key-order", "missing-key", "pair-entries", "values-of-other-types",
-            "non-object-entries", "one-odd-entry-among-601",
-        ],
+        ids=["non-str-id", "bool-imp", "dict-config", "more-ids", "more-imps"],
     )
-    def test_in_memory_entries(self, entries):
-        assert_plan_matches_json(make_plan(entries))
-
-    def test_rejects_what_json_rejects(self):
-        for entries in ([{"a": object()}], [{(1, 2): 3}], [{**ENTRY, "imp": object()}], [{**ENTRY, "unit_id": object()}]):
-            with pytest.raises(TypeError):
-                make_plan(entries).to_json()
+    def test_refuses_what_it_cannot_write(self, change, message):
+        with pytest.raises(PruneKitError, match=message):
+            make_plan(**{"ids": ["c1.c0"], "imps": [0.25], **change})
 
 
 def expected_csv(records) -> str:
@@ -246,8 +230,9 @@ def assert_artifacts_match_json(graph):
             continue
         assert_plan_matches_json(plan)
         text = plan.to_json()
-        assert PruningPlan.from_json(text).to_json() == text
-        assert plan.removed_entries == [{"unit_id": uid, "imp": by_uid[uid].importance} for uid in plan.removed_unit_ids]
+        again = PruningPlan.from_json(text)
+        assert vars(again) == vars(plan) and again.to_json() == text  # field for field, and byte for byte
+        assert plan.removed_imps == tuple(by_uid[uid].importance for uid in plan.removed_unit_ids)
         removed = [unit_entry(refs[by_uid[uid].unit_row]) for uid in plan.removed_unit_ids]
         assert plan.units_checksum == unit_table(graph, removed).checksum()
 

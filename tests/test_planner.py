@@ -145,7 +145,7 @@ class TestSelectThreshold:
         layers = chain_descriptor(g)
         budget = (1 - config.flop_target_ratio) * model_flop_count(g, "macs")
         ref = exhaustive_prefix_plan(entries, layers, budget, config.min_channels_per_layer)
-        assert plan.removed_unit_ids == ref
+        assert plan.removed_unit_ids == tuple(ref)
         assert enumerate_all_subsets_check(entries, layers, budget, config.min_channels_per_layer, ref)
 
     def test_budget_satisfaction_and_minimality(self):
@@ -157,14 +157,11 @@ class TestSelectThreshold:
         # dropping the last removal misses the budget
         g2, report = apply_plan(g, plan)
         assert model_flop_count(g2, "macs") == plan.predicted_flops
-        shorter = PruningPlan.from_json(plan.to_json())
-        shorter.removed_entries = shorter.removed_entries[:-1]
-        shorter_units = shorter.removed_entries
         # recount by hand: remove all but the last unit
         from prunekit.surgeon import apply_units
 
         units = build_prune_units(g)
-        partial = apply_units(g, units.take([units.uid.index(e["unit_id"]) for e in shorter_units]))
+        partial = apply_units(g, units.take([units.uid.index(uid) for uid in plan.removed_unit_ids[:-1]]))
         assert model_flop_count(partial, "macs") > budget
 
     def test_threshold_is_last_removed_importance(self):
@@ -280,7 +277,7 @@ def assert_plan_matches_recount(graph, config):
         assert err.value.best_frr == 1.0 - flops / base_flops
         return None
     plan = select_threshold(records, graph, config)
-    assert plan.removed_unit_ids == taken
+    assert plan.removed_unit_ids == tuple(taken)
     assert (plan.predicted_params, plan.predicted_flops) == (params, flops)
     assert plan.to_json() == want
     return plan

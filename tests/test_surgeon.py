@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import re
 import weakref
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -66,6 +67,14 @@ def hand_unit(members=(), in_slices=(), aux=()):
     }
 
 
+def with_entries(plan, change):
+    """``plan`` with its (unit_id, imp) entries, as a list, passed through ``change``."""
+    entries = list(zip(plan.removed_unit_ids, plan.removed_imps))
+    change(entries)
+    ids, imps = zip(*entries) if entries else ((), ())
+    return replace(plan, removed_unit_ids=ids, removed_imps=imps)
+
+
 def only(units, *uids):
     """The rows of ``units`` named ``uids``, as a table."""
     return units.take([units.uid.index(uid) for uid in uids])
@@ -83,15 +92,14 @@ class TestApplyPlan:
     def test_corrupt_plan_unknown_unit(self):
         rng = np.random.default_rng(1)
         g = make_chain(rng, (4, 6))
-        plan = plan_for(g)
-        plan.removed_entries[0]["unit_id"] = "conv9.c99"
+        plan = with_entries(plan_for(g), lambda entries: entries.__setitem__(0, ("conv9.c99", entries[0][1])))
         with pytest.raises(PlanMismatchError, match="unknown unit"):
             apply_plan(g, plan)
 
     def test_corrupt_plan_units_checksum_tampered(self):
         g = make_chain(np.random.default_rng(2), (4, 6))
         plan = plan_for(g)
-        plan.units_checksum = plan.units_checksum[::-1]
+        plan = replace(plan, units_checksum=plan.units_checksum[::-1])
         with pytest.raises(PlanMismatchError, match=r"^plan was produced from other units \(units checksum mismatch\)$"):
             apply_plan(g, plan)
 
@@ -100,7 +108,7 @@ class TestApplyPlan:
         [
             lambda entries: entries.pop(),
             lambda entries: entries.insert(0, entries.pop(1)),
-            lambda entries: entries.__setitem__(0, {**entries[0], "unit_id": "conv1.c3"}),
+            lambda entries: entries.__setitem__(0, ("conv1.c3", entries[0][1])),
         ],
         ids=["entry-dropped", "entries-reordered", "entry-names-another-unit"],
     )
@@ -109,9 +117,8 @@ class TestApplyPlan:
         g = make_chain(np.random.default_rng(6), (4, 6))
         plan = plan_for(g)
         assert "conv1.c3" not in plan.removed_unit_ids
-        change(plan.removed_entries)
         with pytest.raises(PlanMismatchError, match="units checksum mismatch"):
-            apply_plan(g, plan)
+            apply_plan(g, with_entries(plan, change))
 
     @pytest.mark.parametrize(
         "model",
@@ -126,82 +133,87 @@ class TestApplyPlan:
             apply_plan(g, plan)
 
     @pytest.mark.parametrize(
-        "malformed",
-        [
-            lambda e: "x",
-            lambda e: {"members": []},
-            lambda e: {**e, "unit_id": [e["unit_id"]]},
-            lambda e: None,
-            lambda e: {**e, "imp": True},
-            lambda e: {"unit_id": e["unit_id"]},
-        ],
-        ids=["string", "no-unit-id", "list-unit-id", "none", "bool-imp", "no-imp"],
+        "column, value",
+        [("removed_unit_ids", ["conv1.c0"]), ("removed_unit_ids", None), ("removed_unit_ids", 3),
+         ("removed_imps", True), ("removed_imps", None), ("removed_imps", "0.5")],
+        ids=["list-unit-id", "none-unit-id", "int-unit-id", "bool-imp", "none-imp", "string-imp"],
     )
-    def test_corrupt_plan_malformed_entry(self, malformed):
-        # an in-memory plan skips from_json's checks, so apply_plan checks each entry's shape
-        g = make_chain(np.random.default_rng(1), (4, 6))
-        plan = plan_for(g)
-        plan.removed_entries[0] = malformed(plan.removed_entries[0])
-        with pytest.raises(PlanMismatchError, match="^corrupt plan: removed unit .* needs a string unit_id and a number imp$"):
-            apply_plan(g, plan)
+    def test_corrupt_plan_malformed_entry(self, column, value):
+        # a plan is checked when it is made, so a malformed entry never reaches apply_plan
+        plan = plan_for(make_chain(np.random.default_rng(1), (4, 6)))
+        message = rf"^{column} must be tuple\[\w+, \.\.\.\], got {type(value).__name__}$"
+        with pytest.raises(PruneKitError, match=message):
+            replace(plan, **{column: (*getattr(plan, column)[:1], value, *getattr(plan, column)[2:])})
 
-    def test_corrupt_plan_removed_units_not_a_list(self):
-        g = make_chain(np.random.default_rng(1), (4, 6))
-        plan = plan_for(g)
-        plan.removed_entries = tuple(plan.removed_entries)
-        with pytest.raises(PlanMismatchError, match="corrupt plan: removed units must be a list"):
-            apply_plan(g, plan)
+    @pytest.mark.parametrize("column", ["removed_unit_ids", "removed_imps"])
+    def test_corrupt_plan_entry_missing_from_one_column(self, column):
+        plan = plan_for(make_chain(np.random.default_rng(1), (4, 6)))
+        n = len(plan.removed_unit_ids)
+        short = (n - 1, n) if column == "removed_unit_ids" else (n, n - 1)
+        with pytest.raises(PruneKitError, match=rf"^{short[0]} removed unit ids but {short[1]} imps$"):
+            replace(plan, **{column: getattr(plan, column)[1:]})
+
+    @pytest.mark.parametrize("column", ["removed_unit_ids", "removed_imps"])
+    def test_corrupt_plan_removed_units_not_a_tuple(self, column):
+        plan = plan_for(make_chain(np.random.default_rng(1), (4, 6)))
+        with pytest.raises(PruneKitError, match=rf"^{column} must be tuple\[\w+, \.\.\.\], got list$"):
+            replace(plan, **{column: list(getattr(plan, column))})
 
     def test_corrupt_plan_duplicate_unit(self):
         # the surgery and recount would pass, but the report would count the unit twice
         g = make_chain(np.random.default_rng(5), (4, 6))
-        plan = plan_for(g)
-        plan.removed_entries.append(dict(plan.removed_entries[0]))
+        plan = with_entries(plan_for(g), lambda entries: entries.append(entries[0]))
         with pytest.raises(PlanMismatchError, match="unit 'conv.*' listed twice"):
             apply_plan(g, plan)
 
     def test_corrupt_plan_first_failing_entry_wins(self):
         # each entry is matched before the next one, and every entry before the checksum
         g = make_chain(np.random.default_rng(6), (4, 6))
-        plan = plan_for(g)
-        plan.units_checksum = "0" * 64
-        plan.removed_entries.insert(1, dict(plan.removed_entries[0]))
-        plan.removed_entries[2]["unit_id"] = "conv9.c99"
+        plan = replace(plan_for(g), units_checksum="0" * 64)
+
+        def duplicate_then_unknown(entries):
+            entries.insert(1, entries[0])
+            entries[2] = ("conv9.c99", entries[2][1])
+
+        plan = with_entries(plan, duplicate_then_unknown)
         with pytest.raises(PlanMismatchError, match=r"^corrupt plan: unit 'conv1\.c2' listed twice$"):
             apply_plan(g, plan)
-        del plan.removed_entries[1]
+        plan = with_entries(plan, lambda entries: entries.pop(1))
         with pytest.raises(PlanMismatchError, match=r"^corrupt plan: unknown unit 'conv9\.c99'$"):
             apply_plan(g, plan)
 
     def test_corrupt_plan_on_a_model_without_units(self):
         g = make_minimal()
         assert not len(build_prune_units(g))
-        plan = plan_for(make_chain(np.random.default_rng(6), (4, 6)))
-        plan.model_checksum = graph_checksum(g)
+        plan = replace(plan_for(make_chain(np.random.default_rng(6), (4, 6))), model_checksum=graph_checksum(g))
         with pytest.raises(PlanMismatchError, match="^corrupt plan: unknown unit 'conv1.c2'$"):
             apply_plan(g, plan)
 
     def test_tampered_prediction_fails_closed(self):
         g = make_chain(np.random.default_rng(4), (4, 6))
         plan = plan_for(g)
-        plan.predicted_params += 1
+        plan = replace(plan, predicted_params=plan.predicted_params + 1)
         with pytest.raises(PruneKitError, match="surgery does not match plan: params"):
             apply_plan(g, plan)
 
     @pytest.mark.parametrize(
-        "change, message",
+        "config, message",
         [
-            ({"flop_target_ratio": 7.0}, r"flop_target_ratio must be in \(0, 1\), got 7\.0"),
-            ({"gamma": 1.0}, "plan config: .*unexpected keyword argument 'gamma'"),
+            (lambda config: replace(config, flop_target_ratio=7.0), r"^flop_target_ratio must be in \(0, 1\), got 7\.0$"),
+            (lambda config: config.to_dict(), r"^config must be Config, got dict$"),
         ],
-        ids=["invalid-value", "unknown-key"],
+        ids=["invalid-value", "dict-config"],
     )
-    def test_in_memory_plan_with_bad_config(self, change, message):
-        g = make_chain(np.random.default_rng(4), (4, 6))
-        plan = plan_for(g)
-        plan.config = {**plan.config, **change}
+    def test_in_memory_plan_with_bad_config(self, config, message):
+        plan = plan_for(make_chain(np.random.default_rng(4), (4, 6)))
         with pytest.raises(PruneKitError, match=message):
-            apply_plan(g, plan)
+            replace(plan, config=config(plan.config))
+
+    def test_plan_is_frozen(self):
+        plan = plan_for(make_chain(np.random.default_rng(4), (4, 6)))
+        for name, value in [("predicted_params", 0), ("removed_unit_ids", ()), ("config", Config())]:
+            with pytest.raises(FrozenInstanceError):
+                setattr(plan, name, value)
 
     def test_exactness(self):
         rng = np.random.default_rng(3)

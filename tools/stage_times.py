@@ -8,8 +8,10 @@ wall times, in milliseconds, of each stage of ``plan`` and ``analyze`` under
 the workload's preset and FLOP target: ``load_model`` + ``infer_shapes``,
 ``build_prune_units``, ``score_all``, ``rank_global``, ``select_threshold``
 with and without ``graph_checksum`` (stubbed out for the second),
-``records_texts`` and ``PruningPlan.to_json``. A ``gc.collect()`` runs before
-each timed call. ``--cpu`` pins this process to one CPU. BLAS runs on one
+``records_texts`` and ``PruningPlan.to_json``, and of the prune side of that
+plan: ``PruningPlan.from_json`` of the written text and
+``PruningPlan.removed_table``. A ``gc.collect()`` runs before each timed
+call. ``--cpu`` pins this process to one CPU. BLAS runs on one
 thread, and prunekit is imported from the ``src`` directory next to this
 script, so two checkouts can be compared by running each one's copy of the
 script on the same CPU.
@@ -36,7 +38,7 @@ import models  # noqa: E402  (the benchmark's seeded model builders)
 import run  # noqa: E402  (the benchmark's workloads: model, preset and FLOP target)
 
 import prunekit.planner as planner  # noqa: E402
-from prunekit import Config, build_prune_units, infer_shapes, load_model, rank_global, save_model  # noqa: E402
+from prunekit import Config, PruningPlan, build_prune_units, infer_shapes, load_model, rank_global, save_model  # noqa: E402
 from prunekit import score_all, select_threshold  # noqa: E402
 from prunekit.scoring import records_texts  # noqa: E402
 
@@ -49,6 +51,8 @@ STAGES = (
     "select_threshold, no checksum",
     "records_texts",
     "PruningPlan.to_json",
+    "PruningPlan.from_json",
+    "removed_table",
 )
 
 
@@ -82,7 +86,9 @@ def stage_times(name: str, seed: int, repeats: int, work: str) -> dict[str, floa
     finally:
         planner.graph_checksum = checksum
     times[STAGES[6]], _ = best_ms(lambda: records_texts(scores), repeats)
-    times[STAGES[7]], _ = best_ms(plan.to_json, repeats)
+    times[STAGES[7]], text = best_ms(plan.to_json, repeats)
+    times[STAGES[8]], plan = best_ms(lambda: PruningPlan.from_json(text), repeats)
+    times[STAGES[9]], _ = best_ms(lambda: plan.removed_table(graph), repeats)
     return times
 
 
