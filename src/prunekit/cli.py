@@ -23,8 +23,8 @@ import time
 
 from . import __version__
 from .costs import CONVENTIONS, effective_model_costs
-from .errors import DegenerateModelError, GraphValidationError, InfeasibleBudgetError, PruneKitError
-from .graph import ModelGraph, container_checksum, infer_shapes, load_model, save_model
+from .errors import DegenerateModelError, GraphValidationError, InfeasibleBudgetError, ManifestError, PruneKitError
+from .graph import ModelGraph, container_checksum, infer_shapes, load_model, resolve_weights, save_model
 from .planner import PruningPlan, multi_pass, select_threshold
 from .scoring import WEIGHT_NORM_MODES, Config, records_texts, score_all
 from .surgeon import apply_plan
@@ -184,12 +184,30 @@ def _file_checksum(path: str) -> str:
     return digest.hexdigest()
 
 
+def _resolved_weights(manifest_path: str | None) -> str | None:
+    """The container ``load_model`` reads for this manifest when given no
+    weights path, found without reading it; None when the manifest names none
+    (loading then says why)."""
+    if manifest_path is None:
+        return None
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as f:
+            manifest = json.load(f)
+        return resolve_weights(manifest_path, manifest.get("weights_file")) if isinstance(manifest, dict) else None
+    except (OSError, ValueError, RecursionError, ManifestError):
+        return None
+
+
 def _write(out_dir: str, name: str, data: bytes) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "wb") as f:
         f.write(data)
     return path
+
+
+# the manifest whose weights_file each weights flag defaults to
+_MANIFEST_OF = {"weights": "model", "baseline_weights": "baseline", "pruned_weights": "pruned"}
 
 
 class _RunManifest:
@@ -203,11 +221,15 @@ class _RunManifest:
             "artifacts": [],
             "timings": {},
         }
-        for attr in ("model", "weights", "plan", "baseline", "pruned", "baseline_weights", "pruned_weights"):
+        for attr in ("model", "weights", "config", "plan", "baseline", "pruned", "baseline_weights", "pruned_weights"):
             path = getattr(args, attr, None)
+            resolved = path is None and attr in _MANIFEST_OF
+            if resolved:
+                path = _resolved_weights(getattr(args, _MANIFEST_OF[attr], None))
             if path and os.path.exists(path):
-                # report reads no tensor byte of its containers, so they are sized, not hashed
-                size_only = attr.endswith("_weights")
+                # report reads no tensor byte of its containers, and only loading reads a
+                # resolved container, so those are sized, not hashed
+                size_only = resolved or attr.endswith("_weights")
                 record = {"bytes": os.path.getsize(path)} if size_only else {"sha256": _file_checksum(path)}
                 self.data["inputs"][attr] = {"path": path, **record}
 

@@ -527,6 +527,15 @@ def _check_utf8(value: str, what: str) -> None:
         raise ManifestError(f"{what} {value!r} is not encodable as UTF-8: {e.reason}") from None
 
 
+def resolve_weights(manifest_path: str, weights_file) -> str:
+    """The container that a manifest at ``manifest_path`` names as its
+    ``weights_file``, a path relative to the manifest's directory;
+    ManifestError unless ``weights_file`` is a UTF-8 string."""
+    _expect(weights_file, str, "manifest weights_file")
+    _check_utf8(weights_file, "manifest weights_file")
+    return os.path.join(os.path.dirname(os.path.abspath(manifest_path)), weights_file)
+
+
 def load_model(manifest_path: str, weights_path: str | None = None, *, structure_only: bool = False) -> ModelGraph:
     """Load a model and :func:`validate` its structure; fails rather than
     returning a partial graph. Widths and sizes are checked by infer_shapes.
@@ -556,9 +565,7 @@ def load_model(manifest_path: str, weights_path: str | None = None, *, structure
         raise ManifestError(f"manifest total_bytes must be a non-negative int, got {type(total).__name__} {total!r}")
 
     if weights_path is None:
-        weights_file = _expect(manifest["weights_file"], str, "manifest weights_file")
-        _check_utf8(weights_file, "manifest weights_file")
-        weights_path = os.path.join(os.path.dirname(os.path.abspath(manifest_path)), weights_file)
+        weights_path = resolve_weights(manifest_path, manifest["weights_file"])
     with open(weights_path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         if size:  # the file must yield every byte fstat reports: probe the last one

@@ -9,7 +9,7 @@ the caller gives the input up (``multi_pass``): sliced tensors are fresh
 arrays, tensors of layers that lose nothing are shared with the input, and
 surviving weights are bit-identical to their pre-surgery values.
 Surgery takes its kept indices from the same origin arrays that the units come
-from (``units.channel_flow``).
+from (``units.origin_arrays``), over the table's filters, whose ids are channels.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .graph import (
     infer_shapes,
     validate,
 )
-from .units import PruneUnit, UnitTable, _Numbering, channel_flow, graph_row, graph_table
+from .units import PruneUnit, UnitTable, _Numbering, graph_row, graph_table, origin_arrays
 
 if TYPE_CHECKING:  # the planner applies its plans with this module's apply_units
     from .planner import PruningPlan
@@ -90,7 +90,7 @@ def apply_units(graph: ModelGraph, units: UnitTable, *, release: bool = False) -
     """Remove the units of ``units``, a table made from ``graph``, returning a
     new validated graph.
 
-    A node keeps the output columns whose origins (``units.channel_flow``) all
+    A node keeps the output columns whose origins (``units.origin_arrays``) all
     survive, with -1 padding counted alive; a kept slot's new ``in_select``
     entry is its column's position among the producer's kept columns. With
     ``release`` the caller gives ``graph`` up: each replaced tensor is deleted
@@ -98,10 +98,10 @@ def apply_units(graph: ModelGraph, units: UnitTable, *, release: bool = False) -
     plus one layer, and ``graph`` is left without those tensors."""
     if not graph.inferred:
         raise PruneKitError("run infer_shapes before surgery")
-    channels, arrays = channel_flow(graph)
     table = graph_table(graph, units)
     slots, entries = table.slots, table.entries
-    removed = _marks(table.members.ids, channels)  # a filter id is its channel's id
+    arrays = origin_arrays(graph, table.filters)
+    removed = _marks(table.members.ids, table.filters)
     slot_gone = _marks(table.in_slices.ids, slots)
     entry_gone = _marks(table.aux.ids, entries)
 

@@ -14,26 +14,26 @@ The final weighted layer feeding Output keeps all its channels (class count is
 fixed). Channels of the graph Input are never removable, and neither is a group
 that an Add ties to them or to a dense-interior producer.
 
-Units are derived per layer, not per channel. Weighted-layer channels, then
-the Input's, share one global id numbering laid out layer by layer in graph
-order, so sorting weighted-layer ids sorts channels by (topo, index); consumer
-slots and per-channel vector entries (biases, batch-norm indices) are numbered
-the same way. One walk gives every node an integer array of the channel ids
-feeding each of its output indices, with one row per origin (an Add stacks its
-operands' rows). Each weighted layer's reads then become (channel, slot) id
-pairs, and each batch-norm layer's entries (channel, entry) pairs, a whole
-layer at a time. Each Add ties whole operand arrays in an array union-find,
-whose classes are the residual groups. One reverse pass over the graph order
-finds the layers with no path to Output and the dense-interior ones, whose
-reads reach a weighted consumer only through a Concat. Every walk follows the
-stored order, which ``graph.validate`` proves topological.
+Units are derived per layer, not per channel. Channels are numbered as
+filters: the weighted layers' output channels laid out layer by layer in graph
+order, then the Input's, so sorting weighted-layer ids sorts channels by
+(topo, index); consumer slots and per-channel vector entries (biases,
+batch-norm indices) are numbered the same way. One walk gives every node an
+integer array of the channel ids feeding each of its output indices, with one
+row per origin (an Add stacks its operands' rows). One rule turns those arrays
+into (channel, slot) read pairs and (channel, entry) vector-entry pairs, a
+whole layer at a time. Each Add ties whole operand arrays in an array
+union-find, whose classes are the residual groups. One reverse pass over the
+graph order finds the layers with no path to Output and the dense-interior
+ones, whose reads reach a weighted consumer only through a Concat. Every walk
+follows the stored order, which ``graph.validate`` proves topological.
 
 The inventory is one :class:`UnitTable`: every unit's members, reads, entries
-and per-member reads are runs of ids in shared arrays, and ``uid``, ``kind``
-and ``family`` are lists; a unit is a row of it (:class:`PruneUnit`).
-Scoring, pricing, planning and surgery read those arrays, and take only a
-table made from the graph they are given; surgery also reads the channel
-numbering and origin arrays (``channel_flow``) to find the indices each node
+and per-member reads are runs of ids in shared arrays, and ``uid`` and
+``family`` are lists; a unit is a row of it (:class:`PruneUnit`). Scoring,
+pricing, planning and surgery read those arrays, and take only a table made
+from the graph they are given; surgery also reads the origin arrays over the
+table's filter numbering (``origin_arrays``) to find the indices each node
 keeps. Units made by hand enter a table as ``units.json`` entries through
 ``unit_table``, which reads each member's reads from the graph.
 """
@@ -66,7 +66,7 @@ class PruneUnit(NamedTuple):
     row: int
 
     uid = property(lambda self: self.table.uid[self.row])
-    kind = property(lambda self: self.table.kind[self.row])
+    kind = property(lambda self: IN_CHANNEL_ONLY if self.table.origin[self.row] >= 0 else FULL_CHANNEL)
     family = property(lambda self: self.table.family[self.row])
 
     def to_json(self) -> dict:
@@ -137,38 +137,40 @@ class Ragged(NamedTuple):
 
 
 def _numberings(graph: ModelGraph) -> tuple[_Numbering, _Numbering, _Numbering]:
-    """The numberings of weighted-layer filters, weighted-layer input slots
-    and per-channel vector entries (batch-norm indices and biases), each laid
-    out in graph order."""
+    """The numberings of filters (weighted-layer channels, then the Input's),
+    weighted-layer input slots and per-channel vector entries (batch-norm
+    indices and biases), each laid out in graph order."""
     weighted = graph.weighted_layers()
     nodes = map(graph.nodes.__getitem__, graph.order)
     has_aux = [n for n in nodes if n.kind == "BatchNorm2d" or (n.kind in WEIGHTED_KINDS and "bias" in n.tensors)]
     return (
-        _Numbering([(n.id, n.out_channels) for n in weighted]),
+        _Numbering([(n.id, n.out_channels) for n in [*weighted, graph.input_node()]]),
         _Numbering([(n.id, n.declared_in_width()) for n in weighted]),
         _Numbering([(n.id, n.out_channels) for n in has_aux]),
     )
 
 
 class UnitTable:
-    """The units of one graph as a table: ``uid``, ``kind`` and ``family``
-    lists, and id arrays shared by all rows.
+    """The units of one graph as a table: ``uid`` and ``family`` lists, id
+    arrays shared by all rows, and ``kind``, derived from ``origin``.
 
     ``members`` (filter ids), ``in_slices`` (slot ids) and ``aux`` (entry ids)
     hold one run per unit, numbered by ``filters``, ``slots`` and ``entries``;
     ``member_reads`` holds one run of slot ids per member; ``origin`` is the
     filter id producing an in-channel-only unit's slot, -1 for other units.
-    Filter and slot numberings list the weighted layers in graph order, so a
-    layer's position in them is its layer code. Iterating or indexing the table gives :class:`PruneUnit`
-    rows; ``take`` selects rows as a new table.
+    Filter and slot numberings list the weighted layers in graph order (then
+    filters the Input), so a layer's position in them is its layer code.
+    Iterating or indexing gives :class:`PruneUnit` rows; ``take`` selects rows.
     """
 
-    def __init__(self, graph: weakref.ref, numberings, uid, kind, family, members, in_slices, aux, member_reads, origin):
+    def __init__(self, graph: weakref.ref, numberings, uid, family, members, in_slices, aux, member_reads, origin):
         self._graph = graph  # a weak reference: a table does not keep its graph alive
         self.filters, self.slots, self.entries = numberings
-        self.uid, self.kind, self.family = uid, kind, family
+        self.uid, self.family = uid, family
         self.members, self.in_slices, self.aux = members, in_slices, aux
         self.member_reads, self.origin = member_reads, origin
+
+    kind = property(lambda self: [IN_CHANNEL_ONLY if o >= 0 else FULL_CHANNEL for o in self.origin.tolist()])
 
     def __len__(self) -> int:
         return len(self.uid)
@@ -187,7 +189,6 @@ class UnitTable:
             self._graph,
             (self.filters, self.slots, self.entries),
             list(map(self.uid.__getitem__, pick)),
-            list(map(self.kind.__getitem__, pick)),
             list(map(self.family.__getitem__, pick)),
             self.members.take(rows),
             self.in_slices.take(rows),
@@ -279,19 +280,20 @@ def unit_table(graph: ModelGraph, entries: list[dict]) -> UnitTable:
         if (origin is None) != (kind == FULL_CHANNEL) or not (origin is None or jsontext.is_pairs([origin])):
             raise PruneKitError(f"{uid}: an in-channel-only unit, and no other, needs its [layer, index] origin")
     filters, slots, auxes = numberings = _numberings(graph)
-    members = _ids([e["members"] for e in entries], filters, "output channel")
+    stop = filters.starts[-2]  # the Input's channels come last, and no unit names them
+    members = _ids([e["members"] for e in entries], filters, "output channel", stop)
     in_slices = _ids([e["in_slices"] for e in entries], slots, "input slot")
     aux = _ids([e["aux"] for e in entries], auxes, "vector entry")
     full = np.array([e["kind"] == FULL_CHANNEL for e in entries], bool)
     origin = np.full(len(entries), -1)
-    origin[~full] = _ids([[e["origin"]] for e in entries if e["kind"] != FULL_CHANNEL], filters, "output channel").ids
+    origin[~full] = _ids([[e["origin"]] for e in entries if e["kind"] != FULL_CHANNEL], filters, "output channel", stop).ids
     bad = np.flatnonzero(np.where(full, members.sizes() == 0, (members.sizes() > 0) | (in_slices.sizes() == 0)))
     if len(bad):
         raise PruneKitError(
             f"{entries[bad[0]]['uid']}: a full-channel unit needs members, an in-channel-only unit a slot and no members"
         )
 
-    read_origin, read_slot = _reads(graph, channel_flow(graph)[1], slots)
+    read_origin, read_slot = _reads(graph, origin_arrays(graph, filters), slots)
     run = np.repeat(np.arange(len(entries)), in_slices.sizes())  # each in-slice's unit
     fed = np.isin(origin[run] * slots.size + in_slices.ids, read_origin * slots.size + read_slot)
     if len(stray := np.flatnonzero(~full[run] & ~fed)):  # an in-channel-only unit's slot its origin does not feed
@@ -308,7 +310,6 @@ def unit_table(graph: ModelGraph, entries: list[dict]) -> UnitTable:
         weakref.ref(graph),
         numberings,
         [e["uid"] for e in entries],
-        [e["kind"] for e in entries],
         [e["family"] for e in entries],
         members,
         in_slices,
@@ -318,13 +319,15 @@ def unit_table(graph: ModelGraph, entries: list[dict]) -> UnitTable:
     )
 
 
-def _ids(groups: list[list], numbering: _Numbering, what: str) -> Ragged:
+def _ids(groups: list[list], numbering: _Numbering, what: str, stop: int | None = None) -> Ragged:
     """The [layer, index] pairs of each group as one run of ids over
     ``numbering``. Each pair must name a layer of the numbering and an index
-    inside its width, and no group may name a pair twice; PruneKitError
-    otherwise, naming the index as ``what``."""
+    inside its width (an id below ``stop``, if given), and no group may name a
+    pair twice; PruneKitError otherwise, naming the index as ``what``."""
     pairs = list(chain.from_iterable(groups))
     ids = numbering.ids_of(pairs)
+    if stop is not None:
+        ids[ids >= stop] = -1
     if (ids < 0).any():
         layer, index = pairs[int(np.argmax(ids < 0))]
         raise PruneKitError(f"{layer}: unit names {what} {index}, which the layer does not have")
@@ -355,19 +358,10 @@ def run_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return out
 
 
-def channel_flow(graph: ModelGraph) -> tuple[_Numbering, dict[str, np.ndarray]]:
-    """The global numbering of channels, and every node's origin array over it
-    (see ``_origin_arrays``). Weighted-layer channels come first, laid out as
-    the ``filters`` numbering of ``_numberings`` (so a channel id is a filter
-    id), then the graph Input's."""
-    nodes = [*graph.weighted_layers(), graph.input_node()]
-    channels = _Numbering([(n.id, n.out_channels) for n in nodes])
-    return channels, _origin_arrays(graph, channels)
-
-
-def _origin_arrays(graph: ModelGraph, channels: _Numbering) -> dict[str, np.ndarray]:
-    """For every node, a (k, width) array of the channel ids feeding each output
-    index: one row per origin, -1 where an index has fewer than k origins.
+def origin_arrays(graph: ModelGraph, channels: _Numbering) -> dict[str, np.ndarray]:
+    """For every node, a (k, width) array of the channel ids (over a table's
+    ``filters``) feeding each output index: one row per origin, -1 where an
+    index has fewer than k origins.
     Input and weighted layers are their own origins; Add stacks its operands'
     rows, Concat pads them to one height and joins them side by side. Any
     other node repeats its one operand's columns up to its inferred width (a
@@ -392,28 +386,28 @@ def _origin_arrays(graph: ModelGraph, channels: _Numbering) -> dict[str, np.ndar
 
 def _reads(graph: ModelGraph, arrays: dict[str, np.ndarray], slots: _Numbering) -> tuple[np.ndarray, np.ndarray]:
     """Every weighted read, as distinct (origin channel, consumer slot) id
-    pairs sorted by channel, then slot (``arrays`` from ``channel_flow``)."""
-    origins, targets = [], []
+    pairs sorted by channel, then slot (``arrays`` from ``origin_arrays``)."""
+    feeds = []
     for node in graph.weighted_layers():
         edge = arrays[node.inputs[0]]
         sel = node.in_select()
         width = edge.shape[1] if sel is None else len(sel)
         if width != node.declared_in_width():
             raise ShapeError(f"{node.id}: input width {node.declared_in_width()} vs edge width {width}")
-        cols = edge if sel is None else edge[:, sel]
-        origins.append(cols.ravel())
-        targets.append(np.tile(slots.ids(node.id), len(cols)))
-    return _pairs(origins, targets, slots.size)
+        feeds.append(edge if sel is None else edge[:, sel])
+    return _pairs(feeds, slots)
 
 
-def _pairs(origins: list[np.ndarray], targets: list[np.ndarray], n_targets: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct (origin, target) id pairs sorted by origin, then target; -1
-    origins (padding) are dropped."""
+def _pairs(feeds: list[np.ndarray], numbering: _Numbering) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct (origin, target) id pairs sorted by origin, then target, where
+    ``feeds[i]`` is the origin array whose columns feed the target ids of
+    layer i of ``numbering``; -1 origins (padding) are dropped."""
     none = np.empty(0, np.int64)
-    origin, target = np.concatenate([none, *origins]), np.concatenate([none, *targets])
-    key = _sorted_unique(origin * n_targets + target)
+    origin = np.concatenate([none, *(feed.ravel() for feed in feeds)])
+    target = np.concatenate([none, *(np.tile(numbering.ids(n), len(f)) for n, f in zip(numbering.names, feeds))])
+    key = _sorted_unique(origin * numbering.size + target)
     key = key[key >= 0]
-    return key // n_targets, key % n_targets
+    return key // numbering.size, key % numbering.size
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
@@ -477,28 +471,18 @@ def build_prune_units(graph: ModelGraph) -> UnitTable:
         raise ShapeError("run infer_shapes before build_prune_units")
     interior = _concat_interior(graph)
     weighted = graph.weighted_layers()
-    channels, arrays = channel_flow(graph)
     filters, slots, auxes = numberings = _numberings(graph)
-
+    arrays = origin_arrays(graph, filters)
     reads = _reads(graph, arrays, slots)
 
     # per-channel vector entries: the batch-norm indices a channel feeds, and its own bias
-    origins, targets = [], []
-    for layer in auxes.offset:
-        node = graph.nodes[layer]
-        if node.kind == "BatchNorm2d":
-            edge = arrays[node.inputs[0]]
-            origins.append(edge.ravel())
-            targets.append(np.tile(auxes.ids(layer), len(edge)))
-        else:
-            origins.append(channels.ids(layer))
-            targets.append(auxes.ids(layer))
-    aux = _pairs(origins, targets, auxes.size)
+    nodes = map(graph.nodes.__getitem__, auxes.names)
+    aux = _pairs([arrays[n.inputs[0] if n.kind == "BatchNorm2d" else n.id] for n in nodes], auxes)
 
     # channels meeting at an Add must come and go together; an operand's
     # origins at one index are already tied (by an earlier Add, or it is a
     # single channel), so its first row stands in for all of them
-    parent = np.arange(channels.size)
+    parent = np.arange(filters.size)
     for nid in graph.order:
         if graph.nodes[nid].kind == "Add":
             first, *rest = (arrays[i][0] for i in graph.nodes[nid].inputs)
@@ -506,18 +490,18 @@ def build_prune_units(graph: ModelGraph) -> UnitTable:
                 _tie(parent, first, other)
     label = _roots(parent, np.arange(len(parent)))
 
-    dense = np.zeros(channels.size, bool)
-    removable = np.zeros(channels.size, bool)
+    dense = np.zeros(filters.size, bool)
+    removable = np.zeros(filters.size, bool)
     for node in weighted:
         mask = dense if node.id in interior else removable
-        mask[channels.ids(node.id)] = True
+        mask[filters.ids(node.id)] = True
     # groups tied to raw input channels, or to a channel that dense-block reads
     # keep alive, are not removable
-    removable &= ~np.isin(label, label[channels.ids(graph.input_node().id)])
+    removable &= ~np.isin(label, label[filters.ids(graph.input_node().id)])
     removable &= ~np.isin(label, label[dense])
 
     members, in_slices, unit_aux, member_reads = _full_channel_units(
-        channels.size, slots.size, auxes.size, label, removable, reads, aux
+        filters.size, slots.size, auxes.size, label, removable, reads, aux
     )
     slot, origin = _in_channel_only_units(slots, dense, reads)
     n_full, n_in = len(members.bounds) - 1, len(slot)
@@ -542,7 +526,6 @@ def build_prune_units(graph: ModelGraph) -> UnitTable:
         weakref.ref(graph),
         numberings,
         uid,
-        [FULL_CHANNEL] * n_full + [IN_CHANNEL_ONLY] * n_in,
         family,
         _joined(members, nothing),
         _joined(in_slices, Ragged.of(slot, np.ones(n_in, np.int64))),

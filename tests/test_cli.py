@@ -193,7 +193,34 @@ class TestPlanPrune:
         big.write_bytes(np.random.default_rng(0).bytes(5 * 2**19 + 3))
         assert _file_checksum(str(big)) == hashlib.sha256(big.read_bytes()).hexdigest()
 
-    def test_report_records_containers_by_size(self, toy_model, tmp_path, monkeypatch):
+    def test_run_manifest_names_the_config_file(self, toy_model, tmp_path):
+        manifest, weights = toy_model
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("alpha = 2.0\nbeta = 0.5\n")
+        out = tmp_path / "out"
+        assert main([
+            "plan", "--model", manifest, "--weights", weights, "--config", str(cfg),
+            "--out-dir", str(out), "--flop-target", "0.3",
+        ]) == 0
+        inputs = json.loads(read(out / "run_manifest.json"))["inputs"]
+        assert inputs["config"] == {"path": str(cfg), "sha256": hashlib.sha256(cfg.read_bytes()).hexdigest()}
+
+    def test_run_manifest_sizes_the_container_the_manifest_names(self, toy_model, tmp_path, monkeypatch):
+        # with no --weights, only loading reads the container: it is recorded by size, under --weights' key
+        import prunekit.cli as cli_module
+
+        manifest, weights = toy_model
+        hashed = []
+        monkeypatch.setattr(cli_module, "_file_checksum", lambda path, real=cli_module._file_checksum: hashed.append(path) or real(path))
+        out = tmp_path / "out"
+        assert main(["analyze", "--model", manifest, "--out-dir", str(out)]) == 0
+        inputs = json.loads(read(out / "run_manifest.json"))["inputs"]
+        assert inputs["weights"] == {"path": weights, "bytes": os.path.getsize(weights)}
+        assert "config" not in inputs
+        assert hashed == [manifest]
+
+    @pytest.mark.parametrize("weights_flags", [True, False])
+    def test_report_records_containers_by_size(self, toy_model, tmp_path, monkeypatch, weights_flags):
         import prunekit.cli as cli_module
 
         manifest, weights = toy_model
@@ -204,10 +231,8 @@ class TestPlanPrune:
         hashed = []
         monkeypatch.setattr(cli_module, "_file_checksum", lambda path, real=cli_module._file_checksum: hashed.append(path) or real(path))
         rep = tmp_path / "rep"
-        assert main([
-            "report", "--baseline", manifest, "--baseline-weights", weights,
-            "--pruned", pruned_manifest, "--pruned-weights", pruned_weights, "--out-dir", str(rep),
-        ]) == 0
+        flags = ["--baseline-weights", weights, "--pruned-weights", pruned_weights] if weights_flags else []
+        assert main(["report", "--baseline", manifest, "--pruned", pruned_manifest, *flags, "--out-dir", str(rep)]) == 0
         inputs = json.loads(read(rep / "run_manifest.json"))["inputs"]
         assert inputs["baseline_weights"] == {"path": weights, "bytes": os.path.getsize(weights)}
         assert inputs["pruned_weights"] == {"path": pruned_weights, "bytes": os.path.getsize(pruned_weights)}
@@ -612,7 +637,7 @@ class TestExitCodes:
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"]["message"] == f"{cfg}:1: expected key=value"
 
-    @pytest.mark.parametrize("kind", ["analyze-model", "analyze-config", "prune-plan", "report-baseline"])
+    @pytest.mark.parametrize("kind", ["analyze-model", "analyze-config", "prune-plan", "report-baseline", "report-unflagged"])
     def test_input_that_is_not_utf8_exits_2(self, toy_model, tmp_path, capsys, kind):
         manifest, weights = toy_model
         out = tmp_path / "out"
@@ -625,6 +650,7 @@ class TestExitCodes:
             "analyze-config": (["analyze", "--model", manifest, "--weights", weights, "--config", str(bad)], f"{bad}: "),
             "prune-plan": (["prune", "--model", manifest, "--weights", weights, "--plan", str(bad)], "malformed plan file: "),
             "report-baseline": (["report", "--baseline", str(bad), "--baseline-weights", weights, "--pruned", manifest], "malformed manifest: "),
+            "report-unflagged": (["report", "--baseline", str(bad), "--pruned", manifest], "malformed manifest: "),
         }[kind]
         capsys.readouterr()
         rc = main([*argv, "--out-dir", str(tmp_path / "o")])
@@ -635,7 +661,7 @@ class TestExitCodes:
         assert message.startswith(prefix) and "can't decode byte 0xff" in message, message
         assert not os.path.exists(tmp_path / "o")
 
-    @pytest.mark.parametrize("kind", ["analyze-model", "prune-plan", "report-baseline"])
+    @pytest.mark.parametrize("kind", ["analyze-model", "prune-plan", "report-baseline", "report-unflagged"])
     def test_input_nested_past_the_recursion_limit_exits_2(self, toy_model, tmp_path, capsys, kind):
         manifest, weights = toy_model
         bad = tmp_path / "bad.json"
@@ -644,6 +670,7 @@ class TestExitCodes:
             "analyze-model": (["analyze", "--model", str(bad), "--weights", weights], "malformed manifest: "),
             "prune-plan": (["prune", "--model", manifest, "--weights", weights, "--plan", str(bad)], "malformed plan file: "),
             "report-baseline": (["report", "--baseline", str(bad), "--baseline-weights", weights, "--pruned", manifest], "malformed manifest: "),
+            "report-unflagged": (["report", "--baseline", str(bad), "--pruned", manifest], "malformed manifest: "),
         }[kind]
         rc = main([*argv, "--out-dir", str(tmp_path / "o")])
         err = capsys.readouterr().err

@@ -16,21 +16,24 @@ from prunekit import (
     DegenerateModelError,
     GraphBuilder,
     PruneKitError,
+    apply_plan,
     build_prune_units,
     combined_importance,
     dependency_l1,
+    forward_eval,
     infer_shapes,
     normalize_cost_scores,
     normalize_weight_scores,
     score_all,
+    select_threshold,
 )
 from prunekit.graph import serialize_graph
 from prunekit.scoring import RECORD_COLUMNS, WEIGHT_NORM_MODES, records_to_csv
-from prunekit.surgeon import apply_units
+from prunekit.surgeon import apply_units, clone_graph
 from prunekit.units import FULL_CHANNEL, IN_CHANNEL_ONLY, unit_table
 from prunekit.zoo import densenet40
 
-from conftest import conv_w, make_chain, random_tiny_net
+from conftest import conv_w, make_chain, make_dense_toy, make_residual_toy, random_tiny_net
 from oracles import (
     container_unit_l1,
     loop_raw_score,
@@ -39,6 +42,45 @@ from oracles import (
     oracle_weight_norm,
     ref_units,
 )
+
+
+# A channel permutation per toy: the layers whose filters (with their biases)
+# move together, one producer or every member of a residual class; the
+# batch-norm layers and the weighted consumers that see those channels, each
+# with the index where they start; and how many units the move relabels.
+PERMUTATIONS = {
+    "chain": (
+        lambda rng: make_chain(rng, (5, 6), with_bn=True, conv_bias=True),
+        ["conv1"], {"bn1": 0}, {"conv2": 0}, 5,
+    ),
+    "residual-class": (
+        lambda rng: make_residual_toy(rng, width=6, planes=3, blocks=2),
+        ["stem", "b1_conv3", "b2_conv3"], {"stem_bn": 0, "b1_bn3": 0, "b2_bn3": 0},
+        {"b1_conv1": 0, "b2_conv1": 0, "head": 0}, 6,
+    ),
+    "dense-producer": (  # d1_conv is read only through concats: its reads are in-channel-only units
+        lambda rng: make_dense_toy(rng, entry_width=5, growth=4, layers=3, with_bn=True),
+        ["d1_conv"], {"d2_bn": 5, "d3_bn": 5}, {"d2_conv": 5, "d3_conv": 5, "head": 5}, 12,
+    ),
+}
+
+
+def permuted(graph, producers, norms, consumers, perm):
+    """A copy of ``graph`` whose channel i of the producers is their old
+    channel perm[i], with every vector entry and input slot that sees it
+    moved to match: the same function, relabelled."""
+    g = clone_graph(graph)
+    for name in producers:
+        tensors = g.nodes[name].tensors
+        for role in tensors.keys() & {"weight", "bias"}:
+            tensors[role] = tensors[role][perm]
+    for name, start in norms.items():
+        for t in g.nodes[name].tensors.values():
+            t[start : start + len(perm)] = t[start + perm]
+    for name, start in consumers.items():
+        w = g.nodes[name].tensors["weight"]
+        w[:, start : start + len(perm)] = w[:, start + perm]
+    return g
 
 
 def fanout_toy():
@@ -372,21 +414,38 @@ class TestInvariances:
             if uid.startswith("conv1."):
                 assert scaled[uid] == pytest.approx(score, rel=rel)
 
-    def test_permutation_equivariance(self):
-        rng = np.random.default_rng(8)
-        g = make_chain(rng, (5, 6))
-        units = build_prune_units(g)
-        base = {r.unit_id: r.importance for r in score_all(g, units, Config())}
+    @pytest.mark.parametrize("case", PERMUTATIONS)
+    def test_channel_permutation_is_a_relabelling(self, case):
+        # permuting a layer's, a residual class's or a dense producer's channels, with everything
+        # that sees them, relabels units: every score and the plan are exactly the same
+        build, producers, norms, consumers, moved = PERMUTATIONS[case]
+        g = build(np.random.default_rng(8))
+        perm = np.random.default_rng(9).permutation(g.nodes[producers[0]].out_channels)
+        assert (perm != np.arange(len(perm))).any()
+        g2 = permuted(g, producers, norms, consumers, perm)
+        relabel = {f"{producers[0]}.c{p}": f"{producers[0]}.c{i}" for i, p in enumerate(perm.tolist())}
+        relabel |= {f"{c}.in{s + p}": f"{c}.in{s + i}" for c, s in consumers.items() for i, p in enumerate(perm.tolist())}
 
-        perm = [3, 0, 4, 1, 2]
-        g2 = make_chain(np.random.default_rng(8), (5, 6))
-        g2.nodes["conv1"].weight()[:] = g.nodes["conv1"].weight()[perm]
-        g2.nodes["conv2"].weight()[:] = g.nodes["conv2"].weight()[:, perm]
-        permuted = {r.unit_id: r.importance for r in score_all(g2, build_prune_units(g2), Config())}
+        config = Config(flop_target_ratio=0.5)
+        records, records2 = (score_all(x, build_prune_units(x), config) for x in (g, g2))
+        columns = ("raw", "weight_score", "param_score", "flop_score", "importance", "params", "flops")
 
-        for new_idx, old_idx in enumerate(perm):
-            assert permuted[f"conv1.c{new_idx}"] == pytest.approx(base[f"conv1.c{old_idx}"], rel=1e-9)
-        assert sorted(permuted.values()) == pytest.approx(sorted(base.values()), rel=1e-9)
+        def by_uid(records, name=lambda uid: uid):
+            return {name(r.unit_id): tuple(getattr(r, c) for c in columns) for r in records}
+
+        assert sum(r.unit_id in relabel for r in records) == moved
+        assert by_uid(records, lambda uid: relabel.get(uid, uid)) == by_uid(records2)
+        plan, plan2 = select_threshold(records, g, config), select_threshold(records2, g2, config)
+        assert any(u in relabel for u in plan.removed_unit_ids)  # the plan removes some of the moved units
+        assert [relabel.get(u, u) for u in plan.removed_unit_ids] == list(plan2.removed_unit_ids)
+        assert (plan.removed_imps, plan.threshold) == (plan2.removed_imps, plan2.threshold)
+        assert (plan.predicted_params, plan.predicted_flops) == (plan2.predicted_params, plan2.predicted_flops)
+
+        # the relabelled model computes the same function, before and after pruning
+        x = np.random.default_rng(10).standard_normal((2, g.input_channels, g.input_size, g.input_size))
+        for a, b in ((g, g2), (apply_plan(g, plan)[0], apply_plan(g2, plan2)[0])):
+            y = forward_eval(a, x)
+            np.testing.assert_allclose(forward_eval(b, x), y, rtol=1e-12, atol=1e-12 * np.abs(y).max())
 
     def test_max_min_attains_endpoints(self):
         rng = np.random.default_rng(9)

@@ -374,6 +374,17 @@ class TestTable:
         with pytest.raises(PruneKitError, match="a unit entry needs"):
             unit_table(g, units)
 
+    @pytest.mark.parametrize("model", ["vgg_graph", "resnet_graph", "densenet_graph"])
+    def test_kind_follows_from_origin(self, request, model):
+        # a table stores no kind: a unit is in-channel-only exactly when it has an origin,
+        # and then it has no members
+        units = build_prune_units(request.getfixturevalue(model))
+        assert units.kind == [IN_CHANNEL_ONLY if o >= 0 else FULL_CHANNEL for o in units.origin.tolist()]
+        assert units.kind == [FULL_CHANNEL if n else IN_CHANNEL_ONLY for n in units.members.sizes().tolist()]
+        assert [u.kind for u in units] == units.kind
+        rows = [len(units) - 1, 0, len(units) // 2]
+        assert units.take(rows).kind == [units.kind[r] for r in rows]
+
     def test_a_table_does_not_keep_its_graph_alive(self):
         import gc
         import weakref
@@ -419,6 +430,8 @@ class TestHandMadeUnits:
             (FULL_CHANNEL, lambda e: {**e, "members": [["entry", 2**63]]}, r"entry: unit names output channel 9223372036854775808, which the layer does not have$"),
             (FULL_CHANNEL, lambda e: {**e, "in_slices": [["d1", -(2**64)]]}, r"d1: unit names input slot -18446744073709551616, which the layer does not have$"),
             (FULL_CHANNEL, lambda e: {**e, "aux": [["entry", 2**70]]}, r"entry: unit names vector entry 1180591620717411303424, which the layer does not have$"),
+            (FULL_CHANNEL, lambda e: {**e, "members": [["input", 0]]}, r"input: unit names output channel 0, which the layer does not have$"),
+            (IN_CHANNEL_ONLY, lambda e: {**e, "origin": ["input", 0]}, r"input: unit names output channel 0, which the layer does not have$"),
         ],
         ids=[
             "unknown-kind",
@@ -440,6 +453,8 @@ class TestHandMadeUnits:
             "member-index-beyond-int64",
             "slot-index-beyond-int64",
             "aux-index-beyond-int64",
+            "member-on-the-input",
+            "origin-on-the-input",
         ],
     )
     def test_malformed_entry_rejected(self, kind, change, message):

@@ -9,12 +9,13 @@ the workload's preset and FLOP target: ``load_model`` + ``infer_shapes``,
 ``build_prune_units``, ``score_all``, ``rank_global``, ``select_threshold``
 with and without ``graph_checksum`` (stubbed out for the second),
 ``records_texts`` and ``PruningPlan.to_json``, and of the prune side of that
-plan: ``PruningPlan.from_json`` of the written text and
-``PruningPlan.removed_table``. A ``gc.collect()`` runs before each timed
-call. ``--cpu`` pins this process to one CPU. BLAS runs on one
-thread, and prunekit is imported from the ``src`` directory next to this
-script, so two checkouts can be compared by running each one's copy of the
-script on the same CPU.
+plan: ``PruningPlan.from_json`` of the written text,
+``PruningPlan.removed_table``, ``apply_units`` of that table,
+``container_checksum`` of the pruned model and ``save_model`` of it. A
+``gc.collect()`` runs before each timed call. ``--cpu`` pins this process to
+one CPU. BLAS runs on one thread, and prunekit is imported from the ``src``
+directory next to this script, so two checkouts can be compared by running
+each one's copy of the script on the same CPU.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ import models  # noqa: E402  (the benchmark's seeded model builders)
 import run  # noqa: E402  (the benchmark's workloads: model, preset and FLOP target)
 
 import prunekit.planner as planner  # noqa: E402
-from prunekit import Config, PruningPlan, build_prune_units, infer_shapes, load_model, rank_global, save_model  # noqa: E402
-from prunekit import score_all, select_threshold  # noqa: E402
+from prunekit import Config, PruningPlan, apply_units, build_prune_units, infer_shapes, load_model, rank_global  # noqa: E402
+from prunekit import save_model, score_all, select_threshold  # noqa: E402
+from prunekit.graph import container_checksum  # noqa: E402
 from prunekit.scoring import records_texts  # noqa: E402
 
 STAGES = (
@@ -53,6 +55,9 @@ STAGES = (
     "PruningPlan.to_json",
     "PruningPlan.from_json",
     "removed_table",
+    "apply_units",
+    "container_checksum",
+    "save_model",
 )
 
 
@@ -88,7 +93,11 @@ def stage_times(name: str, seed: int, repeats: int, work: str) -> dict[str, floa
     times[STAGES[6]], _ = best_ms(lambda: records_texts(scores), repeats)
     times[STAGES[7]], text = best_ms(plan.to_json, repeats)
     times[STAGES[8]], plan = best_ms(lambda: PruningPlan.from_json(text), repeats)
-    times[STAGES[9]], _ = best_ms(lambda: plan.removed_table(graph), repeats)
+    times[STAGES[9]], removed = best_ms(lambda: plan.removed_table(graph), repeats)
+    times[STAGES[10]], pruned = best_ms(lambda: apply_units(graph, removed), repeats)
+    times[STAGES[11]], _ = best_ms(lambda: container_checksum(pruned), repeats)
+    pruned_manifest, pruned_weights = os.path.join(work, f"{name}-pruned.json"), os.path.join(work, f"{name}-pruned.bin")
+    times[STAGES[12]], _ = best_ms(lambda: save_model(pruned, pruned_manifest, pruned_weights), repeats)
     return times
 
 
